@@ -26,6 +26,11 @@ type node = {
   kern : Kernel.t;
   outbox : msg Queue.t;
   mutable last_l2_miss : int;  (* L2 miss meter at last barrier *)
+  (* Posts are counted per node: the hooks run on the node's own
+     domain during the parallel phase, so a shared counter would lose
+     increments. {!stats} sums them. *)
+  mutable ipis_posted : int;
+  mutable shootdowns_posted : int;
 }
 
 type stats = {
@@ -50,10 +55,8 @@ type t = {
   mutable next_pd : int;               (* global id space (pcpus > 1) *)
   mutable next_place : int;            (* round-robin placement cursor *)
   mutable barrier_hook : (unit -> unit) option;
-  mutable ipis_posted : int;
   mutable ipis_delivered : int;
   mutable ipis_dropped : int;
-  mutable shootdowns_posted : int;
   mutable shootdowns_completed : int;
   mutable migrations : int;
 }
@@ -81,14 +84,14 @@ let install_hooks t =
                    match Hashtbl.find_opt t.directory dest with
                    | Some owner when owner <> n.cpu ->
                      Queue.push (Ipc { dest; sender; payload }) n.outbox;
-                     t.ipis_posted <- t.ipis_posted + 1;
+                     n.ipis_posted <- n.ipis_posted + 1;
                      true
                    | Some _ | None -> false);
               sh_asid_steal =
                 (fun ~asid ->
                    Queue.push (Shootdown { asid }) n.outbox;
-                   t.ipis_posted <- t.ipis_posted + 1;
-                   t.shootdowns_posted <- t.shootdowns_posted + 1) }))
+                   n.ipis_posted <- n.ipis_posted + 1;
+                   n.shootdowns_posted <- n.shootdowns_posted + 1) }))
     t.nodes
 
 let create ?config ?(epoch = Cycles.of_ms 1.0) ?workers ~pcpus ~mk_zynq () =
@@ -98,7 +101,8 @@ let create ?config ?(epoch = Cycles.of_ms 1.0) ?workers ~pcpus ~mk_zynq () =
     Array.init pcpus (fun cpu ->
         let z = mk_zynq cpu in
         let kern = Kernel.boot ?config z in
-        { cpu; z; kern; outbox = Queue.create (); last_l2_miss = 0 })
+        { cpu; z; kern; outbox = Queue.create (); last_l2_miss = 0;
+          ipis_posted = 0; shootdowns_posted = 0 })
   in
   let t =
     { pcpus; epoch; workers; nodes;
@@ -106,8 +110,8 @@ let create ?config ?(epoch = Cycles.of_ms 1.0) ?workers ~pcpus ~mk_zynq () =
       directory = Hashtbl.create 32;
       next_pd = 1; next_place = 0;
       barrier_hook = None;
-      ipis_posted = 0; ipis_delivered = 0; ipis_dropped = 0;
-      shootdowns_posted = 0; shootdowns_completed = 0; migrations = 0 }
+      ipis_delivered = 0; ipis_dropped = 0;
+      shootdowns_completed = 0; migrations = 0 }
   in
   if pcpus > 1 then install_hooks t;
   t
@@ -232,10 +236,11 @@ let stats t =
        Coherence.contention_cycles c)
     | None -> (0, 0, 0)
   in
-  { s_ipis_posted = t.ipis_posted;
+  let sum f = Array.fold_left (fun acc n -> acc + f n) 0 t.nodes in
+  { s_ipis_posted = sum (fun n -> n.ipis_posted);
     s_ipis_delivered = t.ipis_delivered;
     s_ipis_dropped = t.ipis_dropped;
-    s_shootdowns_posted = t.shootdowns_posted;
+    s_shootdowns_posted = sum (fun n -> n.shootdowns_posted);
     s_shootdowns_completed = t.shootdowns_completed;
     s_migrations = t.migrations;
     s_coherence_lines = cl;

@@ -152,6 +152,23 @@ let test_ipi_conservation () =
   check cb "outboxes drained" true (Smp.outboxes_empty smp);
   clean smp "final"
 
+(* Posts happen inside the parallel phase, one domain per node: the
+   post counters must not lose increments when four workers run the
+   storm at once. Repeated because a lost update is a race. *)
+let test_ipi_counters_under_workers () =
+  for run = 1 to 20 do
+    let smp =
+      build_storm ~workers:4 ~linger:true ~pcpus:4 ~guests:8 ~iters:15 ()
+    in
+    Smp.run smp ~until:(Cycles.of_ms 100.0);
+    let s = Smp.stats smp in
+    check cb "cross-CPU IPIs flowed" true (s.Smp.s_ipis_posted > 0);
+    check ci
+      (Printf.sprintf "run %d: posted = delivered + dropped" run)
+      s.Smp.s_ipis_posted
+      (s.Smp.s_ipis_delivered + s.Smp.s_ipis_dropped)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Idle-balance migration: with a tiny epoch, pCPU 0's long queue of   *)
 (* never-started guests is visible at a barrier while pCPU 1 idles,    *)
@@ -258,6 +275,7 @@ let suite =
         test_domain_count_independence;
       t "pcpus-1 delegation identity" `Quick test_pcpus1_delegates_to_kernel;
       t "IPI conservation" `Quick test_ipi_conservation;
+      t "IPI counters under 4 workers" `Quick test_ipi_counters_under_workers;
       t "idle-balance migration" `Quick test_idle_balance_migration;
       t "kill race under ASID pressure" `Slow
         test_kill_race_under_asid_pressure ] )
