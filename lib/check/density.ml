@@ -466,10 +466,6 @@ let pp_report ppf r =
     r.victim_p99_us r.ring.Kernel.rs_enqueued r.ring.Kernel.rs_completed
     r.ring.Kernel.rs_reclaimed r.crashes r.sim_ms
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
 let report_json b r =
   let add = Buffer.add_string b in
   add
@@ -486,23 +482,23 @@ let report_json b r =
         \"prr_utilisation\": ["
        (mode_name r.mode) r.vms r.pcpus r.jobs_per_vm r.batch r.jobs_submitted
        r.jobs_ok r.jobs_busy r.jobs_failed r.transitions
-       (json_float r.transitions_per_job)
-       (json_float r.overhead_us_per_job)
+       (Json_out.float r.transitions_per_job)
+       (Json_out.float r.overhead_us_per_job)
        r.hypercalls r.ring.Kernel.rs_enqueued r.ring.Kernel.rs_completed
        r.ring.Kernel.rs_reclaimed r.ring.Kernel.rs_doorbells
        r.ring.Kernel.rs_empty_doorbells r.ring.Kernel.rs_virqs
        r.ring.Kernel.rs_max_batch r.ring.Kernel.rs_asid_steals
        r.victim_jobs r.victim_ok r.victim_dropped r.victim_virqs
-       (json_float r.victim_p50_us) (json_float r.victim_p99_us));
+       (Json_out.float r.victim_p50_us) (Json_out.float r.victim_p99_us));
   List.iteri
     (fun i p ->
        if i > 0 then add ", ";
        add
          (Printf.sprintf "{\"prr\": %d, \"busy_cycles\": %d, \"util\": %s}"
-            p.prr_id p.busy_cycles (json_float p.util)))
+            p.prr_id p.busy_cycles (Json_out.float p.util)))
     r.prrs;
   add
     (Printf.sprintf
        "], \"injected\": %d, \"crashes\": %d, \"alive_after\": %d, \
         \"sim_ms\": %s, \"sim_cycles\": %d}"
-       r.injected r.crashes r.alive_after (json_float r.sim_ms) r.sim_cycles)
+       r.injected r.crashes r.alive_after (Json_out.float r.sim_ms) r.sim_cycles)

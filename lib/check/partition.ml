@@ -380,10 +380,6 @@ let pp_report ppf r =
     r.pcap_transfers r.victim_ok r.victim_jobs r.victim_p50_us
     r.victim_p99_us r.injected r.crashes r.sim_ms
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
 let report_json b r =
   let add = Buffer.add_string b in
   add
@@ -400,7 +396,7 @@ let report_json b r =
        r.jobs_submitted r.jobs_ok r.jobs_busy r.jobs_denied r.jobs_failed
        r.requests r.reclaims r.reconfigs r.recoveries r.pcap_transfers
        r.pcap_failures r.victim_jobs r.victim_ok r.victim_dropped
-       (json_float r.victim_p50_us) (json_float r.victim_p99_us));
+       (Json_out.float r.victim_p50_us) (Json_out.float r.victim_p99_us));
   List.iteri
     (fun i p ->
        if i > 0 then add ", ";
@@ -412,11 +408,11 @@ let report_json b r =
             (match p.pinned with
              | Some c -> string_of_int c
              | None -> "null")
-            p.busy_cycles (json_float p.util)))
+            p.busy_cycles (Json_out.float p.util)))
     r.prrs;
   add
     (Printf.sprintf
        "], \"injected\": %d, \"crashes\": %d, \"alive_after\": %d, \
         \"sim_ms\": %s, \"sim_cycles\": %d}"
-       r.injected r.crashes r.alive_after (json_float r.sim_ms)
+       r.injected r.crashes r.alive_after (Json_out.float r.sim_ms)
        r.sim_cycles)

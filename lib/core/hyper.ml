@@ -205,18 +205,6 @@ let pp_response ppf = function
       Addr.pp cq_vaddr entries
   | R_error e -> Format.fprintf ppf "error:%s" e
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s
-
 let json_int_opt b = function
   | Some v -> Buffer.add_string b (string_of_int v)
   | None -> Buffer.add_string b "null"
@@ -257,5 +245,5 @@ let response_to_json b = function
          sq_vaddr cq_vaddr entries)
   | R_error e ->
     Buffer.add_string b "{\"kind\": \"error\", \"message\": \"";
-    json_escape b e;
+    Json_out.escape b e;
     Buffer.add_string b "\"}"

@@ -500,10 +500,6 @@ let pp_report ppf r =
        Format.fprintf ppf "  prr%d util %.1f%%@." p.prr_id (100.0 *. p.util))
     r.prrs
 
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
 (* One report as a JSON object. [metrics] controls whether the board
    observability snapshot (and the kernel's per-VM virq_turnaround
    percentiles derived from it) is embedded. *)
@@ -518,12 +514,12 @@ let report_json ?(metrics = true) b r =
         \"crashes\": %d, \"max_queue_depth\": %d, \"sim_ms\": %s, \
         \"sim_cycles\": %d, \"vms\": ["
        (process_name r.process) r.guests r.pcpus
-       (json_float r.mean_interarrival_us)
-       (json_float r.victim_interarrival_us)
+       (Json_out.float r.mean_interarrival_us)
+       (Json_out.float r.victim_interarrival_us)
        r.arrivals_per_guest
-       (json_float r.fault_rate)
+       (Json_out.float r.fault_rate)
        r.churn_kills r.kills r.injected r.crashes r.max_depth
-       (json_float r.sim_ms) r.sim_cycles);
+       (Json_out.float r.sim_ms) r.sim_cycles);
   List.iteri
     (fun i v ->
        if i > 0 then add ", ";
@@ -537,10 +533,10 @@ let report_json ?(metrics = true) b r =
              \"sojourn_p99_us\": %s, \"sojourn_p999_us\": %s, \
              \"sojourn_max_us\": %s}"
             v.vm v.role v.arrivals v.served v.ok v.dropped v.max_depth
-            (json_float v.service_p50_us) (json_float v.service_p99_us)
-            (json_float v.service_p999_us) (json_float v.service_max_us)
-            (json_float v.sojourn_p50_us) (json_float v.sojourn_p99_us)
-            (json_float v.sojourn_p999_us) (json_float v.sojourn_max_us)))
+            (Json_out.float v.service_p50_us) (Json_out.float v.service_p99_us)
+            (Json_out.float v.service_p999_us) (Json_out.float v.service_max_us)
+            (Json_out.float v.sojourn_p50_us) (Json_out.float v.sojourn_p99_us)
+            (Json_out.float v.sojourn_p999_us) (Json_out.float v.sojourn_max_us)))
     r.vms;
   add "], \"prr_utilisation\": [";
   List.iteri
@@ -549,7 +545,7 @@ let report_json ?(metrics = true) b r =
        add
          (Printf.sprintf
             "{\"prr\": %d, \"busy_cycles\": %d, \"util\": %s}"
-            p.prr_id p.busy_cycles (json_float p.util)))
+            p.prr_id p.busy_cycles (Json_out.float p.util)))
     r.prrs;
   add "]";
   if metrics && r.metrics.Obs.s_enabled then begin
@@ -567,7 +563,7 @@ let report_json ?(metrics = true) b r =
          if i > 0 then add ", ";
          let p q =
            match Obs.cell_percentile c q with
-           | Some cyc -> json_float (Cycles.to_us (int_of_float cyc))
+           | Some cyc -> Json_out.float (Cycles.to_us (int_of_float cyc))
            | None -> "null"
          in
          add
@@ -575,7 +571,7 @@ let report_json ?(metrics = true) b r =
               "{\"pd\": %d, \"calls\": %d, \"p50_us\": %s, \"p99_us\": %s, \
                \"p999_us\": %s, \"max_us\": %s}"
               c.Obs.c_key c.Obs.c_calls (p 0.5) (p 0.99) (p 0.999)
-              (json_float (Cycles.to_us c.Obs.c_max_cycles))))
+              (Json_out.float (Cycles.to_us c.Obs.c_max_cycles))))
       cells;
     add "], \"metrics\": ";
     Obs.snapshot_to_json b r.metrics

@@ -405,23 +405,11 @@ let pp_counters ppf s =
 
 (* --- JSON --- *)
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s
-
 let add_kv_int b first k v =
   if not !first then Buffer.add_string b ", ";
   first := false;
   Buffer.add_char b '"';
-  json_escape b k;
+  Json_out.escape b k;
   Buffer.add_string b (Printf.sprintf "\": %d" v)
 
 let add_pairs_obj b pairs =
@@ -449,7 +437,7 @@ let snapshot_to_json b s =
     (fun i h ->
        if i > 0 then Buffer.add_string b ", ";
        Buffer.add_string b "{\"name\": \"";
-       json_escape b h.h_name;
+       Json_out.escape b h.h_name;
        Buffer.add_string b
          (Printf.sprintf "\", \"count\": %d, \"total\": %d" h.h_count
             h.h_total);
@@ -468,7 +456,7 @@ let snapshot_to_json b s =
     (fun i c ->
        if i > 0 then Buffer.add_string b ", ";
        Buffer.add_string b "{\"component\": \"";
-       json_escape b c.c_component;
+       Json_out.escape b c.c_component;
        Buffer.add_string b
          (Printf.sprintf
             "\", \"key\": %d, \"cpu\": %d, \"calls\": %d, \"cycles\": %d, \
