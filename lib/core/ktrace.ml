@@ -83,23 +83,11 @@ let pp_event ppf e =
     (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v)
     e.fields
 
-let json_escape b s =
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s
-
 let event_to_json b e =
   Buffer.add_string b (Printf.sprintf "{\"at_cycles\": %d, \"category\": \"" e.at);
-  json_escape b e.category;
+  Json_out.escape b e.category;
   Buffer.add_string b "\", \"name\": \"";
-  json_escape b e.name;
+  Json_out.escape b e.name;
   Buffer.add_string b "\", \"severity\": \"";
   Buffer.add_string b (severity_name e.severity);
   Buffer.add_string b "\", \"fields\": {";
@@ -107,14 +95,14 @@ let event_to_json b e =
     (fun i (k, v) ->
        if i > 0 then Buffer.add_string b ", ";
        Buffer.add_char b '"';
-       json_escape b k;
+       Json_out.escape b k;
        Buffer.add_string b "\": ";
        match v with
        | Int n -> Buffer.add_string b (string_of_int n)
        | Bool x -> Buffer.add_string b (string_of_bool x)
        | Str s ->
          Buffer.add_char b '"';
-         json_escape b s;
+         Json_out.escape b s;
          Buffer.add_char b '"')
     e.fields;
   Buffer.add_string b "}}"
@@ -129,51 +117,3 @@ let to_json t =
     (events t);
   Buffer.add_char b ']';
   Buffer.contents b
-
-(* --- compatibility shim --- *)
-
-type kind =
-  | Vm_switch of { from : int option; to_ : int }
-  | Hypercall of { pd : int; name : string }
-  | Irq_taken of int
-  | Virq_inject of { pd : int; irq : int }
-  | Hwtm_stage of { pd : int; stage : string }
-  | Vm_dead of { pd : int; reason : string }
-  | Fault_inject of { prr : int; fault : string }
-  | Fault_recover of { prr : int; action : string }
-  | Mark of string
-
-let event_of_kind at = function
-  | Vm_switch { from; to_ } ->
-    { at; category = "sched"; name = "vm-switch"; severity = Info;
-      fields =
-        [ ("from", match from with Some f -> Int f | None -> Str "boot");
-          ("to", Int to_) ] }
-  | Hypercall { pd; name } ->
-    { at; category = "hyper"; name; severity = Debug;
-      fields = [ ("pd", Int pd) ] }
-  | Irq_taken irq ->
-    { at; category = "irq"; name = "taken"; severity = Debug;
-      fields = [ ("irq", Int irq) ] }
-  | Virq_inject { pd; irq } ->
-    { at; category = "irq"; name = "virq-inject"; severity = Debug;
-      fields = [ ("pd", Int pd); ("irq", Int irq) ] }
-  | Hwtm_stage { pd; stage } ->
-    { at; category = "hwtm"; name = stage; severity = Debug;
-      fields = [ ("pd", Int pd) ] }
-  | Vm_dead { pd; reason } ->
-    { at; category = "sched"; name = "vm-dead"; severity = Warn;
-      fields = [ ("pd", Int pd); ("reason", Str reason) ] }
-  | Fault_inject { prr; fault } ->
-    { at; category = "fault"; name = "inject"; severity = Warn;
-      fields = [ ("prr", Int prr); ("fault", Str fault) ] }
-  | Fault_recover { prr; action } ->
-    { at; category = "fault"; name = "recover"; severity = Info;
-      fields = [ ("prr", Int prr); ("action", Str action) ] }
-  | Mark s ->
-    { at; category = "mark"; name = "mark"; severity = Info;
-      fields = [ ("text", Str s) ] }
-
-let record_kind t at k =
-  let e = event_of_kind at k in
-  record t at ~severity:e.severity ~category:e.category ~name:e.name e.fields

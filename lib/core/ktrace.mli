@@ -6,11 +6,7 @@
     [severity], and a typed field list — so new subsystems add events
     without editing a central variant. The CLI's [trace] command and
     the tests use the ring to check event ordering (e.g. a hypercall
-    is always bracketed by the VM that issued it being current).
-
-    The old closed {!kind} variant survives as a compatibility shim
-    ({!record_kind}/{!event_of_kind}); new code should use {!record}
-    directly. *)
+    is always bracketed by the VM that issued it being current). *)
 
 type severity = Debug | Info | Warn | Error
 
@@ -71,26 +67,3 @@ val event_to_json : Buffer.t -> event -> unit
 
 val to_json : t -> string
 (** The whole retained ring as a JSON array, oldest first. *)
-
-(** {2 Compatibility shim}
-
-    The pre-redesign closed variant. [record_kind t at k] is
-    [record] applied to {!event_of_kind}; migrated call sites should
-    construct events directly. *)
-
-type kind =
-  | Vm_switch of { from : int option; to_ : int }
-  | Hypercall of { pd : int; name : string }
-  | Irq_taken of int
-  | Virq_inject of { pd : int; irq : int }
-  | Hwtm_stage of { pd : int; stage : string }
-  | Vm_dead of { pd : int; reason : string }
-  | Fault_inject of { prr : int; fault : string }
-  | Fault_recover of { prr : int; action : string }
-  | Mark of string
-
-val event_of_kind : Cycles.t -> kind -> event
-(** The structured event a legacy kind maps to (categories "sched",
-    "hyper", "irq", "hwtm", "fault", "mark"). *)
-
-val record_kind : t -> Cycles.t -> kind -> unit

@@ -510,26 +510,8 @@ let run_native ?(config = default_config) () =
      PL-IRQ distribution cost nothing extra; execution is measured
      around the call (paper Table III, "Native" column). *)
   let base_port = Port_native.port sys in
-  let timed_port =
-    { base_port with
-      Port.hw_request =
-        (fun ~task ~iface_vaddr ~data_vaddr ~data_len ~want_irq ->
-           let t0 = Clock.now z.Zynq.clock in
-           let r =
-             base_port.Port.hw_request ~task ~iface_vaddr ~data_vaddr
-               ~data_len ~want_irq
-           in
-           (match r with
-            | Hyper.R_hw _ ->
-              Stats.add exec_stats
-                (float_of_int (Clock.now z.Zynq.clock - t0))
-            | _ -> ());
-           r) }
-  in
   let warm_at = config.warmup_requests in
-  let stats_reset = Stats.create () in
   let live_stats = ref exec_stats in
-  ignore stats_reset;
   let base_counts = ref (0, 0, 0) in
   let on_request () =
     incr requests;
@@ -541,9 +523,9 @@ let run_native ?(config = default_config) () =
           Prr_controller.jobs_completed z.Zynq.prrc )
     end
   in
-  (* Re-route the timed samples into whichever accumulator is live. *)
+  (* Time each manager call into whichever accumulator is live. *)
   let timed_port =
-    { timed_port with
+    { base_port with
       Port.hw_request =
         (fun ~task ~iface_vaddr ~data_vaddr ~data_len ~want_irq ->
            let t0 = Clock.now z.Zynq.clock in

@@ -353,13 +353,6 @@ let test_trace_ring_bounds () =
    | { Ktrace.fields = [ ("text", Ktrace.Str m) ]; _ } :: _ ->
      check Alcotest.string "keeps the most recent" "7" m
    | _ -> Alcotest.fail "expected mark");
-  (* The legacy closed-variant shim still records. *)
-  Ktrace.record_kind tr 11 (Ktrace.Mark "legacy");
-  (match List.rev (Ktrace.events tr) with
-   | { Ktrace.category = "mark"; fields = [ ("text", Ktrace.Str m) ]; _ } :: _
-     ->
-     check Alcotest.string "shim recorded" "legacy" m
-   | _ -> Alcotest.fail "expected shim mark");
   Ktrace.clear tr;
   check ci "cleared" 0 (List.length (Ktrace.events tr))
 
