@@ -1,467 +1,19 @@
-(* The benchmark harness: regenerates every measured artifact of the
-   paper's evaluation (Table III, Figure 9, the complexity report, the
-   reconfiguration-latency relation) plus the ablations DESIGN.md calls
-   out, and Bechamel microbenchmarks of the simulator's hot primitives.
+(* The benchmark harness: runs any subset of the experiment registry
+   (Table III, Figure 9, the complexity report, the ablations, chaos,
+   soak, SLO, density, partitioning, ...) plus Bechamel
+   microbenchmarks of the simulator's hot primitives.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table3 fig9  # a subset
 
-   Sections: table3 fig9 report reconfig axi vfp trapvshyper asid
-   quantum chaos soak slo density smp partition checkoverhead micro.
-
-   Flags are the shared Cli_args vocabulary: --domains, --json, --obs,
-   --fault-rate, --fault-seed, --check-baseline (plus --write-baseline
-   and --help, bench-only). *)
+   Sections are the Experiment.registry names plus micro. Flags are
+   the union of the requested experiments' Cli_args specs plus --json
+   (write BENCH_sim.json), --assert, and the deterministic-cycle
+   baseline gate (--check-baseline / --write-baseline). *)
 
 let fmt = Format.std_formatter
 
-let domains_opt : int option ref = ref None
-let pcpus = ref Cli_args.pcpus.Cli_args.default
-let json_mode = ref false
-let obs_mode = ref false
-let fault_rate_opt : float option ref = ref None
-let fault_seed_opt : int option ref = ref None
-let baseline_check : string option ref = ref None
-let baseline_write : string option ref = ref None
-
-(* soak section knobs; a modest default budget keeps the full-bench
-   run quick, CI's dedicated soak step passes --ops explicitly. *)
-let soak_ops = ref 30_000
-let soak_seed = ref Soak.default_config.Soak.seed
-let soak_max_vms = ref Soak.default_config.Soak.max_vms
-let soak_check = ref Soak.default_config.Soak.check
-let soak_shards = ref Cli_args.shards.Cli_args.default
-let soak_replay : string option ref = ref None
-let soak_repro_out = ref Cli_args.repro_out.Cli_args.default
-
-(* Per-shard soak timing, kept for the BENCH_perf.json artifact:
-   (shard count, total wall, merged ops, [(shard, ops_done, wall)]). *)
-let soak_perf : (int * float * int * (int * int * float) list) option ref =
-  ref None
-
-(* Invariant-plane overhead: (checked wall, unchecked wall) of the
-   same bounded soak, for the check_overhead perf record. *)
-let check_overhead : (float * float) option ref = ref None
-
-(* Per-section wall accounting: shared work (the Table III sweep) is
-   attributed to its own pseudo-section and subtracted from the
-   triggering section, so every recorded wall covers exactly the work
-   that section itself performed. The invariants (no negative own
-   walls; attributed + unattributed = elapsed) live in
-   {!Bench_sections} and are pinned by tests. *)
-let bs = Bench_sections.create ~now:Unix.gettimeofday
-
-(* The Table III sweep feeds both table3 and fig9; run it once. *)
-let sweep_cache : Scenario.overheads list option ref = ref None
-
-let bench_config () =
-  { Scenario.default_config with
-    Scenario.requests_per_guest = 40;
-    warmup_requests = 8;
-    job_fraction = 2;
-    observe = !obs_mode }
-
-let sweep () =
-  match !sweep_cache with
-  | Some s -> s
-  | None ->
-    Format.fprintf fmt
-      "running the Fig 8 scenario (native + 1..4 guests)...@.";
-    let s =
-      Bench_sections.shared bs "sweep" (fun () ->
-          Scenario.run_table3 ~config:(bench_config ()) ?domains:!domains_opt
-            ())
-    in
-    sweep_cache := Some s;
-    s
-
-let config_label i = if i = 0 then "native" else Printf.sprintf "%dos" i
-
-let section key name f =
-  Format.fprintf fmt "@.===== %s =====@." name;
-  Bench_sections.section bs key f;
-  Format.pp_print_flush fmt ()
-
-let run_table3 () =
-  let s = sweep () in
-  Tables.print_table3 fmt s;
-  Format.fprintf fmt "@.run statistics per configuration:@.";
-  List.iteri
-    (fun i o ->
-       Format.fprintf fmt "  %-8s %a@."
-         (if i = 0 then "native" else Printf.sprintf "%d OS" i)
-         Scenario.pp_overheads o)
-    s
-
-let run_fig9 () = Tables.print_fig9 fmt (sweep ())
-
-let run_report () =
-  Complexity.print fmt (Complexity.measure ());
-  Format.fprintf fmt
-    "  (plus, paper-only: %d KB kernel ELF, %d MB footprint)@."
-    Paper_data.kernel_elf_kb Paper_data.footprint_mb
-
-let run_reconfig () =
-  Format.fprintf fmt
-    "E4: PCAP reconfiguration latency vs bitstream size@.";
-  Format.fprintf fmt "  %-10s %12s %14s@." "task" "bitstream" "reconfig";
-  List.iter
-    (fun r ->
-       Format.fprintf fmt "  %-10s %9d KB %11.2f ms@." r.Ablations.task
-         r.Ablations.bitstream_kb r.Ablations.reconfig_ms)
-    (Ablations.reconfig_table ())
-
-let run_axi () =
-  let r = Ablations.axi_ablation () in
-  Format.fprintf fmt
-    "A1: AXI HP vs ACP for a %d KB task transfer (paper S IV-A)@."
-    r.Ablations.payload_kb;
-  Format.fprintf fmt "  DMA latency:    HP %8.2f us   ACP %8.2f us@."
-    r.Ablations.hp_dma_us r.Ablations.acp_dma_us;
-  Format.fprintf fmt
-    "  CPU 512 KB sweep afterwards: HP %8.2f us   ACP %8.2f us@."
-    r.Ablations.cpu_after_hp_us r.Ablations.cpu_after_acp_us;
-  Format.fprintf fmt
-    "  => ACP wins the wire but costs the CPU %.1fx on its own working \
-     set;@.     the paper's choice of AXI_HP holds.@."
-    (r.Ablations.cpu_after_acp_us /. r.Ablations.cpu_after_hp_us)
-
-let run_vfp () =
-  let r = Ablations.vfp_ablation ?domains:!domains_opt () in
-  Format.fprintf fmt "A2: lazy vs active VFP switching (paper Table I)@.";
-  Format.fprintf fmt
-    "  lazy:   mean VM switch %6.2f us, %4d VFP bank switches@."
-    r.Ablations.lazy_switch_us r.Ablations.lazy_vfp_switches;
-  Format.fprintf fmt
-    "  active: mean VM switch %6.2f us, %4d VFP bank switches@."
-    r.Ablations.active_switch_us r.Ablations.active_vfp_switches
-
-let run_trap () =
-  let r = Ablations.trap_vs_hypercall () in
-  Format.fprintf fmt
-    "A3: hypercall vs trap-and-emulate, privileged register read@.";
-  Format.fprintf fmt "  hypercall        %6.2f us@." r.Ablations.hypercall_us;
-  Format.fprintf fmt "  trap-and-emulate %6.2f us (%.2fx)@."
-    r.Ablations.trap_us
-    (r.Ablations.trap_us /. r.Ablations.hypercall_us)
-
-let small_config () =
-  { (bench_config ()) with
-    Scenario.requests_per_guest = 25;
-    warmup_requests = 5 }
-
-let run_asid () =
-  let r =
-    Ablations.asid_ablation ~config:(small_config ()) ?domains:!domains_opt ()
-  in
-  Format.fprintf fmt
-    "A4: ASID-tagged TLB vs flush-on-switch, 2 guests (paper S III-C)@.";
-  Format.fprintf fmt "  ASID:      %a@." Scenario.pp_overheads
-    r.Ablations.asid;
-  Format.fprintf fmt "  flush-all: %a@." Scenario.pp_overheads
-    r.Ablations.flush_all;
-  Format.fprintf fmt
-    "  TLB-bound chunk right after a VM switch: ASID %.2f us, flush %.2f us      (%.2fx)@."
-    r.Ablations.first_chunk_asid_us r.Ablations.first_chunk_flush_us
-    (r.Ablations.first_chunk_flush_us /. r.Ablations.first_chunk_asid_us)
-
-let run_quantum () =
-  Format.fprintf fmt "A5: time-slice sweep, 2 guests (paper uses 33 ms)@.";
-  List.iter
-    (fun (q, o) ->
-       Format.fprintf fmt "  quantum %6.1f ms: %a@." q Scenario.pp_overheads o)
-    (Ablations.quantum_sweep ~config:(small_config ()) ?domains:!domains_opt ())
-
-(* E5: resilience under PL fault injection. *)
-
-let chaos_cache : Chaos.report list option ref = ref None
-
-let chaos_config () =
-  { Chaos.base =
-      { Scenario.default_config with
-        Scenario.requests_per_guest = 20;
-        observe = !obs_mode };
-    fault_rate =
-      (match !fault_rate_opt with
-       | Some r -> r
-       | None -> Chaos.default_config.Chaos.fault_rate);
-    fault_seed =
-      (match !fault_seed_opt with
-       | Some s -> s
-       | None -> Chaos.default_config.Chaos.fault_seed) }
-
-let run_chaos () =
-  let chaos_config = chaos_config () in
-  Format.fprintf fmt
-    "E5: chaos sweep — job completion vs PL fault rate (seed %d)@."
-    chaos_config.Chaos.fault_seed;
-  let rates =
-    match !fault_rate_opt with
-    | Some r -> Some [ r ]  (* pin the sweep to the requested rate *)
-    | None -> None
-  in
-  let reports =
-    Chaos.sweep ~config:chaos_config ?rates ?domains:!domains_opt ()
-  in
-  chaos_cache := Some reports;
-  List.iter
-    (fun r -> Format.fprintf fmt "  %a@." Chaos.pp_report r)
-    reports
-
-(* E7: open-loop tail latency (SLO plane). *)
-
-let slo_cache : (string * Slo.report) list option ref = ref None
-let slo_arrivals = ref 60
-let slo_seed = ref Slo.default_config.Slo.seed
-
-let run_slo () =
-  Format.fprintf fmt
-    "E7: open-loop tail latency — victim p99 vs aggressor load (seed %d, \
-     %d arrivals/guest)@."
-    !slo_seed !slo_arrivals;
-  let tagged =
-    Slo.bench_matrix ~seed:!slo_seed ~arrivals:!slo_arrivals
-      ~observe:!obs_mode ~pcpus:!pcpus ()
-  in
-  let reports = Slo.sweep ?domains:!domains_opt tagged in
-  slo_cache := Some reports;
-  List.iter
-    (fun (tag, r) ->
-       Format.fprintf fmt "  [%s]@.  %a" tag Slo.pp_report r)
-    reports
-
-(* E8: fleet-scale VM density sweep (hypercall ABI v1 vs v2). *)
-
-let density_cache : (string * Density.report) list option ref = ref None
-let density_seed = ref Density.default_config.Density.seed
-let density_vms = ref Density.default_populations
-let density_jobs = ref Density.default_config.Density.jobs_per_vm
-let density_batch = ref Density.default_config.Density.batch
-let density_budget = ref Density.default_config.Density.cvirq_budget
-let density_mode : Density.mode option ref = ref None (* None = both *)
-let density_check = ref false
-
-let density_vms_spec =
-  { Cli_args.names = [ "vms" ];
-    docv = "LIST";
-    doc = "Density sweep populations, comma-separated (e.g. 8,64,256).";
-    default = Density.default_populations;
-    parse =
-      (fun s ->
-         try
-           match
-             List.map
-               (fun x ->
-                  let n = int_of_string (String.trim x) in
-                  if n < 1 then failwith "population must be positive";
-                  n)
-               (String.split_on_char ',' s)
-           with
-           | [] -> Error "expected at least one population"
-           | vs -> Ok vs
-         with _ -> Error (Printf.sprintf "bad population list %S" s));
-    show = (fun vs -> String.concat "," (List.map string_of_int vs)) }
-
-let density_batch_spec =
-  { Cli_args.names = [ "batch" ];
-    docv = "N";
-    doc = "ABI v2 request descriptors published per doorbell.";
-    default = Density.default_config.Density.batch;
-    parse =
-      (fun s ->
-         match int_of_string_opt s with
-         | Some n when n >= 1 -> Ok n
-         | _ -> Error (Printf.sprintf "bad batch %S" s));
-    show = string_of_int }
-
-let density_budget_spec =
-  { Cli_args.names = [ "ring-budget" ];
-    docv = "N";
-    doc = "Completions per moderated ring vIRQ (0 = pure polling).";
-    default = Density.default_config.Density.cvirq_budget;
-    parse =
-      (fun s ->
-         match int_of_string_opt s with
-         | Some n when n >= 0 -> Ok n
-         | _ -> Error (Printf.sprintf "bad ring budget %S" s));
-    show = string_of_int }
-
-let density_mode_spec =
-  { Cli_args.names = [ "mode" ];
-    docv = "MODE";
-    doc = "Density ABI selection: v1, v2 or both.";
-    default = (None : Density.mode option);
-    parse =
-      (fun s ->
-         match s with
-         | "both" -> Ok None
-         | _ ->
-           (match Density.mode_of_string s with
-            | Ok m -> Ok (Some m)
-            | Error _ -> Error (Printf.sprintf "expected v1, v2 or both, got %S" s)));
-    show = (function None -> "both" | Some m -> Density.mode_name m) }
-
-let density_jobs_spec =
-  { Cli_args.names = [ "jobs" ];
-    docv = "N";
-    doc = "Hardware jobs per guest in the density sweep.";
-    default = Density.default_config.Density.jobs_per_vm;
-    parse =
-      (fun s ->
-         match int_of_string_opt s with
-         | Some n when n >= 1 -> Ok n
-         | _ -> Error (Printf.sprintf "bad job count %S" s));
-    show = string_of_int }
-
-(* E10: static vs dynamic PRR partitioning. The cell geometry is
-   fixed (the 2x2 mode x chaos study at the default population); the
-   shared --seed/--check/--pcpus/--domains flags apply. *)
-let partition_cache : (string * Partition.report) list option ref = ref None
-let partition_seed = ref Partition.default_config.Partition.seed
-let partition_check = ref false
-
-let run_partition () =
-  let d = Partition.default_config in
-  Format.fprintf fmt
-    "E10: static vs dynamic PRR partitioning — 2x2 mode x chaos study \
-     (seed %d, %d VMs, %d jobs/VM%s)@."
-    !partition_seed d.Partition.vms d.Partition.jobs_per_vm
-    (if !partition_check then ", invariants checked" else "");
-  let tagged =
-    Partition.bench_matrix ~seed:!partition_seed ~check:!partition_check
-      ~pcpus:!pcpus ()
-  in
-  let reports = Partition.sweep ?domains:!domains_opt tagged in
-  partition_cache := Some reports;
-  List.iter
-    (fun (tag, r) ->
-       Format.fprintf fmt "  [%s] %a" tag Partition.pp_report r)
-    reports
-
-(* The v1-per-job / v2-per-job guest→kernel transition ratio at one
-   population — the headline of the sweep (>= batch-linked gain). *)
-let density_tag m vms =
-  if !pcpus > 1 then
-    Printf.sprintf "%s/%d/p%d" (Density.mode_name m) vms !pcpus
-  else Printf.sprintf "%s/%d" (Density.mode_name m) vms
-
-let density_ratio reports vms =
-  let per_job m =
-    List.assoc_opt (density_tag m vms) reports
-    |> Option.map (fun (r : Density.report) -> r.Density.transitions_per_job)
-  in
-  match (per_job Density.V1, per_job Density.V2) with
-  | Some v1, Some v2 when v2 > 0.0 -> Some (v1, v2, v1 /. v2)
-  | _ -> None
-
-let run_density () =
-  let fault_rate = Option.value !fault_rate_opt ~default:0.0 in
-  Format.fprintf fmt
-    "E8: fleet density sweep — ABI v1 vs v2 (seed %d, vms %s, %d jobs/VM, \
-     batch %d, vIRQ budget %d%s%s)@."
-    !density_seed
-    (String.concat "," (List.map string_of_int !density_vms))
-    !density_jobs !density_batch !density_budget
-    (if fault_rate > 0.0 then Printf.sprintf ", fault rate %g" fault_rate
-     else "")
-    (if !density_check then ", invariants checked" else "");
-  let tagged =
-    Density.bench_matrix ~seed:!density_seed ~populations:!density_vms
-      ~jobs:!density_jobs ~batch:!density_batch
-      ~cvirq_budget:!density_budget ~fault_rate ~check:!density_check
-      ~pcpus:!pcpus ()
-  in
-  let tagged =
-    match !density_mode with
-    | None -> tagged
-    | Some m ->
-      List.filter
-        (fun t -> t.Density.t_config.Density.mode = m)
-        tagged
-  in
-  let reports = Density.sweep ?domains:!domains_opt tagged in
-  density_cache := Some reports;
-  List.iter
-    (fun (tag, r) -> Format.fprintf fmt "  [%s] %a" tag Density.pp_report r)
-    reports;
-  List.iter
-    (fun vms ->
-       match density_ratio reports vms with
-       | Some (v1, v2, ratio) ->
-         Format.fprintf fmt
-           "  %d VMs: %.2f transitions/job (v1) vs %.2f (v2) — %.1fx fewer@."
-           vms v1 v2 ratio
-       | None -> ())
-    !density_vms
-
-(* E9: SMP parallel-simulation speedup. The same 8-guest density
-   fleet runs on one simulated pCPU and on an SMP complex backed by
-   OCaml domains. The two cells simulate different machines (the SMP
-   complex models IPIs, shootdowns and L2 coherence), so simulated
-   cycles are recorded per cell and the comparison is wall time only.
-   The speedup is recorded honestly — a host with fewer cores than
-   pCPUs cannot sustain the target and the record will show it. *)
-
-type smp_perf = {
-  sp_pcpus : int;
-  sp_host_cores : int;
-  sp_vms : int;
-  sp_wall_1_s : float;
-  sp_cycles_1 : int;
-  sp_wall_n_s : float;
-  sp_cycles_n : int;
-  sp_speedup : float;
-}
-
-let smp_perf : smp_perf option ref = ref None
-
-let run_smp () =
-  let n = if !pcpus > 1 then !pcpus else 4 in
-  let host = Domain.recommended_domain_count () in
-  let vms = 8 in
-  (* The cell must run long enough that the parallel phase dominates
-     the fixed domain-spawn and barrier costs, or the speedup number
-     measures the harness instead of the simulation. *)
-  let jobs = max !density_jobs 128 in
-  let cell p =
-    { Density.default_config with
-      Density.seed = !density_seed;
-      vms;
-      jobs_per_vm = jobs;
-      batch = !density_batch;
-      cvirq_budget = !density_budget;
-      pcpus = p }
-  in
-  let time p =
-    let t0 = Unix.gettimeofday () in
-    let r = Density.run ~config:(cell p) () in
-    (Unix.gettimeofday () -. t0, r.Density.sim_cycles)
-  in
-  Format.fprintf fmt
-    "E9: SMP speedup — %d-guest density fleet, 1 vs %d pCPUs (%d host \
-     cores)@."
-    vms n host;
-  let wall_1, cycles_1 = time 1 in
-  let wall_n, cycles_n = time n in
-  let speedup = wall_1 /. wall_n in
-  smp_perf :=
-    Some
-      { sp_pcpus = n; sp_host_cores = host; sp_vms = vms;
-        sp_wall_1_s = wall_1; sp_cycles_1 = cycles_1;
-        sp_wall_n_s = wall_n; sp_cycles_n = cycles_n;
-        sp_speedup = speedup };
-  Format.fprintf fmt "  pcpus=1: %.3f s wall, %d simulated cycles@." wall_1
-    cycles_1;
-  Format.fprintf fmt "  pcpus=%d: %.3f s wall, %d simulated cycles@." n
-    wall_n cycles_n;
-  Format.fprintf fmt "  wall-time speedup: %.2fx%s@." speedup
-    (if host < n then
-       Printf.sprintf " (host has %d cores for %d pCPUs)" host n
-     else "")
-
 (* --- Bechamel microbenchmarks --- *)
-
-let micro_results : (string * float option) list ref = ref []
 
 let micro_tests () =
   let open Bechamel in
@@ -573,182 +125,13 @@ let run_micro () =
       (micro_tests ())
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  micro_results := rows;
   List.iter
     (fun (name, ns) ->
        match ns with
        | Some t -> Format.fprintf fmt "  %-24s %10.1f ns/op@." name t
        | None -> Format.fprintf fmt "  %-24s (no estimate)@." name)
-    rows
-
-let soak_config () =
-  let d = Soak.default_config in
-  { Soak.ops = !soak_ops; seed = !soak_seed; max_vms = !soak_max_vms;
-    check = !soak_check;
-    fault_rate = Option.value !fault_rate_opt ~default:d.Soak.fault_rate;
-    fault_seed = Option.value !fault_seed_opt ~default:d.Soak.fault_seed;
-    quantum_ms = d.Soak.quantum_ms; pcpus = !pcpus }
-
-let report_soak_violation cfg ~violation ~trace ~shrunk ~stats ~generated =
-  Format.fprintf fmt "INVARIANT VIOLATION: %s@."
-    (Invariant.violation_to_string violation);
-  Format.fprintf fmt "after %a@." Soak.pp_stats stats;
-  Format.fprintf fmt "trace: %d actions, shrunk to %d@."
-    (List.length trace) (List.length shrunk);
-  if generated then begin
-    Soak.write_reproducer !soak_repro_out cfg violation ~shrunk;
-    Format.fprintf fmt "reproducer written to %s@." !soak_repro_out
-  end;
-  exit 1
-
-let run_soak () =
-  let cfg = soak_config () in
-  match !soak_replay with
-  | Some path ->
-    (match Soak.replay_file path with
-     | Ok (Soak.Clean stats) ->
-       Format.fprintf fmt "clean: %a@." Soak.pp_stats stats
-     | Ok (Soak.Violated { violation; trace; shrunk; stats }) ->
-       report_soak_violation cfg ~violation ~trace ~shrunk ~stats
-         ~generated:false
-     | Error e ->
-       Format.fprintf fmt "soak: %s@." e;
-       exit 2)
-  | None ->
-    let shards = max 1 !soak_shards in
-    let t0 = Unix.gettimeofday () in
-    let s = Soak.run_sharded ?domains:!domains_opt ~shards cfg in
-    let wall = Unix.gettimeofday () -. t0 in
-    let m = s.Soak.merged_stats in
-    soak_perf :=
-      Some
-        ( shards, wall, m.Soak.ops_done,
-          List.map
-            (fun (r : Soak.shard_report) ->
-               ( r.Soak.shard,
-                 (Soak.stats_of_outcome r.Soak.outcome).Soak.ops_done,
-                 r.Soak.wall_s ))
-            s.Soak.reports );
-    if shards > 1 then
-      List.iter
-        (fun (r : Soak.shard_report) ->
-           Format.fprintf fmt "shard %d (seed %d): %s, %d ops in %.3f s@."
-             r.Soak.shard r.Soak.shard_cfg.Soak.seed
-             (match r.Soak.outcome with
-              | Soak.Clean _ -> "clean"
-              | Soak.Violated _ -> "VIOLATED")
-             (Soak.stats_of_outcome r.Soak.outcome).Soak.ops_done
-             r.Soak.wall_s)
-        s.Soak.reports;
-    (match s.Soak.first_violated with
-     | Some r ->
-       (match r.Soak.outcome with
-        | Soak.Violated { violation; trace; shrunk; stats } ->
-          report_soak_violation r.Soak.shard_cfg ~violation ~trace ~shrunk
-            ~stats ~generated:true
-        | Soak.Clean _ -> assert false)
-     | None ->
-       Format.fprintf fmt "clean: %a@." Soak.pp_stats m;
-       Format.fprintf fmt "%d shard(s) in %.3f s wall (%.1fM ops/min)@."
-         shards wall
-         (float_of_int m.Soak.ops_done /. wall *. 60.0 /. 1e6))
-
-(* Invariant-plane cost: the same bounded soak with the checkers armed
-   and disarmed. The delta is the per-op price of evaluating the whole
-   invariant plane at every action boundary. *)
-let run_check_overhead () =
-  let cfg = { (soak_config ()) with Soak.ops = min !soak_ops 30_000 } in
-  let time c =
-    let t0 = Unix.gettimeofday () in
-    ignore (Soak.run c);
-    Unix.gettimeofday () -. t0
-  in
-  let checked = time { cfg with Soak.check = true } in
-  let unchecked = time { cfg with Soak.check = false } in
-  check_overhead := Some (checked, unchecked);
-  Format.fprintf fmt
-    "soak (%d ops) checked %.3f s, unchecked %.3f s: invariant plane \
-     costs %+.0f%%@."
-    cfg.Soak.ops checked unchecked
-    (100.0 *. (checked -. unchecked) /. unchecked)
-
-(* --- machine-readable output (--json) --- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
-(* The "metrics" section: per-configuration observability snapshots
-   (per-VM x per-component cycle breakdown when --obs is on; empty
-   snapshots otherwise). Shared between BENCH_sim.json and the
-   standalone BENCH_metrics.json artifact. *)
-let emit_observed_metrics b =
-  let add = Buffer.add_string b in
-  add ",\n    \"table3\": [";
-  (match !sweep_cache with
-   | None -> ()
-   | Some rows ->
-     List.iteri
-       (fun i (o : Scenario.overheads) ->
-          if i > 0 then add ",";
-          add
-            (Printf.sprintf
-               "\n      {\"config\": \"%s\", \"sim_cycles\": %d, \
-                \"metrics\": " (config_label i) o.Scenario.sim_cycles);
-          Obs.snapshot_to_json b o.Scenario.metrics;
-          add "}")
-       rows);
-  add "\n    ],\n    \"chaos\": [";
-  (match !chaos_cache with
-   | None -> ()
-   | Some rows ->
-     List.iteri
-       (fun i (r : Chaos.report) ->
-          if i > 0 then add ",";
-          add
-            (Printf.sprintf
-               "\n      {\"fault_rate\": %s, \"guests\": %d, \
-                \"metrics\": " (json_float r.Chaos.fault_rate)
-               r.Chaos.guests);
-          Obs.snapshot_to_json b r.Chaos.metrics;
-          add "}")
-       rows);
-  add "\n    ]\n  }"
-
-let metrics_json b =
-  let add = Buffer.add_string b in
-  add "{\n    \"observe\": ";
-  add (string_of_bool !obs_mode);
-  if not !obs_mode then
-    (* Observability off: every snapshot would be the empty
-       {"counters": {}, ...} blob — omit the per-configuration arrays
-       entirely rather than emit dead entries. *)
-    add "\n  }"
-  else emit_observed_metrics b
-
-let write_metrics_json path =
-  let b = Buffer.create 4096 in
-  metrics_json b;
-  Buffer.add_char b '\n';
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf fmt "@.wrote %s@." path
+    rows;
+  rows
 
 (* --- deterministic-cycle baseline (--check-baseline / --write-baseline) ---
 
@@ -757,436 +140,66 @@ let write_metrics_json path =
    fingerprint. Observability does not advance the clock, so the same
    baseline holds with and without --obs. *)
 
-let baseline_rows () =
-  List.mapi
-    (fun i (o : Scenario.overheads) -> (config_label i, o.Scenario.sim_cycles))
-    (sweep ())
-
-let write_baseline path =
-  let oc = open_out path in
-  output_string oc
-    "# mini-nova bench cycle baseline: <config> <sim_cycles>\n\
-     # regenerate: dune exec bench/main.exe -- table3 --write-baseline FILE\n";
-  List.iter
-    (fun (name, cyc) -> output_string oc (Printf.sprintf "%s %d\n" name cyc))
-    (baseline_rows ());
-  close_out oc;
+let write_baseline path rows =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc
+        "# mini-nova bench cycle baseline: <config> <sim_cycles>\n\
+         # regenerate: dune exec bench/main.exe -- table3 --write-baseline FILE\n";
+      List.iter (fun (name, cyc) -> Printf.fprintf oc "%s %d\n" name cyc) rows);
   Format.fprintf fmt "@.wrote baseline %s@." path
 
 let read_baseline path =
-  let ic = open_in path in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" && line.[0] <> '#' then
-         match String.split_on_char ' ' line with
-         | [ name; cyc ] ->
-           (match int_of_string_opt cyc with
-            | Some c -> rows := (name, c) :: !rows
-            | None -> failwith ("bad baseline line: " ^ line))
-         | _ -> failwith ("bad baseline line: " ^ line)
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' (String.trim line) with
+         | [ "" ] -> None
+         | w :: _ when w.[0] = '#' -> None
+         | [ name; cyc ] when int_of_string_opt cyc <> None ->
+           Some (name, int_of_string cyc)
+         | _ -> failwith ("bad baseline line: " ^ line))
 
-let check_baseline path =
+let check_baseline path actual =
   let expected = read_baseline path in
-  let actual = baseline_rows () in
-  let drift = ref false in
-  List.iter
-    (fun (name, cyc) ->
-       match List.assoc_opt name actual with
-       | None ->
-         drift := true;
-         Format.fprintf fmt "baseline %s: config missing from this run@." name
-       | Some got when got <> cyc ->
-         drift := true;
-         Format.fprintf fmt
-           "baseline %s: expected %d cycles, got %d (drift %+d)@." name cyc
-           got (got - cyc)
-       | Some _ -> ())
-    expected;
-  if expected = [] then begin
-    drift := true;
-    Format.fprintf fmt "baseline %s: no entries@." path
-  end;
-  if !drift then begin
-    Format.fprintf fmt
-      "FAIL: simulated cycles drifted from the committed baseline@.";
+  let drift =
+    if expected = [] then [ Printf.sprintf "baseline %s: no entries" path ]
+    else
+      List.filter_map
+        (fun (name, cyc) ->
+           match List.assoc_opt name actual with
+           | None ->
+             Some (Printf.sprintf "baseline %s: config missing from this run" name)
+           | Some got when got <> cyc ->
+             Some
+               (Printf.sprintf "baseline %s: expected %d cycles, got %d (drift %+d)"
+                  name cyc got (got - cyc))
+           | Some _ -> None)
+        expected
+  in
+  List.iter (Format.fprintf fmt "%s@.") drift;
+  if drift <> [] then begin
+    Format.fprintf fmt "FAIL: simulated cycles drifted from the committed baseline@.";
     exit 1
-  end
-  else
-    Format.fprintf fmt "baseline check passed (%d configurations)@."
-      (List.length expected)
-
-let write_json path ~total_wall =
-  let b = Buffer.create 4096 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add "  \"schema\": \"mini-nova-bench/1\",\n";
-  add
-    (Printf.sprintf "  \"domains\": %d,\n"
-       (match !domains_opt with
-        | Some d -> d
-        | None -> Parallel_sweep.default_domains ()));
-  add (Printf.sprintf "  \"total_wall_s\": %s,\n" (json_float total_wall));
-  add "  \"sections\": [";
-  List.iteri
-    (fun i (key, dt) ->
-       if i > 0 then add ",";
-       add
-         (Printf.sprintf "\n    {\"name\": \"%s\", \"wall_s\": %s}"
-            (json_escape key) (json_float dt)))
-    (Bench_sections.entries bs);
-  add "\n  ],\n";
-  add "  \"table3\": [";
-  (match !sweep_cache with
-   | None -> ()
-   | Some rows ->
-     List.iteri
-       (fun i (o : Scenario.overheads) ->
-          if i > 0 then add ",";
-          add
-            (Printf.sprintf
-               "\n    {\"config\": \"%s\", \"entry_us\": %s, \
-                \"exit_us\": %s, \"plirq_us\": %s, \"exec_us\": %s, \
-                \"total_us\": %s, \"samples\": %d, \"reconfigs\": %d, \
-                \"reclaims\": %d, \"jobs\": %d, \"sim_ms\": %s, \
-                \"sim_cycles\": %d}"
-               (config_label i)
-               (json_float o.Scenario.entry_us)
-               (json_float o.Scenario.exit_us)
-               (json_float o.Scenario.plirq_us)
-               (json_float o.Scenario.exec_us)
-               (json_float o.Scenario.total_us)
-               o.Scenario.samples o.Scenario.reconfigs o.Scenario.reclaims
-               o.Scenario.jobs
-               (json_float o.Scenario.sim_ms)
-               o.Scenario.sim_cycles))
-       rows);
-  add "\n  ],\n";
-  add "  \"chaos\": [";
-  (match !chaos_cache with
-   | None -> ()
-   | Some rows ->
-     List.iteri
-       (fun i (r : Chaos.report) ->
-          if i > 0 then add ",";
-          add
-            (Printf.sprintf
-               "\n    {\"fault_rate\": %s, \"guests\": %d, \
-                \"injected\": %d, \"recoveries\": %d, \"retries\": %d, \
-                \"hang_resets\": %d, \"quarantines\": %d, \
-                \"fault_kills\": %d, \"jobs_ok\": %d, \
-                \"jobs_attempted\": %d, \"completion_rate\": %s, \
-                \"crashes\": %d, \"mgr_total_us\": %s, \"sim_ms\": %s}"
-               (json_float r.Chaos.fault_rate) r.Chaos.guests
-               r.Chaos.injected r.Chaos.recoveries r.Chaos.reconfig_retries
-               r.Chaos.hang_resets r.Chaos.quarantines r.Chaos.fault_kills
-               r.Chaos.jobs_ok r.Chaos.jobs_attempted
-               (json_float r.Chaos.completion_rate) r.Chaos.crashes
-               (json_float r.Chaos.mgr_total_us)
-               (json_float r.Chaos.sim_ms)))
-       rows);
-  add "\n  ],\n";
-  add "  \"micro_ns_per_op\": {";
-  List.iteri
-    (fun i (name, ns) ->
-       if i > 0 then add ",";
-       add
-         (Printf.sprintf "\n    \"%s\": %s" (json_escape name)
-            (match ns with Some t -> json_float t | None -> "null")))
-    !micro_results;
-  add "\n  },\n";
-  add "  \"metrics\": ";
-  metrics_json b;
-  add "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf fmt "@.wrote %s@." path
-
-(* --- wall-time trajectory artifact (BENCH_perf.json) ---
-
-   One small record per run: per-section wall seconds (including the
-   shared "sweep" pseudo-section), per-shard soak timing, the
-   invariant-plane overhead pair, the domain count, and the git
-   revision. CI uploads it alongside BENCH_sim.json and gates hard on
-   total_wall_s against the committed record when the domain counts
-   match (scripts/perf_gate.py); on mismatched domains the comparison
-   degrades to a warning, and simulated cycles remain the
-   host-independent correctness gate. *)
-
-let git_rev () =
-  match Sys.getenv_opt "GITHUB_SHA" with
-  | Some s when s <> "" -> s
-  | _ -> (
-    try
-      let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
-      let line = try String.trim (input_line ic) with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> line
-      | _ -> "unknown"
-    with Unix.Unix_error _ | Sys_error _ -> "unknown")
-
-let write_perf_json path ~total_wall =
-  let b = Buffer.create 1024 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add "  \"schema\": \"mini-nova-perf/1\",\n";
-  add (Printf.sprintf "  \"git_rev\": \"%s\",\n" (json_escape (git_rev ())));
-  add
-    (Printf.sprintf "  \"domains\": %d,\n"
-       (match !domains_opt with
-        | Some d -> d
-        | None -> Parallel_sweep.default_domains ()));
-  add (Printf.sprintf "  \"pcpus\": %d,\n" !pcpus);
-  add (Printf.sprintf "  \"total_wall_s\": %s,\n" (json_float total_wall));
-  add "  \"sections\": [";
-  List.iteri
-    (fun i (key, dt) ->
-       if i > 0 then add ",";
-       add
-         (Printf.sprintf "\n    {\"section\": \"%s\", \"wall_s\": %s}"
-            (json_escape key) (json_float dt)))
-    (Bench_sections.entries bs);
-  add "\n  ],";
-  add
-    (Printf.sprintf "\n  \"unattributed_wall_s\": %s"
-       (json_float (Bench_sections.unattributed bs)));
-  (match !soak_perf with
-   | None -> ()
-   | Some (shards, wall, ops, per_shard) ->
-     add
-       (Printf.sprintf
-          ",\n  \"soak\": {\n    \"shards\": %d,\n    \"wall_s\": %s,\n\
-          \    \"ops_done\": %d,\n    \"ops_per_min\": %s,\n\
-          \    \"shard_walls\": ["
-          shards (json_float wall) ops
-          (json_float (float_of_int ops /. wall *. 60.0)));
-     List.iteri
-       (fun i (shard, ops_done, w) ->
-          if i > 0 then add ",";
-          add
-            (Printf.sprintf
-               "\n      {\"shard\": %d, \"ops_done\": %d, \"wall_s\": %s}"
-               shard ops_done (json_float w)))
-       per_shard;
-     add "\n    ]\n  }");
-  (match !check_overhead with
-   | None -> ()
-   | Some (checked, unchecked) ->
-     add
-       (Printf.sprintf
-          ",\n  \"check_overhead\": {\"checked_wall_s\": %s, \
-           \"unchecked_wall_s\": %s, \"overhead_pct\": %s}"
-          (json_float checked) (json_float unchecked)
-          (json_float (100.0 *. (checked -. unchecked) /. unchecked))));
-  (match !smp_perf with
-   | None -> ()
-   | Some s ->
-     add
-       (Printf.sprintf
-          ",\n  \"smp\": {\n    \"pcpus\": %d,\n    \"host_cores\": %d,\n\
-          \    \"vms\": %d,\n    \"wall_1_s\": %s,\n\
-          \    \"sim_cycles_1\": %d,\n    \"wall_n_s\": %s,\n\
-          \    \"sim_cycles_n\": %d,\n    \"speedup\": %s\n  }"
-          s.sp_pcpus s.sp_host_cores s.sp_vms
-          (json_float s.sp_wall_1_s) s.sp_cycles_1
-          (json_float s.sp_wall_n_s) s.sp_cycles_n
-          (json_float s.sp_speedup)));
-  add "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path
-
-(* --- tail-latency artifact (BENCH_slo.json) ---
-
-   One record per bench-matrix cell (process x load, chaos, churn),
-   each with per-VM service/sojourn percentiles, queue depths and PRR
-   utilisation, plus a chaos on/off comparison of the victim's tail
-   (the same seeded fault machinery as the chaos section). Written
-   only when the slo section ran. *)
-
-let write_slo_json path reports =
-  let b = Buffer.create 8192 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add "  \"schema\": \"mini-nova-slo/1\",\n";
-  add (Printf.sprintf "  \"seed\": %d,\n" !slo_seed);
-  add (Printf.sprintf "  \"arrivals_per_guest\": %d,\n" !slo_arrivals);
-  add "  \"runs\": [";
-  List.iteri
-    (fun i (tag, r) ->
-       if i > 0 then add ",";
-       add (Printf.sprintf "\n    {\"tag\": \"%s\", \"report\": " (json_escape tag));
-       Slo.report_json b r;
-       add "}")
-    reports;
-  add "\n  ]";
-  let victim (r : Slo.report) = List.find_opt (fun v -> v.Slo.vm = 0) r.Slo.vms in
-  (match
-     (List.assoc_opt "poisson/high" reports, List.assoc_opt "chaos/on" reports)
-   with
-   | Some off, Some on ->
-     (match (victim off, victim on) with
-      | Some v_off, Some v_on ->
-        add
-          (Printf.sprintf
-             ",\n  \"chaos_comparison\": {\
-              \"victim_service_p99_us_off\": %s, \
-              \"victim_service_p99_us_on\": %s, \
-              \"victim_sojourn_p99_us_off\": %s, \
-              \"victim_sojourn_p99_us_on\": %s, \
-              \"faults_injected\": %d}"
-             (json_float v_off.Slo.service_p99_us)
-             (json_float v_on.Slo.service_p99_us)
-             (json_float v_off.Slo.sojourn_p99_us)
-             (json_float v_on.Slo.sojourn_p99_us)
-             on.Slo.injected)
-      | _ -> ())
-   | _ -> ());
-  add "\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path
-
-(* --- density artifact (BENCH_density.json) ---
-
-   One record per (ABI mode x population) cell plus, for every
-   population where both modes ran, the v1/v2 guest→kernel transition
-   ratio. Written only when the density section ran. *)
-
-let write_density_json path reports =
-  let b = Buffer.create 8192 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add "  \"schema\": \"mini-nova-density/1\",\n";
-  add (Printf.sprintf "  \"seed\": %d,\n" !density_seed);
-  add (Printf.sprintf "  \"jobs_per_vm\": %d,\n" !density_jobs);
-  add (Printf.sprintf "  \"batch\": %d,\n" !density_batch);
-  add (Printf.sprintf "  \"cvirq_budget\": %d,\n" !density_budget);
-  add "  \"runs\": [";
-  List.iteri
-    (fun i (tag, r) ->
-       if i > 0 then add ",";
-       add (Printf.sprintf "\n    {\"tag\": \"%s\", \"report\": " (json_escape tag));
-       Density.report_json b r;
-       add "}")
-    reports;
-  add "\n  ],\n  \"transition_ratio\": [";
-  let first = ref true in
-  List.iter
-    (fun vms ->
-       match density_ratio reports vms with
-       | Some (v1, v2, ratio) ->
-         if not !first then add ",";
-         first := false;
-         add
-           (Printf.sprintf
-              "\n    {\"vms\": %d, \"v1_per_job\": %s, \"v2_per_job\": %s, \
-               \"ratio\": %s}"
-              vms (json_float v1) (json_float v2) (json_float ratio))
-       | None -> ())
-    !density_vms;
-  add "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path
-
-(* --- partition artifact (BENCH_partition.json) ---
-
-   One record per (partition mode x chaos) cell. Written only when the
-   partition section ran. *)
-
-let write_partition_json path reports =
-  let b = Buffer.create 8192 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add "  \"schema\": \"mini-nova-partition/1\",\n";
-  add (Printf.sprintf "  \"seed\": %d,\n" !partition_seed);
-  add "  \"runs\": [";
-  List.iteri
-    (fun i (tag, r) ->
-       if i > 0 then add ",";
-       add
-         (Printf.sprintf "\n    {\"tag\": \"%s\", \"report\": "
-            (json_escape tag));
-       Partition.report_json b r;
-       add "}")
-    reports;
-  add "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Format.fprintf fmt "wrote %s@." path
-
-let all_sections =
-  [ "table3"; "fig9"; "report"; "reconfig"; "axi"; "vfp";
-    "trapvshyper"; "asid"; "quantum"; "chaos"; "soak"; "slo";
-    "density"; "smp"; "partition"; "checkoverhead"; "micro" ]
-
-(* Bench-only flag: regenerate the committed baseline file. *)
-let write_baseline_spec =
-  { Cli_args.names = [ "write-baseline" ];
-    docv = "FILE";
-    doc =
-      "Regenerate the deterministic cycle baseline FILE from this run's \
-       sweep.";
-    default = None;
-    parse = (fun s -> Ok (Some s));
-    show = (function Some s -> s | None -> "") }
+  end;
+  Format.fprintf fmt "baseline check passed (%d configurations)@."
+    (List.length expected)
 
 let () =
-  let help = ref false in
+  let instances =
+    List.map (fun e -> (e, Experiment.instantiate e)) Experiment.registry
+  in
+  let json, json_e = Cli_args.flag_ref Cli_args.json in
+  let assert_, assert_e = Cli_args.flag_ref Cli_args.assert_ in
+  let help, help_e = Cli_args.flag_ref Cli_args.help in
+  let check_path, check_e = Cli_args.value_ref Cli_args.check_baseline in
+  let write_path, write_e = Cli_args.value_ref Cli_args.write_baseline in
   let entries =
-    [ Cli_args.flag_entry Cli_args.json (fun () -> json_mode := true);
-      Cli_args.flag_entry Cli_args.observe (fun () -> obs_mode := true);
-      Cli_args.value_entry Cli_args.domains (fun d -> domains_opt := d);
-      Cli_args.value_entry Cli_args.pcpus (fun n -> pcpus := n);
-      Cli_args.value_entry Cli_args.fault_rate
-        (fun r -> fault_rate_opt := Some r);
-      Cli_args.value_entry Cli_args.fault_seed
-        (fun s -> fault_seed_opt := Some s);
-      Cli_args.value_entry Cli_args.check_baseline
-        (fun f -> baseline_check := f);
-      Cli_args.value_entry write_baseline_spec
-        (fun f -> baseline_write := f);
-      Cli_args.value_entry Cli_args.ops (fun n -> soak_ops := n);
-      Cli_args.value_entry Cli_args.seed
-        (fun s ->
-           soak_seed := s;
-           slo_seed := s;
-           density_seed := s;
-           partition_seed := s);
-      Cli_args.value_entry Cli_args.arrivals (fun n -> slo_arrivals := n);
-      Cli_args.value_entry density_vms_spec (fun vs -> density_vms := vs);
-      Cli_args.value_entry density_jobs_spec (fun n -> density_jobs := n);
-      Cli_args.value_entry density_batch_spec (fun n -> density_batch := n);
-      Cli_args.value_entry density_budget_spec (fun n -> density_budget := n);
-      Cli_args.value_entry density_mode_spec (fun m -> density_mode := m);
-      Cli_args.value_entry Cli_args.max_vms (fun n -> soak_max_vms := n);
-      Cli_args.value_entry Cli_args.shards (fun n -> soak_shards := n);
-      Cli_args.flag_entry Cli_args.check
-        (fun () ->
-           soak_check := true;
-           density_check := true;
-           partition_check := true);
-      Cli_args.flag_entry Cli_args.no_check
-        (fun () ->
-           soak_check := false;
-           density_check := false;
-           partition_check := false);
-      Cli_args.value_entry Cli_args.replay (fun f -> soak_replay := f);
-      Cli_args.value_entry Cli_args.repro_out (fun f -> soak_repro_out := f);
-      Cli_args.flag_entry
-        { Cli_args.f_names = [ "help" ]; f_doc = "Show this help." }
-        (fun () -> help := true) ]
+    List.concat_map (fun (_, (es, _)) -> es) instances
+    @ [ json_e; assert_e; check_e; write_e; help_e ]
+  in
+  let all_sections =
+    List.map (fun (e : Experiment.t) -> e.Experiment.name) Experiment.registry
+    @ [ "micro" ]
   in
   let requested =
     match Cli_args.parse entries (List.tl (Array.to_list Sys.argv)) with
@@ -1194,7 +207,12 @@ let () =
       Format.fprintf fmt "error: %s@." msg;
       exit 2
     | Ok [] -> all_sections
-    | Ok names -> names
+    | Ok names ->
+      (match List.find_opt (fun n -> not (List.mem n all_sections)) names with
+       | Some n ->
+         Format.fprintf fmt "error: unknown section %s@." n;
+         exit 2
+       | None -> names)
   in
   if !help then begin
     Format.fprintf fmt "usage: bench [SECTION...] [FLAGS]@.@.sections: %s@.@.flags:@.%a"
@@ -1203,55 +221,63 @@ let () =
   end;
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Error);
-  List.iter
-    (fun name ->
-       match name with
-       | "table3" -> section "table3" "E1: Table III" run_table3
-       | "fig9" -> section "fig9" "E2: Figure 9" run_fig9
-       | "report" -> section "report" "E3: complexity report" run_report
-       | "reconfig" ->
-         section "reconfig" "E4: reconfiguration latency" run_reconfig
-       | "axi" -> section "axi" "A1: AXI HP vs ACP" run_axi
-       | "vfp" -> section "vfp" "A2: VFP switching policy" run_vfp
-       | "trapvshyper" ->
-         section "trapvshyper" "A3: trap vs hypercall" run_trap
-       | "asid" -> section "asid" "A4: ASID vs TLB flush" run_asid
-       | "quantum" -> section "quantum" "A5: quantum sweep" run_quantum
-       | "chaos" -> section "chaos" "E5: chaos (fault injection)" run_chaos
-       | "soak" ->
-         section "soak" "E6: invariant-checked lifecycle soak" run_soak
-       | "slo" -> section "slo" "E7: open-loop tail latency (SLO)" run_slo
-       | "density" ->
-         section "density" "E8: fleet density (ABI v1 vs v2)" run_density
-       | "smp" -> section "smp" "E9: SMP parallel-simulation speedup" run_smp
-       | "partition" ->
-         section "partition" "E10: static vs dynamic partitioning"
-           run_partition
-       | "checkoverhead" ->
-         section "checkoverhead" "E6b: invariant-plane overhead"
-           run_check_overhead
-       | "micro" -> section "micro" "microbenchmarks" run_micro
-       | other -> Format.fprintf fmt "unknown section: %s@." other)
-    requested;
-  (match !baseline_write with Some p -> write_baseline p | None -> ());
-  (match !baseline_check with Some p -> check_baseline p | None -> ());
-  if !json_mode then begin
-    (* micro_ns_per_op must never be empty in the JSON report: when
-       the micro section was not among the requested ones, run it
-       now (its wall time lands in the perf record like any other
-       section's). *)
-    if !micro_results = [] then section "micro" "microbenchmarks" run_micro;
-    let total_wall = Bench_sections.elapsed bs in
-    write_json "BENCH_sim.json" ~total_wall;
-    write_metrics_json "BENCH_metrics.json";
-    write_perf_json "BENCH_perf.json" ~total_wall;
-    (match !slo_cache with
-     | Some reports -> write_slo_json "BENCH_slo.json" reports
-     | None -> ());
-    (match !density_cache with
-     | Some reports -> write_density_json "BENCH_density.json" reports
-     | None -> ());
-    match !partition_cache with
-    | Some reports -> write_partition_json "BENCH_partition.json" reports
-    | None -> ()
-  end
+  let t_start = Unix.gettimeofday () in
+  let micro = ref [] in
+  let sections =
+    List.filter_map
+      (fun name ->
+         let t0 = Unix.gettimeofday () in
+         match List.find_opt (fun (e, _) -> e.Experiment.name = name) instances with
+         | None ->
+           Format.fprintf fmt "@.===== microbenchmarks =====@.";
+           micro := run_micro ();
+           None
+         | Some (e, (_, run)) ->
+           Format.fprintf fmt "@.===== %s =====@." e.Experiment.title;
+           let r = run () in
+           r.Experiment.print fmt;
+           Experiment.pp_claims fmt r;
+           Some (name, Unix.gettimeofday () -. t0, r))
+      requested
+  in
+  (* The table3 sweep is cached, so this reuses a requested run. *)
+  let table3_cycles () =
+    let _, (_, run) = List.find (fun (e, _) -> e.Experiment.name = "table3") instances in
+    (run ()).Experiment.cycles
+  in
+  Option.iter (fun p -> write_baseline p (table3_cycles ())) !write_path;
+  Option.iter (fun p -> check_baseline p (table3_cycles ())) !check_path;
+  if !json then begin
+    let open Json_out in
+    let doc =
+      Obj
+        ([ ("schema", Str "mini-nova-bench/2");
+           ("domains", Int (Parallel_sweep.default_domains ()));
+           ("total_wall_s", Float (Unix.gettimeofday () -. t_start));
+           ( "sections",
+             List
+               (List.map
+                  (fun (name, wall, r) ->
+                     Obj
+                       [ ("name", Str name);
+                         ("wall_s", Float wall);
+                         ("claims", Experiment.claims_json r);
+                         ("result", r.Experiment.json) ])
+                  sections) ) ]
+         @
+         if !micro = [] then []
+         else
+           [ ( "micro_ns_per_op",
+               Obj
+                 (List.map
+                    (fun (n, ns) ->
+                       (n, match ns with Some t -> Float t | None -> Null))
+                    !micro) ) ])
+    in
+    let oc = open_out "BENCH_sim.json" in
+    output_string oc (to_string doc ^ "\n");
+    close_out oc;
+    Format.fprintf fmt "@.wrote BENCH_sim.json@."
+  end;
+  if !assert_ && not (List.for_all (fun (_, _, r) -> Experiment.all_hold r) sections)
+  then exit 1

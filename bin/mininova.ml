@@ -1,800 +1,60 @@
-(* mininova — command-line front end for the Mini-NOVA reproduction.
+(* mininova — run one experiment of the Mini-NOVA reproduction.
 
-     mininova table3    reproduce Table III (native + 1..N guests)
-     mininova fig9      reproduce Figure 9 (degradation ratios)
-     mininova report    complexity report (paper §V.B)
-     mininova reconfig  PCAP latency vs bitstream size
-     mininova scenario  one evaluation configuration, verbose
-     mininova chaos     fault injection + graceful degradation
-     mininova stats     observability breakdown of one run
-     mininova soak      invariant-checked VM-lifecycle soak
-     mininova slo       open-loop tail-latency (SLO) run
-     mininova density   fleet-scale ABI v1-vs-v2 density run
-     mininova partition static-vs-dynamic PRR partitioning study
-     mininova trace     traced two-VM demo + event timeline
+     mininova NAME [FLAGS]       text report, then its claims
+     mininova NAME --json        the JSON document (claims on stderr)
+     mininova NAME --help        the flags NAME reads
 
-   Flags come from the shared Cli_args vocabulary (lib/harness);
-   the shim below adapts a spec to a Cmdliner term so names,
-   defaults and help stay in one place. *)
-
-open Cmdliner
-
-let setup_logs verbose =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if verbose then Logs.Info else Logs.Error))
-
-let verbose =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable kernel logging.")
-
-(* --- Cli_args -> Cmdliner shim --- *)
-
-let conv_of_spec (s : 'a Cli_args.spec) : 'a Arg.conv =
-  Arg.conv
-    ( (fun str ->
-        match s.Cli_args.parse str with
-        | Ok v -> Ok v
-        | Error m -> Error (`Msg m)),
-      fun ppf v -> Format.pp_print_string ppf (s.Cli_args.show v) )
-
-let term_of_spec (s : 'a Cli_args.spec) =
-  Arg.(
-    value
-    & opt (conv_of_spec s) s.Cli_args.default
-    & info s.Cli_args.names ~docv:s.Cli_args.docv ~doc:s.Cli_args.doc)
-
-let term_of_flag (f : Cli_args.flag) =
-  Arg.(value & flag & info f.Cli_args.f_names ~doc:f.Cli_args.f_doc)
-
-let requests = term_of_spec Cli_args.requests
-let warmup = term_of_spec Cli_args.warmup
-let quantum = term_of_spec Cli_args.quantum
-let seed = term_of_spec Cli_args.seed
-let guests = term_of_spec Cli_args.guests
-let domains = term_of_spec Cli_args.domains
-let fault_rate = term_of_spec Cli_args.fault_rate
-let fault_seed = term_of_spec Cli_args.fault_seed
-let observe = term_of_flag Cli_args.observe
-let json_flag = term_of_flag Cli_args.json
-let pcpus_term = term_of_spec Cli_args.pcpus
-
-let config requests warmup quantum seed observe pcpus =
-  { Scenario.default_config with
-    Scenario.requests_per_guest = requests;
-    warmup_requests = warmup;
-    quantum_ms = quantum;
-    seed;
-    observe;
-    pcpus }
-
-let cfg_term =
-  Term.(
-    const config $ requests $ warmup $ quantum $ seed $ observe $ pcpus_term)
+   NAME is any Experiment.registry entry (table3, fig9, report,
+   reconfig, axi, vfp, trapvshyper, asid, quantum, chaos, soak, slo,
+   density, partition, scenario, stats, trace). --assert exits 1 when
+   a claim fails. *)
 
 let fmt = Format.std_formatter
 
-(* PD-keyed cells are CPU-side components; the PL-side ones are keyed
-   by PRR id. *)
-let key_label ~component k =
-  match component with
-  | "pcap" | "prr_job" | "recovery" | "pl_irq" -> Printf.sprintf "prr%d" k
-  | _ -> Printf.sprintf "pd%d" k
+let usage () =
+  Format.fprintf fmt "usage: mininova NAME [FLAGS]@.@.experiments:@.";
+  List.iter
+    (fun (e : Experiment.t) ->
+       Format.fprintf fmt "  %-12s %s@." e.Experiment.name e.Experiment.title)
+    Experiment.registry
 
-let print_metrics snap =
-  Obs.pp_breakdown ~key_label fmt snap;
-  Format.fprintf fmt "@.";
-  Obs.pp_counters fmt snap
-
-let print_metrics_json snap =
-  let b = Buffer.create 4096 in
-  Obs.snapshot_to_json b snap;
-  Buffer.add_char b '\n';
-  print_string (Buffer.contents b)
-
-let table3_cmd =
-  let run verbose cfg max_guests domains =
-    setup_logs verbose;
-    let s = Scenario.run_table3 ~config:cfg ~max_guests ?domains () in
-    Tables.print_table3 fmt s
-  in
-  Cmd.v
-    (Cmd.info "table3" ~doc:"Reproduce Table III of the paper.")
-    Term.(const run $ verbose $ cfg_term $ guests $ domains)
-
-let fig9_cmd =
-  let run verbose cfg max_guests domains =
-    setup_logs verbose;
-    let s = Scenario.run_table3 ~config:cfg ~max_guests ?domains () in
-    Tables.print_table3 fmt s;
-    Format.fprintf fmt "@.";
-    Tables.print_fig9 fmt s
-  in
-  Cmd.v
-    (Cmd.info "fig9" ~doc:"Reproduce Figure 9 (degradation ratios).")
-    Term.(const run $ verbose $ cfg_term $ guests $ domains)
-
-let report_cmd =
-  let run verbose root =
-    setup_logs verbose;
-    Complexity.print fmt (Complexity.measure ~root ())
-  in
-  let root =
-    Arg.(
-      value & opt string "."
-      & info [ "root" ] ~docv:"DIR" ~doc:"Repository root for line counts.")
-  in
-  Cmd.v
-    (Cmd.info "report" ~doc:"Complexity report (paper S V.B).")
-    Term.(const run $ verbose $ root)
-
-let reconfig_cmd =
-  let run verbose =
-    setup_logs verbose;
-    Format.fprintf fmt "%-10s %12s %14s@." "task" "bitstream" "reconfig";
-    List.iter
-      (fun r ->
-         Format.fprintf fmt "%-10s %9d KB %11.2f ms@." r.Ablations.task
-           r.Ablations.bitstream_kb r.Ablations.reconfig_ms)
-      (Ablations.reconfig_table ())
-  in
-  Cmd.v
-    (Cmd.info "reconfig" ~doc:"PCAP reconfiguration latency per bitstream.")
-    Term.(const run $ verbose)
-
-let scenario_cmd =
-  let run verbose cfg guests native =
-    setup_logs verbose;
-    let o =
-      if native then Scenario.run_native ~config:cfg ()
-      else Scenario.run_virtualized ~config:cfg ~guests ()
-    in
-    Format.fprintf fmt "%s: %a@."
-      (if native then "native" else Printf.sprintf "%d guest(s)" guests)
-      Scenario.pp_overheads o;
-    if cfg.Scenario.observe then begin
-      Format.fprintf fmt "@.";
-      print_metrics o.Scenario.metrics
-    end
-  in
-  let native =
-    Arg.(
-      value & flag
-      & info [ "native" ] ~doc:"Run the non-virtualized baseline instead.")
-  in
-  Cmd.v
-    (Cmd.info "scenario"
-       ~doc:"Run one evaluation configuration and print its overheads.")
-    Term.(const run $ verbose $ cfg_term $ guests $ native)
-
-let chaos_cmd =
-  let run verbose cfg guests fault_rate fault_seed assert_recovery =
-    setup_logs verbose;
-    let r =
-      Chaos.run
-        ~config:{ Chaos.base = cfg; fault_rate; fault_seed }
-        ~guests ()
-    in
-    Format.fprintf fmt "%a@." Chaos.pp_report r;
-    List.iter
-      (fun (k, n) -> if n > 0 then Format.fprintf fmt "  %-14s %d@." k n)
-      r.Chaos.injected_by;
-    if cfg.Scenario.observe then begin
-      Format.fprintf fmt "@.";
-      print_metrics r.Chaos.metrics
-    end;
-    if assert_recovery then begin
-      if r.Chaos.crashes > 0 then begin
-        Format.fprintf fmt "FAIL: %d kernel-level guest crashes@."
-          r.Chaos.crashes;
-        exit 1
-      end;
-      if
-        fault_rate > 0.0 && r.Chaos.injected > 0
-        && r.Chaos.recoveries + r.Chaos.reconfig_retries = 0
-      then begin
-        Format.fprintf fmt
-          "FAIL: faults injected but nothing recovered@.";
-        exit 1
-      end;
-      if fault_rate > 0.0 && r.Chaos.injected = 0 then begin
-        Format.fprintf fmt "FAIL: fault plane armed but never injected@.";
-        exit 1
-      end;
-      Format.fprintf fmt "chaos assertions passed@."
-    end
-  in
-  let assert_recovery =
-    Arg.(
-      value & flag
-      & info [ "assert-recovery" ]
-          ~doc:
-            "Exit non-zero unless faults were injected, something \
-             recovered, and no guest crashed (CI smoke mode).")
-  in
-  Cmd.v
-    (Cmd.info "chaos"
-       ~doc:
-         "Run the evaluation workload under seeded PL fault injection \
-          and report the graceful-degradation statistics.")
-    Term.(
-      const run $ verbose $ cfg_term $ guests $ fault_rate $ fault_seed
-      $ assert_recovery)
-
-let stats_cmd =
-  let run verbose cfg guests native json =
-    setup_logs verbose;
-    (* stats implies the observability plane. *)
-    let cfg = { cfg with Scenario.observe = true } in
-    let o =
-      if native then Scenario.run_native ~config:cfg ()
-      else Scenario.run_virtualized ~config:cfg ~guests ()
-    in
-    if json then print_metrics_json o.Scenario.metrics
-    else begin
-      Format.fprintf fmt "%s: %a@.@."
-        (if native then "native" else Printf.sprintf "%d guest(s)" guests)
-        Scenario.pp_overheads o;
-      print_metrics o.Scenario.metrics
-    end
-  in
-  let native =
-    Arg.(
-      value & flag
-      & info [ "native" ] ~doc:"Run the non-virtualized baseline instead.")
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run one evaluation configuration with the observability plane \
-          on and print the per-VM x per-component cycle breakdown \
-          (Table-III style) plus kernel counters. With $(b,--json), dump \
-          the raw metrics snapshot instead.")
-    Term.(const run $ verbose $ cfg_term $ guests $ native $ json_flag)
-
-let soak_cmd =
-  let run verbose ops seed max_vms check no_check fault_rate fault_seed
-      quantum pcpus replay repro_out shards domains =
-    setup_logs verbose;
-    ignore check (* checking is the soak default; --check documents intent *);
-    let cfg =
-      { Soak.ops; seed; max_vms; check = not no_check; fault_rate;
-        fault_seed; quantum_ms = quantum; pcpus }
-    in
-    let report_violation scfg ~violation ~trace ~shrunk ~stats =
-      Format.fprintf fmt "INVARIANT VIOLATION: %s@."
-        (Invariant.violation_to_string violation);
-      Format.fprintf fmt "after %a@." Soak.pp_stats stats;
-      Format.fprintf fmt "trace: %d actions, shrunk to %d@."
-        (List.length trace) (List.length shrunk);
-      Soak.write_reproducer repro_out scfg violation ~shrunk;
-      Format.fprintf fmt
-        "reproducer written to %s (re-run with --replay %s)@." repro_out
-        repro_out;
-      exit 1
-    in
-    match replay with
-    | Some path ->
-      (match Soak.replay_file path with
-       | Ok (Soak.Clean stats) ->
-         Format.fprintf fmt "soak clean: %a@." Soak.pp_stats stats
-       | Ok (Soak.Violated { violation; trace; shrunk; stats }) ->
-         Format.fprintf fmt "INVARIANT VIOLATION: %s@."
-           (Invariant.violation_to_string violation);
-         Format.fprintf fmt "after %a@." Soak.pp_stats stats;
-         Format.fprintf fmt "trace: %d actions, shrunk to %d@."
-           (List.length trace) (List.length shrunk);
-         exit 1
-       | Error e ->
-         Format.fprintf fmt "soak: %s@." e;
-         exit 2)
-    | None ->
-      if shards <= 1 then begin
-        match Soak.run cfg with
-        | Soak.Clean stats ->
-          Format.fprintf fmt "soak clean: %a@." Soak.pp_stats stats
-        | Soak.Violated { violation; trace; shrunk; stats } ->
-          report_violation cfg ~violation ~trace ~shrunk ~stats
-      end
-      else begin
-        let t0 = Unix.gettimeofday () in
-        let s = Soak.run_sharded ?domains ~shards cfg in
-        let wall = Unix.gettimeofday () -. t0 in
-        List.iter
-          (fun (r : Soak.shard_report) ->
-             Format.fprintf fmt
-               "shard %d (seed %d): %s, %d ops in %.3f s@." r.Soak.shard
-               r.Soak.shard_cfg.Soak.seed
-               (match r.Soak.outcome with
-                | Soak.Clean _ -> "clean"
-                | Soak.Violated _ -> "VIOLATED")
-               (Soak.stats_of_outcome r.Soak.outcome).Soak.ops_done
-               r.Soak.wall_s)
-          s.Soak.reports;
-        let m = s.Soak.merged_stats in
-        Format.fprintf fmt "merged: %a@." Soak.pp_stats m;
-        Format.fprintf fmt "%d shards in %.3f s wall (%.1fM ops/min)@."
-          shards wall
-          (float_of_int m.Soak.ops_done /. wall *. 60.0 /. 1e6);
-        match s.Soak.first_violated with
-        | None -> ()
-        | Some r ->
-          (match r.Soak.outcome with
-           | Soak.Violated { violation; trace; shrunk; stats } ->
-             report_violation r.Soak.shard_cfg ~violation ~trace ~shrunk
-               ~stats
-           | Soak.Clean _ -> assert false)
-      end
-  in
-  let d = Soak.default_config in
-  let ops = term_of_spec Cli_args.ops in
-  let soak_seed = term_of_spec { Cli_args.seed with default = d.Soak.seed } in
-  let max_vms = term_of_spec Cli_args.max_vms in
-  let soak_fault_rate =
-    term_of_spec { Cli_args.fault_rate with default = d.Soak.fault_rate }
-  in
-  let soak_fault_seed =
-    term_of_spec { Cli_args.fault_seed with default = d.Soak.fault_seed }
-  in
-  let soak_quantum =
-    term_of_spec { Cli_args.quantum with default = d.Soak.quantum_ms }
-  in
-  let soak_pcpus = term_of_spec Cli_args.pcpus in
-  let check = term_of_flag Cli_args.check in
-  let no_check = term_of_flag Cli_args.no_check in
-  let replay = term_of_spec Cli_args.replay in
-  let repro_out = term_of_spec Cli_args.repro_out in
-  let shards = term_of_spec Cli_args.shards in
-  Cmd.v
-    (Cmd.info "soak"
-       ~doc:
-         "Drive the kernel through a deterministic storm of VM \
-          create/kill cycles, hypercall storms, DPR churn and fault \
-          injection, evaluating the invariant plane after every \
-          operation. With $(b,--shards) N the op budget is split into \
-          N independent seeded shards run concurrently on OCaml \
-          domains (capped by $(b,--domains)); the decomposition is \
-          fixed by the shard count, so outcomes are identical for any \
-          domain budget. On a violation, writes a greedily shrunk, \
-          single-domain-replayable reproducer and exits non-zero.")
-    Term.(
-      const run $ verbose $ ops $ soak_seed $ max_vms $ check $ no_check
-      $ soak_fault_rate $ soak_fault_seed $ soak_quantum $ soak_pcpus
-      $ replay $ repro_out $ shards $ domains)
-
-let slo_cmd =
-  let run verbose seed guests arrivals process interarrival victim_ia
-      quantum fault_rate fault_seed churn observe pcpus json =
-    setup_logs verbose;
-    let cfg =
-      { Slo.default_config with
-        Slo.seed; guests;
-        arrivals_per_guest = arrivals;
-        process;
-        mean_interarrival_us = interarrival;
-        victim_interarrival_us = victim_ia;
-        quantum_ms = quantum;
-        fault_rate; fault_seed;
-        churn_kills = churn;
-        observe; pcpus }
-    in
-    let r = Slo.run ~config:cfg () in
-    if json then begin
-      let b = Buffer.create 4096 in
-      Slo.report_json b r;
-      Buffer.add_char b '\n';
-      print_string (Buffer.contents b)
-    end
-    else begin
-      Format.fprintf fmt "%a" Slo.pp_report r;
-      if observe then begin
-        Format.fprintf fmt "@.";
-        print_metrics r.Slo.metrics
-      end
-    end
-  in
-  let slo_seed =
-    term_of_spec { Cli_args.seed with default = Slo.default_config.Slo.seed }
-  in
-  let slo_guests =
-    term_of_spec
-      { Cli_args.guests with default = Slo.default_config.Slo.guests }
-  in
-  let slo_quantum =
-    term_of_spec
-      { Cli_args.quantum with default = Slo.default_config.Slo.quantum_ms }
-  in
-  let slo_fault_rate =
-    term_of_spec
-      { Cli_args.fault_rate with default = Slo.default_config.Slo.fault_rate }
-  in
-  let slo_fault_seed =
-    term_of_spec
-      { Cli_args.fault_seed with default = Slo.default_config.Slo.fault_seed }
-  in
-  let arrivals = term_of_spec Cli_args.arrivals in
-  let interarrival = term_of_spec Cli_args.interarrival in
-  let victim_ia = term_of_spec Cli_args.victim_interarrival in
-  let process = term_of_spec Cli_args.arrival_process in
-  let churn = term_of_spec Cli_args.churn in
-  let slo_pcpus = term_of_spec Cli_args.pcpus in
-  Cmd.v
-    (Cmd.info "slo"
-       ~doc:
-         "Open-loop tail-latency run: seeded Poisson or bursty arrivals \
-          drive per-VM hardware-task requests through the event queue; \
-          reports per-VM service and sojourn p50/p99/p999, max queue \
-          depth and PRR utilisation. VM 0 is the victim; pin its rate \
-          with $(b,--victim-interarrival) while $(b,--interarrival) \
-          varies the aggressors to measure interference.")
-    Term.(
-      const run $ verbose $ slo_seed $ slo_guests $ arrivals $ process
-      $ interarrival $ victim_ia $ slo_quantum $ slo_fault_rate
-      $ slo_fault_seed $ churn $ observe $ slo_pcpus $ json_flag)
-
-let density_cmd =
-  let run verbose seed vms jobs batch ring_budget mode quantum fault_rate
-      fault_seed check pcpus ring_admission assert_ratio json =
-    setup_logs verbose;
-    let cfg mode =
-      { Density.default_config with
-        Density.seed; vms; mode;
-        jobs_per_vm = jobs;
-        batch;
-        cvirq_budget = ring_budget;
-        quantum_ms = quantum;
-        fault_rate; fault_seed; check; pcpus; ring_admission }
-    in
-    let modes =
-      match mode with Some m -> [ m ] | None -> [ Density.V1; Density.V2 ]
-    in
-    let reports =
-      List.map (fun m -> Density.run ~config:(cfg m) ()) modes
-    in
-    if json then begin
-      let b = Buffer.create 4096 in
-      Buffer.add_string b "[";
-      List.iteri
-        (fun i r ->
-           if i > 0 then Buffer.add_string b ", ";
-           Density.report_json b r)
-        reports;
-      Buffer.add_string b "]\n";
-      print_string (Buffer.contents b)
-    end
-    else
-      List.iter (fun r -> Format.fprintf fmt "%a" Density.pp_report r) reports;
-    let ratio =
-      let per_job m =
-        List.find_opt (fun (r : Density.report) -> r.Density.mode = m) reports
-        |> Option.map (fun (r : Density.report) ->
-               r.Density.transitions_per_job)
-      in
-      match (per_job Density.V1, per_job Density.V2) with
-      | Some v1, Some v2 when v2 > 0.0 -> Some (v1 /. v2)
-      | _ -> None
-    in
-    (match ratio with
-     | Some x when not json ->
-       Format.fprintf fmt "transition ratio v1/v2: %.1fx@." x
-     | _ -> ());
-    if assert_ratio > 0.0 then
-      match ratio with
-      | None ->
-        Format.fprintf fmt
-          "FAIL: --assert-ratio needs both ABI modes in the run@.";
-        exit 1
-      | Some x when x < assert_ratio ->
-        Format.fprintf fmt
-          "FAIL: v1/v2 transition ratio %.2f below the asserted %.2f@." x
-          assert_ratio;
-        exit 1
-      | Some x ->
-        if not json then
-          Format.fprintf fmt "density assertion passed (%.1fx >= %.1fx)@." x
-            assert_ratio
-  in
-  let d = Density.default_config in
-  let density_seed =
-    term_of_spec { Cli_args.seed with default = d.Density.seed }
-  in
-  let vms =
-    Arg.(
-      value & opt int d.Density.vms
-      & info [ "vms" ] ~docv:"N" ~doc:"Guest population, victim included.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int d.Density.jobs_per_vm
-      & info [ "jobs" ] ~docv:"N" ~doc:"Hardware jobs per guest.")
-  in
-  let batch =
-    Arg.(
-      value & opt int d.Density.batch
-      & info [ "batch" ] ~docv:"N"
-          ~doc:"ABI v2 request descriptors per doorbell.")
-  in
-  let ring_budget =
-    Arg.(
-      value & opt int d.Density.cvirq_budget
-      & info [ "ring-budget" ] ~docv:"N"
-          ~doc:"Completions per moderated ring vIRQ (0 = pure polling).")
-  in
-  let mode =
-    let mode_conv =
-      Arg.conv
-        ( (fun s ->
-            if s = "both" then Ok None
-            else
-              match Density.mode_of_string s with
-              | Ok m -> Ok (Some m)
-              | Error e -> Error (`Msg e)),
-          fun ppf v ->
-            Format.pp_print_string ppf
-              (match v with None -> "both" | Some m -> Density.mode_name m) )
-    in
-    Arg.(
-      value & opt mode_conv None
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:"Hypercall ABI under test: v1, v2 or both.")
-  in
-  let density_quantum =
-    term_of_spec { Cli_args.quantum with default = d.Density.quantum_ms }
-  in
-  let density_fault_rate =
-    term_of_spec { Cli_args.fault_rate with default = d.Density.fault_rate }
-  in
-  let density_fault_seed =
-    term_of_spec { Cli_args.fault_seed with default = d.Density.fault_seed }
-  in
-  let check = term_of_flag Cli_args.check in
-  let density_pcpus = term_of_spec Cli_args.pcpus in
-  let density_ring_admission = term_of_spec Cli_args.ring_admission in
-  let assert_ratio =
-    Arg.(
-      value & opt float 0.0
-      & info [ "assert-ratio" ] ~docv:"X"
-          ~doc:
-            "Exit non-zero unless the v1/v2 guest-to-kernel transition \
-             ratio is at least X (CI smoke mode; needs both modes).")
-  in
-  Cmd.v
-    (Cmd.info "density"
-       ~doc:
-         "Fleet-scale VM density run comparing hypercall ABI v1 (one trap \
-          per job) against the ABI v2 descriptor rings (one doorbell per \
-          batch): per-request overhead, ring batching, PRR utilisation \
-          and the victim's vIRQ-turnaround tail at the chosen population.")
-    Term.(
-      const run $ verbose $ density_seed $ vms $ jobs $ batch $ ring_budget
-      $ mode $ density_quantum $ density_fault_rate $ density_fault_seed
-      $ check $ density_pcpus $ density_ring_admission $ assert_ratio
-      $ json_flag)
-
-let partition_cmd =
-  let run verbose seed vms jobs mode chaos quantum fault_rate fault_seed
-      check pcpus assert_isolation json =
-    setup_logs verbose;
-    let cfg mode chaos =
-      { Partition.seed; vms; mode; chaos;
-        jobs_per_vm = jobs;
-        quantum_ms = quantum;
-        chaos_fault_rate = fault_rate;
-        fault_seed; check; pcpus }
-    in
-    let modes =
-      match mode with
-      | Some m -> [ m ]
-      | None -> [ Hw_task_manager.Dynamic; Hw_task_manager.Static ]
-    in
-    let chaoses =
-      match chaos with `Both -> [ false; true ] | `On -> [ true ]
-      | `Off -> [ false ]
-    in
-    let reports =
-      List.concat_map
-        (fun m -> List.map (fun c -> Partition.run ~config:(cfg m c) ()) chaoses)
-        modes
-    in
-    if json then begin
-      let b = Buffer.create 4096 in
-      Buffer.add_string b "[";
-      List.iteri
-        (fun i r ->
-           if i > 0 then Buffer.add_string b ", ";
-           Partition.report_json b r)
-        reports;
-      Buffer.add_string b "]\n";
-      print_string (Buffer.contents b)
-    end
-    else
-      List.iter
-        (fun r -> Format.fprintf fmt "%a" Partition.pp_report r)
-        reports;
-    if assert_isolation then begin
-      let fail msg =
-        Format.fprintf fmt "FAIL: %s@." msg;
-        exit 1
-      in
-      let has m =
-        List.exists (fun (r : Partition.report) -> r.Partition.mode = m)
-          reports
-      in
-      if not (has Hw_task_manager.Dynamic && has Hw_task_manager.Static)
-      then fail "--assert-isolation needs both partition modes in the run";
-      List.iter
-        (fun (r : Partition.report) ->
-           let tag =
-             Printf.sprintf "%s/%s"
-               (Partition.mode_name r.Partition.mode)
-               (if r.Partition.chaos then "chaos" else "quiet")
-           in
-           if r.Partition.crashes > 0 then
-             fail (Printf.sprintf "%s: %d crashes" tag r.Partition.crashes);
-           match r.Partition.mode with
-           | Hw_task_manager.Static ->
-             (* The static baseline must fail foreign-PRR requests
-                fast, yet never drop the victim's jobs — its pinned
-                region isolates it from fleet faults and reclaim. *)
-             if r.Partition.jobs_denied = 0 then
-               fail (tag ^ ": expected static denials, saw none");
-             if r.Partition.victim_ok < r.Partition.victim_jobs then
-               fail
-                 (Printf.sprintf "%s: victim lost jobs (%d/%d ok)" tag
-                    r.Partition.victim_ok r.Partition.victim_jobs)
-           | Hw_task_manager.Dynamic ->
-             if r.Partition.jobs_denied > 0 then
-               fail
-                 (Printf.sprintf "%s: %d denials in dynamic mode" tag
-                    r.Partition.jobs_denied))
-        reports;
-      if not json then Format.fprintf fmt "partition assertions passed@."
-    end
-  in
-  let d = Partition.default_config in
-  let partition_seed =
-    term_of_spec { Cli_args.seed with default = d.Partition.seed }
-  in
-  let vms =
-    Arg.(
-      value & opt int d.Partition.vms
-      & info [ "vms" ] ~docv:"N" ~doc:"Guest population, victim included.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int d.Partition.jobs_per_vm
-      & info [ "jobs" ] ~docv:"N" ~doc:"Hardware jobs per guest.")
-  in
-  let mode =
-    let mode_conv =
-      Arg.conv
-        ( (fun s ->
-            if s = "both" then Ok None
-            else
-              match Partition.mode_of_string s with
-              | Ok m -> Ok (Some m)
-              | Error e -> Error (`Msg e)),
-          fun ppf v ->
-            Format.pp_print_string ppf
-              (match v with
-               | None -> "both"
-               | Some m -> Partition.mode_name m) )
-    in
-    Arg.(
-      value & opt mode_conv None
-      & info [ "partition" ] ~docv:"MODE"
-          ~doc:"PRR sharing discipline: dynamic, static or both.")
-  in
-  let chaos =
-    let chaos_conv =
-      Arg.conv
-        ( (function
-            | "on" -> Ok `On
-            | "off" -> Ok `Off
-            | "both" -> Ok `Both
-            | s -> Error (`Msg (Printf.sprintf "expected on, off or both, got %S" s))),
-          fun ppf v ->
-            Format.pp_print_string ppf
-              (match v with `On -> "on" | `Off -> "off" | `Both -> "both") )
-    in
-    Arg.(
-      value & opt chaos_conv `Off
-      & info [ "chaos" ] ~docv:"WHEN"
-          ~doc:"PL fault injection: on, off or both (one cell each).")
-  in
-  let partition_quantum =
-    term_of_spec { Cli_args.quantum with default = d.Partition.quantum_ms }
-  in
-  let partition_fault_rate =
-    term_of_spec
-      { Cli_args.fault_rate with default = d.Partition.chaos_fault_rate }
-  in
-  let partition_fault_seed =
-    term_of_spec { Cli_args.fault_seed with default = d.Partition.fault_seed }
-  in
-  let check = term_of_flag Cli_args.check in
-  let partition_pcpus = term_of_spec Cli_args.pcpus in
-  let assert_isolation =
-    Arg.(
-      value & flag
-      & info [ "assert-isolation" ]
-          ~doc:
-            "Exit non-zero unless static cells deny foreign-PRR requests \
-             while keeping the victim whole, and dynamic cells deny \
-             nothing (CI smoke mode; needs both modes).")
-  in
-  Cmd.v
-    (Cmd.info "partition"
-       ~doc:
-         "Static-vs-dynamic PRR partitioning study over the heterogeneous \
-          IP catalog: a pinned Jailhouse-style layout (foreign requests \
-          fail fast with denied status) against the paper's DPR \
-          time-sharing, optionally under PL fault chaos; reports denial \
-          rates, reconfiguration counts, PRR utilisation and the victim's \
-          vIRQ-turnaround tail.")
-    Term.(
-      const run $ verbose $ partition_seed $ vms $ jobs $ mode $ chaos
-      $ partition_quantum $ partition_fault_rate $ partition_fault_seed
-      $ check $ partition_pcpus $ assert_isolation $ json_flag)
-
-let trace_cmd =
-  let run verbose last =
-    setup_logs verbose;
-    (* A compact two-VM demo with hardware tasks, traced end to end. *)
-    let z = Zynq.create () in
-    let kern = Kernel.boot z in
-    let tr = Ktrace.create ~capacity:4096 in
-    Kernel.set_trace kern (Some tr);
-    let qam = Kernel.register_hw_task kern (Task_kind.Qam 16) in
-    for g = 0 to 1 do
-      ignore
-        (Kernel.create_vm kern
-           ~name:(Printf.sprintf "vm%d" g)
-           (fun genv ->
-              let os = Ucos.create (Port.paravirt genv) in
-              ignore
-                (Ucos.spawn os ~name:"worker" ~prio:5 (fun () ->
-                     for _ = 1 to 2 do
-                       (match Hw_task_api.acquire os ~task:qam ~want_irq:true ()
-                        with
-                        | Ok h ->
-                          let bits = Array.init 16 (fun i -> i land 1) in
-                          ignore (Hw_task_api.run_qam_mod os h ~order:16 ~bits);
-                          Hw_task_api.release os h
-                        | Error _ -> ());
-                       Ucos.delay os 2
-                     done));
-              Ucos.run os))
-    done;
-    Kernel.run kern ~until:(Cycles.of_ms 200.0);
-    let events = Ktrace.events tr in
-    let n = List.length events in
-    let skip = max 0 (n - last) in
-    Format.fprintf fmt "%d events (%d dropped), showing the last %d:@." n
-      (Ktrace.dropped tr) (min last n);
-    List.iteri
-      (fun i e -> if i >= skip then Format.fprintf fmt "%a@." Ktrace.pp_event e)
-      events
-  in
-  let last =
-    Arg.(
-      value & opt int 60
-      & info [ "n"; "last" ] ~docv:"N" ~doc:"How many trailing events to show.")
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Run a small traced two-VM hardware-task demo and dump the \
-             kernel event timeline.")
-    Term.(const run $ verbose $ last)
+let fail msg =
+  Format.eprintf "mininova: %s@." msg;
+  exit 2
 
 let () =
-  let info =
-    Cmd.info "mininova" ~version:"1.0"
-      ~doc:
-        "Mini-NOVA (IPDPSW'15) reproduction: an ARM+FPGA virtualization \
-         microkernel with DPR support, on a simulated Zynq-7000."
-  in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ table3_cmd; fig9_cmd; report_cmd; reconfig_cmd; scenario_cmd;
-            chaos_cmd; stats_cmd; soak_cmd; slo_cmd; density_cmd;
-            partition_cmd; trace_cmd ]))
+  match List.tl (Array.to_list Sys.argv) with
+  | [] | ("--help" | "help") :: _ -> usage ()
+  | name :: argv ->
+    let e =
+      match Experiment.find name with
+      | Some e -> e
+      | None -> fail ("unknown experiment " ^ name)
+    in
+    let entries, run = Experiment.instantiate e in
+    let json, json_e = Cli_args.flag_ref Cli_args.json in
+    let assert_, assert_e = Cli_args.flag_ref Cli_args.assert_ in
+    let verbose, verbose_e = Cli_args.flag_ref Cli_args.verbose in
+    let help, help_e = Cli_args.flag_ref Cli_args.help in
+    let entries = entries @ [ json_e; assert_e; verbose_e; help_e ] in
+    (match Cli_args.parse entries argv with
+     | Ok [] -> ()
+     | Ok (extra :: _) -> fail ("unexpected argument " ^ extra)
+     | Error m -> fail m);
+    if !help then begin
+      Format.fprintf fmt "usage: mininova %s [FLAGS]  (%s)@.@.flags:@.%a" name
+        e.Experiment.title Cli_args.pp_usage entries;
+      exit 0
+    end;
+    Logs.set_reporter (Logs.format_reporter ());
+    Logs.set_level (Some (if !verbose then Logs.Info else Logs.Error));
+    let r = try run () with Failure m -> fail m in
+    if !json then begin
+      print_endline (Json_out.to_string r.Experiment.json);
+      Experiment.pp_claims Format.err_formatter r
+    end
+    else begin
+      r.Experiment.print fmt;
+      Experiment.pp_claims fmt r
+    end;
+    if !assert_ && not (Experiment.all_hold r) then exit 1

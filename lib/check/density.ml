@@ -420,8 +420,6 @@ let run ?(config = default_config) () =
 
 (* {2 The bench matrix} *)
 
-type tagged = { tag : string; t_config : config }
-
 let default_populations = [ 8; 32; 64; 128; 256 ]
 
 let bench_matrix ?(seed = default_config.seed)
@@ -435,21 +433,13 @@ let bench_matrix ?(seed = default_config.seed)
     (fun vms ->
        List.map
          (fun mode ->
-            { tag =
-                (if pcpus = 1 then
-                   Printf.sprintf "%s/%d" (mode_name mode) vms
-                 else
-                   Printf.sprintf "%s/%d/p%d" (mode_name mode) vms pcpus);
-              t_config =
-                { default_config with
-                  seed; vms; mode; jobs_per_vm = jobs; batch; cvirq_budget;
-                  fault_rate; check; pcpus; ring_admission } })
+            ( (if pcpus = 1 then Printf.sprintf "%s/%d" (mode_name mode) vms
+               else Printf.sprintf "%s/%d/p%d" (mode_name mode) vms pcpus),
+              { default_config with
+                seed; vms; mode; jobs_per_vm = jobs; batch; cvirq_budget;
+                fault_rate; check; pcpus; ring_admission } ))
          [ V1; V2 ])
     populations
-
-let sweep ?domains tagged =
-  Parallel_sweep.run ?domains
-    (List.map (fun t -> fun () -> (t.tag, run ~config:t.t_config ())) tagged)
 
 (* {2 Rendering} *)
 

@@ -89,21 +89,16 @@ val run : ?config:config -> unit -> report
 (** Boot, populate, run to guest exhaustion, collect. Deterministic in
     the configuration. *)
 
-type tagged = { tag : string; t_config : config }
-
 val default_populations : int list
 (** The paper sweep: 8, 32, 64, 128, 256 VMs. *)
 
 val bench_matrix :
   ?seed:int -> ?populations:int list -> ?jobs:int -> ?batch:int ->
   ?cvirq_budget:int -> ?fault_rate:float -> ?check:bool -> ?pcpus:int ->
-  ?ring_admission:[ `Fifo | `Deadline ] -> unit -> tagged list
+  ?ring_admission:[ `Fifo | `Deadline ] -> unit -> (string * config) list
 (** Both modes at every population, tagged ["v1/8"], ["v2/8"], … —
-    or ["v1/8/p4"], … when [pcpus > 1]. *)
-
-val sweep : ?domains:int -> tagged list -> (string * report) list
-(** Run a matrix on OCaml domains via [Parallel_sweep]; cells are
-    independent worlds, so the result is order-deterministic. *)
+    or ["v1/8/p4"], … when [pcpus > 1]. Cells are independent worlds:
+    run them with {!Parallel_sweep.map}. *)
 
 val pp_report : Format.formatter -> report -> unit
 

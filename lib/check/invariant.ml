@@ -262,8 +262,6 @@ let checkers =
     ("prr_ownership", check_prr_ownership);
     ("mmu_context", check_mmu_context) ]
 
-let checker_names = List.map fst checkers
-
 let check kern ~boundary =
   List.concat_map
     (fun (checker, f) ->
@@ -278,8 +276,6 @@ let raise_first kern ~boundary =
 let attach kern =
   Kernel.set_check_hook kern
     (Some (fun boundary -> raise_first kern ~boundary))
-
-let detach kern = Kernel.set_check_hook kern None
 
 (* --- SMP (multi-pCPU) plane --- *)
 
@@ -381,9 +377,3 @@ let attach_smp smp =
   done;
   Smp.set_barrier_hook smp
     (Some (fun () -> raise_first_smp smp ~boundary:"epoch_barrier"))
-
-let detach_smp smp =
-  for cpu = 0 to Smp.pcpus smp - 1 do
-    detach (Smp.kernel smp cpu)
-  done;
-  Smp.set_barrier_hook smp None

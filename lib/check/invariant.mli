@@ -35,7 +35,7 @@
       it and the DACR encodes its guest mode (paper Table II). *)
 
 type violation = {
-  checker : string;   (** one of {!checker_names} *)
+  checker : string;   (** which checker fired, e.g. ["prr_ownership"] *)
   boundary : string;  (** where it was caught: "world_switch", … *)
   detail : string;
 }
@@ -44,8 +44,6 @@ exception Violation of violation
 
 val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
-
-val checker_names : string list
 
 val check : Kernel.t -> boundary:string -> violation list
 (** Run every checker; [[]] on a consistent kernel. Pure. *)
@@ -58,8 +56,6 @@ val attach : Kernel.t -> unit
     kill and recovery boundary. The exception propagates out of
     [Kernel.run] (hooks run outside guest fibers, so it cannot be
     swallowed as a guest crash). *)
-
-val detach : Kernel.t -> unit
 
 (** {2 SMP (multi-pCPU) plane}
 
@@ -86,5 +82,3 @@ val attach_smp : Smp.t -> unit
     domain simulates the node — they read only node-local state), plus
     {!raise_first_smp} as the barrier hook (boundary
     ["epoch_barrier"], orchestrator domain). *)
-
-val detach_smp : Smp.t -> unit

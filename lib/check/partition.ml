@@ -339,8 +339,6 @@ let run ?(config = default_config) () =
 
 (* {2 The bench matrix} *)
 
-type tagged = { tag : string; t_config : config }
-
 let bench_matrix ?(seed = default_config.seed) ?(vms = default_config.vms)
     ?(jobs = default_config.jobs_per_vm) ?(check = false)
     ?(pcpus = default_config.pcpus) () =
@@ -348,20 +346,13 @@ let bench_matrix ?(seed = default_config.seed) ?(vms = default_config.vms)
     (fun mode ->
        List.map
          (fun chaos ->
-            { tag =
-                Printf.sprintf "%s/%s%s" (mode_name mode)
-                  (if chaos then "chaos" else "quiet")
-                  (if pcpus = 1 then "" else Printf.sprintf "/p%d" pcpus);
-              t_config =
-                { default_config with
-                  seed; vms; mode; chaos; jobs_per_vm = jobs; check; pcpus }
-            })
+            ( Printf.sprintf "%s/%s%s" (mode_name mode)
+                (if chaos then "chaos" else "quiet")
+                (if pcpus = 1 then "" else Printf.sprintf "/p%d" pcpus),
+              { default_config with
+                seed; vms; mode; chaos; jobs_per_vm = jobs; check; pcpus } ))
          [ false; true ])
     [ Hw_task_manager.Dynamic; Hw_task_manager.Static ]
-
-let sweep ?domains tagged =
-  Parallel_sweep.run ?domains
-    (List.map (fun t -> fun () -> (t.tag, run ~config:t.t_config ())) tagged)
 
 (* {2 Rendering} *)
 

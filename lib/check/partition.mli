@@ -81,18 +81,13 @@ val run : ?config:config -> unit -> report
 (** Boot, populate, pin (static mode), run to guest exhaustion,
     collect. Deterministic in the configuration. *)
 
-type tagged = { tag : string; t_config : config }
-
 val bench_matrix :
   ?seed:int -> ?vms:int -> ?jobs:int -> ?check:bool -> ?pcpus:int ->
-  unit -> tagged list
+  unit -> (string * config) list
 (** The 2×2 study: both modes × quiet/chaos, tagged
     ["dynamic/quiet"], ["dynamic/chaos"], ["static/quiet"],
-    ["static/chaos"] (suffixed ["/pN"] when [pcpus > 1]). *)
-
-val sweep : ?domains:int -> tagged list -> (string * report) list
-(** Run a matrix on OCaml domains via [Parallel_sweep]; cells are
-    independent worlds, so the result is order-deterministic. *)
+    ["static/chaos"] (suffixed ["/pN"] when [pcpus > 1]). Cells are
+    independent worlds: run them with {!Parallel_sweep.map}. *)
 
 val pp_report : Format.formatter -> report -> unit
 

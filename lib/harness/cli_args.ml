@@ -22,6 +22,12 @@ let parse_float s =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "expected a number, got %S" s)
 
+let int_at_least lo s =
+  match int_of_string_opt s with
+  | Some v when v >= lo -> Ok v
+  | Some _ | None ->
+    Error (Printf.sprintf "expected an integer >= %d, got %S" lo s)
+
 let requests =
   { names = [ "r"; "requests" ];
     docv = "N";
@@ -69,12 +75,7 @@ let domains =
       "Cap the sweep parallelism (default: MININOVA_DOMAINS or the \
        host's recommended domain count).";
     default = None;
-    parse =
-      (fun s ->
-         match int_of_string_opt s with
-         | Some d when d >= 1 -> Ok (Some d)
-         | Some _ | None ->
-           Error (Printf.sprintf "expected a positive integer, got %S" s));
+    parse = (fun s -> Result.map Option.some (int_at_least 1 s));
     show = (function Some d -> string_of_int d | None -> "auto") }
 
 let pcpus =
@@ -86,29 +87,8 @@ let pcpus =
        epoch barriers and runs them in parallel on OCaml domains \
        (results are bit-identical for any host core count).";
     default = 1;
-    parse =
-      (fun s ->
-         match int_of_string_opt s with
-         | Some v when v >= 1 -> Ok v
-         | Some _ | None ->
-           Error (Printf.sprintf "expected a positive integer, got %S" s));
+    parse = int_at_least 1;
     show = string_of_int }
-
-let ring_admission =
-  { names = [ "ring-admission" ];
-    docv = "POLICY";
-    doc =
-      "Descriptor-ring admission order inside a doorbell batch: fifo \
-       (default, submission order) or deadline (ascending descriptor \
-       deadline key, stable).";
-    default = `Fifo;
-    parse =
-      (fun s ->
-         match String.lowercase_ascii s with
-         | "fifo" -> Ok `Fifo
-         | "deadline" -> Ok `Deadline
-         | _ -> Error (Printf.sprintf "expected fifo or deadline, got %S" s));
-    show = (function `Fifo -> "fifo" | `Deadline -> "deadline") }
 
 let fault_rate =
   { names = [ "fault-rate" ];
@@ -126,122 +106,39 @@ let fault_seed =
     parse = parse_int;
     show = string_of_int }
 
+let some spec =
+  { spec with
+    default = None;
+    parse = (fun s -> Result.map Option.some (spec.parse s));
+    show = (function Some v -> spec.show v | None -> "unset") }
+
+let file names doc =
+  { names; docv = "FILE"; doc; default = None;
+    parse = (fun s -> Ok (Some s));
+    show = (function Some s -> s | None -> "") }
+
 let check_baseline =
-  { names = [ "check-baseline" ];
-    docv = "FILE";
-    doc =
-      "Compare the sweep's deterministic simulated cycles against the \
-       committed baseline FILE and exit non-zero on drift.";
-    default = None;
-    parse = (fun s -> Ok (Some s));
-    show = (function Some s -> s | None -> "") }
+  file [ "check-baseline" ]
+    "Compare the Table III sweep's deterministic simulated cycles \
+     against the committed baseline FILE and exit non-zero on drift."
 
-(* Soak counts are large; accept 200k / 1m style suffixes. *)
-let parse_count s =
-  let len = String.length s in
-  if len = 0 then Error "expected a count"
-  else
-    let mult, body =
-      match Char.lowercase_ascii s.[len - 1] with
-      | 'k' -> (1_000, String.sub s 0 (len - 1))
-      | 'm' -> (1_000_000, String.sub s 0 (len - 1))
-      | _ -> (1, s)
-    in
-    match int_of_string_opt body with
-    | Some v when v > 0 -> Ok (v * mult)
-    | Some _ | None ->
-      Error
-        (Printf.sprintf "expected a count like 5000, 200k or 1m, got %S" s)
-
-let ops =
-  { names = [ "ops" ];
-    docv = "N";
-    doc = "Soak operation budget; accepts k/m suffixes (200k, 1m).";
-    default = 200_000;
-    parse = parse_count;
-    show = string_of_int }
-
-let shards =
-  { names = [ "shards" ];
-    docv = "N";
-    doc =
-      "Split the soak into N independent seeded shards (run concurrently \
-       up to --domains; results are identical for any domain count).";
-    default = 1;
-    parse = parse_int;
-    show = string_of_int }
-
-let max_vms =
-  { names = [ "max-vms" ];
-    docv = "N";
-    doc = "Cap on concurrently live soak VMs.";
-    default = 6;
-    parse = parse_int;
-    show = string_of_int }
-
-let replay =
-  { names = [ "replay" ];
-    docv = "FILE";
-    doc = "Replay a soak reproducer file instead of generating from the seed.";
-    default = None;
-    parse = (fun s -> Ok (Some s));
-    show = (function Some s -> s | None -> "") }
-
-let repro_out =
-  { names = [ "repro-out" ];
-    docv = "FILE";
-    doc = "Where to write the shrunk reproducer on an invariant violation.";
-    default = "SOAK_repro.txt";
-    parse = (fun s -> Ok s);
-    show = Fun.id }
-
-let arrivals =
-  { names = [ "arrivals" ];
-    docv = "N";
-    doc = "Open-loop SLO arrivals generated per guest.";
-    default = Slo.default_config.Slo.arrivals_per_guest;
-    parse = parse_int;
-    show = string_of_int }
-
-let interarrival =
-  { names = [ "interarrival" ];
-    docv = "US";
-    doc = "Mean inter-arrival time in microseconds (aggressor load).";
-    default = Slo.default_config.Slo.mean_interarrival_us;
-    parse = parse_float;
-    show = string_of_float }
-
-let victim_interarrival =
-  { names = [ "victim-interarrival" ];
-    docv = "US";
-    doc =
-      "Pin VM 0's mean inter-arrival time (microseconds) while the \
-       aggressors' load varies; defaults to --interarrival.";
-    default = None;
-    parse = (fun s -> Result.map Option.some (parse_float s));
-    show = (function Some v -> string_of_float v | None -> "mean") }
-
-let arrival_process =
-  { names = [ "process" ];
-    docv = "PROC";
-    doc = "Arrival process: poisson or bursty (on-off modulated).";
-    default = Slo.default_config.Slo.process;
-    parse = Slo.process_of_string;
-    show = Slo.process_name }
-
-let churn =
-  { names = [ "churn" ];
-    docv = "N";
-    doc =
-      "Kill and recreate an aggressor VM N times at deterministic \
-       simulated times spread over the arrival horizon.";
-    default = Slo.default_config.Slo.churn_kills;
-    parse = parse_int;
-    show = string_of_int }
+let write_baseline =
+  file [ "write-baseline" ]
+    "Regenerate the deterministic cycle baseline FILE from this run's \
+     Table III sweep."
 
 let json =
   { f_names = [ "json" ];
-    f_doc = "Also emit machine-readable JSON output." }
+    f_doc =
+      "Machine-readable output: mininova prints the experiment's JSON \
+       document instead of text; bench also writes BENCH_sim.json." }
+
+let assert_ =
+  { f_names = [ "assert" ];
+    f_doc = "Exit 1 when any of the experiment's claims fails." }
+
+let help = { f_names = [ "help" ]; f_doc = "Show this help." }
+let verbose = { f_names = [ "v"; "verbose" ]; f_doc = "Enable kernel logging." }
 
 let check =
   { f_names = [ "check" ];
@@ -273,24 +170,18 @@ type entry = {
 
 let dashed n = if String.length n = 1 then "-" ^ n else "--" ^ n
 
-let value_entry spec f =
-  { e_names = spec.names;
-    e_docv = Some spec.docv;
-    e_doc = spec.doc;
-    e_handler =
-      Value
-        (fun s -> match spec.parse s with
-           | Ok v -> f v; Ok ()
-           | Error e -> Error e) }
+let value_ref spec =
+  let r = ref spec.default in
+  ( r,
+    { e_names = spec.names;
+      e_docv = Some spec.docv;
+      e_doc = spec.doc;
+      e_handler = Value (fun s -> Result.map (fun v -> r := v) (spec.parse s)) } )
 
-let flag_entry fl f =
-  { e_names = fl.f_names; e_docv = None; e_doc = fl.f_doc;
-    e_handler = Flag f }
-
-let find_entry entries key =
-  List.find_opt
-    (fun e -> List.exists (fun n -> dashed n = key) e.e_names)
-    entries
+let flag_ref fl =
+  let r = ref false in
+  (r, { e_names = fl.f_names; e_docv = None; e_doc = fl.f_doc;
+        e_handler = Flag (fun () -> r := true) })
 
 let split_inline arg =
   match String.index_opt arg '=' with
@@ -299,39 +190,49 @@ let split_inline arg =
      Some (String.sub arg (i + 1) (String.length arg - i - 1)))
   | None -> (arg, None)
 
+(* Several entries may share a name (experiments reading the same
+   flag, each with its own default): every one of them sees it. *)
 let parse entries argv =
   let rec go pos = function
     | [] -> Ok (List.rev pos)
-    | arg :: rest when String.length arg > 1 && arg.[0] = '-' ->
+    | arg :: rest when String.length arg > 1 && arg.[0] = '-' -> (
       let key, inline = split_inline arg in
-      (match find_entry entries key with
-       | None -> Error (Printf.sprintf "unknown flag %s" key)
-       | Some e ->
-         (match e.e_handler, inline with
-          | Flag _, Some _ ->
-            Error (Printf.sprintf "%s does not take a value" key)
-          | Flag f, None -> f (); go pos rest
-          | Value v, Some s ->
-            (match v s with
-             | Ok () -> go pos rest
-             | Error m -> Error (Printf.sprintf "%s: %s" key m))
-          | Value v, None ->
-            (match rest with
-             | s :: rest' ->
-               (match v s with
-                | Ok () -> go pos rest'
-                | Error m -> Error (Printf.sprintf "%s: %s" key m))
-             | [] -> Error (Printf.sprintf "%s needs a value" key))))
+      let es =
+        List.filter (fun e -> List.exists (fun n -> dashed n = key) e.e_names)
+          entries
+      in
+      match (es, inline, rest) with
+      | [], _, _ -> Error (Printf.sprintf "unknown flag %s" key)
+      | { e_handler = Flag _; _ } :: _, Some _, _ ->
+        Error (Printf.sprintf "%s does not take a value" key)
+      | { e_handler = Flag _; _ } :: _, None, _ ->
+        List.iter (fun e -> match e.e_handler with Flag f -> f () | Value _ -> ()) es;
+        go pos rest
+      | _, None, [] -> Error (Printf.sprintf "%s needs a value" key)
+      | _, Some s, rest | _, None, s :: rest ->
+        let rec feed = function
+          | [] -> go pos rest
+          | { e_handler = Value v; _ } :: es -> (
+            match v s with
+            | Ok () -> feed es
+            | Error m -> Error (Printf.sprintf "%s: %s" key m))
+          | { e_handler = Flag _; _ } :: es -> feed es
+        in
+        feed es)
     | arg :: rest -> go (arg :: pos) rest
   in
   go [] argv
 
 let pp_usage ppf entries =
+  let seen = Hashtbl.create 32 in
   List.iter
     (fun e ->
-       let lhs =
-         String.concat ", " (List.map dashed e.e_names)
-         ^ match e.e_docv with Some d -> " " ^ d | None -> ""
-       in
-       Format.fprintf ppf "  %-28s %s@." lhs e.e_doc)
+       if not (Hashtbl.mem seen e.e_names) then begin
+         Hashtbl.add seen e.e_names ();
+         let lhs =
+           String.concat ", " (List.map dashed e.e_names)
+           ^ match e.e_docv with Some d -> " " ^ d | None -> ""
+         in
+         Format.fprintf ppf "  %-28s %s@." lhs e.e_doc
+       end)
     entries

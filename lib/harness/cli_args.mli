@@ -1,16 +1,11 @@
-(** Shared command-line vocabulary for the Mini-NOVA front ends.
+(** Shared command-line vocabulary and the one argv engine of the
+    Mini-NOVA front ends.
 
-    [bin/mininova] (Cmdliner) and [bench/main] (hand-rolled argv loop)
-    accept the same experiment flags — requests, warm-up, seed, fault
-    rate, domain cap, … Before this module each front end restated the
-    names, defaults and help strings; they drifted. A {!spec} is the
-    single source of truth: names (short and long), metavariable, help
-    text, default, and a parse/show pair.
-
-    The module is Cmdliner-free so the harness library stays
-    dependency-light: [bench] consumes specs through the generic
-    {!parse} engine below, [bin/mininova] adapts them to Cmdliner
-    terms with a ~10-line shim. *)
+    A {!spec} is the single source of truth for a flag: names (short
+    and long), metavariable, help text, default, and a parse/show pair.
+    Experiments ({!Experiment}) declare the specs they read, overriding
+    the default where theirs differs; [bench/main] and [bin/mininova]
+    both scan argv with {!parse}. *)
 
 type 'a spec = {
   names : string list;  (** without dashes; 1-char names render as [-x] *)
@@ -25,6 +20,16 @@ type flag = {
   f_names : string list;
   f_doc : string;
 }
+
+val int_at_least : int -> string -> (int, string) result
+(** Parse an integer no smaller than the bound. *)
+
+val some : 'a spec -> 'a option spec
+(** The same flag, defaulting to [None] ("not given"). *)
+
+val file : string list -> string -> string option spec
+(** A [FILE]-valued flag with the given names and help, unset by
+    default. *)
 
 (** {2 The shared vocabulary} *)
 
@@ -51,10 +56,6 @@ val pcpus : int spec
     complex — per-CPU kernels run in parallel on OCaml domains,
     coupled at deterministic epoch barriers. *)
 
-val ring_admission : [ `Fifo | `Deadline ] spec
-(** [--ring-admission fifo|deadline]: doorbell-batch admission order
-    ({!Kernel.config}[.ring_admission]). *)
-
 val fault_rate : float spec
 (** [--fault-rate]: PL fault probability. *)
 
@@ -65,40 +66,18 @@ val check_baseline : string option spec
 (** [--check-baseline FILE]: compare deterministic sim cycles against a
     committed baseline and fail on drift. *)
 
-val ops : int spec
-(** [--ops]: soak operation budget; accepts [200k]/[1m] suffixes. *)
-
-val shards : int spec
-(** [--shards]: soak shard count — the deterministic decomposition of
-    the op budget; [--domains] only caps how many run concurrently. *)
-
-val max_vms : int spec
-(** [--max-vms]: concurrently live soak VMs. *)
-
-val replay : string option spec
-(** [--replay FILE]: replay a soak reproducer file. *)
-
-val repro_out : string spec
-(** [--repro-out FILE]: reproducer destination on violation. *)
-
-val arrivals : int spec
-(** [--arrivals]: open-loop SLO arrivals per guest. *)
-
-val interarrival : float spec
-(** [--interarrival US]: mean inter-arrival time (aggressor load). *)
-
-val victim_interarrival : float option spec
-(** [--victim-interarrival US]: pin VM 0's rate; default follows
-    [--interarrival]. *)
-
-val arrival_process : Slo.process spec
-(** [--process poisson|bursty]: the SLO arrival process. *)
-
-val churn : int spec
-(** [--churn N]: aggressor VM kill/recreate events during the SLO run. *)
+val write_baseline : string option spec
+(** [--write-baseline FILE]: regenerate that baseline. *)
 
 val json : flag
 (** [--json]: machine-readable output. *)
+
+val assert_ : flag
+(** [--assert]: a failed experiment claim exits 1. *)
+
+val help : flag
+val verbose : flag
+(** [-v]/[--verbose]: kernel logging. *)
 
 val observe : flag
 (** [--obs]: enable the observability plane. *)
@@ -109,21 +88,24 @@ val check : flag
 val no_check : flag
 (** [--no-check]: disable invariant evaluation during the soak. *)
 
-(** {2 Generic argv engine (for Cmdliner-less front ends)} *)
+(** {2 The argv engine} *)
 
 type entry
 
-val value_entry : 'a spec -> ('a -> unit) -> entry
-(** On match, parse the flag's value and pass it to the callback. *)
+val value_ref : 'a spec -> 'a ref * entry
+(** An entry storing the parsed value in the returned ref (initially
+    the spec's default). *)
 
-val flag_entry : flag -> (unit -> unit) -> entry
+val flag_ref : flag -> bool ref * entry
+(** An entry setting the returned ref (initially [false]). *)
 
 val parse : entry list -> string list -> (string list, string) result
 (** Scan argv (without the program name). Recognizes [--name value],
     [--name=value] and [-x value]; anything not starting with [-] is
-    collected as a positional and returned in order. [Error] carries a
-    human-readable message (unknown flag, missing or bad value). *)
+    collected as a positional and returned in order. When several
+    entries share a name, every one receives the value. [Error] carries
+    a human-readable message (unknown flag, missing or bad value). *)
 
 val pp_usage : Format.formatter -> entry list -> unit
-(** One aligned [--name DOCV  doc] line per entry — the help text both
-    front ends print. *)
+(** One aligned [--name DOCV  doc] line per distinct entry — the help
+    text both front ends print. *)

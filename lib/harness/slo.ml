@@ -26,11 +26,6 @@ type process = Poisson | Bursty
 
 let process_name = function Poisson -> "poisson" | Bursty -> "bursty"
 
-let process_of_string = function
-  | "poisson" -> Ok Poisson
-  | "bursty" -> Ok Bursty
-  | s -> Error (Printf.sprintf "expected poisson or bursty, got %S" s)
-
 type config = {
   seed : int;
   guests : int;
@@ -443,8 +438,6 @@ let run ?(config = default_config) () =
    rate is pinned in every cell, so reading its row across solo → low
    → high is the interference matrix. *)
 
-type tagged = { tag : string; t_config : config }
-
 let bench_matrix ?(seed = default_config.seed)
     ?(arrivals = default_config.arrivals_per_guest) ?(observe = false)
     ?(pcpus = default_config.pcpus) () =
@@ -457,23 +450,13 @@ let bench_matrix ?(seed = default_config.seed)
       victim_interarrival_us = Some 8000.0 }
   in
   let low = 8000.0 and high = 2500.0 in
-  [ { tag = "victim/solo"; t_config = { base with guests = 1 } };
-    { tag = "poisson/low";
-      t_config = { base with mean_interarrival_us = low } };
-    { tag = "poisson/high";
-      t_config = { base with mean_interarrival_us = high } };
-    { tag = "bursty/low";
-      t_config = { base with process = Bursty; mean_interarrival_us = low } };
-    { tag = "bursty/high";
-      t_config = { base with process = Bursty; mean_interarrival_us = high } };
-    { tag = "chaos/on";
-      t_config = { base with mean_interarrival_us = high; fault_rate = 0.1 } };
-    { tag = "churn";
-      t_config = { base with mean_interarrival_us = high; churn_kills = 2 } } ]
-
-let sweep ?domains tagged =
-  Parallel_sweep.run ?domains
-    (List.map (fun t -> fun () -> (t.tag, run ~config:t.t_config ())) tagged)
+  [ ("victim/solo", { base with guests = 1 });
+    ("poisson/low", { base with mean_interarrival_us = low });
+    ("poisson/high", { base with mean_interarrival_us = high });
+    ("bursty/low", { base with process = Bursty; mean_interarrival_us = low });
+    ("bursty/high", { base with process = Bursty; mean_interarrival_us = high });
+    ("chaos/on", { base with mean_interarrival_us = high; fault_rate = 0.1 });
+    ("churn", { base with mean_interarrival_us = high; churn_kills = 2 }) ]
 
 (* ------------------------------------------------------------------ *)
 (* Rendering.                                                         *)

@@ -22,7 +22,6 @@ type process =
                  windows *)
 
 val process_name : process -> string
-val process_of_string : string -> (process, string) result
 
 type config = {
   seed : int;
@@ -115,19 +114,14 @@ val run : ?config:config -> unit -> report
 (** One SLO world, end to end. Raises [Invalid_argument] on a config
     with no guests or no arrivals. *)
 
-type tagged = { tag : string; t_config : config }
-
 val bench_matrix :
   ?seed:int -> ?arrivals:int -> ?observe:bool -> ?pcpus:int -> unit ->
-  tagged list
+  (string * config) list
 (** The bench's seven cells: victim alone, Poisson and bursty at low
     (8000 µs) and high (2500 µs) aggressor load, the chaos pair
     (high load, fault rate 0.1 vs poisson/high's 0.0), and churn.
-    VM 0 is pinned at 8000 µs in every cell. *)
-
-val sweep : ?domains:int -> tagged list -> (string * report) list
-(** Run every cell (independent worlds, {!Parallel_sweep}; input order
-    preserved). *)
+    VM 0 is pinned at 8000 µs in every cell. Cells are independent
+    worlds: run them with {!Parallel_sweep.map}. *)
 
 val pp_report : Format.formatter -> report -> unit
 

@@ -1,448 +1,60 @@
-(* Deterministic fingerprints of every experiment at a small
-   configuration: the JSON document each experiment reports, with
-   host-time fields and source line counts stripped. The dune rules
-   next to this file diff the output against the committed
-   [*.expected] files; [dune promote] regenerates them.
+(* Deterministic fingerprints of every registry experiment at a small
+   configuration: the experiment's JSON document, with host-time
+   fields and source line counts stripped. The dune rules next to this
+   file diff the output against the committed [*.expected] files;
+   [dune promote] regenerates them.
 
      fingerprint.exe NAME   # print NAME's fingerprint(s) *)
 
-(* --- a minimal JSON value and its printer --- *)
-
-type json =
-  | Int of int
-  | Float of float
-  | Str of string
-  | Bool of bool
-  | Null
-  | List of json list
-  | Obj of (string * json) list
-  | Raw of string
-
-let escape b s =
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
-let rec write b ind v =
-  let add = Buffer.add_string b in
-  match v with
-  | Int i -> add (string_of_int i)
-  | Float f -> add (json_float f)
-  | Str s -> add "\""; escape b s; add "\""
-  | Bool x -> add (string_of_bool x)
-  | Null -> add "null"
-  | Raw s -> add s
-  | List l -> container b ind "[" "]" (List.map (fun v -> (None, v)) l)
-  | Obj kv -> container b ind "{" "}" (List.map (fun (k, v) -> (Some k, v)) kv)
-
-and container b ind o c items =
-  let add = Buffer.add_string b in
-  let flat =
-    List.for_all (function _, (List _ | Obj _) -> false | _ -> true) items
-  in
-  add o;
-  List.iteri
-    (fun i (k, v) ->
-       if i > 0 then add ",";
-       if flat then (if i > 0 then add " ")
-       else add ("\n" ^ String.make (ind + 2) ' ');
-       Option.iter (fun k -> add "\""; escape b k; add "\": ") k;
-       write b (ind + 2) v)
-    items;
-  if (not flat) && items <> [] then add ("\n" ^ String.make ind ' ');
-  add c
-
-let raw f x =
-  let b = Buffer.create 1024 in
-  f b x;
-  Raw (Buffer.contents b)
+(* The small configuration of each experiment, as mininova flags;
+   [true] when the experiment is also fingerprinted at --pcpus 4. *)
+let configs =
+  [ ("table3", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
+    ("fig9", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
+    ("report", ([], false));
+    ("reconfig", ([], false));
+    ("axi", ([], false));
+    ("vfp", ([], false));
+    ("trapvshyper", ([], false));
+    ("asid", ([ "--requests"; "3"; "--warmup"; "1" ], false));
+    ("quantum", ([ "--requests"; "3"; "--warmup"; "1" ], false));
+    ("chaos", ([ "--requests"; "6"; "--guests"; "2"; "--fault-rate"; "0.15" ], false));
+    ("soak", ([ "--ops"; "2000"; "--shards"; "2" ], true));
+    ("slo", ([ "--arrivals"; "4" ], true));
+    ( "density",
+      ([ "--vms"; "8"; "--jobs"; "4"; "--fault-rate"; "0.05"; "--check" ], true) );
+    ("partition", ([ "--jobs"; "8"; "--check" ], true));
+    ("scenario", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
+    ("stats", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
+    ("trace", ([ "--last"; "20" ], false)) ]
 
 (* Host-dependent fields never enter a fingerprint. *)
 let rec strip = function
-  | Obj kv ->
-    Obj
+  | Json_out.Obj kv ->
+    Json_out.Obj
       (List.filter_map
          (fun (k, v) ->
             if k = "wall_s" || String.ends_with ~suffix:"_loc" k then None
             else Some (k, strip v))
          kv)
-  | List l -> List (List.map strip l)
+  | Json_out.List l -> Json_out.List (List.map strip l)
   | v -> v
 
-(* --- experiment documents --- *)
-
-let metrics_field (s : Obs.snapshot) =
-  if s.Obs.s_enabled then [ ("metrics", raw Obs.snapshot_to_json s) ] else []
-
-let overheads_fields (o : Scenario.overheads) =
-  [ ("entry_us", Float o.Scenario.entry_us);
-    ("exit_us", Float o.Scenario.exit_us);
-    ("plirq_us", Float o.Scenario.plirq_us);
-    ("exec_us", Float o.Scenario.exec_us);
-    ("total_us", Float o.Scenario.total_us);
-    ("samples", Int o.Scenario.samples);
-    ("reconfigs", Int o.Scenario.reconfigs);
-    ("reclaims", Int o.Scenario.reclaims);
-    ("jobs", Int o.Scenario.jobs);
-    ("hwmmu_violations", Int o.Scenario.hwmmu_violations);
-    ("sim_ms", Float o.Scenario.sim_ms);
-    ("sim_cycles", Int o.Scenario.sim_cycles) ]
-  @ metrics_field o.Scenario.metrics
-
-let config_label i = if i = 0 then "native" else Printf.sprintf "%dos" i
-
-let table3_doc rows =
-  Obj
-    [ ( "runs",
-        List
-          (List.mapi
-             (fun i o -> Obj (("config", Str (config_label i)) :: overheads_fields o))
-             rows) ) ]
-
-let floats l = List (List.map (fun f -> Float f) l)
-
-let fig9_doc rows =
-  Obj
-    [ ( "ratios",
-        List
-          (List.map
-             (fun (m, rs) ->
-                Obj
-                  [ ("metric", Str m);
-                    ("measured", floats rs);
-                    ( "paper",
-                      floats
-                        (Option.value ~default:[]
-                           (List.assoc_opt m Tables.paper_fig9)) ) ])
-             (Tables.fig9_rows rows)) ) ]
-
-let opt_int = function Some n -> Int n | None -> Null
-
-let report_doc (r : Complexity.report) =
-  Obj
-    [ ("kernel_loc", opt_int r.Complexity.kernel_loc);
-      ("patch_loc", opt_int r.Complexity.patch_loc);
-      ("hypercalls", Int r.Complexity.hypercalls);
-      ("time_slice_ms", Float r.Complexity.time_slice_ms);
-      ("substrate_loc", opt_int r.Complexity.substrate_loc) ]
-
-let reconfig_doc rows =
-  Obj
-    [ ( "rows",
-        List
-          (List.map
-             (fun r ->
-                Obj
-                  [ ("task", Str r.Ablations.task);
-                    ("bitstream_kb", Int r.Ablations.bitstream_kb);
-                    ("reconfig_ms", Float r.Ablations.reconfig_ms) ])
-             rows) ) ]
-
-let axi_doc r =
-  Obj
-    [ ("payload_kb", Int r.Ablations.payload_kb);
-      ("hp_dma_us", Float r.Ablations.hp_dma_us);
-      ("acp_dma_us", Float r.Ablations.acp_dma_us);
-      ("cpu_after_hp_us", Float r.Ablations.cpu_after_hp_us);
-      ("cpu_after_acp_us", Float r.Ablations.cpu_after_acp_us) ]
-
-let vfp_doc r =
-  Obj
-    [ ("lazy_switch_us", Float r.Ablations.lazy_switch_us);
-      ("active_switch_us", Float r.Ablations.active_switch_us);
-      ("lazy_vfp_switches", Int r.Ablations.lazy_vfp_switches);
-      ("active_vfp_switches", Int r.Ablations.active_vfp_switches) ]
-
-let trap_doc r =
-  Obj
-    [ ("hypercall_us", Float r.Ablations.hypercall_us);
-      ("trap_us", Float r.Ablations.trap_us) ]
-
-let asid_doc r =
-  Obj
-    [ ("asid", Obj (overheads_fields r.Ablations.asid));
-      ("flush_all", Obj (overheads_fields r.Ablations.flush_all));
-      ("first_chunk_asid_us", Float r.Ablations.first_chunk_asid_us);
-      ("first_chunk_flush_us", Float r.Ablations.first_chunk_flush_us) ]
-
-let quantum_doc rows =
-  Obj
-    [ ( "runs",
-        List
-          (List.map
-             (fun (q, o) -> Obj (("quantum_ms", Float q) :: overheads_fields o))
-             rows) ) ]
-
-let chaos_doc ~fault_seed reports =
-  Obj
-    [ ("fault_seed", Int fault_seed);
-      ( "runs",
-        List
-          (List.map
-             (fun (r : Chaos.report) ->
-                Obj
-                  ([ ("fault_rate", Float r.Chaos.fault_rate);
-                     ("guests", Int r.Chaos.guests);
-                     ("injected", Int r.Chaos.injected);
-                     ("recoveries", Int r.Chaos.recoveries);
-                     ("retries", Int r.Chaos.reconfig_retries);
-                     ("hang_resets", Int r.Chaos.hang_resets);
-                     ("quarantines", Int r.Chaos.quarantines);
-                     ("fault_kills", Int r.Chaos.fault_kills);
-                     ("jobs_ok", Int r.Chaos.jobs_ok);
-                     ("jobs_attempted", Int r.Chaos.jobs_attempted);
-                     ("completion_rate", Float r.Chaos.completion_rate);
-                     ("crashes", Int r.Chaos.crashes);
-                     ("mgr_total_us", Float r.Chaos.mgr_total_us);
-                     ("sim_ms", Float r.Chaos.sim_ms) ]
-                   @ metrics_field r.Chaos.metrics))
-             reports) ) ]
-
-let soak_stats_doc (s : Soak.stats) =
-  Obj
-    [ ("ops_done", Int s.Soak.ops_done);
-      ("actions", Int s.Soak.actions);
-      ("creates", Int s.Soak.creates);
-      ("kills", Int s.Soak.kills);
-      ("crashes", Int s.Soak.crashes);
-      ("hypercalls", Int s.Soak.hypercalls);
-      ("live_vms", Int s.Soak.live_vms);
-      ("checks", Int s.Soak.checks);
-      ("final_cycles", Int s.Soak.final_cycles) ]
-
-let soak_violation = function
-  | Soak.Clean _ -> Null
-  | Soak.Violated { violation; _ } ->
-    Str (Invariant.violation_to_string violation)
-
-let soak_doc (cfg : Soak.config) (s : Soak.sharded) =
-  Obj
-    [ ("ops", Int cfg.Soak.ops);
-      ("seed", Int cfg.Soak.seed);
-      ("pcpus", Int cfg.Soak.pcpus);
-      ("check", Bool cfg.Soak.check);
-      ("stats", soak_stats_doc s.Soak.merged_stats);
-      ( "shards",
-        List
-          (List.map
-             (fun (r : Soak.shard_report) ->
-                Obj
-                  [ ("shard", Int r.Soak.shard);
-                    ("seed", Int r.Soak.shard_cfg.Soak.seed);
-                    ("violation", soak_violation r.Soak.outcome);
-                    ( "ops_done",
-                      Int (Soak.stats_of_outcome r.Soak.outcome).Soak.ops_done );
-                    ("wall_s", Float r.Soak.wall_s) ])
-             s.Soak.reports) ) ]
-
-let tagged_runs f reports =
-  List
-    (List.map
-       (fun (tag, r) -> Obj [ ("tag", Str tag); ("report", raw f r) ])
-       reports)
-
-let slo_doc ~seed ~arrivals reports =
-  let victim (r : Slo.report) =
-    List.find_opt (fun v -> v.Slo.vm = 0) r.Slo.vms
-  in
-  let comparison =
-    match
-      (List.assoc_opt "poisson/high" reports, List.assoc_opt "chaos/on" reports)
-    with
-    | Some off, Some on -> (
-      match (victim off, victim on) with
-      | Some v_off, Some v_on ->
-        [ ( "chaos_comparison",
-            Obj
-              [ ("victim_service_p99_us_off", Float v_off.Slo.service_p99_us);
-                ("victim_service_p99_us_on", Float v_on.Slo.service_p99_us);
-                ("victim_sojourn_p99_us_off", Float v_off.Slo.sojourn_p99_us);
-                ("victim_sojourn_p99_us_on", Float v_on.Slo.sojourn_p99_us);
-                ("faults_injected", Int on.Slo.injected) ] ) ]
-      | _ -> [])
-    | _ -> []
-  in
-  Obj
-    ([ ("seed", Int seed);
-       ("arrivals_per_guest", Int arrivals);
-       ("runs", tagged_runs (fun b r -> Slo.report_json b r) reports) ]
-     @ comparison)
-
-let density_ratio reports vms ~pcpus =
-  let tag m =
-    if pcpus > 1 then Printf.sprintf "%s/%d/p%d" (Density.mode_name m) vms pcpus
-    else Printf.sprintf "%s/%d" (Density.mode_name m) vms
-  in
-  let per_job m =
-    List.assoc_opt (tag m) reports
-    |> Option.map (fun (r : Density.report) -> r.Density.transitions_per_job)
-  in
-  match (per_job Density.V1, per_job Density.V2) with
-  | Some v1, Some v2 when v2 > 0.0 -> Some (v1, v2, v1 /. v2)
-  | _ -> None
-
-let density_doc ~seed ~jobs ~batch ~budget ~pcpus ~populations reports =
-  Obj
-    [ ("seed", Int seed);
-      ("jobs_per_vm", Int jobs);
-      ("batch", Int batch);
-      ("cvirq_budget", Int budget);
-      ("runs", tagged_runs Density.report_json reports);
-      ( "transition_ratio",
-        List
-          (List.filter_map
-             (fun vms ->
-                Option.map
-                  (fun (v1, v2, ratio) ->
-                     Obj
-                       [ ("vms", Int vms);
-                         ("v1_per_job", Float v1);
-                         ("v2_per_job", Float v2);
-                         ("ratio", Float ratio) ])
-                  (density_ratio reports vms ~pcpus))
-             populations) ) ]
-
-let partition_doc ~seed reports =
-  Obj [ ("seed", Int seed); ("runs", tagged_runs Partition.report_json reports) ]
-
-let scenario_doc label o =
-  Obj (("config", Str label) :: overheads_fields o)
-
-let trace_doc ~last tr =
-  let events = Ktrace.events tr in
-  let n = List.length events in
-  let skip = max 0 (n - last) in
-  Obj
-    [ ("events", Int n);
-      ("dropped", Int (Ktrace.dropped tr));
-      ( "timeline",
-        List
-          (List.filteri (fun i _ -> i >= skip) events
-           |> List.map (fun e -> Str (Format.asprintf "%a" Ktrace.pp_event e))) ) ]
-
-(* --- the small configurations --- *)
-
-let bench_base pcpus =
-  { Scenario.default_config with
-    Scenario.requests_per_guest = 6;
-    warmup_requests = 2;
-    job_fraction = 2;
-    pcpus }
-
-let ablation_base =
-  { (bench_base 1) with Scenario.requests_per_guest = 3; warmup_requests = 1 }
-
-let scenario_base pcpus =
-  { Scenario.default_config with
-    Scenario.requests_per_guest = 6;
-    warmup_requests = 2;
-    pcpus }
-
-let two_vm_trace () =
-  let z = Zynq.create () in
-  let kern = Kernel.boot z in
-  let tr = Ktrace.create ~capacity:4096 in
-  Kernel.set_trace kern (Some tr);
-  let qam = Kernel.register_hw_task kern (Task_kind.Qam 16) in
-  for g = 0 to 1 do
-    ignore
-      (Kernel.create_vm kern
-         ~name:(Printf.sprintf "vm%d" g)
-         (fun genv ->
-            let os = Ucos.create (Port.paravirt genv) in
-            ignore
-              (Ucos.spawn os ~name:"worker" ~prio:5 (fun () ->
-                   for _ = 1 to 2 do
-                     (match Hw_task_api.acquire os ~task:qam ~want_irq:true ()
-                      with
-                      | Ok h ->
-                        let bits = Array.init 16 (fun i -> i land 1) in
-                        ignore (Hw_task_api.run_qam_mod os h ~order:16 ~bits);
-                        Hw_task_api.release os h
-                      | Error _ -> ());
-                     Ucos.delay os 2
-                   done));
-            Ucos.run os))
-  done;
-  Kernel.run kern ~until:(Cycles.of_ms 200.0);
-  tr
-
-let fingerprint name pcpus =
-  match name with
-  | "table3" ->
-    table3_doc (Scenario.run_table3 ~config:(bench_base pcpus) ~max_guests:2 ())
-  | "fig9" ->
-    fig9_doc (Scenario.run_table3 ~config:(bench_base pcpus) ~max_guests:2 ())
-  | "report" -> report_doc (Complexity.measure ())
-  | "reconfig" -> reconfig_doc (Ablations.reconfig_table ())
-  | "axi" -> axi_doc (Ablations.axi_ablation ())
-  | "vfp" -> vfp_doc (Ablations.vfp_ablation ())
-  | "trapvshyper" -> trap_doc (Ablations.trap_vs_hypercall ())
-  | "asid" -> asid_doc (Ablations.asid_ablation ~config:ablation_base ())
-  | "quantum" -> quantum_doc (Ablations.quantum_sweep ~config:ablation_base ())
-  | "chaos" ->
-    let config =
-      { Chaos.base =
-          { Scenario.default_config with Scenario.requests_per_guest = 6 };
-        fault_rate = 0.15;
-        fault_seed = Chaos.default_config.Chaos.fault_seed }
-    in
-    chaos_doc ~fault_seed:config.Chaos.fault_seed
-      (Chaos.sweep ~config ~max_guests:2 ~rates:[ 0.15 ] ())
-  | "soak" ->
-    let cfg = { Soak.default_config with Soak.ops = 2000; pcpus } in
-    soak_doc cfg (Soak.run_sharded ~shards:2 cfg)
-  | "slo" ->
-    let seed = Slo.default_config.Slo.seed in
-    slo_doc ~seed ~arrivals:4
-      (Slo.sweep (Slo.bench_matrix ~seed ~arrivals:4 ~pcpus ()))
-  | "density" ->
-    let d = Density.default_config in
-    let seed = d.Density.seed in
-    density_doc ~seed ~jobs:4 ~batch:d.Density.batch
-      ~budget:d.Density.cvirq_budget ~pcpus ~populations:[ 8 ]
-      (Density.sweep
-         (Density.bench_matrix ~seed ~populations:[ 8 ] ~jobs:4
-            ~fault_rate:0.05 ~check:true ~pcpus ()))
-  | "partition" ->
-    let seed = Partition.default_config.Partition.seed in
-    partition_doc ~seed
-      (Partition.sweep
-         (Partition.bench_matrix ~seed ~jobs:8 ~check:true ~pcpus ()))
-  | "scenario" ->
-    scenario_doc "2os"
-      (Scenario.run_virtualized ~config:(scenario_base pcpus) ~guests:2 ())
-  | "stats" ->
-    scenario_doc "2os"
-      (Scenario.run_virtualized
-         ~config:{ (scenario_base pcpus) with Scenario.observe = true }
-         ~guests:2 ())
-  | "trace" -> trace_doc ~last:20 (two_vm_trace ())
-  | other -> failwith ("unknown experiment " ^ other)
-
-let smp_capable =
-  [ "table3"; "fig9"; "soak"; "slo"; "density"; "partition"; "scenario";
-    "stats" ]
+let fingerprint name argv =
+  let entries, run = Experiment.instantiate (Option.get (Experiment.find name)) in
+  (match Cli_args.parse entries argv with
+   | Ok [] -> ()
+   | Ok _ | Error _ -> failwith ("bad fingerprint flags for " ^ name));
+  strip (run ()).Experiment.json
 
 let () =
   Logs.set_level (Some Logs.Error);
   let name = Sys.argv.(1) in
-  let b = Buffer.create 4096 in
+  let argv, smp = List.assoc name configs in
   List.iter
     (fun pcpus ->
-       Buffer.add_string b (Printf.sprintf "# %s --pcpus %d\n" name pcpus);
-       write b 0 (strip (fingerprint name pcpus));
-       Buffer.add_char b '\n')
-    (if List.mem name smp_capable then [ 1; 4 ] else [ 1 ]);
-  print_string (Buffer.contents b)
+       Printf.printf "# %s --pcpus %d\n%s\n" name pcpus
+         (Json_out.to_string
+            (fingerprint name
+               (if smp then argv @ [ "--pcpus"; string_of_int pcpus ] else argv))))
+    (if smp then [ 1; 4 ] else [ 1 ])

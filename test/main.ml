@@ -24,4 +24,5 @@ let () =
       Test_check.suite;
       Test_ring.suite;
       Test_ctrlpath.suite;
-      Test_smp.suite ]
+      Test_smp.suite;
+      Test_experiment.suite ]

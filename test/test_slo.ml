@@ -1,8 +1,7 @@
 (* The open-loop SLO plane: percentile extraction from log2
    histograms (property-tested against exact percentiles), the
    determinism and observability-neutrality contracts of Slo.run,
-   chaos/churn integration, and the Bench_sections wall-accounting
-   invariants. *)
+   and chaos/churn integration. *)
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -169,70 +168,6 @@ let test_slo_bursty () =
   checkb "bursty differs from poisson" true
     (r.Slo.vms <> (Slo.run ~config:small_config ()).Slo.vms)
 
-(* --- Bench_sections wall accounting --- *)
-
-(* A fake clock: every [tick] call advances time by what the test
-   prescribes, so the accounting identities are exact. *)
-let fake_clock () =
-  let t = ref 0.0 in
-  (t, fun () -> !t)
-
-let test_sections_accounting () =
-  let t, now = fake_clock () in
-  let bs = Bench_sections.create ~now in
-  (* table3 runs 5 s of its own work plus a 10 s shared sweep. *)
-  Bench_sections.section bs "table3" (fun () ->
-      t := !t +. 2.0;
-      (let _ = Bench_sections.shared bs "sweep" (fun () -> t := !t +. 10.0; 42) in
-       ());
-      t := !t +. 3.0);
-  (* fig9 renders cached results: no time passes. *)
-  Bench_sections.section bs "fig9" (fun () -> ());
-  t := !t +. 1.5 (* unattributed tail: JSON writing etc. *);
-  let entries = Bench_sections.entries bs in
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "entries in execution order with sweep separated"
-    [ ("sweep", 10.0); ("table3", 5.0); ("fig9", 0.0) ]
-    entries;
-  check (Alcotest.float 1e-9) "attributed" 15.0 (Bench_sections.attributed bs);
-  check (Alcotest.float 1e-9) "elapsed" 16.5 (Bench_sections.elapsed bs);
-  check (Alcotest.float 1e-9) "unattributed" 1.5 (Bench_sections.unattributed bs);
-  (* The invariant the perf artifact relies on. *)
-  check (Alcotest.float 1e-9) "sections + unattributed = elapsed"
-    (Bench_sections.elapsed bs)
-    (Bench_sections.attributed bs +. Bench_sections.unattributed bs)
-
-let test_sections_own_never_negative () =
-  (* A clock hiccup makes the shared work appear longer than the
-     enclosing section; the own wall floors at zero instead of going
-     negative (and unattributed still floors at zero). *)
-  let t, now = fake_clock () in
-  let bs = Bench_sections.create ~now in
-  Bench_sections.section bs "outer" (fun () ->
-      let _ =
-        Bench_sections.shared bs "sweep" (fun () -> t := !t +. 10.0; ())
-      in
-      t := !t -. 4.0 (* clock stepped backwards *));
-  List.iter
-    (fun (_, w) -> checkb "own wall non-negative" true (w >= 0.0))
-    (Bench_sections.entries bs);
-  checkb "unattributed non-negative" true (Bench_sections.unattributed bs >= 0.0)
-
-let test_sections_duplicate_keys () =
-  (* The same key can be recorded twice (micro re-run for --json);
-     entries keep both so consumers can sum them. *)
-  let t, now = fake_clock () in
-  let bs = Bench_sections.create ~now in
-  Bench_sections.section bs "micro" (fun () -> t := !t +. 1.0);
-  Bench_sections.section bs "micro" (fun () -> t := !t +. 2.0);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 1e-9)))
-    "duplicates preserved" [ ("micro", 1.0); ("micro", 2.0) ]
-    (Bench_sections.entries bs);
-  check (Alcotest.float 1e-9) "attributed sums duplicates" 3.0
-    (Bench_sections.attributed bs)
-
 let suite =
   ( "slo",
     [ QCheck_alcotest.to_alcotest prop_percentile_within_bucket;
@@ -245,10 +180,4 @@ let suite =
       Alcotest.test_case "slo chaos integration" `Slow
         test_slo_chaos_integration;
       Alcotest.test_case "slo churn" `Slow test_slo_churn;
-      Alcotest.test_case "slo bursty arrivals" `Quick test_slo_bursty;
-      Alcotest.test_case "bench sections accounting" `Quick
-        test_sections_accounting;
-      Alcotest.test_case "bench sections own never negative" `Quick
-        test_sections_own_never_negative;
-      Alcotest.test_case "bench sections duplicate keys" `Quick
-        test_sections_duplicate_keys ] )
+      Alcotest.test_case "slo bursty arrivals" `Quick test_slo_bursty ] )
