@@ -140,6 +140,16 @@ let run_micro () =
    fingerprint. Observability does not advance the clock, so the same
    baseline holds with and without --obs. *)
 
+let check_baseline_spec =
+  Cli_args.file [ "check-baseline" ]
+    "Compare the Table III sweep's deterministic simulated cycles \
+     against the committed baseline FILE and exit non-zero on drift."
+
+let write_baseline_spec =
+  Cli_args.file [ "write-baseline" ]
+    "Regenerate the deterministic cycle baseline FILE from this run's \
+     Table III sweep."
+
 let write_baseline path rows =
   Out_channel.with_open_text path (fun oc ->
       output_string oc
@@ -168,17 +178,20 @@ let check_baseline path actual =
         (fun (name, cyc) ->
            match List.assoc_opt name actual with
            | None ->
-             Some (Printf.sprintf "baseline %s: config missing from this run" name)
+             Some
+               (Printf.sprintf "baseline %s: config missing from this run" name)
            | Some got when got <> cyc ->
              Some
-               (Printf.sprintf "baseline %s: expected %d cycles, got %d (drift %+d)"
-                  name cyc got (got - cyc))
+               (Printf.sprintf
+                  "baseline %s: expected %d cycles, got %d (drift %+d)" name
+                  cyc got (got - cyc))
            | Some _ -> None)
         expected
   in
   List.iter (Format.fprintf fmt "%s@.") drift;
   if drift <> [] then begin
-    Format.fprintf fmt "FAIL: simulated cycles drifted from the committed baseline@.";
+    Format.fprintf fmt
+      "FAIL: simulated cycles drifted from the committed baseline@.";
     exit 1
   end;
   Format.fprintf fmt "baseline check passed (%d configurations)@."
@@ -191,8 +204,8 @@ let () =
   let json, json_e = Cli_args.flag_ref Cli_args.json in
   let assert_, assert_e = Cli_args.flag_ref Cli_args.assert_ in
   let help, help_e = Cli_args.flag_ref Cli_args.help in
-  let check_path, check_e = Cli_args.value_ref Cli_args.check_baseline in
-  let write_path, write_e = Cli_args.value_ref Cli_args.write_baseline in
+  let check_path, check_e = Cli_args.value_ref check_baseline_spec in
+  let write_path, write_e = Cli_args.value_ref write_baseline_spec in
   let entries =
     List.concat_map (fun (_, (es, _)) -> es) instances
     @ [ json_e; assert_e; check_e; write_e; help_e ]
@@ -215,7 +228,8 @@ let () =
        | None -> names)
   in
   if !help then begin
-    Format.fprintf fmt "usage: bench [SECTION...] [FLAGS]@.@.sections: %s@.@.flags:@.%a"
+    Format.fprintf fmt
+      "usage: bench [SECTION...] [FLAGS]@.@.sections: %s@.@.flags:@.%a"
       (String.concat " " all_sections) Cli_args.pp_usage entries;
     exit 0
   end;
@@ -227,7 +241,9 @@ let () =
     List.filter_map
       (fun name ->
          let t0 = Unix.gettimeofday () in
-         match List.find_opt (fun (e, _) -> e.Experiment.name = name) instances with
+         match
+           List.find_opt (fun (e, _) -> e.Experiment.name = name) instances
+         with
          | None ->
            Format.fprintf fmt "@.===== microbenchmarks =====@.";
            micro := run_micro ();
@@ -242,7 +258,9 @@ let () =
   in
   (* The table3 sweep is cached, so this reuses a requested run. *)
   let table3_cycles () =
-    let _, (_, run) = List.find (fun (e, _) -> e.Experiment.name = "table3") instances in
+    let _, (_, run) =
+      List.find (fun (e, _) -> e.Experiment.name = "table3") instances
+    in
     (run ()).Experiment.cycles
   in
   Option.iter (fun p -> write_baseline p (table3_cycles ())) !write_path;
@@ -279,5 +297,7 @@ let () =
     close_out oc;
     Format.fprintf fmt "@.wrote BENCH_sim.json@."
   end;
-  if !assert_ && not (List.for_all (fun (_, _, r) -> Experiment.all_hold r) sections)
+  if
+    !assert_
+    && not (List.for_all (fun (_, _, r) -> Experiment.all_hold r) sections)
   then exit 1

@@ -22,8 +22,10 @@ let instantiate e =
   let entries = ref [] in
   let add entry = entries := entry :: !entries in
   let args =
-    { value = (fun spec -> let r, e = Cli_args.value_ref spec in add e; fun () -> !r);
-      flag = (fun fl -> let r, e = Cli_args.flag_ref fl in add e; fun () -> !r) }
+    { value =
+        (fun spec -> let r, e = Cli_args.value_ref spec in add e; fun () -> !r);
+      flag =
+        (fun fl -> let r, e = Cli_args.flag_ref fl in add e; fun () -> !r) }
   in
   let run = e.define args in
   (List.rev !entries, run)
@@ -43,7 +45,8 @@ let pp_claims ppf r =
 let claims_json r =
   Json_out.List
     (List.map
-       (fun c -> Json_out.Obj [ ("claim", Str c.claim); ("holds", Bool c.holds) ])
+       (fun c ->
+          Json_out.Obj [ ("claim", Str c.claim); ("holds", Bool c.holds) ])
        r.claims)
 
 (* --- shared JSON pieces --- *)
@@ -79,7 +82,6 @@ let tagged_runs f reports =
 let run_cells ?domains run cells =
   Parallel_sweep.map ?domains (fun (tag, c) -> (tag, run c)) cells
 
-(* [keep None v] accepts every cell; [keep (Some w) v] only [w]. *)
 let keep want v = Option.fold ~none:true ~some:(( = ) v) want
 
 let every what f l = { claim = what; holds = List.for_all f l }
@@ -91,7 +93,8 @@ let all_cells what f reports = every what (fun (_, r) -> f r) reports
    count and quantum are the caller's (the ablations fix their own). *)
 let scenario_args (a : args) (base : Scenario.config) =
   let requests =
-    a.value { Cli_args.requests with default = base.Scenario.requests_per_guest }
+    a.value
+      { Cli_args.requests with default = base.Scenario.requests_per_guest }
   in
   let warmup =
     a.value { Cli_args.warmup with default = base.Scenario.warmup_requests }
@@ -138,9 +141,6 @@ let table3_sweep (a : args) =
       Hashtbl.replace sweep_cache key s;
       s
 
-let sweep_cycles s =
-  List.mapi (fun i (o : Scenario.overheads) -> (config_label i, o.Scenario.sim_cycles)) s
-
 (* --- E1-E4: the paper's artifacts --- *)
 
 let table3 =
@@ -151,7 +151,12 @@ let table3 =
          let sweep = table3_sweep a in
          fun () ->
            let s = sweep () in
-           result ~cycles:(sweep_cycles s)
+           result
+             ~cycles:
+               (List.mapi
+                  (fun i (o : Scenario.overheads) ->
+                     (config_label i, o.Scenario.sim_cycles))
+                  s)
              (fun ppf ->
                 Tables.print_table3 ppf s;
                 Format.fprintf ppf "@.run statistics per configuration:@.";
@@ -165,7 +170,9 @@ let table3 =
                     List
                       (List.mapi
                          (fun i o ->
-                            Obj (("config", Str (config_label i)) :: overheads_fields o))
+                            Obj
+                              (("config", Str (config_label i))
+                               :: overheads_fields o))
                          s) ) ])) }
 
 let fig9 =
@@ -176,7 +183,7 @@ let fig9 =
          let sweep = table3_sweep a in
          fun () ->
            let s = sweep () in
-           result ~cycles:(sweep_cycles s)
+           result
              (fun ppf -> Tables.print_fig9 ppf s)
              (Obj
                 [ ( "ratios",
@@ -189,16 +196,9 @@ let fig9 =
                                 ( "paper",
                                   floats
                                     (Option.value ~default:[]
-                                       (List.assoc_opt m Tables.paper_fig9)) ) ])
+                                       (List.assoc_opt m Tables.paper_fig9)) )
+                              ])
                          (Tables.fig9_rows s)) ) ])) }
-
-let root_spec =
-  { Cli_args.names = [ "root" ];
-    docv = "DIR";
-    doc = "Repository root for the line counts.";
-    default = ".";
-    parse = Result.ok;
-    show = Fun.id }
 
 let opt_int = function Some n -> Int n | None -> Null
 
@@ -206,10 +206,8 @@ let report =
   { name = "report";
     title = "E3: complexity report";
     define =
-      (fun a ->
-         let root = a.value root_spec in
-         fun () ->
-           let r = Complexity.measure ~root:(root ()) () in
+      (fun _ () ->
+           let r = Complexity.measure () in
            result
              (fun ppf ->
                 Complexity.print ppf r;
@@ -265,7 +263,8 @@ let axi =
               Format.fprintf ppf
                 "A1: AXI HP vs ACP for a %d KB task transfer (paper S IV-A)@."
                 r.Ablations.payload_kb;
-              Format.fprintf ppf "  DMA latency:    HP %8.2f us   ACP %8.2f us@."
+              Format.fprintf ppf
+                "  DMA latency:    HP %8.2f us   ACP %8.2f us@."
                 r.Ablations.hp_dma_us r.Ablations.acp_dma_us;
               Format.fprintf ppf
                 "  CPU 512 KB sweep afterwards: HP %8.2f us   ACP %8.2f us@."
@@ -303,7 +302,8 @@ let vfp =
                 [ ("lazy_switch_us", Float r.Ablations.lazy_switch_us);
                   ("active_switch_us", Float r.Ablations.active_switch_us);
                   ("lazy_vfp_switches", Int r.Ablations.lazy_vfp_switches);
-                  ("active_vfp_switches", Int r.Ablations.active_vfp_switches) ])) }
+                  ( "active_vfp_switches",
+                    Int r.Ablations.active_vfp_switches ) ])) }
 
 let trapvshyper =
   { name = "trapvshyper";
@@ -350,14 +350,17 @@ let asid =
                 Format.fprintf ppf
                   "  TLB-bound chunk right after a VM switch: ASID %.2f us, \
                    flush %.2f us      (%.2fx)@."
-                  r.Ablations.first_chunk_asid_us r.Ablations.first_chunk_flush_us
+                  r.Ablations.first_chunk_asid_us
+                  r.Ablations.first_chunk_flush_us
                   (r.Ablations.first_chunk_flush_us
                    /. r.Ablations.first_chunk_asid_us))
              (Obj
                 [ ("asid", Obj (overheads_fields r.Ablations.asid));
                   ("flush_all", Obj (overheads_fields r.Ablations.flush_all));
-                  ("first_chunk_asid_us", Float r.Ablations.first_chunk_asid_us);
-                  ("first_chunk_flush_us", Float r.Ablations.first_chunk_flush_us) ])) }
+                  ( "first_chunk_asid_us",
+                    Float r.Ablations.first_chunk_asid_us );
+                  ( "first_chunk_flush_us",
+                    Float r.Ablations.first_chunk_flush_us ) ])) }
 
 let quantum =
   { name = "quantum";
@@ -413,10 +416,13 @@ let chaos =
                ?rates:(Option.map (fun r -> [ r ]) (rate ()))
                ?domains:(domains ()) ()
            in
-           let faulty = List.filter (fun r -> r.Chaos.fault_rate > 0.0) reports in
+           let faulty =
+             List.filter (fun r -> r.Chaos.fault_rate > 0.0) reports
+           in
            result
              ~claims:
-               [ every "no guest crashed" (fun r -> r.Chaos.crashes = 0) reports;
+               [ every "no guest crashed"
+                   (fun r -> r.Chaos.crashes = 0) reports;
                  every "every faulty cell injected faults"
                    (fun r -> r.Chaos.injected > 0) faulty;
                  every "every faulty cell recovered"
@@ -427,7 +433,8 @@ let chaos =
                   "E5: chaos sweep — job completion vs PL fault rate (seed \
                    %d)@."
                   config.Chaos.fault_seed;
-                List.iter (fun r -> Format.fprintf ppf "  %a@." Chaos.pp_report r)
+                List.iter
+                  (fun r -> Format.fprintf ppf "  %a@." Chaos.pp_report r)
                   reports)
              (Obj
                 [ ("fault_seed", Int config.Chaos.fault_seed);
@@ -446,7 +453,8 @@ let chaos =
                                  ("fault_kills", Int r.Chaos.fault_kills);
                                  ("jobs_ok", Int r.Chaos.jobs_ok);
                                  ("jobs_attempted", Int r.Chaos.jobs_attempted);
-                                 ("completion_rate", Float r.Chaos.completion_rate);
+                                 ( "completion_rate",
+                                   Float r.Chaos.completion_rate );
                                  ("crashes", Int r.Chaos.crashes);
                                  ("mgr_total_us", Float r.Chaos.mgr_total_us);
                                  ("sim_ms", Float r.Chaos.sim_ms) ]
@@ -479,22 +487,14 @@ let ops =
     show = string_of_int }
 
 let shards =
-  { Cli_args.names = [ "shards" ];
-    docv = "N";
-    doc =
-      "Split the soak into N independent seeded shards (run concurrently \
-       up to --domains; results are identical for any domain count).";
-    default = 1;
-    parse = Cli_args.int_at_least 1;
-    show = string_of_int }
+  Cli_args.int ~min:1 [ "shards" ]
+    "Split the soak into N independent seeded shards (run concurrently \
+     up to --domains; results are identical for any domain count)."
+    1
 
 let max_vms =
-  { Cli_args.names = [ "max-vms" ];
-    docv = "N";
-    doc = "Cap on concurrently live soak VMs.";
-    default = 6;
-    parse = Cli_args.int_at_least 1;
-    show = string_of_int }
+  Cli_args.int ~min:1 [ "max-vms" ] "Cap on concurrently live soak VMs."
+    Soak.default_config.Soak.max_vms
 
 let replay =
   Cli_args.file [ "replay" ]
@@ -509,12 +509,8 @@ let repro_out =
     show = Fun.id }
 
 let arrivals =
-  { Cli_args.names = [ "arrivals" ];
-    docv = "N";
-    doc = "Open-loop SLO arrivals generated per guest.";
-    default = 60;
-    parse = Cli_args.int_at_least 1;
-    show = string_of_int }
+  Cli_args.int ~min:1 [ "arrivals" ]
+    "Open-loop SLO arrivals generated per guest." 60
 
 let soak_stats_json (s : Soak.stats) =
   Obj
@@ -549,7 +545,9 @@ let pp_violation ppf ~repro = function
       repro
 
 let soak_result ~cfg ~repro ~shards ~wall outcome reports stats =
-  let clean = match outcome with Soak.Clean _ -> true | Soak.Violated _ -> false in
+  let clean =
+    match outcome with Soak.Clean _ -> true | Soak.Violated _ -> false
+  in
   result
     ~claims:[ { claim = "invariants held"; holds = clean } ]
     (fun ppf ->
@@ -586,7 +584,9 @@ let soak_result ~cfg ~repro ~shards ~wall outcome reports stats =
                        ("seed", Int r.Soak.shard_cfg.Soak.seed);
                        ("violation", violation_json r.Soak.outcome);
                        ( "ops_done",
-                         Int (Soak.stats_of_outcome r.Soak.outcome).Soak.ops_done );
+                         Int
+                           (Soak.stats_of_outcome r.Soak.outcome).Soak.ops_done
+                       );
                        ("wall_s", Float r.Soak.wall_s) ])
                 reports) ) ])
 
@@ -607,7 +607,9 @@ let soak =
          let fault_seed =
            a.value { Cli_args.fault_seed with default = d.Soak.fault_seed }
          in
-         let quantum = a.value { Cli_args.quantum with default = d.Soak.quantum_ms } in
+         let quantum =
+           a.value { Cli_args.quantum with default = d.Soak.quantum_ms }
+         in
          let pcpus = a.value Cli_args.pcpus in
          let shards = a.value shards in
          let domains = a.value Cli_args.domains in
@@ -653,7 +655,9 @@ let slo =
     title = "E7: open-loop tail latency (SLO)";
     define =
       (fun a ->
-         let seed = a.value { Cli_args.seed with default = Slo.default_config.Slo.seed } in
+         let seed =
+           a.value { Cli_args.seed with default = Slo.default_config.Slo.seed }
+         in
          let arrivals = a.value arrivals in
          let observe = a.flag Cli_args.observe in
          let pcpus = a.value Cli_args.pcpus in
@@ -670,25 +674,29 @@ let slo =
              List.find_opt (fun v -> v.Slo.vm = 0) r.Slo.vms
            in
            let comparison =
-             match (cell "poisson/high", cell "chaos/on") with
-             | Some off, Some on -> (
-               match (victim off, victim on) with
-               | Some v_off, Some v_on ->
-                 [ ( "chaos_comparison",
-                     Obj
-                       [ ("victim_service_p99_us_off", Float v_off.Slo.service_p99_us);
-                         ("victim_service_p99_us_on", Float v_on.Slo.service_p99_us);
-                         ("victim_sojourn_p99_us_off", Float v_off.Slo.sojourn_p99_us);
-                         ("victim_sojourn_p99_us_on", Float v_on.Slo.sojourn_p99_us);
-                         ("faults_injected", Int on.Slo.injected) ] ) ]
-               | _ -> [])
-             | _ -> []
+             let ( let* ) = Option.bind in
+             let* off = cell "poisson/high" in
+             let* on = cell "chaos/on" in
+             let* v_off = victim off in
+             let* v_on = victim on in
+             Some
+               ( "chaos_comparison",
+                 Obj
+                   [ ("victim_service_p99_us_off",
+                      Float v_off.Slo.service_p99_us);
+                     ("victim_service_p99_us_on",
+                      Float v_on.Slo.service_p99_us);
+                     ("victim_sojourn_p99_us_off",
+                      Float v_off.Slo.sojourn_p99_us);
+                     ("victim_sojourn_p99_us_on",
+                      Float v_on.Slo.sojourn_p99_us);
+                     ("faults_injected", Int on.Slo.injected) ] )
            in
            let vms f (r : Slo.report) = List.for_all f r.Slo.vms in
            result
-             ~cycles:(List.map (fun (t, r) -> (t, r.Slo.sim_cycles)) reports)
              ~claims:
-               [ all_cells "no cell crashed" (fun r -> r.Slo.crashes = 0) reports;
+               [ all_cells "no cell crashed"
+                   (fun r -> r.Slo.crashes = 0) reports;
                  all_cells "every arrival served"
                    (vms (fun v -> v.Slo.served = arrivals)) reports;
                  all_cells "every VM's service p99 measured"
@@ -709,13 +717,14 @@ let slo =
                    (seed %d, %d arrivals/guest)@."
                   seed arrivals;
                 List.iter
-                  (fun (tag, r) -> Format.fprintf ppf "  [%s]@.  %a" tag Slo.pp_report r)
+                  (fun (tag, r) ->
+                     Format.fprintf ppf "  [%s]@.  %a" tag Slo.pp_report r)
                   reports)
              (Obj
                 ([ ("seed", Int seed);
                    ("arrivals_per_guest", Int arrivals);
-                   ("runs", tagged_runs (fun b r -> Slo.report_json b r) reports) ]
-                 @ comparison))) }
+                   ("runs", tagged_runs Slo.report_json reports) ]
+                 @ Option.to_list comparison))) }
 
 (* --- E8: density --- *)
 
@@ -735,9 +744,7 @@ let vms_spec =
          all [] (String.split_on_char ',' s));
     show = (fun vs -> String.concat "," (List.map string_of_int vs)) }
 
-let count_spec names doc ~min default =
-  { Cli_args.names; docv = "N"; doc; default;
-    parse = Cli_args.int_at_least min; show = string_of_int }
+let jobs_spec = Cli_args.int ~min:1 [ "jobs" ] "Hardware jobs per guest."
 
 let either_spec names doc of_string name =
   { Cli_args.names;
@@ -766,14 +773,14 @@ let ring_admission =
          | _ -> Error (Printf.sprintf "expected fifo or deadline, got %S" s));
     show = (function `Fifo -> "fifo" | `Deadline -> "deadline") }
 
-let density_ratio ~pcpus reports vms =
-  let tag m =
-    if pcpus > 1 then Printf.sprintf "%s/%d/p%d" (Density.mode_name m) vms pcpus
-    else Printf.sprintf "%s/%d" (Density.mode_name m) vms
-  in
+let density_ratio reports vms =
   let per_job m =
-    List.assoc_opt (tag m) reports
-    |> Option.map (fun (r : Density.report) -> r.Density.transitions_per_job)
+    List.find_map
+      (fun (_, (r : Density.report)) ->
+         if r.Density.vms = vms && r.Density.mode = m then
+           Some r.Density.transitions_per_job
+         else None)
+      reports
   in
   match (per_job Density.V1, per_job Density.V2) with
   | Some v1, Some v2 when v2 > 0.0 -> Some (vms, v1, v2, v1 /. v2)
@@ -787,18 +794,16 @@ let density =
          let d = Density.default_config in
          let seed = a.value { Cli_args.seed with default = d.Density.seed } in
          let populations = a.value vms_spec in
-         let jobs =
-           a.value (count_spec [ "jobs" ] "Hardware jobs per guest." ~min:1 d.Density.jobs_per_vm)
-         in
+         let jobs = a.value (jobs_spec d.Density.jobs_per_vm) in
          let batch =
            a.value
-             (count_spec [ "batch" ] "ABI v2 request descriptors per doorbell."
-                ~min:1 d.Density.batch)
+             (Cli_args.int ~min:1 [ "batch" ]
+                "ABI v2 request descriptors per doorbell." d.Density.batch)
          in
          let budget =
            a.value
-             (count_spec [ "ring-budget" ]
-                "Completions per moderated ring vIRQ (0 = pure polling)." ~min:0
+             (Cli_args.int ~min:0 [ "ring-budget" ]
+                "Completions per moderated ring vIRQ (0 = pure polling)."
                 d.Density.cvirq_budget)
          in
          let mode =
@@ -812,28 +817,32 @@ let density =
          let ring_admission = a.value ring_admission in
          let domains = a.value Cli_args.domains in
          fun () ->
-           let seed = seed () and populations = populations () and jobs = jobs ()
-           and batch = batch () and budget = budget () and pcpus = pcpus () in
+           let seed = seed () and populations = populations () in
+           let jobs = jobs () and batch = batch () and budget = budget () in
            let fault_rate = fault_rate () and check = check () in
            let cells =
              Density.bench_matrix ~seed ~populations ~jobs ~batch
-               ~cvirq_budget:budget ~fault_rate ~check ~pcpus
+               ~cvirq_budget:budget ~fault_rate ~check ~pcpus:(pcpus ())
                ~ring_admission:(ring_admission ()) ()
-             |> List.filter (fun (_, (c : Density.config)) -> keep (mode ()) c.Density.mode)
+             |> List.filter (fun (_, (c : Density.config)) ->
+                    keep (mode ()) c.Density.mode)
            in
            let reports =
-             run_cells ?domains:(domains ()) (fun config -> Density.run ~config ()) cells
+             run_cells ?domains:(domains ())
+               (fun config -> Density.run ~config ())
+               cells
            in
-           let ratios = List.filter_map (density_ratio ~pcpus reports) populations in
+           let ratios = List.filter_map (density_ratio reports) populations in
            let ring (r : Density.report) = r.Density.ring in
            result
-             ~cycles:(List.map (fun (t, r) -> (t, r.Density.sim_cycles)) reports)
              ~claims:
-               ([ all_cells "no cell crashed" (fun r -> r.Density.crashes = 0) reports;
+               ([ all_cells "no cell crashed"
+                    (fun r -> r.Density.crashes = 0) reports;
                   all_cells "the victim kept every job"
-                    (fun r -> r.Density.victim_ok = r.Density.victim_jobs) reports;
-                  all_cells "the fleet completed jobs" (fun r -> r.Density.jobs_ok > 0)
+                    (fun r -> r.Density.victim_ok = r.Density.victim_jobs)
                     reports;
+                  all_cells "the fleet completed jobs"
+                    (fun r -> r.Density.jobs_ok > 0) reports;
                   all_cells "v2 ring totals close, v1 never touches a ring"
                     (fun r ->
                        let g = ring r in
@@ -847,18 +856,22 @@ let density =
                 @
                 if batch < 8 || ratios = [] then []
                 else
-                  [ { claim = "at batch >= 8, v2 cuts per-job transitions at least 4x";
-                      holds = List.for_all (fun (_, _, _, x) -> x >= 4.0) ratios } ])
+                  [ { claim =
+                        "at batch >= 8, v2 cuts per-job transitions at least 4x";
+                      holds =
+                        List.for_all (fun (_, _, _, x) -> x >= 4.0) ratios } ])
              (fun ppf ->
                 Format.fprintf ppf
                   "E8: fleet density sweep — ABI v1 vs v2 (seed %d, vms %s, %d \
                    jobs/VM, batch %d, vIRQ budget %d%s%s)@."
                   seed (vms_spec.Cli_args.show populations) jobs batch budget
-                  (if fault_rate > 0.0 then Printf.sprintf ", fault rate %g" fault_rate
+                  (if fault_rate > 0.0 then
+                     Printf.sprintf ", fault rate %g" fault_rate
                    else "")
                   (if check then ", invariants checked" else "");
                 List.iter
-                  (fun (tag, r) -> Format.fprintf ppf "  [%s] %a" tag Density.pp_report r)
+                  (fun (tag, r) ->
+                     Format.fprintf ppf "  [%s] %a" tag Density.pp_report r)
                   reports;
                 List.iter
                   (fun (vms, v1, v2, x) ->
@@ -901,11 +914,7 @@ let partition =
       (fun a ->
          let d = Partition.default_config in
          let seed = a.value { Cli_args.seed with default = d.Partition.seed } in
-         let jobs =
-           a.value
-             (count_spec [ "jobs" ] "Hardware jobs per guest." ~min:1
-                d.Partition.jobs_per_vm)
-         in
+         let jobs = a.value (jobs_spec d.Partition.jobs_per_vm) in
          let mode =
            a.value
              (either_spec [ "partition" ]
@@ -922,12 +931,17 @@ let partition =
              Partition.bench_matrix ~seed ~jobs:(jobs ()) ~check
                ~pcpus:(pcpus ()) ()
              |> List.filter (fun (_, (c : Partition.config)) ->
-                    keep (mode ()) c.Partition.mode && keep (chaos ()) c.Partition.chaos)
+                    keep (mode ()) c.Partition.mode
+                    && keep (chaos ()) c.Partition.chaos)
            in
            let reports =
-             run_cells ?domains:(domains ()) (fun config -> Partition.run ~config ()) cells
+             run_cells ?domains:(domains ())
+               (fun config -> Partition.run ~config ())
+               cells
            in
-           let static (r : Partition.report) = r.Partition.mode = Hw_task_manager.Static in
+           let static (r : Partition.report) =
+             r.Partition.mode = Hw_task_manager.Static
+           in
            let p99 m =
              List.find_map
                (fun (_, (r : Partition.report)) ->
@@ -937,22 +951,26 @@ let partition =
                reports
            in
            result
-             ~cycles:(List.map (fun (t, r) -> (t, r.Partition.sim_cycles)) reports)
              ~claims:
-               ([ all_cells "no cell crashed" (fun r -> r.Partition.crashes = 0) reports;
+               ([ all_cells "no cell crashed"
+                    (fun r -> r.Partition.crashes = 0) reports;
                   all_cells "the victim kept every job"
                     (fun r -> r.Partition.victim_ok = r.Partition.victim_jobs)
                     reports;
-                  all_cells "static cells deny foreign requests, dynamic ones none"
+                  all_cells
+                    "static cells deny foreign requests, dynamic ones none"
                     (fun r ->
                        if static r then r.Partition.jobs_denied > 0
                        else r.Partition.jobs_denied = 0)
                     reports;
                   all_cells "chaos cells injected faults"
-                    (fun r -> (not r.Partition.chaos) || r.Partition.injected > 0)
+                    (fun r ->
+                       (not r.Partition.chaos) || r.Partition.injected > 0)
                     reports ]
                 @
-                match (p99 Hw_task_manager.Static, p99 Hw_task_manager.Dynamic) with
+                match
+                  (p99 Hw_task_manager.Static, p99 Hw_task_manager.Dynamic)
+                with
                 | Some s, Some d ->
                   [ { claim = "under chaos the pinned victim's p99 is no worse";
                       holds = s <= d } ]
@@ -967,7 +985,9 @@ let partition =
                   (fun (tag, r) ->
                      Format.fprintf ppf "  [%s] %a" tag Partition.pp_report r)
                   reports)
-             (Obj [ ("seed", Int seed); ("runs", tagged_runs Partition.report_json reports) ])) }
+             (Obj
+                [ ("seed", Int seed);
+                  ("runs", tagged_runs Partition.report_json reports) ])) }
 
 (* --- single runs: scenario, stats, trace --- *)
 
@@ -997,7 +1017,9 @@ let single ~name ~title ~observe:forced =
          let native = a.flag native_flag in
          fun () ->
            let c = cfg () in
-           let cfg = { c with Scenario.observe = forced || c.Scenario.observe } in
+           let cfg =
+             { c with Scenario.observe = forced || c.Scenario.observe }
+           in
            let label, o =
              if native () then ("native", Scenario.run_native ~config:cfg ())
              else
@@ -1005,7 +1027,6 @@ let single ~name ~title ~observe:forced =
                  Scenario.run_virtualized ~config:cfg ~guests:(guests ()) () )
            in
            result
-             ~cycles:[ (label, o.Scenario.sim_cycles) ]
              (fun ppf ->
                 Format.fprintf ppf "%s: %a@." label Scenario.pp_overheads o;
                 if cfg.Scenario.observe then begin
@@ -1021,7 +1042,7 @@ let stats =
   single ~name:"stats" ~title:"observability breakdown of one run" ~observe:true
 
 let last_spec =
-  count_spec [ "n"; "last" ] "How many trailing events to show." ~min:0 60
+  Cli_args.int ~min:0 [ "n"; "last" ] "How many trailing events to show." 60
 
 (* A compact two-VM demo with hardware tasks, traced end to end. *)
 let two_vm_trace () =
@@ -1039,7 +1060,9 @@ let two_vm_trace () =
             ignore
               (Ucos.spawn os ~name:"worker" ~prio:5 (fun () ->
                    for _ = 1 to 2 do
-                     (match Hw_task_api.acquire os ~task:qam ~want_irq:true () with
+                     (match
+                        Hw_task_api.acquire os ~task:qam ~want_irq:true ()
+                      with
                       | Ok h ->
                         let bits = Array.init 16 (fun i -> i land 1) in
                         ignore (Hw_task_api.run_qam_mod os h ~order:16 ~bits);
@@ -1065,9 +1088,12 @@ let trace =
            let shown = List.filteri (fun i _ -> i >= n - last ()) events in
            result
              (fun ppf ->
-                Format.fprintf ppf "%d events (%d dropped), showing the last %d:@." n
+                Format.fprintf ppf
+                  "%d events (%d dropped), showing the last %d:@." n
                   (Ktrace.dropped tr) (List.length shown);
-                List.iter (fun e -> Format.fprintf ppf "%a@." Ktrace.pp_event e) shown)
+                List.iter
+                  (fun e -> Format.fprintf ppf "%a@." Ktrace.pp_event e)
+                  shown)
              (Obj
                 [ ("events", Int n);
                   ("dropped", Int (Ktrace.dropped tr));

@@ -17,8 +17,8 @@ type result = {
   claims : claim list;               (** always printed; [--assert]
                                          makes a failure exit 1 *)
   cycles : (string * int) list;      (** exact simulated cycles per cell
-                                         (the bench baseline gate reads
-                                         table3's) *)
+                                         where a gate reads them: table3's
+                                         feed the bench cycle baseline *)
 }
 
 (** How a definition declares its flags: each call registers one argv

@@ -339,7 +339,7 @@ let run ?(config = default_config) () =
 
 (* {2 The bench matrix} *)
 
-let bench_matrix ?(seed = default_config.seed) ?(vms = default_config.vms)
+let bench_matrix ?(seed = default_config.seed)
     ?(jobs = default_config.jobs_per_vm) ?(check = false)
     ?(pcpus = default_config.pcpus) () =
   List.concat_map
@@ -350,7 +350,7 @@ let bench_matrix ?(seed = default_config.seed) ?(vms = default_config.vms)
                 (if chaos then "chaos" else "quiet")
                 (if pcpus = 1 then "" else Printf.sprintf "/p%d" pcpus),
               { default_config with
-                seed; vms; mode; chaos; jobs_per_vm = jobs; check; pcpus } ))
+                seed; mode; chaos; jobs_per_vm = jobs; check; pcpus } ))
          [ false; true ])
     [ Hw_task_manager.Dynamic; Hw_task_manager.Static ]
 

@@ -82,7 +82,7 @@ val run : ?config:config -> unit -> report
     collect. Deterministic in the configuration. *)
 
 val bench_matrix :
-  ?seed:int -> ?vms:int -> ?jobs:int -> ?check:bool -> ?pcpus:int ->
+  ?seed:int -> ?jobs:int -> ?check:bool -> ?pcpus:int ->
   unit -> (string * config) list
 (** The 2×2 study: both modes × quiet/chaos, tagged
     ["dynamic/quiet"], ["dynamic/chaos"], ["static/quiet"],

@@ -28,45 +28,31 @@ let int_at_least lo s =
   | Some _ | None ->
     Error (Printf.sprintf "expected an integer >= %d, got %S" lo s)
 
+let int ?(docv = "N") ?min names doc default =
+  { names; docv; doc; default; show = string_of_int;
+    parse = (match min with Some lo -> int_at_least lo | None -> parse_int) }
+
+let float ~docv names doc default =
+  { names; docv; doc; default; parse = parse_float; show = string_of_float }
+
 let requests =
-  { names = [ "r"; "requests" ];
-    docv = "N";
-    doc = "Hardware-task requests per guest (T_hw iterations).";
-    default = Scenario.default_config.Scenario.requests_per_guest;
-    parse = parse_int;
-    show = string_of_int }
+  int [ "r"; "requests" ] "Hardware-task requests per guest (T_hw iterations)."
+    Scenario.default_config.Scenario.requests_per_guest
 
 let warmup =
-  { names = [ "warmup" ];
-    docv = "N";
-    doc = "Requests discarded as warm-up.";
-    default = Scenario.default_config.Scenario.warmup_requests;
-    parse = parse_int;
-    show = string_of_int }
+  int [ "warmup" ] "Requests discarded as warm-up."
+    Scenario.default_config.Scenario.warmup_requests
 
 let quantum =
-  { names = [ "q"; "quantum" ];
-    docv = "MS";
-    doc = "Guest time slice in milliseconds (paper: 33).";
-    default = Scenario.default_config.Scenario.quantum_ms;
-    parse = parse_float;
-    show = string_of_float }
+  float ~docv:"MS" [ "q"; "quantum" ]
+    "Guest time slice in milliseconds (paper: 33)."
+    Scenario.default_config.Scenario.quantum_ms
 
 let seed =
-  { names = [ "seed" ];
-    docv = "SEED";
-    doc = "Deterministic scenario seed.";
-    default = Scenario.default_config.Scenario.seed;
-    parse = parse_int;
-    show = string_of_int }
+  int ~docv:"SEED" [ "seed" ] "Deterministic scenario seed."
+    Scenario.default_config.Scenario.seed
 
-let guests =
-  { names = [ "g"; "guests" ];
-    docv = "N";
-    doc = "Number of parallel guest VMs.";
-    default = 4;
-    parse = parse_int;
-    show = string_of_int }
+let guests = int [ "g"; "guests" ] "Number of parallel guest VMs." 4
 
 let domains =
   { names = [ "domains" ];
@@ -79,32 +65,22 @@ let domains =
     show = (function Some d -> string_of_int d | None -> "auto") }
 
 let pcpus =
-  { names = [ "pcpus" ];
-    docv = "N";
-    doc =
-      "Simulated pCPUs. 1 (default) drives a single kernel exactly as \
-       before; N > 1 boots N per-CPU kernels coupled at deterministic \
-       epoch barriers and runs them in parallel on OCaml domains \
-       (results are bit-identical for any host core count).";
-    default = 1;
-    parse = int_at_least 1;
-    show = string_of_int }
+  int ~min:1 [ "pcpus" ]
+    "Simulated pCPUs. 1 (default) drives a single kernel exactly as \
+     before; N > 1 boots N per-CPU kernels coupled at deterministic \
+     epoch barriers and runs them in parallel on OCaml domains \
+     (results are bit-identical for any host core count)."
+    1
 
 let fault_rate =
-  { names = [ "fault-rate" ];
-    docv = "P";
-    doc = "Per-opportunity PL fault probability (0.0 disables the plane).";
-    default = Chaos.default_config.Chaos.fault_rate;
-    parse = parse_float;
-    show = string_of_float }
+  float ~docv:"P" [ "fault-rate" ]
+    "Per-opportunity PL fault probability (0.0 disables the plane)."
+    Chaos.default_config.Chaos.fault_rate
 
 let fault_seed =
-  { names = [ "fault-seed" ];
-    docv = "SEED";
-    doc = "Fault-plane RNG seed (fixed seed = same fault schedule).";
-    default = Chaos.default_config.Chaos.fault_seed;
-    parse = parse_int;
-    show = string_of_int }
+  int ~docv:"SEED" [ "fault-seed" ]
+    "Fault-plane RNG seed (fixed seed = same fault schedule)."
+    Chaos.default_config.Chaos.fault_seed
 
 let some spec =
   { spec with
@@ -117,15 +93,6 @@ let file names doc =
     parse = (fun s -> Ok (Some s));
     show = (function Some s -> s | None -> "") }
 
-let check_baseline =
-  file [ "check-baseline" ]
-    "Compare the Table III sweep's deterministic simulated cycles \
-     against the committed baseline FILE and exit non-zero on drift."
-
-let write_baseline =
-  file [ "write-baseline" ]
-    "Regenerate the deterministic cycle baseline FILE from this run's \
-     Table III sweep."
 
 let json =
   { f_names = [ "json" ];
@@ -159,7 +126,9 @@ let observe =
 
 (* --- generic argv engine --- *)
 
-type handler = Flag of (unit -> unit) | Value of (string -> (unit, string) result)
+type handler =
+  | Flag of (unit -> unit)
+  | Value of (string -> (unit, string) result)
 
 type entry = {
   e_names : string list;
@@ -176,7 +145,8 @@ let value_ref spec =
     { e_names = spec.names;
       e_docv = Some spec.docv;
       e_doc = spec.doc;
-      e_handler = Value (fun s -> Result.map (fun v -> r := v) (spec.parse s)) } )
+      e_handler =
+        Value (fun s -> Result.map (fun v -> r := v) (spec.parse s)) } )
 
 let flag_ref fl =
   let r = ref false in
@@ -206,7 +176,9 @@ let parse entries argv =
       | { e_handler = Flag _; _ } :: _, Some _, _ ->
         Error (Printf.sprintf "%s does not take a value" key)
       | { e_handler = Flag _; _ } :: _, None, _ ->
-        List.iter (fun e -> match e.e_handler with Flag f -> f () | Value _ -> ()) es;
+        List.iter
+          (fun e -> match e.e_handler with Flag f -> f () | Value _ -> ())
+          es;
         go pos rest
       | _, None, [] -> Error (Printf.sprintf "%s needs a value" key)
       | _, Some s, rest | _, None, s :: rest ->

@@ -24,6 +24,12 @@ type flag = {
 val int_at_least : int -> string -> (int, string) result
 (** Parse an integer no smaller than the bound. *)
 
+val int : ?docv:string -> ?min:int -> string list -> string -> int -> int spec
+(** [int names doc default]: an integer flag (metavariable [N] unless
+    given), no smaller than [min] when given. *)
+
+val float : docv:string -> string list -> string -> float -> float spec
+
 val some : 'a spec -> 'a option spec
 (** The same flag, defaulting to [None] ("not given"). *)
 
@@ -61,13 +67,6 @@ val fault_rate : float spec
 
 val fault_seed : int spec
 (** [--fault-seed]: fault plane RNG seed. *)
-
-val check_baseline : string option spec
-(** [--check-baseline FILE]: compare deterministic sim cycles against a
-    committed baseline and fail on drift. *)
-
-val write_baseline : string option spec
-(** [--write-baseline FILE]: regenerate that baseline. *)
 
 val json : flag
 (** [--json]: machine-readable output. *)

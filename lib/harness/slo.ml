@@ -483,10 +483,10 @@ let pp_report ppf r =
        Format.fprintf ppf "  prr%d util %.1f%%@." p.prr_id (100.0 *. p.util))
     r.prrs
 
-(* One report as a JSON object. [metrics] controls whether the board
-   observability snapshot (and the kernel's per-VM virq_turnaround
-   percentiles derived from it) is embedded. *)
-let report_json ?(metrics = true) b r =
+(* One report as a JSON object, with the board observability snapshot
+   (and the kernel's per-VM virq_turnaround percentiles derived from
+   it) when the run observed. *)
+let report_json b r =
   let add = Buffer.add_string b in
   add
     (Printf.sprintf
@@ -531,7 +531,7 @@ let report_json ?(metrics = true) b r =
             p.prr_id p.busy_cycles (Json_out.float p.util)))
     r.prrs;
   add "]";
-  if metrics && r.metrics.Obs.s_enabled then begin
+  if r.metrics.Obs.s_enabled then begin
     (* Per-VM submit→completion-vIRQ turnaround measured kernel-side,
        keyed by PD id (stable while the VM lives; churn-recreated VMs
        get fresh ids and therefore fresh rows). *)

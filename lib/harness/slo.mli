@@ -125,8 +125,7 @@ val bench_matrix :
 
 val pp_report : Format.formatter -> report -> unit
 
-val report_json : ?metrics:bool -> Buffer.t -> report -> unit
-(** Append the report as a JSON object. With [metrics] (default true)
-    and an enabled board snapshot, embeds the per-PD virq_turnaround
-    percentiles (via {!Obs.cell_percentile}) and the full metrics
-    snapshot. *)
+val report_json : Buffer.t -> report -> unit
+(** Append the report as a JSON object. With an enabled board
+    snapshot, embeds the per-PD virq_turnaround percentiles (via
+    {!Obs.cell_percentile}) and the full metrics snapshot. *)
