@@ -91,8 +91,24 @@ let micro_tests () =
     Test.make ~name:"exec.ref_walk"
       (Staged.stage (fun () -> ignore (Exec.run z ~priv:true exec_fp)))
   in
+  (* One ring-sized word write plus read-back on one data page, through
+     the micro-TLB (fast) and through a plain MMU translation per word
+     (fast path disabled on that board). *)
+  let vword_bench name ~fast =
+    let z = Zynq.create () in
+    let _kmem = Kmem.create z in
+    Fastpath.set_enabled z.Zynq.fast fast;
+    let i = ref 0 in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           incr i;
+           let a = Address_map.kernel_data_base + (4 * (!i land 1023)) in
+           Zynq.vwrite_word z ~priv:true a !i;
+           ignore (Zynq.vread_word z ~priv:true a)))
+  in
   [ cache_bench; tlb_bench; fft_bench; adpcm_bench; translate_bench;
-    replay_bench; ref_walk_bench ]
+    replay_bench; ref_walk_bench; vword_bench "zynq.vword" ~fast:true;
+    vword_bench "zynq.vword_ref" ~fast:false ]
 
 let run_micro () =
   let open Bechamel in

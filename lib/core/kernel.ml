@@ -797,11 +797,11 @@ let in_linear_guest_area vaddr len =
    traffic whose residency decays with VM count. *)
 let kread_u32 t pa =
   ignore (Hierarchy.access t.z.Zynq.hier Hierarchy.Load pa);
-  Int32.to_int (Phys_mem.read_u32 t.z.Zynq.mem pa) land 0xFFFFFFFF
+  Phys_mem.read_word t.z.Zynq.mem pa
 
 let kwrite_u32 t pa v =
   ignore (Hierarchy.access t.z.Zynq.hier Hierarchy.Store pa);
-  Phys_mem.write_u32 t.z.Zynq.mem pa (Int32.of_int v)
+  Phys_mem.write_word t.z.Zynq.mem pa v
 
 let u32_sub a b = (a - b) land 0xFFFFFFFF
 

@@ -251,7 +251,7 @@ let unmap_iface t (pd : Pd.t) ~vaddr =
 let guest_translate t (pd : Pd.t) vaddr =
   let read a =
     ignore (Hierarchy.access t.zynq.Zynq.hier Hierarchy.Load a);
-    Phys_mem.read_u32 t.zynq.Zynq.mem a
+    Int32.of_int (Phys_mem.read_word t.zynq.Zynq.mem a)
   in
   match Page_table.walk ~read ~root:(Page_table.root pd.Pd.pt) ~virt:vaddr with
   | Some (pa, _) -> Some pa

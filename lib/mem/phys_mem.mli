@@ -17,6 +17,14 @@ val create : unit -> t
 val read_u8 : t -> Addr.t -> int
 val write_u8 : t -> Addr.t -> int -> unit
 
+val read_word : t -> Addr.t -> int
+(** The 32-bit word at [a] as an unsigned [int] in [0, 2{^32}): the
+    unboxed form of {!read_u32}, for hot paths. A word straddling a
+    frame boundary is assembled byte by byte. *)
+
+val write_word : t -> Addr.t -> int -> unit
+(** Store the low 32 bits of the value at [a]. *)
+
 val read_u32 : t -> Addr.t -> int32
 val write_u32 : t -> Addr.t -> int32 -> unit
 
@@ -38,4 +46,5 @@ val fill : t -> Addr.t -> int -> int -> unit
 (** [fill m a len v] sets [len] bytes from [a] to byte value [v]. *)
 
 val touched_frames : t -> int
-(** Number of 4 KB frames materialised so far (memory-usage metric). *)
+(** Number of 4 KB frames materialised so far (memory-usage metric).
+    Reads materialise frames too, exactly like writes. *)

@@ -12,7 +12,8 @@
      verify) and bulk-replays the warm runs, walking only the cold
      ones through the fused two-level loop — which re-records their
      replay slots in passing. A per-CPU micro-TLB memoises page
-     translations for the cold runs. Epoch counters guarantee every
+     translations for the cold runs ([Zynq.translate_page], shared
+     with the word accessors). Epoch counters guarantee every
      shortcut reproduces the exact state transitions, statistics and
      cycle counts of the reference path. *)
 
@@ -62,56 +63,19 @@ let touch_ref zynq ~priv kind r =
     done
   end
 
-(* Translate the page at [page_vbase] (page-aligned) through the
-   micro-TLB. A hit replays exactly the state transition of the
-   TLB-hitting [Mmu.translate_exn] it stands in for (the permission
-   check is context-dependent only, and the context — TTBR, ASID,
-   DACR, privilege — is pinned in the entry; the TLB epoch pins slot
-   residency). *)
-let translate_page zynq fast kind ~priv ~asid ~ttbr ~dacr page_vbase =
-  let vpage = page_vbase lsr Addr.page_shift in
-  let tlb = zynq.Zynq.tlb in
-  let e =
-    Array.unsafe_get fast.Fastpath.mtlb (vpage land Fastpath.mtlb_mask)
-  in
-  if
-    e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
-    && e.m_dacr = dacr && e.m_priv = priv
-    && e.m_epoch = Tlb.epoch tlb
-  then begin
-    fast.Fastpath.mtlb_hits <- fast.Fastpath.mtlb_hits + 1;
-    Tlb.refresh tlb e.m_slot;
-    e.m_pbase
-  end
-  else begin
-    fast.Fastpath.mtlb_misses <- fast.Fastpath.mtlb_misses + 1;
-    let pa = Mmu.translate_exn zynq.Zynq.mmu (mmu_kind kind) ~priv page_vbase in
-    (match Tlb.peek tlb ~asid ~vpage with
-     | Some slot ->
-       e.m_vpage <- vpage;
-       e.m_asid <- asid;
-       e.m_ttbr <- ttbr;
-       e.m_dacr <- dacr;
-       e.m_priv <- priv;
-       e.m_epoch <- Tlb.epoch tlb;
-       e.m_slot <- slot;
-       e.m_pbase <- Addr.page_base pa
-     | None -> e.m_vpage <- -1);
-    Addr.page_base pa
-  end
-
 (* Fast walk: translate per page (micro-TLB accelerated), then charge
    the whole within-page run of lines with one hierarchy dispatch. *)
-let touch_fast zynq fast ~priv ~asid ~ttbr ~dacr kind r =
+let touch_fast zynq ~priv ~asid ~ttbr ~dacr kind r =
   if r.len > 0 then begin
     let first = Addr.line_base r.base in
     let last = Addr.line_base (r.base + r.len - 1) in
     let hier = zynq.Zynq.hier in
+    let mmu_kind = mmu_kind kind in
     let a = ref first in
     while !a <= last do
       let page_vbase = Addr.page_base !a in
       let pbase =
-        translate_page zynq fast kind ~priv ~asid ~ttbr ~dacr page_vbase
+        Zynq.translate_page zynq mmu_kind ~priv ~asid ~ttbr ~dacr page_vbase
       in
       let page_last = page_vbase + Addr.page_size - Addr.line_size in
       let stop = if last < page_last then last else page_last in
@@ -127,10 +91,9 @@ let current_context zynq =
   (Mmu.asid mmu, Mmu.ttbr mmu, Dacr.to_word (Mmu.dacr mmu))
 
 let touch zynq ~priv kind r =
-  let fast = zynq.Zynq.fast in
-  if Fastpath.enabled fast then
+  if Fastpath.enabled zynq.Zynq.fast then
     let asid, ttbr, dacr = current_context zynq in
-    touch_fast zynq fast ~priv ~asid ~ttbr ~dacr kind r
+    touch_fast zynq ~priv ~asid ~ttbr ~dacr kind r
   else touch_ref zynq ~priv kind r
 
 let lines_of r =
@@ -262,8 +225,8 @@ let replay_runs zynq fast (p : Fastpath.prog) ~priv ~asid ~ttbr ~dacr =
       end
       else begin
         let pb =
-          translate_page zynq fast (kind_of ki) ~priv ~asid ~ttbr ~dacr
-            page_vbase
+          Zynq.translate_page zynq (mmu_kind (kind_of ki)) ~priv ~asid ~ttbr
+            ~dacr page_vbase
         in
         (* The recorded L1 slots belong to the *physical* lines the run
            last walked. If the stale TLB stamp hid a remap (the page
@@ -348,13 +311,12 @@ let run zynq ~priv t =
         | None ->
           (* Too many lines to compile: straight fast walk. *)
           let start = Clock.now zynq.Zynq.clock in
-          touch_fast zynq fast ~priv ~asid ~ttbr ~dacr Hierarchy.Ifetch
-            t.code;
+          touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Ifetch t.code;
           List.iter
-            (touch_fast zynq fast ~priv ~asid ~ttbr ~dacr Hierarchy.Load)
+            (touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Load)
             t.reads;
           List.iter
-            (touch_fast zynq fast ~priv ~asid ~ttbr ~dacr Hierarchy.Store)
+            (touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Store)
             t.writes;
           Clock.advance zynq.Zynq.clock (t.base_cycles + issue_cycles t);
           Clock.now zynq.Zynq.clock - start)
@@ -448,13 +410,12 @@ let run_pinned zynq ~priv (p : Fastpath.pinned) =
         let fps = p.Fastpath.pin_fps in
         for i = 0 to Array.length fps - 1 do
           let t = Array.unsafe_get fps i in
-          touch_fast zynq fast ~priv ~asid ~ttbr ~dacr Hierarchy.Ifetch
-            t.code;
+          touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Ifetch t.code;
           List.iter
-            (touch_fast zynq fast ~priv ~asid ~ttbr ~dacr Hierarchy.Load)
+            (touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Load)
             t.reads;
           List.iter
-            (touch_fast zynq fast ~priv ~asid ~ttbr ~dacr Hierarchy.Store)
+            (touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Store)
             t.writes
         done;
         Clock.advance zynq.Zynq.clock p.Fastpath.pin_cycles

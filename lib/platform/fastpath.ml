@@ -5,7 +5,8 @@
    - a direct-mapped micro-TLB memoising page translations, valid only
      while the translation context (TTBR/ASID/DACR/privilege) and the
      {!Tlb.epoch} are unchanged — every flush, ASID switch or
-     page-table update moves the epoch and kills stale entries;
+     page-table update moves the epoch and kills stale entries. The
+     {!Zynq} word accessors translate through it too;
 
    - compiled footprint programs: each footprint is flattened once per
      translation context into an array of page-run descriptors (page

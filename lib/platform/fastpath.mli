@@ -1,9 +1,11 @@
-(** Per-CPU exact fast-path state for {!Exec}.
+(** Per-CPU exact fast-path state for {!Exec} and the {!Zynq} word
+    accessors.
 
-    Holds the micro-TLB (a direct-mapped memo over page translations)
-    and the compiled-footprint program table. A program flattens a
-    footprint into page-run descriptors (page base, first-line offset,
-    line count, access kind) plus a replay record: the TLB slot and
+    Holds the micro-TLB (a direct-mapped memo over page translations,
+    looked up by [Zynq.translate_page]) and the compiled-footprint
+    program table. A program flattens a footprint into page-run
+    descriptors (page base, first-line offset, line count, access
+    kind) plus a replay record: the TLB slot and
     physical base per run, and the L1 slot per line. Replay
     revalidates each run independently against the {!Tlb.epoch} /
     {!Cache.epoch} counters (or an effect-free tag verify), so a

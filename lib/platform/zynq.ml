@@ -57,33 +57,85 @@ let in_pl_window a =
   a >= Address_map.prr_regs_base
   && a < Address_map.prr_regs_base + Address_map.axi_gp0_size
 
-(* Charged physical access helpers. *)
-let phys_read_u32 t a =
+(* Charged physical word access; words move as unsigned 32-bit ints. *)
+let pread_word t a =
   if in_pl_window a then begin
     ignore (Hierarchy.access_uncached t.hier);
     Clock.advance t.clock Axi.gp_access_cycles;
-    Prr_controller.mmio_read t.prrc a
+    Int32.to_int (Prr_controller.mmio_read t.prrc a) land 0xFFFF_FFFF
   end
   else begin
     ignore (Hierarchy.access t.hier Hierarchy.Load a);
-    Phys_mem.read_u32 t.mem a
+    Phys_mem.read_word t.mem a
   end
 
-let phys_write_u32 t a v =
+let pwrite_word t a v =
   if in_pl_window a then begin
     ignore (Hierarchy.access_uncached t.hier);
     Clock.advance t.clock Axi.gp_access_cycles;
-    Prr_controller.mmio_write t.prrc a v
+    Prr_controller.mmio_write t.prrc a (Int32.of_int v)
   end
   else begin
     ignore (Hierarchy.access t.hier Hierarchy.Store a);
-    Phys_mem.write_u32 t.mem a v
+    Phys_mem.write_word t.mem a v
   end
 
-let vtranslate t access ~priv a = Mmu.translate_exn t.mmu access ~priv a
+let pread_u32 t a = Int32.of_int (pread_word t a)
+let pwrite_u32 t a v = pwrite_word t a (Int32.to_int v)
 
-let vread_u32 t ~priv a = phys_read_u32 t (vtranslate t Mmu.Read ~priv a)
-let vwrite_u32 t ~priv a v = phys_write_u32 t (vtranslate t Mmu.Write ~priv a) v
+(* Translate [va] through the micro-TLB and return the physical base
+   of its page. A hit replays exactly the state transition of the
+   TLB-hitting [Mmu.translate_exn] it stands in for (the permission
+   check is context-dependent only, and the context — TTBR, ASID,
+   DACR, privilege — is pinned in the entry; the TLB epoch pins slot
+   residency). A miss is [Mmu.translate_exn] at [va] itself, so a
+   fault carries the same address either way. *)
+let translate_page t access ~priv ~asid ~ttbr ~dacr va =
+  let fast = t.fast in
+  let vpage = va lsr Addr.page_shift in
+  let tlb = t.tlb in
+  let e =
+    Array.unsafe_get fast.Fastpath.mtlb (vpage land Fastpath.mtlb_mask)
+  in
+  if
+    e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
+    && e.m_dacr = dacr && e.m_priv = priv
+    && e.m_epoch = Tlb.epoch tlb
+  then begin
+    fast.Fastpath.mtlb_hits <- fast.Fastpath.mtlb_hits + 1;
+    Tlb.refresh tlb e.m_slot;
+    e.m_pbase
+  end
+  else begin
+    fast.Fastpath.mtlb_misses <- fast.Fastpath.mtlb_misses + 1;
+    let pbase = Addr.page_base (Mmu.translate_exn t.mmu access ~priv va) in
+    (match Tlb.peek tlb ~asid ~vpage with
+     | Some slot ->
+       e.m_vpage <- vpage;
+       e.m_asid <- asid;
+       e.m_ttbr <- ttbr;
+       e.m_dacr <- dacr;
+       e.m_priv <- priv;
+       e.m_epoch <- Tlb.epoch tlb;
+       e.m_slot <- slot;
+       e.m_pbase <- pbase
+     | None -> e.m_vpage <- -1);
+    pbase
+  end
+
+let vtranslate t access ~priv a =
+  if Fastpath.enabled t.fast then
+    let mmu = t.mmu in
+    translate_page t access ~priv ~asid:(Mmu.asid mmu) ~ttbr:(Mmu.ttbr mmu)
+      ~dacr:(Dacr.to_word (Mmu.dacr mmu)) a
+    lor Addr.page_offset a
+  else Mmu.translate_exn t.mmu access ~priv a
+
+let vread_word t ~priv a = pread_word t (vtranslate t Mmu.Read ~priv a)
+let vwrite_word t ~priv a v = pwrite_word t (vtranslate t Mmu.Write ~priv a) v
+
+let vread_u32 t ~priv a = Int32.of_int (vread_word t ~priv a)
+let vwrite_u32 t ~priv a v = vwrite_word t ~priv a (Int32.to_int v)
 
 let vread_u8 t ~priv a =
   let pa = vtranslate t Mmu.Read ~priv a in
@@ -101,11 +153,11 @@ let vwrite_u8 t ~priv a v =
     Phys_mem.write_u8 t.mem pa v
   end
 
-let vread_f32 t ~priv a = Int32.float_of_bits (vread_u32 t ~priv a)
-let vwrite_f32 t ~priv a v = vwrite_u32 t ~priv a (Int32.bits_of_float v)
+let vread_f32 t ~priv a =
+  Int32.float_of_bits (Int32.of_int (vread_word t ~priv a))
 
-let pread_u32 = phys_read_u32
-let pwrite_u32 = phys_write_u32
+let vwrite_f32 t ~priv a v =
+  vwrite_word t ~priv a (Int32.to_int (Int32.bits_of_float v))
 
 let idle_until_next_event t =
   match Event_queue.next_deadline t.queue with

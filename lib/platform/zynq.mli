@@ -26,7 +26,8 @@ type t = {
   pcap : Pcap.t;
   faults : Fault_plane.t;  (** fault-injection plane shared by PCAP and
                                the PRR controller; disabled by default *)
-  fast : Fastpath.t;  (** per-CPU exact fast-path state used by [Exec] *)
+  fast : Fastpath.t;  (** per-CPU exact fast-path state used by [Exec]
+                          and the word accessors below *)
   obs : Obs.t;  (** observability plane shared by the kernel, the HTM
                     and the PL models; disabled by default, never
                     advances the clock *)
@@ -53,7 +54,19 @@ val create :
 
     All of these translate through the MMU ([priv] selects the
     privilege the access is checked at), raise {!Mmu.Fault} on a
-    failed translation, and charge time. *)
+    failed translation, and charge time.
+
+    With the fast path enabled the translation goes through the
+    per-CPU micro-TLB ({!translate_page}), which is exact: simulated
+    cycles, TLB statistics and faults are those of a plain
+    {!Mmu.translate_exn}, which is what every access uses when the
+    fast path is disabled. *)
+
+val vread_word : t -> priv:bool -> Addr.t -> int
+(** The 32-bit word at [a] as an unsigned [int] (no boxing). *)
+
+val vwrite_word : t -> priv:bool -> Addr.t -> int -> unit
+(** Store the low 32 bits of the value at [a]. *)
 
 val vread_u32 : t -> priv:bool -> Addr.t -> int32
 val vwrite_u32 : t -> priv:bool -> Addr.t -> int32 -> unit
@@ -64,6 +77,17 @@ val vwrite_f32 : t -> priv:bool -> Addr.t -> float -> unit
 
 val vtranslate : t -> Mmu.access -> priv:bool -> Addr.t -> Addr.t
 (** Translation only (raises {!Mmu.Fault}); no data access charged. *)
+
+val translate_page :
+  t -> Mmu.access -> priv:bool -> asid:int -> ttbr:int -> dacr:int ->
+  Addr.t -> Addr.t
+(** [translate_page t access ~priv ~asid ~ttbr ~dacr va] is the
+    physical base of the page holding [va], through the micro-TLB.
+    [asid]/[ttbr]/[dacr] must be the MMU's current context (the caller
+    reads it once for a batch of pages). A hit replays the TLB slot
+    ({!Tlb.refresh}); a miss is {!Mmu.translate_exn} at [va], faults
+    included, and installs the entry. The one translate function of
+    the fast path: {!Exec} and the word accessors both use it. *)
 
 (** {2 Physical (kernel / device) accesses} *)
 

@@ -17,15 +17,20 @@ let zp os =
   let p = Ucos.port os in
   (p.Port.zynq, p.Port.priv)
 
-let guard f = try f () with Mmu.Fault _ -> raise Reclaimed
-
-let read_reg os h i =
+(* Register words move as unsigned 32-bit ints; [read_reg]/[write_reg]
+   are the boxed public face. *)
+let read_word os h i =
   let z, priv = zp os in
-  guard (fun () -> Zynq.vread_u32 z ~priv (h.iface + (4 * i)))
+  try Zynq.vread_word z ~priv (h.iface + (4 * i))
+  with Mmu.Fault _ -> raise Reclaimed
 
-let write_reg os h i v =
+let write_word os h i v =
   let z, priv = zp os in
-  guard (fun () -> Zynq.vwrite_u32 z ~priv (h.iface + (4 * i)) v)
+  try Zynq.vwrite_word z ~priv (h.iface + (4 * i)) v
+  with Mmu.Fault _ -> raise Reclaimed
+
+let read_reg os h i = Int32.of_int (read_word os h i)
+let write_reg os h i v = write_word os h i (Int32.to_int v)
 
 let default_iface task =
   Guest_layout.page_region_base + ((64 + (task land 127)) * Addr.page_size)
@@ -114,12 +119,12 @@ let release os h =
   ignore (port.Port.hw_release ~task:h.task)
 
 let start os h ~src_off ~dst_off ~len ~param =
-  write_reg os h Prr.Reg.src_offset (Int32.of_int src_off);
-  write_reg os h Prr.Reg.dst_offset (Int32.of_int dst_off);
-  write_reg os h Prr.Reg.len (Int32.of_int len);
-  write_reg os h Prr.Reg.param (Int32.of_int param);
+  write_word os h Prr.Reg.src_offset src_off;
+  write_word os h Prr.Reg.dst_offset dst_off;
+  write_word os h Prr.Reg.len len;
+  write_word os h Prr.Reg.param param;
   let ctrl = 1 lor (if h.irq <> None then 2 else 0) in
-  write_reg os h Prr.Reg.ctrl (Int32.of_int ctrl)
+  write_word os h Prr.Reg.ctrl ctrl
 
 type outcome = [ `Done | `Violation | `Fault | `Reclaimed ]
 
@@ -139,7 +144,7 @@ let wait_done os h =
           match Ucos.sem_pend os s ~timeout:50 () with
           | `Ok | `Timeout ->
             (* Read (and clear) the status bits to classify. *)
-            (match classify (Int32.to_int (read_reg os h Prr.Reg.status)) with
+            (match classify (read_word os h Prr.Reg.status) with
              | Some o -> o
              | None -> wait (n - 1))
         end
@@ -149,7 +154,7 @@ let wait_done os h =
       let rec poll n =
         if n <= 0 then `Violation
         else
-          match classify (Int32.to_int (read_reg os h Prr.Reg.status)) with
+          match classify (read_word os h Prr.Reg.status) with
           | Some o -> o
           | None ->
             Ucos.delay os 1;
@@ -160,25 +165,30 @@ let wait_done os h =
 
 let inconsistent os h =
   let z, priv = zp os in
-  Int32.to_int (Zynq.vread_u32 z ~priv (h.data + Hw_task_manager.flag_offset))
-  <> 0
+  Zynq.vread_word z ~priv (h.data + Hw_task_manager.flag_offset) <> 0
 
-(* Sample movement between guest arrays and the data section. *)
+(* Sample movement between guest arrays and the data section. Samples
+   travel as their IEEE-754 single bit patterns through the word
+   accessors, so no float or int32 is boxed per sample. *)
+
+let f32_bits x = Int32.to_int (Int32.bits_of_float x)
+let f32_of_bits w = Int32.float_of_bits (Int32.of_int w)
 
 let write_complex os h ~off re im =
   let z, priv = zp os in
-  Array.iteri
-    (fun i r ->
-       Zynq.vwrite_f32 z ~priv (h.data + off + (8 * i)) r;
-       Zynq.vwrite_f32 z ~priv (h.data + off + (8 * i) + 4) im.(i))
-    re
+  let base = h.data + off in
+  for i = 0 to Array.length re - 1 do
+    Zynq.vwrite_word z ~priv (base + (8 * i)) (f32_bits re.(i));
+    Zynq.vwrite_word z ~priv (base + (8 * i) + 4) (f32_bits im.(i))
+  done
 
 let read_complex os h ~off n =
   let z, priv = zp os in
+  let base = h.data + off in
   let re = Array.make n 0.0 and im = Array.make n 0.0 in
   for i = 0 to n - 1 do
-    re.(i) <- Zynq.vread_f32 z ~priv (h.data + off + (8 * i));
-    im.(i) <- Zynq.vread_f32 z ~priv (h.data + off + (8 * i) + 4)
+    re.(i) <- f32_of_bits (Zynq.vread_word z ~priv (base + (8 * i)));
+    im.(i) <- f32_of_bits (Zynq.vread_word z ~priv (base + (8 * i) + 4))
   done;
   (re, im)
 
@@ -233,11 +243,19 @@ let run_qam_mod os h ~order ~bits =
 
 let write_reals os h ~off xs =
   let z, priv = zp os in
-  Array.iteri (fun i x -> Zynq.vwrite_f32 z ~priv (h.data + off + (4 * i)) x) xs
+  let base = h.data + off in
+  for i = 0 to Array.length xs - 1 do
+    Zynq.vwrite_word z ~priv (base + (4 * i)) (f32_bits xs.(i))
+  done
 
 let read_reals os h ~off n =
   let z, priv = zp os in
-  Array.init n (fun i -> Zynq.vread_f32 z ~priv (h.data + off + (4 * i)))
+  let base = h.data + off in
+  let xs = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    xs.(i) <- f32_of_bits (Zynq.vread_word z ~priv (base + (4 * i)))
+  done;
+  xs
 
 let fir_param response =
   let bit, fc =

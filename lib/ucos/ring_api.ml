@@ -31,11 +31,8 @@ let status_name = function
 
 let mask32 = 0xFFFFFFFF
 
-let rd p a =
-  Int32.to_int (Zynq.vread_u32 p.Port.zynq ~priv:p.Port.priv a) land mask32
-
-let wr p a v =
-  Zynq.vwrite_u32 p.Port.zynq ~priv:p.Port.priv a (Int32.of_int v)
+let rd p a = Zynq.vread_word p.Port.zynq ~priv:p.Port.priv a
+let wr p a v = Zynq.vwrite_word p.Port.zynq ~priv:p.Port.priv a v
 
 let setup p ?(entries = Guest_layout.ring_max_entries) ?(cvirq_budget = 8) ()
   =

@@ -4,11 +4,13 @@
    partial-warm replay, O(1) generation-stamped maintenance) promises
    to be bit-identical to the reference implementation: same simulated
    cycles and the same hit/miss counters in every cache level and the
-   TLB, under any interleaving of footprint runs, cache maintenance,
-   TLB flushes, ASID switches and page-table edits. This test drives a
-   randomized op sequence through two fresh boards — one with
-   [Fastpath] enabled, one disabled — and compares the full counter
-   fingerprint after every op. *)
+   TLB, under any interleaving of footprint runs, single-word data
+   accesses, cache maintenance, TLB flushes, ASID/DACR/privilege
+   changes and page-table edits. This test drives a randomized op
+   sequence through two fresh boards — one with [Fastpath] enabled,
+   one disabled — and compares the full fingerprint after every op:
+   the counters, every op's fault outcome and the values it read, and
+   an uncharged read-back of every word the ops touched. *)
 
 let check = Alcotest.check
 
@@ -17,7 +19,12 @@ let check = Alcotest.check
 type op =
   | Run of int                 (* footprint pool index *)
   | Touch of int * int * int   (* kind (0 load / 1 store / 2 fetch), off, len *)
+  | Word of int * int * int * int
+      (* access (0 read / 1 write word, 2 read / 3 write byte, 4 read /
+         5 write f32), target (0 data, 1.. scratch page), offset, value *)
   | Set_asid of int
+  | Set_dacr of int * int      (* domain, 0 no access / 1 client / 2 manager *)
+  | Set_priv of bool
   | Flush_asid of int
   | Flush_all
   | Inval_d of int * int       (* data offset, len *)
@@ -76,12 +83,34 @@ let pool =
        writes = [ { Exec.base = scratch_page 1; len = 64 } ];
        base_cycles = 0 } |]
 
+(* Word targets: the data pages the footprints also touch (identity
+   mapped), or one of the scratch pages (possibly unmapped or remapped).
+   Word and f32 accesses are 4-aligned, byte accesses are not. *)
+let word_addr k target off =
+  let off = if k < 2 || k >= 4 then off land lnot 3 else off in
+  if target = 0 then data_base + (off land 0x3FFF)
+  else scratch_page (target - 1) + (off land 0xFFF)
+
+(* Every physical word an access at [va] can have reached on either
+   board: the identity frame, plus each alternate frame for a scratch
+   page. *)
+let phys_aliases va =
+  let w = va land lnot 3 in
+  if w >= scratch_base && w < scratch_page scratch_pages then
+    w :: List.init scratch_frames (fun p -> scratch_frame p + Addr.page_offset w)
+  else [ w ]
+
 let gen_op =
   QCheck.Gen.(frequency
     [ 8, map (fun i -> Run i) (int_bound (Array.length pool - 1));
       2, map3 (fun k off len -> Touch (k, off * 4, 4 + (len * 4)))
            (int_bound 2) (int_bound 0x1000) (int_bound 127);
+      6, map3 (fun (k, t) off v -> Word (k, t, off, v))
+           (pair (int_bound 5) (int_bound scratch_pages))
+           (int_bound 0x3FFF) (int_bound 0x3FFF_FFFF);
       1, map (fun a -> Set_asid a) (int_bound 3);
+      1, map2 (fun d a -> Set_dacr (d, a)) (int_bound 1) (int_bound 2);
+      1, map (fun p -> Set_priv p) bool;
       1, map (fun a -> Flush_asid a) (int_bound 3);
       1, return Flush_all;
       1, map2 (fun off len -> Inval_d (off * 4, 4 + (len * 4)))
@@ -98,7 +127,10 @@ let gen_op =
 let show_op = function
   | Run i -> Printf.sprintf "Run %d" i
   | Touch (k, o, l) -> Printf.sprintf "Touch (%d, 0x%x, %d)" k o l
+  | Word (k, t, o, v) -> Printf.sprintf "Word (%d, %d, 0x%x, 0x%x)" k t o v
   | Set_asid a -> Printf.sprintf "Set_asid %d" a
+  | Set_dacr (d, a) -> Printf.sprintf "Set_dacr (%d, %d)" d a
+  | Set_priv p -> Printf.sprintf "Set_priv %b" p
   | Flush_asid a -> Printf.sprintf "Flush_asid %d" a
   | Flush_all -> "Flush_all"
   | Inval_d (o, l) -> Printf.sprintf "Inval_d (0x%x, %d)" o l
@@ -114,19 +146,50 @@ let arb_ops =
 
 (* --- the two worlds --- *)
 
+type board = {
+  z : Zynq.t;
+  km : Kmem.t;
+  mutable priv : bool;
+  mutable outcomes : int;  (* digest of every op's fault outcome and reads *)
+  mutable touched : Addr.t list;  (* word addresses the ops accessed *)
+}
+
 let make_board ~fast =
   let z = Zynq.create () in
   let km = Kmem.create z in
   Fastpath.set_enabled z.Zynq.fast fast;
-  (z, km)
+  { z; km; priv = true; outcomes = 0; touched = [] }
 
-let apply (z, km) op =
+let note b x = b.outcomes <- ((b.outcomes * 31) + x) land max_int
+
+(* Run [f] and fold its result (or its fault) into the outcome digest:
+   a fault, with its address and kind, is part of the fingerprint, not
+   an error. *)
+let guarded b f =
+  match f () with
+  | v -> note b (2 * v)
+  | exception Mmu.Fault fault -> note b ((2 * Hashtbl.hash fault) + 1)
+
+let dacr_of = function 0 -> Dacr.No_access | 1 -> Dacr.Client | _ -> Dacr.Manager
+
+let word_op b k a v =
+  let z = b.z and priv = b.priv in
+  match k with
+  | 0 -> Zynq.vread_word z ~priv a
+  | 1 -> Zynq.vwrite_word z ~priv a v; 0
+  | 2 -> Zynq.vread_u8 z ~priv a
+  | 3 -> Zynq.vwrite_u8 z ~priv a v; 0
+  | 4 -> Int32.to_int (Int32.bits_of_float (Zynq.vread_f32 z ~priv a))
+  | _ -> Zynq.vwrite_f32 z ~priv a (Int32.float_of_bits (Int32.of_int v)); 0
+
+let apply b op =
+  let z = b.z in
   match op with
   | Run i ->
     (* f6 touches scratch pages that may currently be unmapped; the
        fault itself (with its charged walk reads) must be identical on
-       both boards, so it is part of the fingerprint, not an error. *)
-    (try ignore (Exec.run z ~priv:true pool.(i)) with Mmu.Fault _ -> ())
+       both boards. *)
+    guarded b (fun () -> Exec.run z ~priv:b.priv pool.(i))
   | Touch (k, off, len) ->
     let kind, base =
       match k with
@@ -134,9 +197,16 @@ let apply (z, km) op =
       | 1 -> Hierarchy.Store, data_base + off
       | _ -> Hierarchy.Ifetch, code_base + off
     in
-    (try Exec.touch z ~priv:true kind { Exec.base; len }
-     with Mmu.Fault _ -> ())
+    guarded b (fun () ->
+        Exec.touch z ~priv:b.priv kind { Exec.base; len };
+        0)
+  | Word (k, target, off, v) ->
+    let a = word_addr k target off in
+    b.touched <- a :: b.touched;
+    guarded b (fun () -> word_op b k a v)
   | Set_asid a -> Mmu.set_asid z.Zynq.mmu a
+  | Set_dacr (d, a) -> Dacr.set (Mmu.dacr z.Zynq.mmu) d (dacr_of a)
+  | Set_priv p -> b.priv <- p
   | Flush_asid a -> ignore (Tlb.flush_asid z.Zynq.tlb a)
   | Flush_all -> ignore (Tlb.flush_all z.Zynq.tlb)
   | Inval_d (off, len) ->
@@ -150,7 +220,7 @@ let apply (z, km) op =
        hardware); with it, the epoch bump forces the fast path to
        revalidate and possibly fault. *)
     let virt = scratch_page i in
-    let pt = Kmem.kernel_pt km in
+    let pt = Kmem.kernel_pt b.km in
     if not (Page_table.unmap_page pt ~virt) then
       Page_table.map_page pt ~virt ~phys:virt ~domain:Kmem.dom_kernel
         ~ap:Pte.Ap_priv ~global:true;
@@ -163,7 +233,7 @@ let apply (z, km) op =
        must notice the physical base moved and not replay L1 slots
        recorded for the old frame's lines. *)
     let virt = scratch_page i in
-    let pt = Kmem.kernel_pt km in
+    let pt = Kmem.kernel_pt b.km in
     ignore (Page_table.unmap_page pt ~virt);
     Page_table.map_page pt ~virt ~phys:(scratch_frame p)
       ~domain:Kmem.dom_kernel ~ap:Pte.Ap_priv ~global:true;
@@ -171,13 +241,25 @@ let apply (z, km) op =
       Tlb.flush_page z.Zynq.tlb ~asid:(Mmu.asid z.Zynq.mmu)
         ~vpage:(virt lsr Addr.page_shift)
 
-let fingerprint (z, _) =
+(* Uncharged: straight from physical memory, no cache or TLB effect. *)
+let readback b =
+  List.fold_left
+    (fun acc va ->
+       List.fold_left
+         (fun acc pa -> ((acc * 31) + Phys_mem.read_word b.z.Zynq.mem pa)
+                        land max_int)
+         acc (phys_aliases va))
+    0 b.touched
+
+let fingerprint b =
+  let z = b.z in
   let h = z.Zynq.hier in
   [ Clock.now z.Zynq.clock;
     Cache.hits (Hierarchy.l1i h); Cache.misses (Hierarchy.l1i h);
     Cache.hits (Hierarchy.l1d h); Cache.misses (Hierarchy.l1d h);
     Cache.hits (Hierarchy.l2 h); Cache.misses (Hierarchy.l2 h);
-    Tlb.hits z.Zynq.tlb; Tlb.misses z.Zynq.tlb ]
+    Tlb.hits z.Zynq.tlb; Tlb.misses z.Zynq.tlb;
+    b.outcomes; readback b ]
 
 let prop_equivalent ops =
   let bf = make_board ~fast:true in
@@ -203,7 +285,8 @@ let test_equivalence =
 (* Determinized sanity check that the fast board actually takes the
    shortcuts (otherwise the property above would pass vacuously). *)
 let test_shortcuts_taken () =
-  let ((z, _) as b) = make_board ~fast:true in
+  let b = make_board ~fast:true in
+  let z = b.z in
   for _ = 1 to 50 do
     ignore (Exec.run z ~priv:true pool.(2))
   done;
@@ -215,6 +298,11 @@ let test_shortcuts_taken () =
   ignore (Exec.run z ~priv:true pool.(5));
   let mtlb_hits, _, _, _ = Fastpath.stats z.Zynq.fast in
   check Alcotest.bool "micro-TLB hit" true (mtlb_hits > 0);
+  (* A word on a page the footprints already translated hits too. *)
+  ignore (Zynq.vread_word z ~priv:true (data_base + 8));
+  let mtlb_hits', _, _, _ = Fastpath.stats z.Zynq.fast in
+  check Alcotest.int "word access hits the micro-TLB" (mtlb_hits + 1)
+    mtlb_hits';
   (* Invalidate only f2's write range: the next visit walks that one
      run cold and still bulk-replays the code and read runs. *)
   apply b (Inval_d (0x1000, 128));
@@ -222,21 +310,7 @@ let test_shortcuts_taken () =
   check Alcotest.bool "partial-warm replay" true
     (Fastpath.partial_replays z.Zynq.fast > 0)
 
-(* Regression: remapping a virtual page to a *different* physical frame
-   and flushing the TLB page bumps only the TLB epoch — the cache
-   epochs (notably L1I, which page walks never touch) can stay
-   unchanged. The replay tier must not reproduce hits recorded for the
-   old frame's lines; it has to fall through to the self-verifying
-   tiers and walk the new lines cold, exactly like the reference. *)
-let test_remap_invalidates_replay () =
-  let bf = make_board ~fast:true in
-  let br = make_board ~fast:false in
-  let ops =
-    [ Pt_toggle (0, false); Pt_toggle (1, false) (* map scratch pages *);
-      Run 6; Run 6 (* compile, then warm-replay the program *);
-      Pt_remap (0, 2, true) (* move the frame; flush only the TLB page *);
-      Run 6; Run 6 ]
-  in
+let check_same_fingerprints ~fast:bf ~reference:br ops =
   List.iteri
     (fun i op ->
        apply bf op;
@@ -246,9 +320,53 @@ let test_remap_invalidates_replay () =
          (fingerprint br) (fingerprint bf))
     ops
 
+(* Regression: remapping a virtual page to a *different* physical frame
+   and flushing the TLB page bumps only the TLB epoch — the cache
+   epochs (notably L1I, which page walks never touch) can stay
+   unchanged. The replay tier must not reproduce hits recorded for the
+   old frame's lines; it has to fall through to the self-verifying
+   tiers and walk the new lines cold, exactly like the reference. *)
+let test_remap_invalidates_replay () =
+  check_same_fingerprints ~fast:(make_board ~fast:true)
+    ~reference:(make_board ~fast:false)
+    [ Pt_toggle (0, false); Pt_toggle (1, false) (* map scratch pages *);
+      Run 6; Run 6 (* compile, then warm-replay the program *);
+      Pt_remap (0, 2, true) (* move the frame; flush only the TLB page *);
+      Run 6; Run 6 ]
+
+(* The word-path analogue: a word read installs the scratch page in
+   the micro-TLB; after the page moves to another frame (TLB page
+   flushed) the next read must come from the new frame. *)
+let test_remap_redirects_words () =
+  let bf = make_board ~fast:true and br = make_board ~fast:false in
+  let va = scratch_page 0 + 0x40 in
+  List.iter
+    (fun b ->
+       Phys_mem.write_word b.z.Zynq.mem va 0x1111_1111;
+       Phys_mem.write_word b.z.Zynq.mem (scratch_frame 2 + 0x40) 0x2222_2222)
+    [ bf; br ];
+  let read_both () =
+    List.map (fun b -> Zynq.vread_word b.z ~priv:true va) [ bf; br ]
+  in
+  check_same_fingerprints ~fast:bf ~reference:br [ Pt_toggle (0, false) ];
+  check (Alcotest.list Alcotest.int) "old frame" [ 0x1111_1111; 0x1111_1111 ]
+    (read_both ());
+  let hits () = let h, _, _, _ = Fastpath.stats bf.z.Zynq.fast in h in
+  let before = hits () in
+  check (Alcotest.list Alcotest.int) "same frame again"
+    [ 0x1111_1111; 0x1111_1111 ] (read_both ());
+  check Alcotest.int "second read hit the micro-TLB" (before + 1) (hits ());
+  check (Alcotest.list Alcotest.int) "fingerprints before remap"
+    (fingerprint br) (fingerprint bf);
+  check_same_fingerprints ~fast:bf ~reference:br [ Pt_remap (0, 2, true) ];
+  check (Alcotest.list Alcotest.int) "new frame after remap"
+    [ 0x2222_2222; 0x2222_2222 ] (read_both ());
+  check (Alcotest.list Alcotest.int) "fingerprints after remap"
+    (fingerprint br) (fingerprint bf)
+
 (* The warm replay must charge exactly the modelled warm cost. *)
 let test_replay_cycles_exact () =
-  let z, _ = make_board ~fast:true in
+  let z = (make_board ~fast:true).z in
   let fp = pool.(2) in
   ignore (Exec.run z ~priv:true fp);
   let w1 = Exec.run z ~priv:true fp in
@@ -264,5 +382,7 @@ let suite =
         test_shortcuts_taken;
       Alcotest.test_case "remap invalidates replay" `Quick
         test_remap_invalidates_replay;
+      Alcotest.test_case "remap redirects word reads" `Quick
+        test_remap_redirects_words;
       Alcotest.test_case "replay cycles exact" `Quick
         test_replay_cycles_exact ] )

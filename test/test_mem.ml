@@ -84,6 +84,65 @@ let test_mem_sparse () =
   Phys_mem.write_u8 m (512 * 1024 * 1024) 1;
   check ci "only touched frames materialise" 2 (Phys_mem.touched_frames m)
 
+(* Bases for the word tests: low DDR, the high DDR bank above 4 GB and
+   the top of the 2^36 LPAE window. *)
+let word_bases =
+  [ 0x10_0000; Address_map.ddr_high_base + (3 * Addr.page_size);
+    (1 lsl 36) - (2 * Addr.page_size) ]
+
+let bytes_of_word m a =
+  List.init 4 (fun i -> Phys_mem.read_u8 m (a + i))
+
+let test_mem_word_page_tail () =
+  List.iter
+    (fun base ->
+       for off = Addr.page_size - 4 to Addr.page_size - 1 do
+         let a = base + off in
+         let name s = Printf.sprintf "%s at 0x%x" s a in
+         let m = Phys_mem.create () in
+         let v = 0xF1E2D3C4 lxor (off lsl 8) in
+         Phys_mem.write_word m a v;
+         check ci (name "word roundtrip") v (Phys_mem.read_word m a);
+         check (Alcotest.list ci) (name "word path = byte path")
+           (List.init 4 (fun i -> (v lsr (8 * i)) land 0xFF))
+           (bytes_of_word m a);
+         List.iteri (fun i b -> Phys_mem.write_u8 m (a + i) (b lxor 0x5A))
+           (bytes_of_word m a);
+         check ci (name "bytes read back as a word") (v lxor 0x5A5A5A5A)
+           (Phys_mem.read_word m a);
+         check (Alcotest.int32) (name "u32 view")
+           (Int32.of_int (v lxor 0x5A5A5A5A)) (Phys_mem.read_u32 m a)
+       done)
+    word_bases
+
+let test_mem_word_unsigned () =
+  let m = Phys_mem.create () in
+  Phys_mem.write_word m 0x400 (-1);
+  check ci "low 32 bits stored, read unsigned" 0xFFFF_FFFF
+    (Phys_mem.read_word m 0x400);
+  Phys_mem.write_u32 m 0x404 0x8000_0000l;
+  check ci "a negative int32 reads as its unsigned value" 0x8000_0000
+    (Phys_mem.read_word m 0x404);
+  Phys_mem.write_word m 0x408 0x1_2345_6789;
+  check ci "bits above 31 are dropped" 0x2345_6789 (Phys_mem.read_word m 0x408);
+  check ci "neighbour untouched" 0 (Phys_mem.read_word m 0x40C)
+
+let test_mem_word_frames () =
+  let m = Phys_mem.create () in
+  let hi = Address_map.ddr_high_base in
+  ignore (Phys_mem.read_word m 0x2000);
+  check ci "a read materialises its frame" 1 (Phys_mem.touched_frames m);
+  Phys_mem.write_word m 0x2004 7;
+  ignore (Phys_mem.read_word m hi);
+  check ci "high-bank frame is a frame of its own" 2
+    (Phys_mem.touched_frames m);
+  check ci "high bank does not alias low DDR" 0
+    (Phys_mem.read_word m (hi + 0x2004 - 0x2000));
+  Phys_mem.write_word m (0x3000 - 2) 0xAABBCCDD;
+  check ci "a straddling word touches both frames" 3
+    (Phys_mem.touched_frames m);
+  check ci "low word still there" 7 (Phys_mem.read_word m 0x2004)
+
 let prop_u32_roundtrip =
   QCheck2.Test.make ~name:"u32 write/read roundtrip" ~count:300
     QCheck2.Gen.(pair (int_range 0 0xFFFFF) ui32)
@@ -118,5 +177,8 @@ let suite =
       t "f32" test_mem_f32;
       t "blocks" test_mem_blocks;
       t "sparse" test_mem_sparse;
+      t "word at page tail offsets" test_mem_word_page_tail;
+      t "word is unsigned 32-bit" test_mem_word_unsigned;
+      t "word frame accounting" test_mem_word_frames;
       QCheck_alcotest.to_alcotest prop_u32_roundtrip;
       t "address map sanity" test_address_map_sanity ] )
