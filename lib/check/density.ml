@@ -51,12 +51,6 @@ let default_config =
     fault_rate = 0.0; fault_seed = 7; check = false; pcpus = 1;
     ring_admission = `Fifo }
 
-type prr_util = {
-  prr_id : int;
-  busy_cycles : int;
-  util : float;
-}
-
 type report = {
   mode : mode;
   vms : int;
@@ -79,7 +73,7 @@ type report = {
   victim_virqs : int;      (* completion-vIRQ turnaround samples *)
   victim_p50_us : float;
   victim_p99_us : float;
-  prrs : prr_util list;
+  prrs : Fleet.prr_util list;
   injected : int;
   crashes : int;
   alive_after : int;
@@ -87,59 +81,16 @@ type report = {
   sim_cycles : int;
 }
 
-(* Per-VM tallies shared between host and guest closures. *)
-type tally = {
-  mutable sub : int;
-  mutable ok : int;
-  mutable busy : int;
-  mutable failed : int;
-}
-
-let fresh_tally () = { sub = 0; ok = 0; busy = 0; failed = 0 }
-
 let density_task_set =
   [| Task_kind.Qam 4; Task_kind.Qam 16; Task_kind.Fft 256 |]
 
-(* {2 Guests} *)
+(* {2 Guests}
 
-(* Both fleet ABIs retry [Hw_busy] this many times before giving a
-   job up — the PRR pool is heavily over-committed at high density, so
-   a guest that never retries would finish with almost nothing. Under
-   v1 every retry is a fresh hypercall; under v2 retries ride the next
-   doorbell together with the previous round's releases, which is the
+   The victim and the ABI v1 fleet guest are {!Fleet}'s. Both fleet
+   ABIs retry [Hw_busy] {!Fleet.busy_retries} times: under v1 every
+   retry is a fresh hypercall; under v2 retries ride the next doorbell
+   together with the previous round's releases, which is the
    transition saving the sweep quantifies. *)
-let busy_retries = 3
-
-(* ABI v1 fleet guest: the classic trap-per-job protocol — one
-   [Hw_task_request] per attempt plus an [Hw_task_release] per win. *)
-let fleet_v1 (cfg : config) st tasks _genv =
-  for j = 0 to cfg.jobs_per_vm - 1 do
-    let task = tasks.(j mod Array.length tasks) in
-    st.sub <- st.sub + 1;
-    let rec attempt tries =
-      match
-        Hyper.hypercall
-          (Hyper.Hw_task_request
-             { task;
-               iface_vaddr = Guest_layout.default_iface_vaddr (task land 7);
-               data_vaddr = Guest_layout.default_data_section;
-               data_len = Guest_layout.default_data_section_len;
-               want_irq = false })
-      with
-      | Hyper.R_hw { status = Hyper.Hw_success | Hyper.Hw_reconfig; _ } ->
-        st.ok <- st.ok + 1;
-        ignore (Hyper.hypercall (Hyper.Hw_task_release { task }))
-      | Hyper.R_hw { status = Hyper.Hw_busy; _ } ->
-        if tries < busy_retries then begin
-          ignore (Hyper.pause ());
-          attempt (tries + 1)
-        end
-        else st.busy <- st.busy + 1
-      | _ -> st.failed <- st.failed + 1
-    in
-    attempt 0;
-    ignore (Hyper.pause ())
-  done
 
 (* ABI v2 fleet guest: the same job stream batched through the ring.
    Each round publishes the batch's outstanding requests — and the
@@ -149,7 +100,7 @@ let fleet_v1 (cfg : config) st tasks _genv =
    for request outcomes. *)
 let release_tag_bias = 0x1000
 
-let fleet_v2 (cfg : config) st tasks genv =
+let fleet_v2 (cfg : config) (st : Fleet.tally) tasks genv =
   let p = Port.paravirt genv in
   match
     Ring_api.setup p ~entries:cfg.ring_entries
@@ -177,7 +128,7 @@ let fleet_v2 (cfg : config) st tasks genv =
       st.sub <- st.sub + n;
       let pending = ref (List.init n (fun i -> i + 1)) in
       let round = ref 0 in
-      while !pending <> [] && !round <= busy_retries do
+      while !pending <> [] && !round <= Fleet.busy_retries do
         flush_releases ();
         List.iter
           (fun tag ->
@@ -217,35 +168,6 @@ let fleet_v2 (cfg : config) st tasks genv =
       ignore (Ring_api.drain_completions p r)
     end
 
-(* The victim: real DMA + exec + completion-vIRQ jobs under µC/OS,
-   identical in both modes. Its kernel-side virq_turnaround cell is
-   the interference metric. *)
-let victim (cfg : config) st tasks genv =
-  let port = Port.paravirt genv in
-  let os = Ucos.create port in
-  let rng = Rng.create ~seed:(cfg.seed + 101) in
-  ignore
-    (Ucos.spawn os ~name:"victim" ~prio:4 (fun () ->
-         for j = 0 to cfg.jobs_per_vm - 1 do
-           Ucos.delay os (1 + Rng.int rng 2);
-           let task = tasks.(j mod Array.length tasks) in
-           st.sub <- st.sub + 1;
-           (match
-              Hw_task_api.acquire os ~task ~want_irq:true ~backoff:true
-                ~max_tries:25 ()
-            with
-            | Error _ -> st.failed <- st.failed + 1
-            | Ok h ->
-              let off = Hw_task_api.data_in_off in
-              Hw_task_api.start os h ~src_off:off ~dst_off:(off + 8192)
-                ~len:64 ~param:4;
-              ignore (Hw_task_api.wait_done os h);
-              Hw_task_api.release os h;
-              st.ok <- st.ok + 1)
-         done;
-         Ucos.stop os));
-  Ucos.run os
-
 (* {2 One cell} *)
 
 let run ?(config = default_config) () =
@@ -260,37 +182,32 @@ let run ?(config = default_config) () =
   if cfg.jobs_per_vm < 1 then invalid_arg "Density.run: need at least one job";
   if cfg.batch < 1 then invalid_arg "Density.run: need a positive batch";
   let smp =
-    Smp.create
+    Fleet.boot
       ~config:
         { Kernel.default_config with
           quantum = Cycles.of_ms cfg.quantum_ms;
           ring_admission = cfg.ring_admission }
-      ~pcpus:cfg.pcpus
-      ~mk_zynq:(fun cpu ->
-          Zynq.create ~observe:true ~fault_seed:(cfg.fault_seed + cpu)
-            ~fault_rate:cfg.fault_rate ~cpu ())
-      ()
+      ~observe:true ~fault_seed:cfg.fault_seed ~fault_rate:cfg.fault_rate
+      ~pcpus:cfg.pcpus ()
   in
   let tasks = Array.map (Smp.register_hw_task smp) density_task_set in
-  if cfg.check then begin
-    if cfg.pcpus > 1 then Invariant.attach_smp smp
-    else Invariant.attach (Smp.kernel smp 0)
-  end;
-  let vstat = fresh_tally () in
+  if cfg.check then Invariant.attach_smp smp;
+  let vstat = Fleet.tally () in
   (* The victim is always created first and pinned to pCPU 0 so its
      vIRQ-turnaround percentiles stay comparable across populations
      and pcpus counts. *)
   let victim_pd =
-    (Smp.create_vm smp ~name:"victim" ~cpu:0 (victim cfg vstat tasks)).Pd.id
+    (Smp.create_vm smp ~name:"victim" ~cpu:0
+       (Fleet.victim ~seed:cfg.seed ~jobs:cfg.jobs_per_vm vstat tasks)).Pd.id
   in
-  let fleet = Array.init (max 0 (cfg.vms - 1)) (fun _ -> fresh_tally ()) in
+  let fleet = Array.init (max 0 (cfg.vms - 1)) (fun _ -> Fleet.tally ()) in
   let fleet_pds =
     Array.mapi
       (fun i st ->
          let name = Printf.sprintf "d%d-%s" (i + 1) (mode_name cfg.mode) in
          let main =
            match cfg.mode with
-           | V1 -> fleet_v1 cfg st tasks
+           | V1 -> Fleet.fleet_v1 ~jobs:cfg.jobs_per_vm ~offset:0 st tasks
            | V2 -> fleet_v2 cfg st tasks
          in
          (Smp.create_vm smp ~name main).Pd.id)
@@ -302,14 +219,8 @@ let run ?(config = default_config) () =
     Cycles.of_ms (500.0 +. (4.0 *. float_of_int (cfg.vms * cfg.jobs_per_vm)))
   in
   Smp.run smp ~until:cap;
-  if cfg.check then begin
-    if cfg.pcpus > 1 then Invariant.raise_first_smp smp ~boundary:"density_final"
-    else Invariant.raise_first (Smp.kernel smp 0) ~boundary:"density_final"
-  end;
+  if cfg.check then Invariant.raise_first_smp smp ~boundary:"density_final";
   let sim_cycles = Smp.now smp in
-  let snaps =
-    List.init cfg.pcpus (fun cpu -> Obs.snapshot (Smp.zynq smp cpu).Zynq.obs)
-  in
   let fleet_ids = Array.to_list fleet_pds in
   (* Fleet guests issue nothing but ABI traffic, so their per-PD
      hypercall cells are exactly the guest→kernel transition count the
@@ -317,7 +228,7 @@ let run ?(config = default_config) () =
      over every node's registry double-counts nothing. *)
   let transitions, trans_cycles =
     List.fold_left
-      (fun acc snap ->
+      (fun acc cpu ->
          List.fold_left
            (fun (n, cyc) (c : Obs.cell) ->
               if
@@ -325,80 +236,39 @@ let run ?(config = default_config) () =
                 && List.mem c.Obs.c_key fleet_ids
               then (n + c.Obs.c_calls, cyc + c.Obs.c_cycles)
               else (n, cyc))
-           acc snap.Obs.s_cells)
-      (0, 0) snaps
+           acc (Obs.snapshot (Smp.zynq smp cpu).Zynq.obs).Obs.s_cells)
+      (0, 0)
+      (List.init cfg.pcpus Fun.id)
   in
-  let snap = List.hd snaps in
-  let sum f = Array.fold_left (fun a st -> a + f st) 0 fleet in
-  let jobs_submitted = sum (fun st -> st.sub) in
+  let total = Fleet.sum fleet in
   let per_job v =
-    if jobs_submitted = 0 then 0.0
-    else float_of_int v /. float_of_int jobs_submitted
+    if total.sub = 0 then 0.0
+    else float_of_int v /. float_of_int total.sub
   in
-  let victim_cell =
-    List.find_opt
-      (fun (c : Obs.cell) ->
-         c.Obs.c_component = "virq_turnaround" && c.Obs.c_key = victim_pd)
-      snap.Obs.s_cells
-  in
-  let vp q =
-    match victim_cell with
-    | None -> 0.0
-    | Some c ->
-      (match Obs.cell_percentile c q with
-       | Some cyc -> Cycles.to_us (int_of_float cyc)
-       | None -> 0.0)
-  in
-  (* Each pCPU cluster has its own PL partition: report PRRs with
-     complex-global ids [cpu * prr_count + slot]. *)
-  let prrs =
-    List.concat
-      (List.init cfg.pcpus (fun cpu ->
-           let prrc = (Smp.zynq smp cpu).Zynq.prrc in
-           List.init (Prr_controller.prr_count prrc) (fun i ->
-               let p = Prr_controller.prr prrc i in
-               { prr_id = (cpu * Prr_controller.prr_count prrc) + i;
-                 busy_cycles = p.Prr.busy_cycles;
-                 util =
-                   (if sim_cycles = 0 then 0.0
-                    else
-                      float_of_int p.Prr.busy_cycles
-                      /. float_of_int sim_cycles) })))
-  in
+  let vt = Fleet.victim_turnaround smp ~pd:victim_pd in
   let ring =
-    let sum f =
-      List.fold_left ( + ) 0
-        (List.init cfg.pcpus (fun cpu ->
-             f (Kernel.ring_stats (Smp.kernel smp cpu))))
-    in
-    let top f =
-      List.fold_left max 0
-        (List.init cfg.pcpus (fun cpu ->
-             f (Kernel.ring_stats (Smp.kernel smp cpu))))
-    in
+    let sum f = Fleet.sum_kernels smp (fun k -> f (Kernel.ring_stats k)) in
     { Kernel.rs_enqueued = sum (fun r -> r.Kernel.rs_enqueued);
       rs_completed = sum (fun r -> r.Kernel.rs_completed);
       rs_reclaimed = sum (fun r -> r.Kernel.rs_reclaimed);
       rs_doorbells = sum (fun r -> r.Kernel.rs_doorbells);
       rs_empty_doorbells = sum (fun r -> r.Kernel.rs_empty_doorbells);
       rs_virqs = sum (fun r -> r.Kernel.rs_virqs);
-      rs_max_batch = top (fun r -> r.Kernel.rs_max_batch);
+      rs_max_batch =
+        List.fold_left max 0
+          (List.init cfg.pcpus (fun cpu ->
+               (Kernel.ring_stats (Smp.kernel smp cpu)).Kernel.rs_max_batch));
       rs_asid_steals = sum (fun r -> r.Kernel.rs_asid_steals) }
-  in
-  let injected =
-    List.fold_left ( + ) 0
-      (List.init cfg.pcpus (fun cpu ->
-           Fault_plane.total_injected (Smp.zynq smp cpu).Zynq.faults))
   in
   { mode = cfg.mode;
     vms = cfg.vms;
     pcpus = cfg.pcpus;
     jobs_per_vm = cfg.jobs_per_vm;
     batch = cfg.batch;
-    jobs_submitted;
-    jobs_ok = sum (fun st -> st.ok);
-    jobs_busy = sum (fun st -> st.busy);
-    jobs_failed = sum (fun st -> st.failed);
+    jobs_submitted = total.sub;
+    jobs_ok = total.ok;
+    jobs_busy = total.busy;
+    jobs_failed = total.failed;
     transitions;
     transitions_per_job = per_job transitions;
     overhead_us_per_job = Cycles.to_us (int_of_float (per_job trans_cycles));
@@ -407,12 +277,12 @@ let run ?(config = default_config) () =
     victim_jobs = vstat.sub;
     victim_ok = vstat.ok;
     victim_dropped = vstat.failed;
-    victim_virqs =
-      (match victim_cell with Some c -> c.Obs.c_calls | None -> 0);
-    victim_p50_us = vp 0.5;
-    victim_p99_us = vp 0.99;
-    prrs;
-    injected;
+    victim_virqs = vt.Fleet.virqs;
+    victim_p50_us = vt.Fleet.p50_us;
+    victim_p99_us = vt.Fleet.p99_us;
+    prrs = Fleet.prr_utilisation smp ~sim_cycles;
+    injected =
+      Fleet.sum_boards smp (fun z -> Fault_plane.total_injected z.Zynq.faults);
     crashes = Smp.crashes smp;
     alive_after = Smp.alive_guests smp;
     sim_ms = Cycles.to_ms sim_cycles;
@@ -481,7 +351,7 @@ let report_json b r =
        r.victim_jobs r.victim_ok r.victim_dropped r.victim_virqs
        (Json_out.float r.victim_p50_us) (Json_out.float r.victim_p99_us));
   List.iteri
-    (fun i p ->
+    (fun i (p : Fleet.prr_util) ->
        if i > 0 then add ", ";
        add
          (Printf.sprintf "{\"prr\": %d, \"busy_cycles\": %d, \"util\": %s}"

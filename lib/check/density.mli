@@ -47,12 +47,6 @@ val default_config : config
 (** seed 42, 8 VMs, v2, 16 jobs each in batches of 8 on 32-entry
     rings, no faults, checking off, 1 pCPU, FIFO admission. *)
 
-type prr_util = {
-  prr_id : int;
-  busy_cycles : int;
-  util : float;        (** busy fraction of the whole run *)
-}
-
 type report = {
   mode : mode;
   vms : int;
@@ -77,7 +71,7 @@ type report = {
   victim_virqs : int;
   victim_p50_us : float;
   victim_p99_us : float;
-  prrs : prr_util list;
+  prrs : Fleet.prr_util list;
   injected : int;
   crashes : int;
   alive_after : int;

@@ -219,7 +219,8 @@ let report =
                   ("patch_loc", opt_int r.Complexity.patch_loc);
                   ("hypercalls", Int r.Complexity.hypercalls);
                   ("time_slice_ms", Float r.Complexity.time_slice_ms);
-                  ("substrate_loc", opt_int r.Complexity.substrate_loc) ])) }
+                  ("substrate_loc", opt_int r.Complexity.substrate_loc);
+                  ("glue_loc", opt_int r.Complexity.glue_loc) ])) }
 
 let reconfig =
   { name = "reconfig";

@@ -347,21 +347,22 @@ let smp_checkers =
 (* The full SMP sweep: checkers #1-#8 on every node (checker names
    prefixed "cpuN/" so a violation pins its pCPU, and the frame/ASID
    views are audited per CPU by construction — each node has its own
-   Kmem), then the cross-CPU checkers #9-#11. *)
+   Kmem), then the cross-CPU checkers #9-#11. One pCPU is the single
+   kernel: plain {!check}, unprefixed, so a one-pCPU run reports (and
+   soak reproducers name) exactly what a bare kernel would. *)
 let check_smp smp ~boundary =
-  let per_node =
+  if Smp.pcpus smp = 1 then check (Smp.kernel smp 0) ~boundary
+  else
     List.concat
       (List.init (Smp.pcpus smp) (fun cpu ->
            List.map
              (fun v ->
                 { v with checker = Printf.sprintf "cpu%d/%s" cpu v.checker })
              (check (Smp.kernel smp cpu) ~boundary)))
-  in
-  per_node
-  @ List.concat_map
-      (fun (checker, f) ->
-         List.map (fun detail -> { checker; boundary; detail }) (f smp))
-      smp_checkers
+    @ List.concat_map
+        (fun (checker, f) ->
+           List.map (fun detail -> { checker; boundary; detail }) (f smp))
+        smp_checkers
 
 let raise_first_smp smp ~boundary =
   match check_smp smp ~boundary with
@@ -370,10 +371,12 @@ let raise_first_smp smp ~boundary =
 
 (* Per-node hooks run inside the parallel phase (each on the domain
    simulating that node — safe: they read only that node's state);
-   the cross-CPU sweep runs at barriers, on the orchestrating domain. *)
+   the cross-CPU sweep runs at barriers, on the orchestrating domain.
+   One pCPU has no barriers: only the kernel hook. *)
 let attach_smp smp =
   for cpu = 0 to Smp.pcpus smp - 1 do
     attach (Smp.kernel smp cpu)
   done;
-  Smp.set_barrier_hook smp
-    (Some (fun () -> raise_first_smp smp ~boundary:"epoch_barrier"))
+  if Smp.pcpus smp > 1 then
+    Smp.set_barrier_hook smp
+      (Some (fun () -> raise_first_smp smp ~boundary:"epoch_barrier"))

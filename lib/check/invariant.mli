@@ -74,11 +74,15 @@ val attach : Kernel.t -> unit
       (pcpus − 1). *)
 
 val check_smp : Smp.t -> boundary:string -> violation list
+(** At one pCPU exactly {!check} on kernel 0: no ["cpu0/"] prefix and
+    no cross-CPU checkers. *)
 
 val raise_first_smp : Smp.t -> boundary:string -> unit
+(** At one pCPU exactly {!raise_first} on kernel 0. *)
 
 val attach_smp : Smp.t -> unit
 (** {!attach} on every node's kernel (those hooks run on whichever
     domain simulates the node — they read only node-local state), plus
     {!raise_first_smp} as the barrier hook (boundary
-    ["epoch_barrier"], orchestrator domain). *)
+    ["epoch_barrier"], orchestrator domain). At one pCPU exactly
+    {!attach} on kernel 0: no barrier hook. *)

@@ -66,13 +66,6 @@ let partition_task_set =
   [| Task_kind.Qam 16; Task_kind.Fft 256; Task_kind.Scramble 23;
      Task_kind.Digest 64; Task_kind.Fft_stream 1024; Task_kind.Matmul 16 |]
 
-type prr_util = {
-  prr_id : int;
-  pinned : int option;     (* static owner (PD id), if any *)
-  busy_cycles : int;
-  util : float;
-}
-
 type report = {
   mode : Hw_task_manager.partition;
   chaos : bool;
@@ -95,7 +88,7 @@ type report = {
   victim_dropped : int;
   victim_p50_us : float;
   victim_p99_us : float;
-  prrs : prr_util list;
+  prrs : Fleet.prr_util list;
   injected : int;
   crashes : int;
   alive_after : int;
@@ -103,85 +96,14 @@ type report = {
   sim_cycles : int;
 }
 
-type tally = {
-  mutable sub : int;
-  mutable ok : int;
-  mutable busy : int;
-  mutable denied : int;
-  mutable failed : int;
-}
+(* {2 Guests}
 
-let fresh_tally () = { sub = 0; ok = 0; busy = 0; denied = 0; failed = 0 }
-
-(* {2 Guests} *)
-
-let busy_retries = 3
-
-(* Fleet guest: per-job [Hw_task_request]/[Hw_task_release] pairs over
-   the whole catalog, staggered by VM index so the cell exercises
-   cross-kind reconfiguration churn in dynamic mode. [Hw_denied] is
-   terminal — a static denial never clears, so retrying would only
-   inflate the transition count. *)
-let fleet (cfg : config) ~index st tasks _genv =
-  for j = 0 to cfg.jobs_per_vm - 1 do
-    let task = tasks.((index + j) mod Array.length tasks) in
-    st.sub <- st.sub + 1;
-    let rec attempt tries =
-      match
-        Hyper.hypercall
-          (Hyper.Hw_task_request
-             { task;
-               iface_vaddr = Guest_layout.default_iface_vaddr (task land 7);
-               data_vaddr = Guest_layout.default_data_section;
-               data_len = Guest_layout.default_data_section_len;
-               want_irq = false })
-      with
-      | Hyper.R_hw { status = Hyper.Hw_success | Hyper.Hw_reconfig; _ } ->
-        st.ok <- st.ok + 1;
-        ignore (Hyper.hypercall (Hyper.Hw_task_release { task }))
-      | Hyper.R_hw { status = Hyper.Hw_denied; _ } ->
-        st.denied <- st.denied + 1
-      | Hyper.R_hw { status = Hyper.Hw_busy; _ } ->
-        if tries < busy_retries then begin
-          ignore (Hyper.pause ());
-          attempt (tries + 1)
-        end
-        else st.busy <- st.busy + 1
-      | _ -> st.failed <- st.failed + 1
-    in
-    attempt 0;
-    ignore (Hyper.pause ())
-  done
-
-(* The victim: real DMA + exec + completion-vIRQ jobs under µC/OS,
-   identical in every cell. In static mode it owns PRR 0 (1300 units —
-   hosts every catalog kind), so a drop can only come from
-   interference, never from an impossible placement. *)
-let victim (cfg : config) st tasks genv =
-  let port = Port.paravirt genv in
-  let os = Ucos.create port in
-  let rng = Rng.create ~seed:(cfg.seed + 101) in
-  ignore
-    (Ucos.spawn os ~name:"victim" ~prio:4 (fun () ->
-         for j = 0 to cfg.jobs_per_vm - 1 do
-           Ucos.delay os (1 + Rng.int rng 2);
-           let task = tasks.(j mod Array.length tasks) in
-           st.sub <- st.sub + 1;
-           (match
-              Hw_task_api.acquire os ~task ~want_irq:true ~backoff:true
-                ~max_tries:25 ()
-            with
-            | Error _ -> st.failed <- st.failed + 1
-            | Ok h ->
-              let off = Hw_task_api.data_in_off in
-              Hw_task_api.start os h ~src_off:off ~dst_off:(off + 8192)
-                ~len:64 ~param:4;
-              ignore (Hw_task_api.wait_done os h);
-              Hw_task_api.release os h;
-              st.ok <- st.ok + 1)
-         done;
-         Ucos.stop os));
-  Ucos.run os
+   The victim and the fleet are {!Fleet}'s: fleet VM [i] starts its
+   walk over the catalog at offset [i], so the cell exercises
+   cross-kind reconfiguration churn in dynamic mode. In static mode
+   the victim owns PRR 0 (1300 units — hosts every catalog kind), so a
+   victim drop can only come from interference, never from an
+   impossible placement. *)
 
 (* {2 One cell} *)
 
@@ -196,34 +118,28 @@ let run ?(config = default_config) () =
     invalid_arg "Partition.run: need at least one job";
   let fault_rate = if cfg.chaos then cfg.chaos_fault_rate else 0.0 in
   let smp =
-    Smp.create
+    Fleet.boot
       ~config:
         { Kernel.default_config with
           quantum = Cycles.of_ms cfg.quantum_ms;
           partition = cfg.mode }
-      ~pcpus:cfg.pcpus
-      ~mk_zynq:(fun cpu ->
-          Zynq.create ~observe:true ~fault_seed:(cfg.fault_seed + cpu)
-            ~fault_rate ~cpu ())
-      ()
+      ~observe:true ~fault_seed:cfg.fault_seed ~fault_rate ~pcpus:cfg.pcpus ()
   in
   let tasks = Array.map (Smp.register_hw_task smp) partition_task_set in
-  if cfg.check then begin
-    if cfg.pcpus > 1 then Invariant.attach_smp smp
-    else Invariant.attach (Smp.kernel smp 0)
-  end;
-  let vstat = fresh_tally () in
+  if cfg.check then Invariant.attach_smp smp;
+  let vstat = Fleet.tally () in
   let victim_pd =
-    (Smp.create_vm smp ~name:"victim" ~cpu:0 (victim cfg vstat tasks)).Pd.id
+    (Smp.create_vm smp ~name:"victim" ~cpu:0
+       (Fleet.victim ~seed:cfg.seed ~jobs:cfg.jobs_per_vm vstat tasks)).Pd.id
   in
-  let fleet_t = Array.init (max 0 (cfg.vms - 1)) (fun _ -> fresh_tally ()) in
-  let _fleet_pds =
-    Array.mapi
-      (fun i st ->
-         let name = Printf.sprintf "p%d-%s" (i + 1) (mode_name cfg.mode) in
-         (Smp.create_vm smp ~name (fleet cfg ~index:(i + 1) st tasks)).Pd.id)
-      fleet_t
-  in
+  let fleet = Array.init (max 0 (cfg.vms - 1)) (fun _ -> Fleet.tally ()) in
+  Array.iteri
+    (fun i st ->
+       let name = Printf.sprintf "p%d-%s" (i + 1) (mode_name cfg.mode) in
+       ignore
+         (Smp.create_vm smp ~name
+            (Fleet.fleet_v1 ~jobs:cfg.jobs_per_vm ~offset:(i + 1) st tasks)))
+    fleet;
   (* Static boot-time layout: each node's PRRs are pinned round-robin
      over that node's own VMs (each pCPU cluster has its own PL), with
      the victim first on pCPU 0. More VMs than PRRs leaves the tail
@@ -256,82 +172,36 @@ let run ?(config = default_config) () =
     Cycles.of_ms (500.0 +. (4.0 *. float_of_int (cfg.vms * cfg.jobs_per_vm)))
   in
   Smp.run smp ~until:cap;
-  if cfg.check then begin
-    if cfg.pcpus > 1 then
-      Invariant.raise_first_smp smp ~boundary:"partition_final"
-    else Invariant.raise_first (Smp.kernel smp 0) ~boundary:"partition_final"
-  end;
+  if cfg.check then Invariant.raise_first_smp smp ~boundary:"partition_final";
   let sim_cycles = Smp.now smp in
-  let snap = Obs.snapshot (Smp.zynq smp 0).Zynq.obs in
-  let victim_cell =
-    List.find_opt
-      (fun (c : Obs.cell) ->
-         c.Obs.c_component = "virq_turnaround" && c.Obs.c_key = victim_pd)
-      snap.Obs.s_cells
-  in
-  let vp q =
-    match victim_cell with
-    | None -> 0.0
-    | Some c ->
-      (match Obs.cell_percentile c q with
-       | Some cyc -> Cycles.to_us (int_of_float cyc)
-       | None -> 0.0)
-  in
-  let node_sum f =
-    List.fold_left ( + ) 0 (List.init cfg.pcpus (fun cpu -> f cpu))
-  in
-  let prrs =
-    List.concat
-      (List.init cfg.pcpus (fun cpu ->
-           let hwtm = Kernel.hwtm (Smp.kernel smp cpu) in
-           let prrc = (Smp.zynq smp cpu).Zynq.prrc in
-           List.init (Prr_controller.prr_count prrc) (fun i ->
-               let p = Prr_controller.prr prrc i in
-               { prr_id = (cpu * Prr_controller.prr_count prrc) + i;
-                 pinned = Hw_task_manager.pinned_client hwtm i;
-                 busy_cycles = p.Prr.busy_cycles;
-                 util =
-                   (if sim_cycles = 0 then 0.0
-                    else
-                      float_of_int p.Prr.busy_cycles
-                      /. float_of_int sim_cycles) })))
-  in
-  let sum f = Array.fold_left (fun a st -> a + f st) 0 fleet_t in
+  let vt = Fleet.victim_turnaround smp ~pd:victim_pd in
+  let total = Fleet.sum fleet in
+  let manager f = Fleet.sum_kernels smp (fun k -> f (Kernel.hwtm k)) in
+  let pcap f = Fleet.sum_boards smp (fun z -> f z.Zynq.pcap) in
   { mode = cfg.mode;
     chaos = cfg.chaos;
     vms = cfg.vms;
     pcpus = cfg.pcpus;
     jobs_per_vm = cfg.jobs_per_vm;
-    jobs_submitted = sum (fun st -> st.sub);
-    jobs_ok = sum (fun st -> st.ok);
-    jobs_busy = sum (fun st -> st.busy);
-    jobs_denied = sum (fun st -> st.denied);
-    jobs_failed = sum (fun st -> st.failed);
-    requests =
-      node_sum (fun cpu ->
-          Hw_task_manager.requests (Kernel.hwtm (Smp.kernel smp cpu)));
-    reclaims =
-      node_sum (fun cpu ->
-          Hw_task_manager.reclaims (Kernel.hwtm (Smp.kernel smp cpu)));
-    reconfigs =
-      node_sum (fun cpu ->
-          Hw_task_manager.reconfigs (Kernel.hwtm (Smp.kernel smp cpu)));
-    recoveries =
-      node_sum (fun cpu ->
-          Hw_task_manager.recoveries (Kernel.hwtm (Smp.kernel smp cpu)));
-    pcap_transfers =
-      node_sum (fun cpu -> Pcap.transfers (Smp.zynq smp cpu).Zynq.pcap);
-    pcap_failures =
-      node_sum (fun cpu -> Pcap.failures (Smp.zynq smp cpu).Zynq.pcap);
+    jobs_submitted = total.sub;
+    jobs_ok = total.ok;
+    jobs_busy = total.busy;
+    jobs_denied = total.denied;
+    jobs_failed = total.failed;
+    requests = manager Hw_task_manager.requests;
+    reclaims = manager Hw_task_manager.reclaims;
+    reconfigs = manager Hw_task_manager.reconfigs;
+    recoveries = manager Hw_task_manager.recoveries;
+    pcap_transfers = pcap Pcap.transfers;
+    pcap_failures = pcap Pcap.failures;
     victim_jobs = vstat.sub;
     victim_ok = vstat.ok;
     victim_dropped = vstat.failed;
-    victim_p50_us = vp 0.5;
-    victim_p99_us = vp 0.99;
-    prrs;
+    victim_p50_us = vt.Fleet.p50_us;
+    victim_p99_us = vt.Fleet.p99_us;
+    prrs = Fleet.prr_utilisation smp ~sim_cycles;
     injected =
-      node_sum (fun cpu ->
-          Fault_plane.total_injected (Smp.zynq smp cpu).Zynq.faults);
+      Fleet.sum_boards smp (fun z -> Fault_plane.total_injected z.Zynq.faults);
     crashes = Smp.crashes smp;
     alive_after = Smp.alive_guests smp;
     sim_ms = Cycles.to_ms sim_cycles;
@@ -389,7 +259,7 @@ let report_json b r =
        r.pcap_failures r.victim_jobs r.victim_ok r.victim_dropped
        (Json_out.float r.victim_p50_us) (Json_out.float r.victim_p99_us));
   List.iteri
-    (fun i p ->
+    (fun i (p : Fleet.prr_util) ->
        if i > 0 then add ", ";
        add
          (Printf.sprintf

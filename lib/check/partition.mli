@@ -40,13 +40,6 @@ val default_config : config
 val partition_task_set : Task_kind.t array
 (** The heterogeneous catalog every cell registers. *)
 
-type prr_util = {
-  prr_id : int;
-  pinned : int option;    (** static owner (PD id), if any *)
-  busy_cycles : int;
-  util : float;
-}
-
 type report = {
   mode : Hw_task_manager.partition;
   chaos : bool;
@@ -69,7 +62,7 @@ type report = {
   victim_dropped : int;
   victim_p50_us : float;
   victim_p99_us : float;
-  prrs : prr_util list;
+  prrs : Fleet.prr_util list;
   injected : int;
   crashes : int;
   alive_after : int;

@@ -302,28 +302,19 @@ type world = {
 }
 
 let boot cfg =
-  let pcpus = max 1 cfg.pcpus in
-  let mk_zynq cpu =
-    Zynq.create ~fault_seed:(cfg.fault_seed + cpu)
-      ~fault_rate:cfg.fault_rate ~cpu ()
-  in
   let smp =
-    Smp.create
+    Fleet.boot
       ~config:
         { Kernel.default_config with
           quantum = Cycles.of_ms cfg.quantum_ms }
-      ~pcpus ~mk_zynq ()
+      ~fault_seed:cfg.fault_seed ~fault_rate:cfg.fault_rate
+      ~pcpus:(max 1 cfg.pcpus) ()
   in
   let tasks =
     Array.map (Smp.register_hw_task smp)
       [| Task_kind.Qam 4; Task_kind.Qam 16; Task_kind.Fft 256 |]
   in
-  if cfg.check then begin
-    (* pcpus = 1 keeps the legacy single-kernel hook (plain checker
-       names, identical reproducers); > 1 adds the SMP plane. *)
-    if pcpus > 1 then Invariant.attach_smp smp
-    else Invariant.attach (Smp.kernel smp 0)
-  end;
+  if cfg.check then Invariant.attach_smp smp;
   { smp; tasks; churned = []; probes = Hashtbl.create 64; nprobes = 0;
     vm_seq = 0; creates = 0; kills = 0; checks = 0 }
 
@@ -466,9 +457,7 @@ let drive cfg next =
          apply cfg w a;
          if cfg.check then begin
            w.checks <- w.checks + 1;
-           if Smp.pcpus w.smp > 1 then
-             Invariant.raise_first_smp w.smp ~boundary:"op"
-           else Invariant.raise_first (Smp.kernel w.smp 0) ~boundary:"op"
+           Invariant.raise_first_smp w.smp ~boundary:"op"
          end
      done
    with

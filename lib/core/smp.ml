@@ -48,7 +48,9 @@ type stats = {
 type t = {
   pcpus : int;
   epoch : Cycles.t;
-  workers : int option;
+  workers : int option;                (* Some budget, resolved at create;
+                                          kept boxed so an epoch hands it
+                                          to Parallel_sweep unallocated *)
   nodes : node array;
   coh : Coherence.t option;            (* None when pcpus = 1 *)
   directory : (int, int) Hashtbl.t;    (* live pd id -> owning cpu *)
@@ -103,6 +105,11 @@ let create ?config ?(epoch = Cycles.of_ms 1.0) ?workers ~pcpus ~mk_zynq () =
         let kern = Kernel.boot ?config z in
         { cpu; z; kern; outbox = Queue.create (); last_l2_miss = 0;
           ipis_posted = 0; shootdowns_posted = 0 })
+  in
+  let workers =
+    match workers with
+    | Some _ -> workers
+    | None -> Some (Parallel_sweep.default_domains ())
   in
   let t =
     { pcpus; epoch; workers; nodes;
@@ -247,54 +254,6 @@ let stats t =
     s_coherence_cycles = cc;
     s_contention_cycles = ct }
 
-(* --- the parallel phase --- *)
-
-(* Internal work-handout parallel iterator. lib/core sits below the
-   harness layer, so this cannot reuse Parallel_sweep; the shape is
-   the same: an atomic index hands nodes to [workers] domains (the
-   calling domain participates), exceptions are captured per node and
-   the lowest-index one re-raised. Worker count NEVER affects results
-   — nodes are shared-nothing during the phase — it only bounds host
-   parallelism. *)
-let default_workers () =
-  match Sys.getenv_opt "MININOVA_DOMAINS" with
-  | Some s ->
-    (match int_of_string_opt s with
-     | Some v when v > 0 -> v
-     | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
-
-let par_iter t f =
-  let n = Array.length t.nodes in
-  let workers =
-    let w = match t.workers with Some w -> w | None -> default_workers () in
-    max 1 (min w n)
-  in
-  if workers = 1 then Array.iter f t.nodes
-  else begin
-    let next = Atomic.make 0 in
-    let errors = Array.make n None in
-    let work () =
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          (try f t.nodes.(i)
-           with e -> errors.(i) <- Some (e, Printexc.get_raw_backtrace ()));
-          go ()
-        end
-      in
-      go ()
-    in
-    let doms = List.init (workers - 1) (fun _ -> Domain.spawn work) in
-    work ();
-    List.iter Domain.join doms;
-    Array.iter
-      (function
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ())
-      errors
-  end
-
 (* --- the barrier --- *)
 
 (* Cache lines a payload of [words] 32-bit words occupies. *)
@@ -437,9 +396,14 @@ let run t ~until =
       if mc >= until || alive_guests t = 0 then stop := true
       else begin
         let epoch_end = min until (((mc / t.epoch) + 1) * t.epoch) in
-        par_iter t (fun n ->
-            if Clock.now n.z.Zynq.clock < epoch_end then
-              Kernel.run_epoch n.kern ~until:epoch_end);
+        (* The nodes are shared-nothing during the phase, so the
+           worker count never affects results; it only bounds host
+           parallelism. *)
+        Parallel_sweep.iter ?domains:t.workers
+          (fun n ->
+             if Clock.now n.z.Zynq.clock < epoch_end then
+               Kernel.run_epoch n.kern ~until:epoch_end)
+          t.nodes;
         barrier t
       end
     done

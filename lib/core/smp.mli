@@ -26,8 +26,10 @@ val create :
     [epoch] is the barrier quantum in cycles (default 1 ms); smaller
     epochs tighten cross-CPU latency, larger ones cut barrier
     overhead — either way results are deterministic. [workers] caps
-    host domains used per epoch (default: [MININOVA_DOMAINS] or the
-    recommended domain count); it never affects simulation results. *)
+    host domains used per epoch (default:
+    {!Parallel_sweep.default_domains}, read once here); it never
+    affects simulation results. Epochs run through
+    {!Parallel_sweep.iter}, so a budget of 1 runs the nodes inline. *)
 
 val pcpus : t -> int
 

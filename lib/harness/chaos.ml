@@ -83,33 +83,30 @@ let chaos_guest os rng ~cfg ~tasks ~tally () =
 
 let run ?(config = default_config) ~guests () =
   if guests < 1 then invalid_arg "Chaos.run: need at least one guest";
-  let z =
-    Zynq.create ~fault_seed:config.fault_seed ~fault_rate:config.fault_rate
-      ~observe:config.base.Scenario.observe ()
+  let base = config.base in
+  let smp =
+    Fleet.boot
+      ~config:
+        { Kernel.default_config with
+          quantum = Cycles.of_ms base.Scenario.quantum_ms;
+          vfp_policy = base.Scenario.vfp_policy;
+          tlb_policy = base.Scenario.tlb_policy }
+      ~observe:base.Scenario.observe ~fault_seed:config.fault_seed
+      ~fault_rate:config.fault_rate ~pcpus:1 ()
   in
-  let kcfg =
-    { Kernel.quantum = Cycles.of_ms config.base.Scenario.quantum_ms;
-      vfp_policy = config.base.Scenario.vfp_policy;
-      tlb_policy = config.base.Scenario.tlb_policy;
-      kernel_tick = Some (Cycles.of_ms 1.0);
-      ring_admission = `Fifo;
-      partition = Hw_task_manager.Dynamic }
-  in
-  let kern = Kernel.boot ~config:kcfg z in
+  let kern = Smp.kernel smp 0 and z = Smp.zynq smp 0 in
   let trace = Ktrace.create ~capacity:65536 in
   Kernel.set_trace kern (Some trace);
   let tasks =
     List.map
-      (fun kind -> (Kernel.register_hw_task kern kind, kind))
+      (fun kind -> (Smp.register_hw_task smp kind, kind))
       chaos_task_set
   in
   let tally = { busy_retries = 0; denied = 0; attempted = 0; ok = 0 } in
   for g = 0 to guests - 1 do
-    let rng =
-      Rng.create ~seed:(config.base.Scenario.seed + (97 * g))
-    in
+    let rng = Rng.create ~seed:(base.Scenario.seed + (97 * g)) in
     ignore
-      (Kernel.create_vm kern
+      (Smp.create_vm smp
          ~name:(Printf.sprintf "chaos%d" g)
          (fun genv ->
             let port = Port.paravirt genv in
@@ -119,7 +116,7 @@ let run ?(config = default_config) ~guests () =
                  (chaos_guest os (Rng.split rng) ~cfg:config ~tasks ~tally));
             Ucos.run os))
   done;
-  Kernel.run kern ~until:(Cycles.of_ms (120_000.0 *. float_of_int guests));
+  Smp.run smp ~until:(Cycles.of_ms (120_000.0 *. float_of_int guests));
   let probe = Kernel.probe kern in
   let hwtm = Kernel.hwtm kern in
   let mean label =

@@ -4,6 +4,7 @@ type report = {
   hypercalls : int;
   time_slice_ms : float;
   substrate_loc : int option;
+  glue_loc : int option;
 }
 
 let count_lines file =
@@ -50,6 +51,7 @@ let measure ?(root = ".") () =
       Some (count_lines f + count_lines fi)
     else None
   in
+  let loc dirs = sum_opt (List.map (fun d -> loc_of_dir (dir d)) dirs) in
   { kernel_loc = loc_of_dir (dir "lib/core");
     patch_loc = patch;
     (* The paper-comparable figure is the v1 (paper §V-B) ABI; the v2
@@ -57,11 +59,10 @@ let measure ?(root = ".") () =
     hypercalls = Hyper.hypercall_count_v1;
     time_slice_ms = Cycles.to_ms Kernel.default_config.Kernel.quantum;
     substrate_loc =
-      sum_opt
-        (List.map
-           (fun d -> loc_of_dir (dir d))
-           [ "lib/engine"; "lib/mem"; "lib/cachesim"; "lib/mmu";
-             "lib/devices"; "lib/pl"; "lib/platform" ]) }
+      loc
+        [ "lib/engine"; "lib/mem"; "lib/cachesim"; "lib/mmu"; "lib/devices";
+          "lib/pl"; "lib/platform" ];
+    glue_loc = loc [ "lib/harness"; "lib/check"; "bench"; "bin" ] }
 
 let str_opt = function Some v -> string_of_int v | None -> "n/a"
 
@@ -77,4 +78,6 @@ let print ppf r =
   Format.fprintf ppf "  %-34s %8.0f %8.0f@." "guest time slice (ms)"
     r.time_slice_ms Paper_data.time_slice_ms;
   Format.fprintf ppf "  %-34s %8s %8s@."
-    "simulated-platform substrate LoC" (str_opt r.substrate_loc) "-"
+    "simulated-platform substrate LoC" (str_opt r.substrate_loc) "-";
+  Format.fprintf ppf "  %-34s %8s %8s@."
+    "experiment glue LoC" (str_opt r.glue_loc) "-"

@@ -24,14 +24,15 @@ type config = {
   observe : bool;            (** enable the board's {!Obs} plane
                                  (default false; simulated cycles are
                                  identical either way) *)
-  pcpus : int;               (** simulated pCPUs (default 1 — the
-                                 classic single-kernel run). [> 1]
-                                 spreads the guests round-robin over an
-                                 {!Smp} complex; warm-up discarding is
-                                 skipped (it resets probe state from
-                                 guest context, unsafe across domains)
-                                 and per-path means merge every node's
-                                 probe *)
+  pcpus : int;               (** simulated pCPUs of the {!Smp}
+                                 complex every run boots through
+                                 {!Fleet.boot} (default 1 — pure
+                                 delegation to the single kernel).
+                                 Guests are spread round-robin and
+                                 per-path means merge every node's
+                                 probe. Warm-up discarding runs only at
+                                 1: it resets probe state from guest
+                                 context, unsafe across domains *)
 }
 
 val default_config : config
@@ -83,5 +84,7 @@ val run_table3 :
 (** Native followed by 1..max_guests (default 4) VMs. The
     configurations are independent and run on OCaml domains via
     {!Parallel_sweep} ([domains] defaults to
-    {!Parallel_sweep.default_domains}); results are identical to the
-    serial sweep. *)
+    {!Parallel_sweep.default_domains}: [MININOVA_DOMAINS], else every
+    recommended domain). Each virtualized run at [pcpus > 1] runs its
+    epochs through the same loop under the same default budget.
+    Results are identical to the serial sweep. *)

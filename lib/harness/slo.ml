@@ -77,12 +77,6 @@ type vm_stats = {
   sojourn_max_us : float;
 }
 
-type prr_util = {
-  prr_id : int;
-  busy_cycles : int;
-  util : float;
-}
-
 type report = {
   guests : int;
   pcpus : int;
@@ -94,7 +88,7 @@ type report = {
   churn_kills : int;
   vms : vm_stats list;
   max_depth : int;  (** max total backlog across all VM queues *)
-  prrs : prr_util list;
+  prrs : Fleet.prr_util list;
   injected : int;
   kills : int;
   crashes : int;
@@ -206,19 +200,11 @@ let run ?(config = default_config) () =
      arrival events fire on its own node's event queue. *)
   let vm_cpu g = g mod pcpus in
   let smp =
-    Smp.create
+    Fleet.boot
       ~config:
-        { Kernel.quantum = Cycles.of_ms cfg.quantum_ms;
-          vfp_policy = `Lazy;
-          tlb_policy = `Asid;
-          kernel_tick = Some (Cycles.of_ms 1.0);
-          ring_admission = `Fifo;
-      partition = Hw_task_manager.Dynamic }
-      ~pcpus
-      ~mk_zynq:(fun cpu ->
-          Zynq.create ~fault_seed:(cfg.fault_seed + cpu)
-            ~fault_rate:cfg.fault_rate ~observe:cfg.observe ~cpu ())
-      ()
+        { Kernel.default_config with quantum = Cycles.of_ms cfg.quantum_ms }
+      ~fault_seed:cfg.fault_seed ~fault_rate:cfg.fault_rate
+      ~observe:cfg.observe ~pcpus ()
   in
   let tasks =
     List.map
@@ -395,22 +381,6 @@ let run ?(config = default_config) () =
           sojourn_p999_us = pct soj 0.999;
           sojourn_max_us = hmax soj })
   in
-  (* Each pCPU cluster has its own PL partition: PRRs carry
-     complex-global ids [cpu * prr_count + slot]. *)
-  let prrs =
-    List.concat
-      (List.init pcpus (fun cpu ->
-           let prrc = (Smp.zynq smp cpu).Zynq.prrc in
-           List.init (Prr_controller.prr_count prrc) (fun i ->
-               let p = Prr_controller.prr prrc i in
-               { prr_id = (cpu * Prr_controller.prr_count prrc) + i;
-                 busy_cycles = p.Prr.busy_cycles;
-                 util =
-                   (if sim_cycles = 0 then 0.0
-                    else
-                      float_of_int p.Prr.busy_cycles
-                      /. float_of_int sim_cycles) })))
-  in
   { guests = cfg.guests;
     pcpus;
     process = cfg.process;
@@ -421,11 +391,9 @@ let run ?(config = default_config) () =
     churn_kills = cfg.churn_kills;
     vms;
     max_depth = Array.fold_left max 0 node_max_depth;
-    prrs;
+    prrs = Fleet.prr_utilisation smp ~sim_cycles;
     injected =
-      List.fold_left ( + ) 0
-        (List.init pcpus (fun cpu ->
-             Fault_plane.total_injected (Smp.zynq smp cpu).Zynq.faults));
+      Fleet.sum_boards smp (fun z -> Fault_plane.total_injected z.Zynq.faults);
     kills = !kills_done;
     crashes = Smp.crashes smp;
     sim_ms = Cycles.to_ms sim_cycles;
@@ -479,7 +447,7 @@ let pp_report ppf r =
          v.sojourn_p99_us)
     r.vms;
   List.iter
-    (fun p ->
+    (fun (p : Fleet.prr_util) ->
        Format.fprintf ppf "  prr%d util %.1f%%@." p.prr_id (100.0 *. p.util))
     r.prrs
 
@@ -523,7 +491,7 @@ let report_json b r =
     r.vms;
   add "], \"prr_utilisation\": [";
   List.iteri
-    (fun i p ->
+    (fun i (p : Fleet.prr_util) ->
        if i > 0 then add ", ";
        add
          (Printf.sprintf

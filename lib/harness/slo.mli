@@ -79,12 +79,6 @@ type vm_stats = {
   sojourn_max_us : float;
 }
 
-type prr_util = {
-  prr_id : int;
-  busy_cycles : int;  (** {!Prr.busy_cycles} accumulated *)
-  util : float;       (** busy_cycles / simulated cycles *)
-}
-
 type report = {
   guests : int;
   pcpus : int;
@@ -98,8 +92,7 @@ type report = {
   vms : vm_stats list;
   max_depth : int;   (** max total backlog over a pCPU's VM queues
                          (whole-board with one pCPU) *)
-  prrs : prr_util list;  (** complex-global ids
-                             [cpu * prr_count + slot] *)
+  prrs : Fleet.prr_util list;
   injected : int;    (** faults injected, all nodes *)
   kills : int;       (** churn kills actually performed *)
   crashes : int;

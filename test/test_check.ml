@@ -154,15 +154,33 @@ let violation_checkers kern =
     (fun v -> v.Invariant.checker)
     (Invariant.check kern ~boundary:"test")
 
+(* The leak is caught the same way on a bare kernel and on a one-pCPU
+   complex, whose [check_smp] is exactly [check] on kernel 0: the same
+   unprefixed checker names and no cross-CPU checkers. *)
 let test_checker_catches_asid_leak () =
-  let z = Zynq.create () in
-  let kern = Kernel.boot z in
-  ignore (Kernel.create_vm kern ~name:"g" idle_guest);
-  Alcotest.(check (list string)) "clean before corruption" []
-    (violation_checkers kern);
-  ignore (Kmem.alloc_asid (Kernel.kmem kern));
-  Alcotest.check cb "asid checker fires" true
-    (List.mem "asid_accounting" (violation_checkers kern))
+  let bare () =
+    let kern = Kernel.boot (Zynq.create ()) in
+    ignore (Kernel.create_vm kern ~name:"g" idle_guest);
+    (kern, fun () -> violation_checkers kern)
+  in
+  let one_pcpu () =
+    let smp = Smp.create ~pcpus:1 ~mk_zynq:(fun cpu -> Zynq.create ~cpu ()) () in
+    ignore (Smp.create_vm smp ~name:"g" idle_guest);
+    ( Smp.kernel smp 0,
+      fun () ->
+        List.map
+          (fun v -> v.Invariant.checker)
+          (Invariant.check_smp smp ~boundary:"test") )
+  in
+  List.iter
+    (fun (label, boot) ->
+       let kern, checkers = boot () in
+       Alcotest.(check (list string)) (label ^ ": clean before corruption") []
+         (checkers ());
+       ignore (Kmem.alloc_asid (Kernel.kmem kern));
+       Alcotest.(check (list string)) (label ^ ": asid checker fires")
+         [ "asid_accounting" ] (checkers ()))
+    [ ("kernel", bare); ("smp pcpus 1", one_pcpu) ]
 
 let test_checker_catches_frame_leak () =
   let z = Zynq.create () in

@@ -178,6 +178,75 @@ let prop_stats_merge =
        && close (Stats.mean m) (Stats.mean c)
        && close (Stats.stddev m) (Stats.stddev c))
 
+(* --- Parallel_sweep: the one work-handout loop --- *)
+
+let test_sweep_env_rule () =
+  let rule = Parallel_sweep.domains_of_env in
+  check ci "unset: every recommended domain"
+    (Domain.recommended_domain_count ()) (rule None);
+  check ci "a positive integer" 3 (rule (Some "3"));
+  check ci "trimmed" 2 (rule (Some " 2 "));
+  check ci "zero means serial" 1 (rule (Some "0"));
+  check ci "garbage means serial" 1 (rule (Some "x"))
+
+let test_sweep_input_order () =
+  (* Early items take longest, so a parallel run finishes them last. *)
+  let job i =
+    for _ = 1 to (40 - i) * 2000 do
+      ignore (Sys.opaque_identity i)
+    done;
+    i * i
+  in
+  let items = List.init 40 Fun.id in
+  let want = List.map (fun i -> i * i) items in
+  List.iter
+    (fun domains ->
+       check (Alcotest.list ci)
+         (Printf.sprintf "input order at %d domains" domains)
+         want
+         (Parallel_sweep.map ~domains job items))
+    [ 1; 3 ]
+
+let test_sweep_budget_one_is_inline () =
+  let me = Domain.self () in
+  let inline = ref true in
+  let on_caller _ = if Domain.self () <> me then inline := false in
+  Parallel_sweep.iter ~domains:1 on_caller (Array.make 8 ());
+  (* The budget is capped by the item count. *)
+  Parallel_sweep.iter ~domains:3 on_caller [| () |];
+  check cb "every job ran on the calling domain" true !inline
+
+let test_sweep_raises_after_join () =
+  (* Job 0 waits until job 1 has failed, then keeps working: the
+     re-raise must still wait for it — and for every other job. *)
+  let failed = Atomic.make false in
+  let finished = Array.init 8 (fun _ -> Atomic.make false) in
+  let job i =
+    if i = 1 || i = 3 then begin
+      if i = 1 then Atomic.set failed true;
+      failwith (string_of_int i)
+    end;
+    if i = 0 then begin
+      while not (Atomic.get failed) do
+        Domain.cpu_relax ()
+      done;
+      for _ = 1 to 200_000 do
+        ignore (Sys.opaque_identity i)
+      done
+    end;
+    Atomic.set finished.(i) true
+  in
+  (match Parallel_sweep.iter ~domains:3 job (Array.init 8 Fun.id) with
+   | () -> Alcotest.fail "no exception"
+   | exception Failure m ->
+     check Alcotest.string "the lowest-index failure" "1" m);
+  Array.iteri
+    (fun i f ->
+       if i <> 1 && i <> 3 then
+         check cb (Printf.sprintf "job %d finished first" i) true
+           (Atomic.get f))
+    finished
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "engine",
@@ -197,4 +266,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_rng_float_bounds;
       t "stats basic" test_stats_basic;
       t "stats empty" test_stats_empty;
-      QCheck_alcotest.to_alcotest prop_stats_merge ] )
+      QCheck_alcotest.to_alcotest prop_stats_merge;
+      t "sweep env rule" test_sweep_env_rule;
+      t "sweep input order" test_sweep_input_order;
+      t "sweep budget one is inline" test_sweep_budget_one_is_inline;
+      t "sweep raises after join" test_sweep_raises_after_join ] )

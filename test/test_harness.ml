@@ -137,9 +137,15 @@ let test_trap_vs_hypercall () =
 (* --- Complexity report --- *)
 
 let test_complexity_report () =
-  let r = Complexity.measure ~root:"../../.." () in
+  (* The source root: from _build/default/test under dune runtest, or
+     the working directory when the suite is run from the root. *)
+  let root = if Sys.file_exists "lib/core" then "." else "../../.." in
+  let r = Complexity.measure ~root () in
   check ci "hypercalls from the ABI" 25 r.Complexity.hypercalls;
-  check (Alcotest.float 0.5) "33 ms time slice" 33.0 r.Complexity.time_slice_ms
+  check (Alcotest.float 0.5) "33 ms time slice" 33.0 r.Complexity.time_slice_ms;
+  (match r.Complexity.glue_loc with
+   | Some n -> check cb "glue LoC counted" true (n > 0)
+   | None -> Alcotest.fail "glue LoC missing (sources not found)")
 
 let suite =
   let t n f = Alcotest.test_case n `Quick f in

@@ -126,7 +126,7 @@ let test_slo_serves_everything () =
   List.iter
     (fun p ->
        checkb "utilisation in [0,1]" true
-         (p.Slo.util >= 0.0 && p.Slo.util <= 1.0))
+         (p.Fleet.util >= 0.0 && p.Fleet.util <= 1.0))
     r.Slo.prrs;
   check Alcotest.int "no faults injected at rate 0" 0 r.Slo.injected;
   check Alcotest.int "no crashes" 0 r.Slo.crashes
