@@ -35,20 +35,20 @@ type config = {
   mode : mode;
   jobs_per_vm : int;
   batch : int;          (* request descriptors per doorbell (v2) *)
-  ring_entries : int;
   cvirq_budget : int;
-  quantum_ms : float;
   fault_rate : float;
-  fault_seed : int;
   check : bool;         (* invariant sweeps at kernel boundaries *)
   pcpus : int;          (* simulated pCPUs; > 1 runs an Smp complex *)
   ring_admission : [ `Fifo | `Deadline ];
 }
 
+let ring_entries = 32
+let quantum_ms = 2.0
+let fault_seed = 7
+
 let default_config =
   { seed = 42; vms = 8; mode = V2; jobs_per_vm = 16; batch = 8;
-    ring_entries = 32; cvirq_budget = 8; quantum_ms = 2.0;
-    fault_rate = 0.0; fault_seed = 7; check = false; pcpus = 1;
+    cvirq_budget = 8; fault_rate = 0.0; check = false; pcpus = 1;
     ring_admission = `Fifo }
 
 type report = {
@@ -103,7 +103,7 @@ let release_tag_bias = 0x1000
 let fleet_v2 (cfg : config) (st : Fleet.tally) tasks genv =
   let p = Port.paravirt genv in
   match
-    Ring_api.setup p ~entries:cfg.ring_entries
+    Ring_api.setup p ~entries:ring_entries
       ~cvirq_budget:cfg.cvirq_budget ()
   with
   | Error _ -> ()
@@ -185,9 +185,9 @@ let run ?(config = default_config) () =
     Fleet.boot
       ~config:
         { Kernel.default_config with
-          quantum = Cycles.of_ms cfg.quantum_ms;
+          quantum = Cycles.of_ms quantum_ms;
           ring_admission = cfg.ring_admission }
-      ~observe:true ~fault_seed:cfg.fault_seed ~fault_rate:cfg.fault_rate
+      ~observe:true ~fault_seed ~fault_rate:cfg.fault_rate
       ~pcpus:cfg.pcpus ()
   in
   let tasks = Array.map (Smp.register_hw_task smp) density_task_set in
@@ -305,8 +305,7 @@ let bench_matrix ?(seed = default_config.seed)
          (fun mode ->
             ( (if pcpus = 1 then Printf.sprintf "%s/%d" (mode_name mode) vms
                else Printf.sprintf "%s/%d/p%d" (mode_name mode) vms pcpus),
-              { default_config with
-                seed; vms; mode; jobs_per_vm = jobs; batch; cvirq_budget;
+              { seed; vms; mode; jobs_per_vm = jobs; batch; cvirq_budget;
                 fault_rate; check; pcpus; ring_admission } ))
          [ V1; V2 ])
     populations
@@ -326,39 +325,45 @@ let pp_report ppf r =
     r.victim_p99_us r.ring.Kernel.rs_enqueued r.ring.Kernel.rs_completed
     r.ring.Kernel.rs_reclaimed r.crashes r.sim_ms
 
-let report_json b r =
-  let add = Buffer.add_string b in
-  add
-    (Printf.sprintf
-       "{\"mode\": \"%s\", \"vms\": %d, \"pcpus\": %d, \"jobs_per_vm\": %d, \
-        \"batch\": %d, \"jobs_submitted\": %d, \"jobs_ok\": %d, \
-        \"jobs_busy\": %d, \"jobs_failed\": %d, \"transitions\": %d, \
-        \"transitions_per_job\": %s, \"overhead_us_per_job\": %s, \
-        \"hypercalls\": %d, \"ring\": {\"enqueued\": %d, \
-        \"completed\": %d, \"reclaimed\": %d, \"doorbells\": %d, \
-        \"empty_doorbells\": %d, \"virqs\": %d, \"max_batch\": %d, \
-        \"asid_steals\": %d}, \"victim\": {\"jobs\": %d, \"ok\": %d, \
-        \"dropped\": %d, \"virqs\": %d, \"p50_us\": %s, \"p99_us\": %s}, \
-        \"prr_utilisation\": ["
-       (mode_name r.mode) r.vms r.pcpus r.jobs_per_vm r.batch r.jobs_submitted
-       r.jobs_ok r.jobs_busy r.jobs_failed r.transitions
-       (Json_out.float r.transitions_per_job)
-       (Json_out.float r.overhead_us_per_job)
-       r.hypercalls r.ring.Kernel.rs_enqueued r.ring.Kernel.rs_completed
-       r.ring.Kernel.rs_reclaimed r.ring.Kernel.rs_doorbells
-       r.ring.Kernel.rs_empty_doorbells r.ring.Kernel.rs_virqs
-       r.ring.Kernel.rs_max_batch r.ring.Kernel.rs_asid_steals
-       r.victim_jobs r.victim_ok r.victim_dropped r.victim_virqs
-       (Json_out.float r.victim_p50_us) (Json_out.float r.victim_p99_us));
-  List.iteri
-    (fun i (p : Fleet.prr_util) ->
-       if i > 0 then add ", ";
-       add
-         (Printf.sprintf "{\"prr\": %d, \"busy_cycles\": %d, \"util\": %s}"
-            p.prr_id p.busy_cycles (Json_out.float p.util)))
-    r.prrs;
-  add
-    (Printf.sprintf
-       "], \"injected\": %d, \"crashes\": %d, \"alive_after\": %d, \
-        \"sim_ms\": %s, \"sim_cycles\": %d}"
-       r.injected r.crashes r.alive_after (Json_out.float r.sim_ms) r.sim_cycles)
+let report_json r =
+  let open Json_out in
+  let ring = r.ring in
+  Line
+    (Obj
+       [ ("mode", Str (mode_name r.mode));
+         ("vms", Int r.vms);
+         ("pcpus", Int r.pcpus);
+         ("jobs_per_vm", Int r.jobs_per_vm);
+         ("batch", Int r.batch);
+         ("jobs_submitted", Int r.jobs_submitted);
+         ("jobs_ok", Int r.jobs_ok);
+         ("jobs_busy", Int r.jobs_busy);
+         ("jobs_failed", Int r.jobs_failed);
+         ("transitions", Int r.transitions);
+         ("transitions_per_job", Float r.transitions_per_job);
+         ("overhead_us_per_job", Float r.overhead_us_per_job);
+         ("hypercalls", Int r.hypercalls);
+         ( "ring",
+           Obj
+             [ ("enqueued", Int ring.Kernel.rs_enqueued);
+               ("completed", Int ring.Kernel.rs_completed);
+               ("reclaimed", Int ring.Kernel.rs_reclaimed);
+               ("doorbells", Int ring.Kernel.rs_doorbells);
+               ("empty_doorbells", Int ring.Kernel.rs_empty_doorbells);
+               ("virqs", Int ring.Kernel.rs_virqs);
+               ("max_batch", Int ring.Kernel.rs_max_batch);
+               ("asid_steals", Int ring.Kernel.rs_asid_steals) ] );
+         ( "victim",
+           Obj
+             [ ("jobs", Int r.victim_jobs);
+               ("ok", Int r.victim_ok);
+               ("dropped", Int r.victim_dropped);
+               ("virqs", Int r.victim_virqs);
+               ("p50_us", Float r.victim_p50_us);
+               ("p99_us", Float r.victim_p99_us) ] );
+         ("prr_utilisation", Fleet.prr_util_json ~pinned:false r.prrs);
+         ("injected", Int r.injected);
+         ("crashes", Int r.crashes);
+         ("alive_after", Int r.alive_after);
+         ("sim_ms", Float r.sim_ms);
+         ("sim_cycles", Int r.sim_cycles) ])

@@ -27,11 +27,8 @@ type config = {
   mode : mode;
   jobs_per_vm : int;
   batch : int;         (** request descriptors per doorbell (v2) *)
-  ring_entries : int;
   cvirq_budget : int;  (** completions per moderated vIRQ; 0 = polling *)
-  quantum_ms : float;
   fault_rate : float;
-  fault_seed : int;
   check : bool;        (** attach the invariant plane + final sweep *)
   pcpus : int;         (** simulated pCPUs; the victim is pinned to
                            pCPU 0, the fleet is placed round-robin,
@@ -96,5 +93,5 @@ val bench_matrix :
 
 val pp_report : Format.formatter -> report -> unit
 
-val report_json : Buffer.t -> report -> unit
-(** One report as a JSON object (no trailing newline). *)
+val report_json : report -> Json_out.t
+(** One report as a JSON object on one line. *)

@@ -54,7 +54,7 @@ let claims_json r =
 open Json_out
 
 let metrics_field (s : Obs.snapshot) =
-  if s.Obs.s_enabled then [ ("metrics", raw Obs.snapshot_to_json s) ] else []
+  if s.Obs.s_enabled then [ ("metrics", Obs.snapshot_to_json s) ] else []
 
 let overheads_fields (o : Scenario.overheads) =
   [ ("entry_us", Float o.Scenario.entry_us);
@@ -75,7 +75,7 @@ let floats l = List (List.map (fun f -> Float f) l)
 
 let tagged_runs f reports =
   List
-    (List.map (fun (tag, r) -> Obj [ ("tag", Str tag); ("report", raw f r) ])
+    (List.map (fun (tag, r) -> Obj [ ("tag", Str tag); ("report", f r) ])
        reports)
 
 (* Tagged cells are independent worlds: sweep them on domains. *)

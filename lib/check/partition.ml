@@ -46,17 +46,17 @@ type config = {
   mode : Hw_task_manager.partition;
   chaos : bool;
   jobs_per_vm : int;
-  quantum_ms : float;
-  chaos_fault_rate : float;
-  fault_seed : int;
   check : bool;
   pcpus : int;
 }
 
+let quantum_ms = 2.0
+let chaos_fault_rate = 0.25
+let fault_seed = 7
+
 let default_config =
   { seed = 42; vms = 5; mode = Hw_task_manager.Dynamic; chaos = false;
-    jobs_per_vm = 24; quantum_ms = 2.0; chaos_fault_rate = 0.25;
-    fault_seed = 7; check = false; pcpus = 1 }
+    jobs_per_vm = 24; check = false; pcpus = 1 }
 
 (* The heterogeneous catalog under study: bitstreams from ~87 KB
    (SCR-23) to ~460 KB (SFFT-1024), DMA-bound (scrambler) through
@@ -116,14 +116,14 @@ let run ?(config = default_config) () =
   then invalid_arg "Partition.run: vms exceeds the guest slot count";
   if cfg.jobs_per_vm < 1 then
     invalid_arg "Partition.run: need at least one job";
-  let fault_rate = if cfg.chaos then cfg.chaos_fault_rate else 0.0 in
+  let fault_rate = if cfg.chaos then chaos_fault_rate else 0.0 in
   let smp =
     Fleet.boot
       ~config:
         { Kernel.default_config with
-          quantum = Cycles.of_ms cfg.quantum_ms;
+          quantum = Cycles.of_ms quantum_ms;
           partition = cfg.mode }
-      ~observe:true ~fault_seed:cfg.fault_seed ~fault_rate ~pcpus:cfg.pcpus ()
+      ~observe:true ~fault_seed ~fault_rate ~pcpus:cfg.pcpus ()
   in
   let tasks = Array.map (Smp.register_hw_task smp) partition_task_set in
   if cfg.check then Invariant.attach_smp smp;
@@ -241,39 +241,40 @@ let pp_report ppf r =
     r.pcap_transfers r.victim_ok r.victim_jobs r.victim_p50_us
     r.victim_p99_us r.injected r.crashes r.sim_ms
 
-let report_json b r =
-  let add = Buffer.add_string b in
-  add
-    (Printf.sprintf
-       "{\"mode\": \"%s\", \"chaos\": %b, \"vms\": %d, \"pcpus\": %d, \
-        \"jobs_per_vm\": %d, \"jobs_submitted\": %d, \"jobs_ok\": %d, \
-        \"jobs_busy\": %d, \"jobs_denied\": %d, \"jobs_failed\": %d, \
-        \"manager\": {\"requests\": %d, \"reclaims\": %d, \
-        \"reconfigs\": %d, \"recoveries\": %d}, \"pcap\": \
-        {\"transfers\": %d, \"failures\": %d}, \"victim\": {\"jobs\": %d, \
-        \"ok\": %d, \"dropped\": %d, \"p50_us\": %s, \"p99_us\": %s}, \
-        \"prr_utilisation\": ["
-       (mode_name r.mode) r.chaos r.vms r.pcpus r.jobs_per_vm
-       r.jobs_submitted r.jobs_ok r.jobs_busy r.jobs_denied r.jobs_failed
-       r.requests r.reclaims r.reconfigs r.recoveries r.pcap_transfers
-       r.pcap_failures r.victim_jobs r.victim_ok r.victim_dropped
-       (Json_out.float r.victim_p50_us) (Json_out.float r.victim_p99_us));
-  List.iteri
-    (fun i (p : Fleet.prr_util) ->
-       if i > 0 then add ", ";
-       add
-         (Printf.sprintf
-            "{\"prr\": %d, \"pinned\": %s, \"busy_cycles\": %d, \
-             \"util\": %s}"
-            p.prr_id
-            (match p.pinned with
-             | Some c -> string_of_int c
-             | None -> "null")
-            p.busy_cycles (Json_out.float p.util)))
-    r.prrs;
-  add
-    (Printf.sprintf
-       "], \"injected\": %d, \"crashes\": %d, \"alive_after\": %d, \
-        \"sim_ms\": %s, \"sim_cycles\": %d}"
-       r.injected r.crashes r.alive_after (Json_out.float r.sim_ms)
-       r.sim_cycles)
+let report_json r =
+  let open Json_out in
+  Line
+    (Obj
+       [ ("mode", Str (mode_name r.mode));
+         ("chaos", Bool r.chaos);
+         ("vms", Int r.vms);
+         ("pcpus", Int r.pcpus);
+         ("jobs_per_vm", Int r.jobs_per_vm);
+         ("jobs_submitted", Int r.jobs_submitted);
+         ("jobs_ok", Int r.jobs_ok);
+         ("jobs_busy", Int r.jobs_busy);
+         ("jobs_denied", Int r.jobs_denied);
+         ("jobs_failed", Int r.jobs_failed);
+         ( "manager",
+           Obj
+             [ ("requests", Int r.requests);
+               ("reclaims", Int r.reclaims);
+               ("reconfigs", Int r.reconfigs);
+               ("recoveries", Int r.recoveries) ] );
+         ( "pcap",
+           Obj
+             [ ("transfers", Int r.pcap_transfers);
+               ("failures", Int r.pcap_failures) ] );
+         ( "victim",
+           Obj
+             [ ("jobs", Int r.victim_jobs);
+               ("ok", Int r.victim_ok);
+               ("dropped", Int r.victim_dropped);
+               ("p50_us", Float r.victim_p50_us);
+               ("p99_us", Float r.victim_p99_us) ] );
+         ("prr_utilisation", Fleet.prr_util_json ~pinned:true r.prrs);
+         ("injected", Int r.injected);
+         ("crashes", Int r.crashes);
+         ("alive_after", Int r.alive_after);
+         ("sim_ms", Float r.sim_ms);
+         ("sim_cycles", Int r.sim_cycles) ])

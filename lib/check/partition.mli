@@ -23,11 +23,8 @@ type config = {
   seed : int;
   vms : int;              (** total guests, victim included *)
   mode : Hw_task_manager.partition;
-  chaos : bool;           (** inject PL faults at [chaos_fault_rate] *)
+  chaos : bool;           (** inject PL faults (rate 0.25) *)
   jobs_per_vm : int;
-  quantum_ms : float;
-  chaos_fault_rate : float;
-  fault_seed : int;
   check : bool;           (** attach the invariant plane + final sweep *)
   pcpus : int;            (** victim pinned to pCPU 0; each node's PL
                               is pinned over that node's own VMs *)
@@ -84,5 +81,5 @@ val bench_matrix :
 
 val pp_report : Format.formatter -> report -> unit
 
-val report_json : Buffer.t -> report -> unit
-(** One report as a JSON object (no trailing newline). *)
+val report_json : report -> Json_out.t
+(** One report as a JSON object on one line. *)

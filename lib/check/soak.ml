@@ -646,6 +646,11 @@ let run_sharded ?domains ~shards cfg =
 
 (* {2 Reproducer files} *)
 
+(* The shortest %g form that parses back to the same float. *)
+let exact_float f =
+  let s = Printf.sprintf "%.15g" f in
+  if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
 let write_reproducer path cfg (violation : Invariant.violation) ~shrunk =
   let oc = open_out path in
   Printf.fprintf oc "# mininova soak reproducer\n";
@@ -654,11 +659,11 @@ let write_reproducer path cfg (violation : Invariant.violation) ~shrunk =
   Printf.fprintf oc "seed %d\n" cfg.seed;
   Printf.fprintf oc "ops %d\n" cfg.ops;
   Printf.fprintf oc "max-vms %d\n" cfg.max_vms;
-  Printf.fprintf oc "fault-rate %f\n" cfg.fault_rate;
+  Printf.fprintf oc "fault-rate %s\n" (exact_float cfg.fault_rate);
   Printf.fprintf oc "fault-seed %d\n" cfg.fault_seed;
-  Printf.fprintf oc "quantum-ms %f\n" cfg.quantum_ms;
-  (* Only written when SMP: legacy reproducers stay loadable and a
-     pcpus-1 trace round-trips byte-identically to the old format. *)
+  Printf.fprintf oc "quantum-ms %s\n" (exact_float cfg.quantum_ms);
+  (* Only written when SMP: reproducers without the line stay
+     loadable as single-pCPU runs. *)
   if cfg.pcpus > 1 then Printf.fprintf oc "pcpus %d\n" cfg.pcpus;
   Printf.fprintf oc "actions\n";
   List.iter (fun a -> Printf.fprintf oc "%s\n" (action_to_string a)) shrunk;
@@ -666,42 +671,42 @@ let write_reproducer path cfg (violation : Invariant.violation) ~shrunk =
 
 let load_reproducer path =
   try
-    let ic = open_in path in
-    let cfg = ref { default_config with check = true } in
-    let actions = ref [] in
-    let in_actions = ref false in
-    let error = ref None in
-    (try
-       while true do
-         let line = String.trim (input_line ic) in
-         if line = "" || String.length line > 0 && line.[0] = '#' then ()
-         else if !in_actions then begin
-           match action_of_string line with
-           | Some a -> actions := a :: !actions
-           | None -> error := Some ("bad action line: " ^ line)
-         end
-         else
-           match String.split_on_char ' ' line with
-           | [ "actions" ] -> in_actions := true
-           | [ "seed"; v ] -> cfg := { !cfg with seed = int_of_string v }
-           | [ "ops"; v ] -> cfg := { !cfg with ops = int_of_string v }
-           | [ "max-vms"; v ] -> cfg := { !cfg with max_vms = int_of_string v }
-           | [ "fault-rate"; v ] ->
-             cfg := { !cfg with fault_rate = float_of_string v }
-           | [ "fault-seed"; v ] ->
-             cfg := { !cfg with fault_seed = int_of_string v }
-           | [ "quantum-ms"; v ] ->
-             cfg := { !cfg with quantum_ms = float_of_string v }
-           | [ "pcpus"; v ] -> cfg := { !cfg with pcpus = int_of_string v }
-           | _ -> error := Some ("bad header line: " ^ line)
-       done
-     with End_of_file -> ());
-    close_in ic;
-    match !error with
-    | Some e -> Error e
-    | None ->
-      if not !in_actions then Error "missing 'actions' section"
-      else Ok (!cfg, List.rev !actions)
+    In_channel.with_open_text path (fun ic ->
+        let cfg = ref { default_config with check = true } in
+        let actions = ref [] in
+        let in_actions = ref false in
+        let error = ref None in
+        (try
+           while true do
+             let line = String.trim (input_line ic) in
+             if line = "" || String.length line > 0 && line.[0] = '#' then ()
+             else if !in_actions then begin
+               match action_of_string line with
+               | Some a -> actions := a :: !actions
+               | None -> error := Some ("bad action line: " ^ line)
+             end
+             else
+               match String.split_on_char ' ' line with
+               | [ "actions" ] -> in_actions := true
+               | [ "seed"; v ] -> cfg := { !cfg with seed = int_of_string v }
+               | [ "ops"; v ] -> cfg := { !cfg with ops = int_of_string v }
+               | [ "max-vms"; v ] ->
+                 cfg := { !cfg with max_vms = int_of_string v }
+               | [ "fault-rate"; v ] ->
+                 cfg := { !cfg with fault_rate = float_of_string v }
+               | [ "fault-seed"; v ] ->
+                 cfg := { !cfg with fault_seed = int_of_string v }
+               | [ "quantum-ms"; v ] ->
+                 cfg := { !cfg with quantum_ms = float_of_string v }
+               | [ "pcpus"; v ] -> cfg := { !cfg with pcpus = int_of_string v }
+               | _ -> error := Some ("bad header line: " ^ line)
+           done
+         with End_of_file -> ());
+        match !error with
+        | Some e -> Error e
+        | None ->
+          if not !in_actions then Error "missing 'actions' section"
+          else Ok (!cfg, List.rev !actions))
   with Sys_error e | Failure e -> Error e
 
 let replay_file path =

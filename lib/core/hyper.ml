@@ -204,46 +204,3 @@ let pp_response ppf = function
     Format.fprintf ppf "ring:sq=%a cq=%a entries=%d" Addr.pp sq_vaddr
       Addr.pp cq_vaddr entries
   | R_error e -> Format.fprintf ppf "error:%s" e
-
-let json_int_opt b = function
-  | Some v -> Buffer.add_string b (string_of_int v)
-  | None -> Buffer.add_string b "null"
-
-(* Total over [response]: every constructor serializes, tagged by
-   ["kind"], so harnesses can log any hypercall result without a
-   partial match trailing the ABI. *)
-let response_to_json b = function
-  | R_unit -> Buffer.add_string b "{\"kind\": \"unit\"}"
-  | R_int v -> Buffer.add_string b (Printf.sprintf "{\"kind\": \"int\", \"value\": %d}" v)
-  | R_bytes by ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"kind\": \"bytes\", \"len\": %d}" (Bytes.length by))
-  | R_hw { status; irq; prr } ->
-    Buffer.add_string b "{\"kind\": \"hw\", \"status\": \"";
-    Buffer.add_string b (hw_status_name status);
-    Buffer.add_string b "\", \"irq\": ";
-    json_int_opt b irq;
-    Buffer.add_string b ", \"prr\": ";
-    json_int_opt b prr;
-    Buffer.add_char b '}'
-  | R_msg None -> Buffer.add_string b "{\"kind\": \"msg\", \"from\": null}"
-  | R_msg (Some (src, p)) ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"kind\": \"msg\", \"from\": %d, \"len\": %d}" src
-         (Array.length p))
-  | R_status { prr_ready; consistent; faults } ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"kind\": \"status\", \"prr_ready\": %b, \"consistent\": %b, \
-          \"faults\": %d}"
-         prr_ready consistent faults)
-  | R_ring { sq_vaddr; cq_vaddr; entries } ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"kind\": \"ring\", \"sq_vaddr\": %d, \"cq_vaddr\": %d, \
-          \"entries\": %d}"
-         sq_vaddr cq_vaddr entries)
-  | R_error e ->
-    Buffer.add_string b "{\"kind\": \"error\", \"message\": \"";
-    Json_out.escape b e;
-    Buffer.add_string b "\"}"

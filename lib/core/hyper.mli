@@ -165,9 +165,3 @@ val und_trap : priv_instr -> int
 val hw_status_name : hw_status -> string
 
 val pp_response : Format.formatter -> response -> unit
-
-val response_to_json : Buffer.t -> response -> unit
-(** Total over {!response}, v2 included: appends one JSON object
-    tagged by ["kind"] ("unit", "int", "bytes", "hw", "msg",
-    "status", "ring", "error"). Byte and word payloads serialize as
-    lengths, not contents. *)

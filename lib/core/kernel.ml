@@ -92,18 +92,11 @@ type kinstr = {
   ko_switches : Obs.counter;
   ko_kills : Obs.counter;
   ko_alive : Obs.gauge;
-  kp_hyper : int ref array;              (* "hyper_<name>" by number-1 *)
-  kp_hypercall : Stats.t;
   kp_vm_switch : Stats.t;
-  kp_irq_path : Stats.t;
   kp_pl_irq : Stats.t;
   kp_hwtm_entry : Stats.t;
   kp_hwtm_exec : Stats.t;
   kp_hwtm_exit : Stats.t;
-  kp_hwtm_total : Stats.t;
-  kp_kernel_tick : int ref;
-  kp_und_trap : int ref;
-  kp_vm_crash : int ref;
 }
 
 (* Cross-pCPU coupling, installed by the SMP orchestrator (lib/core
@@ -272,18 +265,11 @@ let make_kinstr z probe =
     ko_switches = Obs.counter obs "kernel.vm_switches";
     ko_kills = Obs.counter obs "kernel.vm_kills";
     ko_alive = Obs.gauge obs "alive_vms";
-    kp_hyper = Array.map (fun n -> Probe.event_handle probe ("hyper_" ^ n)) names;
-    kp_hypercall = Probe.sample_handle probe Probe.hypercall;
     kp_vm_switch = Probe.sample_handle probe Probe.vm_switch;
-    kp_irq_path = Probe.sample_handle probe Probe.irq_path;
     kp_pl_irq = Probe.sample_handle probe Probe.pl_irq_entry;
     kp_hwtm_entry = Probe.sample_handle probe Probe.hwtm_entry;
     kp_hwtm_exec = Probe.sample_handle probe Probe.hwtm_exec;
-    kp_hwtm_exit = Probe.sample_handle probe Probe.hwtm_exit;
-    kp_hwtm_total = Probe.sample_handle probe "hwtm_total";
-    kp_kernel_tick = Probe.event_handle probe "kernel_tick";
-    kp_und_trap = Probe.event_handle probe "und_trap";
-    kp_vm_crash = Probe.event_handle probe "vm_crash" }
+    kp_hwtm_exit = Probe.sample_handle probe Probe.hwtm_exit }
 
 (* Get-or-intern the pinned trace for a save-area slot. The handle
    outlives the VM: recycled slots reuse it, so lifecycle churn never
@@ -595,7 +581,6 @@ let health_tick t =
        | Hw_task_manager.Act_reset_hung { prr }
        | Hw_task_manager.Act_quarantine { prr }
        | Hw_task_manager.Act_unquarantine { prr } ->
-         Probe.incr t.probe "fault_recovery";
          emit t ~category:"fault" ~name:"recover"
            [ ("prr", Ktrace.Int prr);
              ("action", Ktrace.Str (Hw_task_manager.action_name a)) ])
@@ -615,15 +600,10 @@ let rec route_irqs t =
        if irq <> Irq_id.private_timer && t.trace <> None then
          emit t ~severity:Ktrace.Debug ~category:"irq" ~name:"taken"
            [ ("irq", Ktrace.Int irq) ];
-       if irq = Irq_id.private_timer then begin
-         Stdlib.incr t.ki.kp_kernel_tick;
-         health_tick t
-       end
+       if irq = Irq_id.private_timer then health_tick t
        else if irq = Irq_id.devcfg then begin
          match Hw_task_manager.pcap_client t.hwtm with
-         | Some cid ->
-           inject_charged t cid irq;
-           Probe.incr t.probe "pcap_irq"
+         | Some cid -> inject_charged t cid irq
          | None -> ()
        end
        else begin
@@ -648,9 +628,8 @@ let rec route_irqs t =
                           .Prr.submitted_at)
                | None -> ())
             | None -> ())
-         | None -> Probe.incr t.probe "spurious_irq"
+         | None -> ()
        end);
-    Stats.add t.ki.kp_irq_path (float_of_int (Clock.now t.z.Zynq.clock - t0));
     route_irqs t
   end
 
@@ -938,7 +917,6 @@ let handle_hw_task_request t rt ~entry_start ~task ~iface_vaddr ~data_vaddr
   Exec.run_pinned t.z ~priv:true t.kf.kf_svc_exit;
   Obs.close_span obs sp_exit ~at:(Clock.now clock);
   Stats.add t.ki.kp_hwtm_exit (float_of_int (Clock.now clock - exit_start));
-  Stats.add t.ki.kp_hwtm_total (float_of_int (Clock.now clock - entry_start));
   emit t ~severity:Ktrace.Debug ~category:"hwtm" ~name:"exit"
     [ ("pd", Ktrace.Int pd.Pd.id) ];
   resp
@@ -1272,7 +1250,6 @@ let handle_simple t rt req =
 let handle_hyper t rt req =
   t.hypercall_count <- t.hypercall_count + 1;
   let n = Hyper.number req - 1 in
-  Stdlib.incr (Array.unsafe_get t.ki.kp_hyper n);
   if t.trace <> None then
     emit t ~severity:Ktrace.Debug ~category:"hyper" ~name:(Hyper.name req)
       [ ("pd", Ktrace.Int rt.pd.Pd.id) ];
@@ -1296,7 +1273,6 @@ let handle_hyper t rt req =
       r
   in
   Obs.close_span obs sp ~at:(Clock.now clock);
-  Stats.add t.ki.kp_hypercall (float_of_int (Clock.now clock - t0));
   resp
 
 let account_quantum rt now =
@@ -1310,13 +1286,11 @@ let rec execute t rt ex ~until =
   | X_done -> kill t rt "guest main returned"
   | X_crash e ->
     t.crash_count <- t.crash_count + 1;
-    Stdlib.incr t.ki.kp_vm_crash;
     kill t rt (Printexc.to_string e)
   | X_hyper (req, k) ->
     let resp = handle_hyper t rt req in
     execute t rt (Effect.Deep.continue k resp) ~until
   | X_und (instr, k) ->
-    Stdlib.incr t.ki.kp_und_trap;
     Trap_emulate.charge_trap t.z;
     let v = Trap_emulate.emulate t.z rt.pd.Pd.vcpu instr in
     execute t rt (Effect.Deep.continue k v) ~until

@@ -82,38 +82,3 @@ let pp_event ppf e =
   List.iter
     (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v)
     e.fields
-
-let event_to_json b e =
-  Buffer.add_string b (Printf.sprintf "{\"at_cycles\": %d, \"category\": \"" e.at);
-  Json_out.escape b e.category;
-  Buffer.add_string b "\", \"name\": \"";
-  Json_out.escape b e.name;
-  Buffer.add_string b "\", \"severity\": \"";
-  Buffer.add_string b (severity_name e.severity);
-  Buffer.add_string b "\", \"fields\": {";
-  List.iteri
-    (fun i (k, v) ->
-       if i > 0 then Buffer.add_string b ", ";
-       Buffer.add_char b '"';
-       Json_out.escape b k;
-       Buffer.add_string b "\": ";
-       match v with
-       | Int n -> Buffer.add_string b (string_of_int n)
-       | Bool x -> Buffer.add_string b (string_of_bool x)
-       | Str s ->
-         Buffer.add_char b '"';
-         Json_out.escape b s;
-         Buffer.add_char b '"')
-    e.fields;
-  Buffer.add_string b "}}"
-
-let to_json t =
-  let b = Buffer.create 4096 in
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i e ->
-       if i > 0 then Buffer.add_string b ",\n ";
-       event_to_json b e)
-    (events t);
-  Buffer.add_char b ']';
-  Buffer.contents b

@@ -4,9 +4,11 @@
     leave on during experiments. Events are open records — a
     [category] (which subsystem), a [name] (which event), a
     [severity], and a typed field list — so new subsystems add events
-    without editing a central variant. The CLI's [trace] command and
-    the tests use the ring to check event ordering (e.g. a hypercall
-    is always bracketed by the VM that issued it being current). *)
+    without editing a central variant. The [trace] experiment prints
+    the ring with {!pp_event} (one JSON string per event under
+    [--json]); the tests use it to check event ordering (e.g. a
+    hypercall is always bracketed by the VM that issued it being
+    current). *)
 
 type severity = Debug | Info | Warn | Error
 
@@ -59,11 +61,3 @@ val clear : t -> unit
 
 val pp_event : Format.formatter -> event -> unit
 (** One line: [  12.345 ms  sched/vm-switch  to=2]. *)
-
-val event_to_json : Buffer.t -> event -> unit
-(** Append one event as a JSON object:
-    [{"at_cycles": …, "category": …, "name": …, "severity": …,
-    "fields": {…}}]. *)
-
-val to_json : t -> string
-(** The whole retained ring as a JSON array, oldest first. *)

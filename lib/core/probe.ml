@@ -5,10 +5,10 @@ type t = {
 
 let create () = { samples = Hashtbl.create 16; events = Hashtbl.create 16 }
 
-(* Pre-resolved handles: the hot paths (hypercall dispatch, world
-   switch, IRQ routing) resolve their label once and then bump the
-   handle, skipping the per-call string hash. [reset] clears entries
-   in place, so handles stay live across the warm-up reset. *)
+(* Pre-resolved handles: the hot paths (world switch, HTM stages, PL
+   IRQ routing) resolve their label once and then feed the handle,
+   skipping the per-call string hash. [reset] clears entries in place,
+   so handles stay live across the warm-up reset. *)
 let sample_handle t label =
   match Hashtbl.find_opt t.samples label with
   | Some s -> s
@@ -17,17 +17,10 @@ let sample_handle t label =
     Hashtbl.replace t.samples label s;
     s
 
-let event_handle t label =
+let incr t label =
   match Hashtbl.find_opt t.events label with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.replace t.events label r;
-    r
-
-let record t label v = Stats.add (sample_handle t label) (float_of_int v)
-
-let incr t label = Stdlib.incr (event_handle t label)
+  | Some r -> Stdlib.incr r
+  | None -> Hashtbl.replace t.events label (ref 1)
 
 let stats t label =
   match Hashtbl.find_opt t.samples label with
@@ -36,20 +29,6 @@ let stats t label =
 
 let count t label =
   match Hashtbl.find_opt t.events label with Some r -> !r | None -> 0
-
-(* Empty entries are interned handles that never fired (or not since
-   the last reset): invisible, exactly as if never created. *)
-let labels t =
-  List.sort String.compare
-    (Hashtbl.fold
-       (fun k s acc -> if Stats.count s = 0 then acc else k :: acc)
-       t.samples [])
-
-let counters t =
-  List.sort compare
-    (Hashtbl.fold
-       (fun k r acc -> if !r = 0 then acc else (k, !r) :: acc)
-       t.events [])
 
 let reset t =
   Hashtbl.iter (fun _ s -> Stats.clear s) t.samples;
@@ -60,5 +39,3 @@ let hwtm_exit = "hwtm_exit"
 let hwtm_exec = "hwtm_exec"
 let pl_irq_entry = "pl_irq_entry"
 let vm_switch = "vm_switch"
-let hypercall = "hypercall"
-let irq_path = "irq_path"

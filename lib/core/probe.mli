@@ -1,16 +1,14 @@
 (** Instrumentation registry.
 
-    The kernel timestamps its characteristic paths (Hardware Task
-    Manager entry/exit/execution, PL IRQ delivery, VM switch, …) and
-    records the elapsed cycles here under a label. The evaluation
-    harness reads the aggregates to print Table III. *)
+    Probe holds only what Table III and the ablations read: the
+    Hardware Task Manager entry/execution/exit, PL IRQ delivery and VM
+    switch samples (cycles, under the labels below) and the
+    [fault_kill] and [vfp_switch] event counters. Everything else the
+    kernel measures goes to {!Obs} once. *)
 
 type t
 
 val create : unit -> t
-
-val record : t -> string -> int -> unit
-(** Add one sample (cycles) under a label. *)
 
 val incr : t -> string -> unit
 (** Bump a plain event counter. *)
@@ -18,25 +16,13 @@ val incr : t -> string -> unit
 val sample_handle : t -> string -> Stats.t
 (** Find-or-intern the accumulator for a label. Hot paths resolve the
     label once and feed the handle with {!Stats.add} directly; the
-    handle survives {!reset} (which clears in place). An interned
-    accumulator that never records is invisible to {!labels}. *)
-
-val event_handle : t -> string -> int ref
-(** Find-or-intern an event counter; same contract as
-    {!sample_handle}. An interned counter at zero is invisible to
-    {!counters}. *)
+    handle survives {!reset} (which clears in place). *)
 
 val stats : t -> string -> Stats.t
 (** Aggregate for a label (empty if never recorded). *)
 
 val count : t -> string -> int
 (** Value of an event counter (0 if never bumped). *)
-
-val labels : t -> string list
-(** All sample labels seen, sorted. *)
-
-val counters : t -> (string * int) list
-(** All event counters, sorted by name. *)
 
 val reset : t -> unit
 (** Drop all samples and counters (e.g. after warm-up). *)
@@ -48,5 +34,3 @@ val hwtm_exit : string
 val hwtm_exec : string
 val pl_irq_entry : string
 val vm_switch : string
-val hypercall : string
-val irq_path : string

@@ -22,13 +22,9 @@ type t =
   | Null
   | List of t list
   | Obj of (string * t) list
-  | Raw of string
+  | Line of t
 
-let raw f x =
-  let b = Buffer.create 1024 in
-  f b x;
-  Raw (Buffer.contents b)
-
+(* [ind] is the current indent, or [None] on one line. *)
 let rec write_at b ind v =
   let add = Buffer.add_string b in
   match v with
@@ -37,30 +33,31 @@ let rec write_at b ind v =
   | Str s -> add "\""; escape b s; add "\""
   | Bool x -> add (string_of_bool x)
   | Null -> add "null"
-  | Raw s -> add s
+  | Line v -> write_at b None v
   | List l -> container b ind "[" "]" (List.map (fun v -> (None, v)) l)
   | Obj kv -> container b ind "{" "}" (List.map (fun (k, v) -> (Some k, v)) kv)
 
 and container b ind o c items =
   let add = Buffer.add_string b in
-  let flat =
-    List.for_all (function _, (List _ | Obj _) -> false | _ -> true) items
+  let ind =
+    if List.exists (function _, (List _ | Obj _) -> true | _ -> false) items
+    then ind
+    else None
   in
   add o;
   List.iteri
     (fun i (k, v) ->
        if i > 0 then add ",";
-       if flat then (if i > 0 then add " ")
-       else add ("\n" ^ String.make (ind + 2) ' ');
+       (match ind with
+        | None -> if i > 0 then add " "
+        | Some n -> add ("\n" ^ String.make (n + 2) ' '));
        Option.iter (fun k -> add "\""; escape b k; add "\": ") k;
-       write_at b (ind + 2) v)
+       write_at b (Option.map (( + ) 2) ind) v)
     items;
-  if (not flat) && items <> [] then add ("\n" ^ String.make ind ' ');
+  Option.iter (fun n -> add ("\n" ^ String.make n ' ')) ind;
   add c
-
-let write b v = write_at b 0 v
 
 let to_string v =
   let b = Buffer.create 1024 in
-  write b v;
+  write_at b (Some 0) v;
   Buffer.contents b

@@ -138,6 +138,16 @@ let prr_utilisation smp ~sim_cycles =
                   else
                     float_of_int p.Prr.busy_cycles /. float_of_int sim_cycles) })))
 
+let prr_util_json ~pinned l =
+  let open Json_out in
+  let row p =
+    let owner = Option.fold ~none:Null ~some:(fun c -> Int c) p.pinned in
+    Obj
+      ((("prr", Int p.prr_id) :: (if pinned then [ ("pinned", owner) ] else []))
+       @ [ ("busy_cycles", Int p.busy_cycles); ("util", Float p.util) ])
+  in
+  List (List.map row l)
+
 let sum_nodes smp f =
   let acc = ref 0 in
   for cpu = 0 to Smp.pcpus smp - 1 do

@@ -69,6 +69,9 @@ val prr_utilisation : Smp.t -> sim_cycles:int -> prr_util list
 (** Every PRR of every pCPU cluster (each has its own PL partition),
     in cpu then slot order. *)
 
+val prr_util_json : pinned:bool -> prr_util list -> Json_out.t
+(** [[{"prr", "pinned" (with [~pinned:true]), "busy_cycles", "util"}]]. *)
+
 val sum_kernels : Smp.t -> (Kernel.t -> int) -> int
 val sum_boards : Smp.t -> (Zynq.t -> int) -> int
 (** Per-node totals. *)

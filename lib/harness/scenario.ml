@@ -6,10 +6,11 @@ type config = {
   tlb_policy : [ `Asid | `Flush_all ];
   vfp_policy : [ `Lazy | `Active ];
   job_fraction : int;
-  churn_kb : int;
   observe : bool;
   pcpus : int;
 }
+
+let churn_kb = 96
 
 let default_config =
   { seed = 42;
@@ -19,7 +20,6 @@ let default_config =
     tlb_policy = `Asid;
     vfp_policy = `Lazy;
     job_fraction = 4;
-    churn_kb = 96;
     observe = false;
     pcpus = 1 }
 
@@ -116,7 +116,7 @@ let adpcm_task os rng () =
    guest's memory traffic (the paper's "heavy workload"). The walk
    revisits a small cycle of offsets; pinned traces are interned per
    offset on first visit. *)
-let churn_task os ~churn_kb () =
+let churn_task os () =
   let set_bytes = churn_kb * 1024 in
   let chunk = 8192 in
   let pins = Hashtbl.create 16 in
@@ -267,7 +267,7 @@ let install_workload os ~rng ~cfg ~tasks ~on_request =
     (Ucos.spawn os ~name:"adpcm" ~prio:12 (adpcm_task os (Rng.split rng)));
   ignore
     (Ucos.spawn os ~name:"churn" ~prio:14
-       (churn_task os ~churn_kb:cfg.churn_kb))
+       (churn_task os))
 
 (* ------------------------------------------------------------------ *)
 

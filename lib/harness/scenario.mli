@@ -20,7 +20,6 @@ type config = {
   tlb_policy : [ `Asid | `Flush_all ];
   vfp_policy : [ `Lazy | `Active ];
   job_fraction : int;        (** run a real DMA job every n-th request *)
-  churn_kb : int;            (** per-guest cache-churn working set *)
   observe : bool;            (** enable the board's {!Obs} plane
                                  (default false; simulated cycles are
                                  identical either way) *)
@@ -36,6 +35,9 @@ type config = {
 }
 
 val default_config : config
+
+val churn_kb : int
+(** Per-guest cache-churn working set (96 KB). *)
 
 type overheads = {
   entry_us : float;

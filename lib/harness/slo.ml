@@ -33,15 +33,16 @@ type config = {
   arrivals_per_guest : int;
   mean_interarrival_us : float;
   victim_interarrival_us : float option;
-  burst_on_ms : float;
-  burst_off_ms : float;
-  quantum_ms : float;
   fault_rate : float;
-  fault_seed : int;
   churn_kills : int;
   observe : bool;
   pcpus : int;
 }
+
+let burst_on_ms = 6.0
+let burst_off_ms = 12.0
+let quantum_ms = 33.0
+let fault_seed = 7
 
 let default_config =
   { seed = 42;
@@ -50,11 +51,7 @@ let default_config =
     arrivals_per_guest = 120;
     mean_interarrival_us = 4000.0;
     victim_interarrival_us = None;
-    burst_on_ms = 6.0;
-    burst_off_ms = 12.0;
-    quantum_ms = 33.0;
     fault_rate = 0.0;
-    fault_seed = 7;
     churn_kills = 0;
     observe = false;
     pcpus = 1 }
@@ -119,8 +116,8 @@ let arrival_times (cfg : config) rng ~mean_us ~n =
         t := !t +. Rng.exponential rng ~mean:mean_us;
         Cycles.of_us !t)
   | Bursty ->
-    let on_us = cfg.burst_on_ms *. 1000.0 in
-    let off_us = cfg.burst_off_ms *. 1000.0 in
+    let on_us = burst_on_ms *. 1000.0 in
+    let off_us = burst_off_ms *. 1000.0 in
     let period = on_us +. off_us in
     let mean_on = mean_us *. (on_us /. period) in
     let t = ref 0.0 in
@@ -202,8 +199,8 @@ let run ?(config = default_config) () =
   let smp =
     Fleet.boot
       ~config:
-        { Kernel.default_config with quantum = Cycles.of_ms cfg.quantum_ms }
-      ~fault_seed:cfg.fault_seed ~fault_rate:cfg.fault_rate
+        { Kernel.default_config with quantum = Cycles.of_ms quantum_ms }
+      ~fault_seed ~fault_rate:cfg.fault_rate
       ~observe:cfg.observe ~pcpus ()
   in
   let tasks =
@@ -454,77 +451,74 @@ let pp_report ppf r =
 (* One report as a JSON object, with the board observability snapshot
    (and the kernel's per-VM virq_turnaround percentiles derived from
    it) when the run observed. *)
-let report_json b r =
-  let add = Buffer.add_string b in
-  add
-    (Printf.sprintf
-       "{\"process\": \"%s\", \"guests\": %d, \"pcpus\": %d, \
-        \"mean_interarrival_us\": %s, \"victim_interarrival_us\": %s, \
-        \"arrivals_per_guest\": %d, \"fault_rate\": %s, \
-        \"churn_kills\": %d, \"kills\": %d, \"injected\": %d, \
-        \"crashes\": %d, \"max_queue_depth\": %d, \"sim_ms\": %s, \
-        \"sim_cycles\": %d, \"vms\": ["
-       (process_name r.process) r.guests r.pcpus
-       (Json_out.float r.mean_interarrival_us)
-       (Json_out.float r.victim_interarrival_us)
-       r.arrivals_per_guest
-       (Json_out.float r.fault_rate)
-       r.churn_kills r.kills r.injected r.crashes r.max_depth
-       (Json_out.float r.sim_ms) r.sim_cycles);
-  List.iteri
-    (fun i v ->
-       if i > 0 then add ", ";
-       add
-         (Printf.sprintf
-            "{\"vm\": %d, \"role\": \"%s\", \"arrivals\": %d, \
-             \"served\": %d, \"ok\": %d, \"dropped\": %d, \
-             \"max_queue_depth\": %d, \"service_p50_us\": %s, \
-             \"service_p99_us\": %s, \"service_p999_us\": %s, \
-             \"service_max_us\": %s, \"sojourn_p50_us\": %s, \
-             \"sojourn_p99_us\": %s, \"sojourn_p999_us\": %s, \
-             \"sojourn_max_us\": %s}"
-            v.vm v.role v.arrivals v.served v.ok v.dropped v.max_depth
-            (Json_out.float v.service_p50_us) (Json_out.float v.service_p99_us)
-            (Json_out.float v.service_p999_us) (Json_out.float v.service_max_us)
-            (Json_out.float v.sojourn_p50_us) (Json_out.float v.sojourn_p99_us)
-            (Json_out.float v.sojourn_p999_us) (Json_out.float v.sojourn_max_us)))
-    r.vms;
-  add "], \"prr_utilisation\": [";
-  List.iteri
-    (fun i (p : Fleet.prr_util) ->
-       if i > 0 then add ", ";
-       add
-         (Printf.sprintf
-            "{\"prr\": %d, \"busy_cycles\": %d, \"util\": %s}"
-            p.prr_id p.busy_cycles (Json_out.float p.util)))
-    r.prrs;
-  add "]";
-  if r.metrics.Obs.s_enabled then begin
-    (* Per-VM submit→completion-vIRQ turnaround measured kernel-side,
-       keyed by PD id (stable while the VM lives; churn-recreated VMs
-       get fresh ids and therefore fresh rows). *)
-    add ", \"virq_turnaround\": [";
-    let cells =
-      List.filter
-        (fun (c : Obs.cell) -> c.Obs.c_component = "virq_turnaround")
-        r.metrics.Obs.s_cells
-    in
-    List.iteri
-      (fun i (c : Obs.cell) ->
-         if i > 0 then add ", ";
-         let p q =
-           match Obs.cell_percentile c q with
-           | Some cyc -> Json_out.float (Cycles.to_us (int_of_float cyc))
-           | None -> "null"
-         in
-         add
-           (Printf.sprintf
-              "{\"pd\": %d, \"calls\": %d, \"p50_us\": %s, \"p99_us\": %s, \
-               \"p999_us\": %s, \"max_us\": %s}"
-              c.Obs.c_key c.Obs.c_calls (p 0.5) (p 0.99) (p 0.999)
-              (Json_out.float (Cycles.to_us c.Obs.c_max_cycles))))
-      cells;
-    add "], \"metrics\": ";
-    Obs.snapshot_to_json b r.metrics
-  end;
-  add "}"
+let report_json r =
+  let open Json_out in
+  let observed =
+    if not r.metrics.Obs.s_enabled then []
+    else
+      (* Per-VM submit→completion-vIRQ turnaround measured kernel-side,
+         keyed by PD id (stable while the VM lives; churn-recreated VMs
+         get fresh ids and therefore fresh rows). *)
+      let turnaround (c : Obs.cell) =
+        let p q =
+          match Obs.cell_percentile c q with
+          | Some cyc -> Float (Cycles.to_us (int_of_float cyc))
+          | None -> Null
+        in
+        Obj
+          [ ("pd", Int c.Obs.c_key);
+            ("calls", Int c.Obs.c_calls);
+            ("p50_us", p 0.5);
+            ("p99_us", p 0.99);
+            ("p999_us", p 0.999);
+            ("max_us", Float (Cycles.to_us c.Obs.c_max_cycles)) ]
+      in
+      [ ( "virq_turnaround",
+          List
+            (List.filter_map
+               (fun (c : Obs.cell) ->
+                  if c.Obs.c_component = "virq_turnaround" then
+                    Some (turnaround c)
+                  else None)
+               r.metrics.Obs.s_cells) );
+        ("metrics", Obs.snapshot_to_json r.metrics) ]
+  in
+  Line
+    (Obj
+       ([ ("process", Str (process_name r.process));
+          ("guests", Int r.guests);
+          ("pcpus", Int r.pcpus);
+          ("mean_interarrival_us", Float r.mean_interarrival_us);
+          ("victim_interarrival_us", Float r.victim_interarrival_us);
+          ("arrivals_per_guest", Int r.arrivals_per_guest);
+          ("fault_rate", Float r.fault_rate);
+          ("churn_kills", Int r.churn_kills);
+          ("kills", Int r.kills);
+          ("injected", Int r.injected);
+          ("crashes", Int r.crashes);
+          ("max_queue_depth", Int r.max_depth);
+          ("sim_ms", Float r.sim_ms);
+          ("sim_cycles", Int r.sim_cycles);
+          ( "vms",
+            List
+              (List.map
+                 (fun v ->
+                    Obj
+                      [ ("vm", Int v.vm);
+                        ("role", Str v.role);
+                        ("arrivals", Int v.arrivals);
+                        ("served", Int v.served);
+                        ("ok", Int v.ok);
+                        ("dropped", Int v.dropped);
+                        ("max_queue_depth", Int v.max_depth);
+                        ("service_p50_us", Float v.service_p50_us);
+                        ("service_p99_us", Float v.service_p99_us);
+                        ("service_p999_us", Float v.service_p999_us);
+                        ("service_max_us", Float v.service_max_us);
+                        ("sojourn_p50_us", Float v.sojourn_p50_us);
+                        ("sojourn_p99_us", Float v.sojourn_p99_us);
+                        ("sojourn_p999_us", Float v.sojourn_p999_us);
+                        ("sojourn_max_us", Float v.sojourn_max_us) ])
+                 r.vms) );
+          ("prr_utilisation", Fleet.prr_util_json ~pinned:false r.prrs) ]
+        @ observed))

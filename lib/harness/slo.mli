@@ -35,11 +35,7 @@ type config = {
                                   (** pin VM 0's rate while aggressor
                                       load varies — the interference
                                       matrix knob *)
-  burst_on_ms : float;            (** bursty: ON window length *)
-  burst_off_ms : float;           (** bursty: OFF window length *)
-  quantum_ms : float;
   fault_rate : float;             (** chaos plane, as in {!Chaos} *)
-  fault_seed : int;
   churn_kills : int;              (** VM kill/recreate events spread
                                       over the arrival horizon
                                       (aggressors only) *)
@@ -56,8 +52,14 @@ type config = {
 
 val default_config : config
 (** seed 42, 3 guests, Poisson, 120 arrivals/guest at 4000 µs mean,
-    no victim pin, 6/12 ms bursts, 33 ms quantum, no faults, no
-    churn, observe off, 1 pCPU. *)
+    no victim pin, 33 ms quantum, no faults, no churn, observe off,
+    1 pCPU. *)
+
+val burst_on_ms : float
+(** Bursty: ON window length (6 ms). *)
+
+val burst_off_ms : float
+(** Bursty: OFF window length (12 ms). *)
 
 type vm_stats = {
   vm : int;
@@ -118,7 +120,7 @@ val bench_matrix :
 
 val pp_report : Format.formatter -> report -> unit
 
-val report_json : Buffer.t -> report -> unit
-(** Append the report as a JSON object. With an enabled board
+val report_json : report -> Json_out.t
+(** The report as one JSON object on one line. With an enabled board
     snapshot, embeds the per-PD virq_turnaround percentiles (via
     {!Obs.cell_percentile}) and the full metrics snapshot. *)

@@ -405,66 +405,39 @@ let pp_counters ppf s =
 
 (* --- JSON --- *)
 
-let add_kv_int b first k v =
-  if not !first then Buffer.add_string b ", ";
-  first := false;
-  Buffer.add_char b '"';
-  Json_out.escape b k;
-  Buffer.add_string b (Printf.sprintf "\": %d" v)
-
-let add_pairs_obj b pairs =
-  Buffer.add_char b '{';
-  let first = ref true in
-  List.iter (fun (k, v) -> add_kv_int b first k v) pairs;
-  Buffer.add_char b '}'
-
-let add_buckets b l =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i (idx, n) ->
-       if i > 0 then Buffer.add_string b ", ";
-       Buffer.add_string b (Printf.sprintf "[%d, %d]" idx n))
-    l;
-  Buffer.add_char b ']'
-
-let snapshot_to_json b s =
-  Buffer.add_string b "{\"counters\": ";
-  add_pairs_obj b s.s_counters;
-  Buffer.add_string b ", \"gauges\": ";
-  add_pairs_obj b s.s_gauges;
-  Buffer.add_string b ", \"histograms\": [";
-  List.iteri
-    (fun i h ->
-       if i > 0 then Buffer.add_string b ", ";
-       Buffer.add_string b "{\"name\": \"";
-       Json_out.escape b h.h_name;
-       Buffer.add_string b
-         (Printf.sprintf "\", \"count\": %d, \"total\": %d" h.h_count
-            h.h_total);
-       let bound k = function
-         | Some v -> Buffer.add_string b (Printf.sprintf ", \"%s\": %d" k v)
-         | None -> Buffer.add_string b (Printf.sprintf ", \"%s\": null" k)
-       in
-       bound "min" h.h_min;
-       bound "max" h.h_max;
-       Buffer.add_string b ", \"buckets\": ";
-       add_buckets b h.h_buckets;
-       Buffer.add_char b '}')
-    s.s_hists;
-  Buffer.add_string b "], \"cells\": [";
-  List.iteri
-    (fun i c ->
-       if i > 0 then Buffer.add_string b ", ";
-       Buffer.add_string b "{\"component\": \"";
-       Json_out.escape b c.c_component;
-       Buffer.add_string b
-         (Printf.sprintf
-            "\", \"key\": %d, \"cpu\": %d, \"calls\": %d, \"cycles\": %d, \
-             \"max_cycles\": %d, \"meters\": "
-            c.c_key c.c_cpu c.c_calls c.c_cycles c.c_max_cycles);
-       add_pairs_obj b c.c_meters;
-       Buffer.add_string b ", \"buckets\": ";
-       add_buckets b c.c_buckets;
-       Buffer.add_char b '}')
-    s.s_cells;
-  Buffer.add_string b (Printf.sprintf "], \"open_spans\": %d}" s.s_open_spans)
+let snapshot_to_json s =
+  let open Json_out in
+  let ints l = Obj (List.map (fun (k, v) -> (k, Int v)) l) in
+  let buckets l = List (List.map (fun (i, n) -> List [ Int i; Int n ]) l) in
+  let bound = function Some v -> Int v | None -> Null in
+  Line
+    (Obj
+       [ ("counters", ints s.s_counters);
+         ("gauges", ints s.s_gauges);
+         ( "histograms",
+           List
+             (List.map
+                (fun h ->
+                   Obj
+                     [ ("name", Str h.h_name);
+                       ("count", Int h.h_count);
+                       ("total", Int h.h_total);
+                       ("min", bound h.h_min);
+                       ("max", bound h.h_max);
+                       ("buckets", buckets h.h_buckets) ])
+                s.s_hists) );
+         ( "cells",
+           List
+             (List.map
+                (fun c ->
+                   Obj
+                     [ ("component", Str c.c_component);
+                       ("key", Int c.c_key);
+                       ("cpu", Int c.c_cpu);
+                       ("calls", Int c.c_calls);
+                       ("cycles", Int c.c_cycles);
+                       ("max_cycles", Int c.c_max_cycles);
+                       ("meters", ints c.c_meters);
+                       ("buckets", buckets c.c_buckets) ])
+                s.s_cells) );
+         ("open_spans", Int s.s_open_spans) ])

@@ -207,7 +207,7 @@ val pp_breakdown :
 val pp_counters : Format.formatter -> snapshot -> unit
 (** Counters and gauges, one per line, zero values skipped. *)
 
-val snapshot_to_json : Buffer.t -> snapshot -> unit
-(** Append the snapshot as one JSON object: [{"counters": {..},
-    "gauges": {..}, "histograms": [..], "cells": [..],
-    "open_spans": n}]. *)
+val snapshot_to_json : snapshot -> Json_out.t
+(** The snapshot as one JSON object on one line ({!Json_out.Line}):
+    [{"counters": {..}, "gauges": {..}, "histograms": [..],
+    "cells": [..], "open_spans": n}]. *)

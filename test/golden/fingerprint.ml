@@ -21,12 +21,16 @@ let configs =
     ("chaos", ([ "--requests"; "6"; "--guests"; "2"; "--fault-rate"; "0.15" ], false));
     ("soak", ([ "--ops"; "2000"; "--shards"; "2" ], true));
     ("slo", ([ "--arrivals"; "4" ], true));
+    ("slo_obs", ([ "--arrivals"; "4"; "--obs" ], false));
     ( "density",
       ([ "--vms"; "8"; "--jobs"; "4"; "--fault-rate"; "0.05"; "--check" ], true) );
     ("partition", ([ "--jobs"; "8"; "--check" ], true));
     ("scenario", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
     ("stats", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
     ("trace", ([ "--last"; "20" ], false)) ]
+
+(* A fingerprint names its experiment unless it is a variant. *)
+let experiment_of = function "slo_obs" -> "slo" | name -> name
 
 (* Host-dependent fields never enter a fingerprint. *)
 let rec strip = function
@@ -38,10 +42,12 @@ let rec strip = function
             else Some (k, strip v))
          kv)
   | Json_out.List l -> Json_out.List (List.map strip l)
+  | Json_out.Line v -> Json_out.Line (strip v)
   | v -> v
 
 let fingerprint name argv =
-  let entries, run = Experiment.instantiate (Option.get (Experiment.find name)) in
+  let e = Option.get (Experiment.find (experiment_of name)) in
+  let entries, run = Experiment.instantiate e in
   (match Cli_args.parse entries argv with
    | Ok [] -> ()
    | Ok _ | Error _ -> failwith ("bad fingerprint flags for " ^ name));

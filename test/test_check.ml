@@ -338,7 +338,7 @@ let test_sharded_reproducer_replays_single_domain () =
        | Error e, _ | _, Error e -> Alcotest.failf "replay failed: %s" e)
 
 let test_reproducer_roundtrip () =
-  let cfg =
+  let base =
     { Soak.ops = 123_456; seed = 77; max_vms = 9; check = true;
       fault_rate = 0.25; fault_seed = 3; quantum_ms = 1.5; pcpus = 1 }
   in
@@ -352,26 +352,38 @@ let test_reproducer_roundtrip () =
       Soak.A_probe_cancel 0;
       Soak.A_kill 1 ]
   in
-  let path = Filename.temp_file "soak_repro" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-       Soak.write_reproducer path cfg violation ~shrunk;
-       match Soak.load_reproducer path with
-       | Error e -> Alcotest.failf "load failed: %s" e
-       | Ok (cfg', actions) ->
-         Alcotest.check ci "seed" cfg.Soak.seed cfg'.Soak.seed;
-         Alcotest.check ci "ops" cfg.Soak.ops cfg'.Soak.ops;
-         Alcotest.check ci "max vms" cfg.Soak.max_vms cfg'.Soak.max_vms;
-         Alcotest.check (Alcotest.float 1e-9) "fault rate"
-           cfg.Soak.fault_rate cfg'.Soak.fault_rate;
-         Alcotest.check ci "fault seed" cfg.Soak.fault_seed
-           cfg'.Soak.fault_seed;
-         Alcotest.check (Alcotest.float 1e-9) "quantum"
-           cfg.Soak.quantum_ms cfg'.Soak.quantum_ms;
-         Alcotest.(check (list string)) "actions round-trip"
-           (List.map Soak.action_to_string shrunk)
-           (List.map Soak.action_to_string actions))
+  let with_file f =
+    let path = Filename.temp_file "soak_repro" ".txt" in
+    Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+  in
+  (* Floats a fixed-digit format would round: both must come back
+     exactly. *)
+  List.iter
+    (fun cfg ->
+       with_file (fun path ->
+           Soak.write_reproducer path cfg violation ~shrunk;
+           match Soak.load_reproducer path with
+           | Error e -> Alcotest.failf "load failed: %s" e
+           | Ok (cfg', actions) ->
+             Alcotest.check ci "seed" cfg.Soak.seed cfg'.Soak.seed;
+             Alcotest.check ci "ops" cfg.Soak.ops cfg'.Soak.ops;
+             Alcotest.check ci "max vms" cfg.Soak.max_vms cfg'.Soak.max_vms;
+             Alcotest.check (Alcotest.float 0.0) "fault rate"
+               cfg.Soak.fault_rate cfg'.Soak.fault_rate;
+             Alcotest.check ci "fault seed" cfg.Soak.fault_seed
+               cfg'.Soak.fault_seed;
+             Alcotest.check (Alcotest.float 0.0) "quantum"
+               cfg.Soak.quantum_ms cfg'.Soak.quantum_ms;
+             Alcotest.(check (list string)) "actions round-trip"
+               (List.map Soak.action_to_string shrunk)
+               (List.map Soak.action_to_string actions)))
+    [ base; { base with fault_rate = 1e-7; quantum_ms = 1.0 /. 3.0 } ];
+  with_file (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "seed x\nactions\n");
+      match Soak.load_reproducer path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "malformed header number accepted")
 
 let suite =
   ( "check",

@@ -247,6 +247,32 @@ let test_sweep_raises_after_join () =
            (Atomic.get f))
     finished
 
+let test_json_line () =
+  let open Json_out in
+  let cs = Alcotest.string in
+  check cs "nested containers on one line"
+    {|{"a": 1, "o": {"b": [2, null], "e": []}, "s": "x\"y"}|}
+    (to_string
+       (Line
+          (Obj
+             [ ("a", Int 1);
+               ("o", Obj [ ("b", List [ Int 2; Null ]); ("e", List []) ]);
+               ("s", Str "x\"y") ])))
+
+let test_json_line_parent () =
+  let open Json_out in
+  let cs = Alcotest.string in
+  check cs "a parent of Line children stays flat"
+    {|{"n": 1, "r": {"k": [1.5]}, "q": [{}]}|}
+    (to_string
+       (Obj
+          [ ("n", Int 1);
+            ("r", Line (Obj [ ("k", List [ Float 1.5 ]) ]));
+            ("q", Line (List [ Obj [] ])) ]));
+  check cs "without Line a nested container breaks lines"
+    "{\n  \"r\": [\n    {\"k\": 1}\n  ]\n}"
+    (to_string (Obj [ ("r", List [ Obj [ ("k", Int 1) ] ]) ]))
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "engine",
@@ -270,4 +296,6 @@ let suite =
       t "sweep env rule" test_sweep_env_rule;
       t "sweep input order" test_sweep_input_order;
       t "sweep budget one is inline" test_sweep_budget_one_is_inline;
-      t "sweep raises after join" test_sweep_raises_after_join ] )
+      t "sweep raises after join" test_sweep_raises_after_join;
+      t "json Line renders on one line" test_json_line;
+      t "json Line children keep a parent flat" test_json_line_parent ] )

@@ -120,9 +120,7 @@ let test_empty_histogram_emission () =
      check Alcotest.(option int) "max is None" None d.Obs.h_max;
      check cb "no buckets" true (d.Obs.h_buckets = [])
    | _ -> Alcotest.fail "empty histogram missing from enabled snapshot");
-  let b = Buffer.create 256 in
-  Obs.snapshot_to_json b (Obs.snapshot t);
-  let json = Buffer.contents b in
+  let json = Json_out.to_string (Obs.snapshot_to_json (Obs.snapshot t)) in
   let contains needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -231,28 +229,6 @@ let test_hyper_abi_enumeration () =
     (List.length names)
     (List.length (List.sort_uniq compare names))
 
-let test_response_to_json_total () =
-  let responses =
-    [ Hyper.R_unit;
-      Hyper.R_int 42;
-      Hyper.R_bytes (Bytes.create 8);
-      Hyper.R_hw { status = Hyper.Hw_busy; irq = None; prr = Some 2 };
-      Hyper.R_msg None;
-      Hyper.R_msg (Some (3, [| 1; 2 |]));
-      Hyper.R_status { prr_ready = true; consistent = false; faults = 1 };
-      Hyper.R_error "bad \"quote\"" ]
-  in
-  List.iter
-    (fun r ->
-       let b = Buffer.create 64 in
-       Hyper.response_to_json b r;
-       let s = Buffer.contents b in
-       check cb "object-shaped" true
-         (String.length s > 2 && s.[0] = '{' && s.[String.length s - 1] = '}');
-       check cb "kind-tagged" true
-         (String.length s >= 8 && String.sub s 1 6 = "\"kind\""))
-    responses
-
 (* --- per-pCPU cell keying --- *)
 
 let contains hay needle =
@@ -269,10 +245,8 @@ let test_cells_keyed_by_cpu () =
   (match s.Obs.s_cells with
    | [ c ] -> check ci "cell keyed by pCPU" 2 c.Obs.c_cpu
    | cs -> Alcotest.failf "expected one cell, got %d" (List.length cs));
-  let b = Buffer.create 256 in
-  Obs.snapshot_to_json b s;
   check cb "snapshot JSON carries the cpu key" true
-    (contains (Buffer.contents b) "\"cpu\": 2");
+    (contains (Json_out.to_string (Obs.snapshot_to_json s)) "\"cpu\": 2");
   (* The default registry stays on pCPU 0 — the single-kernel view. *)
   check ci "default registry is pCPU 0" 0 (Obs.cpu (Obs.create ()))
 
@@ -293,7 +267,5 @@ let suite =
         test_observe_is_identical_under_chaos;
       Alcotest.test_case "hyper ABI enumeration" `Quick
         test_hyper_abi_enumeration;
-      Alcotest.test_case "response_to_json is total" `Quick
-        test_response_to_json_total;
       Alcotest.test_case "cells keyed by pCPU" `Quick
         test_cells_keyed_by_cpu ] )
