@@ -6,7 +6,7 @@
 
    NAME is any Experiment.registry entry (table3, fig9, report,
    reconfig, axi, vfp, trapvshyper, asid, quantum, chaos, soak, slo,
-   density, partition, scenario, stats, trace). --assert exits 1 when
+   density, partition, scenario, trace). --assert exits 1 when
    a claim fails. *)
 
 let fmt = Format.std_formatter

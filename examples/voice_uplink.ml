@@ -3,10 +3,10 @@
 
      microphone PCM
        -> hardware FIR low-pass (anti-alias, FPGA task)
-       -> GSM 06.10-style RPE-LTP encoder (software, real codec)
-       -> decoder + quality check
+       -> GSM 06.10-style short-term LPC analysis (software), the
+          compute-heavy front half of the full-rate encoder
 
-   Both a DPR hardware task and the heavyweight software codec run in
+   Both a DPR hardware task and the software speech analysis run in
    the same guest, with the FIR swapped into a PRR on demand.
 
      dune exec examples/voice_uplink.exe *)
@@ -60,21 +60,28 @@ let () =
                     (Printf.sprintf
                        "uplink: %d/%d frames filtered in hardware\n"
                        (frames - !failures) frames);
-                  (* 2. GSM full-rate encode + decode (software). *)
-                  let coded = Gsm_rpe.encode filtered in
-                  let voice = Gsm_rpe.decode coded in
-                  let kbits =
-                    float_of_int (List.length coded * Gsm_rpe.bits_per_frame)
-                    /. 1000.0
-                  in
+                  (* 2. GSM LPC analysis per frame (software): 8 log-area
+                     ratios, and the prediction gain acf(0) / residual
+                     = 1 / prod (1 - k_i^2) of its reflection
+                     coefficients. *)
+                  let gain_db = ref 0.0 in
+                  for f = 0 to frames - 1 do
+                    let frame = Array.sub filtered (f * 160) 160 in
+                    ignore (Gsm_lpc.analyze frame);
+                    let residual =
+                      Array.fold_left
+                        (fun acc k -> acc *. (1.0 -. (k *. k)))
+                        1.0
+                        (Gsm_lpc.reflection_coefficients frame)
+                    in
+                    gain_db := !gain_db -. (10.0 *. log10 residual)
+                  done;
                   Ucos.print os
                     (Printf.sprintf
-                       "uplink: GSM coded %.1f kbit for %.1f s of audio \
-                        (%.1f kbit/s)\n"
-                       kbits seconds (kbits /. seconds));
-                  Ucos.print os
-                    (Printf.sprintf "uplink: reconstruction segSNR %.1f dB\n"
-                       (Gsm_rpe.snr_db filtered voice))));
+                       "uplink: GSM LPC analysed %d frames (%.1f s of \
+                        audio), mean prediction gain %.1f dB\n"
+                       frames seconds
+                       (!gain_db /. float_of_int frames))));
          Ucos.run os));
 
   Kernel.run kern ~until:(Cycles.of_ms 3000.0);

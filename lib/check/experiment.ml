@@ -79,8 +79,8 @@ let tagged_runs f reports =
        reports)
 
 (* Tagged cells are independent worlds: sweep them on domains. *)
-let run_cells ?domains run cells =
-  Parallel_sweep.map ?domains (fun (tag, c) -> (tag, run c)) cells
+let run_cells run cells =
+  Parallel_sweep.map (fun (tag, c) -> (tag, run c)) cells
 
 let keep want v = Option.fold ~none:true ~some:(( = ) v) want
 
@@ -122,24 +122,27 @@ let smp_scenario_args a base =
 
 let config_label i = if i = 0 then "native" else Printf.sprintf "%dos" i
 
-(* table3 and fig9 render the same sweep: run it once per config. *)
-let sweep_cache = Hashtbl.create 2
+(* One Table III cell is one run: [guests] VMs under a config, 0 for
+   the native baseline. table3, fig9 and scenario share one cache of
+   cells; the missing ones of a request run as one parallel sweep. *)
+let cells = Hashtbl.create 8
 
+let table3_cells config guests =
+  let keys = List.map (fun g -> (config, g)) guests in
+  let missing = List.filter (fun k -> not (Hashtbl.mem cells k)) keys in
+  List.iter2 (Hashtbl.replace cells) missing
+    (Parallel_sweep.map
+       (fun (config, g) ->
+          if g = 0 then Scenario.run_native ~config ()
+          else Scenario.run_virtualized ~config ~guests:g ())
+       missing);
+  List.map (Hashtbl.find cells) keys
+
+(* Native followed by 1..--guests VMs. *)
 let table3_sweep (a : args) =
   let cfg = smp_scenario_args a bench_base in
   let guests = a.value Cli_args.guests in
-  let domains = a.value Cli_args.domains in
-  fun () ->
-    let key = (cfg (), guests ()) in
-    match Hashtbl.find_opt sweep_cache key with
-    | Some s -> s
-    | None ->
-      let s =
-        Scenario.run_table3 ~config:(fst key) ~max_guests:(snd key)
-          ?domains:(domains ()) ()
-      in
-      Hashtbl.replace sweep_cache key s;
-      s
+  fun () -> table3_cells (cfg ()) (List.init (guests () + 1) Fun.id)
 
 (* --- E1-E4: the paper's artifacts --- *)
 
@@ -285,26 +288,24 @@ let vfp =
   { name = "vfp";
     title = "A2: VFP switching policy";
     define =
-      (fun a ->
-         let domains = a.value Cli_args.domains in
-         fun () ->
-           let r = Ablations.vfp_ablation ?domains:(domains ()) () in
-           result
-             (fun ppf ->
-                Format.fprintf ppf
-                  "A2: lazy vs active VFP switching (paper Table I)@.";
-                Format.fprintf ppf
-                  "  lazy:   mean VM switch %6.2f us, %4d VFP bank switches@."
-                  r.Ablations.lazy_switch_us r.Ablations.lazy_vfp_switches;
-                Format.fprintf ppf
-                  "  active: mean VM switch %6.2f us, %4d VFP bank switches@."
-                  r.Ablations.active_switch_us r.Ablations.active_vfp_switches)
-             (Obj
-                [ ("lazy_switch_us", Float r.Ablations.lazy_switch_us);
-                  ("active_switch_us", Float r.Ablations.active_switch_us);
-                  ("lazy_vfp_switches", Int r.Ablations.lazy_vfp_switches);
-                  ( "active_vfp_switches",
-                    Int r.Ablations.active_vfp_switches ) ])) }
+      (fun _ () ->
+         let r = Ablations.vfp_ablation () in
+         result
+           (fun ppf ->
+              Format.fprintf ppf
+                "A2: lazy vs active VFP switching (paper Table I)@.";
+              Format.fprintf ppf
+                "  lazy:   mean VM switch %6.2f us, %4d VFP bank switches@."
+                r.Ablations.lazy_switch_us r.Ablations.lazy_vfp_switches;
+              Format.fprintf ppf
+                "  active: mean VM switch %6.2f us, %4d VFP bank switches@."
+                r.Ablations.active_switch_us r.Ablations.active_vfp_switches)
+           (Obj
+              [ ("lazy_switch_us", Float r.Ablations.lazy_switch_us);
+                ("active_switch_us", Float r.Ablations.active_switch_us);
+                ("lazy_vfp_switches", Int r.Ablations.lazy_vfp_switches);
+                ( "active_vfp_switches",
+                  Int r.Ablations.active_vfp_switches ) ])) }
 
 let trapvshyper =
   { name = "trapvshyper";
@@ -334,11 +335,8 @@ let asid =
     define =
       (fun a ->
          let cfg = scenario_args a ablation_base in
-         let domains = a.value Cli_args.domains in
          fun () ->
-           let r =
-             Ablations.asid_ablation ~config:(cfg ()) ?domains:(domains ()) ()
-           in
+           let r = Ablations.asid_ablation ~config:(cfg ()) () in
            result
              (fun ppf ->
                 Format.fprintf ppf
@@ -369,11 +367,8 @@ let quantum =
     define =
       (fun a ->
          let cfg = scenario_args a ablation_base in
-         let domains = a.value Cli_args.domains in
          fun () ->
-           let rows =
-             Ablations.quantum_sweep ~config:(cfg ()) ?domains:(domains ()) ()
-           in
+           let rows = Ablations.quantum_sweep ~config:(cfg ()) () in
            result
              (fun ppf ->
                 Format.fprintf ppf
@@ -405,7 +400,6 @@ let chaos =
          let guests = a.value Cli_args.guests in
          let rate = a.value (Cli_args.some Cli_args.fault_rate) in
          let fault_seed = a.value Cli_args.fault_seed in
-         let domains = a.value Cli_args.domains in
          fun () ->
            let config =
              { Chaos.base = base ();
@@ -414,8 +408,7 @@ let chaos =
            in
            let reports =
              Chaos.sweep ~config ~max_guests:(guests ())
-               ?rates:(Option.map (fun r -> [ r ]) (rate ()))
-               ?domains:(domains ()) ()
+               ?rates:(Option.map (fun r -> [ r ]) (rate ())) ()
            in
            let faulty =
              List.filter (fun r -> r.Chaos.fault_rate > 0.0) reports
@@ -490,7 +483,7 @@ let ops =
 let shards =
   Cli_args.int ~min:1 [ "shards" ]
     "Split the soak into N independent seeded shards (run concurrently \
-     up to --domains; results are identical for any domain count)."
+     up to MININOVA_DOMAINS; results are identical for any domain count)."
     1
 
 let max_vms =
@@ -613,7 +606,6 @@ let soak =
          in
          let pcpus = a.value Cli_args.pcpus in
          let shards = a.value shards in
-         let domains = a.value Cli_args.domains in
          let replay = a.value replay in
          let repro_out = a.value repro_out in
          fun () ->
@@ -635,7 +627,7 @@ let soak =
            | None ->
              let shards = max 1 (shards ()) in
              let t0 = Unix.gettimeofday () in
-             let s = Soak.run_sharded ?domains:(domains ()) ~shards cfg in
+             let s = Soak.run_sharded ~shards cfg in
              let wall = Unix.gettimeofday () -. t0 in
              let outcome, repro =
                match s.Soak.first_violated with
@@ -662,11 +654,10 @@ let slo =
          let arrivals = a.value arrivals in
          let observe = a.flag Cli_args.observe in
          let pcpus = a.value Cli_args.pcpus in
-         let domains = a.value Cli_args.domains in
          fun () ->
            let seed = seed () and arrivals = arrivals () in
            let reports =
-             run_cells ?domains:(domains ()) (fun config -> Slo.run ~config ())
+             run_cells (fun config -> Slo.run ~config ())
                (Slo.bench_matrix ~seed ~arrivals ~observe:(observe ())
                   ~pcpus:(pcpus ()) ())
            in
@@ -816,7 +807,6 @@ let density =
          let check = a.flag Cli_args.check in
          let pcpus = a.value Cli_args.pcpus in
          let ring_admission = a.value ring_admission in
-         let domains = a.value Cli_args.domains in
          fun () ->
            let seed = seed () and populations = populations () in
            let jobs = jobs () and batch = batch () and budget = budget () in
@@ -828,11 +818,7 @@ let density =
              |> List.filter (fun (_, (c : Density.config)) ->
                     keep (mode ()) c.Density.mode)
            in
-           let reports =
-             run_cells ?domains:(domains ())
-               (fun config -> Density.run ~config ())
-               cells
-           in
+           let reports = run_cells (fun config -> Density.run ~config ()) cells in
            let ratios = List.filter_map (density_ratio reports) populations in
            let ring (r : Density.report) = r.Density.ring in
            result
@@ -925,7 +911,6 @@ let partition =
          let chaos = a.value chaos_spec in
          let check = a.flag Cli_args.check in
          let pcpus = a.value Cli_args.pcpus in
-         let domains = a.value Cli_args.domains in
          fun () ->
            let seed = seed () and check = check () in
            let cells =
@@ -936,9 +921,7 @@ let partition =
                     && keep (chaos ()) c.Partition.chaos)
            in
            let reports =
-             run_cells ?domains:(domains ())
-               (fun config -> Partition.run ~config ())
-               cells
+             run_cells (fun config -> Partition.run ~config ()) cells
            in
            let static (r : Partition.report) =
              r.Partition.mode = Hw_task_manager.Static
@@ -990,7 +973,7 @@ let partition =
                 [ ("seed", Int seed);
                   ("runs", tagged_runs Partition.report_json reports) ])) }
 
-(* --- single runs: scenario, stats, trace --- *)
+(* --- single runs: scenario, trace --- *)
 
 let native_flag =
   { Cli_args.f_names = [ "native" ];
@@ -1008,39 +991,27 @@ let pp_metrics ppf snap =
   Format.fprintf ppf "@.";
   Obs.pp_counters ppf snap
 
-let single ~name ~title ~observe:forced =
-  { name;
-    title;
+let scenario =
+  { name = "scenario";
+    title = "one Table III cell";
     define =
       (fun a ->
-         let cfg = smp_scenario_args a Scenario.default_config in
+         let cfg = smp_scenario_args a bench_base in
          let guests = a.value Cli_args.guests in
          let native = a.flag native_flag in
          fun () ->
-           let c = cfg () in
-           let cfg =
-             { c with Scenario.observe = forced || c.Scenario.observe }
-           in
-           let label, o =
-             if native () then ("native", Scenario.run_native ~config:cfg ())
-             else
-               ( config_label (guests ()),
-                 Scenario.run_virtualized ~config:cfg ~guests:(guests ()) () )
-           in
+           let cfg = cfg () in
+           let g = if native () then 0 else guests () in
+           let o = List.hd (table3_cells cfg [ g ]) in
            result
              (fun ppf ->
-                Format.fprintf ppf "%s: %a@." label Scenario.pp_overheads o;
+                Format.fprintf ppf "%s: %a@." (config_label g)
+                  Scenario.pp_overheads o;
                 if cfg.Scenario.observe then begin
                   Format.fprintf ppf "@.";
                   pp_metrics ppf o.Scenario.metrics
                 end)
-             (Obj (("config", Str label) :: overheads_fields o))) }
-
-let scenario =
-  single ~name:"scenario" ~title:"one evaluation configuration" ~observe:false
-
-let stats =
-  single ~name:"stats" ~title:"observability breakdown of one run" ~observe:true
+             (Obj (("config", Str (config_label g)) :: overheads_fields o))) }
 
 let last_spec =
   Cli_args.int ~min:0 [ "n"; "last" ] "How many trailing events to show." 60
@@ -1106,6 +1077,6 @@ let trace =
 
 let registry =
   [ table3; fig9; report; reconfig; axi; vfp; trapvshyper; asid; quantum;
-    chaos; soak; slo; density; partition; scenario; stats; trace ]
+    chaos; soak; slo; density; partition; scenario; trace ]
 
 let find name = List.find_opt (fun e -> e.name = name) registry

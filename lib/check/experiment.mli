@@ -37,7 +37,9 @@ type t = {
 
 val registry : t list
 (** table3 fig9 report reconfig axi vfp trapvshyper asid quantum chaos
-    soak slo density partition scenario stats trace. *)
+    soak slo density partition scenario trace. table3, fig9 and
+    scenario read one per-process cache of Table III cells (native or
+    N guests under one config), so each cell runs at most once. *)
 
 val find : string -> t option
 

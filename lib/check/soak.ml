@@ -563,8 +563,9 @@ let run cfg =
    granularity: every shard boots its own world from its own derived
    seed, so shards share nothing and can run on separate OCaml
    domains via {!Parallel_sweep}. The decomposition is fixed by
-   [shards] alone — the domain budget only decides how many run
-   concurrently — so results are bit-identical for any [?domains]. *)
+   [shards] alone — the domain budget ([MININOVA_DOMAINS]) only
+   decides how many run concurrently — so results are bit-identical
+   for any domain count. *)
 
 let shard_seed ~seed ~shard =
   (* splitmix64 finalizer over (seed, shard): shard streams are
@@ -620,10 +621,10 @@ let add_stats a b =
     checks = a.checks + b.checks;
     final_cycles = a.final_cycles + b.final_cycles }
 
-let run_sharded ?domains ~shards cfg =
+let run_sharded ~shards cfg =
   let shards = max 1 shards in
   let reports =
-    Parallel_sweep.map ?domains
+    Parallel_sweep.map
       (fun shard ->
          let shard_cfg = shard_config cfg ~shards ~shard in
          let t0 = Unix.gettimeofday () in

@@ -90,9 +90,10 @@ val run : config -> outcome
     derived with {!shard_seed}, and runs them on OCaml domains via
     [Parallel_sweep]. The decomposition — and therefore every shard's
     outcome, the merged statistics and any violation — is fixed by
-    [shards] alone; the [?domains] budget only controls how many
-    shards execute concurrently, so a sharded run is bit-identical
-    under any domain count, including fully serial [~domains:1]. *)
+    [shards] alone; the domain budget
+    ({!Parallel_sweep.default_domains}) only controls how many shards
+    execute concurrently, so a sharded run is bit-identical under any
+    domain count, including fully serial [MININOVA_DOMAINS=1]. *)
 
 val stats_of_outcome : outcome -> stats
 (** The final stats either way — a run's determinism fingerprint. *)
@@ -124,7 +125,7 @@ type sharded = {
           through {!replay_file} *)
 }
 
-val run_sharded : ?domains:int -> shards:int -> config -> sharded
+val run_sharded : shards:int -> config -> sharded
 (** Run [shards] derived configurations (concurrently up to the
     [Parallel_sweep] domain budget) and merge. Violating shards shrink
     their own traces exactly as {!run} does. *)

@@ -1,7 +1,5 @@
 let mb = 1 lsl 20
 
-let window_size = 16 * mb
-
 (* The window sits at 256 MB so it can never shadow the kernel's
    identity-mapped image, the bitstream store, or the PL window. *)
 let kernel_base = 0x1000_0000
@@ -27,8 +25,6 @@ let ring_max_entries = 64
 let ring_hdr_size = 64
 let ring_desc_size = 32
 let ring_cqe_size = 16
-let ring_desc_vaddr i = ring_sq_base + ring_hdr_size + (i * ring_desc_size)
-let ring_cqe_vaddr i = ring_cq_base + ring_hdr_size + (i * ring_cqe_size)
 
 let default_iface_vaddr prr = page_region_base + (prr * Addr.page_size)
 

@@ -15,9 +15,6 @@
     allotment; the page region holds on-demand small pages (hardware
     task interfaces must sit on their own 4 KB page — paper §IV-C). *)
 
-val window_size : int
-(** 16 MB. *)
-
 val kernel_base : Addr.t
 val kernel_size : int
 
@@ -64,9 +61,3 @@ val ring_max_entries : int
 val ring_hdr_size : int
 val ring_desc_size : int
 val ring_cqe_size : int
-
-val ring_desc_vaddr : int -> Addr.t
-(** Virtual address of submission-descriptor slot [i]. *)
-
-val ring_cqe_vaddr : int -> Addr.t
-(** Virtual address of completion-entry slot [i]. *)

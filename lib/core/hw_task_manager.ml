@@ -635,9 +635,6 @@ let health_scan t =
     t.rows;
   List.rev !actions
 
-let client_violations t ~client_id =
-  try Hashtbl.find t.client_viols client_id with Not_found -> 0
-
 let requests t = t.requests
 let reclaims t = t.reclaims
 let reconfigs t = t.reconfigs

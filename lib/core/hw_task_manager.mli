@@ -181,10 +181,6 @@ val health_scan : t -> action list
     cannot kill a VM itself). Pure reads when nothing is wrong;
     recovery work is charged only when actions fire. *)
 
-val client_violations : t -> client_id:int -> int
-(** Real hwMMU violations attributed to a client and not yet consumed
-    by a kill request. *)
-
 val prr_client : t -> int -> int option
 (** Current client of a PRR (evaluation/debug). *)
 

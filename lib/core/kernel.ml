@@ -959,6 +959,12 @@ let handle_ring_doorbell t rt ~entry_start =
       Exec.run_pinned t.z ~priv:true t.kf.kf_svc_exit;
       Hyper.R_error "ring: bad submission tail"
     end
+    else if u32_sub r.r_head cq_guest_head > r.r_entries then begin
+      (* The guest's CQ head must lie in [r_head - entries, r_head];
+         anything else would make the CQ room below negative. *)
+      Exec.run_pinned t.z ~priv:true t.kf.kf_svc_exit;
+      Hyper.R_error "ring: bad completion head"
+    end
     else begin
       t.ring_enqueued_total <- t.ring_enqueued_total + fresh;
       r.r_tail <- new_tail;

@@ -191,7 +191,16 @@ val alloc_steps : t -> int
     [create_vm] (one per queue pop or bump). Growth is flat per create
     at any population — the fleet-scaling regression pins this. *)
 
-(** {2 ABI v2 descriptor rings} *)
+(** {2 ABI v2 descriptor rings}
+
+    A [Ring_doorbell] validates the two header words the guest owns
+    before it changes any ring state. A submission tail that would put
+    more than [entries] descriptors in flight answers
+    [R_error "ring: bad submission tail"]; a completion head outside
+    [[r_head - entries, r_head]] (the kernel's completion tail, u32
+    arithmetic) answers [R_error "ring: bad completion head"]. Either
+    way nothing is drained, the ring is unchanged, and the guest may
+    ring again once it has rewritten the word. *)
 
 (** Lifetime totals of the ring plane, all monotone. Conservation:
     [rs_enqueued = rs_completed + rs_reclaimed + Σ in-flight] over the

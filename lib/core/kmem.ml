@@ -146,13 +146,6 @@ let dacr_all_client t =
     Dacr.set (Mmu.dacr t.zynq.Zynq.mmu) d Dacr.Client
   done
 
-let activate_kernel t =
-  Mmu.set_ttbr t.zynq.Zynq.mmu (Page_table.root t.kernel_pt);
-  flush_retired t;
-  Mmu.set_asid t.zynq.Zynq.mmu 0;
-  dacr_all_client t;
-  charge_context_regs t
-
 let activate_manager t ~asid =
   Mmu.set_ttbr t.zynq.Zynq.mmu (Page_table.root t.kernel_pt);
   flush_retired t;

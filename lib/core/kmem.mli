@@ -65,10 +65,6 @@ val make_guest_pt : t -> index:int -> Page_table.t
     physical allotment: kernel globals + guest-kernel sections
     (domain 1) + guest-user sections (domain 2). *)
 
-val activate_kernel : t -> unit
-(** Enter host-kernel context: kernel TTBR, ASID 0, DACR all-client.
-    Charges the register writes. *)
-
 val activate_manager : t -> asid:int -> unit
 (** Enter the Hardware Task Manager's space. *)
 

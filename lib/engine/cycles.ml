@@ -11,5 +11,3 @@ let of_ms ms = of_ns (ms *. 1e6)
 let to_ns c = float_of_int c /. cycles_per_ns
 let to_us c = to_ns c /. 1e3
 let to_ms c = to_ns c /. 1e6
-
-let pp_us ppf c = Format.fprintf ppf "%.2f us" (to_us c)

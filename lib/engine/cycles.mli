@@ -28,6 +28,3 @@ val to_us : t -> float
 
 val to_ms : t -> float
 (** [to_ms c] converts cycles to milliseconds. *)
-
-val pp_us : Format.formatter -> t -> unit
-(** Pretty-print a cycle count as microseconds with two decimals. *)

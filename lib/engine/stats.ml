@@ -53,7 +53,3 @@ let merge a b =
       min = Float.min a.min b.min;
       max = Float.max a.max b.max }
   end
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f min=%.3f max=%.3f sd=%.3f"
-    t.n (mean t) t.min t.max (stddev t)

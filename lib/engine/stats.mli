@@ -30,6 +30,3 @@ val stddev : t -> float
 
 val merge : t -> t -> t
 (** Combine two accumulators (parallel Welford merge). *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable one-line summary. *)

@@ -106,9 +106,9 @@ let vfp_run policy ~switches =
   ( Cycles.to_us (int_of_float (Stats.mean (Probe.stats probe Probe.vm_switch))),
     Probe.count probe "vfp_switch" )
 
-let vfp_ablation ?(switches = 200) ?domains () =
+let vfp_ablation ?(switches = 200) () =
   match
-    Parallel_sweep.run ?domains
+    Parallel_sweep.run
       [ (fun () -> vfp_run `Lazy ~switches);
         (fun () -> vfp_run `Active ~switches) ]
   with
@@ -195,7 +195,7 @@ let first_chunk_us policy =
   Kernel.run_for kern (Cycles.of_ms 20.0);
   Stats.mean stats
 
-let asid_ablation ?(config = Scenario.default_config) ?domains () =
+let asid_ablation ?(config = Scenario.default_config) () =
   (* A short quantum makes VM switches frequent enough for the TLB
      policy to matter (with the paper's 33 ms there are only a handful
      of switches per run). *)
@@ -203,7 +203,7 @@ let asid_ablation ?(config = Scenario.default_config) ?domains () =
   let base = { config with Scenario.tlb_policy = `Asid } in
   let flush = { config with Scenario.tlb_policy = `Flush_all } in
   match
-    Parallel_sweep.run ?domains
+    Parallel_sweep.run
       [ (fun () -> `Run (Scenario.run_virtualized ~config:base ~guests:2 ()));
         (fun () -> `Run (Scenario.run_virtualized ~config:flush ~guests:2 ()));
         (fun () -> `Us (first_chunk_us `Asid));
@@ -216,8 +216,8 @@ let asid_ablation ?(config = Scenario.default_config) ?domains () =
   | _ -> assert false
 
 let quantum_sweep ?(config = Scenario.default_config)
-    ?(quanta_ms = [ 1.0; 10.0; 33.0; 100.0 ]) ?domains () =
-  Parallel_sweep.map ?domains
+    ?(quanta_ms = [ 1.0; 10.0; 33.0; 100.0 ]) () =
+  Parallel_sweep.map
     (fun q ->
        let cfg = { config with Scenario.quantum_ms = q } in
        (q, Scenario.run_virtualized ~config:cfg ~guests:2 ()))

@@ -35,7 +35,7 @@ type vfp_result = {
   active_vfp_switches : int;
 }
 
-val vfp_ablation : ?switches:int -> ?domains:int -> unit -> vfp_result
+val vfp_ablation : ?switches:int -> unit -> vfp_result
 (** The two policies run on separate domains (see {!Parallel_sweep}). *)
 
 (** A3 — hypercall vs trap-and-emulate for a sensitive operation
@@ -63,13 +63,12 @@ type asid_result = {
   (** same chunk when each switch flushes the TLB *)
 }
 
-val asid_ablation :
-  ?config:Scenario.config -> ?domains:int -> unit -> asid_result
+val asid_ablation : ?config:Scenario.config -> unit -> asid_result
 (** The four independent measurements (two scenario runs, two
     microbenchmarks) run on domains via {!Parallel_sweep}. *)
 
 (** A5 — time-slice sweep around the paper's 33 ms. One domain per
     quantum (results in input order). *)
 val quantum_sweep :
-  ?config:Scenario.config -> ?quanta_ms:float list -> ?domains:int ->
-  unit -> (float * Scenario.overheads) list
+  ?config:Scenario.config -> ?quanta_ms:float list -> unit ->
+  (float * Scenario.overheads) list

@@ -157,10 +157,10 @@ let run ?(config = default_config) ~guests () =
 let default_rates = [ 0.0; 0.05; 0.2 ]
 
 let sweep ?(config = default_config) ?(max_guests = 4)
-    ?(rates = default_rates) ?domains () =
+    ?(rates = default_rates) () =
   (* Every (rate, guests) cell is an independent world: sweep them on
      domains, input order preserved. *)
-  Parallel_sweep.run ?domains
+  Parallel_sweep.run
     (List.concat_map
        (fun rate ->
           List.init max_guests (fun i ->

@@ -58,8 +58,8 @@ val default_rates : float list
 (** [0.0; 0.05; 0.2]. *)
 
 val sweep :
-  ?config:config -> ?max_guests:int -> ?rates:float list ->
-  ?domains:int -> unit -> report list
+  ?config:config -> ?max_guests:int -> ?rates:float list -> unit ->
+  report list
 (** For each rate, 1..max_guests (default 4) — rate-major order. The
     cells are independent and run on OCaml domains via
     {!Parallel_sweep}; results are identical to the serial sweep. *)

@@ -54,16 +54,6 @@ let seed =
 
 let guests = int [ "g"; "guests" ] "Number of parallel guest VMs." 4
 
-let domains =
-  { names = [ "domains" ];
-    docv = "N";
-    doc =
-      "Cap the sweep parallelism (default: MININOVA_DOMAINS or the \
-       host's recommended domain count).";
-    default = None;
-    parse = (fun s -> Result.map Option.some (int_at_least 1 s));
-    show = (function Some d -> string_of_int d | None -> "auto") }
-
 let pcpus =
   int ~min:1 [ "pcpus" ]
     "Simulated pCPUs. 1 (default) drives a single kernel exactly as \

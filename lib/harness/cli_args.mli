@@ -54,9 +54,6 @@ val seed : int spec
 val guests : int spec
 (** [-g]/[--guests]: parallel guest VMs. *)
 
-val domains : int option spec
-(** [--domains]: sweep parallelism cap. *)
-
 val pcpus : int spec
 (** [--pcpus N]: simulated pCPU count (>= 1). N > 1 boots an [Smp]
     complex — per-CPU kernels run in parallel on OCaml domains,

@@ -445,11 +445,3 @@ let run_native ?(config = default_config) () =
     sim_ms = Cycles.to_ms (Clock.now z.Zynq.clock);
     sim_cycles = Clock.now z.Zynq.clock;
     metrics = Obs.snapshot z.Zynq.obs }
-
-let run_table3 ?(config = default_config) ?(max_guests = 4) ?domains () =
-  (* Native and each guest count are independent worlds: sweep them on
-     domains (input order preserved, so output is unchanged). *)
-  Parallel_sweep.run ?domains
-    ((fun () -> run_native ~config ())
-     :: List.init max_guests (fun i ->
-            fun () -> run_virtualized ~config ~guests:(i + 1) ()))

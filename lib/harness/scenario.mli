@@ -79,14 +79,3 @@ val run_native : ?config:config -> unit -> overheads
 val run_virtualized : ?config:config -> guests:int -> unit -> overheads
 (** One measured configuration with [guests] parallel VMs (1–4 in the
     paper). *)
-
-val run_table3 :
-  ?config:config -> ?max_guests:int -> ?domains:int -> unit ->
-  overheads list
-(** Native followed by 1..max_guests (default 4) VMs. The
-    configurations are independent and run on OCaml domains via
-    {!Parallel_sweep} ([domains] defaults to
-    {!Parallel_sweep.default_domains}: [MININOVA_DOMAINS], else every
-    recommended domain). Each virtualized run at [pcpus > 1] runs its
-    epochs through the same loop under the same default budget.
-    Results are identical to the serial sweep. *)

@@ -26,11 +26,15 @@ let configs =
       ([ "--vms"; "8"; "--jobs"; "4"; "--fault-rate"; "0.05"; "--check" ], true) );
     ("partition", ([ "--jobs"; "8"; "--check" ], true));
     ("scenario", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
-    ("stats", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
+    ( "scenario_obs",
+      ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2"; "--obs" ], true) );
     ("trace", ([ "--last"; "20" ], false)) ]
 
 (* A fingerprint names its experiment unless it is a variant. *)
-let experiment_of = function "slo_obs" -> "slo" | name -> name
+let experiment_of = function
+  | "slo_obs" -> "slo"
+  | "scenario_obs" -> "scenario"
+  | name -> name
 
 (* Host-dependent fields never enter a fingerprint. *)
 let rec strip = function

@@ -254,27 +254,28 @@ let test_soak_replay_deterministic () =
 (* ------------------------------------------------------------------ *)
 (* Sharded soak: fixed decomposition, domain-count independence.       *)
 
-let sharded_fingerprint (s : Soak.sharded) =
-  (* Everything deterministic about a sharded run: merged stats, each
-     shard's stats, and which shards violated (wall times excluded). *)
-  ( s.Soak.merged_stats,
-    List.map
-      (fun (r : Soak.shard_report) ->
-         ( r.Soak.shard,
-           Soak.stats_of_outcome r.Soak.outcome,
-           match r.Soak.outcome with
-           | Soak.Clean _ -> None
-           | Soak.Violated { violation; _ } ->
-             Some violation.Invariant.checker ))
-      s.Soak.reports,
-    Option.map (fun r -> r.Soak.shard) s.Soak.first_violated )
+(* Everything deterministic about one shard's outcome: its stats and
+   which checker (if any) it violated (wall times excluded). *)
+let outcome_fingerprint o =
+  ( Soak.stats_of_outcome o,
+    match o with
+    | Soak.Clean _ -> None
+    | Soak.Violated { violation; _ } -> Some violation.Invariant.checker )
 
+(* The parallel sharded run against a serial reference: each shard's
+   configuration run in turn on this domain. *)
 let test_sharded_domain_independent () =
   let cfg = { smoke_config with Soak.ops = 20_000 } in
-  let a = Soak.run_sharded ~domains:1 ~shards:4 cfg in
-  let b = Soak.run_sharded ~domains:3 ~shards:4 cfg in
-  Alcotest.check cb "identical outcomes for any domain budget" true
-    (sharded_fingerprint a = sharded_fingerprint b);
+  let shards = 4 in
+  let a = Soak.run_sharded ~shards cfg in
+  let serial =
+    List.init shards (fun shard ->
+        Soak.run (Soak.shard_config cfg ~shards ~shard))
+  in
+  Alcotest.check cb "identical outcomes to the serial shards" true
+    (List.map (fun (r : Soak.shard_report) -> outcome_fingerprint r.Soak.outcome)
+       a.Soak.reports
+     = List.map outcome_fingerprint serial);
   Alcotest.check ci "all shards ran" 4 (List.length a.Soak.reports);
   Alcotest.check cb "work actually split"
     true
@@ -286,7 +287,7 @@ let test_sharded_one_shard_is_run () =
   match Soak.run smoke_config with
   | Soak.Violated _ -> Alcotest.fail "smoke config violated"
   | Soak.Clean direct ->
-    let s = Soak.run_sharded ~domains:1 ~shards:1 smoke_config in
+    let s = Soak.run_sharded ~shards:1 smoke_config in
     Alcotest.check stats_t "1-shard run is exactly Soak.run" direct
       s.Soak.merged_stats
 

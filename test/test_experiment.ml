@@ -27,8 +27,32 @@ let test_registry_names () =
     "registry order"
     [ "table3"; "fig9"; "report"; "reconfig"; "axi"; "vfp"; "trapvshyper";
       "asid"; "quantum"; "chaos"; "soak"; "slo"; "density"; "partition";
-      "scenario"; "stats"; "trace" ]
+      "scenario"; "trace" ]
     (List.map (fun (e : Experiment.t) -> e.Experiment.name) Experiment.registry)
+
+(* scenario is one Table III cell: at the same flags its document is
+   table3's run of the same configuration, field for field. *)
+let test_scenario_is_a_table3_cell () =
+  let flags = [ "--requests"; "6"; "--warmup"; "2" ] in
+  let runs =
+    match (instance "table3" (flags @ [ "--guests"; "2" ])).Experiment.json with
+    | Json_out.Obj [ ("runs", Json_out.List runs) ] -> runs
+    | _ -> Alcotest.fail "table3: no runs"
+  in
+  let run tag =
+    List.find
+      (function
+        | Json_out.Obj (("config", Json_out.Str c) :: _) -> c = tag
+        | _ -> false)
+      runs
+  in
+  let doc argv =
+    Json_out.to_string (instance "scenario" (flags @ argv)).Experiment.json
+  in
+  check Alcotest.string "--guests 2 is the 2os run"
+    (Json_out.to_string (run "2os")) (doc [ "--guests"; "2" ]);
+  check Alcotest.string "--native is the native run"
+    (Json_out.to_string (run "native")) (doc [ "--native" ])
 
 let test_failing_claim_reported () =
   (* Four jobs per guest cannot fill a batch of 8: the transition ratio
@@ -81,4 +105,5 @@ let suite =
         (claims_hold "density" [ "--vms"; "8"; "--check"; "--fault-rate"; "0.05" ]);
       t "density claims at 4 pCPUs" `Quick
         (claims_hold "density" [ "--vms"; "8"; "--pcpus"; "4"; "--check" ]);
-      t "partition claims" `Quick (claims_hold "partition" [ "--check" ]) ] )
+      t "partition claims" `Quick (claims_hold "partition" [ "--check" ]);
+      t "scenario is a table3 cell" `Quick test_scenario_is_a_table3_cell ] )

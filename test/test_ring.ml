@@ -148,6 +148,66 @@ let test_backpressure_then_kill_reclaims () =
        (Invariant.check kern ~boundary:"test"))
 
 (* ------------------------------------------------------------------ *)
+(* A forged CQ consumption head, ahead of the kernel's completion tail *)
+(* or more than [entries] behind it, is a typed doorbell error: no     *)
+(* host exception, the ring stays usable, and an honest guest beside   *)
+(* it completes its batch.                                             *)
+
+let test_forged_cq_head pcpus () =
+  let smp = Fleet.boot ~pcpus () in
+  let task = Smp.register_hw_task smp (Task_kind.Qam 4) in
+  let verdicts = ref [] in
+  ignore
+    (Smp.create_vm smp ~name:"forger" ~cpu:0 (fun genv ->
+         let p = Port.paravirt genv in
+         match Ring_api.setup p ~entries:8 ~cvirq_budget:0 () with
+         | Error e -> Alcotest.failf "setup: %s" e
+         | Ok r ->
+           ignore (Ring_api.enqueue p r ~op:`Request ~task ~tag:1 ());
+           List.iter
+             (fun head ->
+                Zynq.vwrite_word p.Port.zynq ~priv:p.Port.priv
+                  (r.Ring_api.cq + 4) (head land 0xFFFF_FFFF);
+                verdicts := Ring_api.doorbell p r :: !verdicts)
+             (* 5 ahead of the kernel's head (0), 9 behind it, then
+                the honest head again. *)
+             [ 5; -9; 0 ]));
+  let honest = ref [] in
+  ignore
+    (Smp.create_vm smp ~name:"honest" ~cpu:0 (fun genv ->
+         let p = Port.paravirt genv in
+         match Ring_api.setup p ~entries:8 ~cvirq_budget:0 () with
+         | Error e -> Alcotest.failf "setup: %s" e
+         | Ok r ->
+           (match Ring_api.submit_requests p r ~tasks:[ task; task ] () with
+            | Ok (_, cqes) -> honest := cqes
+            | Error e -> Alcotest.failf "honest submit: %s" e)));
+  Smp.run_for smp (Cycles.of_ms 5.0);
+  Alcotest.(check (list (result int string)))
+    "forged heads refused, the honest head drains"
+    [ Error "ring: bad completion head"; Error "ring: bad completion head";
+      Ok 1 ]
+    (List.rev !verdicts);
+  Alcotest.(check (list int)) "the honest guest got both completions"
+    [ 1; 2 ]
+    (List.map (fun (c : Ring_api.cqe) -> c.Ring_api.tag) !honest);
+  List.iter
+    (fun (c : Ring_api.cqe) ->
+       Alcotest.check cb "a manager verdict" true
+         (c.Ring_api.status = Ring_api.status_success
+          || c.Ring_api.status = Ring_api.status_reconfig
+          || c.Ring_api.status = Ring_api.status_busy))
+    !honest;
+  Alcotest.check ci "no crashes" 0 (Smp.crashes smp);
+  Alcotest.check ci "every descriptor completed" 3
+    (Fleet.sum_kernels smp (fun k -> (Kernel.ring_stats k).Kernel.rs_completed));
+  for cpu = 0 to pcpus - 1 do
+    Alcotest.(check (list string)) "invariants hold" []
+      (List.map Invariant.violation_to_string
+         (Invariant.check (Smp.kernel smp cpu) ~boundary:"test"))
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Completion-vIRQ moderation: ceil(batch / budget) injections.        *)
 
 let test_virq_moderation () =
@@ -422,4 +482,6 @@ let suite =
       t "density determinism" `Quick test_density_deterministic;
       t "deadline admission order" `Quick test_deadline_admission_order;
       t "fifo admission ignores deadline keys" `Quick
-        test_fifo_admission_ignores_deadlines ] )
+        test_fifo_admission_ignores_deadlines;
+      t "forged CQ head is refused" `Quick (test_forged_cq_head 1);
+      t "forged CQ head is refused at 4 pCPUs" `Quick (test_forged_cq_head 4) ] )

@@ -190,60 +190,6 @@ let test_gsm_silence () =
   check cb "silent frame yields zero LARs" true
     (Array.for_all (( = ) 0) (Gsm_lpc.analyze (Array.make 160 0)))
 
-(* --- GSM full-rate RPE-LTP codec --- *)
-
-let test_gsm_rpe_roundtrip_quality () =
-  let rng = Rng.create ~seed:21 in
-  let pcm = Signal.speech_like rng (160 * 8) in
-  let out = Gsm_rpe.decode (Gsm_rpe.encode pcm) in
-  let snr = Gsm_rpe.snr_db pcm out in
-  check cb (Printf.sprintf "speech segSNR %.1f dB > 8 dB" snr) true (snr > 8.0)
-
-let test_gsm_rpe_frame_structure () =
-  let rng = Rng.create ~seed:22 in
-  let pcm = Signal.speech_like rng 160 in
-  let enc = Gsm_rpe.create_encoder () in
-  let f = Gsm_rpe.encode_frame enc pcm in
-  check ci "8 LARs" 8 (Array.length f.Gsm_rpe.lars);
-  check ci "4 subframes" 4 (Array.length f.Gsm_rpe.subframes);
-  Array.iter
-    (fun sf ->
-       check cb "lag range" true
-         (sf.Gsm_rpe.lag >= 40 && sf.Gsm_rpe.lag <= 120);
-       check cb "gain index" true
-         (sf.Gsm_rpe.gain_index >= 0 && sf.Gsm_rpe.gain_index <= 3);
-       check cb "grid" true (sf.Gsm_rpe.grid >= 0 && sf.Gsm_rpe.grid <= 2);
-       check cb "max index" true
-         (sf.Gsm_rpe.max_index >= 0 && sf.Gsm_rpe.max_index <= 63);
-       check ci "13 pulses" 13 (Array.length sf.Gsm_rpe.pulses);
-       Array.iter
-         (fun p -> check cb "3-bit pulse" true (p >= 0 && p <= 7))
-         sf.Gsm_rpe.pulses)
-    f.Gsm_rpe.subframes;
-  check cb "near the standard's 260 bits/frame" true
-    (abs (Gsm_rpe.bits_per_frame - 260) < 30)
-
-let test_gsm_rpe_deterministic () =
-  let rng = Rng.create ~seed:23 in
-  let pcm = Signal.speech_like rng (160 * 2) in
-  let a = Gsm_rpe.decode (Gsm_rpe.encode pcm) in
-  let b = Gsm_rpe.decode (Gsm_rpe.encode pcm) in
-  check cb "bit-identical" true (a = b)
-
-let test_gsm_rpe_bad_length () =
-  Alcotest.check_raises "length check"
-    (Invalid_argument "Gsm_rpe.encode: length must be a positive multiple of 160")
-    (fun () -> ignore (Gsm_rpe.encode (Array.make 100 0)))
-
-let prop_gsm_rpe_bounded_output =
-  QCheck2.Test.make ~name:"GSM-RPE output stays in 16-bit range" ~count:20
-    QCheck2.Gen.int
-    (fun seed ->
-       let rng = Rng.create ~seed in
-       let pcm = Signal.noise rng ~amplitude:32767 160 in
-       let out = Gsm_rpe.decode (Gsm_rpe.encode pcm) in
-       Array.for_all (fun v -> v >= -32768 && v <= 32767) out)
-
 (* --- FIR --- *)
 
 let test_fir_design_checks () =
@@ -406,11 +352,6 @@ let suite =
       t "gsm reflection bounds" test_gsm_reflection_bounds;
       t "gsm prediction gain" test_gsm_prediction_gain;
       t "gsm silence" test_gsm_silence;
-      t "gsm rpe roundtrip quality" test_gsm_rpe_roundtrip_quality;
-      t "gsm rpe frame structure" test_gsm_rpe_frame_structure;
-      t "gsm rpe deterministic" test_gsm_rpe_deterministic;
-      t "gsm rpe bad length" test_gsm_rpe_bad_length;
-      QCheck_alcotest.to_alcotest prop_gsm_rpe_bounded_output;
       t "fir design checks" test_fir_design_checks;
       t "fir lowpass response" test_fir_lowpass_response;
       t "fir highpass response" test_fir_highpass_response;
