@@ -1018,14 +1018,13 @@ let last_spec =
 
 (* A compact two-VM demo with hardware tasks, traced end to end. *)
 let two_vm_trace () =
-  let z = Zynq.create () in
-  let kern = Kernel.boot z in
+  let smp = Fleet.boot ~pcpus:1 () in
   let tr = Ktrace.create ~capacity:4096 in
-  Kernel.set_trace kern (Some tr);
-  let qam = Kernel.register_hw_task kern (Task_kind.Qam 16) in
+  Kernel.set_trace (Smp.kernel smp 0) (Some tr);
+  let qam = Smp.register_hw_task smp (Task_kind.Qam 16) in
   for g = 0 to 1 do
     ignore
-      (Kernel.create_vm kern
+      (Smp.create_vm smp
          ~name:(Printf.sprintf "vm%d" g)
          (fun genv ->
             let os = Ucos.create (Port.paravirt genv) in
@@ -1044,7 +1043,7 @@ let two_vm_trace () =
                    done));
             Ucos.run os))
   done;
-  Kernel.run kern ~until:(Cycles.of_ms 200.0);
+  Smp.run smp ~until:(Cycles.of_ms 200.0);
   tr
 
 let trace =

@@ -338,15 +338,25 @@ let config t = t.cfg
 let register_hw_task t kind = Hw_task_manager.register_task t.hwtm kind
 let destroy_hw_task t id = Hw_task_manager.destroy_task t.hwtm id
 
-let create_vm t ~name ?id ?(priority = 1) ?(uses_vfp = false) main =
-  (* Fail before consuming anything if a fresh resource would be
-     needed but its space is exhausted (recycled ones come first). *)
+(* Why a fresh VM cannot be admitted, if it cannot (recycled slots
+   and windows come first). *)
+let admission_block t =
   if Queue.is_empty t.free_slots && t.next_slot >= max_vcpu_slots then
-    failwith "Kernel.create_vm: vCPU save-area slots exhausted";
-  if
+    Some "vCPU save-area slots exhausted"
+  else if
     Queue.is_empty t.free_guest_indices
     && t.next_guest >= Address_map.guest_slot_count
-  then failwith "Kernel.create_vm: guest physical windows exhausted";
+  then Some "guest physical windows exhausted"
+  else None
+
+let can_admit t = admission_block t = None
+
+let create_vm t ~name ?id ?(priority = 1) ?(uses_vfp = false) main =
+  (* Fail before consuming anything. Host-only: no hypercall creates a
+     VM, and Smp's migration checks [can_admit] first. *)
+  (match admission_block t with
+   | Some why -> failwith ("Kernel.create_vm: " ^ why)
+   | None -> ());
   (* ASIDs over-commit beyond the 254 guest tags: a fresh PD that finds
      the space exhausted starts with the sentinel 0 and has a tag
      stolen for it the first time it is switched in. *)
@@ -364,6 +374,8 @@ let create_vm t ~name ?id ?(priority = 1) ?(uses_vfp = false) main =
       t.next_pd <- id + 1;
       id
     | Some id ->
+      (* Host-only, as above: Smp passes fresh ids, or on migration the
+         id it has just retracted from the source pCPU. *)
       if Hashtbl.mem t.pd_tbl id then
         invalid_arg "Kernel.create_vm: pd id already live";
       t.next_pd <- max t.next_pd (id + 1);
@@ -648,6 +660,10 @@ let ensure_asid t (pd : Pd.t) =
       let probes = ref 0 in
       while !victim_asid = 0 do
         incr probes;
+        (* Accounting invariant, not a guest-reachable state: the
+           allocator is full, so all 254 tags are held by live PDs
+           ([asid_owner]), none by [pd], which holds the sentinel.
+           Invariant's [asid_accounting] checker catches the drift. *)
         if !probes > 254 then
           failwith "Kernel.ensure_asid: no stealable ASID";
         t.asid_cursor <- (if t.asid_cursor >= 255 then 2 else t.asid_cursor + 1);
@@ -1250,8 +1266,9 @@ let handle_simple t rt req =
         { sq_vaddr = Guest_layout.ring_sq_base;
           cq_vaddr = Guest_layout.ring_cq_base; entries }
     end
-  | Hyper.Ring_doorbell -> assert false (* handled separately *)
-  | Hyper.Hw_task_request _ -> assert false (* handled separately *)
+  (* [handle_hyper] routes these two to their own handlers first. *)
+  | Hyper.Ring_doorbell -> assert false
+  | Hyper.Hw_task_request _ -> assert false
 
 let handle_hyper t rt req =
   t.hypercall_count <- t.hypercall_count + 1;
@@ -1364,6 +1381,8 @@ let run t ~until =
             | Some k ->
               rt.saved <- None;
               Effect.Deep.continue k (drain rt)
+            (* [execute] leaves a started PD either parked in [saved]
+               or killed, and a killed PD is never picked. *)
             | None -> assert false
         in
         execute t rt ex ~until
@@ -1406,6 +1425,8 @@ let run_epoch t ~until =
             | Some k ->
               rt.saved <- None;
               Effect.Deep.continue k (drain rt)
+            (* [execute] leaves a started PD either parked in [saved]
+               or killed, and a killed PD is never picked. *)
             | None -> assert false
         in
         execute t rt ex ~until

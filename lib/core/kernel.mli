@@ -98,6 +98,10 @@ val create_vm :
     orchestrator to keep one id space across pCPUs; raises
     [Invalid_argument] if that id is already live here. *)
 
+val can_admit : t -> bool
+(** A fresh VM would find a vCPU save-area slot and a guest physical
+    window ({!create_vm} raises [Failure] when it would not). *)
+
 val pd : t -> int -> Pd.t option
 val pds : t -> Pd.t list
 (** Live PDs only: a killed VM is reaped (removed from the kernel's

@@ -311,7 +311,8 @@ let refresh_directory t =
    furthest from dispatch on the longest queue — restricted to
    never-started VMs, the only ones with no machine state pinning them
    to their board. Ties break to the lowest cpu; candidates are
-   scanned in deterministic [Sched.members] order. *)
+   scanned in deterministic [Sched.members] order. A pCPU with no room
+   for another VM ([Kernel.can_admit]) takes none. *)
 let balance t =
   let counts =
     Array.map (fun n -> Sched.count (Kernel.sched n.kern)) t.nodes
@@ -325,7 +326,8 @@ let balance t =
          if c > counts.(!hi) then hi := i;
          if c < counts.(!lo) then lo := i)
       counts;
-    if counts.(!hi) - counts.(!lo) >= 2 then begin
+    if counts.(!hi) - counts.(!lo) >= 2 && Kernel.can_admit t.nodes.(!lo).kern
+    then begin
       let src = t.nodes.(!hi) and dst = t.nodes.(!lo) in
       let candidates = List.rev (Sched.members (Kernel.sched src.kern)) in
       let rec steal = function

@@ -25,11 +25,12 @@ val create :
     through to [Zynq.create ~cpu] so observability cells stay keyed).
     [epoch] is the barrier quantum in cycles (default 1 ms); smaller
     epochs tighten cross-CPU latency, larger ones cut barrier
-    overhead — either way results are deterministic. [workers] caps
-    host domains used per epoch (default:
-    {!Parallel_sweep.default_domains}, read once here); it never
-    affects simulation results. Epochs run through
-    {!Parallel_sweep.iter}, so a budget of 1 runs the nodes inline. *)
+    overhead — either way results are deterministic. Epochs run
+    through {!Parallel_sweep.iter}: [workers] caps how many domains
+    (the caller plus persistent pool workers) an epoch uses (default:
+    {!Parallel_sweep.default_domains}, read once here). A budget of 1,
+    or an epoch run while the pool is busy (an [Smp.run] inside a sweep
+    job), runs the nodes inline. It never affects simulation results. *)
 
 val pcpus : t -> int
 

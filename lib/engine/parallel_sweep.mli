@@ -6,7 +6,17 @@
     and an [Smp] epoch runs every pCPU node up to the next barrier.
     The jobs share nothing, so they can run on separate OCaml domains;
     results are always returned in input order, making the output
-    deterministic and independent of the domain count. *)
+    deterministic and independent of the domain count.
+
+    The domains are one per-process pool of persistent workers. They
+    are spawned lazily, the first time a call needs them, and the pool
+    only grows, to the largest [budget - 1] asked for: a process that
+    never asks for more than one domain spawns none. Between calls
+    the workers spin briefly and then park on a condition variable,
+    so idle workers burn no CPU and do not delay process exit. A call
+    owns the whole pool while it runs; a call made meanwhile — nested
+    inside a job, or from another domain at the same time — runs
+    inline on its own calling domain, which changes only host time. *)
 
 val domains_of_env : string option -> int
 (** The domain-budget rule for a [MININOVA_DOMAINS] value: unset means
@@ -21,10 +31,11 @@ val default_domains : unit -> int
 val iter : ?domains:int -> ('a -> unit) -> 'a array -> unit
 (** [iter f items] applies [f] to every item, using up to [domains]
     domains (capped by the number of items; the calling domain
-    participates). With an effective budget of 1 this is exactly
-    [Array.iter f items] — inline, no domains are spawned. If any job
-    raises, the exception of the lowest-indexed failing job is
-    re-raised with its backtrace after all domains have joined. *)
+    participates, the rest are pool workers). With an effective budget
+    of 1, or while the pool is busy, this is exactly
+    [Array.iter f items] on the calling domain. If any job raises, the
+    exception of the lowest-indexed failing job is re-raised with its
+    backtrace after every job has finished. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!iter} collecting results in input order; with an effective

@@ -76,13 +76,13 @@ type vfp_result = {
 
 (* Two FP-using guests ping-ponging on a short quantum. *)
 let vfp_run policy ~switches =
-  let z = Zynq.create () in
   let cfg =
     { Kernel.default_config with
       Kernel.quantum = Cycles.of_ms 2.0;
       vfp_policy = policy }
   in
-  let kern = Kernel.boot ~config:cfg z in
+  let smp = Fleet.boot ~config:cfg ~pcpus:1 () in
+  let z = Smp.zynq smp 0 in
   let body (_env : Kernel.guest_env) =
     let fp =
       { Exec.label = "spin";
@@ -99,10 +99,10 @@ let vfp_run policy ~switches =
   (* One FP-heavy guest and one integer-only guest: lazy switching
      leaves the VFP bank with the FP guest across the integer guest's
      slices (Table I's motivation). *)
-  ignore (Kernel.create_vm kern ~name:"fp" ~uses_vfp:true body);
-  ignore (Kernel.create_vm kern ~name:"int" ~uses_vfp:false body);
-  Kernel.run_for kern (Cycles.of_ms (2.2 *. float_of_int switches));
-  let probe = Kernel.probe kern in
+  ignore (Smp.create_vm smp ~name:"fp" ~uses_vfp:true body);
+  ignore (Smp.create_vm smp ~name:"int" ~uses_vfp:false body);
+  Smp.run_for smp (Cycles.of_ms (2.2 *. float_of_int switches));
+  let probe = Kernel.probe (Smp.kernel smp 0) in
   ( Cycles.to_us (int_of_float (Stats.mean (Probe.stats probe Probe.vm_switch))),
     Probe.count probe "vfp_switch" )
 
@@ -125,8 +125,8 @@ type trap_result = {
 }
 
 let trap_vs_hypercall ?(iterations = 400) () =
-  let z = Zynq.create () in
-  let kern = Kernel.boot z in
+  let smp = Fleet.boot ~pcpus:1 () in
+  let z = Smp.zynq smp 0 in
   let hyper_stats = Stats.create () and trap_stats = Stats.create () in
   let body (_env : Kernel.guest_env) =
     for _ = 1 to iterations do
@@ -139,8 +139,8 @@ let trap_vs_hypercall ?(iterations = 400) () =
       if Stats.count trap_stats mod 50 = 0 then ignore (Hyper.pause ())
     done
   in
-  ignore (Kernel.create_vm kern ~name:"trapper" body);
-  Kernel.run_for kern (Cycles.of_ms 2000.0);
+  ignore (Smp.create_vm smp ~name:"trapper" body);
+  Smp.run_for smp (Cycles.of_ms 2000.0);
   { hypercall_us = Cycles.to_us (int_of_float (Stats.mean hyper_stats));
     trap_us = Cycles.to_us (int_of_float (Stats.mean trap_stats)) }
 
@@ -156,13 +156,13 @@ type asid_result = {
    Every chunk runs right after a VM switch, so the flush policy's
    page-walk refill shows directly in the chunk latency. *)
 let first_chunk_us policy =
-  let z = Zynq.create () in
   let cfg =
     { Kernel.default_config with
       Kernel.quantum = Cycles.of_us 1.0;
       tlb_policy = policy }
   in
-  let kern = Kernel.boot ~config:cfg z in
+  let smp = Fleet.boot ~config:cfg ~pcpus:1 () in
+  let z = Smp.zynq smp 0 in
   let stats = Stats.create () in
   (* Stagger the two guests' pages into disjoint TLB sets so that with
      ASID tagging both working sets genuinely coexist. *)
@@ -190,9 +190,9 @@ let first_chunk_us policy =
       ignore (Hyper.pause ())
     done
   in
-  ignore (Kernel.create_vm kern ~name:"wa" (body 0));
-  ignore (Kernel.create_vm kern ~name:"wb" (body 1));
-  Kernel.run_for kern (Cycles.of_ms 20.0);
+  ignore (Smp.create_vm smp ~name:"wa" (body 0));
+  ignore (Smp.create_vm smp ~name:"wb" (body 1));
+  Smp.run_for smp (Cycles.of_ms 20.0);
   Stats.mean stats
 
 let asid_ablation ?(config = Scenario.default_config) () =

@@ -1,10 +1,10 @@
 (** The experiment kit: one way to boot a complex, the standard guests
     the fleet experiments share, and their read-outs.
 
-    Every multi-VM experiment (Scenario, Chaos, Slo, Density,
-    Partition, Soak) boots through {!boot}, so they all drive the
-    kernel through {!Smp} — at one pCPU that is pure delegation to the
-    single kernel. *)
+    Every experiment that runs guests (Scenario, Chaos, Slo, Density,
+    Partition, Soak, the Ablations and the trace demo) boots through
+    {!boot}, so they all drive the kernel through {!Smp} — at one pCPU
+    that is pure delegation to the single kernel. *)
 
 val boot :
   ?config:Kernel.config -> ?observe:bool -> ?fault_seed:int ->

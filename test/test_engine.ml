@@ -247,6 +247,63 @@ let test_sweep_raises_after_join () =
            (Atomic.get f))
     finished
 
+(* --- The persistent pool behind Parallel_sweep --- *)
+
+let test_pool_exactly_once () =
+  (* Back-to-back calls with a budget that changes under the workers:
+     a worker that wakes late must never run an item of a newer call,
+     and none may be skipped. *)
+  let items = Array.init 6 Fun.id in
+  let runs = Array.init 6 (fun _ -> Atomic.make 0) in
+  let current = Atomic.make 0 and strays = Atomic.make 0 in
+  let budgets = [| 3; 2; 4; 1; 3 |] in
+  let ok = ref true in
+  for call = 0 to 1999 do
+    Atomic.set current call;
+    Parallel_sweep.iter ~domains:budgets.(call mod Array.length budgets)
+      (fun i ->
+         if Atomic.get current <> call then Atomic.incr strays;
+         Atomic.incr runs.(i))
+      items;
+    Array.iter (fun r -> if Atomic.get r <> call + 1 then ok := false) runs
+  done;
+  check cb "every item ran exactly once per call" true !ok;
+  check ci "no job of an earlier call ran during a later one" 0
+    (Atomic.get strays)
+
+let test_pool_nested_inline () =
+  let strays = Atomic.make 0 in
+  let job _ =
+    let me = Domain.self () in
+    Parallel_sweep.iter ~domains:3
+      (fun () -> if Domain.self () <> me then Atomic.incr strays)
+      (Array.make 5 ())
+  in
+  Parallel_sweep.iter ~domains:3 job (Array.make 6 ());
+  check ci "every nested item ran on its job's domain" 0 (Atomic.get strays)
+
+let test_pool_reuse_after_failure () =
+  (match Parallel_sweep.iter ~domains:3 (fun i -> if i = 2 then failwith "x")
+           (Array.init 6 Fun.id) with
+   | () -> Alcotest.fail "no exception"
+   | exception Failure _ -> ());
+  check (Alcotest.list ci) "the next call completes in input order"
+    (List.init 12 (fun i -> i + 1))
+    (Parallel_sweep.map ~domains:3 succ (List.init 12 Fun.id))
+
+let test_pool_concurrent_callers () =
+  let items = List.init 9 Fun.id in
+  let want = List.map (fun i -> i * 7) items in
+  let calls () =
+    List.for_all
+      (fun _ -> Parallel_sweep.map ~domains:2 (fun i -> i * 7) items = want)
+      (List.init 300 Fun.id)
+  in
+  let other = Domain.spawn calls in
+  let mine = calls () in
+  check cb "the calling domain's results" true mine;
+  check cb "the other domain's results" true (Domain.join other)
+
 let test_json_line () =
   let open Json_out in
   let cs = Alcotest.string in
@@ -298,4 +355,8 @@ let suite =
       t "sweep budget one is inline" test_sweep_budget_one_is_inline;
       t "sweep raises after join" test_sweep_raises_after_join;
       t "json Line renders on one line" test_json_line;
-      t "json Line children keep a parent flat" test_json_line_parent ] )
+      t "json Line children keep a parent flat" test_json_line_parent;
+      t "pool runs each item exactly once" test_pool_exactly_once;
+      t "pool runs nested calls inline" test_pool_nested_inline;
+      t "pool is reusable after a failure" test_pool_reuse_after_failure;
+      t "pool serves concurrent callers" test_pool_concurrent_callers ] )

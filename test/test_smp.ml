@@ -101,6 +101,19 @@ let test_domain_count_independence () =
   check cs "1 worker == 3 workers" serial par3;
   check cs "1 worker == 8 workers" serial par8
 
+(* The host pool is shared with unrelated callers: a sweep run between
+   two slices of a 2-worker complex leaves its results untouched. *)
+let test_pool_shared_between_slices () =
+  let smp = build_storm ~workers:2 ~pcpus:3 ~guests:6 ~iters:25 () in
+  Invariant.attach_smp smp;
+  Smp.run_for smp (Cycles.of_ms 150.0);
+  check (Alcotest.list Alcotest.int) "an unrelated sweep" [ 0; 2; 4; 6 ]
+    (Parallel_sweep.map ~domains:3 (fun i -> 2 * i) [ 0; 1; 2; 3 ]);
+  Smp.run_for smp (Cycles.of_ms 150.0);
+  clean smp "final";
+  check cs "== the 1-worker fingerprint" (storm_fp ~workers:1 ())
+    (fingerprint smp)
+
 (* ------------------------------------------------------------------ *)
 (* pcpus = 1 is pure delegation: bit-identical to driving the kernel   *)
 (* directly, including the id space.                                   *)
@@ -198,6 +211,28 @@ let test_idle_balance_migration () =
   check ci "migration count matches placement" on_cpu1 s.Smp.s_migrations;
   clean smp "final"
 
+(* Both nodes full: pCPU 1's sleepers block and empty its run queue
+   while pCPU 0's 255 never-started spinners wait. Balance must leave
+   them where they are rather than create a VM on a pCPU with no guest
+   window left. *)
+let test_balance_skips_full_pcpu () =
+  let smp =
+    Smp.create ~pcpus:2 ~epoch:(Cycles.of_us 10.0)
+      ~mk_zynq:(fun cpu -> Zynq.create ~cpu ()) ()
+  in
+  let spinner _genv = while true do ignore (Hyper.pause ()) done in
+  for g = 0 to Address_map.guest_slot_count - 1 do
+    ignore (Smp.create_vm smp ~name:(Printf.sprintf "s%d" g) ~cpu:0 spinner);
+    ignore (Smp.create_vm smp ~name:(Printf.sprintf "z%d" g) ~cpu:1 sleeper)
+  done;
+  check cb "pCPU 1 is full" false (Kernel.can_admit (Smp.kernel smp 1));
+  Smp.run_for smp (Cycles.of_ms 2.0);
+  check ci "pCPU 1's run queue drained" 0
+    (Sched.count (Kernel.sched (Smp.kernel smp 1)));
+  check ci "no migration into a full pCPU" 0 (Smp.stats smp).Smp.s_migrations;
+  check ci "everyone still alive" (2 * Address_map.guest_slot_count)
+    (Smp.alive_guests smp)
+
 (* ------------------------------------------------------------------ *)
 (* Kill/migration race property: both nodes packed past the 254 guest  *)
 (* ASID tags — 256 pinned sleepers per node all take a tag on first    *)
@@ -278,4 +313,7 @@ let suite =
       t "IPI counters under 4 workers" `Quick test_ipi_counters_under_workers;
       t "idle-balance migration" `Quick test_idle_balance_migration;
       t "kill race under ASID pressure" `Slow
-        test_kill_race_under_asid_pressure ] )
+        test_kill_race_under_asid_pressure;
+      t "pool shared between run slices" `Quick
+        test_pool_shared_between_slices;
+      t "balance skips a full pCPU" `Quick test_balance_skips_full_pcpu ] )
