@@ -6,10 +6,11 @@
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- table3 fig9  # a subset
 
-   Sections are the Experiment.registry names plus micro. Flags are
-   the union of the requested experiments' Cli_args specs plus --json
-   (write BENCH_sim.json), --assert, and the deterministic-cycle
-   baseline gate (--check-baseline / --write-baseline). *)
+   Sections are the Experiment.registry names plus micro. Each prints
+   its title, its JSON document and its claims; BENCH_sim.json collects
+   every document. Flags are the union of the requested experiments'
+   Cli_args specs plus --assert and the deterministic-cycle baseline
+   gate (--check-baseline / --write-baseline). *)
 
 let fmt = Format.std_formatter
 
@@ -110,10 +111,9 @@ let micro_tests () =
     replay_bench; ref_walk_bench; vword_bench "zynq.vword" ~fast:true;
     vword_bench "zynq.vword_ref" ~fast:false ]
 
+(* Host ns/op per primitive, by name. *)
 let run_micro () =
   let open Bechamel in
-  Format.fprintf fmt
-    "Bechamel microbenchmarks: host-side cost of simulator primitives@.";
   (* 0.15 s per test keeps OLS estimates stable for these tight loops
      (millions of samples for the ns-scale ones) at half the wall
      cost of the old 0.3 s quota. *)
@@ -124,30 +124,22 @@ let run_micro () =
   in
   (* Collect and sort by name: Hashtbl.iter order is unspecified and
      made the report nondeterministic across runs. *)
-  let rows =
-    List.concat_map
-      (fun test ->
-         let raw = Benchmark.all cfg instances test in
-         let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-         Hashtbl.fold
-           (fun name est acc ->
-              let ns =
-                match Analyze.OLS.estimates est with
-                | Some (t :: _) -> Some t
-                | Some [] | None -> None
-              in
-              (name, ns) :: acc)
-           results [])
-      (micro_tests ())
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, ns) ->
-       match ns with
-       | Some t -> Format.fprintf fmt "  %-24s %10.1f ns/op@." name t
-       | None -> Format.fprintf fmt "  %-24s (no estimate)@." name)
-    rows;
-  rows
+  Json_out.Obj
+    (List.concat_map
+       (fun test ->
+          let raw = Benchmark.all cfg instances test in
+          let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+          Hashtbl.fold
+            (fun name est acc ->
+               let ns =
+                 match Analyze.OLS.estimates est with
+                 | Some (t :: _) -> Json_out.Float t
+                 | Some [] | None -> Json_out.Null
+               in
+               (name, ns) :: acc)
+            results [])
+       (micro_tests ())
+     |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
 (* --- deterministic-cycle baseline (--check-baseline / --write-baseline) ---
 
@@ -213,18 +205,24 @@ let check_baseline path actual =
   Format.fprintf fmt "baseline check passed (%d configurations)@."
     (List.length expected)
 
+let fail msg =
+  Format.eprintf "bench: %s@." msg;
+  exit 2
+
+let print_section title json =
+  Format.fprintf fmt "@.===== %s =====@.%s@." title (Json_out.to_string json)
+
 let () =
   let instances =
     List.map (fun e -> (e, Experiment.instantiate e)) Experiment.registry
   in
-  let json, json_e = Cli_args.flag_ref Cli_args.json in
   let assert_, assert_e = Cli_args.flag_ref Cli_args.assert_ in
   let help, help_e = Cli_args.flag_ref Cli_args.help in
   let check_path, check_e = Cli_args.value_ref check_baseline_spec in
   let write_path, write_e = Cli_args.value_ref write_baseline_spec in
   let entries =
     List.concat_map (fun (_, (es, _)) -> es) instances
-    @ [ json_e; assert_e; check_e; write_e; help_e ]
+    @ [ assert_e; check_e; write_e; help_e ]
   in
   let all_sections =
     List.map (fun (e : Experiment.t) -> e.Experiment.name) Experiment.registry
@@ -232,15 +230,11 @@ let () =
   in
   let requested =
     match Cli_args.parse entries (List.tl (Array.to_list Sys.argv)) with
-    | Error msg ->
-      Format.fprintf fmt "error: %s@." msg;
-      exit 2
+    | Error msg -> fail msg
     | Ok [] -> all_sections
     | Ok names ->
       (match List.find_opt (fun n -> not (List.mem n all_sections)) names with
-       | Some n ->
-         Format.fprintf fmt "error: unknown section %s@." n;
-         exit 2
+       | Some n -> fail ("unknown section " ^ n)
        | None -> names)
   in
   if !help then begin
@@ -252,7 +246,7 @@ let () =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (Some Logs.Error);
   let t_start = Unix.gettimeofday () in
-  let micro = ref [] in
+  let micro = ref None in
   let sections =
     List.filter_map
       (fun name ->
@@ -261,13 +255,13 @@ let () =
            List.find_opt (fun (e, _) -> e.Experiment.name = name) instances
          with
          | None ->
-           Format.fprintf fmt "@.===== microbenchmarks =====@.";
-           micro := run_micro ();
+           let doc = run_micro () in
+           print_section "microbenchmarks (host ns/op)" doc;
+           micro := Some doc;
            None
          | Some (e, (_, run)) ->
-           Format.fprintf fmt "@.===== %s =====@." e.Experiment.title;
-           let r = run () in
-           r.Experiment.print fmt;
+           let r = try run () with Failure m | Invalid_argument m -> fail m in
+           print_section e.Experiment.title r.Experiment.json;
            Experiment.pp_claims fmt r;
            Some (name, Unix.gettimeofday () -. t0, r))
       requested
@@ -281,38 +275,29 @@ let () =
   in
   Option.iter (fun p -> write_baseline p (table3_cycles ())) !write_path;
   Option.iter (fun p -> check_baseline p (table3_cycles ())) !check_path;
-  if !json then begin
+  let doc =
     let open Json_out in
-    let doc =
-      Obj
-        ([ ("schema", Str "mini-nova-bench/2");
-           ("domains", Int (Parallel_sweep.default_domains ()));
-           ("total_wall_s", Float (Unix.gettimeofday () -. t_start));
-           ( "sections",
-             List
-               (List.map
-                  (fun (name, wall, r) ->
-                     Obj
-                       [ ("name", Str name);
-                         ("wall_s", Float wall);
-                         ("claims", Experiment.claims_json r);
-                         ("result", r.Experiment.json) ])
-                  sections) ) ]
-         @
-         if !micro = [] then []
-         else
-           [ ( "micro_ns_per_op",
-               Obj
-                 (List.map
-                    (fun (n, ns) ->
-                       (n, match ns with Some t -> Float t | None -> Null))
-                    !micro) ) ])
-    in
-    let oc = open_out "BENCH_sim.json" in
-    output_string oc (to_string doc ^ "\n");
-    close_out oc;
-    Format.fprintf fmt "@.wrote BENCH_sim.json@."
-  end;
+    Obj
+      ([ ("schema", Str "mini-nova-bench/2");
+         ("domains", Int (Parallel_sweep.default_domains ()));
+         ("total_wall_s", Float (Unix.gettimeofday () -. t_start));
+         ( "sections",
+           List
+             (List.map
+                (fun (name, wall, r) ->
+                   Obj
+                     [ ("name", Str name);
+                       ("wall_s", Float wall);
+                       ("claims", Experiment.claims_json r);
+                       ("result", r.Experiment.json) ])
+                sections) ) ]
+       @ Option.fold ~none:[]
+           ~some:(fun m -> [ ("micro_ns_per_op", m) ])
+           !micro)
+  in
+  Out_channel.with_open_text "BENCH_sim.json" (fun oc ->
+      output_string oc (Json_out.to_string doc ^ "\n"));
+  Format.fprintf fmt "@.wrote BENCH_sim.json@.";
   if
     !assert_
     && not (List.for_all (fun (_, _, r) -> Experiment.all_hold r) sections)

@@ -1,7 +1,6 @@
 (* mininova — run one experiment of the Mini-NOVA reproduction.
 
-     mininova NAME [FLAGS]       text report, then its claims
-     mininova NAME --json        the JSON document (claims on stderr)
+     mininova NAME [FLAGS]       the JSON document; its claims on stderr
      mininova NAME --help        the flags NAME reads
 
    NAME is any Experiment.registry entry (table3, fig9, report,
@@ -32,11 +31,10 @@ let () =
       | None -> fail ("unknown experiment " ^ name)
     in
     let entries, run = Experiment.instantiate e in
-    let json, json_e = Cli_args.flag_ref Cli_args.json in
     let assert_, assert_e = Cli_args.flag_ref Cli_args.assert_ in
     let verbose, verbose_e = Cli_args.flag_ref Cli_args.verbose in
     let help, help_e = Cli_args.flag_ref Cli_args.help in
-    let entries = entries @ [ json_e; assert_e; verbose_e; help_e ] in
+    let entries = entries @ [ assert_e; verbose_e; help_e ] in
     (match Cli_args.parse entries argv with
      | Ok [] -> ()
      | Ok (extra :: _) -> fail ("unexpected argument " ^ extra)
@@ -48,13 +46,7 @@ let () =
     end;
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some (if !verbose then Logs.Info else Logs.Error));
-    let r = try run () with Failure m -> fail m in
-    if !json then begin
-      print_endline (Json_out.to_string r.Experiment.json);
-      Experiment.pp_claims Format.err_formatter r
-    end
-    else begin
-      r.Experiment.print fmt;
-      Experiment.pp_claims fmt r
-    end;
+    let r = try run () with Failure m | Invalid_argument m -> fail m in
+    print_endline (Json_out.to_string r.Experiment.json);
+    Experiment.pp_claims Format.err_formatter r;
     if !assert_ && not (Experiment.all_hold r) then exit 1

@@ -310,21 +310,6 @@ let bench_matrix ?(seed = default_config.seed)
          [ V1; V2 ])
     populations
 
-(* {2 Rendering} *)
-
-let pp_report ppf r =
-  if r.pcpus > 1 then Format.fprintf ppf "pcpus=%d " r.pcpus;
-  Format.fprintf ppf
-    "%s vms=%d jobs=%d batch=%d: %d submitted (%d ok, %d busy, %d failed), \
-     %d transitions (%.2f/job, %.2f us/job), victim %d/%d ok p50/p99 \
-     %.1f/%.1f us, rings %d enq %d cpl %d reclaimed, crashes %d, \
-     sim %.0f ms@."
-    (mode_name r.mode) r.vms r.jobs_per_vm r.batch r.jobs_submitted
-    r.jobs_ok r.jobs_busy r.jobs_failed r.transitions r.transitions_per_job
-    r.overhead_us_per_job r.victim_ok r.victim_jobs r.victim_p50_us
-    r.victim_p99_us r.ring.Kernel.rs_enqueued r.ring.Kernel.rs_completed
-    r.ring.Kernel.rs_reclaimed r.crashes r.sim_ms
-
 let report_json r =
   let open Json_out in
   let ring = r.ring in

@@ -91,7 +91,5 @@ val bench_matrix :
     or ["v1/8/p4"], … when [pcpus > 1]. Cells are independent worlds:
     run them with {!Parallel_sweep.map}. *)
 
-val pp_report : Format.formatter -> report -> unit
-
 val report_json : report -> Json_out.t
 (** One report as a JSON object on one line. *)

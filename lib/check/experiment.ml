@@ -1,7 +1,6 @@
 type claim = { claim : string; holds : bool }
 
 type result = {
-  print : Format.formatter -> unit;
   json : Json_out.t;
   claims : claim list;
   cycles : (string * int) list;
@@ -30,8 +29,7 @@ let instantiate e =
   let run = e.define args in
   (List.rev !entries, run)
 
-let result ?(claims = []) ?(cycles = []) print json =
-  { print; json; claims; cycles }
+let result ?(claims = []) ?(cycles = []) json = { json; claims; cycles }
 
 let all_hold r = List.for_all (fun c -> c.holds) r.claims
 
@@ -160,14 +158,6 @@ let table3 =
                   (fun i (o : Scenario.overheads) ->
                      (config_label i, o.Scenario.sim_cycles))
                   s)
-             (fun ppf ->
-                Tables.print_table3 ppf s;
-                Format.fprintf ppf "@.run statistics per configuration:@.";
-                List.iteri
-                  (fun i o ->
-                     Format.fprintf ppf "  %-8s %a@." (config_label i)
-                       Scenario.pp_overheads o)
-                  s)
              (Obj
                 [ ( "runs",
                     List
@@ -176,7 +166,20 @@ let table3 =
                             Obj
                               (("config", Str (config_label i))
                                :: overheads_fields o))
-                         s) ) ])) }
+                         s) );
+                  ( "paper",
+                    List
+                      (List.map
+                         (fun (r : Paper_data.row) ->
+                            Obj
+                              [ ("metric", Str r.Paper_data.metric);
+                                ("native", Float r.Paper_data.native);
+                                ( "guests",
+                                  Line
+                                    (floats
+                                       (Array.to_list r.Paper_data.guests)) )
+                              ])
+                         Paper_data.table3) ) ])) }
 
 let fig9 =
   { name = "fig9";
@@ -187,7 +190,6 @@ let fig9 =
          fun () ->
            let s = sweep () in
            result
-             (fun ppf -> Tables.print_fig9 ppf s)
              (Obj
                 [ ( "ratios",
                     List
@@ -212,18 +214,23 @@ let report =
       (fun _ () ->
            let r = Complexity.measure () in
            result
-             (fun ppf ->
-                Complexity.print ppf r;
-                Format.fprintf ppf
-                  "  (plus, paper-only: %d KB kernel ELF, %d MB footprint)@."
-                  Paper_data.kernel_elf_kb Paper_data.footprint_mb)
              (Obj
                 [ ("kernel_loc", opt_int r.Complexity.kernel_loc);
                   ("patch_loc", opt_int r.Complexity.patch_loc);
                   ("hypercalls", Int r.Complexity.hypercalls);
                   ("time_slice_ms", Float r.Complexity.time_slice_ms);
                   ("substrate_loc", opt_int r.Complexity.substrate_loc);
-                  ("glue_loc", opt_int r.Complexity.glue_loc) ])) }
+                  ("glue_loc", opt_int r.Complexity.glue_loc);
+                  ( "paper",
+                    Line
+                      (Obj
+                         [ ("kernel_loc", Int Paper_data.kernel_loc);
+                           ("patch_loc", Int Paper_data.patch_loc);
+                           ("hypercalls", Int Paper_data.hypercalls);
+                           ("time_slice_ms", Float Paper_data.time_slice_ms);
+                           ("kernel_elf_kb", Int Paper_data.kernel_elf_kb);
+                           ("footprint_mb", Int Paper_data.footprint_mb) ]) )
+                ])) }
 
 let reconfig =
   { name = "reconfig";
@@ -232,17 +239,6 @@ let reconfig =
       (fun _ () ->
          let rows = Ablations.reconfig_table () in
          result
-           (fun ppf ->
-              Format.fprintf ppf
-                "E4: PCAP reconfiguration latency vs bitstream size@.";
-              Format.fprintf ppf "  %-10s %12s %14s@." "task" "bitstream"
-                "reconfig";
-              List.iter
-                (fun r ->
-                   Format.fprintf ppf "  %-10s %9d KB %11.2f ms@."
-                     r.Ablations.task r.Ablations.bitstream_kb
-                     r.Ablations.reconfig_ms)
-                rows)
            (Obj
               [ ( "rows",
                   List
@@ -263,20 +259,6 @@ let axi =
       (fun _ () ->
          let r = Ablations.axi_ablation () in
          result
-           (fun ppf ->
-              Format.fprintf ppf
-                "A1: AXI HP vs ACP for a %d KB task transfer (paper S IV-A)@."
-                r.Ablations.payload_kb;
-              Format.fprintf ppf
-                "  DMA latency:    HP %8.2f us   ACP %8.2f us@."
-                r.Ablations.hp_dma_us r.Ablations.acp_dma_us;
-              Format.fprintf ppf
-                "  CPU 512 KB sweep afterwards: HP %8.2f us   ACP %8.2f us@."
-                r.Ablations.cpu_after_hp_us r.Ablations.cpu_after_acp_us;
-              Format.fprintf ppf
-                "  => ACP wins the wire but costs the CPU %.1fx on its own \
-                 working set;@.     the paper's choice of AXI_HP holds.@."
-                (r.Ablations.cpu_after_acp_us /. r.Ablations.cpu_after_hp_us))
            (Obj
               [ ("payload_kb", Int r.Ablations.payload_kb);
                 ("hp_dma_us", Float r.Ablations.hp_dma_us);
@@ -291,15 +273,6 @@ let vfp =
       (fun _ () ->
          let r = Ablations.vfp_ablation () in
          result
-           (fun ppf ->
-              Format.fprintf ppf
-                "A2: lazy vs active VFP switching (paper Table I)@.";
-              Format.fprintf ppf
-                "  lazy:   mean VM switch %6.2f us, %4d VFP bank switches@."
-                r.Ablations.lazy_switch_us r.Ablations.lazy_vfp_switches;
-              Format.fprintf ppf
-                "  active: mean VM switch %6.2f us, %4d VFP bank switches@."
-                r.Ablations.active_switch_us r.Ablations.active_vfp_switches)
            (Obj
               [ ("lazy_switch_us", Float r.Ablations.lazy_switch_us);
                 ("active_switch_us", Float r.Ablations.active_switch_us);
@@ -314,14 +287,6 @@ let trapvshyper =
       (fun _ () ->
          let r = Ablations.trap_vs_hypercall () in
          result
-           (fun ppf ->
-              Format.fprintf ppf
-                "A3: hypercall vs trap-and-emulate, privileged register read@.";
-              Format.fprintf ppf "  hypercall        %6.2f us@."
-                r.Ablations.hypercall_us;
-              Format.fprintf ppf "  trap-and-emulate %6.2f us (%.2fx)@."
-                r.Ablations.trap_us
-                (r.Ablations.trap_us /. r.Ablations.hypercall_us))
            (Obj
               [ ("hypercall_us", Float r.Ablations.hypercall_us);
                 ("trap_us", Float r.Ablations.trap_us) ])) }
@@ -338,21 +303,6 @@ let asid =
          fun () ->
            let r = Ablations.asid_ablation ~config:(cfg ()) () in
            result
-             (fun ppf ->
-                Format.fprintf ppf
-                  "A4: ASID-tagged TLB vs flush-on-switch, 2 guests (paper S \
-                   III-C)@.";
-                Format.fprintf ppf "  ASID:      %a@." Scenario.pp_overheads
-                  r.Ablations.asid;
-                Format.fprintf ppf "  flush-all: %a@." Scenario.pp_overheads
-                  r.Ablations.flush_all;
-                Format.fprintf ppf
-                  "  TLB-bound chunk right after a VM switch: ASID %.2f us, \
-                   flush %.2f us      (%.2fx)@."
-                  r.Ablations.first_chunk_asid_us
-                  r.Ablations.first_chunk_flush_us
-                  (r.Ablations.first_chunk_flush_us
-                   /. r.Ablations.first_chunk_asid_us))
              (Obj
                 [ ("asid", Obj (overheads_fields r.Ablations.asid));
                   ("flush_all", Obj (overheads_fields r.Ablations.flush_all));
@@ -370,14 +320,6 @@ let quantum =
          fun () ->
            let rows = Ablations.quantum_sweep ~config:(cfg ()) () in
            result
-             (fun ppf ->
-                Format.fprintf ppf
-                  "A5: time-slice sweep, 2 guests (paper uses 33 ms)@.";
-                List.iter
-                  (fun (q, o) ->
-                     Format.fprintf ppf "  quantum %6.1f ms: %a@." q
-                       Scenario.pp_overheads o)
-                  rows)
              (Obj
                 [ ( "runs",
                     List
@@ -422,14 +364,6 @@ let chaos =
                  every "every faulty cell recovered"
                    (fun r -> r.Chaos.recoveries + r.Chaos.reconfig_retries > 0)
                    faulty ]
-             (fun ppf ->
-                Format.fprintf ppf
-                  "E5: chaos sweep — job completion vs PL fault rate (seed \
-                   %d)@."
-                  config.Chaos.fault_seed;
-                List.iter
-                  (fun r -> Format.fprintf ppf "  %a@." Chaos.pp_report r)
-                  reports)
              (Obj
                 [ ("fault_seed", Int config.Chaos.fault_seed);
                   ( "runs",
@@ -447,6 +381,8 @@ let chaos =
                                  ("fault_kills", Int r.Chaos.fault_kills);
                                  ("jobs_ok", Int r.Chaos.jobs_ok);
                                  ("jobs_attempted", Int r.Chaos.jobs_attempted);
+                                 ("busy_retries", Int r.Chaos.busy_retries);
+                                 ("denied", Int r.Chaos.denied);
                                  ( "completion_rate",
                                    Float r.Chaos.completion_rate );
                                  ("crashes", Int r.Chaos.crashes);
@@ -467,7 +403,7 @@ let parse_count s =
       | _ -> (1, s)
     in
     match int_of_string_opt body with
-    | Some v when v > 0 -> Ok (v * mult)
+    | Some v when v > 0 && v <= max_int / mult -> Ok (v * mult)
     | Some _ | None ->
       Error
         (Printf.sprintf "expected a count like 5000, 200k or 1m, got %S" s)
@@ -506,83 +442,46 @@ let arrivals =
   Cli_args.int ~min:1 [ "arrivals" ]
     "Open-loop SLO arrivals generated per guest." 60
 
-let soak_stats_json (s : Soak.stats) =
-  Obj
-    [ ("ops_done", Int s.Soak.ops_done);
-      ("actions", Int s.Soak.actions);
-      ("creates", Int s.Soak.creates);
-      ("kills", Int s.Soak.kills);
-      ("crashes", Int s.Soak.crashes);
-      ("hypercalls", Int s.Soak.hypercalls);
-      ("live_vms", Int s.Soak.live_vms);
-      ("checks", Int s.Soak.checks);
-      ("final_cycles", Int s.Soak.final_cycles) ]
-
-let violation_json = function
-  | Soak.Clean _ -> Null
-  | Soak.Violated { violation; _ } ->
-    Str (Invariant.violation_to_string violation)
-
-(* The violation report; [repro] names the reproducer written for it. *)
-let pp_violation ppf ~repro = function
-  | Soak.Clean _ -> ()
-  | Soak.Violated { violation; trace; shrunk; stats } ->
-    Format.fprintf ppf "INVARIANT VIOLATION: %s@."
-      (Invariant.violation_to_string violation);
-    Format.fprintf ppf "after %a@." Soak.pp_stats stats;
-    Format.fprintf ppf "trace: %d actions, shrunk to %d@." (List.length trace)
-      (List.length shrunk);
-    Option.iter
-      (fun f ->
-         Format.fprintf ppf
-           "reproducer written to %s (re-run with --replay %s)@." f f)
-      repro
-
-let soak_result ~cfg ~repro ~shards ~wall outcome reports stats =
-  let clean =
-    match outcome with Soak.Clean _ -> true | Soak.Violated _ -> false
+let soak_result ~cfg ~repro ~wall outcome reports stats =
+  let clean, violation =
+    match outcome with
+    | Soak.Clean _ -> (true, [])
+    | Soak.Violated { violation; trace; shrunk; _ } ->
+      ( false,
+        [ ("violation", Str (Invariant.violation_to_string violation));
+          ("trace_actions", Int (List.length trace));
+          ("shrunk_actions", Int (List.length shrunk));
+          ("reproducer", Option.fold ~none:Null ~some:(fun f -> Str f) repro)
+        ] )
   in
   result
     ~claims:[ { claim = "invariants held"; holds = clean } ]
-    (fun ppf ->
-       if shards > 1 then
-         List.iter
-           (fun (r : Soak.shard_report) ->
-              Format.fprintf ppf "shard %d (seed %d): %s, %d ops in %.3f s@."
-                r.Soak.shard r.Soak.shard_cfg.Soak.seed
-                (match r.Soak.outcome with
-                 | Soak.Clean _ -> "clean"
-                 | Soak.Violated _ -> "VIOLATED")
-                (Soak.stats_of_outcome r.Soak.outcome).Soak.ops_done
-                r.Soak.wall_s)
-           reports;
-       pp_violation ppf ~repro outcome;
-       if clean then begin
-         Format.fprintf ppf "clean: %a@." Soak.pp_stats stats;
-         Format.fprintf ppf "%d shard(s) in %.3f s wall (%.1fM ops/min)@."
-           shards wall
-           (float_of_int stats.Soak.ops_done /. wall *. 60.0 /. 1e6)
-       end)
     (Obj
-       [ ("ops", Int cfg.Soak.ops);
-         ("seed", Int cfg.Soak.seed);
-         ("pcpus", Int cfg.Soak.pcpus);
-         ("check", Bool cfg.Soak.check);
-         ("stats", soak_stats_json stats);
-         ( "shards",
-           List
-             (List.map
-                (fun (r : Soak.shard_report) ->
-                   Obj
-                     [ ("shard", Int r.Soak.shard);
-                       ("seed", Int r.Soak.shard_cfg.Soak.seed);
-                       ("violation", violation_json r.Soak.outcome);
-                       ( "ops_done",
-                         Int
-                           (Soak.stats_of_outcome r.Soak.outcome).Soak.ops_done
-                       );
-                       ("wall_s", Float r.Soak.wall_s) ])
-                reports) ) ])
+       ([ ("ops", Int cfg.Soak.ops);
+          ("seed", Int cfg.Soak.seed);
+          ("pcpus", Int cfg.Soak.pcpus);
+          ("check", Bool cfg.Soak.check);
+          ("stats", Soak.stats_json stats);
+          ( "shards",
+            List
+              (List.map
+                 (fun (r : Soak.shard_report) ->
+                    Obj
+                      [ ("shard", Int r.Soak.shard);
+                        ("seed", Int r.Soak.shard_cfg.Soak.seed);
+                        ( "violation",
+                          match r.Soak.outcome with
+                          | Soak.Clean _ -> Null
+                          | Soak.Violated { violation; _ } ->
+                            Str (Invariant.violation_to_string violation) );
+                        ( "ops_done",
+                          Int
+                            (Soak.stats_of_outcome r.Soak.outcome).Soak.ops_done
+                        );
+                        ("wall_s", Float r.Soak.wall_s) ])
+                 reports) );
+          ("wall_s", Float wall) ]
+        @ violation))
 
 let soak =
   { name = "soak";
@@ -622,10 +521,10 @@ let soak =
                | Ok o -> o
                | Error e -> failwith ("soak: " ^ e)
              in
-             soak_result ~cfg ~repro:None ~shards:1 ~wall:0.0 outcome []
+             soak_result ~cfg ~repro:None ~wall:0.0 outcome []
                (Soak.stats_of_outcome outcome)
            | None ->
-             let shards = max 1 (shards ()) in
+             let shards = shards () in
              let t0 = Unix.gettimeofday () in
              let s = Soak.run_sharded ~shards cfg in
              let wall = Unix.gettimeofday () -. t0 in
@@ -640,7 +539,7 @@ let soak =
                   | Soak.Clean _ -> ());
                  (r.Soak.outcome, Some (repro_out ()))
              in
-             soak_result ~cfg ~repro ~shards ~wall outcome s.Soak.reports
+             soak_result ~cfg ~repro ~wall outcome s.Soak.reports
                s.Soak.merged_stats) }
 
 let slo =
@@ -703,15 +602,6 @@ let slo =
                      (match cell "churn" with
                       | Some r -> r.Slo.kills = r.Slo.churn_kills
                       | None -> false) } ]
-             (fun ppf ->
-                Format.fprintf ppf
-                  "E7: open-loop tail latency — victim p99 vs aggressor load \
-                   (seed %d, %d arrivals/guest)@."
-                  seed arrivals;
-                List.iter
-                  (fun (tag, r) ->
-                     Format.fprintf ppf "  [%s]@.  %a" tag Slo.pp_report r)
-                  reports)
              (Obj
                 ([ ("seed", Int seed);
                    ("arrivals_per_guest", Int arrivals);
@@ -847,26 +737,6 @@ let density =
                         "at batch >= 8, v2 cuts per-job transitions at least 4x";
                       holds =
                         List.for_all (fun (_, _, _, x) -> x >= 4.0) ratios } ])
-             (fun ppf ->
-                Format.fprintf ppf
-                  "E8: fleet density sweep — ABI v1 vs v2 (seed %d, vms %s, %d \
-                   jobs/VM, batch %d, vIRQ budget %d%s%s)@."
-                  seed (vms_spec.Cli_args.show populations) jobs batch budget
-                  (if fault_rate > 0.0 then
-                     Printf.sprintf ", fault rate %g" fault_rate
-                   else "")
-                  (if check then ", invariants checked" else "");
-                List.iter
-                  (fun (tag, r) ->
-                     Format.fprintf ppf "  [%s] %a" tag Density.pp_report r)
-                  reports;
-                List.iter
-                  (fun (vms, v1, v2, x) ->
-                     Format.fprintf ppf
-                       "  %d VMs: %.2f transitions/job (v1) vs %.2f (v2) — %.1fx \
-                        fewer@."
-                       vms v1 v2 x)
-                  ratios)
              (Obj
                 [ ("seed", Int seed);
                   ("jobs_per_vm", Int jobs);
@@ -959,37 +829,11 @@ let partition =
                   [ { claim = "under chaos the pinned victim's p99 is no worse";
                       holds = s <= d } ]
                 | _ -> [])
-             (fun ppf ->
-                Format.fprintf ppf
-                  "E10: static vs dynamic PRR partitioning (seed %d, %d VMs, %d \
-                   jobs/VM%s)@."
-                  seed d.Partition.vms (jobs ())
-                  (if check then ", invariants checked" else "");
-                List.iter
-                  (fun (tag, r) ->
-                     Format.fprintf ppf "  [%s] %a" tag Partition.pp_report r)
-                  reports)
              (Obj
                 [ ("seed", Int seed);
                   ("runs", tagged_runs Partition.report_json reports) ])) }
 
 (* --- single runs: scenario, trace --- *)
-
-let native_flag =
-  { Cli_args.f_names = [ "native" ];
-    f_doc = "Run the non-virtualized baseline instead." }
-
-(* PD-keyed cells are CPU-side components; the PL-side ones are keyed
-   by PRR id. *)
-let key_label ~component k =
-  match component with
-  | "pcap" | "prr_job" | "recovery" | "pl_irq" -> Printf.sprintf "prr%d" k
-  | _ -> Printf.sprintf "pd%d" k
-
-let pp_metrics ppf snap =
-  Obs.pp_breakdown ~key_label ppf snap;
-  Format.fprintf ppf "@.";
-  Obs.pp_counters ppf snap
 
 let scenario =
   { name = "scenario";
@@ -998,19 +842,10 @@ let scenario =
       (fun a ->
          let cfg = smp_scenario_args a bench_base in
          let guests = a.value Cli_args.guests in
-         let native = a.flag native_flag in
          fun () ->
-           let cfg = cfg () in
-           let g = if native () then 0 else guests () in
-           let o = List.hd (table3_cells cfg [ g ]) in
+           let g = guests () in
+           let o = List.hd (table3_cells (cfg ()) [ g ]) in
            result
-             (fun ppf ->
-                Format.fprintf ppf "%s: %a@." (config_label g)
-                  Scenario.pp_overheads o;
-                if cfg.Scenario.observe then begin
-                  Format.fprintf ppf "@.";
-                  pp_metrics ppf o.Scenario.metrics
-                end)
              (Obj (("config", Str (config_label g)) :: overheads_fields o))) }
 
 let last_spec =
@@ -1058,13 +893,6 @@ let trace =
            let n = List.length events in
            let shown = List.filteri (fun i _ -> i >= n - last ()) events in
            result
-             (fun ppf ->
-                Format.fprintf ppf
-                  "%d events (%d dropped), showing the last %d:@." n
-                  (Ktrace.dropped tr) (List.length shown);
-                List.iter
-                  (fun e -> Format.fprintf ppf "%a@." Ktrace.pp_event e)
-                  shown)
              (Obj
                 [ ("events", Int n);
                   ("dropped", Int (Ktrace.dropped tr));

@@ -3,16 +3,15 @@
 
     A record names the experiment (the bench section and the mininova
     subcommand are the same word) and defines it: the {!Cli_args}
-    specs it reads, its cells and runner, one text printer, one JSON
-    document and its claims — the properties CI asserts. Both front
+    specs it reads, its cells and runner, one JSON document (the
+    report) and its claims — the properties CI asserts. Both front
     ends are loops over {!registry}: they parse argv with
     {!Cli_args.parse} against the entries {!instantiate} returns, run,
-    and render the {!result}. *)
+    and print the {!result}'s document and claims. *)
 
 type claim = { claim : string; holds : bool }
 
 type result = {
-  print : Format.formatter -> unit;  (** the text report *)
   json : Json_out.t;                 (** the JSON document *)
   claims : claim list;               (** always printed; [--assert]
                                          makes a failure exit 1 *)

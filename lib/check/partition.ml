@@ -224,23 +224,6 @@ let bench_matrix ?(seed = default_config.seed)
          [ false; true ])
     [ Hw_task_manager.Dynamic; Hw_task_manager.Static ]
 
-(* {2 Rendering} *)
-
-let pp_report ppf r =
-  if r.pcpus > 1 then Format.fprintf ppf "pcpus=%d " r.pcpus;
-  Format.fprintf ppf
-    "%s/%s vms=%d jobs=%d: %d submitted (%d ok, %d busy, %d denied, \
-     %d failed), manager %d requests %d reclaims %d reconfigs \
-     %d recoveries, pcap %d/%d ok, victim %d/%d ok p50/p99 %.1f/%.1f us, \
-     faults %d, crashes %d, sim %.0f ms@."
-    (mode_name r.mode)
-    (if r.chaos then "chaos" else "quiet")
-    r.vms r.jobs_per_vm r.jobs_submitted r.jobs_ok r.jobs_busy r.jobs_denied
-    r.jobs_failed r.requests r.reclaims r.reconfigs r.recoveries
-    (r.pcap_transfers - r.pcap_failures)
-    r.pcap_transfers r.victim_ok r.victim_jobs r.victim_p50_us
-    r.victim_p99_us r.injected r.crashes r.sim_ms
-
 let report_json r =
   let open Json_out in
   Line

@@ -79,7 +79,5 @@ val bench_matrix :
     ["static/chaos"] (suffixed ["/pN"] when [pcpus > 1]). Cells are
     independent worlds: run them with {!Parallel_sweep.map}. *)
 
-val pp_report : Format.formatter -> report -> unit
-
 val report_json : report -> Json_out.t
 (** One report as a JSON object on one line. *)

@@ -80,12 +80,18 @@ type outcome =
       stats : stats;
     }
 
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "%d ops (%d actions: %d creates, %d kills; %d hypercalls, %d crashes, \
-     %d live VMs, %d invariant sweeps) in %.1f ms simulated"
-    s.ops_done s.actions s.creates s.kills s.hypercalls s.crashes s.live_vms
-    s.checks (Cycles.to_ms s.final_cycles)
+let stats_json s =
+  let open Json_out in
+  Obj
+    [ ("ops_done", Int s.ops_done);
+      ("actions", Int s.actions);
+      ("creates", Int s.creates);
+      ("kills", Int s.kills);
+      ("crashes", Int s.crashes);
+      ("hypercalls", Int s.hypercalls);
+      ("live_vms", Int s.live_vms);
+      ("checks", Int s.checks);
+      ("final_cycles", Int s.final_cycles) ]
 
 (* {2 Guest profiles}
 

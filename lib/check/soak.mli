@@ -69,7 +69,8 @@ type stats = {
 (** Determinism fingerprint: two runs of the same config must produce
     equal stats. *)
 
-val pp_stats : Format.formatter -> stats -> unit
+val stats_json : stats -> Json_out.t
+(** One flat JSON object, one member per field, cycles exact. *)
 
 type outcome =
   | Clean of stats

@@ -5,8 +5,8 @@
     [category] (which subsystem), a [name] (which event), a
     [severity], and a typed field list — so new subsystems add events
     without editing a central variant. The [trace] experiment prints
-    the ring with {!pp_event} (one JSON string per event under
-    [--json]); the tests use it to check event ordering (e.g. a
+    the ring with {!pp_event} (one JSON string per event in its
+    document); the tests use it to check event ordering (e.g. a
     hypercall is always bracketed by the VM that issued it being
     current). *)
 

@@ -32,22 +32,6 @@ type report = {
   metrics : Obs.snapshot;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "rate=%.2f guests=%d inj=%d recov=%d (retry=%d reset=%d quar=%d \
-     kill=%d) jobs=%d/%d (%.0f%%) busy-retry=%d denied=%d crash=%d \
-     mgr=%.2fus sim=%.0fms"
-    r.fault_rate r.guests r.injected r.recoveries r.reconfig_retries
-    r.hang_resets r.quarantines r.fault_kills r.jobs_ok r.jobs_attempted
-    (100.0 *. r.completion_rate) r.busy_retries r.denied r.crashes
-    r.mgr_total_us r.sim_ms
-
-(* Only kinds the whole-job helpers can stream (small FFTs and QAM):
-   the chaos guest runs a verified DMA job on every acquire. *)
-let chaos_task_set =
-  [ Task_kind.Fft 256; Task_kind.Fft 512; Task_kind.Fft 1024;
-    Task_kind.Qam 4; Task_kind.Qam 16; Task_kind.Qam 64 ]
-
 type tally = {
   mutable busy_retries : int;
   mutable denied : int;
@@ -100,7 +84,7 @@ let run ?(config = default_config) ~guests () =
   let tasks =
     List.map
       (fun kind -> (Smp.register_hw_task smp kind, kind))
-      chaos_task_set
+      Scenario.streamable_task_set
   in
   let tally = { busy_retries = 0; denied = 0; attempted = 0; ok = 0 } in
   for g = 0 to guests - 1 do
@@ -158,6 +142,7 @@ let default_rates = [ 0.0; 0.05; 0.2 ]
 
 let sweep ?(config = default_config) ?(max_guests = 4)
     ?(rates = default_rates) () =
+  if max_guests < 1 then invalid_arg "Chaos.sweep: need at least one guest";
   (* Every (rate, guests) cell is an independent world: sweep them on
      domains, input order preserved. *)
   Parallel_sweep.run

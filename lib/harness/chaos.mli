@@ -46,13 +46,8 @@ type report = {
                                [base.observe] is off) *)
 }
 
-val pp_report : Format.formatter -> report -> unit
-
-val chaos_task_set : Task_kind.t list
-(** FFT-{256,512,1024} and QAM-{4,16,64} — the kinds the whole-job
-    helpers can stream and verify. *)
-
 val run : ?config:config -> guests:int -> unit -> report
+(** Raises [Invalid_argument] when [guests < 1]. *)
 
 val default_rates : float list
 (** [0.0; 0.05; 0.2]. *)
@@ -60,6 +55,7 @@ val default_rates : float list
 val sweep :
   ?config:config -> ?max_guests:int -> ?rates:float list -> unit ->
   report list
-(** For each rate, 1..max_guests (default 4) — rate-major order. The
+(** For each rate, 1..max_guests (default 4) — rate-major order;
+    raises [Invalid_argument] when [max_guests < 1]. The
     cells are independent and run on OCaml domains via
     {!Parallel_sweep}; results are identical to the serial sweep. *)

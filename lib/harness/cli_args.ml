@@ -52,7 +52,11 @@ let seed =
   int ~docv:"SEED" [ "seed" ] "Deterministic scenario seed."
     Scenario.default_config.Scenario.seed
 
-let guests = int [ "g"; "guests" ] "Number of parallel guest VMs." 4
+let guests =
+  int ~min:0 [ "g"; "guests" ]
+    "Number of parallel guest VMs (0: the native run, where an experiment \
+     has one)."
+    4
 
 let pcpus =
   int ~min:1 [ "pcpus" ]
@@ -82,13 +86,6 @@ let file names doc =
   { names; docv = "FILE"; doc; default = None;
     parse = (fun s -> Ok (Some s));
     show = (function Some s -> s | None -> "") }
-
-
-let json =
-  { f_names = [ "json" ];
-    f_doc =
-      "Machine-readable output: mininova prints the experiment's JSON \
-       document instead of text; bench also writes BENCH_sim.json." }
 
 let assert_ =
   { f_names = [ "assert" ];

@@ -65,9 +65,6 @@ val fault_rate : float spec
 val fault_seed : int spec
 (** [--fault-seed]: fault plane RNG seed. *)
 
-val json : flag
-(** [--json]: machine-readable output. *)
-
 val assert_ : flag
 (** [--assert]: a failed experiment claim exits 1. *)
 

@@ -63,21 +63,3 @@ let measure ?(root = ".") () =
         [ "lib/engine"; "lib/mem"; "lib/cachesim"; "lib/mmu"; "lib/devices";
           "lib/pl"; "lib/platform" ];
     glue_loc = loc [ "lib/harness"; "lib/check"; "bench"; "bin" ] }
-
-let str_opt = function Some v -> string_of_int v | None -> "n/a"
-
-let print ppf r =
-  Format.fprintf ppf "Complexity report (paper S V.B)@.";
-  Format.fprintf ppf "  %-34s %8s %8s@." "" "ours" "paper";
-  Format.fprintf ppf "  %-34s %8s %8d@." "microkernel + services LoC"
-    (str_opt r.kernel_loc) Paper_data.kernel_loc;
-  Format.fprintf ppf "  %-34s %8s %8d@." "paravirtualization patch LoC"
-    (str_opt r.patch_loc) Paper_data.patch_loc;
-  Format.fprintf ppf "  %-34s %8d %8d@." "hypercalls" r.hypercalls
-    Paper_data.hypercalls;
-  Format.fprintf ppf "  %-34s %8.0f %8.0f@." "guest time slice (ms)"
-    r.time_slice_ms Paper_data.time_slice_ms;
-  Format.fprintf ppf "  %-34s %8s %8s@."
-    "simulated-platform substrate LoC" (str_opt r.substrate_loc) "-";
-  Format.fprintf ppf "  %-34s %8s %8s@."
-    "experiment glue LoC" (str_opt r.glue_loc) "-"

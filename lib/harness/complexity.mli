@@ -19,6 +19,3 @@ type report = {
 val measure : ?root:string -> unit -> report
 (** [root] is the repository root (default ["."]). Line counts are
     [None] when the sources are not found (e.g. installed binary). *)
-
-val print : Format.formatter -> report -> unit
-(** Side-by-side with the paper's numbers. *)

@@ -1,6 +1,6 @@
 (** Reference values transcribed from the paper's evaluation (§V.B),
-    used to print paper-vs-measured comparisons in EXPERIMENTS.md and
-    the bench output. *)
+    carried next to the measured values in the table3, fig9 and report
+    documents. *)
 
 type row = {
   metric : string;

@@ -39,16 +39,13 @@ type overheads = {
   metrics : Obs.snapshot;
 }
 
-let pp_overheads ppf o =
-  Format.fprintf ppf
-    "entry=%.2fus exit=%.2fus plirq=%.2fus exec=%.2fus total=%.2fus \
-     (n=%d reconf=%d reclaim=%d jobs=%d viol=%d sim=%.0fms)"
-    o.entry_us o.exit_us o.plirq_us o.exec_us o.total_us o.samples
-    o.reconfigs o.reclaims o.jobs o.hwmmu_violations o.sim_ms
-
 let standard_task_set =
   [ Task_kind.Fft 256; Task_kind.Fft 512; Task_kind.Fft 1024;
     Task_kind.Fft 2048; Task_kind.Fft 4096; Task_kind.Fft 8192;
+    Task_kind.Qam 4; Task_kind.Qam 16; Task_kind.Qam 64 ]
+
+let streamable_task_set =
+  [ Task_kind.Fft 256; Task_kind.Fft 512; Task_kind.Fft 1024;
     Task_kind.Qam 4; Task_kind.Qam 16; Task_kind.Qam 64 ]
 
 (* ------------------------------------------------------------------ *)

@@ -59,10 +59,12 @@ type overheads = {
                               [observe] was off) *)
 }
 
-val pp_overheads : Format.formatter -> overheads -> unit
-
 val standard_task_set : Task_kind.t list
 (** FFT-{256,512,1024,2048,4096,8192} and QAM-{4,16,64}. *)
+
+val streamable_task_set : Task_kind.t list
+(** FFT-{256,512,1024} and QAM-{4,16,64}: the kinds {!verified_job}
+    streams in one DMA job (the chaos and SLO guests' set). *)
 
 val verified_job : Ucos.t -> Rng.t -> Hw_task_api.t -> Task_kind.t -> bool
 (** Run one real DMA job through an acquired task handle and verify

@@ -94,11 +94,6 @@ type report = {
   metrics : Obs.snapshot;
 }
 
-(* Kinds the whole-job helpers can stream (the chaos guest's set). *)
-let slo_task_set =
-  [ Task_kind.Fft 256; Task_kind.Fft 512; Task_kind.Fft 1024;
-    Task_kind.Qam 4; Task_kind.Qam 16; Task_kind.Qam 64 ]
-
 (* ------------------------------------------------------------------ *)
 (* Arrival processes.                                                 *)
 
@@ -206,7 +201,7 @@ let run ?(config = default_config) () =
   let tasks =
     List.map
       (fun kind -> (Smp.register_hw_task smp kind, kind))
-      slo_task_set
+      Scenario.streamable_task_set
   in
   (* Measurements live in a harness-owned, always-on registry so the
      report exists with the board's plane off — and the simulated
@@ -422,31 +417,6 @@ let bench_matrix ?(seed = default_config.seed)
     ("bursty/high", { base with process = Bursty; mean_interarrival_us = high });
     ("chaos/on", { base with mean_interarrival_us = high; fault_rate = 0.1 });
     ("churn", { base with mean_interarrival_us = high; churn_kills = 2 }) ]
-
-(* ------------------------------------------------------------------ *)
-(* Rendering.                                                         *)
-
-let pp_report ppf r =
-  if r.pcpus > 1 then Format.fprintf ppf "pcpus=%d " r.pcpus;
-  Format.fprintf ppf
-    "%s ia=%.0fus (victim %.0fus) guests=%d arrivals=%d fault=%.2f \
-     churn=%d kills=%d inj=%d crash=%d depth<=%d sim=%.0fms@."
-    (process_name r.process) r.mean_interarrival_us r.victim_interarrival_us
-    r.guests r.arrivals_per_guest r.fault_rate r.churn_kills r.kills
-    r.injected r.crashes r.max_depth r.sim_ms;
-  List.iter
-    (fun v ->
-       Format.fprintf ppf
-         "  vm%d %-9s served %d/%d ok %d drop %d depth<=%d  service \
-          p50/p99/p999 %.0f/%.0f/%.0f us (max %.0f)  sojourn p99 %.0f us@."
-         v.vm v.role v.served v.arrivals v.ok v.dropped v.max_depth
-         v.service_p50_us v.service_p99_us v.service_p999_us v.service_max_us
-         v.sojourn_p99_us)
-    r.vms;
-  List.iter
-    (fun (p : Fleet.prr_util) ->
-       Format.fprintf ppf "  prr%d util %.1f%%@." p.prr_id (100.0 *. p.util))
-    r.prrs
 
 (* One report as a JSON object, with the board observability snapshot
    (and the kernel's per-VM virq_turnaround percentiles derived from

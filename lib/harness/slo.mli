@@ -118,8 +118,6 @@ val bench_matrix :
     VM 0 is pinned at 8000 µs in every cell. Cells are independent
     worlds: run them with {!Parallel_sweep.map}. *)
 
-val pp_report : Format.formatter -> report -> unit
-
 val report_json : report -> Json_out.t
 (** The report as one JSON object on one line. With an enabled board
     snapshot, embeds the per-PD virq_turnaround percentiles (via

@@ -36,36 +36,3 @@ let paper_rows =
     Paper_data.table3
 
 let paper_fig9 = ratio_rows paper_rows
-
-let print_row ppf (metric, values) =
-  Format.fprintf ppf "%-22s" metric;
-  List.iter (fun v -> Format.fprintf ppf " %8.2f" v) values;
-  Format.fprintf ppf "@."
-
-let header ppf first cols =
-  Format.fprintf ppf "%-22s" first;
-  List.iter (fun c -> Format.fprintf ppf " %8s" c) cols;
-  Format.fprintf ppf "@."
-
-let print_table3 ppf sweep =
-  let n = List.length sweep - 1 in
-  let cols = "Native" :: List.init n (fun i -> Printf.sprintf "%d OS" (i + 1)) in
-  Format.fprintf ppf "Table III: overhead of hardware task management (us)@.";
-  Format.fprintf ppf "--- measured ---@.";
-  header ppf "" cols;
-  List.iter (print_row ppf) (table3_rows sweep);
-  Format.fprintf ppf "--- paper ---@.";
-  header ppf "" ("Native" :: List.init 4 (fun i -> Printf.sprintf "%d OS" (i + 1)));
-  List.iter (print_row ppf) paper_rows
-
-let print_fig9 ppf sweep =
-  let n = List.length sweep - 1 in
-  let cols = List.init n (fun i -> Printf.sprintf "%d OS" (i + 1)) in
-  Format.fprintf ppf
-    "Figure 9: degradation ratio R_D (entry/exit/IRQ normalised to 1 OS)@.";
-  Format.fprintf ppf "--- measured ---@.";
-  header ppf "" cols;
-  List.iter (print_row ppf) (fig9_rows sweep);
-  Format.fprintf ppf "--- paper ---@.";
-  header ppf "" (List.init 4 (fun i -> Printf.sprintf "%d OS" (i + 1)));
-  List.iter (print_row ppf) paper_fig9

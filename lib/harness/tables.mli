@@ -16,10 +16,5 @@ val table3_rows : Scenario.overheads list -> (string * float list) list
 val fig9_rows : Scenario.overheads list -> (string * float list) list
 (** [(metric, ratios for 1..n VMs)]. *)
 
-val print_table3 : Format.formatter -> Scenario.overheads list -> unit
-(** Measured values side by side with the paper's (µs). *)
-
-val print_fig9 : Format.formatter -> Scenario.overheads list -> unit
-
 val paper_fig9 : (string * float list) list
 (** The ratios implied by the paper's Table III numbers. *)

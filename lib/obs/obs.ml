@@ -243,9 +243,9 @@ let nonzero_buckets a =
 let snapshot t =
   let by_name l = List.sort (fun (a, _) (b, _) -> String.compare a b) l in
   { s_enabled = !(t.on);
-    (* Zero-valued instruments are omitted (matching [pp_counters]):
-       interning a name records nothing, so a never-enabled registry
-       snapshots to [empty_snapshot] exactly. *)
+    (* Zero-valued instruments are omitted: interning a name records
+       nothing, so a never-enabled registry snapshots to
+       [empty_snapshot] exactly. *)
     s_counters =
       by_name
         (Hashtbl.fold
@@ -362,46 +362,6 @@ let cell_percentile c q =
   percentile_of_buckets
     ?max_v:(if c.c_calls > 0 then Some c.c_max_cycles else None)
     ~count:c.c_calls ~buckets:c.c_buckets q
-
-(* --- rendering --- *)
-
-let cycles_to_ms c = Cycles.to_ms c
-let cycles_to_us c = Cycles.to_us c
-
-let pp_breakdown ?(key_label = fun ~component:_ k -> "#" ^ string_of_int k)
-    ppf s =
-  let meter_names =
-    match s.s_cells with
-    | [] -> []
-    | c :: _ -> List.map fst c.c_meters
-  in
-  Format.fprintf ppf "%-14s %-6s %8s %10s %10s" "component" "key" "calls"
-    "total_ms" "mean_us";
-  List.iter (fun m -> Format.fprintf ppf " %10s" m) meter_names;
-  Format.fprintf ppf "@.";
-  List.iter
-    (fun c ->
-       let mean_us =
-         if c.c_calls = 0 then 0.0
-         else cycles_to_us (c.c_cycles / c.c_calls)
-       in
-       Format.fprintf ppf "%-14s %-6s %8d %10.3f %10.2f" c.c_component
-         (key_label ~component:c.c_component c.c_key)
-         c.c_calls
-         (cycles_to_ms c.c_cycles)
-         mean_us;
-       List.iter (fun (_, v) -> Format.fprintf ppf " %10d" v) c.c_meters;
-       Format.fprintf ppf "@.")
-    s.s_cells
-
-let pp_counters ppf s =
-  List.iter
-    (fun (k, v) -> if v <> 0 then Format.fprintf ppf "%-28s %10d@." k v)
-    s.s_counters;
-  List.iter
-    (fun (k, v) ->
-       if v <> 0 then Format.fprintf ppf "%-28s %10d (gauge)@." k v)
-    s.s_gauges
 
 (* --- JSON --- *)
 

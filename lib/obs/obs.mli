@@ -197,16 +197,6 @@ val cell_percentile : cell -> float -> float option
 (** Percentile of a cell's span-duration histogram (cycles), capped
     by its recorded max. [None] when the cell has no calls. *)
 
-val pp_breakdown :
-  ?key_label:(component:string -> int -> string) ->
-  Format.formatter -> snapshot -> unit
-(** The per-key × per-component cycle breakdown table (calls, total
-    ms, mean µs, per-meter deltas). [key_label] renders a cell key
-    (default ["#<n>"]; Mini-NOVA's harness maps PD/PRR ids). *)
-
-val pp_counters : Format.formatter -> snapshot -> unit
-(** Counters and gauges, one per line, zero values skipped. *)
-
 val snapshot_to_json : snapshot -> Json_out.t
 (** The snapshot as one JSON object on one line ({!Json_out.Line}):
     [{"counters": {..}, "gauges": {..}, "histograms": [..],

@@ -54,7 +54,6 @@ let arm t ~seed ~rate =
   t.dropped <- 0
 
 let rate t = t.rate
-let enabled t = t.rate > 0.0
 
 let draw t ~at ~prr ~candidates =
   (* The disabled check must come first and be RNG-free: fault-free

@@ -57,11 +57,3 @@ let set_status_bit t bit on =
   t.regs.(Reg.status) <- Int32.of_int v
 
 let can_host t kind = Task_kind.resource_units kind <= t.capacity
-
-let pp_state ppf s =
-  Format.pp_print_string ppf
-    (match s with
-     | Empty -> "empty"
-     | Reconfiguring -> "reconfiguring"
-     | Ready -> "ready"
-     | Busy -> "busy")

@@ -70,5 +70,3 @@ val set_status_bit : t -> int -> bool -> unit
 
 val can_host : t -> Task_kind.t -> bool
 (** Capacity check: can this region host that task? *)
-
-val pp_state : Format.formatter -> state -> unit

@@ -37,7 +37,6 @@ let prr t id =
     invalid_arg "Prr_controller.prr: bad id";
   t.prrs.(id)
 
-let set_port t p = t.port <- p
 let port t = t.port
 
 let decode_addr t a =

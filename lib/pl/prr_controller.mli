@@ -35,7 +35,6 @@ val prr_count : t -> int
 val prr : t -> int -> Prr.t
 (** @raise Invalid_argument on a bad id. *)
 
-val set_port : t -> port -> unit
 val port : t -> port
 
 val decode_addr : t -> Addr.t -> (Prr.t * int) option

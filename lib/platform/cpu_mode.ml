@@ -18,5 +18,3 @@ let name = function
   | Fiq -> "fiq"
   | Und -> "und"
   | Abt -> "abt"
-
-let pp ppf m = Format.pp_print_string ppf (name m)

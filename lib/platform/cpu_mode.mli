@@ -22,4 +22,3 @@ val exception_return_cycles : int
 (** Cost of the return-from-exception path. *)
 
 val name : t -> string
-val pp : Format.formatter -> t -> unit

@@ -80,9 +80,6 @@ let pwrite_word t a v =
     Phys_mem.write_word t.mem a v
   end
 
-let pread_u32 t a = Int32.of_int (pread_word t a)
-let pwrite_u32 t a v = pwrite_word t a (Int32.to_int v)
-
 (* Translate [va] through the micro-TLB and return the physical base
    of its page. A hit replays exactly the state transition of the
    TLB-hitting [Mmu.translate_exn] it stands in for (the permission

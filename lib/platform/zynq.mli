@@ -94,13 +94,6 @@ val translate_page :
 val in_pl_window : Addr.t -> bool
 (** True for addresses decoding to PRR register groups. *)
 
-val pread_u32 : t -> Addr.t -> int32
-(** Physical read, charged through the caches (or AXI_GP for the PL
-    window). The kernel runs identity-mapped, so its data accesses use
-    these. *)
-
-val pwrite_u32 : t -> Addr.t -> int32 -> unit
-
 val idle_until_next_event : t -> bool
 (** CPU idle (WFI): skip the clock to the next pending event and fire
     it. Returns false when no event is pending (nothing will ever

@@ -17,8 +17,8 @@ let zp os =
   let p = Ucos.port os in
   (p.Port.zynq, p.Port.priv)
 
-(* Register words move as unsigned 32-bit ints; [read_reg]/[write_reg]
-   are the boxed public face. *)
+(* Register words move as unsigned 32-bit ints; [read_reg] is the
+   boxed public face. *)
 let read_word os h i =
   let z, priv = zp os in
   try Zynq.vread_word z ~priv (h.iface + (4 * i))
@@ -30,7 +30,6 @@ let write_word os h i v =
   with Mmu.Fault _ -> raise Reclaimed
 
 let read_reg os h i = Int32.of_int (read_word os h i)
-let write_reg os h i v = write_word os h i (Int32.to_int v)
 
 let default_iface task =
   Guest_layout.page_region_base + ((64 + (task land 127)) * Addr.page_size)

@@ -51,7 +51,6 @@ val cq_tail : Port.t -> t -> int
 (** Raw header reads (free-running u32 counters). *)
 
 val in_flight : Port.t -> t -> int
-val space : Port.t -> t -> int
 
 val enqueue :
   Port.t -> t -> op:[ `Request | `Release ] -> task:int ->

@@ -182,8 +182,6 @@ let current t =
   | Some task -> task
   | None -> failwith "Ucos: no current task"
 
-let current_task t = (current t).tid
-
 let ticks t = t.tick_count
 let tasks_finished t = t.finished
 let tasks_crashed t = t.crashed
@@ -271,10 +269,6 @@ let maybe_preempt t =
 
 let yield t =
   charge t "sched";
-  Effect.perform Task_yield
-
-let compute t fp =
-  ignore (Exec.run t.pt.Port.zynq ~priv:t.pt.Port.priv fp);
   Effect.perform Task_yield
 
 let compute_pinned t p =
@@ -478,10 +472,6 @@ let flag_post t g ~set =
   g.f_value <- g.f_value lor set;
   flag_wake t g;
   maybe_preempt t
-
-let flag_clear t g ~mask =
-  charge t "flag";
-  g.f_value <- g.f_value land lnot mask
 
 let flags t g =
   charge t "flag";

@@ -54,13 +54,9 @@ val delay : t -> int -> unit
 val yield : t -> unit
 (** Offer the CPU; the task stays ready (also a VM chunk boundary). *)
 
-val compute : t -> Exec.t -> unit
-(** Execute a charged workload footprint, then yield. *)
-
 val compute_pinned : t -> Fastpath.pinned -> unit
-(** {!compute} for a loop-invariant footprint interned with
-    {!Exec.pin}: same simulated behaviour, no per-iteration footprint
-    allocation or program-table lookup. *)
+(** Execute a charged workload footprint interned with {!Exec.pin},
+    then yield. *)
 
 val time_get : t -> int
 (** Ticks since the OS started. *)
@@ -98,9 +94,6 @@ val flag_create : t -> int -> flag_group
 val flag_post : t -> flag_group -> set:int -> unit
 (** OR [set] into the group and wake satisfied waiters. *)
 
-val flag_clear : t -> flag_group -> mask:int -> unit
-(** Clear the bits in [mask]. *)
-
 val flag_pend :
   t -> flag_group -> mask:int -> ?wait_all:bool -> ?consume:bool ->
   ?timeout:int -> unit -> int option
@@ -132,9 +125,6 @@ val on_irq : t -> int -> (unit -> unit) -> unit
 (** Register a guest-level interrupt handler (the "local IRQ table" of
     the porting patch): called from the OS loop when that source is
     delivered. *)
-
-val current_task : t -> task_id
-(** @raise Failure outside task context. *)
 
 val ticks : t -> int
 val tasks_finished : t -> int

@@ -205,7 +205,10 @@ let test_checker_catches_sched_corruption () =
 (* Soak engine: clean, deterministic, replayable.                      *)
 
 let stats_t =
-  Alcotest.testable Soak.pp_stats (fun (a : Soak.stats) b -> a = b)
+  Alcotest.testable
+    (fun ppf s ->
+       Format.pp_print_string ppf (Json_out.to_string (Soak.stats_json s)))
+    (fun (a : Soak.stats) b -> a = b)
 
 let smoke_config =
   { Soak.default_config with ops = 3000; seed = 11; max_vms = 4 }

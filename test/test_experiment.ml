@@ -31,13 +31,17 @@ let test_registry_names () =
     (List.map (fun (e : Experiment.t) -> e.Experiment.name) Experiment.registry)
 
 (* scenario is one Table III cell: at the same flags its document is
-   table3's run of the same configuration, field for field. *)
+   table3's run of the same configuration, field for field; --guests 0
+   is the native cell. *)
 let test_scenario_is_a_table3_cell () =
   let flags = [ "--requests"; "6"; "--warmup"; "2" ] in
   let runs =
     match (instance "table3" (flags @ [ "--guests"; "2" ])).Experiment.json with
-    | Json_out.Obj [ ("runs", Json_out.List runs) ] -> runs
-    | _ -> Alcotest.fail "table3: no runs"
+    | Json_out.Obj kv ->
+      (match List.assoc_opt "runs" kv with
+       | Some (Json_out.List runs) -> runs
+       | _ -> Alcotest.fail "table3: no runs")
+    | _ -> Alcotest.fail "table3: not an object"
   in
   let run tag =
     List.find
@@ -51,8 +55,8 @@ let test_scenario_is_a_table3_cell () =
   in
   check Alcotest.string "--guests 2 is the 2os run"
     (Json_out.to_string (run "2os")) (doc [ "--guests"; "2" ]);
-  check Alcotest.string "--native is the native run"
-    (Json_out.to_string (run "native")) (doc [ "--native" ])
+  check Alcotest.string "--guests 0 is the native run"
+    (Json_out.to_string (run "native")) (doc [ "--guests"; "0" ])
 
 let test_failing_claim_reported () =
   (* Four jobs per guest cannot fill a batch of 8: the transition ratio
@@ -79,14 +83,20 @@ let test_shared_flag_reaches_all () =
 
 let test_parse_errors () =
   let _, e = Cli_args.value_ref Cli_args.pcpus in
-  let _, f = Cli_args.flag_ref Cli_args.json in
+  let _, f = Cli_args.flag_ref Cli_args.observe in
+  let _, g = Cli_args.value_ref Cli_args.guests in
+  let soak, _ = Experiment.instantiate (Option.get (Experiment.find "soak")) in
   let err argv =
-    match Cli_args.parse [ e; f ] argv with Ok _ -> false | Error _ -> true
+    match Cli_args.parse ([ e; f; g ] @ soak) argv with
+    | Ok _ -> false
+    | Error _ -> true
   in
   check cb "unknown flag" true (err [ "--nope" ]);
   check cb "missing value" true (err [ "--pcpus" ]);
   check cb "bad value" true (err [ "--pcpus"; "0" ]);
-  check cb "flag with a value" true (err [ "--json=1" ])
+  check cb "flag with a value" true (err [ "--obs=1" ]);
+  check cb "negative guest count" true (err [ "--guests"; "-1" ]);
+  check cb "count past max_int" true (err [ "--ops"; "9999999999999m" ])
 
 let suite =
   ( "experiment",

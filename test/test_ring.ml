@@ -468,6 +468,154 @@ let test_fifo_admission_ignores_deadlines () =
   Alcotest.(check (list string)) "identical job traces" trace0 trace1;
   Alcotest.check ci "identical final clocks" clock0 clock1
 
+(* ------------------------------------------------------------------ *)
+(* Ring fuzzing: a hostile guest publishes descriptors and, before     *)
+(* each doorbell, overwrites random SQ/CQ header words and descriptor  *)
+(* fields with random u32 values. An honest µC/OS neighbour runs       *)
+(* verified jobs beside it. No host exception, every neighbour job     *)
+(* verifies, and the invariant plane stays clean.                      *)
+
+(* Where a poke lands: a header word of either ring, or one word of an
+   SQ descriptor slot. *)
+type target = Sq_hdr of int | Cq_hdr of int | Desc of int * int
+
+type round = { enqueue : int; pokes : (target * int) list }
+
+let fuzz_entries = 8
+
+let show_target = function
+  | Sq_hdr w -> Printf.sprintf "sq+%d" (4 * w)
+  | Cq_hdr w -> Printf.sprintf "cq+%d" (4 * w)
+  | Desc (slot, w) -> Printf.sprintf "desc%d+%d" slot (4 * w)
+
+let show_rounds rounds =
+  String.concat "; "
+    (List.map
+       (fun r ->
+          Printf.sprintf "enq %d [%s]" r.enqueue
+            (String.concat ", "
+               (List.map
+                  (fun (t, v) -> Printf.sprintf "%s=0x%x" (show_target t) v)
+                  r.pokes)))
+       rounds)
+
+let gen_rounds =
+  let open QCheck2.Gen in
+  let hdr_words = Guest_layout.ring_hdr_size / 4 in
+  let target =
+    oneof
+      [ map (fun w -> Sq_hdr w) (int_range 0 (hdr_words - 1));
+        map (fun w -> Cq_hdr w) (int_range 0 (hdr_words - 1));
+        map2
+          (fun slot w -> Desc (slot, w))
+          (int_range 0 (fuzz_entries - 1))
+          (int_range 0 ((Guest_layout.ring_desc_size / 4) - 1)) ]
+  in
+  (* Uniform u32s alone would almost never pass the first validation
+     step, so half the values are near the ring's own indices or are
+     addresses the guest legitimately owns. *)
+  let value =
+    oneof
+      [ map (fun v -> v land 0xFFFF_FFFF) int;
+        int_range 0 (2 * fuzz_entries);
+        map (fun d -> (-d) land 0xFFFF_FFFF) (int_range 1 (2 * fuzz_entries));
+        oneofl
+          [ 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFF;
+            Guest_layout.default_data_section;
+            Guest_layout.default_data_section_len;
+            Guest_layout.default_iface_vaddr 0;
+            Guest_layout.page_region_base;
+            Guest_layout.ring_sq_base; Guest_layout.ring_cq_base;
+            Guest_layout.kernel_base; Guest_layout.user_base ] ]
+  in
+  list_size (int_range 1 6)
+    (map2
+       (fun enqueue pokes -> { enqueue; pokes })
+       (int_range 0 4)
+       (list_size (int_range 0 6) (pair target value)))
+
+let hostile_guest rounds tasks genv =
+  let p = Port.paravirt genv in
+  match Ring_api.setup p ~entries:fuzz_entries ~cvirq_budget:1 () with
+  | Error e -> Alcotest.failf "setup: %s" e
+  | Ok r ->
+    let wr a v = Zynq.vwrite_word p.Port.zynq ~priv:p.Port.priv a v in
+    List.iteri
+      (fun i round ->
+         for k = 1 to round.enqueue do
+           ignore
+             (Ring_api.enqueue p r ~op:(if k = 3 then `Release else `Request)
+                ~task:tasks.((i + k) mod Array.length tasks) ~tag:k ())
+         done;
+         List.iter
+           (fun (target, v) ->
+              match target with
+              | Sq_hdr w -> wr (r.Ring_api.sq + (4 * w)) v
+              | Cq_hdr w -> wr (r.Ring_api.cq + (4 * w)) v
+              | Desc (slot, w) ->
+                wr
+                  (r.Ring_api.sq + Guest_layout.ring_hdr_size
+                   + (slot * Guest_layout.ring_desc_size) + (4 * w))
+                  v)
+           round.pokes;
+         ignore (Ring_api.doorbell p r);
+         (* Bounded polling: the CQ tail may be one of our own forgeries. *)
+         for _ = 1 to fuzz_entries do
+           ignore (Ring_api.poll p r)
+         done;
+         ignore (Hyper.pause ()))
+      rounds
+
+let honest_jobs = 4
+
+let honest_guest tasks ~ok genv =
+  let os = Ucos.create (Port.paravirt genv) in
+  let rng = Rng.create ~seed:5 in
+  ignore
+    (Ucos.spawn os ~name:"honest" ~prio:4 (fun () ->
+         for j = 0 to honest_jobs - 1 do
+           let task, kind = tasks.(j mod Array.length tasks) in
+           (match
+              Hw_task_api.acquire os ~task ~want_irq:true ~backoff:true
+                ~max_tries:1000 ()
+            with
+            | Ok h ->
+              if Scenario.verified_job os rng h kind then incr ok;
+              Hw_task_api.release os h
+            | Error _ -> ());
+           Ucos.delay os 1
+         done;
+         Ucos.stop os));
+  Ucos.run os
+
+let fuzz_case pcpus rounds =
+  let smp = Fleet.boot ~pcpus () in
+  let kinds = [ Task_kind.Qam 16; Task_kind.Fft 256; Task_kind.Qam 4 ] in
+  let tasks =
+    Array.of_list (List.map (fun k -> (Smp.register_hw_task smp k, k)) kinds)
+  in
+  let ok = ref 0 in
+  ignore
+    (Smp.create_vm smp ~name:"hostile" ~cpu:0
+       (hostile_guest rounds (Array.map fst tasks)));
+  ignore (Smp.create_vm smp ~name:"honest" ~cpu:0 (honest_guest tasks ~ok));
+  Smp.run_for smp (Cycles.of_ms 60.0);
+  let violations =
+    List.map Invariant.violation_to_string
+      (Invariant.check_smp smp ~boundary:"fuzz")
+  in
+  if !ok <> honest_jobs then
+    QCheck2.Test.fail_reportf "honest guest verified %d of %d jobs" !ok
+      honest_jobs;
+  if violations <> [] then
+    QCheck2.Test.fail_reportf "invariants: %s" (String.concat "; " violations);
+  true
+
+let prop_ring_fuzz pcpus =
+  QCheck2.Test.make ~count:100 ~print:show_rounds
+    ~name:(Printf.sprintf "hostile ring words at %d pCPU(s)" pcpus)
+    gen_rounds (fuzz_case pcpus)
+
 let suite =
   ( "ring-abi",
     let t = Alcotest.test_case in
@@ -484,4 +632,6 @@ let suite =
       t "fifo admission ignores deadline keys" `Quick
         test_fifo_admission_ignores_deadlines;
       t "forged CQ head is refused" `Quick (test_forged_cq_head 1);
-      t "forged CQ head is refused at 4 pCPUs" `Quick (test_forged_cq_head 4) ] )
+      t "forged CQ head is refused at 4 pCPUs" `Quick (test_forged_cq_head 4);
+      QCheck_alcotest.to_alcotest (prop_ring_fuzz 1);
+      QCheck_alcotest.to_alcotest (prop_ring_fuzz 4) ] )
