@@ -508,22 +508,25 @@ let soak =
          let replay = a.value replay in
          let repro_out = a.value repro_out in
          fun () ->
-           let cfg =
-             { Soak.ops = ops (); seed = seed (); max_vms = max_vms ();
-               check = not (no_check ()); fault_rate = fault_rate ();
-               fault_seed = fault_seed (); quantum_ms = quantum ();
-               pcpus = pcpus () }
-           in
            match replay () with
            | Some path ->
-             let outcome =
-               match Soak.replay_file path with
-               | Ok o -> o
+             (* The reproducer carries its own config: report that run. *)
+             let cfg, actions =
+               match Soak.load_reproducer path with
+               | Ok r -> r
                | Error e -> failwith ("soak: " ^ e)
              in
-             soak_result ~cfg ~repro:None ~wall:0.0 outcome []
-               (Soak.stats_of_outcome outcome)
+             let t0 = Unix.gettimeofday () in
+             let outcome = Soak.replay cfg actions in
+             soak_result ~cfg ~repro:None ~wall:(Unix.gettimeofday () -. t0)
+               outcome [] (Soak.stats_of_outcome outcome)
            | None ->
+             let cfg =
+               { Soak.ops = ops (); seed = seed (); max_vms = max_vms ();
+                 check = not (no_check ()); fault_rate = fault_rate ();
+                 fault_seed = fault_seed (); quantum_ms = quantum ();
+                 pcpus = pcpus () }
+             in
              let shards = shards () in
              let t0 = Unix.gettimeofday () in
              let s = Soak.run_sharded ~shards cfg in
@@ -547,9 +550,8 @@ let slo =
     title = "E7: open-loop tail latency (SLO)";
     define =
       (fun a ->
-         let seed =
-           a.value { Cli_args.seed with default = Slo.default_config.Slo.seed }
-         in
+         let d = Slo.default_config in
+         let seed = a.value { Cli_args.seed with default = d.Slo.seed } in
          let arrivals = a.value arrivals in
          let observe = a.flag Cli_args.observe in
          let pcpus = a.value Cli_args.pcpus in
@@ -557,8 +559,10 @@ let slo =
            let seed = seed () and arrivals = arrivals () in
            let reports =
              run_cells (fun config -> Slo.run ~config ())
-               (Slo.bench_matrix ~seed ~arrivals ~observe:(observe ())
-                  ~pcpus:(pcpus ()) ())
+               (Slo.bench_matrix
+                  { d with
+                    Slo.seed; arrivals_per_guest = arrivals;
+                    observe = observe (); pcpus = pcpus () })
            in
            let cell tag = List.assoc_opt tag reports in
            let victim (r : Slo.report) =
@@ -608,7 +612,7 @@ let slo =
                    ("runs", tagged_runs Slo.report_json reports) ]
                  @ Option.to_list comparison))) }
 
-(* --- E8: density --- *)
+(* --- E8 and E10: fleet cells --- *)
 
 let vms_spec =
   { Cli_args.names = [ "vms" ];
@@ -655,16 +659,38 @@ let ring_admission =
          | _ -> Error (Printf.sprintf "expected fifo or deadline, got %S" s));
     show = (function `Fifo -> "fifo" | `Deadline -> "deadline") }
 
+(* The flags both fleet studies read, over the study's defaults. *)
+let fleet_args (a : args) (d : Fleet_cell.config) =
+  let seed = a.value { Cli_args.seed with default = d.seed } in
+  let jobs = a.value (jobs_spec d.jobs_per_vm) in
+  let check = a.flag Cli_args.check in
+  let pcpus = a.value Cli_args.pcpus in
+  fun () ->
+    { d with
+      seed = seed (); jobs_per_vm = jobs (); check = check ();
+      pcpus = pcpus () }
+
+let fleet_claims reports =
+  [ all_cells "no cell crashed"
+      (fun (r : Fleet_cell.report) -> r.crashes = 0) reports;
+    all_cells "the victim kept every job"
+      (fun (r : Fleet_cell.report) -> r.victim_ok = r.victim_jobs) reports;
+    all_cells "every fleet job is accounted for"
+      (fun (r : Fleet_cell.report) ->
+         r.jobs_ok + r.jobs_busy + r.jobs_denied + r.jobs_failed
+         = r.jobs_submitted)
+      reports ]
+
 let density_ratio reports vms =
-  let per_job m =
+  let per_job abi =
     List.find_map
-      (fun (_, (r : Density.report)) ->
-         if r.Density.vms = vms && r.Density.mode = m then
-           Some r.Density.transitions_per_job
+      (fun (_, (r : Fleet_cell.report)) ->
+         if r.config.vms = vms && r.config.abi = abi then
+           Some r.transitions_per_job
          else None)
       reports
   in
-  match (per_job Density.V1, per_job Density.V2) with
+  match (per_job Fleet_cell.V1, per_job Fleet_cell.V2) with
   | Some v1, Some v2 when v2 > 0.0 -> Some (vms, v1, v2, v1 /. v2)
   | _ -> None
 
@@ -674,74 +700,69 @@ let density =
     define =
       (fun a ->
          let d = Density.default_config in
-         let seed = a.value { Cli_args.seed with default = d.Density.seed } in
+         let base = fleet_args a d in
          let populations = a.value vms_spec in
-         let jobs = a.value (jobs_spec d.Density.jobs_per_vm) in
          let batch =
            a.value
              (Cli_args.int ~min:1 [ "batch" ]
-                "ABI v2 request descriptors per doorbell." d.Density.batch)
+                "ABI v2 request descriptors per doorbell." d.batch)
          in
          let budget =
            a.value
              (Cli_args.int ~min:0 [ "ring-budget" ]
                 "Completions per moderated ring vIRQ (0 = pure polling)."
-                d.Density.cvirq_budget)
+                d.cvirq_budget)
          in
          let mode =
            a.value
              (either_spec [ "mode" ] "Hypercall ABI under test: v1, v2 or both."
                 Density.mode_of_string Density.mode_name)
          in
-         let fault_rate = a.value { Cli_args.fault_rate with default = 0.0 } in
-         let check = a.flag Cli_args.check in
-         let pcpus = a.value Cli_args.pcpus in
+         let fault_rate =
+           a.value { Cli_args.fault_rate with default = d.fault_rate }
+         in
          let ring_admission = a.value ring_admission in
          fun () ->
-           let seed = seed () and populations = populations () in
-           let jobs = jobs () and batch = batch () and budget = budget () in
-           let fault_rate = fault_rate () and check = check () in
-           let cells =
-             Density.bench_matrix ~seed ~populations ~jobs ~batch
-               ~cvirq_budget:budget ~fault_rate ~check ~pcpus:(pcpus ())
-               ~ring_admission:(ring_admission ()) ()
-             |> List.filter (fun (_, (c : Density.config)) ->
-                    keep (mode ()) c.Density.mode)
+           let populations = populations () in
+           let base =
+             { (base ()) with
+               batch = batch (); cvirq_budget = budget ();
+               fault_rate = fault_rate (); ring_admission = ring_admission () }
            in
-           let reports = run_cells (fun config -> Density.run ~config ()) cells in
+           let cells =
+             Density.bench_matrix ~populations base
+             |> List.filter (fun (_, (c : Fleet_cell.config)) ->
+                    keep (mode ()) c.abi)
+           in
+           let reports = run_cells Fleet_cell.run cells in
            let ratios = List.filter_map (density_ratio reports) populations in
-           let ring (r : Density.report) = r.Density.ring in
            result
              ~claims:
-               ([ all_cells "no cell crashed"
-                    (fun r -> r.Density.crashes = 0) reports;
-                  all_cells "the victim kept every job"
-                    (fun r -> r.Density.victim_ok = r.Density.victim_jobs)
-                    reports;
-                  all_cells "the fleet completed jobs"
-                    (fun r -> r.Density.jobs_ok > 0) reports;
-                  all_cells "v2 ring totals close, v1 never touches a ring"
-                    (fun r ->
-                       let g = ring r in
-                       match r.Density.mode with
-                       | Density.V2 ->
-                         g.Kernel.rs_enqueued > 0
-                         && g.Kernel.rs_enqueued
-                            = g.Kernel.rs_completed + g.Kernel.rs_reclaimed
-                       | Density.V1 -> g.Kernel.rs_enqueued = 0)
-                    reports ]
+               (fleet_claims reports
+                @ [ all_cells "the fleet completed jobs"
+                      (fun (r : Fleet_cell.report) -> r.jobs_ok > 0) reports;
+                    all_cells "v2 ring totals close, v1 never touches a ring"
+                      (fun (r : Fleet_cell.report) ->
+                         let g = r.ring in
+                         match r.config.abi with
+                         | Fleet_cell.V2 ->
+                           g.Kernel.rs_enqueued > 0
+                           && g.Kernel.rs_enqueued
+                              = g.Kernel.rs_completed + g.Kernel.rs_reclaimed
+                         | Fleet_cell.V1 -> g.Kernel.rs_enqueued = 0)
+                      reports ]
                 @
-                if batch < 8 || ratios = [] then []
+                if base.batch < 8 || ratios = [] then []
                 else
                   [ { claim =
                         "at batch >= 8, v2 cuts per-job transitions at least 4x";
                       holds =
                         List.for_all (fun (_, _, _, x) -> x >= 4.0) ratios } ])
              (Obj
-                [ ("seed", Int seed);
-                  ("jobs_per_vm", Int jobs);
-                  ("batch", Int batch);
-                  ("cvirq_budget", Int budget);
+                [ ("seed", Int base.seed);
+                  ("jobs_per_vm", Int base.jobs_per_vm);
+                  ("batch", Int base.batch);
+                  ("cvirq_budget", Int base.cvirq_budget);
                   ("runs", tagged_runs Density.report_json reports);
                   ( "transition_ratio",
                     List
@@ -753,8 +774,6 @@ let density =
                                 ("v2_per_job", Float v2);
                                 ("ratio", Float x) ])
                          ratios) ) ])) }
-
-(* --- E10: partitioning --- *)
 
 let chaos_spec =
   either_spec [ "chaos" ] "PL fault injection cells: on, off or both."
@@ -769,9 +788,7 @@ let partition =
     title = "E10: static vs dynamic partitioning";
     define =
       (fun a ->
-         let d = Partition.default_config in
-         let seed = a.value { Cli_args.seed with default = d.Partition.seed } in
-         let jobs = a.value (jobs_spec d.Partition.jobs_per_vm) in
+         let base = fleet_args a Partition.default_config in
          let mode =
            a.value
              (either_spec [ "partition" ]
@@ -779,48 +796,37 @@ let partition =
                 Partition.mode_of_string Partition.mode_name)
          in
          let chaos = a.value chaos_spec in
-         let check = a.flag Cli_args.check in
-         let pcpus = a.value Cli_args.pcpus in
          fun () ->
-           let seed = seed () and check = check () in
+           let base = base () in
+           let chaotic (c : Fleet_cell.config) = c.fault_rate > 0.0 in
            let cells =
-             Partition.bench_matrix ~seed ~jobs:(jobs ()) ~check
-               ~pcpus:(pcpus ()) ()
-             |> List.filter (fun (_, (c : Partition.config)) ->
-                    keep (mode ()) c.Partition.mode
-                    && keep (chaos ()) c.Partition.chaos)
+             Partition.bench_matrix base
+             |> List.filter (fun (_, (c : Fleet_cell.config)) ->
+                    keep (mode ()) c.partition && keep (chaos ()) (chaotic c))
            in
-           let reports =
-             run_cells (fun config -> Partition.run ~config ()) cells
-           in
-           let static (r : Partition.report) =
-             r.Partition.mode = Hw_task_manager.Static
-           in
+           let reports = run_cells Fleet_cell.run cells in
            let p99 m =
              List.find_map
-               (fun (_, (r : Partition.report)) ->
-                  if r.Partition.chaos && r.Partition.mode = m then
-                    Some r.Partition.victim_p99_us
+               (fun (_, (r : Fleet_cell.report)) ->
+                  if chaotic r.config && r.config.partition = m then
+                    Some r.victim_p99_us
                   else None)
                reports
            in
            result
              ~claims:
-               ([ all_cells "no cell crashed"
-                    (fun r -> r.Partition.crashes = 0) reports;
-                  all_cells "the victim kept every job"
-                    (fun r -> r.Partition.victim_ok = r.Partition.victim_jobs)
-                    reports;
-                  all_cells
-                    "static cells deny foreign requests, dynamic ones none"
-                    (fun r ->
-                       if static r then r.Partition.jobs_denied > 0
-                       else r.Partition.jobs_denied = 0)
-                    reports;
-                  all_cells "chaos cells injected faults"
-                    (fun r ->
-                       (not r.Partition.chaos) || r.Partition.injected > 0)
-                    reports ]
+               (fleet_claims reports
+                @ [ all_cells
+                      "static cells deny foreign requests, dynamic ones none"
+                      (fun (r : Fleet_cell.report) ->
+                         if r.config.partition = Hw_task_manager.Static then
+                           r.jobs_denied > 0
+                         else r.jobs_denied = 0)
+                      reports;
+                    all_cells "chaos cells injected faults"
+                      (fun (r : Fleet_cell.report) ->
+                         (not (chaotic r.config)) || r.injected > 0)
+                      reports ]
                 @
                 match
                   (p99 Hw_task_manager.Static, p99 Hw_task_manager.Dynamic)
@@ -830,7 +836,7 @@ let partition =
                       holds = s <= d } ]
                 | _ -> [])
              (Obj
-                [ ("seed", Int seed);
+                [ ("seed", Int base.seed);
                   ("runs", tagged_runs Partition.report_json reports) ])) }
 
 (* --- single runs: scenario, trace --- *)

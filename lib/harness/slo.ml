@@ -398,17 +398,8 @@ let run ?(config = default_config) () =
    rate is pinned in every cell, so reading its row across solo → low
    → high is the interference matrix. *)
 
-let bench_matrix ?(seed = default_config.seed)
-    ?(arrivals = default_config.arrivals_per_guest) ?(observe = false)
-    ?(pcpus = default_config.pcpus) () =
-  let base =
-    { default_config with
-      seed;
-      arrivals_per_guest = arrivals;
-      observe;
-      pcpus;
-      victim_interarrival_us = Some 8000.0 }
-  in
+let bench_matrix (base : config) =
+  let base = { base with victim_interarrival_us = Some 8000.0 } in
   let low = 8000.0 and high = 2500.0 in
   [ ("victim/solo", { base with guests = 1 });
     ("poisson/low", { base with mean_interarrival_us = low });

@@ -109,13 +109,11 @@ val run : ?config:config -> unit -> report
 (** One SLO world, end to end. Raises [Invalid_argument] on a config
     with no guests or no arrivals. *)
 
-val bench_matrix :
-  ?seed:int -> ?arrivals:int -> ?observe:bool -> ?pcpus:int -> unit ->
-  (string * config) list
-(** The bench's seven cells: victim alone, Poisson and bursty at low
-    (8000 µs) and high (2500 µs) aggressor load, the chaos pair
-    (high load, fault rate 0.1 vs poisson/high's 0.0), and churn.
-    VM 0 is pinned at 8000 µs in every cell. Cells are independent
+val bench_matrix : config -> (string * config) list
+(** The bench's seven cells over [base]: victim alone, Poisson and
+    bursty at low (8000 µs) and high (2500 µs) aggressor load, the
+    chaos pair (high load, fault rate 0.1 vs poisson/high's 0.0), and
+    churn. VM 0 is pinned at 8000 µs in every cell. Cells are independent
     worlds: run them with {!Parallel_sweep.map}. *)
 
 val report_json : report -> Json_out.t

@@ -389,6 +389,40 @@ let test_reproducer_roundtrip () =
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "malformed header number accepted")
 
+(* [soak --replay] documents the reproducer's run, not the flags'. *)
+let test_soak_replay_reports_file_config () =
+  let cfg = { smoke_config with Soak.ops = 50; seed = 777; pcpus = 4 } in
+  let violation =
+    { Invariant.checker = "sched"; boundary = "op"; detail = "synthetic" }
+  in
+  let shrunk =
+    [ Soak.A_create { profile = 0; prio = 1; gseed = 5 };
+      Soak.A_run 300;
+      Soak.A_kill 0 ]
+  in
+  let path = Filename.temp_file "soak_replay_doc" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       Soak.write_reproducer path cfg violation ~shrunk;
+       let entries, run =
+         Experiment.instantiate (Option.get (Experiment.find "soak"))
+       in
+       (match Cli_args.parse entries [ "--replay"; path ] with
+        | Ok [] -> ()
+        | Ok _ | Error _ -> Alcotest.fail "soak --replay: bad argv");
+       match (run ()).Experiment.json with
+       | Json_out.Obj kv ->
+         let int k =
+           match List.assoc_opt k kv with
+           | Some (Json_out.Int n) -> n
+           | _ -> Alcotest.failf "document has no integer %s" k
+         in
+         Alcotest.check ci "seed" 777 (int "seed");
+         Alcotest.check ci "ops" 50 (int "ops");
+         Alcotest.check ci "pcpus" 4 (int "pcpus")
+       | _ -> Alcotest.fail "soak document is not an object")
+
 let suite =
   ( "check",
     [ Alcotest.test_case "1000 VM create/kill cycles" `Quick
@@ -424,4 +458,6 @@ let suite =
       Alcotest.test_case "shard config split conserves the budget" `Quick
         test_shard_config_split;
       Alcotest.test_case "shard reproducer replays single-domain" `Quick
-        test_sharded_reproducer_replays_single_domain ] )
+        test_sharded_reproducer_replays_single_domain;
+      Alcotest.test_case "soak --replay reports the file's run" `Quick
+        test_soak_replay_reports_file_config ] )

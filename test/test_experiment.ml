@@ -70,6 +70,13 @@ let test_failing_claim_reported () =
           (fun l -> String.length l > 10 && String.sub l 0 10 = "claim FAIL")
           (String.split_on_char '\n' s))
 
+(* A v2 round enqueues the batch plus the previous round's releases on
+   a 32-entry ring: a batch past 16 would drop jobs, so it is refused. *)
+let test_density_batch_refused () =
+  match instance "density" [ "--vms"; "4"; "--batch"; "17" ] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "density ran with --batch 17"
+
 let test_shared_flag_reaches_all () =
   let a, ea = Cli_args.value_ref Cli_args.seed in
   let b, eb = Cli_args.value_ref { Cli_args.seed with default = 7 } in
@@ -116,4 +123,6 @@ let suite =
       t "density claims at 4 pCPUs" `Quick
         (claims_hold "density" [ "--vms"; "8"; "--pcpus"; "4"; "--check" ]);
       t "partition claims" `Quick (claims_hold "partition" [ "--check" ]);
-      t "scenario is a table3 cell" `Quick test_scenario_is_a_table3_cell ] )
+      t "scenario is a table3 cell" `Quick test_scenario_is_a_table3_cell;
+      t "density refuses a batch past half the ring" `Quick
+        test_density_batch_refused ] )

@@ -373,36 +373,37 @@ let test_flat_cost_create_256 () =
 
 let density_cfg mode =
   { Density.default_config with
-    Density.vms = 4; mode; jobs_per_vm = 16; batch = 8; check = true }
+    Fleet_cell.vms = 4; abi = mode; jobs_per_vm = 16; batch = 8; check = true }
 
 let test_density_transition_gate () =
-  let v1 = Density.run ~config:(density_cfg Density.V1) () in
-  let v2 = Density.run ~config:(density_cfg Density.V2) () in
-  Alcotest.check ci "same fleet job count" v1.Density.jobs_submitted
-    v2.Density.jobs_submitted;
-  Alcotest.check cb "v1 makes progress" true (v1.Density.jobs_ok > 0);
-  Alcotest.check cb "v2 makes progress" true (v2.Density.jobs_ok > 0);
+  let v1 = Fleet_cell.run (density_cfg Fleet_cell.V1) in
+  let v2 = Fleet_cell.run (density_cfg Fleet_cell.V2) in
+  Alcotest.check ci "same fleet job count" v1.Fleet_cell.jobs_submitted
+    v2.Fleet_cell.jobs_submitted;
+  Alcotest.check cb "v1 makes progress" true (v1.Fleet_cell.jobs_ok > 0);
+  Alcotest.check cb "v2 makes progress" true (v2.Fleet_cell.jobs_ok > 0);
   Alcotest.check cb "no crashes" true
-    (v1.Density.crashes = 0 && v2.Density.crashes = 0);
+    (v1.Fleet_cell.crashes = 0 && v2.Fleet_cell.crashes = 0);
   Alcotest.check cb "victim completed in both" true
-    (v1.Density.victim_ok = v1.Density.victim_jobs
-     && v2.Density.victim_ok = v2.Density.victim_jobs);
+    (v1.Fleet_cell.victim_ok = v1.Fleet_cell.victim_jobs
+     && v2.Fleet_cell.victim_ok = v2.Fleet_cell.victim_jobs);
   let ratio =
-    v1.Density.transitions_per_job /. v2.Density.transitions_per_job
+    v1.Fleet_cell.transitions_per_job /. v2.Fleet_cell.transitions_per_job
   in
   Alcotest.check cb
     (Printf.sprintf "ring ABI cuts transitions >= 4x (got %.2fx)" ratio)
     true (ratio >= 4.0)
 
 let test_density_deterministic () =
-  let a = Density.run ~config:(density_cfg Density.V2) () in
-  let b = Density.run ~config:(density_cfg Density.V2) () in
-  Alcotest.check ci "transitions" a.Density.transitions
-    b.Density.transitions;
-  Alcotest.check ci "jobs ok" a.Density.jobs_ok b.Density.jobs_ok;
-  Alcotest.check ci "ring enqueued" a.Density.ring.Kernel.rs_enqueued
-    b.Density.ring.Kernel.rs_enqueued;
-  Alcotest.check ci "sim cycles" a.Density.sim_cycles b.Density.sim_cycles
+  let a = Fleet_cell.run (density_cfg Fleet_cell.V2) in
+  let b = Fleet_cell.run (density_cfg Fleet_cell.V2) in
+  Alcotest.check ci "transitions" a.Fleet_cell.transitions
+    b.Fleet_cell.transitions;
+  Alcotest.check ci "jobs ok" a.Fleet_cell.jobs_ok b.Fleet_cell.jobs_ok;
+  Alcotest.check ci "ring enqueued" a.Fleet_cell.ring.Kernel.rs_enqueued
+    b.Fleet_cell.ring.Kernel.rs_enqueued;
+  Alcotest.check ci "sim cycles" a.Fleet_cell.sim_cycles
+    b.Fleet_cell.sim_cycles
 
 (* ------------------------------------------------------------------ *)
 (* Manager admission order. CQEs are written in execution order, so    *)
