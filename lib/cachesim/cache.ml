@@ -87,8 +87,6 @@ let create cfg =
     vgen = 0; dgen = 0; valid_count = 0; dirty_count = 0;
     tick = 0; hits = 0; misses = 0; epoch = 0 }
 
-let config t = t.cfg
-
 let line_addr t a = a lsr t.line_shift
 let set_of_line t la = la land (t.sets - 1)
 
@@ -192,20 +190,6 @@ let access_line t la ~write = access_slot t la ~write >= 0
 
 let access t a ~write =
   if access_line t (line_addr t a) ~write then `Hit else `Miss
-
-let access_run t a ~stride ~n ~write ~on_miss =
-  (* Equivalent to [n] calls to [access] at [a, a+stride, ...]: the
-     per-line state transitions are identical and happen in the same
-     order; only the dispatch is batched. Returns the number of hits;
-     [on_miss] receives the byte address of every missing access, in
-     access order, so the caller can charge the next level. *)
-  let hits = ref 0 in
-  for k = 0 to n - 1 do
-    let addr = a + (k * stride) in
-    if access_line t (line_addr t addr) ~write then incr hits
-    else on_miss addr
-  done;
-  !hits
 
 let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
     ~next_slots ~from =
@@ -398,28 +382,11 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
   next.dirty_count <- next.dirty_count + !nddelta;
   (!extra, !moved)
 
-let verify_run t ~slots ~from ~n ~a =
-  (* True when the [n] consecutive lines from byte address [a] are all
-     still live in exactly the recorded slots — the soundness
-     condition for replaying the run as hits. Effect-free; the packed
-     tag word checks residency, liveness and placement in one compare
-     (a generation-stale slot's tag can never equal the live key). *)
-  let la0 = line_addr t a in
-  let key0 = live_key t la0 in
-  let state = t.state in
-  let rec loop k =
-    if k = n then true
-    else
-      let i = Array.unsafe_get slots (from + k) in
-      Array.unsafe_get state (2 * i) = key0 + k && loop (k + 1)
-  in
-  loop 0
-
 let replay_hits t idx ~start ~stop ~write =
   (* Replay a recorded run of guaranteed hits: identical counter, LRU
      and dirty transitions to calling [access] on each line, valid only
      while every replayed slot still holds its recorded line (epoch
-     unchanged since recording, or re-verified with [verify_run]). *)
+     unchanged since recording). *)
   let tick = ref t.tick in
   let state = t.state in
   if write then
@@ -439,8 +406,6 @@ let replay_hits t idx ~start ~stop ~write =
   t.tick <- !tick
 
 let probe t a = find t (line_addr t a) >= 0
-
-let resident_slot t a = find t (line_addr t a)
 
 let iter_range t a len f =
   (* Visit each live line whose address intersects [a, a+len). *)

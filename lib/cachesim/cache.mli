@@ -19,21 +19,10 @@ type t
 val create : config -> t
 (** @raise Invalid_argument if geometry is not a power-of-two split. *)
 
-val config : t -> config
-
 val access : t -> Addr.t -> write:bool -> [ `Hit | `Miss ]
 (** Look up the line containing a physical address; on miss the line is
     filled (LRU victim evicted), on hit LRU is refreshed. [write] marks
     the line dirty (write-back, write-allocate policy). *)
-
-val access_run : t ->
-  Addr.t -> stride:int -> n:int -> write:bool -> on_miss:(Addr.t -> unit) ->
-  int
-(** Batched equivalent of [n] successive {!access} calls at addresses
-    [a, a+stride, …]: bit-identical counter, LRU, fill and dirty
-    transitions with a single dispatch. [on_miss] is invoked with the
-    byte address of each missing access, in access order, so the caller
-    can charge the next memory level. Returns the number of hits. *)
 
 val run_through :
   t -> t -> lat_next_hit:int -> lat_next_miss:int -> a:Addr.t -> n:int ->
@@ -58,32 +47,18 @@ val run_through :
     This is the simulator's hottest loop — both levels are fused into
     one closure-free pass with all counters accumulated in locals. *)
 
-val verify_run :
-  t -> slots:int array -> from:int -> n:int -> a:Addr.t -> bool
-(** [verify_run t ~slots ~from ~n ~a] is true when the [n] consecutive
-    lines starting at byte address [a] are still resident in exactly
-    the recorded slots [slots.(from ..)]. Effect-free (no LRU, no
-    counters); this is the soundness condition for {!replay_hits} when
-    {!epoch} has moved since the slots were recorded. *)
-
 val replay_hits : t -> int array -> start:int -> stop:int -> write:bool -> unit
 (** [replay_hits t idx ~start ~stop ~write] replays a recorded run of
     guaranteed hits: for each slot index in [idx.(start..stop-1)] it
     performs exactly the state transition of a hitting {!access} (tick,
     hit counter, LRU refresh, dirtying when [write]). Only sound while
-    {!epoch} still equals the value observed when [idx] was captured
-    with {!resident_slot} — any fill or invalidation in between may
-    have moved the lines. *)
+    {!epoch} still equals the value observed when [idx] was recorded
+    by {!run_through} — any fill or invalidation in between may have
+    moved the lines. *)
 
 val probe : t -> Addr.t -> bool
 (** [probe t a] is true when the line holding [a] is resident; does not
     disturb LRU or fill — used by tests and by DMA coherence checks. *)
-
-val resident_slot : t -> Addr.t -> int
-(** Slot index (into the flat [set * ways + way] state arrays) holding
-    the line that contains [a], or [-1] when not resident. Like
-    {!probe}, never disturbs LRU or fills. The index stays valid while
-    {!epoch} is unchanged; it is the currency of {!replay_hits}. *)
 
 val dirty_in_range : t -> Addr.t -> int -> bool
 (** True when any dirty line intersects [\[a, a+len)]. Used to detect

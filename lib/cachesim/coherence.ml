@@ -22,7 +22,6 @@ type t = {
   cpus : int;
   mutable lines_transferred : int;
   mutable transfer_cycles : int;
-  mutable contention_events : int;
   mutable contention_cycles : int;
 }
 
@@ -41,7 +40,6 @@ let create ~cpus =
   { cpus;
     lines_transferred = 0;
     transfer_cycles = 0;
-    contention_events = 0;
     contention_cycles = 0 }
 
 let transfer t ~lines =
@@ -59,14 +57,10 @@ let epoch t ~l2_misses =
     (fun own ->
        let others = total - own in
        let penalty = own * others / contention_scale in
-       if penalty > 0 then begin
-         t.contention_events <- t.contention_events + 1;
-         t.contention_cycles <- t.contention_cycles + penalty
-       end;
+       t.contention_cycles <- t.contention_cycles + penalty;
        penalty)
     l2_misses
 
 let lines_transferred t = t.lines_transferred
 let transfer_cycles t = t.transfer_cycles
-let contention_events t = t.contention_events
 let contention_cycles t = t.contention_cycles

@@ -10,9 +10,6 @@ type t
 
 val create : cpus:int -> t
 
-val line_transfer_cost : int
-(** Cycles to move one line between private caches via the shared L2. *)
-
 val transfer : t -> lines:int -> int
 (** [transfer t ~lines] records a cross-CPU move of [lines] dirty
     lines and returns the cycle cost to charge the consumer. *)
@@ -24,5 +21,4 @@ val epoch : t -> l2_misses:int array -> int array
 
 val lines_transferred : t -> int
 val transfer_cycles : t -> int
-val contention_events : t -> int
 val contention_cycles : t -> int

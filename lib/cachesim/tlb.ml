@@ -83,8 +83,6 @@ let lookup t ~asid ~vpage =
 
 let peek t ~asid ~vpage = matching t ~asid ~vpage
 
-let slot_ppage s = s.entry.ppage
-
 let refresh t s =
   t.tick <- t.tick + 1;
   t.hits <- t.hits + 1;
@@ -158,7 +156,3 @@ let misses t = t.misses
 let epoch t = t.epoch
 
 let live_entries t = t.live_count
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

@@ -35,9 +35,6 @@ val peek : t -> asid:int -> vpage:int -> slot option
     accounting, no LRU refresh. Used to snapshot residency for the
     fast-path layers. *)
 
-val slot_ppage : slot -> int
-(** Physical page number stored in the slot. *)
-
 val refresh : t -> slot -> unit
 (** Replay a hit on a slot obtained from {!peek}: exactly the state
     transition of a hitting {!lookup} (tick, hit counter, LRU
@@ -80,7 +77,3 @@ val epoch : t -> int
 val live_entries : t -> int
 (** Number of currently resident translations (maintained
     incrementally; this is what {!flush_all} returns). *)
-
-val reset_stats : t -> unit
-(** Clears [hits]/[misses]; {!epoch} is deliberately preserved so
-    outstanding {!peek} snapshots stay sound across stat resets. *)

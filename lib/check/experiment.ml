@@ -335,16 +335,19 @@ let chaos =
     title = "E5: chaos (fault injection)";
     define =
       (fun a ->
-         let base =
-           scenario_args a
-             { Scenario.default_config with Scenario.requests_per_guest = 20 }
-         in
+         let requests = a.value { Cli_args.requests with default = 20 } in
+         let seed = a.value Cli_args.seed in
+         let observe = a.flag Cli_args.observe in
          let guests = a.value Cli_args.guests in
          let rate = a.value (Cli_args.some Cli_args.fault_rate) in
          let fault_seed = a.value Cli_args.fault_seed in
          fun () ->
            let config =
-             { Chaos.base = base ();
+             { Chaos.base =
+                 { Scenario.default_config with
+                   Scenario.requests_per_guest = requests ();
+                   seed = seed ();
+                   observe = observe () };
                fault_rate = Chaos.default_config.Chaos.fault_rate;
                fault_seed = fault_seed () }
            in
@@ -446,10 +449,10 @@ let soak_result ~cfg ~repro ~wall outcome reports stats =
   let clean, violation =
     match outcome with
     | Soak.Clean _ -> (true, [])
-    | Soak.Violated { violation; trace; shrunk; _ } ->
+    | Soak.Violated { violation; shrunk; stats = vs } ->
       ( false,
         [ ("violation", Str (Invariant.violation_to_string violation));
-          ("trace_actions", Int (List.length trace));
+          ("trace_actions", Int vs.Soak.actions);
           ("shrunk_actions", Int (List.length shrunk));
           ("reproducer", Option.fold ~none:Null ~some:(fun f -> Str f) repro)
         ] )
@@ -493,7 +496,6 @@ let soak =
          let seed = a.value { Cli_args.seed with default = d.Soak.seed } in
          let max_vms = a.value max_vms in
          let no_check = a.flag Cli_args.no_check in
-         let _check = a.flag Cli_args.check (* the soak default *) in
          let fault_rate =
            a.value { Cli_args.fault_rate with default = d.Soak.fault_rate }
          in
@@ -529,7 +531,7 @@ let soak =
              in
              let shards = shards () in
              let t0 = Unix.gettimeofday () in
-             let s = Soak.run_sharded ~shards cfg in
+             let s = Soak.run ~shards cfg in
              let wall = Unix.gettimeofday () -. t0 in
              let outcome, repro =
                match s.Soak.first_violated with

@@ -3,9 +3,9 @@
 
     Like the observability plane ([lib/obs]), the invariant plane is
     zero-cost and cycle-identical when off: nothing is evaluated until
-    {!attach} installs the kernel's check hook, and every checker is a
-    pure read — no clock advances, no charged memory traffic — so runs
-    with checking on are cycle-identical to runs with it off.
+    {!attach_smp} installs the kernels' check hooks, and every checker
+    is a pure read — no clock advances, no charged memory traffic — so
+    runs with checking on are cycle-identical to runs with it off.
 
     The eight checkers:
 
@@ -51,12 +51,6 @@ val check : Kernel.t -> boundary:string -> violation list
 val raise_first : Kernel.t -> boundary:string -> unit
 (** @raise Violation on the first problem found. *)
 
-val attach : Kernel.t -> unit
-(** Install the check hook: {!raise_first} runs at every world-switch,
-    kill and recovery boundary. The exception propagates out of
-    [Kernel.run] (hooks run outside guest fibers, so it cannot be
-    swallowed as a guest crash). *)
-
 (** {2 SMP (multi-pCPU) plane}
 
     Three more checkers over an {!Smp.t} complex, on top of running
@@ -81,8 +75,10 @@ val raise_first_smp : Smp.t -> boundary:string -> unit
 (** At one pCPU exactly {!raise_first} on kernel 0. *)
 
 val attach_smp : Smp.t -> unit
-(** {!attach} on every node's kernel (those hooks run on whichever
-    domain simulates the node — they read only node-local state), plus
-    {!raise_first_smp} as the barrier hook (boundary
-    ["epoch_barrier"], orchestrator domain). At one pCPU exactly
-    {!attach} on kernel 0: no barrier hook. *)
+(** Install {!raise_first} as every node's kernel check hook, run at
+    each world-switch, kill and recovery boundary (those hooks run on
+    whichever domain simulates the node — they read only node-local
+    state; the exception propagates out of [Kernel.run], since hooks
+    run outside guest fibers), plus {!raise_first_smp} as the barrier
+    hook (boundary ["epoch_barrier"], orchestrator domain). At one pCPU
+    exactly kernel 0's hook: no barrier hook. *)

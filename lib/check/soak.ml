@@ -75,7 +75,6 @@ type outcome =
   | Clean of stats
   | Violated of {
       violation : Invariant.violation;
-      trace : action list;
       shrunk : action list;
       stats : stats;
     }
@@ -445,7 +444,7 @@ let stats_of cfg w ~actions =
     final_cycles = Smp.now w.smp }
 
 (* Drive a fresh world with actions from [next] until it returns
-   [None] or an invariant trips. Returns the reversed trace of applied
+   [None] or an invariant trips. Returns the trace of applied
    actions, the violation (if any) and final stats. *)
 let drive cfg next =
   let w = boot cfg in
@@ -545,9 +544,11 @@ let replay cfg actions =
   match replay_raw cfg actions with
   | _, None, stats -> Clean stats
   | trace, Some violation, stats ->
-    Violated { violation; trace; shrunk = trace; stats }
+    Violated { violation; shrunk = trace; stats }
 
-let run cfg =
+(* One shard's stream: generate actions from the seed and drive them;
+   shrink on violation. *)
+let run_stream cfg =
   let rng = Rng.create ~seed:cfg.seed in
   let trace, violation, stats =
     drive cfg (fun w ->
@@ -561,7 +562,7 @@ let run cfg =
         m "violation after %d actions: %a" (List.length trace)
           Invariant.pp_violation violation);
     let shrunk = shrink cfg violation trace in
-    Violated { violation; trace; shrunk; stats }
+    Violated { violation; shrunk; stats }
 
 (* {2 Sharded runs}
 
@@ -627,14 +628,14 @@ let add_stats a b =
     checks = a.checks + b.checks;
     final_cycles = a.final_cycles + b.final_cycles }
 
-let run_sharded ~shards cfg =
+let run ?(shards = 1) cfg =
   let shards = max 1 shards in
   let reports =
     Parallel_sweep.map
       (fun shard ->
          let shard_cfg = shard_config cfg ~shards ~shard in
          let t0 = Unix.gettimeofday () in
-         let outcome = run shard_cfg in
+         let outcome = run_stream shard_cfg in
          { shard; shard_cfg; outcome;
            wall_s = Unix.gettimeofday () -. t0 })
       (List.init shards Fun.id)
@@ -715,6 +716,3 @@ let load_reproducer path =
           if not !in_actions then Error "missing 'actions' section"
           else Ok (!cfg, List.rev !actions))
   with Sys_error e | Failure e -> Error e
-
-let replay_file path =
-  Result.map (fun (cfg, actions) -> replay cfg actions) (load_reproducer path)

@@ -10,7 +10,8 @@
     On a violation the engine captures the applied action trace,
     greedily shrinks it (delta debugging with a bounded replay budget)
     to a minimal trace that still trips the {e same} checker, and can
-    write it as a reproducer file replayable with {!replay_file}. *)
+    write it as a reproducer file: {!load_reproducer} then {!replay}
+    drives it again. *)
 
 type config = {
   ops : int;          (** stop after this many ops (hypercalls + lifecycle actions) *)
@@ -53,7 +54,6 @@ type action =
           pressure on the bitstream-store recycler *)
 
 val action_to_string : action -> string
-val action_of_string : string -> action option
 
 type stats = {
   ops_done : int;
@@ -76,19 +76,15 @@ type outcome =
   | Clean of stats
   | Violated of {
       violation : Invariant.violation;
-      trace : action list;   (** full trace up to the violation *)
       shrunk : action list;  (** minimized trace tripping the same checker *)
-      stats : stats;
+      stats : stats;         (** [actions] is the full trace's length *)
     }
 
-val run : config -> outcome
-(** Generate-and-drive from the seed; shrinks on violation. *)
+(** {2 Runs}
 
-(** {2 Sharded runs}
-
-    A sharded soak splits the operation budget into [shards]
-    independent action streams, each booting its own world from a seed
-    derived with {!shard_seed}, and runs them on OCaml domains via
+    A soak splits the operation budget into [shards] independent
+    action streams, each booting its own world from a seed derived
+    with {!shard_seed}, and runs them on OCaml domains via
     [Parallel_sweep]. The decomposition — and therefore every shard's
     outcome, the merged statistics and any violation — is fixed by
     [shards] alone; the domain budget
@@ -107,7 +103,8 @@ val shard_config : config -> shards:int -> shard:int -> config
 (** The configuration shard [shard] of [shards] actually runs: the ops
     budget split evenly (earlier shards absorb the remainder) and the
     seed replaced by {!shard_seed}. With [shards <= 1] this is the
-    input configuration unchanged — a 1-shard run is exactly {!run}. *)
+    input configuration unchanged: a 1-shard {!run} drives [config]
+    itself. *)
 
 type shard_report = {
   shard : int;
@@ -123,13 +120,13 @@ type sharded = {
   first_violated : shard_report option;
       (** lowest-indexed violating shard; its [shard_cfg] + shrunk
           trace written with {!write_reproducer} replay single-domain
-          through {!replay_file} *)
+          through {!load_reproducer} and {!replay} *)
 }
 
-val run_sharded : shards:int -> config -> sharded
-(** Run [shards] derived configurations (concurrently up to the
-    [Parallel_sweep] domain budget) and merge. Violating shards shrink
-    their own traces exactly as {!run} does. *)
+val run : ?shards:int -> config -> sharded
+(** Generate-and-drive from the seed: run [shards] (default 1) derived
+    configurations, concurrently up to the [Parallel_sweep] domain
+    budget, and merge. A violating shard shrinks its own trace. *)
 
 val replay : config -> action list -> outcome
 (** Drive an explicit action list (no shrinking). *)
@@ -140,6 +137,3 @@ val write_reproducer :
     action per line. *)
 
 val load_reproducer : string -> (config * action list, string) result
-
-val replay_file : string -> (outcome, string) result
-(** [load_reproducer] + [replay]. *)

@@ -71,8 +71,6 @@ type policy = {
   (** accumulated real hwMMU violations before a client-kill request *)
 }
 
-val default_policy : unit -> policy
-
 (** One recovery decision taken by {!health_scan}, in scan order. *)
 type action =
   | Act_retry of { prr : int; task : Bitstream.id }

@@ -2,7 +2,7 @@
 
     The ABI is versioned. {e ABI v1} is the paper's interface:
     {e exactly 25 hypercalls} (paper §V-B), numbers 1–25, enumerated
-    by {!requests_v1}. {e ABI v2} is the descriptor-ring extension:
+    first in {!requests}. {e ABI v2} is the descriptor-ring extension:
     it appends {!Ring_setup}/{!Ring_doorbell} (numbers 26–27,
     {!requests_v2}) through which guests batch hardware-task job
     descriptors into a per-VM shared-memory submission/completion ring
@@ -97,19 +97,14 @@ val version_of : request -> int
 
 val name : request -> string
 
-val requests_v1 : request list
-(** The paper ABI, enumerable: one representative value per v1
-    constructor, in ABI order ([List.map number requests_v1] is
-    [1; …; 25]). Payloads are the neutral defaults (zero addresses,
-    empty buffers) — useful for documentation generators and
-    exhaustiveness tests, not for issuing. *)
-
 val requests_v2 : request list
-(** The v2 additions, same conventions ([List.map number requests_v2]
-    is [26; 27]). *)
+(** The v2 additions: one representative value per constructor, in ABI
+    order ([List.map number requests_v2] is [26; 27]), with neutral
+    payloads (zero addresses, empty buffers). *)
 
 val requests : request list
-(** [requests_v1 @ requests_v2]: the full current ABI. *)
+(** The full current ABI: the v1 hypercalls (numbers 1–25, same
+    conventions) followed by {!requests_v2}. *)
 
 type hw_status =
   | Hw_success   (** task ready in a PRR, interface mapped *)

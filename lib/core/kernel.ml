@@ -323,7 +323,6 @@ let boot ?(config = default_config) z =
 let zynq t = t.z
 let probe t = t.probe
 let set_trace t tr = t.trace <- tr
-let trace t = t.trace
 
 let emit t ?severity ~category ~name fields =
   match t.trace with
@@ -333,7 +332,6 @@ let emit t ?severity ~category ~name fields =
   | None -> ()
 let kmem t = t.kmem
 let hwtm t = t.hwtm
-let config t = t.cfg
 
 let register_hw_task t kind = Hw_task_manager.register_task t.hwtm kind
 let destroy_hw_task t id = Hw_task_manager.destroy_task t.hwtm id
@@ -473,6 +471,25 @@ let release_all_tasks t (pd : Pd.t) =
 let run_check t boundary =
   match t.check_hook with None -> () | Some f -> f boundary
 
+(* Reap a dead PD, shared by [kill] and [retract_vm]: its table
+   entries, guest physical window, save-area slot, ASID and
+   translation-table frames are recycled for future VMs. Host-side
+   bookkeeping only: it charges no cycle. *)
+let reap t rt =
+  let pd = rt.pd in
+  Hashtbl.remove t.pd_tbl pd.Pd.id;
+  Hashtbl.remove t.rts pd.Pd.id;
+  Queue.push rt.env.guest_index t.free_guest_indices;
+  Queue.push (Vcpu.slot pd.Pd.vcpu) t.free_slots;
+  (let a = pd.Pd.asid in
+   if a <> 0 then begin
+     t.asid_owner.(a) <- -1;
+     Kmem.free_asid t.kmem a
+   end);
+  Kmem.retire_guest_pt t.kmem pd.Pd.pt;
+  t.alive <- t.alive - 1;
+  Obs.set_gauge t.ki.ko_alive t.alive
+
 let kill t rt reason =
   Log.warn (fun m -> m "killing %a: %s" Pd.pp rt.pd reason);
   emit t ~severity:Ktrace.Warn ~category:"sched" ~name:"vm-dead"
@@ -485,16 +502,11 @@ let kill t rt reason =
   (* Full reclamation: PRRs/windows above, plus any latched vIRQs. *)
   ignore (Vgic.clear_pending rt.pd.Pd.vgic);
   (match t.cur with Some c when c == rt -> t.cur <- None | Some _ | None -> ());
-  (* Reap the PD: its ASID, save-area slot, guest physical window and
-     translation-table frames are recycled for future VMs. Host-side
-     bookkeeping only — the charged parts of teardown (task release,
-     demaps) happened above, so cycle behaviour is unchanged. The
-     dangling vfp_owner is kept: the bank save to the dead owner's
-     area is charged exactly as real hardware would. *)
-  Hashtbl.remove t.pd_tbl rt.pd.Pd.id;
-  Hashtbl.remove t.rts rt.pd.Pd.id;
-  Queue.push rt.env.guest_index t.free_guest_indices;
-  Queue.push (Vcpu.slot rt.pd.Pd.vcpu) t.free_slots;
+  (* The charged parts of teardown (task release, demaps) happened
+     above, so reaping changes no cycle. The dangling vfp_owner is
+     kept: the bank save to the dead owner's area is charged exactly as
+     real hardware would. *)
+  reap t rt;
   (* Ring reclamation: descriptors the guest published but the kernel
      never drained are accounted as reclaimed, keeping the ring
      conservation invariant closed over kills. *)
@@ -504,15 +516,7 @@ let kill t rt reason =
        t.ring_reclaimed_total + ((r.r_tail - r.r_head) land 0xFFFFFFFF);
      Hashtbl.remove t.rings rt.pd.Pd.id
    | None -> ());
-  (let a = rt.pd.Pd.asid in
-   if a <> 0 then begin
-     t.asid_owner.(a) <- -1;
-     Kmem.free_asid t.kmem a
-   end);
-  Kmem.retire_guest_pt t.kmem rt.pd.Pd.pt;
-  t.alive <- t.alive - 1;
   Obs.incr t.ki.ko_kills;
-  Obs.set_gauge t.ki.ko_alive t.alive;
   run_check t "kill"
 
 let kill_vm t id ~reason =
@@ -548,18 +552,7 @@ let retract_vm t id =
       Sched.dequeue t.sched pd;
       pd.Pd.state <- Pd.Dead;
       pd.Pd.vtimer_generation <- pd.Pd.vtimer_generation + 1;
-      Hashtbl.remove t.pd_tbl id;
-      Hashtbl.remove t.rts id;
-      Queue.push rt.env.guest_index t.free_guest_indices;
-      Queue.push (Vcpu.slot pd.Pd.vcpu) t.free_slots;
-      (let a = pd.Pd.asid in
-       if a <> 0 then begin
-         t.asid_owner.(a) <- -1;
-         Kmem.free_asid t.kmem a
-       end);
-      Kmem.retire_guest_pt t.kmem pd.Pd.pt;
-      t.alive <- t.alive - 1;
-      Obs.set_gauge t.ki.ko_alive t.alive;
+      reap t rt;
       Some (pd.Pd.name, pd.Pd.priority, Vcpu.uses_vfp pd.Pd.vcpu, rt.main)
     end
 
@@ -890,6 +883,18 @@ let exec_release t (pd : Pd.t) ~task =
          Ktrace.Str (match r with Ok () -> "success" | Error _ -> "error")) ];
   r
 
+(* Manager exit, shared by the v1 trap and the v2 doorbell: the
+   per-slot exit stub, then back into the caller's address space. *)
+let mgr_exit t (pd : Pd.t) =
+  Exec.run_pinned t.z ~priv:true
+    (slot_pin t.kf.kf_mgr_exit (Vcpu.slot pd.Pd.vcpu) (fun () ->
+         let sa_base, _ = Vcpu.save_area pd.Pd.vcpu in
+         Exec.pin1
+           (mk_fp Klayout.mgr_exit_stub "hwtm_exit"
+              ~reads:[ { Exec.base = sa_base; len = 160 } ]
+              ~base_cycles:Costs.mgr_exit)));
+  Kmem.activate_guest t.kmem pd
+
 (* The Hardware Task Manager invocation: entry / execution / exit are
    separately timed, matching Table III's three components. *)
 let handle_hw_task_request t rt ~entry_start ~task ~iface_vaddr ~data_vaddr
@@ -922,14 +927,7 @@ let handle_hw_task_request t rt ~entry_start ~task ~iface_vaddr ~data_vaddr
   let sp_exit =
     Obs.open_span obs ~component:"htm_exit" ~key:pd.Pd.id ~at:exit_start
   in
-  Exec.run_pinned t.z ~priv:true
-    (slot_pin t.kf.kf_mgr_exit (Vcpu.slot pd.Pd.vcpu) (fun () ->
-         let sa_base, _ = Vcpu.save_area pd.Pd.vcpu in
-         Exec.pin1
-           (mk_fp Klayout.mgr_exit_stub "hwtm_exit"
-              ~reads:[ { Exec.base = sa_base; len = 160 } ]
-              ~base_cycles:Costs.mgr_exit)));
-  Kmem.activate_guest t.kmem pd;
+  mgr_exit t pd;
   Exec.run_pinned t.z ~priv:true t.kf.kf_svc_exit;
   Obs.close_span obs sp_exit ~at:(Clock.now clock);
   Stats.add t.ki.kp_hwtm_exit (float_of_int (Clock.now clock - exit_start));
@@ -1049,14 +1047,7 @@ let handle_ring_doorbell t rt ~entry_start =
             descs
         in
         (* Phase C: back to the guest; CQE stores + header write-back. *)
-        Exec.run_pinned t.z ~priv:true
-          (slot_pin t.kf.kf_mgr_exit (Vcpu.slot pd.Pd.vcpu) (fun () ->
-               let sa_base, _ = Vcpu.save_area pd.Pd.vcpu in
-               Exec.pin1
-                 (mk_fp Klayout.mgr_exit_stub "hwtm_exit"
-                    ~reads:[ { Exec.base = sa_base; len = 160 } ]
-                    ~base_cycles:Costs.mgr_exit)));
-        Kmem.activate_guest t.kmem pd;
+        mgr_exit t pd;
         Exec.run_pinned t.z ~priv:true t.kf.kf_ring_complete;
         Array.iteri
           (fun k (tag, status, prr1, irq1) ->
@@ -1361,6 +1352,27 @@ let rec execute t rt ex ~until =
     end
     else execute t rt (Effect.Deep.continue k (drain rt)) ~until
 
+(* One dispatch step of [run] and [run_epoch], which differ only in
+   what they do when nothing is runnable. *)
+let dispatch t (pd : Pd.t) ~until =
+  let rt = Hashtbl.find t.rts pd.Pd.id in
+  switch_to t rt;
+  let ex =
+    if not rt.started then begin
+      rt.started <- true;
+      Effect.Deep.match_with rt.main rt.env handler
+    end
+    else
+      match rt.saved with
+      | Some k ->
+        rt.saved <- None;
+        Effect.Deep.continue k (drain rt)
+      (* [execute] leaves a started PD either parked in [saved] or
+         killed, and a killed PD is never picked. *)
+      | None -> assert false
+  in
+  execute t rt ex ~until
+
 let run t ~until =
   let stop = ref false in
   while (not !stop) && Clock.now t.z.Zynq.clock < until do
@@ -1368,24 +1380,7 @@ let run t ~until =
     if alive_guests t = 0 then stop := true
     else begin
       match Sched.pick t.sched with
-      | Some pd ->
-        let rt = Hashtbl.find t.rts pd.Pd.id in
-        switch_to t rt;
-        let ex =
-          if not rt.started then begin
-            rt.started <- true;
-            Effect.Deep.match_with rt.main rt.env handler
-          end
-          else
-            match rt.saved with
-            | Some k ->
-              rt.saved <- None;
-              Effect.Deep.continue k (drain rt)
-            (* [execute] leaves a started PD either parked in [saved]
-               or killed, and a killed PD is never picked. *)
-            | None -> assert false
-        in
-        execute t rt ex ~until
+      | Some pd -> dispatch t pd ~until
       | None ->
         (* Everything is blocked: sleep until the next event fires. *)
         if not (Zynq.idle_until_next_event t.z) then begin
@@ -1412,24 +1407,7 @@ let run_epoch t ~until =
     if Clock.now t.z.Zynq.clock >= until then ()
     else begin
       match Sched.pick t.sched with
-      | Some pd ->
-        let rt = Hashtbl.find t.rts pd.Pd.id in
-        switch_to t rt;
-        let ex =
-          if not rt.started then begin
-            rt.started <- true;
-            Effect.Deep.match_with rt.main rt.env handler
-          end
-          else
-            match rt.saved with
-            | Some k ->
-              rt.saved <- None;
-              Effect.Deep.continue k (drain rt)
-            (* [execute] leaves a started PD either parked in [saved]
-               or killed, and a killed PD is never picked. *)
-            | None -> assert false
-        in
-        execute t rt ex ~until
+      | Some pd -> dispatch t pd ~until
       | None ->
         (match Event_queue.next_deadline t.z.Zynq.queue with
          | Some d when d <= until ->

@@ -69,17 +69,11 @@ val set_trace : t -> Ktrace.t option -> unit
     VM switches, hypercalls, interrupt deliveries, manager stages and
     VM deaths into it. *)
 
-val trace : t -> Ktrace.t option
 val kmem : t -> Kmem.t
 val hwtm : t -> Hw_task_manager.t
-val config : t -> config
 
 val ipc_doorbell_irq : int
 (** Virtual interrupt injected into a PD when a message arrives. *)
-
-val ring_virq : int
-(** Virtual interrupt carrying moderated ABI v2 ring completions
-    (registered and enabled for a PD by [Ring_setup]). *)
 
 val register_hw_task : t -> Task_kind.t -> Bitstream.id
 (** Add a bitstream to the Hardware Task Manager's store. *)
@@ -157,10 +151,10 @@ type smp_hooks = {
 val set_smp_hooks : t -> smp_hooks option -> unit
 
 val run_epoch : t -> until:Cycles.t -> unit
-(** One pCPU's slice of a barrier epoch: like {!run}, but an idle or
-    guestless kernel keeps pace with the epoch clock instead of
-    stopping, never sleeps past [until], and always finishes with its
-    clock at (or just past) [until]. *)
+(** One pCPU's slice of a barrier epoch: {!run}'s dispatch step, but
+    an idle or guestless kernel keeps pace with the epoch clock instead
+    of stopping, never sleeps past [until], and always finishes with
+    its clock at (or just past) [until]. *)
 
 val deliver_remote_ipc :
   t -> dest:int -> sender:int -> payload:int array -> bool
@@ -179,7 +173,8 @@ val retract_vm : t -> int -> (string * int * bool * (guest_env -> unit)) option
     re-creation on another pCPU (idle-balance migration). Returns
     [(name, priority, uses_vfp, main)], or [None] if the VM is
     ineligible (already started, blocked, holds mappings/ring/queued
-    IPC/pending vIRQs, or unknown). Host-side bookkeeping only. *)
+    IPC/pending vIRQs, or unknown). The VM is reaped as a kill reaps
+    it (host-side bookkeeping only). *)
 
 val alive_guests : t -> int
 (** O(1): maintained at create/kill, never rescans the PD table. *)

@@ -65,7 +65,6 @@ let create zynq =
   done;
   t
 
-let zynq t = t.zynq
 let kernel_pt t = t.kernel_pt
 let allocator t = t.alloc
 

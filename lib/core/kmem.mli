@@ -24,7 +24,6 @@ val create : Zynq.t -> t
     kernel data, bitstream store, PL register window — all global,
     privileged, domain 0) and activate it. *)
 
-val zynq : t -> Zynq.t
 val kernel_pt : t -> Page_table.t
 val allocator : t -> Frame_alloc.t
 

@@ -12,9 +12,6 @@
 
 type severity = Debug | Info | Warn | Error
 
-val severity_name : severity -> string
-(** ["debug"], ["info"], ["warn"], ["error"]. *)
-
 (** Typed field payload: everything the kernel traces is an int, a
     string or a bool. *)
 type value = Int of int | Str of string | Bool of bool

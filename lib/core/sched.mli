@@ -9,9 +9,6 @@
 
 type t
 
-val levels : int
-(** Priority levels 0–7; 7 is the most urgent. *)
-
 val create : unit -> t
 
 val enqueue : t -> Pd.t -> unit

@@ -53,7 +53,6 @@ let enable t irq = (find t irq).enabled <- true
 let disable t irq = (find t irq).enabled <- false
 
 let set_entry t a = t.entry <- Some a
-let entry t = t.entry
 
 let set_pending t irq =
   let s =

@@ -34,8 +34,6 @@ val disable : t -> int -> unit
 val set_entry : t -> Addr.t -> unit
 (** Record the guest's IRQ handler entry address. *)
 
-val entry : t -> Addr.t option
-
 val set_pending : t -> int -> unit
 (** Kernel-side injection. Pending on an unregistered or disabled
     source is latched and delivered once enabled. *)

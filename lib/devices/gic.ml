@@ -19,14 +19,6 @@ let enable g irq =
   check irq;
   g.enabled.(irq) <- true
 
-let disable g irq =
-  check irq;
-  g.enabled.(irq) <- false
-
-let is_enabled g irq =
-  check irq;
-  g.enabled.(irq)
-
 let set_priority g irq p =
   check irq;
   g.priority.(irq) <- p

@@ -14,8 +14,6 @@ val create : unit -> t
 (** All sources disabled, priority 0xF8 (lowest), nothing pending. *)
 
 val enable : t -> int -> unit
-val disable : t -> int -> unit
-val is_enabled : t -> int -> bool
 
 val set_priority : t -> int -> int -> unit
 (** [set_priority g irq p]: numerically lower [p] wins arbitration. *)

@@ -5,8 +5,6 @@ let block_size = 512
 let create ?(blocks = 8 * 1024 * 1024) () =
   { store = Hashtbl.create 64; blocks }
 
-let blocks t = t.blocks
-
 let check t i =
   if i < 0 || i >= t.blocks then invalid_arg "Sd_card: block out of range"
 

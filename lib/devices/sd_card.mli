@@ -13,8 +13,6 @@ val block_size : int
 val create : ?blocks:int -> unit -> t
 (** Default capacity 8 Mi blocks (4 GB), allocated sparsely. *)
 
-val blocks : t -> int
-
 val read_block : t -> int -> Bytes.t
 (** Returns a fresh 512-byte buffer.
     @raise Invalid_argument on an out-of-range block index. *)

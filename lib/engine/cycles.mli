@@ -11,9 +11,6 @@ type t = int
 val cpu_hz : int
 (** Core clock of the evaluation platform: 660 MHz (paper §V). *)
 
-val of_ns : float -> t
-(** [of_ns ns] is the closest cycle count to [ns] nanoseconds. *)
-
 val of_us : float -> t
 (** [of_us us] is the closest cycle count to [us] microseconds. *)
 

@@ -49,9 +49,6 @@ type report = {
 val run : ?config:config -> guests:int -> unit -> report
 (** Raises [Invalid_argument] when [guests < 1]. *)
 
-val default_rates : float list
-(** [0.0; 0.05; 0.2]. *)
-
 val sweep :
   ?config:config -> ?max_guests:int -> ?rates:float list -> unit ->
   report list

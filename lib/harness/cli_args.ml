@@ -97,9 +97,8 @@ let verbose = { f_names = [ "v"; "verbose" ]; f_doc = "Enable kernel logging." }
 let check =
   { f_names = [ "check" ];
     f_doc =
-      "Evaluate kernel invariants at every world-switch, kill, recovery \
-       and soak-action boundary (the soak default; timing is \
-       cycle-identical either way)." }
+      "Evaluate kernel invariants at every world-switch, kill and \
+       recovery boundary (timing is cycle-identical either way)." }
 
 let no_check =
   { f_names = [ "no-check" ];

@@ -28,8 +28,6 @@ val int : ?docv:string -> ?min:int -> string list -> string -> int -> int spec
 (** [int names doc default]: an integer flag (metavariable [N] unless
     given), no smaller than [min] when given. *)
 
-val float : docv:string -> string list -> string -> float -> float spec
-
 val some : 'a spec -> 'a option spec
 (** The same flag, defaulting to [None] ("not given"). *)
 

@@ -36,9 +36,6 @@ type config = {
 
 val default_config : config
 
-val churn_kb : int
-(** Per-guest cache-churn working set (96 KB). *)
-
 type overheads = {
   entry_us : float;
   exit_us : float;

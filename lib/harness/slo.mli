@@ -21,8 +21,6 @@ type process =
                  the plain Poisson case, arrivals cluster in ON
                  windows *)
 
-val process_name : process -> string
-
 type config = {
   seed : int;
   guests : int;
@@ -54,12 +52,6 @@ val default_config : config
 (** seed 42, 3 guests, Poisson, 120 arrivals/guest at 4000 µs mean,
     no victim pin, 33 ms quantum, no faults, no churn, observe off,
     1 pCPU. *)
-
-val burst_on_ms : float
-(** Bursty: ON window length (6 ms). *)
-
-val burst_off_ms : float
-(** Bursty: OFF window length (12 ms). *)
 
 type vm_stats = {
   vm : int;

@@ -6,9 +6,6 @@
     paper's convention — metrics that are zero natively (entry, exit,
     PL IRQ entry) are normalised to their 1-VM value instead. *)
 
-val metric_names : string list
-(** Table III row labels, in paper order. *)
-
 val table3_rows : Scenario.overheads list -> (string * float list) list
 (** [(metric, [native; 1 VM; …])] in µs. Input must be the sweep's
     cells in order (native first). *)

@@ -37,10 +37,3 @@ let of_word w =
   done;
   t.word <- w;
   t
-
-let copy_from dst src =
-  Array.blit src.fields 0 dst.fields 0 16;
-  dst.word <- src.word
-
-let pp ppf t =
-  Format.fprintf ppf "DACR=0x%08x" (to_word t)

@@ -26,8 +26,3 @@ val to_word : t -> int
     00=NA, 01=Client, 11=Manager). *)
 
 val of_word : int -> t
-
-val copy_from : t -> t -> unit
-(** [copy_from dst src] overwrites [dst] with [src] (register write). *)
-
-val pp : Format.formatter -> t -> unit

@@ -75,6 +75,4 @@ let free t addr n =
   t.freed_bytes <- t.freed_bytes + n;
   t.live <- t.live - n
 
-let used t = (t.next - t.base) + (t.o_next - t.o_base)
-let remaining t = (t.base + t.size - t.next) + (t.o_base + t.o_size - t.o_next)
 let live_bytes t = t.live

@@ -31,12 +31,6 @@ val free : t -> Addr.t -> int -> unit
     @raise Invalid_argument on a chunk outside the allocated region or
     an already-free chunk of the same size. *)
 
-val used : t -> int
-(** High-water mark: bytes ever consumed from the region (including
-    alignment padding); never decreases. *)
-
-val remaining : t -> int
-
 val live_bytes : t -> int
 (** Bytes currently handed out (sum of allocation sizes minus frees;
     alignment padding is excluded) — the quantity the kernel invariant

@@ -7,12 +7,6 @@ type fault =
 
 exception Fault of fault
 
-let pp_fault ppf = function
-  | Translation_fault a -> Format.fprintf ppf "translation fault at %a" Addr.pp a
-  | Domain_fault (a, d) ->
-    Format.fprintf ppf "domain %d fault at %a" d Addr.pp a
-  | Permission_fault a -> Format.fprintf ppf "permission fault at %a" Addr.pp a
-
 type t = {
   mem : Phys_mem.t;
   hier : Hierarchy.t;
@@ -77,6 +71,3 @@ let translate_exn t access ~priv virt =
   match translate t access ~priv virt with
   | Ok a -> a
   | Error f -> raise (Fault f)
-
-let walk_uncharged t virt =
-  Page_table.walk ~read:(Phys_mem.read_u32 t.mem) ~root:t.ttbr ~virt

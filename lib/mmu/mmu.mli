@@ -17,8 +17,6 @@ type fault =
 exception Fault of fault
 (** Raised by {!translate_exn}; the kernel's ABT path catches it. *)
 
-val pp_fault : Format.formatter -> fault -> unit
-
 type t
 
 val create : Phys_mem.t -> Hierarchy.t -> Tlb.t -> t
@@ -45,8 +43,5 @@ val translate : t -> access -> priv:bool -> Addr.t ->
 
 val translate_exn : t -> access -> priv:bool -> Addr.t -> Addr.t
 (** Like {!translate} but raises {!Fault}. *)
-
-val walk_uncharged : t -> Addr.t -> (Addr.t * Pte.attrs) option
-(** Debug/test view of the current tables, no cost, no TLB effects. *)
 
 val tlb : t -> Tlb.t

@@ -73,13 +73,6 @@ let unmap_page t ~virt =
        Phys_mem.write_u32 t.mem slot (Pte.encode_l2 Pte.L2_fault);
        true)
 
-let unmap_section t ~virt =
-  match read_l1 t virt with
-  | Pte.L1_section _ ->
-    write_l1 t virt Pte.L1_fault;
-    true
-  | Pte.L1_fault | Pte.L1_table _ -> false
-
 let walk ~read ~root ~virt =
   let l1_word = read (root + (4 * (virt lsr Addr.section_shift))) in
   match Pte.decode_l1 l1_word with

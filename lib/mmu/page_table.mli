@@ -38,8 +38,6 @@ val ensure_l2 : t -> virt:Addr.t -> domain:int -> unit
 val unmap_page : t -> virt:Addr.t -> bool
 (** Remove a 4 KB mapping; returns false when nothing was mapped. *)
 
-val unmap_section : t -> virt:Addr.t -> bool
-
 val walk : read:(Addr.t -> int32) -> root:Addr.t -> virt:Addr.t ->
   (Addr.t * Pte.attrs) option
 (** Hardware-walker view: resolve [virt] by reading descriptor words

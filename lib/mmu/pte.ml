@@ -112,11 +112,3 @@ let attr_of_word w =
   { ap = ap_of_bits (w land 0b11);
     domain = (w lsr 2) land 0xf;
     global = (w lsr 6) land 1 = 1 }
-
-let pp_ap ppf = function
-  | Ap_none -> Format.pp_print_string ppf "none"
-  | Ap_priv -> Format.pp_print_string ppf "priv"
-  | Ap_full -> Format.pp_print_string ppf "full"
-
-let pp_attrs ppf a =
-  Format.fprintf ppf "{ap=%a; dom=%d; g=%b}" pp_ap a.ap a.domain a.global

@@ -40,5 +40,3 @@ val attr_word : attrs -> int
 
 val attr_of_word : int -> attrs
 (** Inverse of {!attr_word}. *)
-
-val pp_attrs : Format.formatter -> attrs -> unit

@@ -70,7 +70,6 @@ let create ?(enabled = true) ?(cpu = 0) () =
 
 let disabled () = create ~enabled:false ()
 
-let enabled t = !(t.on)
 let set_enabled t v = t.on := v
 let cpu t = t.cpu
 

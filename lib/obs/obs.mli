@@ -41,7 +41,6 @@ val cpu : t -> int
 val disabled : unit -> t
 (** Shorthand for [create ~enabled:false ()] — never records. *)
 
-val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
 val reset : t -> unit
@@ -180,14 +179,6 @@ val empty_snapshot : snapshot
     estimate therefore lands in the same bucket as the exact
     percentile of the raw observations, so the error is bounded by
     one bucket width. *)
-
-val percentile_of_buckets :
-  ?min_v:int -> ?max_v:int -> count:int -> buckets:(int * int) list ->
-  float -> float option
-(** [percentile_of_buckets ~count ~buckets q] for [q] in [\[0, 1\]]
-    (clamped). [buckets] is the nonzero [(bucket index, count)] list
-    in ascending index order, as stored in snapshots. [None] when
-    [count <= 0]. *)
 
 val percentile : hist_data -> float -> float option
 (** [percentile d 0.99] is the interpolated p99 of a snapshot

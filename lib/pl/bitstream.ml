@@ -28,7 +28,3 @@ let size_for = function
 let make ~id ~kind ~store_addr =
   Task_kind.validate kind;
   { id; kind; size_bytes = size_for kind; store_addr }
-
-let pp ppf t =
-  Format.fprintf ppf "bit#%d %a (%d KB @ %a)" t.id Task_kind.pp t.kind
-    (t.size_bytes / 1024) Addr.pp t.store_addr

@@ -25,5 +25,3 @@ val size_for : Task_kind.t -> int
 val make : id:id -> kind:Task_kind.t -> store_addr:Addr.t -> t
 (** Build a descriptor with {!size_for} as size.
     @raise Invalid_argument if the kind is out of range. *)
-
-val pp : Format.formatter -> t -> unit

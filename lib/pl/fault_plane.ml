@@ -53,8 +53,6 @@ let arm t ~seed ~rate =
   Queue.clear t.log;
   t.dropped <- 0
 
-let rate t = t.rate
-
 let draw t ~at ~prr ~candidates =
   (* The disabled check must come first and be RNG-free: fault-free
      runs must not consume randomness or pay for the plane. *)

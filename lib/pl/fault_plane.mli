@@ -44,8 +44,6 @@ val disabled : unit -> t
 val arm : t -> seed:int -> rate:float -> unit
 (** Re-seed and enable/disable in place (the board owns the plane). *)
 
-val rate : t -> float
-
 val draw : t -> at:Cycles.t -> prr:int -> candidates:fault list -> fault option
 (** One injection opportunity at simulated time [at] on region [prr].
     With probability [rate], picks one of [candidates] uniformly, logs

@@ -12,8 +12,6 @@ type t = {
   mutable port : port;
   mutable jobs_completed : int;
   mutable coherence_warnings : int;
-  mutable jobs_faulted : int;
-  mutable forced_resets : int;
 }
 
 let create ?faults ?obs mem queue gic hier ~capacities =
@@ -27,8 +25,7 @@ let create ?faults ?obs mem queue gic hier ~capacities =
   in
   { mem; queue; gic; hier; faults; obs; prrs;
     irq_table = Array.make Irq_id.pl_count None;
-    port = Hp; jobs_completed = 0; coherence_warnings = 0;
-    jobs_faulted = 0; forced_resets = 0 }
+    port = Hp; jobs_completed = 0; coherence_warnings = 0 }
 
 let prr_count t = Array.length t.prrs
 
@@ -36,8 +33,6 @@ let prr t id =
   if id < 0 || id >= Array.length t.prrs then
     invalid_arg "Prr_controller.prr: bad id";
   t.prrs.(id)
-
-let port t = t.port
 
 let decode_addr t a =
   let rel = a - Address_map.prr_regs_base in
@@ -174,7 +169,6 @@ let start_job t prr =
                     prr.Prr.busy_cycles <- prr.Prr.busy_cycles + latency;
                     Prr.set_status_bit prr 0 false;
                     Prr.set_status_bit prr 4 true;
-                    t.jobs_faulted <- t.jobs_faulted + 1;
                     Obs.sample t.obs ~component:"prr_job" ~key:prr.Prr.id
                       ~cycles:latency;
                     Obs.incr (Obs.counter t.obs "prr.jobs_faulted");
@@ -213,7 +207,6 @@ let force_reset t ~prr_id =
     Prr.set_status_bit p 0 false;
     Prr.set_status_bit p 4 true;
     Prr.set_status_bit p 1 true;
-    t.forced_resets <- t.forced_resets + 1;
     Obs.incr (Obs.counter t.obs "prr.forced_resets");
     signal_completion t p;
     true
@@ -281,5 +274,3 @@ let irq_owner t i =
 
 let jobs_completed t = t.jobs_completed
 let coherence_warnings t = t.coherence_warnings
-let jobs_faulted t = t.jobs_faulted
-let forced_resets t = t.forced_resets

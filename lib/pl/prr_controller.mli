@@ -35,8 +35,6 @@ val prr_count : t -> int
 val prr : t -> int -> Prr.t
 (** @raise Invalid_argument on a bad id. *)
 
-val port : t -> port
-
 val decode_addr : t -> Addr.t -> (Prr.t * int) option
 (** Map a physical MMIO address to (region, register index). *)
 
@@ -69,9 +67,3 @@ val force_reset : t -> prr_id:int -> bool
 val jobs_completed : t -> int
 val coherence_warnings : t -> int
 (** Jobs started while CPU caches held dirty lines of the input. *)
-
-val jobs_faulted : t -> int
-(** Jobs that completed with an injected DMA beat error. *)
-
-val forced_resets : t -> int
-(** Hung-core resets performed via {!force_reset}. *)

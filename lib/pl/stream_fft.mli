@@ -10,9 +10,6 @@
     way to the input. Pure integer arithmetic — deterministic and
     fastpath-independent. *)
 
-val default_fifo_depth : int
-(** Inter-stage FIFO capacity in samples (8). *)
-
 val fill_latency : int -> int
 (** [fill_latency points]: fabric cycles before the first output
     emerges once fed at full rate — delay lines (points-1) plus the

@@ -52,9 +52,6 @@ val compute_cycles : t -> int -> int
     {!Fft_stream} this is a closed-form streaming bound; the PRR
     latency path uses the stage-accurate {!Stream_fft} model instead. *)
 
-val fabric_ratio : float
-(** CPU cycles per fabric cycle (660 MHz / 150 MHz). *)
-
 val cpu_cycles : float -> int
 (** Convert fabric cycles to CPU cycles, rounding to nearest. *)
 

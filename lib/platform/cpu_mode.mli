@@ -9,9 +9,6 @@ type t = Usr | Svc | Irq | Fiq | Und | Abt
 
 type privilege = Pl0 | Pl1
 
-val privilege : t -> privilege
-(** [Usr] is PL0; every other mode is PL1. *)
-
 val is_privileged : t -> bool
 
 val exception_entry_cycles : int

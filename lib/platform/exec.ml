@@ -8,14 +8,13 @@
    - the fast path: each footprint is compiled once per translation
      context into a flat program of page-run descriptors
      ([Fastpath.prog]); replay revalidates each run independently
-     against the TLB/cache epoch counters (or an effect-free tag
-     verify) and bulk-replays the warm runs, walking only the cold
-     ones through the fused two-level loop — which re-records their
-     replay slots in passing. A per-CPU micro-TLB memoises page
-     translations for the cold runs ([Zynq.translate_page], shared
-     with the word accessors). Epoch counters guarantee every
-     shortcut reproduces the exact state transitions, statistics and
-     cycle counts of the reference path. *)
+     against the TLB/cache epoch counters and bulk-replays the warm
+     runs, walking only the cold ones through the fused two-level
+     loop — which re-records their replay slots in passing. A per-CPU
+     micro-TLB memoises page translations for the cold runs
+     ([Zynq.translate_page], shared with the word accessors). Epoch
+     counters guarantee every shortcut reproduces the exact state
+     transitions, statistics and cycle counts of the reference path. *)
 
 type range = Fastpath.range = { base : Addr.t; len : int }
 

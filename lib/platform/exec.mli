@@ -55,7 +55,7 @@ val pin : t array -> Fastpath.pinned
     build the handle once and {!run_pinned} it, skipping the per-call
     footprint allocation, key hash and program-table lookup of {!run}.
     The sequence compiles into one flat program per translation
-    context (up to {!Fastpath.pin_ways} contexts cached per handle),
+    context (up to 8 contexts cached per handle),
     epoch-validated on every replay. *)
 
 val pin1 : t -> Fastpath.pinned

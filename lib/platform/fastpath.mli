@@ -45,7 +45,6 @@ type mentry = {
     translation context and TLB slot it came from; a hit replays the
     slot so TLB statistics and LRU stay exact. *)
 
-val mtlb_size : int
 val mtlb_mask : int
 
 type key = {
@@ -102,9 +101,6 @@ type pinned = {
     DPR events invalidate stale traces exactly as on the generic
     path. *)
 
-val pin_ways : int
-(** Context associativity of a pinned handle. *)
-
 val make_pinned : fp array -> cycles:int -> compilable:bool -> pinned
 
 module Memos : Hashtbl.S with type key = key
@@ -122,9 +118,6 @@ type t = {
   mutable partial_replays : int;
   mutable warm_records : int;
 }
-
-val memo_cap : int
-(** Program table is reset when it grows past this (bounds memory). *)
 
 val memo_lines_cap : int
 (** Footprints with more total lines than this are never compiled. *)

@@ -33,10 +33,6 @@ type t = {
                     advances the clock *)
 }
 
-val default_prr_capacities : int list
-(** The evaluation's four PRRs (paper Fig 8): two FFT-capable large
-    regions, two QAM-only small ones. *)
-
 val create :
   ?prr_capacities:int list -> ?lat:Hierarchy.latencies ->
   ?on_uart:(char -> unit) ->
@@ -74,9 +70,6 @@ val vread_u8 : t -> priv:bool -> Addr.t -> int
 val vwrite_u8 : t -> priv:bool -> Addr.t -> int -> unit
 val vread_f32 : t -> priv:bool -> Addr.t -> float
 val vwrite_f32 : t -> priv:bool -> Addr.t -> float -> unit
-
-val vtranslate : t -> Mmu.access -> priv:bool -> Addr.t -> Addr.t
-(** Translation only (raises {!Mmu.Fault}); no data access charged. *)
 
 val translate_page :
   t -> Mmu.access -> priv:bool -> asid:int -> ttbr:int -> dacr:int ->

@@ -50,8 +50,6 @@ let sq_tail p r = rd p r.sq
 let sq_head p r = rd p (r.sq + 4)
 let cq_tail p r = rd p r.cq
 
-let in_flight p r = (sq_tail p r - sq_head p r) land mask32
-
 let completions_pending p r = (cq_tail p r - r.chead) land mask32
 
 let enqueue p r ~op ~task ?iface_vaddr ?data_vaddr

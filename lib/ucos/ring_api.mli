@@ -45,13 +45,6 @@ val setup :
 (** [Ring_setup]: defaults to the full 64-entry depth and a completion
     vIRQ per 8 completions ([cvirq_budget = 0] selects pure polling). *)
 
-val sq_tail : Port.t -> t -> int
-val sq_head : Port.t -> t -> int
-val cq_tail : Port.t -> t -> int
-(** Raw header reads (free-running u32 counters). *)
-
-val in_flight : Port.t -> t -> int
-
 val enqueue :
   Port.t -> t -> op:[ `Request | `Release ] -> task:int ->
   ?iface_vaddr:Addr.t -> ?data_vaddr:Addr.t -> ?data_len:int ->
@@ -65,8 +58,6 @@ val enqueue :
 
 val doorbell : Port.t -> t -> (int, string) result
 (** [Ring_doorbell]: returns the number of descriptors drained. *)
-
-val completions_pending : Port.t -> t -> int
 
 val poll : Port.t -> t -> cqe option
 (** Consume one completion entry, advancing the guest head so the

@@ -26,9 +26,6 @@ type pend_result = [ `Ok | `Timeout ]
 val tick_interval : Cycles.t
 (** 1 ms OS tick. *)
 
-val max_tasks : int
-(** 64, as in µC/OS-II. *)
-
 val create : Port.t -> t
 
 val port : t -> Port.t

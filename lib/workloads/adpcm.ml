@@ -83,21 +83,10 @@ let decode codes =
   done;
   out
 
-let max_abs_error a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Adpcm.max_abs_error: length mismatch";
-  let m = ref 0 in
-  for i = 0 to Array.length a - 1 do
-    let d = Array.unsafe_get a i - Array.unsafe_get b i in
-    let d = if d < 0 then -d else d in
-    if d > !m then m := d
-  done;
-  !m
-
 let roundtrip_error samples =
   (* Fused encode → decode → compare in one pass with no intermediate
-     buffers and both codec states in locals; produces exactly
-     [max_abs_error samples (decode (encode samples))] because the
+     buffers and both codec states in locals; produces exactly the
+     largest error against [decode (encode samples)] because the
      decoder state depends only on the code sequence. The quantizer
      bits b4/b2/b1 are essentially random on real signals, so the
      obvious if-chains mispredict; the kernel instead uses all-ones /

@@ -24,11 +24,7 @@ val encode : int array -> int array
 val decode : int array -> int array
 (** Decode a whole buffer of codes, starting from a fresh state. *)
 
-val max_abs_error : int array -> int array -> int
-(** Largest per-sample error between two PCM buffers.
-    @raise Invalid_argument on length mismatch. *)
-
 val roundtrip_error : int array -> int
-(** [roundtrip_error s] = [max_abs_error s (decode (encode s))], fused
-    into a single pass with no intermediate buffers — the hot
-    verification step of the simulated DSP guests. *)
+(** [roundtrip_error s] is the largest per-sample error between [s] and
+    [decode (encode s)], fused into a single pass with no intermediate
+    buffers — the hot verification step of the simulated DSP guests. *)

@@ -7,20 +7,6 @@ let sine ~amplitude ~freq ~rate n =
       clamp16
         (int_of_float (amplitude *. sin (2.0 *. Float.pi *. freq *. t))))
 
-let multitone ~amplitude ~freqs ~rate n =
-  let k = List.length freqs in
-  if k = 0 then Array.make n 0
-  else
-    let a = amplitude /. float_of_int k in
-    Array.init n (fun i ->
-        let t = float_of_int i /. rate in
-        let v =
-          List.fold_left
-            (fun acc f -> acc +. (a *. sin (2.0 *. Float.pi *. f *. t)))
-            0.0 freqs
-        in
-        clamp16 (int_of_float v))
-
 let noise rng ~amplitude n =
   Array.init n (fun _ -> Rng.int rng ((2 * amplitude) + 1) - amplitude)
 

@@ -7,10 +7,6 @@ val sine : amplitude:float -> freq:float -> rate:float -> int -> int array
 (** [sine ~amplitude ~freq ~rate n] is [n] 16-bit samples of a sine at
     [freq] Hz sampled at [rate] Hz (amplitude clamped to 16-bit). *)
 
-val multitone :
-  amplitude:float -> freqs:float list -> rate:float -> int -> int array
-(** Sum of sines, equally weighted, clamped to 16-bit range. *)
-
 val noise : Rng.t -> amplitude:int -> int -> int array
 (** Uniform noise in [±amplitude]. *)
 

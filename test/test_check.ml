@@ -213,8 +213,14 @@ let stats_t =
 let smoke_config =
   { Soak.default_config with ops = 3000; seed = 11; max_vms = 4 }
 
+(* The outcome of a 1-shard soak. *)
+let run_one cfg =
+  match (Soak.run cfg).Soak.reports with
+  | [ r ] -> r.Soak.outcome
+  | _ -> Alcotest.fail "a 1-shard soak has one report"
+
 let test_soak_smoke_clean () =
-  match Soak.run smoke_config with
+  match run_one smoke_config with
   | Soak.Clean stats ->
     Alcotest.check cb "did real work" true (stats.Soak.ops_done >= 3000);
     Alcotest.check cb "created VMs" true (stats.Soak.creates > 0);
@@ -227,7 +233,7 @@ let test_soak_smoke_clean () =
       (List.length shrunk)
 
 let test_soak_deterministic () =
-  match Soak.run smoke_config, Soak.run smoke_config with
+  match run_one smoke_config, run_one smoke_config with
   | Soak.Clean a, Soak.Clean b ->
     Alcotest.check stats_t "identical stats fingerprint" a b
   | _ -> Alcotest.fail "soak violated"
@@ -270,10 +276,10 @@ let outcome_fingerprint o =
 let test_sharded_domain_independent () =
   let cfg = { smoke_config with Soak.ops = 20_000 } in
   let shards = 4 in
-  let a = Soak.run_sharded ~shards cfg in
+  let a = Soak.run ~shards cfg in
   let serial =
     List.init shards (fun shard ->
-        Soak.run (Soak.shard_config cfg ~shards ~shard))
+        run_one (Soak.shard_config cfg ~shards ~shard))
   in
   Alcotest.check cb "identical outcomes to the serial shards" true
     (List.map (fun (r : Soak.shard_report) -> outcome_fingerprint r.Soak.outcome)
@@ -287,12 +293,13 @@ let test_sharded_domain_independent () =
        a.Soak.reports)
 
 let test_sharded_one_shard_is_run () =
-  match Soak.run smoke_config with
-  | Soak.Violated _ -> Alcotest.fail "smoke config violated"
-  | Soak.Clean direct ->
-    let s = Soak.run_sharded ~shards:1 smoke_config in
-    Alcotest.check stats_t "1-shard run is exactly Soak.run" direct
-      s.Soak.merged_stats
+  Alcotest.check cb "1-shard config is the input" true
+    (Soak.shard_config smoke_config ~shards:1 ~shard:0 = smoke_config);
+  match (Soak.run ~shards:1 smoke_config).Soak.reports with
+  | [ r ] ->
+    Alcotest.check cb "the one shard runs the input config" true
+      (r.Soak.shard_cfg = smoke_config)
+  | _ -> Alcotest.fail "a 1-shard soak has one report"
 
 let test_shard_config_split () =
   let cfg = { smoke_config with Soak.ops = 10_001 } in
@@ -334,12 +341,14 @@ let test_sharded_reproducer_replays_single_domain () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
        Soak.write_reproducer path scfg violation ~shrunk;
-       match Soak.replay_file path, Soak.replay_file path with
-       | Ok (Soak.Clean a), Ok (Soak.Clean b) ->
-         Alcotest.check stats_t "single-domain replay is deterministic" a b;
-         Alcotest.check ci "both creates applied" 2 a.Soak.creates
-       | Ok _, Ok _ -> Alcotest.fail "replay tripped a checker"
-       | Error e, _ | _, Error e -> Alcotest.failf "replay failed: %s" e)
+       match Soak.load_reproducer path with
+       | Error e -> Alcotest.failf "replay failed: %s" e
+       | Ok (cfg, actions) ->
+         match Soak.replay cfg actions, Soak.replay cfg actions with
+         | Soak.Clean a, Soak.Clean b ->
+           Alcotest.check stats_t "single-domain replay is deterministic" a b;
+           Alcotest.check ci "both creates applied" 2 a.Soak.creates
+         | _ -> Alcotest.fail "replay tripped a checker")
 
 let test_reproducer_roundtrip () =
   let base =

@@ -103,7 +103,15 @@ let test_parse_errors () =
   check cb "bad value" true (err [ "--pcpus"; "0" ]);
   check cb "flag with a value" true (err [ "--obs=1" ]);
   check cb "negative guest count" true (err [ "--guests"; "-1" ]);
-  check cb "count past max_int" true (err [ "--ops"; "9999999999999m" ])
+  check cb "count past max_int" true (err [ "--ops"; "9999999999999m" ]);
+  check cb "soak reads no --check" true (err [ "--check" ]);
+  let chaos, _ =
+    Experiment.instantiate (Option.get (Experiment.find "chaos"))
+  in
+  check cb "chaos reads no --warmup" true
+    (match Cli_args.parse chaos [ "--warmup"; "3" ] with
+     | Ok _ -> false
+     | Error _ -> true)
 
 let suite =
   ( "experiment",

@@ -147,6 +147,53 @@ let test_backpressure_then_kill_reclaims () =
     (List.map Invariant.violation_to_string
        (Invariant.check kern ~boundary:"test"))
 
+(* Re-setup of a live ring whose second batch is stalled on CQ
+   backpressure: the kernel forfeits the stalled descriptors as
+   reclaimed, conservation holds, and the fresh ring drains. *)
+let test_resetup_forfeits_in_flight () =
+  let _z, kern, tasks = boot_with_tasks () in
+  let phase = ref 0 in
+  let fresh = ref (Error "not reached") in
+  let _pd =
+    Kernel.create_vm kern ~name:"resetup" (fun genv ->
+        let p = Port.paravirt genv in
+        let setup () =
+          match Ring_api.setup p ~entries:4 ~cvirq_budget:0 () with
+          | Error e -> Alcotest.failf "setup: %s" e
+          | Ok r -> r
+        in
+        let enq r op tag =
+          ignore (Ring_api.enqueue p r ~op ~task:tasks.(0) ~tag ())
+        in
+        let r = setup () in
+        for tag = 1 to 8 do
+          enq r `Request tag;
+          (* The second doorbell finds the CQ full. *)
+          if tag mod 4 = 0 then ignore (Ring_api.doorbell p r)
+        done;
+        let r = setup () in
+        enq r `Release 9;
+        fresh := Ring_api.doorbell p r;
+        phase := 1;
+        while true do
+          ignore (Hyper.pause ())
+        done)
+  in
+  let budget = ref 100 in
+  while !phase = 0 && !budget > 0 do
+    Kernel.run_for kern (Cycles.of_ms 1.0);
+    decr budget
+  done;
+  Alcotest.check ci "guest re-set up its ring" 1 !phase;
+  Alcotest.(check (result int string)) "the fresh ring drains" (Ok 1) !fresh;
+  let rs = Kernel.ring_stats kern in
+  Alcotest.check ci "stalled batch forfeited" 4 rs.Kernel.rs_reclaimed;
+  Alcotest.check ci "totals closed" rs.Kernel.rs_enqueued
+    (rs.Kernel.rs_completed + rs.Kernel.rs_reclaimed);
+  Alcotest.(check (list string)) "conserved after the re-setup" []
+    (List.map Invariant.violation_to_string
+       (Invariant.check kern ~boundary:"test"))
+
 (* ------------------------------------------------------------------ *)
 (* A forged CQ consumption head, ahead of the kernel's completion tail *)
 (* or more than [entries] behind it, is a typed doorbell error: no     *)
@@ -474,13 +521,19 @@ let test_fifo_admission_ignores_deadlines () =
 (* each doorbell, overwrites random SQ/CQ header words and descriptor  *)
 (* fields with random u32 values. An honest µC/OS neighbour runs       *)
 (* verified jobs beside it. No host exception, every neighbour job     *)
-(* verifies, and the invariant plane stays clean.                      *)
+(* verifies, and the invariant plane stays clean. A second property    *)
+(* also re-issues [Ring_setup] on the live ring with random arguments. *)
 
 (* Where a poke lands: a header word of either ring, or one word of an
    SQ descriptor slot. *)
 type target = Sq_hdr of int | Cq_hdr of int | Desc of int * int
 
-type round = { enqueue : int; pokes : (target * int) list }
+type round = {
+  resetup : (int * int) option;  (** first re-setup: entries, vIRQ budget *)
+  enqueue : int;
+  pokes : (target * int) list;
+  polls : int;                   (** CQ polls after the doorbell *)
+}
 
 let fuzz_entries = 8
 
@@ -493,14 +546,20 @@ let show_rounds rounds =
   String.concat "; "
     (List.map
        (fun r ->
-          Printf.sprintf "enq %d [%s]" r.enqueue
+          Printf.sprintf "%senq %d [%s]%s"
+            (match r.resetup with
+             | Some (e, b) -> Printf.sprintf "setup %d/%d " e b
+             | None -> "")
+            r.enqueue
             (String.concat ", "
                (List.map
                   (fun (t, v) -> Printf.sprintf "%s=0x%x" (show_target t) v)
-                  r.pokes)))
+                  r.pokes))
+            (if r.polls = 0 then " no-poll" else ""))
        rounds)
 
-let gen_rounds =
+(* [prelude] draws each round's re-setup and poll count. *)
+let gen_rounds_with prelude =
   let open QCheck2.Gen in
   let hdr_words = Guest_layout.ring_hdr_size / 4 in
   let target =
@@ -530,19 +589,47 @@ let gen_rounds =
             Guest_layout.kernel_base; Guest_layout.user_base ] ]
   in
   list_size (int_range 1 6)
-    (map2
-       (fun enqueue pokes -> { enqueue; pokes })
-       (int_range 0 4)
+    (map3
+       (fun (resetup, polls) enqueue pokes ->
+          { resetup; enqueue; pokes; polls })
+       prelude (int_range 0 4)
        (list_size (int_range 0 6) (pair target value)))
+
+let gen_rounds = gen_rounds_with (QCheck2.Gen.pure (None, fuzz_entries))
+
+(* About one round in four re-issues [Ring_setup] first, with entry
+   counts and budgets on both sides of the valid ranges. Half the
+   rounds skip polling and leave their completions unconsumed, so CQ
+   backpressure keeps descriptors in flight for a re-setup to forfeit. *)
+let gen_resetup_rounds =
+  let open QCheck2.Gen in
+  gen_rounds_with
+    (pair
+       (frequency
+          [ (3, pure None);
+            ( 1,
+              map2
+                (fun e b -> Some (e, b))
+                (int_range (-1) 70) (int_range (-1) 3) ) ])
+       (oneofl [ 0; fuzz_entries ]))
 
 let hostile_guest rounds tasks genv =
   let p = Port.paravirt genv in
   match Ring_api.setup p ~entries:fuzz_entries ~cvirq_budget:1 () with
   | Error e -> Alcotest.failf "setup: %s" e
-  | Ok r ->
+  | Ok r0 ->
     let wr a v = Zynq.vwrite_word p.Port.zynq ~priv:p.Port.priv a v in
+    let ring = ref r0 in
     List.iteri
       (fun i round ->
+         (* A refused re-setup leaves the old ring in place. *)
+         (match round.resetup with
+          | Some (entries, cvirq_budget) ->
+            (match Ring_api.setup p ~entries ~cvirq_budget () with
+             | Ok r -> ring := r
+             | Error _ -> ())
+          | None -> ());
+         let r = !ring in
          for k = 1 to round.enqueue do
            ignore
              (Ring_api.enqueue p r ~op:(if k = 3 then `Release else `Request)
@@ -561,7 +648,7 @@ let hostile_guest rounds tasks genv =
            round.pokes;
          ignore (Ring_api.doorbell p r);
          (* Bounded polling: the CQ tail may be one of our own forgeries. *)
-         for _ = 1 to fuzz_entries do
+         for _ = 1 to round.polls do
            ignore (Ring_api.poll p r)
          done;
          ignore (Hyper.pause ()))
@@ -617,6 +704,11 @@ let prop_ring_fuzz pcpus =
     ~name:(Printf.sprintf "hostile ring words at %d pCPU(s)" pcpus)
     gen_rounds (fuzz_case pcpus)
 
+let prop_ring_resetup_fuzz pcpus =
+  QCheck2.Test.make ~count:100 ~print:show_rounds
+    ~name:(Printf.sprintf "hostile ring re-setup at %d pCPU(s)" pcpus)
+    gen_resetup_rounds (fuzz_case pcpus)
+
 let suite =
   ( "ring-abi",
     let t = Alcotest.test_case in
@@ -635,4 +727,8 @@ let suite =
       t "forged CQ head is refused" `Quick (test_forged_cq_head 1);
       t "forged CQ head is refused at 4 pCPUs" `Quick (test_forged_cq_head 4);
       QCheck_alcotest.to_alcotest (prop_ring_fuzz 1);
-      QCheck_alcotest.to_alcotest (prop_ring_fuzz 4) ] )
+      QCheck_alcotest.to_alcotest (prop_ring_fuzz 4);
+      QCheck_alcotest.to_alcotest (prop_ring_resetup_fuzz 1);
+      QCheck_alcotest.to_alcotest (prop_ring_resetup_fuzz 4);
+      t "re-setup forfeits a stalled batch" `Quick
+        test_resetup_forfeits_in_flight ] )

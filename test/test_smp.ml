@@ -233,6 +233,33 @@ let test_balance_skips_full_pcpu () =
   check ci "everyone still alive" (2 * Address_map.guest_slot_count)
     (Smp.alive_guests smp)
 
+(* Migration reaps on the source pCPU and kills reap on the target:
+   round after round of fresh sleepers on pCPU 0, some migrated to the
+   idle pCPU 1, all killed. More rounds than pCPU 0 has guest windows,
+   so a window or save slot that a retract or kill failed to return
+   would exhaust a pCPU. *)
+let test_migration_churn_returns_slots () =
+  let smp =
+    Smp.create ~pcpus:2 ~epoch:(Cycles.of_us 1.0)
+      ~mk_zynq:(fun cpu -> Zynq.create ~cpu ()) ()
+  in
+  for round = 1 to Address_map.guest_slot_count + 45 do
+    let pds =
+      List.init 4 (fun g ->
+          Smp.create_vm smp ~name:(Printf.sprintf "c%d.%d" round g) ~cpu:0
+            sleeper)
+    in
+    Smp.run_for smp (Cycles.of_us 3.0);
+    List.iter
+      (fun (pd : Pd.t) -> ignore (Smp.kill_vm smp pd.Pd.id ~reason:"churn"))
+      pds
+  done;
+  check cb "more migrations than pCPU 0 has slots" true
+    ((Smp.stats smp).Smp.s_migrations > Address_map.guest_slot_count);
+  check cb "pCPU 0 can still admit" true (Kernel.can_admit (Smp.kernel smp 0));
+  check cb "pCPU 1 can still admit" true (Kernel.can_admit (Smp.kernel smp 1));
+  clean smp "final"
+
 (* ------------------------------------------------------------------ *)
 (* Kill/migration race property: both nodes packed past the 254 guest  *)
 (* ASID tags — 256 pinned sleepers per node all take a tag on first    *)
@@ -316,4 +343,6 @@ let suite =
         test_kill_race_under_asid_pressure;
       t "pool shared between run slices" `Quick
         test_pool_shared_between_slices;
-      t "balance skips a full pCPU" `Quick test_balance_skips_full_pcpu ] )
+      t "balance skips a full pCPU" `Quick test_balance_skips_full_pcpu;
+      t "migration churn returns every slot" `Quick
+        test_migration_churn_returns_slots ] )
