@@ -168,7 +168,8 @@ let fill_slot t i la ~write =
 (* The shared per-access transition. Fills bump the epoch: a fill may
    evict another line, so any resident-set snapshot taken earlier is
    stale. Hits only refresh LRU/dirty state and leave the epoch
-   alone. Returns the slot index on hit, -1 on miss (after filling). *)
+   alone. Returns the slot index on hit, [lnot] the filled slot (so a
+   negative number) on miss. *)
 let access_slot t la ~write =
   t.tick <- t.tick + 1;
   let i = find t la in
@@ -183,7 +184,7 @@ let access_slot t la ~write =
     t.epoch <- t.epoch + 1;
     let i = victim t la in
     fill_slot t i la ~write;
-    -1
+    lnot i
   end
 
 let access_line t la ~write = access_slot t la ~write >= 0
@@ -487,4 +488,16 @@ let reset_stats t =
 
 let lines t = t.sets * t.cfg.ways
 
+let line_size t = t.cfg.line_size
+
 let sets t = t.sets
+
+let access_word t a ~write = access_slot t (line_addr t a) ~write
+
+let rehit t i ~write ~n =
+  (* [n] back-to-back hits on one slot: each bumps the tick, counts a
+     hit and sets the age to the tick, so only the last age survives. *)
+  t.tick <- t.tick + n;
+  t.hits <- t.hits + n;
+  Array.unsafe_set t.state ((2 * i) + 1) t.tick;
+  if write then mark_dirty t i

@@ -24,6 +24,19 @@ val access : t -> Addr.t -> write:bool -> [ `Hit | `Miss ]
     filled (LRU victim evicted), on hit LRU is refreshed. [write] marks
     the line dirty (write-back, write-allocate policy). *)
 
+val access_word : t -> Addr.t -> write:bool -> int
+(** {!access}, returning where the line now lives: its slot on a hit,
+    [lnot slot] (a negative number) on a miss, the slot being the one
+    the fill used. {!rehit} on that slot replays later hits on the
+    same line without a set scan. *)
+
+val rehit : t -> int -> write:bool -> n:int -> unit
+(** [rehit t slot ~write ~n] is [n] hitting {!access} calls on the line
+    held by [slot], exactly: each one ticks, counts a hit and sets the
+    slot's age to the tick, and marks the line dirty when [write]. The
+    slot must be live and hold the line, e.g. straight after
+    {!access_word} returned it. Leaves {!epoch} alone, as hits do. *)
+
 val run_through :
   t -> t -> lat_next_hit:int -> lat_next_miss:int -> a:Addr.t -> n:int ->
   write:bool -> slots:int array -> next_slots:int array -> from:int ->
@@ -106,6 +119,8 @@ val reset_stats : t -> unit
 
 val lines : t -> int
 (** Total number of lines (capacity / line size). *)
+
+val line_size : t -> int
 
 val sets : t -> int
 (** Number of sets (lines / ways). [n] consecutive lines can never

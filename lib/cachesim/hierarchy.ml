@@ -60,6 +60,44 @@ let access t kind a =
   Clock.advance t.clock cost;
   cost
 
+let access_words t kind a n =
+  (* [n] word accesses at [a, a + 4, …]: the first word of each line
+     is a full [access]; the rest of that line's words are repeat hits
+     on the slot the first one left it in — exactly what their own
+     [access] calls would find, with no set scan and no L2 consult.
+     One clock advance for the run. *)
+  let l1 = match kind with Ifetch -> t.l1i | Load | Store -> t.l1d in
+  let write = kind = Store in
+  let lat = t.lat in
+  let line = Cache.line_size l1 in
+  let cost = ref 0 in
+  let k = ref 0 in
+  while !k < n do
+    let pa = a + (4 * !k) in
+    let s = Cache.access_word l1 pa ~write in
+    let slot =
+      if s >= 0 then begin
+        cost := !cost + lat.l1_hit;
+        s
+      end
+      else begin
+        (match Cache.access t.l2 pa ~write with
+         | `Hit -> cost := !cost + lat.l1_hit + lat.l2_hit
+         | `Miss -> cost := !cost + lat.l1_hit + lat.l2_hit + lat.dram);
+        lnot s
+      end
+    in
+    (* Words after [pa] that start in the same line. *)
+    let rest = min (n - !k - 1) ((line - 1 - (pa land (line - 1))) / 4) in
+    if rest > 0 then begin
+      Cache.rehit l1 slot ~write ~n:rest;
+      cost := !cost + (rest * lat.l1_hit)
+    end;
+    k := !k + 1 + rest
+  done;
+  Clock.advance t.clock !cost;
+  !cost
+
 let access_line_run_record t kind a n ~slots ~next_slots ~from =
   (* Batched equivalent of [n] calls to [access] at [a, a + line, …]
      (one per cache line): identical L1/L2 state transitions in the

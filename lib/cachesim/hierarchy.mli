@@ -35,6 +35,14 @@ val access : t -> kind -> Addr.t -> int
 (** Charge one access to the physical address; advances the clock and
     returns the cost in cycles. *)
 
+val access_words : t -> kind -> Addr.t -> int -> int
+(** [access_words t kind a n] charges [n] word accesses at [a, a + 4,
+    …] — bit-identical in cache state, statistics, {!Cache.epoch} and
+    total cycles to [n] scalar {!access} calls in the same order. The
+    first word in each line is a full {!access}; the line's other
+    words are repeat L1 hits ({!Cache.rehit}), which never touch the
+    L2. The clock advances once, by the returned total. *)
+
 val access_line_run : t -> kind -> Addr.t -> int -> int
 (** [access_line_run t kind a n] charges [n] line-sized accesses at
     [a, a + line_size, …] — bit-identical in cache state, hit/miss

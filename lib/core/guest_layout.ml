@@ -24,9 +24,12 @@ let ring_cq_base = ring_sq_base + Addr.page_size
 let ring_max_entries = 64
 let ring_hdr_size = 64
 let ring_desc_size = 32
+let ring_desc_words = 7
 let ring_cqe_size = 16
 
 let default_iface_vaddr prr = page_region_base + (prr * Addr.page_size)
+
+let task_iface_vaddr task = default_iface_vaddr (64 + (task land 127))
 
 let to_phys ~phys_base vaddr =
   if vaddr < kernel_base || vaddr >= page_region_base then

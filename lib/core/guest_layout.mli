@@ -35,6 +35,11 @@ val default_iface_vaddr : int -> Addr.t
 (** [default_iface_vaddr prr] — conventional interface page for PRR
     [prr] inside the page region. *)
 
+val task_iface_vaddr : int -> Addr.t
+(** [task_iface_vaddr task] — the interface page a guest library picks
+    for [task] when the caller names none: page [64 + (task land 127)]
+    of the page region, clear of the per-PRR pages above. *)
+
 val to_phys : phys_base:Addr.t -> Addr.t -> Addr.t
 (** Linear translation for the section-mapped areas (kernel + user).
     @raise Invalid_argument inside the page region (not linear). *)
@@ -61,3 +66,7 @@ val ring_max_entries : int
 val ring_hdr_size : int
 val ring_desc_size : int
 val ring_cqe_size : int
+
+val ring_desc_words : int
+(** 7: the descriptor's words, op through tag; the slot's last word is
+    padding. *)

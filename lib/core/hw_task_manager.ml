@@ -1,10 +1,16 @@
-type client = {
-  client_id : int;
-  data_window : Addr.t * int;
-  map_iface : Prr.t -> (unit, string) result;
-  unmap_iface : Prr.t -> unit;
-  notify_irq : Prr.t -> int -> unit;
+type env = {
+  map_iface :
+    client_id:int -> task:Bitstream.id -> vaddr:Addr.t -> Prr.t ->
+    (unit, string) result;
+  unmap_iface :
+    client_id:int -> task:Bitstream.id -> vaddr:Addr.t -> Prr.t -> unit;
+  notify_irq : client_id:int -> Prr.t -> int -> unit;
 }
+
+let shared_space =
+  { map_iface = (fun ~client_id:_ ~task:_ ~vaddr:_ _ -> Ok ());
+    unmap_iface = (fun ~client_id:_ ~task:_ ~vaddr:_ _ -> ());
+    notify_irq = (fun ~client_id:_ _ _ -> ()) }
 
 type alloc_result = {
   status : Hyper.hw_status;
@@ -17,13 +23,17 @@ type task_entry = {
   prr_list : int list;
 }
 
-(* PRR-table row (Fig 7): current client, allocated task, plus the
-   client-environment callbacks captured at allocation time so a later
-   reclaim can act on the *previous* client. *)
+(* PRR-table row (Fig 7): current client and allocated task, plus the
+   base of the client's data window and its interface vaddr as they
+   were at allocation time, so a later reclaim acts on the *previous* client's window
+   whatever that client has requested since. [row_client] and
+   [row_task] are [none] when the row is unclaimed. *)
 type prr_row = {
   prr_id : int;
-  mutable row_client : client option;
-  mutable row_task : Bitstream.id option;
+  mutable row_client : int;
+  mutable row_task : Bitstream.id;
+  mutable row_data_base : Addr.t;
+  mutable row_iface : Addr.t;
   mutable row_pinned : int option;  (* static-partition owner client *)
   (* Graceful-degradation bookkeeping. *)
   mutable row_faults : int;         (* faults on the current allocation *)
@@ -81,6 +91,10 @@ let action_name = function
 
 type t = {
   zynq : Zynq.t;
+  env : env;
+  (* [exec_pins.(n)]: the allocation bookkeeping footprint for a scan
+     of [n] PRR rows, pinned once. *)
+  exec_pins : Fastpath.pinned array;
   tasks : (Bitstream.id, task_entry) Hashtbl.t;
   rows : prr_row array;
   policy : policy;
@@ -103,12 +117,32 @@ let reserved_bytes = 64
 let flag_offset = 0
 let saved_regs_offset = 4
 
-let create ?(partition = Dynamic) zynq =
+let none = -1
+
+(* Manager-space footprint for the allocation bookkeeping. *)
+let exec_fp ~prrs_scanned =
+  let code_base, code_bytes = Klayout.mgr_main in
+  let tt_base, tt_len = Klayout.mgr_task_table in
+  let pt_base, pt_len = Klayout.mgr_prr_table in
+  let st_base, st_len = Klayout.mgr_stack in
+  { Exec.label = "hwtm_exec";
+    code = { Exec.base = code_base; len = code_bytes };
+    reads =
+      [ { Exec.base = tt_base; len = tt_len };
+        { Exec.base = pt_base; len = pt_len } ];
+    writes = [ { Exec.base = st_base; len = st_len / 2 } ];
+    base_cycles = Costs.mgr_exec_base + (Costs.mgr_exec_per_prr * prrs_scanned) }
+
+let create ?(partition = Dynamic) ?(env = shared_space) zynq =
   let n = Prr_controller.prr_count zynq.Zynq.prrc in
-  { zynq;
+  { zynq; env;
+    exec_pins =
+      Array.init (n + 1) (fun prrs_scanned ->
+          Exec.pin1 (exec_fp ~prrs_scanned));
     tasks = Hashtbl.create 16;
     rows = Array.init n (fun prr_id ->
-        { prr_id; row_client = None; row_task = None; row_pinned = None;
+        { prr_id; row_client = none; row_task = none; row_data_base = 0;
+          row_iface = 0; row_pinned = None;
           row_faults = 0; consec_failures = 0; quarantined_until = None;
           retry_count = 0; next_retry_at = 0; viol_seen = 0 });
     policy = default_policy ();
@@ -217,8 +251,7 @@ let register_task t kind =
   | Ok id -> id
   | Error m -> failwith m
 
-let task_allocated t id =
-  Array.exists (fun row -> row.row_task = Some id) t.rows
+let task_allocated t id = Array.exists (fun row -> row.row_task = id) t.rows
 
 let destroy_task t id =
   match Hashtbl.find_opt t.tasks id with
@@ -241,23 +274,8 @@ let task_kind t id =
 let task_ids t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tasks [])
 
-(* Manager-space footprint for the allocation bookkeeping. *)
 let charge_exec t ~prrs_scanned =
-  let code_base, code_bytes = Klayout.mgr_main in
-  let tt_base, tt_len = Klayout.mgr_task_table in
-  let pt_base, pt_len = Klayout.mgr_prr_table in
-  let st_base, st_len = Klayout.mgr_stack in
-  let fp =
-    { Exec.label = "hwtm_exec";
-      code = { Exec.base = code_base; len = code_bytes };
-      reads =
-        [ { Exec.base = tt_base; len = tt_len };
-          { Exec.base = pt_base; len = pt_len } ];
-      writes = [ { Exec.base = st_base; len = st_len / 2 } ];
-      base_cycles =
-        Costs.mgr_exec_base + (Costs.mgr_exec_per_prr * prrs_scanned) }
-  in
-  ignore (Exec.run t.zynq ~priv:true fp)
+  Exec.run_pinned t.zynq ~priv:true t.exec_pins.(prrs_scanned)
 
 let charge_gp_write t =
   ignore (Hierarchy.access_uncached t.zynq.Zynq.hier);
@@ -265,8 +283,8 @@ let charge_gp_write t =
 
 (* Save the reclaimed PRR's register group and the inconsistent flag
    into the previous client's data section (paper §IV-C / Fig 5). *)
-let save_consistency_block t prr (prev : client) =
-  let base, _len = prev.data_window in
+let save_consistency_block t prr row =
+  let base = row.row_data_base in
   Phys_mem.write_u32 t.zynq.Zynq.mem (base + flag_offset) 1l;
   ignore (Hierarchy.access t.zynq.Zynq.hier Hierarchy.Store (base + flag_offset));
   for r = 0 to Prr.Reg.count - 1 do
@@ -276,21 +294,22 @@ let save_consistency_block t prr (prev : client) =
   done;
   Clock.advance t.zynq.Zynq.clock Costs.mgr_reclaim
 
-let reclaim t row prr (prev : client) =
-  save_consistency_block t prr prev;
+let reclaim t row prr =
+  save_consistency_block t prr row;
   (* Scrub the register group so the next client sees neither the old
      job's parameters nor a stale completion status. *)
   for r = Prr.Reg.ctrl to Prr.Reg.param do
     Prr.write_reg prr r 0l
   done;
   Prr.write_reg prr Prr.Reg.status 0l;
-  prev.unmap_iface prr;
+  t.env.unmap_iface ~client_id:row.row_client ~task:row.row_task
+    ~vaddr:row.row_iface prr;
   (match prr.Prr.irq_index with
    | Some _ -> Prr_controller.release_irq t.zynq.Zynq.prrc ~prr_id:row.prr_id
    | None -> ());
   Hw_mmu.clear_window prr.Prr.hw_mmu;
-  row.row_client <- None;
-  row.row_task <- None;
+  row.row_client <- none;
+  row.row_task <- none;
   t.reclaims <- t.reclaims + 1
 
 let quarantined t row =
@@ -298,44 +317,60 @@ let quarantined t row =
   | Some d -> Clock.now t.zynq.Zynq.clock < d
   | None -> false
 
+(* Static partitioning admits only the requester's own pinned rows. *)
+let eligible t row ~client_id =
+  match t.partition, row.row_pinned with
+  | Dynamic, _ -> true
+  | Static, Some owner -> owner = client_id
+  | Static, None -> false
+
 (* PRR selection (Fig 7 stage 2): among the task's suitable PRRs that
    are idle and not quarantined, prefer one already holding the task,
-   then an empty one, then one to reconfigure. *)
-let select_prr t entry ~among =
-  let candidates =
-    List.filter_map
-      (fun prr_id ->
-         let row = t.rows.(prr_id) in
-         let prr = Prr_controller.prr t.zynq.Zynq.prrc prr_id in
-         if quarantined t row then None
-         else
-           match prr.Prr.state with
-           | Prr.Busy | Prr.Reconfiguring -> None
-           | Prr.Empty | Prr.Ready -> Some (row, prr))
-      among
-  in
-  let loaded_with id (_, prr) =
-    match prr.Prr.loaded with
-    | Some b -> b.Bitstream.id = id
-    | None -> false
-  in
-  let empty (_, prr) = prr.Prr.loaded = None in
-  let unclaimed (row, _) = row.row_client = None in
-  let pick p = List.find_opt p candidates in
-  match pick (fun c -> loaded_with entry.bit.Bitstream.id c && unclaimed c) with
-  | Some c -> Some c
-  | None ->
-    (match pick (loaded_with entry.bit.Bitstream.id) with
-     | Some c -> Some c
-     | None ->
-       (match pick (fun c -> empty c && unclaimed c) with
-        | Some c -> Some c
-        | None ->
-          (match pick unclaimed with
-           | Some c -> Some c
-           | None -> pick (fun _ -> true))))
+   then an empty one, then one to reconfigure. Precisely, in order of
+   preference: loaded with the task and unclaimed; loaded with the
+   task; empty and unclaimed; unclaimed; any — the first such PRR in
+   [among] order. Returns the row index, or [none]. *)
+let rec select_prr t ~client_id task ~among ~best ~best_rank =
+  match among with
+  | [] -> best
+  | prr_id :: rest ->
+    let row = t.rows.(prr_id) in
+    let prr = Prr_controller.prr t.zynq.Zynq.prrc prr_id in
+    let rank =
+      if quarantined t row || not (eligible t row ~client_id) then max_int
+      else
+        match prr.Prr.state with
+        | Prr.Busy | Prr.Reconfiguring -> max_int
+        | Prr.Empty | Prr.Ready ->
+          let unclaimed = row.row_client = none in
+          (match prr.Prr.loaded with
+           | Some b when b.Bitstream.id = task -> if unclaimed then 0 else 1
+           | Some _ -> if unclaimed then 3 else 4
+           | None -> if unclaimed then 2 else 4)
+    in
+    if rank < best_rank then
+      select_prr t ~client_id task ~among:rest ~best:prr_id ~best_rank:rank
+    else select_prr t ~client_id task ~among:rest ~best ~best_rank
 
-let request t (cl : client) ~task ~want_irq =
+(* The row holding [task] for [client_id], or [none]. *)
+let find_row t ~client_id ~task =
+  let rows = t.rows in
+  let found = ref none in
+  let i = ref 0 in
+  while !found = none && !i < Array.length rows do
+    let row = rows.(!i) in
+    if row.row_task = task && row.row_client = client_id then found := !i;
+    incr i
+  done;
+  !found
+
+let rec count_eligible t ~client_id = function
+  | [] -> 0
+  | prr_id :: rest ->
+    (if eligible t t.rows.(prr_id) ~client_id then 1 else 0)
+    + count_eligible t ~client_id rest
+
+let request t ~client_id ~data_base ~data_len ~iface_vaddr ~task ~want_irq =
   t.requests <- t.requests + 1;
   match Hashtbl.find_opt t.tasks task with
   | None ->
@@ -346,144 +381,122 @@ let request t (cl : client) ~task ~want_irq =
        pinned rows before any selection happens: a foreign-PRR request
        pays for scanning zero rows and is denied outright. Dynamic
        mode scans the task's full PRR list, exactly as before. *)
-    let eligible =
-      match t.partition with
-      | Dynamic -> entry.prr_list
-      | Static ->
-        List.filter
-          (fun prr_id -> t.rows.(prr_id).row_pinned = Some cl.client_id)
-          entry.prr_list
-    in
-    charge_exec t ~prrs_scanned:(List.length eligible);
+    let scanned = count_eligible t ~client_id entry.prr_list in
+    charge_exec t ~prrs_scanned:scanned;
     (* Idempotent: the client already holds this task. *)
-    let already =
-      Array.to_list t.rows
-      |> List.find_opt (fun row ->
-          row.row_task = Some task
-          &&
-          match row.row_client with
-          | Some c -> c.client_id = cl.client_id
-          | None -> false)
-    in
-    (match already with
-     | Some row ->
-       let prr = Prr_controller.prr t.zynq.Zynq.prrc row.prr_id in
-       { status = Hyper.Hw_success; prr = Some row.prr_id;
-         irq = prr.Prr.irq_index }
-     | None when t.partition = Static && eligible = [] ->
-       { status = Hyper.Hw_denied; prr = None; irq = None }
-     | None ->
-       match select_prr t entry ~among:eligible with
-       | None -> { status = Hyper.Hw_busy; prr = None; irq = None }
-       | Some (row, prr) ->
-         let needs_reconfig =
-           match prr.Prr.loaded with
-           | Some b -> b.Bitstream.id <> task
-           | None -> true
-         in
-         if needs_reconfig && Pcap.busy t.zynq.Zynq.pcap then
-           (* The single download channel is occupied; retry later. *)
-           { status = Hyper.Hw_busy; prr = None; irq = None }
-         else begin
-           (* Stage: reclaim from the previous client if any. *)
-           (match row.row_client with
-            | Some prev when prev.client_id <> cl.client_id ->
-              reclaim t row prr prev
-            | Some prev -> reclaim t row prr prev (* same client, other task *)
-            | None -> ());
-           (* Stage 3: map the interface page for the caller. A bad
-              interface address is the guest's fault: fail the request
-              (recoverably — never the whole kernel). The row is still
-              unclaimed at this point, so nothing needs rolling back. *)
-           match cl.map_iface prr with
-           | Error _ -> { status = Hyper.Hw_fault; prr = None; irq = None }
-           | Ok () ->
-           (* Stage 4: program the hwMMU with the data-section window. *)
-           let wbase, wlen = cl.data_window in
-           Hw_mmu.load_window prr.Prr.hw_mmu ~base:wbase ~size:wlen;
-           charge_gp_write t;
-           (* Reset the consistency flag for the new holder. *)
-           Phys_mem.write_u32 t.zynq.Zynq.mem (wbase + flag_offset) 0l;
-           (* Optional PL interrupt source (Fig 6). *)
-           let irq =
-             if want_irq then begin
-               match
-                 Prr_controller.allocate_irq t.zynq.Zynq.prrc ~prr_id:row.prr_id
-               with
-               | Some i ->
-                 cl.notify_irq prr i;
-                 charge_gp_write t;
-                 Some i
-               | None -> None
-             end
-             else None
-           in
-           row.row_client <- Some cl;
-           row.row_task <- Some task;
-           row.row_faults <- 0;
-           row.retry_count <- 0;
-           row.next_retry_at <- 0;
-           row.viol_seen <- Hw_mmu.violations prr.Prr.hw_mmu;
-           (* Stage 5: launch — and do not wait for — reconfiguration. *)
-           if needs_reconfig then begin
-             Clock.advance t.zynq.Zynq.clock Costs.mgr_reconfig_launch;
-             charge_gp_write t;
-             match Pcap.launch t.zynq.Zynq.pcap entry.bit prr with
-             | `Started _ ->
-               t.reconfigs <- t.reconfigs + 1;
-               t.pcap_client <- Some cl.client_id;
-               { status = Hyper.Hw_reconfig; prr = Some row.prr_id; irq }
-             | `Busy ->
-               (* Raced: another launch slipped in (e.g. from a handler
-                  run inside map_iface). Roll the whole allocation back
-                  so the retrying caller does not find a half-claimed
-                  row whose PRR was never reconfigured. *)
-               row.row_client <- None;
-               row.row_task <- None;
-               (match irq with
-                | Some _ ->
-                  Prr_controller.release_irq t.zynq.Zynq.prrc
-                    ~prr_id:row.prr_id
-                | None -> ());
-               Hw_mmu.clear_window prr.Prr.hw_mmu;
-               cl.unmap_iface prr;
-               { status = Hyper.Hw_busy; prr = None; irq = None }
-           end
-           else { status = Hyper.Hw_success; prr = Some row.prr_id; irq }
-         end)
-
-let find_row t ~client_id ~task =
-  Array.to_list t.rows
-  |> List.find_opt (fun row ->
-      row.row_task = Some task
-      &&
-      match row.row_client with
-      | Some c -> c.client_id = client_id
-      | None -> false)
+    let held = find_row t ~client_id ~task in
+    if held <> none then begin
+      let prr = Prr_controller.prr t.zynq.Zynq.prrc held in
+      { status = Hyper.Hw_success; prr = Some held; irq = prr.Prr.irq_index }
+    end
+    else if t.partition = Static && scanned = 0 then
+      { status = Hyper.Hw_denied; prr = None; irq = None }
+    else begin
+      let chosen =
+        select_prr t ~client_id task ~among:entry.prr_list ~best:none
+          ~best_rank:max_int
+      in
+      if chosen = none then { status = Hyper.Hw_busy; prr = None; irq = None }
+      else begin
+        let row = t.rows.(chosen) in
+        let prr = Prr_controller.prr t.zynq.Zynq.prrc chosen in
+        let needs_reconfig =
+          match prr.Prr.loaded with
+          | Some b -> b.Bitstream.id <> task
+          | None -> true
+        in
+        if needs_reconfig && Pcap.busy t.zynq.Zynq.pcap then
+          (* The single download channel is occupied; retry later. *)
+          { status = Hyper.Hw_busy; prr = None; irq = None }
+        else begin
+          (* Stage: reclaim from the previous client if any (the same
+             client's other task included). *)
+          if row.row_client <> none then reclaim t row prr;
+          (* Stage 3: map the interface page for the caller. A bad
+             interface address is the guest's fault: fail the request
+             (recoverably — never the whole kernel). The row is still
+             unclaimed at this point, so nothing needs rolling back. *)
+          match t.env.map_iface ~client_id ~task ~vaddr:iface_vaddr prr with
+          | Error _ -> { status = Hyper.Hw_fault; prr = None; irq = None }
+          | Ok () ->
+            (* Stage 4: program the hwMMU with the data-section window. *)
+            Hw_mmu.load_window prr.Prr.hw_mmu ~base:data_base ~size:data_len;
+            charge_gp_write t;
+            (* Reset the consistency flag for the new holder. *)
+            Phys_mem.write_u32 t.zynq.Zynq.mem (data_base + flag_offset) 0l;
+            (* Optional PL interrupt source (Fig 6). *)
+            let irq =
+              if want_irq then begin
+                match
+                  Prr_controller.allocate_irq t.zynq.Zynq.prrc ~prr_id:chosen
+                with
+                | Some i ->
+                  t.env.notify_irq ~client_id prr i;
+                  charge_gp_write t;
+                  Some i
+                | None -> None
+              end
+              else None
+            in
+            row.row_client <- client_id;
+            row.row_task <- task;
+            row.row_data_base <- data_base;
+            row.row_iface <- iface_vaddr;
+            row.row_faults <- 0;
+            row.retry_count <- 0;
+            row.next_retry_at <- 0;
+            row.viol_seen <- Hw_mmu.violations prr.Prr.hw_mmu;
+            (* Stage 5: launch — and do not wait for — reconfiguration. *)
+            if needs_reconfig then begin
+              Clock.advance t.zynq.Zynq.clock Costs.mgr_reconfig_launch;
+              charge_gp_write t;
+              match Pcap.launch t.zynq.Zynq.pcap entry.bit prr with
+              | `Started _ ->
+                t.reconfigs <- t.reconfigs + 1;
+                t.pcap_client <- Some client_id;
+                { status = Hyper.Hw_reconfig; prr = Some chosen; irq }
+              | `Busy ->
+                (* Raced: another launch slipped in (e.g. from a handler
+                   run inside map_iface). Roll the whole allocation back
+                   so the retrying caller does not find a half-claimed
+                   row whose PRR was never reconfigured. *)
+                row.row_client <- none;
+                row.row_task <- none;
+                (match irq with
+                 | Some _ ->
+                   Prr_controller.release_irq t.zynq.Zynq.prrc ~prr_id:chosen
+                 | None -> ());
+                Hw_mmu.clear_window prr.Prr.hw_mmu;
+                t.env.unmap_iface ~client_id ~task ~vaddr:iface_vaddr prr;
+                { status = Hyper.Hw_busy; prr = None; irq = None }
+            end
+            else { status = Hyper.Hw_success; prr = Some chosen; irq }
+        end
+      end
+    end
 
 let release t ~client_id ~task =
-  match find_row t ~client_id ~task with
-  | None -> Error "release: task not held by this client"
-  | Some row ->
-    let prr = Prr_controller.prr t.zynq.Zynq.prrc row.prr_id in
-    (match row.row_client with
-     | Some cl ->
-       cl.unmap_iface prr;
-       (match prr.Prr.irq_index with
-        | Some _ -> Prr_controller.release_irq t.zynq.Zynq.prrc ~prr_id:row.prr_id
-        | None -> ());
-       Hw_mmu.clear_window prr.Prr.hw_mmu;
-       charge_gp_write t
+  let i = find_row t ~client_id ~task in
+  if i = none then Error "release: task not held by this client"
+  else begin
+    let row = t.rows.(i) in
+    let prr = Prr_controller.prr t.zynq.Zynq.prrc i in
+    t.env.unmap_iface ~client_id ~task ~vaddr:row.row_iface prr;
+    (match prr.Prr.irq_index with
+     | Some _ -> Prr_controller.release_irq t.zynq.Zynq.prrc ~prr_id:i
      | None -> ());
-    row.row_client <- None;
-    row.row_task <- None;
+    Hw_mmu.clear_window prr.Prr.hw_mmu;
+    charge_gp_write t;
+    row.row_client <- none;
+    row.row_task <- none;
     Ok ()
+  end
 
 let poll t ~client_id ~task =
-  match find_row t ~client_id ~task with
-  | None -> (false, false)
-  | Some row ->
-    let prr = Prr_controller.prr t.zynq.Zynq.prrc row.prr_id in
+  let i = find_row t ~client_id ~task in
+  if i = none then (false, false)
+  else begin
+    let prr = Prr_controller.prr t.zynq.Zynq.prrc i in
     let ready =
       prr.Prr.state = Prr.Ready
       &&
@@ -492,22 +505,21 @@ let poll t ~client_id ~task =
       | None -> false
     in
     (ready, true)
+  end
 
 let faults t ~client_id ~task =
-  match find_row t ~client_id ~task with
-  | None -> 0
-  | Some row -> row.row_faults
+  let i = find_row t ~client_id ~task in
+  if i = none then 0 else t.rows.(i).row_faults
 
 let prr_client t prr_id =
-  Option.map (fun c -> c.client_id) t.rows.(prr_id).row_client
+  let c = t.rows.(prr_id).row_client in
+  if c = none then None else Some c
 
 (* Fence off a repeatedly-failing region: reclaim it from its client
    (inconsistent flag set, so the client's next poll reports the loss)
    and refuse to allocate it until the penalty expires. *)
 let quarantine_row t row prr now =
-  (match row.row_client with
-   | Some prev -> reclaim t row prr prev
-   | None -> ());
+  if row.row_client <> none then reclaim t row prr;
   row.quarantined_until <- Some (now + t.policy.quarantine_penalty);
   row.consec_failures <- 0;
   row.retry_count <- 0;
@@ -555,8 +567,9 @@ let health_scan t =
        (* Failed reconfiguration: the row is allocated but the region
           came back Empty (corrupt/aborted download). Relaunch with
           backoff up to the retry limit, then give the region up. *)
-       (match row.row_client, row.row_task with
-        | Some prev, Some task when prr.Prr.state = Prr.Empty ->
+       (let task = row.row_task in
+        if row.row_client <> none && task <> none
+           && prr.Prr.state = Prr.Empty then begin
           if row.retry_count < t.policy.reconfig_retry_limit then begin
             if now >= row.next_retry_at
                && not (Pcap.busy t.zynq.Zynq.pcap) then
@@ -579,7 +592,7 @@ let health_scan t =
                      now + (t.policy.retry_backoff * (1 lsl row.retry_count));
                    t.retries <- t.retries + 1;
                    t.reconfigs <- t.reconfigs + 1;
-                   t.pcap_client <- Some prev.client_id;
+                   t.pcap_client <- Some row.row_client;
                    push (Act_retry { prr = row.prr_id; task })
                  | `Busy -> ())
           end
@@ -590,7 +603,7 @@ let health_scan t =
               Obs.open_span obs ~component:"recovery" ~key:row.prr_id
                 ~at:(Clock.now t.zynq.Zynq.clock)
             in
-            reclaim t row prr prev;
+            reclaim t row prr;
             Obs.close_span obs sp ~at:(Clock.now t.zynq.Zynq.clock);
             row.retry_count <- 0;
             t.recoveries <- t.recoveries + 1;
@@ -598,39 +611,38 @@ let health_scan t =
             if row.consec_failures >= t.policy.quarantine_threshold then
               push (quarantine_row t row prr now)
           end
-        | _ -> ());
+        end);
        (* A relaunch that made it: region Ready again with the task. *)
-       (match row.row_task with
-        | Some task
-          when row.retry_count > 0 && prr.Prr.state = Prr.Ready
-               && (match prr.Prr.loaded with
-                   | Some b -> b.Bitstream.id = task
-                   | None -> false) ->
+       (let task = row.row_task in
+        if task <> none && row.retry_count > 0 && prr.Prr.state = Prr.Ready
+           && (match prr.Prr.loaded with
+               | Some b -> b.Bitstream.id = task
+               | None -> false)
+        then begin
           row.retry_count <- 0;
           row.consec_failures <- 0;
           t.recoveries <- t.recoveries + 1;
           push (Act_recovered { prr = row.prr_id; task })
-        | _ -> ());
+        end);
        (* Attribute real hwMMU violations to the row's client; ask the
           kernel to kill clients that keep violating their window. *)
-       (match row.row_client with
-        | Some cl ->
+       (let client = row.row_client in
+        if client <> none then begin
           let v = Hw_mmu.violations prr.Prr.hw_mmu in
           if v > row.viol_seen then begin
             let fresh = v - row.viol_seen in
             row.viol_seen <- v;
             let cur =
               fresh
-              + (try Hashtbl.find t.client_viols cl.client_id
-                 with Not_found -> 0)
+              + (try Hashtbl.find t.client_viols client with Not_found -> 0)
             in
-            Hashtbl.replace t.client_viols cl.client_id cur;
+            Hashtbl.replace t.client_viols client cur;
             if cur >= t.policy.kill_violation_threshold then begin
-              Hashtbl.replace t.client_viols cl.client_id 0;
-              push (Act_kill { client = cl.client_id; violations = cur })
+              Hashtbl.replace t.client_viols client 0;
+              push (Act_kill { client; violations = cur })
             end
           end
-        | None -> ())
+        end)
     )
     t.rows;
   List.rev !actions

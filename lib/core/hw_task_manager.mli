@@ -27,21 +27,28 @@
 
 type t
 
-(** Callbacks binding one allocation to its client's environment. *)
-type client = {
-  client_id : int;
-  data_window : Addr.t * int;
-  (** physical base/length of the client's hardware-task data section *)
+(** How the manager reaches its clients' environments. Installed once
+    at {!create}; every callback names the client by id, and the task
+    and interface vaddr are those of the allocation it acts on (a
+    reclaim passes the previous holder's, as recorded in the row). *)
+type env = {
+  map_iface :
+    client_id:int -> task:Bitstream.id -> vaddr:Addr.t -> Prr.t ->
+    (unit, string) result;
+  (** stage 3: expose the PRR register page to the client at [vaddr] *)
 
-  map_iface : Prr.t -> (unit, string) result;
-  (** stage 3: expose the PRR register page to the client *)
-
-  unmap_iface : Prr.t -> unit;
+  unmap_iface :
+    client_id:int -> task:Bitstream.id -> vaddr:Addr.t -> Prr.t -> unit;
   (** inverse, used at reclaim/release time *)
 
-  notify_irq : Prr.t -> int -> unit;
+  notify_irq : client_id:int -> Prr.t -> int -> unit;
   (** register an allocated PL IRQ source in the client's vGIC *)
 }
+
+val shared_space : env
+(** Clients sharing the manager's address space (the native
+    deployment): mapping always succeeds, and every callback does
+    nothing. *)
 
 type alloc_result = {
   status : Hyper.hw_status;
@@ -108,7 +115,8 @@ val saved_regs_offset : int
     fast with [Hw_denied]. *)
 type partition = Dynamic | Static
 
-val create : ?partition:partition -> Zynq.t -> t
+val create : ?partition:partition -> ?env:env -> Zynq.t -> t
+(** [env] defaults to {!shared_space}. *)
 
 val policy : t -> policy
 (** The live policy record (mutate fields to tune). *)
@@ -148,12 +156,18 @@ val task_ids : t -> Bitstream.id list
 val task_allocated : t -> Bitstream.id -> bool
 (** Whether any client currently holds the task on a PRR row. *)
 
-val request : t -> client -> task:Bitstream.id -> want_irq:bool -> alloc_result
-(** The Fig 7 allocation routine (fully charged). A failed
-    [map_iface] yields [Hw_fault] (the guest passed a bad interface
-    address — never a kernel crash); losing the PCAP race yields
-    [Hw_busy] with the allocation fully rolled back (row, interface
-    mapping, hwMMU window and IRQ all released). *)
+val request :
+  t -> client_id:int -> data_base:Addr.t -> data_len:int ->
+  iface_vaddr:Addr.t -> task:Bitstream.id -> want_irq:bool -> alloc_result
+(** The Fig 7 allocation routine (fully charged). [data_base] and
+    [data_len] are the physical window of the client's hardware-task
+    data section, [iface_vaddr] where it wants the register page; the
+    row keeps the window's base and [iface_vaddr], so a later reclaim
+    saves into this window and unmaps this page. A
+    failed [map_iface] yields [Hw_fault] (the guest passed a bad
+    interface address — never a kernel crash); losing the PCAP race
+    yields [Hw_busy] with the allocation fully rolled back (row,
+    interface mapping, hwMMU window and IRQ all released). *)
 
 val release : t -> client_id:int -> task:Bitstream.id ->
   (unit, string) result

@@ -158,7 +158,21 @@ type t = {
   mutable ring_max_batch : int;
   mutable asid_steals : int;
   mutable smp : smp_hooks option;
+  (* Doorbell drain scratch, reused by every drain on this kernel (one
+     per pCPU, never shared between domains): the batch's descriptor
+     words (7 per entry, fetch order), its execution order (indices
+     into the batch) and its completion words (4 per entry, execution
+     order). *)
+  drain_desc : int array;
+  drain_order : int array;
+  drain_cqe : int array;
 }
+
+(* Ring entry shapes in words: a descriptor is op, task, iface vaddr,
+   data vaddr, data length, flags, tag; a completion is tag, status,
+   PRR + 1, vIRQ + 1. *)
+let desc_words = Guest_layout.ring_desc_words
+let cqe_words = Guest_layout.ring_cqe_size / 4
 
 let ipc_doorbell_irq = 95
 let ring_virq = 94
@@ -282,9 +296,54 @@ let slot_pin arr slot make =
     arr.(slot) <- Some p;
     p
 
+(* The manager's view of the guests on this kernel: each callback finds
+   the client's PD by id (a row's holder is always alive here — kill
+   releases its rows before the PD is reaped, and only VMs with no
+   interface mapping migrate). *)
+let manager_env kmem pd_tbl =
+  { Hw_task_manager.map_iface =
+      (fun ~client_id ~task ~vaddr prr ->
+         match Hashtbl.find_opt pd_tbl client_id with
+         | None -> Error "iface: no such client"
+         | Some pd ->
+           (* Re-requesting a held task at a new vaddr moves its
+              window: drop the old page or it would leak, mapped but
+              unaccounted. *)
+           (match Pd.find_iface pd task with
+            | Some (_, old_va) when old_va <> vaddr ->
+              Kmem.unmap_iface kmem pd ~vaddr:old_va;
+              Pd.remove_iface pd task
+            | _ -> ());
+           match
+             Kmem.map_iface kmem pd ~prr_regs_base:prr.Prr.regs_base ~vaddr
+           with
+           | Ok () ->
+             Pd.add_iface pd task ~prr:prr.Prr.id ~vaddr;
+             Ok ()
+           | Error e -> Error e);
+    unmap_iface =
+      (fun ~client_id ~task ~vaddr _prr ->
+         match Hashtbl.find_opt pd_tbl client_id with
+         | Some pd when Pd.find_iface pd task <> None ->
+           Kmem.unmap_iface kmem pd ~vaddr;
+           Pd.remove_iface pd task
+         | Some _ | None -> ());
+    notify_irq =
+      (fun ~client_id _prr i ->
+         match Hashtbl.find_opt pd_tbl client_id with
+         | Some pd ->
+           let v = Irq_id.pl i in
+           Vgic.register pd.Pd.vgic v;
+           Vgic.enable pd.Pd.vgic v
+         | None -> ()) }
+
 let boot ?(config = default_config) z =
   let kmem = Kmem.create z in
-  let hwtm = Hw_task_manager.create ~partition:config.partition z in
+  let pd_tbl = Hashtbl.create 8 in
+  let hwtm =
+    Hw_task_manager.create ~partition:config.partition
+      ~env:(manager_env kmem pd_tbl) z
+  in
   let mgr_pd =
     Pd.make ~id:0 ~name:"hwtm" ~kind:Pd.Service ~priority:6 ~asid:mgr_asid
       ~pt:(Kmem.kernel_pt kmem) ~phys_base:0 ~quantum:config.quantum ()
@@ -298,7 +357,7 @@ let boot ?(config = default_config) z =
     { z; cfg = config; kmem;
       sched = Sched.create ();
       probe;
-      pd_tbl = Hashtbl.create 8;
+      pd_tbl;
       rts = Hashtbl.create 8;
       hwtm; mgr_pd;
       kf = make_kfast ();
@@ -315,7 +374,10 @@ let boot ?(config = default_config) z =
       ring_enqueued_total = 0; ring_completed_total = 0;
       ring_reclaimed_total = 0;
       ring_doorbells = 0; ring_empty_doorbells = 0; ring_virqs = 0;
-      ring_max_batch = 0; asid_steals = 0; smp = None }
+      ring_max_batch = 0; asid_steals = 0; smp = None;
+      drain_desc = Array.make (Guest_layout.ring_max_entries * desc_words) 0;
+      drain_order = Array.make Guest_layout.ring_max_entries 0;
+      drain_cqe = Array.make (Guest_layout.ring_max_entries * cqe_words) 0 }
   in
   Hashtbl.replace t.pd_tbl 0 mgr_pd;
   t
@@ -766,9 +828,9 @@ let for_each_page t (pd : Pd.t) vaddr len f =
   let rec loop va remaining =
     if remaining <= 0 then Ok ()
     else
-      match Kmem.guest_translate t.kmem pd va with
-      | None -> Error "address not mapped"
-      | Some pa ->
+      let pa = Kmem.guest_translate t.kmem pd va in
+      if pa < 0 then Error "address not mapped"
+      else
         let chunk = min remaining (Addr.page_size - Addr.page_offset va) in
         f pa chunk;
         loop (va + chunk) (remaining - chunk)
@@ -791,13 +853,49 @@ let kwrite_u32 t pa v =
   ignore (Hierarchy.access t.z.Zynq.hier Hierarchy.Store pa);
   Phys_mem.write_word t.z.Zynq.mem pa v
 
+(* Word runs of the same traffic: with the fast path on, one
+   [Hierarchy.access_words] charge per run (exact, see its contract);
+   off, the scalar loop. *)
+let kread_words t pa buf off n =
+  if Fastpath.enabled t.z.Zynq.fast then begin
+    ignore (Hierarchy.access_words t.z.Zynq.hier Hierarchy.Load pa n);
+    for k = 0 to n - 1 do
+      Array.unsafe_set buf (off + k)
+        (Phys_mem.read_word t.z.Zynq.mem (pa + (4 * k)))
+    done
+  end
+  else
+    for k = 0 to n - 1 do
+      buf.(off + k) <- kread_u32 t (pa + (4 * k))
+    done
+
+let kwrite_words t pa buf off n =
+  if Fastpath.enabled t.z.Zynq.fast then begin
+    ignore (Hierarchy.access_words t.z.Zynq.hier Hierarchy.Store pa n);
+    for k = 0 to n - 1 do
+      Phys_mem.write_word t.z.Zynq.mem (pa + (4 * k))
+        (Array.unsafe_get buf (off + k))
+    done
+  end
+  else
+    for k = 0 to n - 1 do
+      kwrite_u32 t (pa + (4 * k)) buf.(off + k)
+    done
+
 let u32_sub a b = (a - b) land 0xFFFFFFFF
 
+(* An interface page backs exactly one held task: aliasing two tasks
+   on one vaddr would leave the survivor's mapping dangling when either
+   is released or reclaimed. *)
+let rec iface_taken ~task ~vaddr = function
+  | [] -> false
+  | (t', _, va) :: rest ->
+    (va = vaddr && t' <> task) || iface_taken ~task ~vaddr rest
+
 (* The allocation-routine body shared by ABI v1 [Hw_task_request] and
-   ABI v2 request descriptors: validation, the manager-client closure
-   set, the Fig 7 allocation call. Runs in manager context; the caller
-   owns entry/exit and timing, so the v1 path is cycle-identical to
-   its pre-ring shape. *)
+   ABI v2 request descriptors: validation, the Fig 7 allocation call.
+   Runs in manager context; the caller owns entry/exit and timing, so
+   the v1 path is cycle-identical to its pre-ring shape. *)
 let exec_job t (pd : Pd.t) ~task ~iface_vaddr ~data_vaddr ~data_len
     ~want_irq =
   let resp =
@@ -805,58 +903,22 @@ let exec_job t (pd : Pd.t) ~task ~iface_vaddr ~data_vaddr ~data_len
       Hyper.R_error "data section too small"
     else if not (in_linear_guest_area data_vaddr data_len) then
       Hyper.R_error "data section must lie in the linear guest area"
-    else if
-      (* An interface page backs exactly one held task: aliasing two
-         tasks on one vaddr would leave the survivor's mapping dangling
-         when either is released or reclaimed. *)
-      List.exists
-        (fun (t', _, va) -> va = iface_vaddr && t' <> task)
-        pd.Pd.iface_mappings
-    then Hyper.R_error "interface vaddr already in use by another task"
+    else if iface_taken ~task ~vaddr:iface_vaddr pd.Pd.iface_mappings then
+      Hyper.R_error "interface vaddr already in use by another task"
     else
-      match Kmem.guest_translate t.kmem pd data_vaddr with
-      | None -> Hyper.R_error "data section not mapped"
-      | Some data_phys ->
+      let data_phys = Kmem.guest_translate t.kmem pd data_vaddr in
+      if data_phys < 0 then Hyper.R_error "data section not mapped"
+      else begin
         pd.Pd.data_section <- Some (data_vaddr, data_len, data_phys);
-        let client =
-          { Hw_task_manager.client_id = pd.Pd.id;
-            data_window = (data_phys, data_len);
-            map_iface =
-              (fun prr ->
-                 (* Re-requesting a held task at a new vaddr moves its
-                    window: drop the old page or it would leak, mapped
-                    but unaccounted. *)
-                 (match Pd.find_iface pd task with
-                  | Some (_, old_va) when old_va <> iface_vaddr ->
-                    Kmem.unmap_iface t.kmem pd ~vaddr:old_va;
-                    Pd.remove_iface pd task
-                  | _ -> ());
-                 match
-                   Kmem.map_iface t.kmem pd
-                     ~prr_regs_base:prr.Prr.regs_base ~vaddr:iface_vaddr
-                 with
-                 | Ok () ->
-                   Pd.add_iface pd task ~prr:prr.Prr.id ~vaddr:iface_vaddr;
-                   Ok ()
-                 | Error e -> Error e);
-            unmap_iface =
-              (fun _prr ->
-                 match Pd.find_iface pd task with
-                 | Some (_, va) ->
-                   Kmem.unmap_iface t.kmem pd ~vaddr:va;
-                   Pd.remove_iface pd task
-                 | None -> ());
-            notify_irq =
-              (fun _prr i ->
-                 let v = Irq_id.pl i in
-                 Vgic.register pd.Pd.vgic v;
-                 Vgic.enable pd.Pd.vgic v) }
+        let r =
+          Hw_task_manager.request t.hwtm ~client_id:pd.Pd.id
+            ~data_base:data_phys ~data_len ~iface_vaddr ~task ~want_irq
         in
-        let r = Hw_task_manager.request t.hwtm client ~task ~want_irq in
         Hyper.R_hw
           { status = r.Hw_task_manager.status;
             irq = Option.map Irq_id.pl r.Hw_task_manager.irq;
             prr = r.Hw_task_manager.prr }
+      end
   in
   if t.trace <> None then
     emit t ~severity:Ktrace.Debug ~category:"hwtm" ~name:"job"
@@ -945,6 +1007,10 @@ let hw_status_code = function
 
 let err_status_code = 5
 
+(* Admission key of batch entry [k]: the deadline in its flags word
+   above the want_irq bit. *)
+let deadline_key desc k = desc.((k * desc_words) + 5) lsr 1
+
 (* ABI v2 doorbell: drain every descriptor the guest has published,
    in order, through one manager entry/exit — the batched counterpart
    of [handle_hw_task_request]. Three phases: (A) in guest context,
@@ -993,31 +1059,38 @@ let handle_ring_doorbell t rt ~entry_start =
       end
       else begin
         let mask = r.r_entries - 1 in
-        let descs =
-          Array.init batch (fun k ->
-              let d =
-                r.r_sq_phys + Guest_layout.ring_hdr_size
-                + (((r.r_head + k) land mask) * Guest_layout.ring_desc_size)
-              in
-              Clock.advance clock Costs.ring_desc_validate;
-              (kread_u32 t d, kread_u32 t (d + 4), kread_u32 t (d + 8),
-               kread_u32 t (d + 12), kread_u32 t (d + 16),
-               kread_u32 t (d + 20), kread_u32 t (d + 24)))
-        in
+        let desc = t.drain_desc and order = t.drain_order in
+        let cqe = t.drain_cqe in
+        for k = 0 to batch - 1 do
+          let d =
+            r.r_sq_phys + Guest_layout.ring_hdr_size
+            + (((r.r_head + k) land mask) * Guest_layout.ring_desc_size)
+          in
+          Clock.advance clock Costs.ring_desc_validate;
+          kread_words t d desc (k * desc_words) desc_words;
+          order.(k) <- k
+        done;
         (* Deadline-ordered admission (opt-in): execute the batch by
            ascending deadline key (flags >> 1; bit 0 stays want_irq)
            instead of submission order. Safe to reorder between fetch
            and execute — CQEs carry the descriptor tag, so guests
-           match completions by tag, not slot. A stable sort keeps
-           equal-deadline descriptors in submission order. *)
+           match completions by tag, not slot. The insertion sort is
+           stable, so equal-deadline descriptors keep submission
+           order. *)
         (match t.cfg.ring_admission with
          | `Fifo -> ()
          | `Deadline ->
            Clock.advance clock (batch * Costs.ring_admission_sort);
-           Array.stable_sort
-             (fun (_, _, _, _, _, f1, _) (_, _, _, _, _, f2, _) ->
-                compare (f1 lsr 1) (f2 lsr 1))
-             descs);
+           for i = 1 to batch - 1 do
+             let x = order.(i) in
+             let kx = deadline_key desc x in
+             let j = ref (i - 1) in
+             while !j >= 0 && deadline_key desc order.(!j) > kx do
+               order.(!j + 1) <- order.(!j);
+               decr j
+             done;
+             order.(!j + 1) <- x
+           done);
         (* Phase B: one manager entry for the whole batch. *)
         let sp =
           Obs.open_span obs ~component:"ring_drain" ~key:pd.Pd.id
@@ -1025,42 +1098,48 @@ let handle_ring_doorbell t rt ~entry_start =
         in
         Kmem.activate_manager t.kmem ~asid:mgr_asid;
         Exec.run_pinned t.z ~priv:true t.kf.kf_mgr_entry;
-        let cqes =
-          Array.map
-            (fun (op, task, iface_vaddr, data_vaddr, data_len, flags, tag) ->
-               match op with
-               | 0 ->
-                 (match
-                    exec_job t pd ~task ~iface_vaddr ~data_vaddr ~data_len
-                      ~want_irq:(flags land 1 = 1)
-                  with
-                  | Hyper.R_hw { status; irq; prr } ->
-                    (tag, hw_status_code status,
-                     (match prr with Some p -> p + 1 | None -> 0),
-                     (match irq with Some i -> i + 1 | None -> 0))
-                  | _ -> (tag, err_status_code, 0, 0))
-               | 1 ->
-                 (match exec_release t pd ~task with
-                  | Ok () -> (tag, 0, 0, 0)
-                  | Error _ -> (tag, err_status_code, 0, 0))
-               | _ -> (tag, err_status_code, 0, 0))
-            descs
-        in
+        for k = 0 to batch - 1 do
+          let b = order.(k) * desc_words and c = k * cqe_words in
+          let task = desc.(b + 1) in
+          cqe.(c) <- desc.(b + 6);
+          cqe.(c + 1) <- err_status_code;
+          cqe.(c + 2) <- 0;
+          cqe.(c + 3) <- 0;
+          match desc.(b) with
+          | 0 ->
+            (match
+               exec_job t pd ~task ~iface_vaddr:desc.(b + 2)
+                 ~data_vaddr:desc.(b + 3) ~data_len:desc.(b + 4)
+                 ~want_irq:(desc.(b + 5) land 1 = 1)
+             with
+             | Hyper.R_hw { status; irq; prr } ->
+               cqe.(c + 1) <- hw_status_code status;
+               cqe.(c + 2) <- (match prr with Some p -> p + 1 | None -> 0);
+               cqe.(c + 3) <- (match irq with Some i -> i + 1 | None -> 0)
+             | _ -> ())
+          | 1 ->
+            (match exec_release t pd ~task with
+             | Ok () -> cqe.(c + 1) <- 0
+             | Error _ -> ())
+          | _ -> ()
+        done;
         (* Phase C: back to the guest; CQE stores + header write-back. *)
         mgr_exit t pd;
         Exec.run_pinned t.z ~priv:true t.kf.kf_ring_complete;
-        Array.iteri
-          (fun k (tag, status, prr1, irq1) ->
-             let c =
-               r.r_cq_phys + Guest_layout.ring_hdr_size
-               + (((r.r_head + k) land mask) * Guest_layout.ring_cqe_size)
-             in
-             Clock.advance clock Costs.ring_cqe_write;
-             kwrite_u32 t c tag;
-             kwrite_u32 t (c + 4) status;
-             kwrite_u32 t (c + 8) prr1;
-             kwrite_u32 t (c + 12) irq1)
-          cqes;
+        (* CQEs fill consecutive slots, so the batch is one word run up
+           to the ring's end and a second one from its start if it
+           wraps: the same word stores, in the same order, as CQE by
+           CQE. *)
+        Clock.advance clock (batch * Costs.ring_cqe_write);
+        let first = r.r_head land mask in
+        let upto_end = min batch (r.r_entries - first) in
+        let cq_slots = r.r_cq_phys + Guest_layout.ring_hdr_size in
+        kwrite_words t
+          (cq_slots + (first * Guest_layout.ring_cqe_size))
+          cqe 0 (upto_end * cqe_words);
+        if batch > upto_end then
+          kwrite_words t cq_slots cqe (upto_end * cqe_words)
+            ((batch - upto_end) * cqe_words);
         r.r_head <- (r.r_head + batch) land 0xFFFFFFFF;
         t.ring_completed_total <- t.ring_completed_total + batch;
         kwrite_u32 t (r.r_sq_phys + 4) r.r_head;

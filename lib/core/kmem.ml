@@ -241,10 +241,5 @@ let unmap_iface t (pd : Pd.t) ~vaddr =
   charge_pt_update t
 
 let guest_translate t (pd : Pd.t) vaddr =
-  let read a =
-    ignore (Hierarchy.access t.zynq.Zynq.hier Hierarchy.Load a);
-    Int32.of_int (Phys_mem.read_word t.zynq.Zynq.mem a)
-  in
-  match Page_table.walk ~read ~root:(Page_table.root pd.Pd.pt) ~virt:vaddr with
-  | Some (pa, _) -> Some pa
-  | None -> None
+  Page_table.walk_pa t.zynq.Zynq.hier t.zynq.Zynq.mem
+    ~root:(Page_table.root pd.Pd.pt) ~virt:vaddr

@@ -91,5 +91,6 @@ val map_iface : t -> Pd.t -> prr_regs_base:Addr.t -> vaddr:Addr.t ->
 val unmap_iface : t -> Pd.t -> vaddr:Addr.t -> unit
 (** Demap a reclaimed PRR interface (consistency path, §IV-C). *)
 
-val guest_translate : t -> Pd.t -> Addr.t -> Addr.t option
-(** Kernel-side walk of a guest virtual address (charged reads). *)
+val guest_translate : t -> Pd.t -> Addr.t -> Addr.t
+(** Kernel-side walk of a guest virtual address (charged reads): its
+    physical address, or [-1] when it is not mapped. *)

@@ -88,6 +88,23 @@ let walk ~read ~root ~virt =
          (base lor (virt land (Addr.page_size - 1)),
           { Pte.ap; domain; global }))
 
+let charged_load hier mem a =
+  ignore (Hierarchy.access hier Hierarchy.Load a);
+  Phys_mem.read_word mem a
+
+let walk_pa hier mem ~root ~virt =
+  let v = charged_load hier mem (root + (4 * (virt lsr Addr.section_shift))) in
+  match v land 0b11 with
+  | 0b00 -> -1
+  | 0b10 -> Pte.section_base v lor (virt land (Addr.section_size - 1))
+  | 0b01 ->
+    let w = charged_load hier mem (l2_slot (v land lnot 1023) virt) in
+    (match w land 0b11 with
+     | 0b00 -> -1
+     | 0b10 -> Pte.small_base w lor (virt land (Addr.page_size - 1))
+     | _ -> invalid_arg "Pte.decode_l2: reserved descriptor type")
+  | _ -> invalid_arg "Pte.decode_l1: reserved descriptor type"
+
 let l2_tables t = t.l2_count
 
 let footprint_bytes t =

@@ -45,6 +45,12 @@ val walk : read:(Addr.t -> int32) -> root:Addr.t -> virt:Addr.t ->
     physical address and attributes, or [None] on a translation fault.
     Static so the MMU can walk any TTBR value, mapped or hostile. *)
 
+val walk_pa : Hierarchy.t -> Phys_mem.t -> root:Addr.t -> virt:Addr.t -> Addr.t
+(** The physical address of {!walk}, with every descriptor read
+    charged as a data load on the hierarchy, and [-1] for a
+    translation fault: the same reads, charges and exceptions, without
+    allocating. *)
+
 val l2_tables : t -> int
 (** Number of second-level tables allocated (footprint metric). *)
 

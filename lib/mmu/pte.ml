@@ -67,6 +67,14 @@ let encode_l1 = function
        lor (a.domain lsl 5)
        lor 0b10)
 
+let section_base v =
+  ignore (ap_of_bits ((v lsr 10) land 0b11));
+  (v land 0xFFF0_0000) lor (((v lsr 12) land 0xF) lsl 32)
+
+let small_base v =
+  ignore (ap_of_bits ((v lsr 4) land 0b11));
+  (v land 0xFFFF_F000) lor (((v lsr 6) land 0xF) lsl 32)
+
 let decode_l1 w =
   let v = of_i32 w in
   match v land 0b11 with
@@ -74,7 +82,7 @@ let decode_l1 w =
   | 0b01 -> L1_table (v land lnot 1023, (v lsr 5) land 0xf)
   | 0b10 ->
     L1_section
-      ((v land 0xFFF0_0000) lor (((v lsr 12) land 0xF) lsl 32),
+      (section_base v,
        { ap = ap_of_bits ((v lsr 10) land 0b11);
          domain = (v lsr 5) land 0xf;
          global = (v lsr 17) land 1 = 1 })
@@ -99,7 +107,7 @@ let decode_l2 w =
   | 0b00 -> L2_fault
   | 0b10 ->
     L2_small
-      ((v land 0xFFFF_F000) lor (((v lsr 6) land 0xF) lsl 32),
+      (small_base v,
        ap_of_bits ((v lsr 4) land 0b11),
        (v lsr 11) land 1 = 1)
   | _ -> invalid_arg "Pte.decode_l2: reserved descriptor type"

@@ -35,6 +35,14 @@ val decode_l1 : int32 -> l1
 val encode_l2 : l2 -> int32
 val decode_l2 : int32 -> l2
 
+val section_base : int -> Addr.t
+(** Physical base of a section descriptor (the unsigned value of its
+    word, type bits [0b10]), with no allocation; raises on a reserved
+    AP encoding exactly as {!decode_l1} does. *)
+
+val small_base : int -> Addr.t
+(** The same for a small-page descriptor, as {!decode_l2} does. *)
+
 val attr_word : attrs -> int
 (** Pack attributes into the opaque int the TLB stores. *)
 

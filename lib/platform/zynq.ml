@@ -131,6 +131,98 @@ let vtranslate t access ~priv a =
 let vread_word t ~priv a = pread_word t (vtranslate t Mmu.Read ~priv a)
 let vwrite_word t ~priv a v = pwrite_word t (vtranslate t Mmu.Write ~priv a) v
 
+(* Word runs. With the fast path on, each page of the run is one full
+   [translate_page] for its first word; its other words replay the
+   micro-TLB hit that word installed (hit counter and TLB slot refresh
+   per word, as their own translations would), and one
+   [Hierarchy.access_words] charges the page's words. Translating the
+   page's words ahead of their cache charges is exact: a micro-TLB hit
+   touches no cache line and nothing else runs in between. A PL-window
+   page, an unaligned run, or a first translation that left no
+   micro-TLB entry takes the scalar loop instead; a fault on page k
+   leaves pages before k done, as the scalar loop would.
+
+   [page_words] translates [va] and returns its physical address when
+   the page's other [n - 1] translations were replayed, or [lnot] of
+   it when the caller must finish the page word by word. *)
+let page_words t access ~priv va n =
+  let fast = t.fast in
+  let mmu = t.mmu in
+  let asid = Mmu.asid mmu and ttbr = Mmu.ttbr mmu in
+  let dacr = Dacr.to_word (Mmu.dacr mmu) in
+  let pa =
+    translate_page t access ~priv ~asid ~ttbr ~dacr va lor Addr.page_offset va
+  in
+  let vpage = va lsr Addr.page_shift in
+  let e =
+    Array.unsafe_get fast.Fastpath.mtlb (vpage land Fastpath.mtlb_mask)
+  in
+  if
+    e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
+    && e.m_dacr = dacr && e.m_priv = priv
+    && e.m_epoch = Tlb.epoch t.tlb
+    && not (in_pl_window pa)
+  then begin
+    fast.Fastpath.mtlb_hits <- fast.Fastpath.mtlb_hits + (n - 1);
+    for _ = 2 to n do
+      Tlb.refresh t.tlb e.m_slot
+    done;
+    pa
+  end
+  else lnot pa
+
+let scalar_word t ~write ~priv a buf i =
+  if write then vwrite_word t ~priv a (Array.unsafe_get buf i)
+  else Array.unsafe_set buf i (vread_word t ~priv a)
+
+let run_words t access ~priv va buf off n =
+  let write = access = Mmu.Write in
+  if off < 0 || n < 0 || off + n > Array.length buf then
+    invalid_arg "Zynq: word run outside the buffer";
+  if not (Fastpath.enabled t.fast) || va land 3 <> 0 then
+    for k = 0 to n - 1 do
+      scalar_word t ~write ~priv (va + (4 * k)) buf (off + k)
+    done
+  else begin
+    let k = ref 0 in
+    while !k < n do
+      let a = va + (4 * !k) in
+      let m = min (n - !k) ((Addr.page_size - Addr.page_offset a) / 4) in
+      let pa = page_words t access ~priv a m in
+      let i = off + !k in
+      if pa >= 0 then begin
+        ignore
+          (Hierarchy.access_words t.hier
+             (if write then Hierarchy.Store else Hierarchy.Load) pa m);
+        if write then
+          for j = 0 to m - 1 do
+            Phys_mem.write_word t.mem (pa + (4 * j))
+              (Array.unsafe_get buf (i + j))
+          done
+        else
+          for j = 0 to m - 1 do
+            Array.unsafe_set buf (i + j)
+              (Phys_mem.read_word t.mem (pa + (4 * j)))
+          done
+      end
+      else begin
+        (* The page's first word is translated already. *)
+        let pa = lnot pa in
+        if write then pwrite_word t pa (Array.unsafe_get buf i)
+        else Array.unsafe_set buf i (pread_word t pa);
+        for j = 1 to m - 1 do
+          scalar_word t ~write ~priv (a + (4 * j)) buf (i + j)
+        done
+      end;
+      k := !k + m
+    done
+  end
+
+let vread_words t ~priv va buf off n = run_words t Mmu.Read ~priv va buf off n
+
+let vwrite_words t ~priv va buf off n =
+  run_words t Mmu.Write ~priv va buf off n
+
 let vread_u32 t ~priv a = Int32.of_int (vread_word t ~priv a)
 let vwrite_u32 t ~priv a v = vwrite_word t ~priv a (Int32.to_int v)
 

@@ -64,6 +64,21 @@ val vread_word : t -> priv:bool -> Addr.t -> int
 val vwrite_word : t -> priv:bool -> Addr.t -> int -> unit
 (** Store the low 32 bits of the value at [a]. *)
 
+val vread_words : t -> priv:bool -> Addr.t -> int array -> int -> int -> unit
+(** [vread_words t ~priv va buf off n] reads the [n] words at [va, va +
+    4, …] into [buf.(off) … buf.(off + n - 1)]: the same simulated
+    cycles, cache/TLB/micro-TLB statistics, faults and values as [n]
+    {!vread_word} calls in order. With the fast path on, each page of
+    the run translates once in full, its other words replay their
+    micro-TLB hits, and one {!Hierarchy.access_words} charges the
+    page; PL-window or unaligned words take the scalar path. A fault
+    raises {!Mmu.Fault} with the words before it done.
+    @raise Invalid_argument if the run does not fit [buf]. *)
+
+val vwrite_words : t -> priv:bool -> Addr.t -> int array -> int -> int -> unit
+(** The store counterpart of {!vread_words}: writes the low 32 bits of
+    [buf.(off) … buf.(off + n - 1)] to [va, va + 4, …]. *)
+
 val vread_u32 : t -> priv:bool -> Addr.t -> int32
 val vwrite_u32 : t -> priv:bool -> Addr.t -> int32 -> unit
 val vread_u8 : t -> priv:bool -> Addr.t -> int

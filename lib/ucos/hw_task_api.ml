@@ -31,14 +31,11 @@ let write_word os h i v =
 
 let read_reg os h i = Int32.of_int (read_word os h i)
 
-let default_iface task =
-  Guest_layout.page_region_base + ((64 + (task land 127)) * Addr.page_size)
-
 let acquire os ~task ?iface_vaddr ?data_vaddr
     ?(data_len = Guest_layout.default_data_section_len) ?(want_irq = false)
     ?(wait_ready = true) ?(max_tries = 100) ?(backoff = false) () =
   let port = Ucos.port os in
-  let iface_vaddr = Option.value iface_vaddr ~default:(default_iface task) in
+  let iface_vaddr = Option.value iface_vaddr ~default:(Guest_layout.task_iface_vaddr task) in
   let data_vaddr =
     Option.value data_vaddr ~default:Guest_layout.default_data_section
   in
@@ -167,28 +164,59 @@ let inconsistent os h =
   Zynq.vread_word z ~priv (h.data + Hw_task_manager.flag_offset) <> 0
 
 (* Sample movement between guest arrays and the data section. Samples
-   travel as their IEEE-754 single bit patterns through the word
-   accessors, so no float or int32 is boxed per sample. *)
+   travel as their IEEE-754 single bit patterns, staged through a
+   small int buffer and moved as word runs ({!Zynq.vwrite_words}), so
+   no float or int32 is boxed per sample and each page translates
+   once. *)
 
 let f32_bits x = Int32.to_int (Int32.bits_of_float x)
 let f32_of_bits w = Int32.float_of_bits (Int32.of_int w)
 
-let write_complex os h ~off re im =
+(* [n] words between the data section at [off] and the caller, moved
+   [stage_words] at a time (small enough to stay in the minor heap):
+   [fill buf k m] stages words [k .. k+m-1] before a store, [take buf k
+   m] consumes them after a load. *)
+let stage_words = 256
+
+let store_words os h ~off n fill =
   let z, priv = zp os in
-  let base = h.data + off in
-  for i = 0 to Array.length re - 1 do
-    Zynq.vwrite_word z ~priv (base + (8 * i)) (f32_bits re.(i));
-    Zynq.vwrite_word z ~priv (base + (8 * i) + 4) (f32_bits im.(i))
+  let buf = Array.make (min n stage_words) 0 in
+  let k = ref 0 in
+  while !k < n do
+    let m = min (n - !k) stage_words in
+    fill buf !k m;
+    Zynq.vwrite_words z ~priv (h.data + off + (4 * !k)) buf 0 m;
+    k := !k + m
   done
 
-let read_complex os h ~off n =
+let load_words os h ~off n take =
   let z, priv = zp os in
-  let base = h.data + off in
+  let buf = Array.make (min n stage_words) 0 in
+  let k = ref 0 in
+  while !k < n do
+    let m = min (n - !k) stage_words in
+    Zynq.vread_words z ~priv (h.data + off + (4 * !k)) buf 0 m;
+    take buf !k m;
+    k := !k + m
+  done
+
+(* Complex samples interleave: word [2i] is [re.(i)], [2i + 1] is
+   [im.(i)]. *)
+let write_complex os h ~off re im =
+  store_words os h ~off (2 * Array.length re) (fun buf k m ->
+      for j = 0 to m - 1 do
+        let w = k + j in
+        buf.(j) <- f32_bits (if w land 1 = 0 then re.(w lsr 1) else im.(w lsr 1))
+      done)
+
+let read_complex os h ~off n =
   let re = Array.make n 0.0 and im = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    re.(i) <- f32_of_bits (Zynq.vread_word z ~priv (base + (8 * i)));
-    im.(i) <- f32_of_bits (Zynq.vread_word z ~priv (base + (8 * i) + 4))
-  done;
+  load_words os h ~off (2 * n) (fun buf k m ->
+      for j = 0 to m - 1 do
+        let w = k + j in
+        if w land 1 = 0 then re.(w lsr 1) <- f32_of_bits buf.(j)
+        else im.(w lsr 1) <- f32_of_bits buf.(j)
+      done);
   (re, im)
 
 let write_bits os h ~off bits =
@@ -241,19 +269,17 @@ let run_qam_mod os h ~order ~bits =
   end
 
 let write_reals os h ~off xs =
-  let z, priv = zp os in
-  let base = h.data + off in
-  for i = 0 to Array.length xs - 1 do
-    Zynq.vwrite_word z ~priv (base + (4 * i)) (f32_bits xs.(i))
-  done
+  store_words os h ~off (Array.length xs) (fun buf k m ->
+      for j = 0 to m - 1 do
+        buf.(j) <- f32_bits xs.(k + j)
+      done)
 
 let read_reals os h ~off n =
-  let z, priv = zp os in
-  let base = h.data + off in
   let xs = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    xs.(i) <- f32_of_bits (Zynq.vread_word z ~priv (base + (4 * i)))
-  done;
+  load_words os h ~off n (fun buf k m ->
+      for j = 0 to m - 1 do
+        xs.(k + j) <- f32_of_bits buf.(j)
+      done);
   xs
 
 let fir_param response =

@@ -62,21 +62,25 @@ let create ?prr_capacities ?lat () =
   for d = 0 to 15 do
     Dacr.set (Mmu.dacr z.Zynq.mmu) d Dacr.Client
   done;
-  let hwtm = Hw_task_manager.create z in
+  (* One unified memory space: interface pages need no mapping; an
+     allocated PL interrupt is simply enabled at the GIC. *)
+  let hwtm =
+    Hw_task_manager.create z
+      ~env:
+        { Hw_task_manager.shared_space with
+          notify_irq =
+            (fun ~client_id:_ _ i -> Gic.enable z.Zynq.gic (Irq_id.pl i)) }
+  in
   let phys_base = Address_map.guest_phys_base 0 in
   let pause = make_pause z in
-  let hw_request ~task ~iface_vaddr:_ ~data_vaddr ~data_len ~want_irq =
+  let hw_request ~task ~iface_vaddr ~data_vaddr ~data_len ~want_irq =
     match linear_phys phys_base data_vaddr data_len with
     | None -> Hyper.R_error "data section out of range"
     | Some data_phys ->
-      let client =
-        { Hw_task_manager.client_id = 0;
-          data_window = (data_phys, data_len);
-          map_iface = (fun _ -> Ok ()); (* unified memory space *)
-          unmap_iface = (fun _ -> ());
-          notify_irq = (fun _ i -> Gic.enable z.Zynq.gic (Irq_id.pl i)) }
+      let r =
+        Hw_task_manager.request hwtm ~client_id:0 ~data_base:data_phys
+          ~data_len ~iface_vaddr ~task ~want_irq
       in
-      let r = Hw_task_manager.request hwtm client ~task ~want_irq in
       Hyper.R_hw
         { status = r.Hw_task_manager.status;
           irq = Option.map Irq_id.pl r.Hw_task_manager.irq;

@@ -3,6 +3,7 @@ type t = {
   cq : Addr.t;
   entries : int;
   mutable chead : int;
+  words : int array;
 }
 
 type cqe = {
@@ -38,7 +39,8 @@ let setup p ?(entries = Guest_layout.ring_max_entries) ?(cvirq_budget = 8) ()
   =
   match p.Port.ring_setup ~entries ~cvirq_budget with
   | Hyper.R_ring { sq_vaddr; cq_vaddr; entries } ->
-    Ok { sq = sq_vaddr; cq = cq_vaddr; entries; chead = 0 }
+    Ok { sq = sq_vaddr; cq = cq_vaddr; entries; chead = 0;
+         words = Array.make Guest_layout.ring_desc_words 0 }
   | Hyper.R_error e -> Error e
   | _ -> Error "ring: unexpected setup response"
 
@@ -46,8 +48,6 @@ let setup p ?(entries = Guest_layout.ring_max_entries) ?(cvirq_budget = 8) ()
    shadowed guest-side: the kernel moves its indices between our
    accesses (and the soak engine's host-side burst writer moves the
    guest tail), so cached copies would go stale. *)
-let sq_tail p r = rd p r.sq
-let sq_head p r = rd p (r.sq + 4)
 let cq_tail p r = rd p r.cq
 
 let completions_pending p r = (cq_tail p r - r.chead) land mask32
@@ -55,29 +55,31 @@ let completions_pending p r = (cq_tail p r - r.chead) land mask32
 let enqueue p r ~op ~task ?iface_vaddr ?data_vaddr
     ?(data_len = Guest_layout.default_data_section_len)
     ?(want_irq = false) ?(deadline = 0) ~tag () =
-  let tail = sq_tail p r in
-  if ((tail - sq_head p r) land mask32) >= r.entries then false
+  let w = r.words in
+  (* The SQ tail and head, as one two-word run. *)
+  Zynq.vread_words p.Port.zynq ~priv:p.Port.priv r.sq w 0 2;
+  let tail = w.(0) in
+  if ((tail - w.(1)) land mask32) >= r.entries then false
   else begin
-    let iface_vaddr =
-      match iface_vaddr with
-      | Some v -> v
-      | None ->
-        Guest_layout.page_region_base + ((64 + (task land 127)) * Addr.page_size)
-    in
-    let data_vaddr =
-      Option.value data_vaddr ~default:Guest_layout.default_data_section
-    in
     let slot = tail land (r.entries - 1) in
     let d =
       r.sq + Guest_layout.ring_hdr_size + (slot * Guest_layout.ring_desc_size)
     in
-    wr p d (match op with `Request -> 0 | `Release -> 1);
-    wr p (d + 4) task;
-    wr p (d + 8) iface_vaddr;
-    wr p (d + 12) data_vaddr;
-    wr p (d + 16) data_len;
-    wr p (d + 20) ((deadline lsl 1) lor (if want_irq then 1 else 0));
-    wr p (d + 24) tag;
+    w.(0) <- (match op with `Request -> 0 | `Release -> 1);
+    w.(1) <- task;
+    w.(2) <-
+      (match iface_vaddr with
+       | Some v -> v
+       | None -> Guest_layout.task_iface_vaddr task);
+    w.(3) <-
+      (match data_vaddr with
+       | Some v -> v
+       | None -> Guest_layout.default_data_section);
+    w.(4) <- data_len;
+    w.(5) <- (deadline lsl 1) lor (if want_irq then 1 else 0);
+    w.(6) <- tag;
+    Zynq.vwrite_words p.Port.zynq ~priv:p.Port.priv d w 0
+      Guest_layout.ring_desc_words;
     (* Publish: the tail store is the guest's half of the protocol. *)
     wr p r.sq ((tail + 1) land mask32);
     true
@@ -97,10 +99,10 @@ let poll p r =
     let c =
       r.cq + Guest_layout.ring_hdr_size + (slot * Guest_layout.ring_cqe_size)
     in
-    let tag = rd p c in
-    let status = rd p (c + 4) in
-    let prr1 = rd p (c + 8) in
-    let irq1 = rd p (c + 12) in
+    let w = r.words in
+    Zynq.vread_words p.Port.zynq ~priv:p.Port.priv c w 0
+      (Guest_layout.ring_cqe_size / 4);
+    let tag = w.(0) and status = w.(1) and prr1 = w.(2) and irq1 = w.(3) in
     r.chead <- (r.chead + 1) land mask32;
     (* Consumption notice: frees the CQE slot for the kernel. *)
     wr p (r.cq + 4) r.chead;

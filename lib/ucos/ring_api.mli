@@ -15,6 +15,9 @@ type t = {
   cq : Addr.t;             (** completion page *)
   entries : int;           (** ring depth granted by the kernel *)
   mutable chead : int;     (** completion consumption index *)
+  words : int array;
+  (** staging for one descriptor or completion entry, so the guest
+      moves each as one word run ({!Zynq.vwrite_words}) *)
 }
 
 type cqe = {

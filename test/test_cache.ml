@@ -219,6 +219,63 @@ let test_hierarchy_uncached () =
   check cb "device access has a cost" true (c > 0);
   check ci "clock moved" c (Clock.now clock)
 
+(* [access_words] against the scalar loop it stands for: runs of 1..40
+   words (loads, stores and fetches, aligned or not, across line
+   boundaries, onto cold or conflicting lines) applied to two
+   hierarchies, one per side, must leave the same clock, counters,
+   valid/dirty line counts and epochs at every level, and a follow-up
+   access must cost the same. Small caches force evictions. *)
+let words_geometry =
+  ( { Cache.name = "L1I"; size_bytes = 512; ways = 2; line_size = 32 },
+    { Cache.name = "L1D"; size_bytes = 1024; ways = 2; line_size = 32 },
+    { Cache.name = "L2"; size_bytes = 4096; ways = 4; line_size = 32 } )
+
+let hier_state h clock =
+  let level c =
+    [ Cache.hits c; Cache.misses c; Cache.valid_lines c; Cache.dirty_lines c;
+      Cache.epoch c ]
+  in
+  Clock.now clock
+  :: List.concat_map level [ Hierarchy.l1i h; Hierarchy.l1d h; Hierarchy.l2 h ]
+
+let prop_access_words_is_scalar =
+  let kind_of = function
+    | 0 -> Hierarchy.Load
+    | 1 -> Hierarchy.Store
+    | _ -> Hierarchy.Ifetch
+  in
+  let op =
+    QCheck2.Gen.(
+      quad (int_bound 2) (int_bound 0x3FFF) (int_range 1 40) (int_bound 3))
+  in
+  QCheck2.Test.make ~name:"access_words equals n scalar accesses" ~count:200
+    ~print:QCheck2.Print.(list (quad int int int int))
+    QCheck2.Gen.(list_size (int_range 1 30) op)
+    (fun ops ->
+       let l1i, l1d, l2 = words_geometry in
+       let make () =
+         let clock = Clock.create () in
+         (Hierarchy.create_custom ~l1i ~l1d ~l2 clock, clock)
+       in
+       let hw, cw = make () and hs, cs = make () in
+       List.for_all
+         (fun (k, off, n, skew) ->
+            let kind = kind_of k in
+            (* One run in four starts off word alignment. *)
+            let a = 0x10000 + (off land lnot 3) + (if skew = 0 then 1 else 0) in
+            let cost = Hierarchy.access_words hw kind a n in
+            let scalar = ref 0 in
+            for j = 0 to n - 1 do
+              scalar := !scalar + Hierarchy.access hs kind (a + (4 * j))
+            done;
+            let next = 0x10000 + ((off * 7) land 0x3FFC) in
+            cost = !scalar
+            && hier_state hw cw = hier_state hs cs
+            && Hierarchy.access hw Hierarchy.Load next
+               = Hierarchy.access hs Hierarchy.Load next
+            && hier_state hw cw = hier_state hs cs)
+         ops)
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "cachesim",
@@ -240,4 +297,5 @@ let suite =
       t "hierarchy latency ordering" test_hierarchy_latency_ordering;
       t "hierarchy l2 hit" test_hierarchy_l2_hit;
       t "hierarchy maintenance" test_hierarchy_maintenance;
-      t "hierarchy uncached" test_hierarchy_uncached ] )
+      t "hierarchy uncached" test_hierarchy_uncached;
+      QCheck_alcotest.to_alcotest prop_access_words_is_scalar ] )

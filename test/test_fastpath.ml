@@ -7,10 +7,12 @@
    TLB, under any interleaving of footprint runs, single-word data
    accesses, cache maintenance, TLB flushes, ASID/DACR/privilege
    changes and page-table edits. This test drives a randomized op
-   sequence through two fresh boards — one with [Fastpath] enabled,
-   one disabled — and compares the full fingerprint after every op:
-   the counters, every op's fault outcome and the values it read, and
-   an uncharged read-back of every word the ops touched. *)
+   sequence through three fresh boards — [Fastpath] enabled, disabled,
+   and enabled with word runs issued as the scalar loop they stand
+   for — and compares the full fingerprint after every op: the
+   counters, every op's fault outcome and the values it read, and an
+   uncharged read-back of every word the ops touched. The two enabled
+   boards must also agree on the micro-TLB counters. *)
 
 let check = Alcotest.check
 
@@ -22,6 +24,10 @@ type op =
   | Word of int * int * int * int
       (* access (0 read / 1 write word, 2 read / 3 write byte, 4 read /
          5 write f32), target (0 data, 1.. scratch page), offset, value *)
+  | Words of int * int * int * int
+      (* a word run ({!Zynq.vread_words} / {!Zynq.vwrite_words}): 0 read
+         / 1 write, target (0 data, 1.. scratch page, last: the PL
+         interface page), offset, word count 1..40 *)
   | Set_asid of int
   | Set_dacr of int * int      (* domain, 0 no access / 1 client / 2 manager *)
   | Set_priv of bool
@@ -50,6 +56,12 @@ let scratch_page i = scratch_base + (i * Addr.page_size)
    different physical base. *)
 let scratch_frames = 4
 let scratch_frame i = scratch_base + 0x10_0000 + (i * Addr.page_size)
+
+(* A page mapped onto PRR 0's register group, so a run can land on
+   the PL window (uncached, scalar path). Only the group's
+   [Prr.Reg.count] words decode. *)
+let pl_page = scratch_base + 0x8000
+let pl_target = scratch_pages + 1
 
 (* A small pool of footprints, referenced by index so the same value
    recurs (that is what compiles and then replays the programs).
@@ -100,9 +112,21 @@ let phys_aliases va =
     w :: List.init scratch_frames (fun p -> scratch_frame p + Addr.page_offset w)
   else [ w ]
 
+(* Runs on scratch page 3 that cross the page end run into the
+   never-mapped page above it. *)
+let words_run target off n =
+  if target = pl_target then
+    let r = off land (Prr.Reg.count - 1) in
+    (pl_page + (4 * r), min n (Prr.Reg.count - r))
+  else if target = 0 then (data_base + (off land 0x3FFC), n)
+  else (scratch_page (target - 1) + (off land 0xFFC), n)
+
 let gen_op =
   QCheck.Gen.(frequency
     [ 8, map (fun i -> Run i) (int_bound (Array.length pool - 1));
+      4, map3 (fun (k, t) off n -> Words (k, t, off, n))
+           (pair (int_bound 1) (int_bound pl_target))
+           (int_bound 0x3FFF) (int_range 1 40);
       2, map3 (fun k off len -> Touch (k, off * 4, 4 + (len * 4)))
            (int_bound 2) (int_bound 0x1000) (int_bound 127);
       6, map3 (fun (k, t) off v -> Word (k, t, off, v))
@@ -128,6 +152,7 @@ let show_op = function
   | Run i -> Printf.sprintf "Run %d" i
   | Touch (k, o, l) -> Printf.sprintf "Touch (%d, 0x%x, %d)" k o l
   | Word (k, t, o, v) -> Printf.sprintf "Word (%d, %d, 0x%x, 0x%x)" k t o v
+  | Words (k, t, o, n) -> Printf.sprintf "Words (%d, %d, 0x%x, %d)" k t o n
   | Set_asid a -> Printf.sprintf "Set_asid %d" a
   | Set_dacr (d, a) -> Printf.sprintf "Set_dacr (%d, %d)" d a
   | Set_priv p -> Printf.sprintf "Set_priv %b" p
@@ -149,16 +174,20 @@ let arb_ops =
 type board = {
   z : Zynq.t;
   km : Kmem.t;
+  scalar_words : bool;  (* word runs as the loop of single-word calls *)
   mutable priv : bool;
   mutable outcomes : int;  (* digest of every op's fault outcome and reads *)
   mutable touched : Addr.t list;  (* word addresses the ops accessed *)
 }
 
-let make_board ~fast =
+let make_board ?(scalar_words = false) ~fast () =
   let z = Zynq.create () in
   let km = Kmem.create z in
   Fastpath.set_enabled z.Zynq.fast fast;
-  { z; km; priv = true; outcomes = 0; touched = [] }
+  Page_table.map_page (Kmem.kernel_pt km) ~virt:pl_page
+    ~phys:Address_map.prr_regs_base ~domain:Kmem.dom_kernel ~ap:Pte.Ap_priv
+    ~global:true;
+  { z; km; scalar_words; priv = true; outcomes = 0; touched = [] }
 
 let note b x = b.outcomes <- ((b.outcomes * 31) + x) land max_int
 
@@ -182,6 +211,29 @@ let word_op b k a v =
   | 4 -> Int32.to_int (Int32.bits_of_float (Zynq.vread_f32 z ~priv a))
   | _ -> Zynq.vwrite_f32 z ~priv a (Int32.float_of_bits (Int32.of_int v)); 0
 
+(* A word run; its write values derive from the offset, and every
+   value read (also those before a fault) joins the digest. *)
+let words_op b k target off n =
+  let z = b.z and priv = b.priv in
+  let a, n = words_run target off n in
+  if target <> pl_target then
+    for j = 0 to n - 1 do
+      b.touched <- (a + (4 * j)) :: b.touched
+    done;
+  let buf =
+    Array.init n (fun j -> if k = 1 then (off * 0x9E37 + j) land 0xFFFF_FFFF else 0)
+  in
+  guarded b (fun () ->
+      (if b.scalar_words then
+         for j = 0 to n - 1 do
+           if k = 1 then Zynq.vwrite_word z ~priv (a + (4 * j)) buf.(j)
+           else buf.(j) <- Zynq.vread_word z ~priv (a + (4 * j))
+         done
+       else if k = 1 then Zynq.vwrite_words z ~priv a buf 0 n
+       else Zynq.vread_words z ~priv a buf 0 n);
+      0);
+  Array.iter (note b) buf
+
 let apply b op =
   let z = b.z in
   match op with
@@ -204,6 +256,7 @@ let apply b op =
     let a = word_addr k target off in
     b.touched <- a :: b.touched;
     guarded b (fun () -> word_op b k a v)
+  | Words (k, target, off, n) -> words_op b k target off n
   | Set_asid a -> Mmu.set_asid z.Zynq.mmu a
   | Set_dacr (d, a) -> Dacr.set (Mmu.dacr z.Zynq.mmu) d (dacr_of a)
   | Set_priv p -> b.priv <- p
@@ -254,26 +307,37 @@ let readback b =
 let fingerprint b =
   let z = b.z in
   let h = z.Zynq.hier in
-  [ Clock.now z.Zynq.clock;
-    Cache.hits (Hierarchy.l1i h); Cache.misses (Hierarchy.l1i h);
-    Cache.hits (Hierarchy.l1d h); Cache.misses (Hierarchy.l1d h);
-    Cache.hits (Hierarchy.l2 h); Cache.misses (Hierarchy.l2 h);
-    Tlb.hits z.Zynq.tlb; Tlb.misses z.Zynq.tlb;
-    b.outcomes; readback b ]
+  let level c =
+    [ Cache.hits c; Cache.misses c; Cache.valid_lines c; Cache.dirty_lines c ]
+  in
+  (Clock.now z.Zynq.clock
+   :: List.concat_map level [ Hierarchy.l1i h; Hierarchy.l1d h; Hierarchy.l2 h ])
+  @ [ Tlb.hits z.Zynq.tlb; Tlb.misses z.Zynq.tlb; b.outcomes; readback b ]
+
+(* Two fast-path boards also share their micro-TLB counters. *)
+let fast_fingerprint b =
+  let hits, misses, _, _ = Fastpath.stats b.z.Zynq.fast in
+  fingerprint b @ [ hits; misses ]
 
 let prop_equivalent ops =
-  let bf = make_board ~fast:true in
-  let br = make_board ~fast:false in
+  let bf = make_board ~fast:true () in
+  let br = make_board ~fast:false () in
+  let bs = make_board ~scalar_words:true ~fast:true () in
+  let same what i op f r =
+    if f <> r then
+      QCheck.Test.fail_reportf "diverged after op %d (%s):@ %s@ %s@ %s" i
+        (show_op op) what
+        (String.concat "," (List.map string_of_int f))
+        (String.concat "," (List.map string_of_int r))
+  in
   List.iteri
     (fun i op ->
        apply bf op;
        apply br op;
-       let f = fingerprint bf and r = fingerprint br in
-       if f <> r then
-         QCheck.Test.fail_reportf
-           "diverged after op %d (%s):@ fast %s@ ref  %s" i (show_op op)
-           (String.concat "," (List.map string_of_int f))
-           (String.concat "," (List.map string_of_int r)))
+       apply bs op;
+       same "fast vs reference" i op (fingerprint bf) (fingerprint br);
+       same "word runs vs scalar loop" i op (fast_fingerprint bf)
+         (fast_fingerprint bs))
     ops;
   true
 
@@ -285,7 +349,7 @@ let test_equivalence =
 (* Determinized sanity check that the fast board actually takes the
    shortcuts (otherwise the property above would pass vacuously). *)
 let test_shortcuts_taken () =
-  let b = make_board ~fast:true in
+  let b = make_board ~fast:true () in
   let z = b.z in
   for _ = 1 to 50 do
     ignore (Exec.run z ~priv:true pool.(2))
@@ -327,8 +391,8 @@ let check_same_fingerprints ~fast:bf ~reference:br ops =
    old frame's lines; it has to fall through to the self-verifying
    tiers and walk the new lines cold, exactly like the reference. *)
 let test_remap_invalidates_replay () =
-  check_same_fingerprints ~fast:(make_board ~fast:true)
-    ~reference:(make_board ~fast:false)
+  check_same_fingerprints ~fast:(make_board ~fast:true ())
+    ~reference:(make_board ~fast:false ())
     [ Pt_toggle (0, false); Pt_toggle (1, false) (* map scratch pages *);
       Run 6; Run 6 (* compile, then warm-replay the program *);
       Pt_remap (0, 2, true) (* move the frame; flush only the TLB page *);
@@ -338,7 +402,7 @@ let test_remap_invalidates_replay () =
    the micro-TLB; after the page moves to another frame (TLB page
    flushed) the next read must come from the new frame. *)
 let test_remap_redirects_words () =
-  let bf = make_board ~fast:true and br = make_board ~fast:false in
+  let bf = make_board ~fast:true () and br = make_board ~fast:false () in
   let va = scratch_page 0 + 0x40 in
   List.iter
     (fun b ->
@@ -366,7 +430,7 @@ let test_remap_redirects_words () =
 
 (* The warm replay must charge exactly the modelled warm cost. *)
 let test_replay_cycles_exact () =
-  let z = (make_board ~fast:true).z in
+  let z = (make_board ~fast:true ()).z in
   let fp = pool.(2) in
   ignore (Exec.run z ~priv:true fp);
   let w1 = Exec.run z ~priv:true fp in

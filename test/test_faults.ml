@@ -80,18 +80,22 @@ let test_pcap_latency_formula () =
 (* ------------------------------------------------------------------ *)
 (* Manager-level recovery (no kernel in the loop)                     *)
 
-let setup ?prr_capacities ?fault_rate ?fault_seed () =
+let setup ?prr_capacities ?fault_rate ?fault_seed ?env () =
   let z = Zynq.create ?prr_capacities ?fault_rate ?fault_seed () in
   ignore (Kmem.create z);
-  let hwtm = Hw_task_manager.create z in
+  let hwtm = Hw_task_manager.create ?env z in
   (z, hwtm)
 
+(* A test client: its id and the data window it requests with. *)
+type client = { id : int; window : Addr.t * int }
+
+let request hwtm c ~task ~want_irq =
+  let data_base, data_len = c.window in
+  Hw_task_manager.request hwtm ~client_id:c.id ~data_base ~data_len
+    ~iface_vaddr:0 ~task ~want_irq
+
 let plain_client ?(id = 7) () =
-  { Hw_task_manager.client_id = id;
-    data_window = (Address_map.guest_phys_base 0, 65536);
-    map_iface = (fun _ -> Ok ());
-    unmap_iface = (fun _ -> ());
-    notify_irq = (fun _ _ -> ()) }
+  { id; window = (Address_map.guest_phys_base 0, 65536) }
 
 let settle ?(ms = 30.0) z =
   ignore
@@ -104,7 +108,7 @@ let test_download_retry_then_quarantine () =
   let z, hwtm = setup ~prr_capacities:[ 200 ] ~fault_rate:1.0 () in
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   let cl = plain_client ~id:3 () in
-  let r = Hw_task_manager.request hwtm cl ~task:qam ~want_irq:false in
+  let r = request hwtm cl ~task:qam ~want_irq:false in
   check cb "reconfig launched" true
     (r.Hw_task_manager.status = Hyper.Hw_reconfig);
   settle z;
@@ -124,7 +128,7 @@ let test_download_retry_then_quarantine () =
       Hw_task_manager.prr_client hwtm 0 = None
       && not (Pcap.busy z.Zynq.pcap)
     then
-      ignore (Hw_task_manager.request hwtm cl ~task:qam ~want_irq:false);
+      ignore (request hwtm cl ~task:qam ~want_irq:false);
     List.iter
       (fun a ->
          match a with
@@ -145,7 +149,7 @@ let test_download_retry_then_quarantine () =
   check (Alcotest.option ci) "row unclaimed" None
     (Hw_task_manager.prr_client hwtm 0);
   (* While quarantined, the only suitable region is out of rotation. *)
-  let r2 = Hw_task_manager.request hwtm cl ~task:qam ~want_irq:false in
+  let r2 = request hwtm cl ~task:qam ~want_irq:false in
   check cb "quarantined region not allocatable" true
     (r2.Hw_task_manager.status = Hyper.Hw_busy);
   (* Heal the fabric, wait out the penalty: service resumes. *)
@@ -157,7 +161,7 @@ let test_download_retry_then_quarantine () =
       (Hw_task_manager.health_scan hwtm)
   in
   check cb "quarantine expires" true unq;
-  let r3 = Hw_task_manager.request hwtm cl ~task:qam ~want_irq:false in
+  let r3 = request hwtm cl ~task:qam ~want_irq:false in
   check cb "region back in rotation" true
     (r3.Hw_task_manager.status = Hyper.Hw_reconfig);
   settle z;
@@ -170,7 +174,7 @@ let test_retry_recovers_transient_failure () =
   let z, hwtm = setup ~prr_capacities:[ 200 ] ~fault_rate:1.0 () in
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   let cl = plain_client ~id:4 () in
-  ignore (Hw_task_manager.request hwtm cl ~task:qam ~want_irq:false);
+  ignore (request hwtm cl ~task:qam ~want_irq:false);
   settle z;
   Fault_plane.arm z.Zynq.faults ~seed:0 ~rate:0.0;
   let saw_retry = ref false and saw_recovered = ref false in
@@ -196,8 +200,7 @@ let test_hung_ip_force_reset () =
   let z, hwtm = setup ~prr_capacities:[ 200 ] () in
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   ignore
-    (Hw_task_manager.request hwtm (plain_client ~id:5 ()) ~task:qam
-       ~want_irq:false);
+    (request hwtm (plain_client ~id:5 ()) ~task:qam ~want_irq:false);
   settle z;
   let prr = Prr_controller.prr z.Zynq.prrc 0 in
   check cb "ready" true (prr.Prr.state = Prr.Ready);
@@ -225,32 +228,40 @@ let test_hung_ip_force_reset () =
    channel is idle when the manager checks it but a handler run inside
    map_iface slips a download in before the manager's own launch. *)
 let test_busy_race_rolled_back () =
-  let z, hwtm = setup ~prr_capacities:[ 200; 200 ] () in
-  let _q4 = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
-  let q16 = Hw_task_manager.register_task hwtm (Task_kind.Qam 16) in
   let unmapped = ref 0 in
   let sneak =
     Bitstream.make ~id:99 ~kind:(Task_kind.Qam 4)
       ~store_addr:Address_map.bitstream_store_base
   in
+  let z = Zynq.create ~prr_capacities:[ 200; 200 ] () in
+  ignore (Kmem.create z);
+  let hwtm =
+    Hw_task_manager.create z
+      ~env:
+        { Hw_task_manager.shared_space with
+          map_iface =
+            (let sneaked = ref false in
+             fun ~client_id ~task:_ ~vaddr:_ _ ->
+               (* Client 2's first call only: grab the channel behind
+                  the manager's back, as a completion handler could. *)
+               if client_id = 2 && not !sneaked then begin
+                 sneaked := true;
+                 ignore
+                   (Pcap.launch z.Zynq.pcap sneak
+                      (Prr_controller.prr z.Zynq.prrc 1))
+               end;
+               Ok ());
+          unmap_iface =
+            (fun ~client_id ~task:_ ~vaddr:_ _ ->
+               if client_id = 2 then incr unmapped) }
+  in
+  let _q4 = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
+  let q16 = Hw_task_manager.register_task hwtm (Task_kind.Qam 16) in
   let c2 =
     { (plain_client ~id:2 ()) with
-      Hw_task_manager.data_window = (Address_map.guest_phys_base 1, 4096);
-      map_iface =
-        (let sneaked = ref false in
-         fun _ ->
-           (* First call only: grab the channel behind the manager's
-              back, as a completion handler could. *)
-           if not !sneaked then begin
-             sneaked := true;
-             ignore
-               (Pcap.launch z.Zynq.pcap sneak
-                  (Prr_controller.prr z.Zynq.prrc 1))
-           end;
-           Ok ());
-      unmap_iface = (fun _ -> incr unmapped) }
+      window = (Address_map.guest_phys_base 1, 4096) }
   in
-  let r = Hw_task_manager.request hwtm c2 ~task:q16 ~want_irq:true in
+  let r = request hwtm c2 ~task:q16 ~want_irq:true in
   check cb "reported busy" true (r.Hw_task_manager.status = Hyper.Hw_busy);
   (* Nothing half-claimed: row, hwMMU window, IRQ and mapping undone. *)
   let prr0 = Prr_controller.prr z.Zynq.prrc 0 in
@@ -261,7 +272,7 @@ let test_busy_race_rolled_back () =
   check ci "interface demapped" 1 !unmapped;
   (* Once the channel clears, the same request goes through. *)
   settle z;
-  let r2 = Hw_task_manager.request hwtm c2 ~task:q16 ~want_irq:true in
+  let r2 = request hwtm c2 ~task:q16 ~want_irq:true in
   check cb "retry succeeds" true
     (r2.Hw_task_manager.status = Hyper.Hw_reconfig);
   settle z;
@@ -270,18 +281,23 @@ let test_busy_race_rolled_back () =
 
 (* Satellite: a bad interface address fails recoverably. *)
 let test_map_iface_failure_is_recoverable () =
-  let z, hwtm = setup ~prr_capacities:[ 200 ] () in
-  let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
-  let bad =
-    { (plain_client ~id:1 ()) with
-      Hw_task_manager.map_iface = (fun _ -> Error "vaddr not page aligned") }
+  let z, hwtm =
+    setup ~prr_capacities:[ 200 ]
+      ~env:
+        { Hw_task_manager.shared_space with
+          map_iface =
+            (fun ~client_id ~task:_ ~vaddr:_ _ ->
+               if client_id = 1 then Error "vaddr not page aligned" else Ok ()) }
+      ()
   in
-  let r = Hw_task_manager.request hwtm bad ~task:qam ~want_irq:false in
+  let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
+  let bad = plain_client ~id:1 () in
+  let r = request hwtm bad ~task:qam ~want_irq:false in
   check cb "fault, not crash" true (r.Hw_task_manager.status = Hyper.Hw_fault);
   check (Alcotest.option ci) "row unclaimed" None
     (Hw_task_manager.prr_client hwtm 0);
   let r2 =
-    Hw_task_manager.request hwtm (plain_client ~id:2 ()) ~task:qam
+    request hwtm (plain_client ~id:2 ()) ~task:qam
       ~want_irq:false
   in
   check cb "next client unaffected" true

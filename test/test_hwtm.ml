@@ -5,20 +5,24 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let setup ?prr_capacities ?partition () =
+let setup ?prr_capacities ?partition ?env () =
   let z = Zynq.create ?prr_capacities () in
   (* The manager's footprints run in a kernel-mapped address space. *)
   ignore (Kmem.create z);
-  let hwtm = Hw_task_manager.create ?partition z in
+  let hwtm = Hw_task_manager.create ?partition ?env z in
   (z, hwtm)
+
+(* A test client: its id and the data window it requests with. *)
+type client = { id : int; window : Addr.t * int }
+
+let request hwtm c ~task ~want_irq =
+  let data_base, data_len = c.window in
+  Hw_task_manager.request hwtm ~client_id:c.id ~data_base ~data_len
+    ~iface_vaddr:0 ~task ~want_irq
 
 let plain_client ?(id = 7) z =
   ignore z;
-  { Hw_task_manager.client_id = id;
-    data_window = (Address_map.guest_phys_base 0, 65536);
-    map_iface = (fun _ -> Ok ());
-    unmap_iface = (fun _ -> ());
-    notify_irq = (fun _ _ -> ()) }
+  { id; window = (Address_map.guest_phys_base 0, 65536) }
 
 let settle z = ignore (Event_queue.advance_until z.Zynq.queue
                          (Clock.now z.Zynq.clock + Cycles.of_ms 30.0))
@@ -42,14 +46,14 @@ let test_capacity_gate () =
 
 let test_request_unknown_task () =
   let z, hwtm = setup () in
-  let r = Hw_task_manager.request hwtm (plain_client z) ~task:42 ~want_irq:false in
+  let r = request hwtm (plain_client z) ~task:42 ~want_irq:false in
   check cb "bad task" true (r.Hw_task_manager.status = Hyper.Hw_bad_task)
 
 let test_first_request_reconfigures () =
   let z, hwtm = setup () in
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   let r =
-    Hw_task_manager.request hwtm (plain_client z) ~task:qam ~want_irq:false
+    request hwtm (plain_client z) ~task:qam ~want_irq:false
   in
   check cb "reconfig launched" true (r.Hw_task_manager.status = Hyper.Hw_reconfig);
   check ci "one reconfig" 1 (Hw_task_manager.reconfigs hwtm);
@@ -63,13 +67,13 @@ let test_prefers_already_loaded_prr () =
   let z, hwtm = setup () in
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   let c1 = plain_client ~id:1 z in
-  let r1 = Hw_task_manager.request hwtm c1 ~task:qam ~want_irq:false in
+  let r1 = request hwtm c1 ~task:qam ~want_irq:false in
   settle z;
   ignore (Hw_task_manager.release hwtm ~client_id:1 ~task:qam);
   (* The next client asking for the same task must get the PRR that
      already holds the bitstream — no second download. *)
   let c2 = plain_client ~id:2 z in
-  let r2 = Hw_task_manager.request hwtm c2 ~task:qam ~want_irq:false in
+  let r2 = request hwtm c2 ~task:qam ~want_irq:false in
   check cb "second allocation instant" true
     (r2.Hw_task_manager.status = Hyper.Hw_success);
   check cb "same PRR reused" true (r1.Hw_task_manager.prr = r2.Hw_task_manager.prr);
@@ -80,11 +84,11 @@ let test_busy_when_pcap_occupied () =
   let q4 = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   let q16 = Hw_task_manager.register_task hwtm (Task_kind.Qam 16) in
   ignore
-    (Hw_task_manager.request hwtm (plain_client ~id:1 z) ~task:q4
+    (request hwtm (plain_client ~id:1 z) ~task:q4
        ~want_irq:false);
   (* The second task needs a download too, but the channel is busy. *)
   let r =
-    Hw_task_manager.request hwtm (plain_client ~id:2 z) ~task:q16
+    request hwtm (plain_client ~id:2 z) ~task:q16
       ~want_irq:false
   in
   check cb "busy while PCAP occupied" true
@@ -96,30 +100,34 @@ let test_busy_when_all_prrs_claimed () =
   let q16 = Hw_task_manager.register_task hwtm (Task_kind.Qam 16) in
   let prr = Prr_controller.prr z.Zynq.prrc 0 in
   ignore
-    (Hw_task_manager.request hwtm (plain_client ~id:1 z) ~task:q4
+    (request hwtm (plain_client ~id:1 z) ~task:q4
        ~want_irq:false);
   settle z;
   (* Mark the region busy as if client 1's job were running: no idle
      PRR -> the paper's Busy status. *)
   prr.Prr.state <- Prr.Busy;
   let r =
-    Hw_task_manager.request hwtm (plain_client ~id:2 z) ~task:q16
+    request hwtm (plain_client ~id:2 z) ~task:q16
       ~want_irq:false
   in
   check cb "no idle PRR" true (r.Hw_task_manager.status = Hyper.Hw_busy);
   prr.Prr.state <- Prr.Ready
 
 let test_reclaim_saves_consistency_block () =
-  let z, hwtm = setup ~prr_capacities:[ 200 ] () in
-  let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   let unmapped = ref 0 in
-  let w1 = Address_map.guest_phys_base 0 in
-  let c1 =
-    { (plain_client ~id:1 z) with
-      Hw_task_manager.data_window = (w1, 4096);
-      unmap_iface = (fun _ -> incr unmapped) }
+  let z, hwtm =
+    setup ~prr_capacities:[ 200 ]
+      ~env:
+        { Hw_task_manager.shared_space with
+          unmap_iface =
+            (fun ~client_id ~task:_ ~vaddr:_ _ ->
+               if client_id = 1 then incr unmapped) }
+      ()
   in
-  ignore (Hw_task_manager.request hwtm c1 ~task:qam ~want_irq:false);
+  let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
+  let w1 = Address_map.guest_phys_base 0 in
+  let c1 = { (plain_client ~id:1 z) with window = (w1, 4096) } in
+  ignore (request hwtm c1 ~task:qam ~want_irq:false);
   settle z;
   (* Leave a recognisable register value to be saved. *)
   let prr = Prr_controller.prr z.Zynq.prrc 0 in
@@ -129,9 +137,9 @@ let test_reclaim_saves_consistency_block () =
   (* Client 2 steals the region (same task: no reconfig needed). *)
   let c2 =
     { (plain_client ~id:2 z) with
-      Hw_task_manager.data_window = (Address_map.guest_phys_base 1, 4096) }
+      window = (Address_map.guest_phys_base 1, 4096) }
   in
-  let r = Hw_task_manager.request hwtm c2 ~task:qam ~want_irq:false in
+  let r = request hwtm c2 ~task:qam ~want_irq:false in
   check cb "instant success" true (r.Hw_task_manager.status = Hyper.Hw_success);
   check ci "old client demapped" 1 !unmapped;
   check ci "one reclaim" 1 (Hw_task_manager.reclaims hwtm);
@@ -151,13 +159,13 @@ let test_hwmmu_window_follows_client () =
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   let prr = Prr_controller.prr z.Zynq.prrc 0 in
   let w1 = Address_map.guest_phys_base 0 and w2 = Address_map.guest_phys_base 1 in
-  let c1 = { (plain_client ~id:1 z) with Hw_task_manager.data_window = (w1, 4096) } in
-  ignore (Hw_task_manager.request hwtm c1 ~task:qam ~want_irq:false);
+  let c1 = { (plain_client ~id:1 z) with window = (w1, 4096) } in
+  ignore (request hwtm c1 ~task:qam ~want_irq:false);
   settle z;
   check cb "window is client 1's" true
     (Hw_mmu.window prr.Prr.hw_mmu = Some (w1, 4096));
-  let c2 = { (plain_client ~id:2 z) with Hw_task_manager.data_window = (w2, 8192) } in
-  ignore (Hw_task_manager.request hwtm c2 ~task:qam ~want_irq:false);
+  let c2 = { (plain_client ~id:2 z) with window = (w2, 8192) } in
+  ignore (request hwtm c2 ~task:qam ~want_irq:false);
   check cb "window reloaded for client 2" true
     (Hw_mmu.window prr.Prr.hw_mmu = Some (w2, 8192))
 
@@ -165,7 +173,7 @@ let test_release_requires_holder () =
   let z, hwtm = setup () in
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   ignore
-    (Hw_task_manager.request hwtm (plain_client ~id:1 z) ~task:qam
+    (request hwtm (plain_client ~id:1 z) ~task:qam
        ~want_irq:false);
   check cb "stranger cannot release" true
     (Result.is_error (Hw_task_manager.release hwtm ~client_id:9 ~task:qam));
@@ -176,7 +184,7 @@ let test_pcap_client_tracked () =
   let z, hwtm = setup () in
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 16) in
   ignore
-    (Hw_task_manager.request hwtm (plain_client ~id:5 z) ~task:qam
+    (request hwtm (plain_client ~id:5 z) ~task:qam
        ~want_irq:false);
   check (Alcotest.option ci) "completion IRQ routed to the requester"
     (Some 5)
@@ -245,7 +253,7 @@ let test_destroy_guards () =
     (Result.is_error (Hw_task_manager.destroy_task hwtm 999));
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   ignore
-    (Hw_task_manager.request hwtm (plain_client ~id:1 z) ~task:qam
+    (request hwtm (plain_client ~id:1 z) ~task:qam
        ~want_irq:false);
   settle z;
   check cb "task is held" true (Hw_task_manager.task_allocated hwtm qam);
@@ -264,7 +272,7 @@ let test_static_partition_denies_foreign () =
   let qam = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
   (* Nothing pinned yet: every request fails fast. *)
   let r0 =
-    Hw_task_manager.request hwtm (plain_client ~id:2 z) ~task:qam
+    request hwtm (plain_client ~id:2 z) ~task:qam
       ~want_irq:false
   in
   check cb "unpinned board denies" true
@@ -282,14 +290,12 @@ let test_static_partition_denies_foreign () =
   check (Alcotest.option ci) "owner readable" (Some 1)
     (Hw_task_manager.pinned_client hwtm 0);
   let r2 =
-    Hw_task_manager.request hwtm (plain_client ~id:2 z) ~task:qam
-      ~want_irq:false
+    request hwtm (plain_client ~id:2 z) ~task:qam ~want_irq:false
   in
   check cb "foreign request denied" true
     (r2.Hw_task_manager.status = Hyper.Hw_denied);
   let r1 =
-    Hw_task_manager.request hwtm (plain_client ~id:1 z) ~task:qam
-      ~want_irq:false
+    request hwtm (plain_client ~id:1 z) ~task:qam ~want_irq:false
   in
   check cb "owner request proceeds" true
     (r1.Hw_task_manager.status = Hyper.Hw_reconfig)
@@ -298,6 +304,34 @@ let test_dynamic_is_default () =
   let _, hwtm = setup () in
   check cb "default mode dynamic" true
     (Hw_task_manager.partition hwtm = Hw_task_manager.Dynamic)
+
+(* A row keeps the data window its client had at allocation: after
+   the same client requests another task with another window, a
+   reclaim of the first row still saves into the first window. *)
+let test_reclaim_uses_allocation_window () =
+  let z, hwtm = setup ~prr_capacities:[ 200; 200 ] () in
+  let q4 = Hw_task_manager.register_task hwtm (Task_kind.Qam 4) in
+  let q16 = Hw_task_manager.register_task hwtm (Task_kind.Qam 16) in
+  let w1 = Address_map.guest_phys_base 0 in
+  let w1' = w1 + 0x10000 in
+  let flag w = Phys_mem.read_u32 z.Zynq.mem (w + Hw_task_manager.flag_offset) in
+  ignore
+    (request hwtm { id = 1; window = (w1, 4096) } ~task:q4 ~want_irq:false);
+  settle z;
+  ignore
+    (request hwtm { id = 1; window = (w1', 4096) } ~task:q16 ~want_irq:false);
+  settle z;
+  check (Alcotest.option ci) "client 1 holds PRR 0" (Some 1)
+    (Hw_task_manager.prr_client hwtm 0);
+  let r =
+    request hwtm { id = 2; window = (Address_map.guest_phys_base 1, 4096) }
+      ~task:q4 ~want_irq:false
+  in
+  check cb "PRR 0 reclaimed" true
+    (r.Hw_task_manager.status = Hyper.Hw_success
+     && r.Hw_task_manager.prr = Some 0);
+  check Alcotest.int32 "first window flagged" 1l (flag w1);
+  check Alcotest.int32 "later window untouched" 0l (flag w1')
 
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
@@ -317,4 +351,6 @@ let suite =
       t "store full then recycle" test_store_full_then_recycle;
       t "destroy guards" test_destroy_guards;
       t "static partition denies foreign" test_static_partition_denies_foreign;
-      t "dynamic is default" test_dynamic_is_default ] )
+      t "dynamic is default" test_dynamic_is_default;
+      t "reclaim uses the allocation window"
+        test_reclaim_uses_allocation_window ] )

@@ -501,7 +501,13 @@ let test_deadline_admission_order () =
     [ 2; 3; 1 ] tags;
   (* Equal keys keep submission order: the sort is stable. *)
   let tags, _, _ = admission_run ~config:cfg ~deadlines:[ 7; 7; 7 ] () in
-  Alcotest.(check (list int)) "equal deadlines stay FIFO" [ 1; 2; 3 ] tags
+  Alcotest.(check (list int)) "equal deadlines stay FIFO" [ 1; 2; 3 ] tags;
+  (* Mixed keys with ties: ascending keys, ties in submission order. *)
+  let tags, _, _ =
+    admission_run ~config:cfg ~deadlines:[ 5; 3; 5; 1; 3; 8; 1 ] ()
+  in
+  Alcotest.(check (list int)) "stable ascending order with ties"
+    [ 4; 7; 2; 5; 1; 3; 6 ] tags
 
 let test_fifo_admission_ignores_deadlines () =
   (* Default config is FIFO, and under it the deadline key is inert:
@@ -709,6 +715,151 @@ let prop_ring_resetup_fuzz pcpus =
     ~name:(Printf.sprintf "hostile ring re-setup at %d pCPU(s)" pcpus)
     gen_resetup_rounds (fuzz_case pcpus)
 
+(* The data window over the ring: a hostile guest points every
+   request's data section at its own SQ/CQ pages, then starts jobs
+   whose DMA-out lands on them, so the IP cores rewrite the ring
+   while descriptors are in flight. The manager's consistency-block
+   writes land there too, in the middle of the drain that grants or
+   reclaims: a round's window starts at the SQ page (the cleared flag
+   is the SQ tail), four bytes below the first descriptor slot (a
+   reclaim's saved registers cover slot 0), or four bytes below the
+   CQ page (they cover the CQ header).
+   The kernel executes a copy of each batch taken before any job runs
+   (phase A), so this must be harmless: the same three properties as
+   above. *)
+
+type window_job = { src : int; dst : int; len : int }
+
+let show_window_rounds rounds =
+  String.concat "; "
+    (List.map
+       (fun (base, req, jobs) ->
+          Printf.sprintf "window +%d req %d [%s]" base req
+            (String.concat ", "
+               (List.map
+                  (fun j -> Printf.sprintf "%d->%d len %d" j.src j.dst j.len)
+                  jobs)))
+       rounds)
+
+let window_len = 2 * Addr.page_size
+
+let gen_window_rounds =
+  let open QCheck2.Gen in
+  let job =
+    map3
+      (fun src dst len -> { src = 64 + (4 * src); dst = 4 * dst; len = 4 * len })
+      (int_bound 255) (int_bound ((window_len / 4) - 1)) (int_range 1 32)
+  in
+  list_size (int_range 1 6)
+    (triple
+       (oneofl [ 0; Guest_layout.ring_hdr_size - 4; Addr.page_size - 4 ])
+       (int_range 1 4) (list_size (int_range 1 4) job))
+
+(* Wait, one OS tick at a time, until [ready ()] or [budget] ticks
+   have passed. *)
+let rec wait_until p ready budget =
+  if budget > 0 && not (ready ()) then begin
+    ignore (p.Port.idle_wait ());
+    wait_until p ready (budget - 1)
+  end
+
+let window_guest rounds kinds genv =
+  let tasks = Array.of_list (List.map fst kinds) in
+  let p = Port.paravirt genv in
+  let z = p.Port.zynq and priv = p.Port.priv in
+  match Ring_api.setup p ~entries:fuzz_entries ~cvirq_budget:1 () with
+  | Error e -> Alcotest.failf "setup: %s" e
+  | Ok r ->
+    p.Port.start_tick (Cycles.of_us 50.0);
+    let jobs_left = ref [] in
+    let next_job () =
+      match !jobs_left with
+      | j :: rest -> jobs_left := rest; j
+      | [] -> { src = 64; dst = 0; len = 2 }
+    in
+    List.iteri
+      (fun i (base, requests, jobs) ->
+         jobs_left := jobs;
+         let task_of tag = tasks.((i + tag) mod Array.length tasks) in
+         for k = 1 to requests do
+           ignore
+             (Ring_api.enqueue p r ~op:`Request ~task:(task_of k)
+                ~data_vaddr:(Guest_layout.ring_sq_base + base)
+                ~data_len:window_len
+                ~tag:k ())
+         done;
+         ignore (Ring_api.doorbell p r);
+         let granted = ref [] in
+         for _ = 1 to fuzz_entries do
+           match Ring_api.poll p r with
+           | Some { Ring_api.status = 0 | 1; tag; _ }
+             when tag >= 1 && tag <= requests ->
+             granted := task_of tag :: !granted
+           | Some _ | None -> ()
+         done;
+         (* Run one job per granted PRR once it is configured; its DMA
+            reads and writes the ring pages. *)
+         List.iter
+           (fun task ->
+              wait_until p
+                (fun () ->
+                   match p.Port.hw_status ~task with
+                   | Hyper.R_status { prr_ready; consistent; _ } ->
+                     prr_ready || not consistent
+                   | _ -> true)
+                40;
+              let j = next_job () in
+              (* An FFT core only takes its own point count. *)
+              let len =
+                match List.assoc_opt task kinds with
+                | Some (Task_kind.Fft n) -> n
+                | Some _ | None -> j.len
+              in
+              let iface = Guest_layout.task_iface_vaddr task in
+              let reg n v = Zynq.vwrite_word z ~priv (iface + (4 * n)) v in
+              try
+                reg Prr.Reg.src_offset j.src;
+                reg Prr.Reg.dst_offset j.dst;
+                reg Prr.Reg.len len;
+                reg Prr.Reg.param 0;
+                reg Prr.Reg.ctrl 1;
+                wait_until p
+                  (fun () ->
+                     Zynq.vread_word z ~priv (iface + (4 * Prr.Reg.status))
+                     land 0b10110 <> 0)
+                  20
+              with Mmu.Fault _ -> ())
+           !granted)
+      rounds
+
+let window_case pcpus rounds =
+  let smp = Fleet.boot ~pcpus () in
+  let kinds = [ Task_kind.Qam 16; Task_kind.Fft 256; Task_kind.Qam 4 ] in
+  let tasks =
+    Array.of_list (List.map (fun k -> (Smp.register_hw_task smp k, k)) kinds)
+  in
+  let ok = ref 0 in
+  ignore
+    (Smp.create_vm smp ~name:"hostile" ~cpu:0
+       (window_guest rounds (Array.to_list tasks)));
+  ignore (Smp.create_vm smp ~name:"honest" ~cpu:0 (honest_guest tasks ~ok));
+  Smp.run_for smp (Cycles.of_ms 60.0);
+  let violations =
+    List.map Invariant.violation_to_string
+      (Invariant.check_smp smp ~boundary:"fuzz")
+  in
+  if !ok <> honest_jobs then
+    QCheck2.Test.fail_reportf "honest guest verified %d of %d jobs" !ok
+      honest_jobs;
+  if violations <> [] then
+    QCheck2.Test.fail_reportf "invariants: %s" (String.concat "; " violations);
+  true
+
+let prop_ring_window_fuzz pcpus =
+  QCheck2.Test.make ~count:100 ~print:show_window_rounds
+    ~name:(Printf.sprintf "data window over the ring at %d pCPU(s)" pcpus)
+    gen_window_rounds (window_case pcpus)
+
 let suite =
   ( "ring-abi",
     let t = Alcotest.test_case in
@@ -731,4 +882,6 @@ let suite =
       QCheck_alcotest.to_alcotest (prop_ring_resetup_fuzz 1);
       QCheck_alcotest.to_alcotest (prop_ring_resetup_fuzz 4);
       t "re-setup forfeits a stalled batch" `Quick
-        test_resetup_forfeits_in_flight ] )
+        test_resetup_forfeits_in_flight;
+      QCheck_alcotest.to_alcotest (prop_ring_window_fuzz 1);
+      QCheck_alcotest.to_alcotest (prop_ring_window_fuzz 4) ] )
