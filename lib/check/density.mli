@@ -6,7 +6,6 @@
     depth), PRR utilisation, and the victim's vIRQ-turnaround p50/p99
     under density interference. *)
 
-val mode_name : Fleet_cell.abi -> string
 val mode_of_string : string -> (Fleet_cell.abi, string) result
 
 val default_config : Fleet_cell.config

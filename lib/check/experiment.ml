@@ -17,17 +17,16 @@ type t = {
   define : args -> unit -> result;
 }
 
-let instantiate e =
-  let entries = ref [] in
-  let add entry = entries := entry :: !entries in
-  let args =
-    { value =
-        (fun spec -> let r, e = Cli_args.value_ref spec in add e; fun () -> !r);
-      flag =
-        (fun fl -> let r, e = Cli_args.flag_ref fl in add e; fun () -> !r) }
-  in
-  let run = e.define args in
-  (List.rev !entries, run)
+type command = {
+  all : bool;
+  runs : (t * (unit -> result)) list;
+  entries : Cli_args.entry list;
+  assert_ : bool;
+  verbose : bool;
+  help : bool;
+  check_baseline : (string * int) list option;
+  write_baseline : (string * out_channel) option;
+}
 
 let result ?(claims = []) ?(cycles = []) json = { json; claims; cycles }
 
@@ -416,8 +415,7 @@ let ops =
     docv = "N";
     doc = "Soak operation budget; accepts k/m suffixes (200k, 1m).";
     default = 30_000;
-    parse = parse_count;
-    show = string_of_int }
+    parse = parse_count }
 
 let shards =
   Cli_args.int ~min:1 [ "shards" ]
@@ -438,8 +436,7 @@ let repro_out =
     docv = "FILE";
     doc = "Where to write the shrunk reproducer on an invariant violation.";
     default = "SOAK_repro.txt";
-    parse = (fun s -> Ok s);
-    show = Fun.id }
+    parse = (fun s -> Ok s) }
 
 let arrivals =
   Cli_args.int ~min:1 [ "arrivals" ]
@@ -629,12 +626,11 @@ let vms_spec =
              Result.bind (Cli_args.int_at_least 1 (String.trim x)) (fun n ->
                  all (n :: acc) xs)
          in
-         all [] (String.split_on_char ',' s));
-    show = (fun vs -> String.concat "," (List.map string_of_int vs)) }
+         all [] (String.split_on_char ',' s)) }
 
 let jobs_spec = Cli_args.int ~min:1 [ "jobs" ] "Hardware jobs per guest."
 
-let either_spec names doc of_string name =
+let either_spec names doc of_string =
   { Cli_args.names;
     docv = "WHICH";
     doc;
@@ -642,8 +638,7 @@ let either_spec names doc of_string name =
     parse =
       (function
         | "both" -> Ok None
-        | s -> Result.map Option.some (of_string s));
-    show = (function None -> "both" | Some m -> name m) }
+        | s -> Result.map Option.some (of_string s)) }
 
 let ring_admission =
   { Cli_args.names = [ "ring-admission" ];
@@ -658,8 +653,7 @@ let ring_admission =
          match String.lowercase_ascii s with
          | "fifo" -> Ok `Fifo
          | "deadline" -> Ok `Deadline
-         | _ -> Error (Printf.sprintf "expected fifo or deadline, got %S" s));
-    show = (function `Fifo -> "fifo" | `Deadline -> "deadline") }
+         | _ -> Error (Printf.sprintf "expected fifo or deadline, got %S" s)) }
 
 (* The flags both fleet studies read, over the study's defaults. *)
 let fleet_args (a : args) (d : Fleet_cell.config) =
@@ -718,7 +712,7 @@ let density =
          let mode =
            a.value
              (either_spec [ "mode" ] "Hypercall ABI under test: v1, v2 or both."
-                Density.mode_of_string Density.mode_name)
+                Density.mode_of_string)
          in
          let fault_rate =
            a.value { Cli_args.fault_rate with default = d.fault_rate }
@@ -783,7 +777,6 @@ let chaos_spec =
       | "on" -> Ok true
       | "off" -> Ok false
       | s -> Error (Printf.sprintf "expected on, off or both, got %S" s))
-    (fun on -> if on then "on" else "off")
 
 let partition =
   { name = "partition";
@@ -795,7 +788,7 @@ let partition =
            a.value
              (either_spec [ "partition" ]
                 "PRR sharing discipline: dynamic, static or both."
-                Partition.mode_of_string Partition.mode_name)
+                Partition.mode_of_string)
          in
          let chaos = a.value chaos_spec in
          fun () ->
@@ -914,4 +907,115 @@ let registry =
   [ table3; fig9; report; reconfig; axi; vfp; trapvshyper; asid; quantum;
     chaos; soak; slo; density; partition; scenario; trace ]
 
-let find name = List.find_opt (fun e -> e.name = name) registry
+(* --- the deterministic-cycle baseline ---
+
+   The simulation is deterministic and host-independent, so the exact
+   simulated cycles of the Table III sweep are a committable
+   fingerprint: one [<config> <sim_cycles>] line per cell. *)
+
+let read_baseline path =
+  match
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter_map (fun line ->
+           match String.split_on_char ' ' (String.trim line) with
+           | [ "" ] -> None
+           | w :: _ when w.[0] = '#' -> None
+           | [ name; cyc ] when int_of_string_opt cyc <> None ->
+             Some (name, int_of_string cyc)
+           | _ -> failwith (Printf.sprintf "%s: bad baseline line %S" path line))
+  with
+  | [] -> Error (path ^ ": no entries")
+  | rows -> Ok rows
+  | exception (Sys_error m | Failure m) -> Error m
+
+let baseline_drift expected actual =
+  List.filter_map
+    (fun (name, cyc) ->
+       match List.assoc_opt name actual with
+       | None ->
+         Some (Printf.sprintf "baseline %s: config missing from this run" name)
+       | Some got when got <> cyc ->
+         Some
+           (Printf.sprintf "baseline %s: expected %d cycles, got %d (drift %+d)"
+              name cyc got (got - cyc))
+       | Some _ -> None)
+    expected
+
+let write_baseline oc rows =
+  output_string oc
+    "# mini-nova bench cycle baseline: <config> <sim_cycles>\n\
+     # regenerate: dune exec bin/mininova.exe -- table3 --write-baseline FILE\n";
+  List.iter (fun (name, cyc) -> Printf.fprintf oc "%s %d\n" name cyc) rows;
+  close_out oc
+
+(* --- the argv step: [NAME FLAGS] or [all [NAME...] FLAGS] ---
+
+   The named experiments' entries, the baseline flags when table3 is
+   named and the front end's own flags, parsed once. *)
+
+let command sections argv =
+  let rec split names = function
+    | a :: rest when not (String.starts_with ~prefix:"-" a) ->
+      split (a :: names) rest
+    | flags -> (List.rev names, flags)
+  in
+  let all, names, flags =
+    match argv with
+    | "all" :: rest -> (
+      match split [] rest with
+      | [], flags -> (true, List.map (fun e -> e.name) sections, flags)
+      | names, flags -> (true, names, flags))
+    | name :: flags -> (false, [ name ], flags)
+    | [] -> (true, List.map (fun e -> e.name) sections, [])
+  in
+  let find n = List.find_opt (fun e -> e.name = n) sections in
+  match List.find_opt (fun n -> find n = None) names with
+  | Some n -> Error ("unknown experiment " ^ n)
+  | None -> (
+    let named = List.filter_map find names in
+    (* A reader registers one argv entry and returns its value's getter. *)
+    let entries = ref [] in
+    let reader make spec =
+      let r, e = make spec in
+      entries := e :: !entries;
+      fun () -> !r
+    in
+    let runs =
+      let args =
+        { value = (fun spec -> reader Cli_args.value_ref spec);
+          flag = reader Cli_args.flag_ref }
+      in
+      List.map (fun e -> (e, e.define args)) named
+    in
+    (* The baseline files are opened here, at the flag boundary. *)
+    let baseline name doc parse =
+      if not (List.memq table3 named) then Fun.const None
+      else
+        reader Cli_args.value_ref
+          { Cli_args.names = [ name ]; docv = "FILE"; doc; default = None;
+            parse = (fun p -> Result.map Option.some (parse p)) }
+    in
+    let check =
+      baseline "check-baseline"
+        "Compare the Table III sweep's deterministic simulated cycles \
+         against the committed baseline FILE and exit 1 on drift."
+        read_baseline
+    in
+    let write =
+      baseline "write-baseline"
+        "Regenerate the deterministic cycle baseline FILE from this run's \
+         Table III sweep."
+        (fun p -> try Ok (p, open_out p) with Sys_error m -> Error m)
+    in
+    let assert_ = reader Cli_args.flag_ref Cli_args.assert_ in
+    let verbose = reader Cli_args.flag_ref Cli_args.verbose in
+    let help = reader Cli_args.flag_ref Cli_args.help in
+    let entries = List.rev !entries in
+    match Cli_args.parse entries flags with
+    | Error m -> Error m
+    | Ok (p :: _) -> Error ("unexpected argument " ^ p)
+    | Ok [] ->
+      Ok
+        { all; runs; entries; assert_ = assert_ (); verbose = verbose ();
+          help = help (); check_baseline = check (); write_baseline = write () })

@@ -1,13 +1,13 @@
 (** The experiment registry: every experiment that produces simulated
-    results, defined once.
+    results, defined once, and the argv step of the [mininova] front
+    end.
 
-    A record names the experiment (the bench section and the mininova
-    subcommand are the same word) and defines it: the {!Cli_args}
+    A record names the experiment (the mininova subcommand and the
+    bench section are the same word) and defines it: the {!Cli_args}
     specs it reads, its cells and runner, one JSON document (the
-    report) and its claims — the properties CI asserts. Both front
-    ends are loops over {!registry}: they parse argv with
-    {!Cli_args.parse} against the entries {!instantiate} returns, run,
-    and print the {!result}'s document and claims. *)
+    report) and its claims — the properties CI asserts. {!command}
+    turns an argv into the named experiments' runners; the front end
+    runs them and prints each {!result}'s document and claims. *)
 
 type claim = { claim : string; holds : bool }
 
@@ -17,7 +17,7 @@ type result = {
                                          makes a failure exit 1 *)
   cycles : (string * int) list;      (** exact simulated cycles per cell
                                          where a gate reads them: table3's
-                                         feed the bench cycle baseline *)
+                                         feed the cycle baseline *)
 }
 
 (** How a definition declares its flags: each call registers one argv
@@ -40,14 +40,45 @@ val registry : t list
     scenario read one per-process cache of Table III cells (native or
     N guests under one config), so each cell runs at most once. *)
 
-val find : string -> t option
-
-val instantiate : t -> Cli_args.entry list * (unit -> result)
-(** The experiment's argv entries (fresh state) and its runner, which
-    reads whatever {!Cli_args.parse} stored through those entries. *)
-
 val all_hold : result -> bool
 val pp_claims : Format.formatter -> result -> unit
 (** One [claim ok: …] / [claim FAIL: …] line per claim. *)
 
 val claims_json : result -> Json_out.t
+
+(** {2 The deterministic-cycle baseline}
+
+    One [<config> <sim_cycles>] line per Table III cell; [#] starts a
+    comment line. *)
+
+val read_baseline : string -> ((string * int) list, string) Stdlib.result
+(** [Error] names an unreadable file, a malformed line or no entries. *)
+
+val baseline_drift : (string * int) list -> (string * int) list -> string list
+(** [baseline_drift expected actual]: one line per expected config that
+    [actual] lacks or whose cycles differ. *)
+
+val write_baseline : out_channel -> (string * int) list -> unit
+(** Write the header and the rows, then close the channel. *)
+
+(** {2 The argv step} *)
+
+type command = {
+  all : bool;                     (** [all]: print one bench document *)
+  runs : (t * (unit -> result)) list;
+  entries : Cli_args.entry list;  (** every flag the command reads *)
+  assert_ : bool;
+  verbose : bool;
+  help : bool;
+  check_baseline : (string * int) list option;  (** read while parsing *)
+  write_baseline : (string * out_channel) option;  (** opened while parsing *)
+}
+
+val command : t list -> string list -> (command, string) Stdlib.result
+(** [command sections argv]: [NAME FLAGS...] runs one of [sections],
+    [all [NAME...] FLAGS...] the named ones (every one when none is,
+    as for an empty [argv]).
+    The flags are the named experiments' entries, [--assert],
+    [--verbose], [--help], and the baseline flags when table3 is named.
+    [Error] names an unknown experiment, a flag none of them reads, a
+    bad value (an unreadable baseline file included) or a positional. *)

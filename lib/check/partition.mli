@@ -11,7 +11,6 @@
     reconfiguration counts, PCAP traffic, denial rates and the
     victim's vIRQ-turnaround tail. *)
 
-val mode_name : Hw_task_manager.partition -> string
 val mode_of_string : string -> (Hw_task_manager.partition, string) result
 
 val partition_task_set : Task_kind.t array

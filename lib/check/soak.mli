@@ -18,7 +18,7 @@ type config = {
   seed : int;         (** master seed for the action stream *)
   max_vms : int;      (** cap on concurrently live guests *)
   check : bool;       (** evaluate invariants after every action *)
-  fault_rate : float; (** PL fault-injection rate, as in [bench -- faults] *)
+  fault_rate : float; (** PL fault-injection rate, as in [chaos --fault-rate] *)
   fault_seed : int;
   quantum_ms : float; (** scheduling quantum *)
   pcpus : int;        (** simulated pCPUs; 1 drives a single kernel

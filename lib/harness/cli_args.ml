@@ -4,7 +4,6 @@ type 'a spec = {
   doc : string;
   default : 'a;
   parse : string -> ('a, string) result;
-  show : 'a -> string;
 }
 
 type flag = {
@@ -12,28 +11,26 @@ type flag = {
   f_doc : string;
 }
 
-let parse_int s =
-  match int_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "expected an integer, got %S" s)
-
-let parse_float s =
-  match float_of_string_opt s with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "expected a number, got %S" s)
-
 let int_at_least lo s =
   match int_of_string_opt s with
   | Some v when v >= lo -> Ok v
+  | Some _ | None when lo = min_int ->
+    Error (Printf.sprintf "expected an integer, got %S" s)
   | Some _ | None ->
     Error (Printf.sprintf "expected an integer >= %d, got %S" lo s)
 
-let int ?(docv = "N") ?min names doc default =
-  { names; docv; doc; default; show = string_of_int;
-    parse = (match min with Some lo -> int_at_least lo | None -> parse_int) }
+let int ?(docv = "N") ?(min = min_int) names doc default =
+  { names; docv; doc; default; parse = int_at_least min }
 
-let float ~docv names doc default =
-  { names; docv; doc; default; parse = parse_float; show = string_of_float }
+(* A finite number [ok] accepts; [what] names the accepted range. *)
+let float ~docv ~what ok names doc default =
+  { names; docv; doc; default;
+    parse =
+      (fun s ->
+         match float_of_string_opt s with
+         | Some v when Float.is_finite v && ok v -> Ok v
+         | Some _ | None -> Error (Printf.sprintf "expected %s, got %S" what s))
+  }
 
 let requests =
   int [ "r"; "requests" ] "Hardware-task requests per guest (T_hw iterations)."
@@ -44,7 +41,8 @@ let warmup =
     Scenario.default_config.Scenario.warmup_requests
 
 let quantum =
-  float ~docv:"MS" [ "q"; "quantum" ]
+  float ~docv:"MS" ~what:"a number of milliseconds > 0" (fun q -> q > 0.0)
+    [ "q"; "quantum" ]
     "Guest time slice in milliseconds (paper: 33)."
     Scenario.default_config.Scenario.quantum_ms
 
@@ -67,7 +65,9 @@ let pcpus =
     1
 
 let fault_rate =
-  float ~docv:"P" [ "fault-rate" ]
+  float ~docv:"P" ~what:"a probability in [0, 1]"
+    (fun p -> p >= 0.0 && p <= 1.0)
+    [ "fault-rate" ]
     "Per-opportunity PL fault probability (0.0 disables the plane)."
     Chaos.default_config.Chaos.fault_rate
 
@@ -79,13 +79,11 @@ let fault_seed =
 let some spec =
   { spec with
     default = None;
-    parse = (fun s -> Result.map Option.some (spec.parse s));
-    show = (function Some v -> spec.show v | None -> "unset") }
+    parse = (fun s -> Result.map Option.some (spec.parse s)) }
 
 let file names doc =
   { names; docv = "FILE"; doc; default = None;
-    parse = (fun s -> Ok (Some s));
-    show = (function Some s -> s | None -> "") }
+    parse = (fun s -> Ok (Some s)) }
 
 let assert_ =
   { f_names = [ "assert" ];

@@ -1,11 +1,14 @@
-(** Shared command-line vocabulary and the one argv engine of the
-    Mini-NOVA front ends.
+(** Shared command-line vocabulary and the argv engine of the
+    [mininova] front end.
 
     A {!spec} is the single source of truth for a flag: names (short
-    and long), metavariable, help text, default, and a parse/show pair.
+    and long), metavariable, help text, default and parser. The parser
+    is the flag boundary: a value out of the flag's range (a
+    non-finite number, a probability outside [0, 1], a quantum <= 0,
+    an unreadable file) is an [Error] there, before anything runs.
     Experiments ({!Experiment}) declare the specs they read, overriding
-    the default where theirs differs; [bench/main] and [bin/mininova]
-    both scan argv with {!parse}. *)
+    the default where theirs differs; [Experiment.command] scans argv
+    with {!parse} against the entries of the named experiments only. *)
 
 type 'a spec = {
   names : string list;  (** without dashes; 1-char names render as [-x] *)
@@ -13,7 +16,6 @@ type 'a spec = {
   doc : string;         (** one-line help *)
   default : 'a;
   parse : string -> ('a, string) result;
-  show : 'a -> string;
 }
 
 type flag = {
@@ -44,7 +46,7 @@ val warmup : int spec
 (** [--warmup]: discarded leading samples. *)
 
 val quantum : float spec
-(** [-q]/[--quantum]: guest slice, ms. *)
+(** [-q]/[--quantum]: guest slice, ms (finite, > 0). *)
 
 val seed : int spec
 (** [--seed]: scenario RNG seed. *)
@@ -58,7 +60,7 @@ val pcpus : int spec
     coupled at deterministic epoch barriers. *)
 
 val fault_rate : float spec
-(** [--fault-rate]: PL fault probability. *)
+(** [--fault-rate]: PL fault probability (in [0, 1]). *)
 
 val fault_seed : int spec
 (** [--fault-seed]: fault plane RNG seed. *)
@@ -99,4 +101,4 @@ val parse : entry list -> string list -> (string list, string) result
 
 val pp_usage : Format.formatter -> entry list -> unit
 (** One aligned [--name DOCV  doc] line per distinct entry — the help
-    text both front ends print. *)
+    text [mininova --help] prints. *)

@@ -62,4 +62,4 @@ let measure ?(root = ".") () =
       loc
         [ "lib/engine"; "lib/mem"; "lib/cachesim"; "lib/mmu"; "lib/devices";
           "lib/pl"; "lib/platform" ];
-    glue_loc = loc [ "lib/harness"; "lib/check"; "bench"; "bin" ] }
+    glue_loc = loc [ "lib/harness"; "lib/check"; "bin" ] }

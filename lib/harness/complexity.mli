@@ -12,8 +12,8 @@ type report = {
   hypercalls : int;           (** from the ABI enumeration *)
   time_slice_ms : float;      (** default scheduler quantum *)
   substrate_loc : int option; (** simulated-platform code, no paper analogue *)
-  glue_loc : int option;      (** experiment glue: lib/harness, lib/check,
-                                  bench and bin — no paper analogue *)
+  glue_loc : int option;      (** experiment glue: lib/harness, lib/check
+                                  and bin — no paper analogue *)
 }
 
 val measure : ?root:string -> unit -> report

@@ -50,12 +50,9 @@ let rec strip = function
   | v -> v
 
 let fingerprint name argv =
-  let e = Option.get (Experiment.find (experiment_of name)) in
-  let entries, run = Experiment.instantiate e in
-  (match Cli_args.parse entries argv with
-   | Ok [] -> ()
-   | Ok _ | Error _ -> failwith ("bad fingerprint flags for " ^ name));
-  strip (run ()).Experiment.json
+  match Experiment.command Experiment.registry (experiment_of name :: argv) with
+  | Ok { Experiment.runs = [ (_, run) ]; _ } -> strip (run ()).Experiment.json
+  | Ok _ | Error _ -> failwith ("bad fingerprint flags for " ^ name)
 
 let () =
   Logs.set_level (Some Logs.Error);

@@ -414,12 +414,13 @@ let test_soak_replay_reports_file_config () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
        Soak.write_reproducer path cfg violation ~shrunk;
-       let entries, run =
-         Experiment.instantiate (Option.get (Experiment.find "soak"))
+       let run =
+         match
+           Experiment.command Experiment.registry [ "soak"; "--replay"; path ]
+         with
+         | Ok { Experiment.runs = [ (_, run) ]; _ } -> run
+         | Ok _ | Error _ -> Alcotest.fail "soak --replay: bad argv"
        in
-       (match Cli_args.parse entries [ "--replay"; path ] with
-        | Ok [] -> ()
-        | Ok _ | Error _ -> Alcotest.fail "soak --replay: bad argv");
        match (run ()).Experiment.json with
        | Json_out.Obj kv ->
          let int k =

@@ -1,18 +1,17 @@
-(* The experiment registry and the argv engine both front ends share:
-   every claim holds at a small configuration, a failing claim is
-   reported as such, and one flag reaches every experiment reading it. *)
+(* The experiment registry and the front end's argv step: every claim
+   holds at a small configuration, a failing claim is reported as such,
+   one flag reaches every experiment reading it, a flag no named
+   experiment reads is refused, and the cycle baseline file is read
+   and checked before anything runs. *)
 
 let check = Alcotest.check
 let cb = Alcotest.bool
 
 let instance name argv =
-  let e = Option.get (Experiment.find name) in
-  let entries, run = Experiment.instantiate e in
-  (match Cli_args.parse entries argv with
-   | Ok [] -> ()
-   | Ok (p :: _) -> Alcotest.failf "%s: stray positional %s" name p
-   | Error m -> Alcotest.failf "%s: %s" name m);
-  run ()
+  match Experiment.command Experiment.registry (name :: argv) with
+  | Ok { Experiment.runs = [ (_, run) ]; _ } -> run ()
+  | Ok _ -> Alcotest.failf "%s: not one run" name
+  | Error m -> Alcotest.failf "%s: %s" name m
 
 let claims_hold name argv () =
   let r = instance name argv in
@@ -89,29 +88,125 @@ let test_shared_flag_reaches_all () =
   check cb "flag set" true !on
 
 let test_parse_errors () =
-  let _, e = Cli_args.value_ref Cli_args.pcpus in
-  let _, f = Cli_args.flag_ref Cli_args.observe in
-  let _, g = Cli_args.value_ref Cli_args.guests in
-  let soak, _ = Experiment.instantiate (Option.get (Experiment.find "soak")) in
-  let err argv =
-    match Cli_args.parse ([ e; f; g ] @ soak) argv with
-    | Ok _ -> false
-    | Error _ -> true
+  let err names argv =
+    Result.is_error
+      (Experiment.command Experiment.registry (("all" :: names) @ argv))
   in
-  check cb "unknown flag" true (err [ "--nope" ]);
-  check cb "missing value" true (err [ "--pcpus" ]);
-  check cb "bad value" true (err [ "--pcpus"; "0" ]);
-  check cb "flag with a value" true (err [ "--obs=1" ]);
-  check cb "negative guest count" true (err [ "--guests"; "-1" ]);
-  check cb "count past max_int" true (err [ "--ops"; "9999999999999m" ]);
-  check cb "soak reads no --check" true (err [ "--check" ]);
-  let chaos, _ =
-    Experiment.instantiate (Option.get (Experiment.find "chaos"))
+  check cb "unknown flag" true (err [ "soak" ] [ "--nope" ]);
+  check cb "missing value" true (err [ "soak" ] [ "--pcpus" ]);
+  check cb "bad value" true (err [ "soak" ] [ "--pcpus"; "0" ]);
+  check cb "flag with a value" true (err [ "chaos" ] [ "--obs=1" ]);
+  check cb "negative guest count" true (err [ "chaos" ] [ "--guests"; "-1" ]);
+  check cb "count past max_int" true
+    (err [ "soak" ] [ "--ops"; "9999999999999m" ]);
+  check cb "soak reads no --check" true (err [ "soak" ] [ "--check" ]);
+  check cb "chaos reads no --warmup" true (err [ "chaos" ] [ "--warmup"; "3" ]);
+  List.iter
+    (fun (what, names, argv) -> check cb what true (err names argv))
+    [ ("non-finite fault rate", [ "chaos" ], [ "--fault-rate"; "nan" ]);
+      ("infinite fault rate", [ "chaos" ], [ "--fault-rate"; "inf" ]);
+      ("fault rate above 1", [ "chaos" ], [ "--fault-rate"; "2" ]);
+      ("negative fault rate", [ "density" ], [ "--fault-rate"; "-1" ]);
+      ("zero quantum", [ "soak" ], [ "--quantum"; "0" ]);
+      ("negative quantum", [ "table3" ], [ "--quantum"; "-5" ]);
+      ("non-finite quantum", [ "soak" ], [ "-q"; "nan" ]) ];
+  check cb "a fault rate of 1 is a probability" false
+    (err [ "chaos" ] [ "--fault-rate"; "1" ])
+
+(* --- the front end's argv step --- *)
+
+let command argv = Experiment.command Experiment.registry argv
+
+let test_flag_must_be_read () =
+  let ok argv = Result.is_ok (command argv) in
+  check cb "no named section reads --arrivals" false
+    (ok [ "all"; "table3"; "--arrivals"; "5" ]);
+  check cb "slo reads --arrivals" true
+    (ok [ "all"; "table3"; "slo"; "--arrivals"; "5" ]);
+  check cb "unknown section" false (ok [ "all"; "table3"; "nope" ]);
+  check cb "unknown experiment" false (ok [ "nope" ]);
+  check cb "a name after the flags" false (ok [ "all"; "--obs"; "table3" ]);
+  match command [ "all" ] with
+  | Ok c ->
+    check
+      Alcotest.(list string)
+      "all with no name runs the registry"
+      (List.map (fun (e : Experiment.t) -> e.name) Experiment.registry)
+      (List.map (fun ((e : Experiment.t), _) -> e.name) c.Experiment.runs)
+  | Error m -> Alcotest.fail m
+
+let committed_baseline =
+  List.find Sys.file_exists
+    [ "../bench/baseline_cycles.txt"; "bench/baseline_cycles.txt" ]
+
+let test_baseline_needs_table3 () =
+  let ok argv = Result.is_ok (command argv) in
+  let gate = [ "--check-baseline"; committed_baseline ] in
+  check cb "slo does not read --check-baseline" false
+    (ok ([ "all"; "slo" ] @ gate));
+  check cb "nor --write-baseline" false
+    (ok [ "density"; "--write-baseline"; Filename.null ]);
+  check cb "table3 does" true (ok ([ "all"; "slo"; "table3" ] @ gate));
+  check cb "alone too" true (ok ("table3" :: gate));
+  check cb "a missing file is refused while parsing" false
+    (ok [ "table3"; "--check-baseline"; "/nonexistent/baseline.txt" ]);
+  check cb "an unwritable file is refused while parsing" false
+    (ok [ "table3"; "--write-baseline"; "/nonexistent/baseline.txt" ])
+
+let with_file text f =
+  let path = Filename.temp_file "baseline" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+       Out_channel.with_open_text path (fun oc -> output_string oc text);
+       f path)
+
+let test_baseline_file () =
+  let rows = [ ("native", 100); ("1os", 250) ] in
+  let err what = function
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
   in
-  check cb "chaos reads no --warmup" true
-    (match Cli_args.parse chaos [ "--warmup"; "3" ] with
-     | Ok _ -> false
-     | Error _ -> true)
+  err "missing file" (Experiment.read_baseline "/nonexistent/baseline.txt");
+  with_file "# header\nnative  123\n" (fun p ->
+      err "two spaces" (Experiment.read_baseline p));
+  with_file "" (fun p -> err "empty file" (Experiment.read_baseline p));
+  with_file "# only a comment\n\n" (fun p ->
+      err "no entries" (Experiment.read_baseline p));
+  with_file "" (fun p ->
+      Experiment.write_baseline (open_out p) rows;
+      check
+        Alcotest.(result (list (pair string int)) string)
+        "written file reads back" (Ok rows) (Experiment.read_baseline p));
+  check
+    Alcotest.(list string)
+    "drift lines"
+    [ "baseline native: expected 100 cycles, got 101 (drift +1)";
+      "baseline 1os: config missing from this run" ]
+    (Experiment.baseline_drift rows [ ("native", 101); ("2os", 7) ]);
+  check Alcotest.(list string) "no drift" []
+    (Experiment.baseline_drift rows (("2os", 7) :: rows));
+  match Experiment.read_baseline committed_baseline with
+  | Ok committed ->
+    check
+      Alcotest.(list string)
+      "the committed file covers the Table III sweep"
+      [ "native"; "1os"; "2os"; "3os"; "4os" ] (List.map fst committed)
+  | Error m -> Alcotest.fail m
+
+(* [all] hands each section the flags it reads, exactly as a single run
+   does: its result is the single run's document, byte for byte. *)
+let test_all_result_is_the_single_document () =
+  let t3 = [ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ] in
+  let dens = [ "--vms"; "8"; "--jobs"; "4" ] in
+  let doc r = Json_out.to_string r.Experiment.json in
+  match command ([ "all"; "table3"; "density" ] @ t3 @ dens) with
+  | Ok { Experiment.runs = [ (_, t3_run); (_, dens_run) ]; _ } ->
+    check Alcotest.string "table3" (doc (instance "table3" t3)) (doc (t3_run ()));
+    check Alcotest.string "density" (doc (instance "density" dens))
+      (doc (dens_run ()))
+  | Ok _ -> Alcotest.fail "not two runs"
+  | Error m -> Alcotest.fail m
 
 let suite =
   ( "experiment",
@@ -133,4 +228,10 @@ let suite =
       t "partition claims" `Quick (claims_hold "partition" [ "--check" ]);
       t "scenario is a table3 cell" `Quick test_scenario_is_a_table3_cell;
       t "density refuses a batch past half the ring" `Quick
-        test_density_batch_refused ] )
+        test_density_batch_refused;
+      t "a flag no named section reads is refused" `Quick
+        test_flag_must_be_read;
+      t "the baseline flags need table3" `Quick test_baseline_needs_table3;
+      t "baseline file errors and drift lines" `Quick test_baseline_file;
+      t "an all section's result is its single-run document" `Quick
+        test_all_result_is_the_single_document ] )

@@ -152,6 +152,19 @@ let prop_adpcm_decoder_matches_encoder_state =
             enc.Adpcm.predictor = out)
          pcm)
 
+(* The fused roundtrip is the largest per-sample error of decode after
+   encode, and stays bounded on the speech-like input the Table III
+   guests model. *)
+let prop_adpcm_roundtrip_error =
+  QCheck2.Test.make ~name:"ADPCM roundtrip_error = max decode/encode error"
+    ~count:20 QCheck2.Gen.int
+    (fun seed ->
+       let pcm = Signal.speech_like (Rng.create ~seed) 1024 in
+       let decoded = Adpcm.decode (Adpcm.encode pcm) in
+       let worst = ref 0 in
+       Array.iteri (fun i s -> worst := max !worst (abs (s - pcm.(i)))) decoded;
+       Adpcm.roundtrip_error pcm = !worst && !worst <= 20000)
+
 let test_adpcm_silence () =
   let silent = Array.make 64 0 in
   let decoded = Adpcm.decode (Adpcm.encode silent) in
@@ -185,6 +198,13 @@ let test_gsm_prediction_gain () =
   let residual = Gsm_lpc.residual_energy frame in
   check cb "residual below raw energy" true (residual < acf0);
   check cb "residual positive" true (residual >= 0.0)
+
+let test_gsm_speech_lars () =
+  List.iter
+    (fun seed ->
+       let frame = Signal.speech_like (Rng.create ~seed) Gsm_lpc.frame_size in
+       check ci "8 LARs" 8 (Array.length (Gsm_lpc.analyze frame)))
+    [ 1; 2; 3; 42 ]
 
 let test_gsm_silence () =
   check cb "silent frame yields zero LARs" true
@@ -361,4 +381,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_qam_gray_adjacency;
       t "signal sine" test_signal_sine;
       t "signal ber" test_signal_ber;
-      t "signal clamping" test_signal_clamping ] )
+      t "signal clamping" test_signal_clamping;
+      QCheck_alcotest.to_alcotest prop_adpcm_roundtrip_error;
+      t "gsm speech frame gives 8 LARs" test_gsm_speech_lars ] )
