@@ -16,12 +16,15 @@ let () =
     | Violation v -> Some ("Invariant.Violation " ^ violation_to_string v)
     | _ -> None)
 
-(* Each checker returns a list of problem strings; [check] tags them
+(* Each checker reads the kernel and its live PDs (listed once per
+   sweep) and returns a list of problem strings; [check] tags them
    with the checker name and boundary. Checkers are pure reads over
-   kernel/platform state: they never touch the simulated clock, caches
-   or memory traffic, so running them cannot perturb the simulation. *)
+   kernel/platform state (the event-queue and vGIC clean-path proofs
+   write only their own sweep stamps): they never touch the simulated
+   clock, caches or memory traffic, so running them cannot perturb the
+   simulation. *)
 
-let check_sched kern =
+let check_sched kern pds =
   let sched = Kernel.sched kern in
   let problems = ref (Sched.integrity sched) in
   let note s = problems := s :: !problems in
@@ -43,19 +46,18 @@ let check_sched kern =
        end
        else if Sched.contains sched pd then
          note (Printf.sprintf "service pd %d must never be enqueued" pd.Pd.id))
-    (Kernel.pds kern);
+    pds;
   List.rev !problems
 
-let check_vgic kern =
-  List.concat_map (fun (pd : Pd.t) -> Vgic.self_check pd.Pd.vgic)
-    (Kernel.pds kern)
+let check_vgic _kern pds =
+  List.concat_map (fun (pd : Pd.t) -> Vgic.self_check pd.Pd.vgic) pds
 
 (* ASID accounting under over-commit: every allocated guest tag is
    held by exactly one live guest; PDs beyond the 254-tag space carry
    the sentinel 0 until the kernel steals a tag for them. *)
-let check_asids kern =
+let check_asids kern pds =
   let live = Kmem.live_asids (Kernel.kmem kern) in
-  let guests = List.filter Pd.is_guest (Kernel.pds kern) in
+  let guests = List.filter Pd.is_guest pds in
   let held =
     List.filter_map
       (fun (pd : Pd.t) -> if pd.Pd.asid >= 2 then Some pd.Pd.asid else None)
@@ -88,10 +90,9 @@ let check_asids kern =
    is completed, reclaimed on kill/reset, or still in flight on a live
    ring — nothing is lost or double-counted across world switches,
    kills and recovery. *)
-let check_rings kern =
+let check_rings kern pds =
   let s = Kernel.ring_stats kern in
   let views = Kernel.ring_views kern in
-  let pds = Kernel.pds kern in
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun x -> problems := x :: !problems) fmt in
   let in_flight = ref 0 in
@@ -118,7 +119,7 @@ let check_rings kern =
       !in_flight;
   List.rev !problems
 
-let check_frames kern =
+let check_frames kern pds =
   let kmem = Kernel.kmem kern in
   let expected =
     Page_table.footprint_bytes (Kmem.kernel_pt kmem)
@@ -127,7 +128,7 @@ let check_frames kern =
         (fun n (pd : Pd.t) ->
            if Pd.is_guest pd then n + Page_table.footprint_bytes pd.Pd.pt
            else n)
-        0 (Kernel.pds kern)
+        0 pds
   in
   let live = Frame_alloc.live_bytes (Kmem.allocator kmem) in
   if live <> expected then
@@ -137,16 +138,15 @@ let check_frames kern =
         live expected ]
   else []
 
-let check_event_queue kern =
+let check_event_queue kern _pds =
   Event_queue.self_check (Kernel.zynq kern).Zynq.queue
 
-let check_prr_ownership kern =
+let check_prr_ownership kern pds =
   let hwtm = Kernel.hwtm kern in
   let prrc = (Kernel.zynq kern).Zynq.prrc in
   let mem = (Kernel.zynq kern).Zynq.mem in
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let pds = Kernel.pds kern in
   let find_pd id = List.find_opt (fun (p : Pd.t) -> p.Pd.id = id) pds in
   (* Every claimed PRR must belong to a live PD that holds a matching
      interface mapping, with the hwMMU window loaded from that PD's
@@ -219,7 +219,7 @@ let check_prr_ownership kern =
     pds;
   List.rev !problems
 
-let check_mmu_context kern =
+let check_mmu_context kern _pds =
   match Kernel.current kern with
   | None -> []
   | Some pd ->
@@ -263,9 +263,10 @@ let checkers =
     ("mmu_context", check_mmu_context) ]
 
 let check kern ~boundary =
+  let pds = Kernel.pds kern in
   List.concat_map
     (fun (checker, f) ->
-       List.map (fun detail -> { checker; boundary; detail }) (f kern))
+       List.map (fun detail -> { checker; boundary; detail }) (f kern pds))
     checkers
 
 let raise_first kern ~boundary =

@@ -73,4 +73,7 @@ val self_check : t -> string list
 (** Structural + conservation invariants: the arrival queue holds
     exactly the pending sources (no duplicates, no stale or missing
     entries) and the counter identity above holds. One message per
-    violation; [[]] when consistent. *)
+    violation; [[]] when consistent. A clean vGIC is proved clean
+    without building a table (every queued irq stamps a distinct
+    pending source, and the queue is as long as the pending count);
+    only a failed proof runs the walk that writes the messages. *)

@@ -65,15 +65,18 @@ type t = {
      [pending_tbl] (scheduled, may still fire or be cancelled) or
      [cancelled] (tombstone awaiting removal when the entry surfaces
      at the heap top). Fired events are in neither, so a cancel after
-     the event fired — or a double cancel — finds nothing to do. *)
-  pending_tbl : (id, unit) Hashtbl.t;
-  cancelled : (id, unit) Hashtbl.t;
+     the event fired — or a double cancel — finds nothing to do.
+     An entry's value is the last [self_check] sweep that reached it
+     from the heap (0: none yet). *)
+  pending_tbl : (id, int) Hashtbl.t;
+  cancelled : (id, int) Hashtbl.t;
   mutable next_seq : int;
+  mutable sweeps : int;
 }
 
 let create clock =
   { clock; heap = Heap.create (); pending_tbl = Hashtbl.create 16;
-    cancelled = Hashtbl.create 16; next_seq = 0 }
+    cancelled = Hashtbl.create 16; next_seq = 0; sweeps = 0 }
 
 let now q = Clock.now q.clock
 
@@ -81,7 +84,7 @@ let schedule_at q time action =
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   Heap.push q.heap { time; seq; action };
-  Hashtbl.replace q.pending_tbl seq ();
+  Hashtbl.replace q.pending_tbl seq 0;
   seq
 
 let schedule_after q d action = schedule_at q (Clock.now q.clock + d) action
@@ -89,7 +92,7 @@ let schedule_after q d action = schedule_at q (Clock.now q.clock + d) action
 let cancel q id =
   if Hashtbl.mem q.pending_tbl id then begin
     Hashtbl.remove q.pending_tbl id;
-    Hashtbl.replace q.cancelled id ()
+    Hashtbl.replace q.cancelled id 0
   end
 
 (* Pop the earliest event, skipping cancelled ones. The survivor is
@@ -151,7 +154,30 @@ let advance_until q t =
 
 let pending q = Hashtbl.length q.pending_tbl
 
-let self_check q =
+(* Proves, without allocating, that [full_check] would report nothing.
+   Each heap entry must lie in exactly one table and stamp its entry
+   there with this sweep's number; finding the stamp already set means
+   a duplicate seq. Distinct entries, each in one table, as many as
+   the two tables hold together: a bijection, so no table entry lacks
+   a heap entry and no id is in both tables. *)
+let rec entries_clean q stamp i =
+  let h = q.heap in
+  i = h.Heap.len
+  ||
+  let seq = h.Heap.arr.(i).seq in
+  let p = Hashtbl.mem q.pending_tbl seq in
+  p <> Hashtbl.mem q.cancelled seq
+  &&
+  let tbl = if p then q.pending_tbl else q.cancelled in
+  Hashtbl.find tbl seq <> stamp
+  && (Hashtbl.replace tbl seq stamp; entries_clean q stamp (i + 1))
+
+let clean q =
+  q.sweeps <- q.sweeps + 1;
+  q.heap.Heap.len = Hashtbl.length q.pending_tbl + Hashtbl.length q.cancelled
+  && entries_clean q q.sweeps 0
+
+let full_check q =
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
   let seen = Hashtbl.create 16 in
@@ -166,13 +192,15 @@ let self_check q =
       note "heap entry %d in neither pending nor cancelled table" seq
   done;
   Hashtbl.iter
-    (fun seq () ->
+    (fun seq _ ->
        if not (Hashtbl.mem seen seq) then
          note "pending id %d has no heap entry" seq)
     q.pending_tbl;
   Hashtbl.iter
-    (fun seq () ->
+    (fun seq _ ->
        if not (Hashtbl.mem seen seq) then
          note "cancelled tombstone %d has no heap entry (leak)" seq)
     q.cancelled;
   List.rev !problems
+
+let self_check q = if clean q then [] else full_check q

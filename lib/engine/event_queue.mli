@@ -51,4 +51,7 @@ val self_check : t -> string list
     entry is in exactly one of the pending/cancelled tables, ids are
     unique in the heap, and neither table holds an id with no heap
     entry (a cancel-after-fire bug would leave such a tombstone).
-    Returns one message per violation; [[]] when consistent. *)
+    Returns one message per violation; [[]] when consistent. A clean
+    queue is proved clean without allocating (every heap entry stamps
+    its table entry once, and the heap is as long as both tables);
+    only a failed proof runs the walk that writes the messages. *)

@@ -9,7 +9,11 @@
     resolves SRC/DST offsets against the hwMMU window, refuses any
     range escaping it (STATUS.violation), flags a coherence warning if
     CPU caches still hold dirty data for the input range, and schedules
-    completion after the DMA + fabric compute latency. *)
+    completion after the DMA + fabric compute latency. A streaming-FFT
+    job's fabric cycles are a pure function of its shape (points,
+    samples and the port's beats); each controller memoises the last
+    few shapes it ran, so the pipeline recurrence runs once per shape.
+    The ACP write-allocate into L2 still happens on every job. *)
 
 type port = Hp | Acp
 (** Data path used by task DMA; the paper uses [Hp]. *)
@@ -31,6 +35,10 @@ val create :
     latency, plus job/reset counters. *)
 
 val prr_count : t -> int
+
+val set_port : t -> port -> unit
+(** Choose the task DMA path for jobs started from now on (default
+    [Hp]). *)
 
 val prr : t -> int -> Prr.t
 (** @raise Invalid_argument on a bad id. *)

@@ -33,7 +33,8 @@ let butterfly_regs = 4
 let rec ilog2 acc v = if v <= 1 then acc else ilog2 (acc + 1) (v / 2)
 
 (* Per-element ring buffer remembering the last [cap] values, indexed
-   by sample number; reads outside the recorded window return [none]. *)
+   by sample number; reads outside the recorded window return the
+   caller's default. *)
 type ring = { buf : int array; mutable hi : int }
 
 let ring cap = { buf = Array.make (max 1 cap) 0; hi = -1 }
@@ -43,9 +44,9 @@ let ring_push r i v =
   r.hi <- i;
   r.buf.(i mod Array.length r.buf) <- v
 
-let ring_get r i =
-  if i < 0 || i > r.hi || i <= r.hi - Array.length r.buf then None
-  else Some (r.buf.(i mod Array.length r.buf))
+let ring_get r i ~default =
+  if i < 0 || i > r.hi || i <= r.hi - Array.length r.buf then default
+  else r.buf.(i mod Array.length r.buf)
 
 let fill_latency points =
   (* Delay lines sum to points-1 across stages, plus the register pipe. *)
@@ -53,6 +54,9 @@ let fill_latency points =
 
 let job_cycles ?(fifo_depth = default_fifo_depth) ~points ~samples ~in_beat
     ~out_beat () =
+  (* A depth below one would read the downstream ring at or past the
+     sample being computed, i.e. model an unbounded FIFO. *)
+  if fifo_depth < 1 then invalid_arg "Stream_fft.job_cycles: fifo_depth < 1";
   if samples <= 0 then 0
   else begin
     let stages = ilog2 0 points in
@@ -74,21 +78,18 @@ let job_cycles ?(fifo_depth = default_fifo_depth) ~points ~samples ~in_beat
       let prev_depart = ref 0 in
       for s = 0 to n - 1 do
         let avail = if s = 0 then 0 else !prev_depart in
+        (* Every ring holds at least the previous sample. *)
+        let issue =
+          if i = 0 then 0 else ring_get enter.(s) (i - 1) ~default:0 + ii.(s)
+        in
         let e =
-          List.fold_left max avail
-            [ (match ring_get enter.(s) (i - 1) with
-               | Some v -> v + ii.(s)
-               | None -> 0);
-              (match ring_get depart.(s) (i - cap.(s)) with
-               | Some v -> v
-               | None -> 0) ]
+          Int.max avail
+            (Int.max issue (ring_get depart.(s) (i - cap.(s)) ~default:0))
         in
         let d = e + lat.(s) in
         let d =
           if s < n - 1 then
-            match ring_get enter.(s + 1) (i - fifo_depth) with
-            | Some v -> max d v
-            | None -> d
+            Int.max d (ring_get enter.(s + 1) (i - fifo_depth) ~default:d)
           else d
         in
         ring_push enter.(s) i e;

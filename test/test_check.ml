@@ -147,6 +147,120 @@ let test_vgic_conservation_through_delivery () =
   Alcotest.(check (list string)) "conservation holds" [] (Vgic.self_check v)
 
 (* ------------------------------------------------------------------ *)
+(* Self-checks stay clean over random operation sequences: the          *)
+(* allocation-free clean-path proofs never report a sound state.        *)
+
+type eq_op =
+  | Schedule of int        (* delay *)
+  | Cancel of int          (* k-th scheduled id, fired or not *)
+  | Self_cancel of int     (* an event that cancels itself while firing *)
+  | Advance of int
+
+let prop_event_queue_self_check =
+  let op =
+    QCheck2.Gen.(
+      oneof
+        [ map (fun d -> Schedule d) (int_range 0 50);
+          map (fun k -> Cancel k) (int_bound 40);
+          map (fun d -> Self_cancel d) (int_range 0 50);
+          map (fun d -> Advance d) (int_range 0 60) ])
+  in
+  let print = function
+    | Schedule d -> Printf.sprintf "schedule %d" d
+    | Cancel k -> Printf.sprintf "cancel #%d" k
+    | Self_cancel d -> Printf.sprintf "self-cancel %d" d
+    | Advance d -> Printf.sprintf "advance %d" d
+  in
+  QCheck2.Test.make ~name:"event queue self-check clean on random ops"
+    ~count:300 ~print:QCheck2.Print.(list print)
+    QCheck2.Gen.(list_size (int_range 1 60) op)
+    (fun ops ->
+       let q = Event_queue.create (Clock.create ()) in
+       let ids = ref [] in
+       (* Model: an id leaves [live] when it fires or is cancelled
+          before firing. *)
+       let live = Hashtbl.create 16 in
+       let schedule d ~self_cancel =
+         let r = ref None in
+         let id =
+           Event_queue.schedule_after q d (fun () ->
+               let id = Option.get !r in
+               Hashtbl.remove live id;
+               if self_cancel then Event_queue.cancel q id)
+         in
+         r := Some id;
+         ids := id :: !ids;
+         Hashtbl.replace live id ()
+       in
+       List.for_all
+         (fun op ->
+            (match op with
+             | Schedule d -> schedule d ~self_cancel:false
+             | Self_cancel d -> schedule d ~self_cancel:true
+             | Cancel k ->
+               if !ids <> [] then begin
+                 let id = List.nth !ids (k mod List.length !ids) in
+                 Event_queue.cancel q id;
+                 Hashtbl.remove live id
+               end
+             | Advance d ->
+               ignore (Event_queue.advance_until q (Event_queue.now q + d)));
+            Event_queue.self_check q = []
+            && Event_queue.pending q = Hashtbl.length live)
+         ops)
+
+type vgic_op =
+  | Register of int
+  | Enable of int
+  | Disable of int
+  | Set_pending of int
+  | Drain
+  | Unregister of int
+  | Clear_pending
+
+let prop_vgic_self_check =
+  let irq = QCheck2.Gen.int_bound 5 in
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ (1, map (fun i -> Register i) irq);
+          (1, map (fun i -> Enable i) irq);
+          (1, map (fun i -> Disable i) irq);
+          (2, map (fun i -> Set_pending i) irq);
+          (1, pure Drain);
+          (1, map (fun i -> Unregister i) irq);
+          (1, pure Clear_pending) ])
+  in
+  let print = function
+    | Register i -> Printf.sprintf "register %d" i
+    | Enable i -> Printf.sprintf "enable %d" i
+    | Disable i -> Printf.sprintf "disable %d" i
+    | Set_pending i -> Printf.sprintf "set_pending %d" i
+    | Drain -> "drain"
+    | Unregister i -> Printf.sprintf "unregister %d" i
+    | Clear_pending -> "clear_pending"
+  in
+  QCheck2.Test.make ~name:"vgic self-check clean on random ops" ~count:300
+    ~print:QCheck2.Print.(list print)
+    QCheck2.Gen.(list_size (int_range 1 60) op)
+    (fun ops ->
+       let v = Vgic.create ~owner:1 in
+       List.for_all
+         (fun op ->
+            (match op with
+             | Register i -> Vgic.register v i
+             | Enable i -> if Vgic.registered v i then Vgic.enable v i
+             | Disable i -> if Vgic.registered v i then Vgic.disable v i
+             | Set_pending i -> Vgic.set_pending v i
+             | Drain -> ignore (Vgic.drain v)
+             | Unregister i -> Vgic.unregister v i
+             | Clear_pending -> ignore (Vgic.clear_pending v));
+            Vgic.self_check v = []
+            && Vgic.latched v
+               = Vgic.raised v - Vgic.delivered v - Vgic.reclaimed v)
+         ops)
+
+(* ------------------------------------------------------------------ *)
 (* The checkers actually catch corruption.                             *)
 
 let violation_checkers kern =
@@ -447,6 +561,8 @@ let suite =
         test_vgic_clear_pending_counts_latched;
       Alcotest.test_case "vgic conservation through delivery" `Quick
         test_vgic_conservation_through_delivery;
+      QCheck_alcotest.to_alcotest prop_event_queue_self_check;
+      QCheck_alcotest.to_alcotest prop_vgic_self_check;
       Alcotest.test_case "checker catches ASID leak" `Quick
         test_checker_catches_asid_leak;
       Alcotest.test_case "checker catches frame leak" `Quick

@@ -285,6 +285,120 @@ let test_stream_fft_model () =
   check ci "empty job costs nothing" 0
     (Stream_fft.job_cycles ~points:256 ~samples:0 ~in_beat:1 ~out_beat:1 ())
 
+(* The option/list recurrence [Stream_fft.job_cycles] had before it
+   was made allocation-free, kept verbatim as the oracle. *)
+module Sfft_reference = struct
+  let butterfly_regs = 4
+
+  let rec ilog2 acc v = if v <= 1 then acc else ilog2 (acc + 1) (v / 2)
+
+  type ring = { buf : int array; mutable hi : int }
+
+  let ring cap = { buf = Array.make (max 1 cap) 0; hi = -1 }
+
+  let ring_push r i v =
+    assert (i = r.hi + 1);
+    r.hi <- i;
+    r.buf.(i mod Array.length r.buf) <- v
+
+  let ring_get r i =
+    if i < 0 || i > r.hi || i <= r.hi - Array.length r.buf then None
+    else Some (r.buf.(i mod Array.length r.buf))
+
+  let job_cycles ~fifo_depth ~points ~samples ~in_beat ~out_beat =
+    if samples <= 0 then 0
+    else begin
+      let stages = ilog2 0 points in
+      let n = stages + 2 in
+      let ii = Array.make n 1 in
+      let lat = Array.make n 0 in
+      let cap = Array.make n 1 in
+      ii.(0) <- max 1 in_beat;
+      ii.(n - 1) <- max 1 out_beat;
+      for s = 1 to stages do
+        lat.(s) <- (points lsr s) + butterfly_regs;
+        cap.(s) <- lat.(s)
+      done;
+      let enter = Array.init n (fun s -> ring (max fifo_depth cap.(s))) in
+      let depart = Array.init n (fun s -> ring cap.(s)) in
+      let finish = ref 0 in
+      for i = 0 to samples - 1 do
+        let prev_depart = ref 0 in
+        for s = 0 to n - 1 do
+          let avail = if s = 0 then 0 else !prev_depart in
+          let e =
+            List.fold_left max avail
+              [ (match ring_get enter.(s) (i - 1) with
+                 | Some v -> v + ii.(s)
+                 | None -> 0);
+                (match ring_get depart.(s) (i - cap.(s)) with
+                 | Some v -> v
+                 | None -> 0) ]
+          in
+          let d = e + lat.(s) in
+          let d =
+            if s < n - 1 then
+              match ring_get enter.(s + 1) (i - fifo_depth) with
+              | Some v -> max d v
+              | None -> d
+            else d
+          in
+          ring_push enter.(s) i e;
+          ring_push depart.(s) i d;
+          prev_depart := d;
+          if s = n - 1 then finish := d + ii.(s)
+        done
+      done;
+      !finish
+    end
+end
+
+(* Every beat pair up to 1024 points (E10's SFFT-1024 included); above
+   that two pairs, a slow drain and a slow feed, where the reference
+   alone takes seconds per size for the full grid. *)
+let test_stream_fft_oracle () =
+  let all_beats = List.init 16 (fun k -> (k / 4, k mod 4)) in
+  List.iter
+    (fun points ->
+       let samples =
+         [ 0; 1; 7; points - 1; points; 2 * points; points + (points / 2) + 3 ]
+       in
+       let beats = if points <= 1024 then all_beats else [ (1, 2); (3, 0) ] in
+       List.iter
+         (fun fifo_depth ->
+            List.iter
+              (fun samples ->
+                 List.iter
+                   (fun (in_beat, out_beat) ->
+                      let want =
+                        Sfft_reference.job_cycles ~fifo_depth ~points ~samples
+                          ~in_beat ~out_beat
+                      in
+                      let got =
+                        Stream_fft.job_cycles ~fifo_depth ~points ~samples
+                          ~in_beat ~out_beat ()
+                      in
+                      if got <> want then
+                        Alcotest.failf
+                          "points %d samples %d beats %d/%d fifo %d: %d, \
+                           reference %d"
+                          points samples in_beat out_beat fifo_depth got want)
+                   beats)
+              samples)
+         [ 1; 8; 64 ])
+    (List.init 13 (fun k -> 2 lsl k) (* 2 .. 8192 *))
+
+let test_stream_fft_fifo_depth () =
+  let j fifo_depth () =
+    ignore
+      (Stream_fft.job_cycles ~fifo_depth ~points:256 ~samples:256 ~in_beat:1
+         ~out_beat:1 ())
+  in
+  let e = Invalid_argument "Stream_fft.job_cycles: fifo_depth < 1" in
+  Alcotest.check_raises "zero depth" e (j 0);
+  Alcotest.check_raises "negative depth" e (j (-4));
+  j 1 ()
+
 (* --- PRR controller --- *)
 
 let load_task z prr_id kind =
@@ -403,6 +517,58 @@ let test_controller_irq_exhaustion () =
   done;
   check ci "only 16 PL sources exist" 16 !allocated
 
+(* Two back-to-back SFFT-1024 jobs on one PRR; the second reuses the
+   controller's memoised fabric cycles, yet must cost the same and
+   write-allocate into L2 again. *)
+let test_controller_sfft_memo () =
+  let sfft_board () =
+    let z = board () in
+    let prr = load_task z 0 (Task_kind.Fft_stream 1024) in
+    Hw_mmu.load_window prr.Prr.hw_mmu ~base:(Address_map.guest_phys_base 0)
+      ~size:65536;
+    write_reg z prr Prr.Reg.src_offset 0;
+    write_reg z prr Prr.Reg.dst_offset 16384;
+    write_reg z prr Prr.Reg.len 1024;
+    z, prr
+  in
+  (* Runs one job and returns its latency. *)
+  let job z prr =
+    let before = prr.Prr.busy_cycles in
+    write_reg z prr Prr.Reg.ctrl 1;
+    ignore
+      (Event_queue.advance_until z.Zynq.queue
+         (Clock.now z.Zynq.clock + Cycles.of_ms 1.0));
+    check cb "job finished" true (prr.Prr.state = Prr.Ready);
+    prr.Prr.busy_cycles - before
+  in
+  let l2_counts z =
+    let l2 = Hierarchy.l2 z.Zynq.hier in
+    [ Cache.hits l2; Cache.misses l2; Cache.valid_lines l2;
+      Cache.dirty_lines l2 ]
+  in
+  let z, prr = sfft_board () in
+  Prr_controller.set_port z.Zynq.prrc Prr_controller.Acp;
+  let acp1 = job z prr in
+  let acp2 = job z prr in
+  check ci "memoised ACP job costs the same" acp1 acp2;
+  (* The un-memoised reference: the same board state, with the two
+     jobs' L2 write-allocates made directly. *)
+  let r, _ = sfft_board () in
+  for _ = 1 to 2 do
+    Axi.acp_allocate ~l2:(Hierarchy.l2 r.Zynq.hier)
+      (Address_map.guest_phys_base 0 + 16384) (1024 * 8)
+  done;
+  check (Alcotest.list ci) "both jobs write-allocate into L2" (l2_counts r)
+    (l2_counts z);
+  (* The memo key holds the beats: the HP port (1-cycle drain beat)
+     is faster, and switching back to ACP restores the ACP latency. *)
+  Prr_controller.set_port z.Zynq.prrc Prr_controller.Hp;
+  let hp = job z prr in
+  check cb "HP job differs from ACP" true (hp < acp1);
+  Prr_controller.set_port z.Zynq.prrc Prr_controller.Acp;
+  check ci "ACP again" acp1 (job z prr);
+  check ci "four jobs ran" 4 (Prr_controller.jobs_completed z.Zynq.prrc)
+
 let test_axi_costs () =
   check cb "hp cost grows" true
     (Axi.hp_transfer_cycles 65536 > Axi.hp_transfer_cycles 1024);
@@ -433,10 +599,14 @@ let suite =
       t "pcap abort reports real completion"
         test_pcap_abort_reports_real_completion;
       t "stream fft model" test_stream_fft_model;
+      t "stream fft matches the reference recurrence" test_stream_fft_oracle;
+      t "stream fft refuses a fifo depth below one"
+        test_stream_fft_fifo_depth;
       t "controller decode" test_controller_decode;
       t "controller job" test_controller_job;
       t "controller hwmmu refusal" test_controller_hwmmu_refusal;
       t "controller coherence warning" test_controller_coherence_warning;
       t "controller irq allocation" test_controller_irq_allocation;
       t "controller irq exhaustion" test_controller_irq_exhaustion;
+      t "controller memoises sfft job shapes" test_controller_sfft_memo;
       t "axi costs" test_axi_costs ] )
