@@ -18,11 +18,10 @@ let () =
 
 (* Each checker reads the kernel and its live PDs (listed once per
    sweep) and returns a list of problem strings; [check] tags them
-   with the checker name and boundary. Checkers are pure reads over
-   kernel/platform state (the event-queue and vGIC clean-path proofs
-   write only their own sweep stamps): they never touch the simulated
-   clock, caches or memory traffic, so running them cannot perturb the
-   simulation. *)
+   with the checker name and boundary. Checkers read kernel/platform
+   state (the event-queue and vGIC clean-path proofs write only their
+   own sweep stamps): they never touch the simulated clock, caches or
+   memory traffic, so running them cannot perturb the simulation. *)
 
 let check_sched kern pds =
   let sched = Kernel.sched kern in

@@ -3,8 +3,9 @@
 
     Like the observability plane ([lib/obs]), the invariant plane is
     zero-cost and cycle-identical when off: nothing is evaluated until
-    {!attach_smp} installs the kernels' check hooks, and every checker
-    is a pure read — no clock advances, no charged memory traffic — so
+    {!attach_smp} installs the kernels' check hooks, and no checker
+    advances a clock or charges cache or memory traffic (the event-queue
+    and vGIC clean-path proofs write only their own sweep stamps), so
     runs with checking on are cycle-identical to runs with it off.
 
     The eight checkers:

@@ -21,16 +21,12 @@ type t = {
   mutable port : port;
   mutable jobs_completed : int;
   mutable coherence_warnings : int;
-  (* The last few shapes this controller ran, overwritten round-robin:
-     a pure function's cache, so which shapes it holds never changes a
-     result. *)
-  sfft_memo : sfft_shape array;
-  mutable sfft_next : int;
+  (* The last streaming-FFT shape this controller ran. A PRR keeps one
+     loaded kind and guests stage whole transforms, so jobs repeat their
+     shape until a reconfiguration; the entry caches a pure function,
+     so it never changes a result. *)
+  mutable sfft_last : sfft_shape;
 }
-
-(* An empty job costs nothing, so the all-zero shape is a true entry. *)
-let no_shape =
-  { points = 0; samples = 0; in_beat = 0; out_beat = 0; fabric = 0 }
 
 let create ?faults ?obs mem queue gic hier ~capacities =
   if capacities = [] then invalid_arg "Prr_controller.create: no PRRs";
@@ -44,10 +40,11 @@ let create ?faults ?obs mem queue gic hier ~capacities =
   { mem; queue; gic; hier; faults; obs; prrs;
     irq_table = Array.make Irq_id.pl_count None;
     port = Hp; jobs_completed = 0; coherence_warnings = 0;
-    sfft_memo = Array.make 8 no_shape; sfft_next = 0 }
+    (* An empty job costs nothing, so the all-zero shape is correct. *)
+    sfft_last =
+      { points = 0; samples = 0; in_beat = 0; out_beat = 0; fabric = 0 } }
 
 let prr_count t = Array.length t.prrs
-let set_port t p = t.port <- p
 
 let prr t id =
   if id < 0 || id >= Array.length t.prrs then
@@ -80,27 +77,18 @@ let dma_cycles t bytes base =
   | Hp -> Axi.hp_transfer_cycles bytes
   | Acp -> Axi.acp_transfer_cycles bytes ~l2:(Hierarchy.l2 t.hier) base
 
-(* The memoised fabric cycles of this job shape, or -1. *)
-let rec sfft_find memo i ~points ~samples ~in_beat ~out_beat =
-  if i = Array.length memo then -1
-  else
-    let m = memo.(i) in
-    if m.points = points && m.samples = samples && m.in_beat = in_beat
-       && m.out_beat = out_beat
-    then m.fabric
-    else sfft_find memo (i + 1) ~points ~samples ~in_beat ~out_beat
-
 let sfft_fabric_cycles t ~points ~samples ~in_beat ~out_beat =
-  match sfft_find t.sfft_memo 0 ~points ~samples ~in_beat ~out_beat with
-  | -1 ->
+  let m = t.sfft_last in
+  if m.points = points && m.samples = samples && m.in_beat = in_beat
+     && m.out_beat = out_beat
+  then m.fabric
+  else begin
     let fabric =
       Stream_fft.job_cycles ~points ~samples ~in_beat ~out_beat ()
     in
-    t.sfft_memo.(t.sfft_next) <-
-      { points; samples; in_beat; out_beat; fabric };
-    t.sfft_next <- (t.sfft_next + 1) mod Array.length t.sfft_memo;
+    t.sfft_last <- { points; samples; in_beat; out_beat; fabric };
     fabric
-  | fabric -> fabric
+  end
 
 let start_job t prr =
   match prr.Prr.state, prr.Prr.loaded with
@@ -176,7 +164,7 @@ let start_job t prr =
                 (with a 2-cycle drain beat — the round trip the paper
                 rejected ACP for — which the FIFO model turns into
                 visible upstream backpressure). The recurrence runs
-                once per job shape; the L2 side effect runs every job. *)
+                only when the job shape changes. *)
              let samples = Ip_core.items job in
              let in_beat, out_beat =
                match t.port with

@@ -11,9 +11,9 @@
     CPU caches still hold dirty data for the input range, and schedules
     completion after the DMA + fabric compute latency. A streaming-FFT
     job's fabric cycles are a pure function of its shape (points,
-    samples and the port's beats); each controller memoises the last
-    few shapes it ran, so the pipeline recurrence runs once per shape.
-    The ACP write-allocate into L2 still happens on every job. *)
+    samples and the port's beats); each controller keeps the last shape
+    it ran, so the pipeline recurrence runs only when the shape
+    changes. *)
 
 type port = Hp | Acp
 (** Data path used by task DMA; the paper uses [Hp]. *)
@@ -35,10 +35,6 @@ val create :
     latency, plus job/reset counters. *)
 
 val prr_count : t -> int
-
-val set_port : t -> port -> unit
-(** Choose the task DMA path for jobs started from now on (default
-    [Hp]). *)
 
 val prr : t -> int -> Prr.t
 (** @raise Invalid_argument on a bad id. *)

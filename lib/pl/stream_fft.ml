@@ -54,9 +54,6 @@ let fill_latency points =
 
 let job_cycles ?(fifo_depth = default_fifo_depth) ~points ~samples ~in_beat
     ~out_beat () =
-  (* A depth below one would read the downstream ring at or past the
-     sample being computed, i.e. model an unbounded FIFO. *)
-  if fifo_depth < 1 then invalid_arg "Stream_fft.job_cycles: fifo_depth < 1";
   if samples <= 0 then 0
   else begin
     let stages = ilog2 0 points in

@@ -29,6 +29,5 @@ val job_cycles :
     fabric cycles between successive DMA beats on the read/write
     channels (1 = one sample per fabric cycle, the 64-bit HP port
     rate). AXI burst setup is not included — the caller charges it per
-    direction. [fifo_depth] (default 8) is the inter-stage FIFO depth
-    in samples. Allocates only the per-element rings, nothing per
-    sample. @raise Invalid_argument if [fifo_depth < 1]. *)
+    direction. Allocates only the per-element rings, nothing per
+    sample. *)

@@ -388,17 +388,6 @@ let test_stream_fft_oracle () =
          [ 1; 8; 64 ])
     (List.init 13 (fun k -> 2 lsl k) (* 2 .. 8192 *))
 
-let test_stream_fft_fifo_depth () =
-  let j fifo_depth () =
-    ignore
-      (Stream_fft.job_cycles ~fifo_depth ~points:256 ~samples:256 ~in_beat:1
-         ~out_beat:1 ())
-  in
-  let e = Invalid_argument "Stream_fft.job_cycles: fifo_depth < 1" in
-  Alcotest.check_raises "zero depth" e (j 0);
-  Alcotest.check_raises "negative depth" e (j (-4));
-  j 1 ()
-
 (* --- PRR controller --- *)
 
 let load_task z prr_id kind =
@@ -517,22 +506,19 @@ let test_controller_irq_exhaustion () =
   done;
   check ci "only 16 PL sources exist" 16 !allocated
 
-(* Two back-to-back SFFT-1024 jobs on one PRR; the second reuses the
-   controller's memoised fabric cycles, yet must cost the same and
-   write-allocate into L2 again. *)
+(* Back-to-back SFFT-1024 jobs on one PRR over the HP port: a repeated
+   shape reuses the controller's cached fabric cycles, a new length
+   recomputes them, and every latency is the recurrence's own. *)
 let test_controller_sfft_memo () =
-  let sfft_board () =
-    let z = board () in
-    let prr = load_task z 0 (Task_kind.Fft_stream 1024) in
-    Hw_mmu.load_window prr.Prr.hw_mmu ~base:(Address_map.guest_phys_base 0)
-      ~size:65536;
-    write_reg z prr Prr.Reg.src_offset 0;
-    write_reg z prr Prr.Reg.dst_offset 16384;
-    write_reg z prr Prr.Reg.len 1024;
-    z, prr
-  in
-  (* Runs one job and returns its latency. *)
-  let job z prr =
+  let z = board () in
+  let prr = load_task z 0 (Task_kind.Fft_stream 1024) in
+  Hw_mmu.load_window prr.Prr.hw_mmu ~base:(Address_map.guest_phys_base 0)
+    ~size:65536;
+  write_reg z prr Prr.Reg.src_offset 0;
+  write_reg z prr Prr.Reg.dst_offset 16384;
+  (* Runs one job of [len] samples and returns its latency. *)
+  let job len =
+    write_reg z prr Prr.Reg.len len;
     let before = prr.Prr.busy_cycles in
     write_reg z prr Prr.Reg.ctrl 1;
     ignore
@@ -541,32 +527,20 @@ let test_controller_sfft_memo () =
     check cb "job finished" true (prr.Prr.state = Prr.Ready);
     prr.Prr.busy_cycles - before
   in
-  let l2_counts z =
-    let l2 = Hierarchy.l2 z.Zynq.hier in
-    [ Cache.hits l2; Cache.misses l2; Cache.valid_lines l2;
-      Cache.dirty_lines l2 ]
+  let expected samples =
+    (2 * Axi.burst_setup_cycles)
+    + Task_kind.cpu_cycles
+        (float_of_int
+           (Stream_fft.job_cycles ~points:1024 ~samples ~in_beat:1
+              ~out_beat:1 ()))
   in
-  let z, prr = sfft_board () in
-  Prr_controller.set_port z.Zynq.prrc Prr_controller.Acp;
-  let acp1 = job z prr in
-  let acp2 = job z prr in
-  check ci "memoised ACP job costs the same" acp1 acp2;
-  (* The un-memoised reference: the same board state, with the two
-     jobs' L2 write-allocates made directly. *)
-  let r, _ = sfft_board () in
-  for _ = 1 to 2 do
-    Axi.acp_allocate ~l2:(Hierarchy.l2 r.Zynq.hier)
-      (Address_map.guest_phys_base 0 + 16384) (1024 * 8)
-  done;
-  check (Alcotest.list ci) "both jobs write-allocate into L2" (l2_counts r)
-    (l2_counts z);
-  (* The memo key holds the beats: the HP port (1-cycle drain beat)
-     is faster, and switching back to ACP restores the ACP latency. *)
-  Prr_controller.set_port z.Zynq.prrc Prr_controller.Hp;
-  let hp = job z prr in
-  check cb "HP job differs from ACP" true (hp < acp1);
-  Prr_controller.set_port z.Zynq.prrc Prr_controller.Acp;
-  check ci "ACP again" acp1 (job z prr);
+  let first = job 1024 in
+  check ci "first job is the recurrence's" (expected 1024) first;
+  check ci "a repeated shape costs the same" first (job 1024);
+  let double = job 2048 in
+  check ci "a new length is recomputed" (expected 2048) double;
+  check cb "two transforms take longer" true (double > first);
+  check ci "the first shape again" first (job 1024);
   check ci "four jobs ran" 4 (Prr_controller.jobs_completed z.Zynq.prrc)
 
 let test_axi_costs () =
@@ -600,8 +574,6 @@ let suite =
         test_pcap_abort_reports_real_completion;
       t "stream fft model" test_stream_fft_model;
       t "stream fft matches the reference recurrence" test_stream_fft_oracle;
-      t "stream fft refuses a fifo depth below one"
-        test_stream_fft_fifo_depth;
       t "controller decode" test_controller_decode;
       t "controller job" test_controller_job;
       t "controller hwmmu refusal" test_controller_hwmmu_refusal;
