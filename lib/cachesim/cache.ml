@@ -150,7 +150,10 @@ let mark_dirty t i =
 
 (* Install [la] in slot [i] (the fill half of a miss): maintains the
    valid/dirty counters for whatever state the victim slot was in.
-   (A non-live victim is never dirty, see the invariant above.) *)
+   (A non-live victim is never dirty, see the invariant above.) The
+   victim's dirty line leaves the count, and a store fill always adds
+   the line it dirties: the two are different lines even when they
+   share the slot. *)
 let fill_slot t i la ~write =
   let was_dirty = dirty_slot t i in
   if live t i then begin
@@ -161,7 +164,7 @@ let fill_slot t i la ~write =
   Array.unsafe_set t.state ((2 * i) + 1) t.tick;
   if write then begin
     Array.unsafe_set t.dstamp i t.dgen;
-    if not was_dirty then t.dirty_count <- t.dirty_count + 1
+    t.dirty_count <- t.dirty_count + 1
   end
   else if was_dirty then Array.unsafe_set t.dstamp i (-1)
 
@@ -309,9 +312,10 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
         else incr vdelta;
         Array.unsafe_set state (2 * i) key;
         Array.unsafe_set state ((2 * i) + 1) !tick;
+        (* As in [fill_slot]: a store fill always dirties one line. *)
         if write then begin
           Array.unsafe_set t.dstamp i t.dgen;
-          if not was_dirty then incr ddelta
+          incr ddelta
         end
         else if was_dirty then Array.unsafe_set t.dstamp i (-1);
         (* Line fill consults the next level, like the scalar path.
@@ -358,7 +362,7 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
           Array.unsafe_set nstate ((2 * j) + 1) !ntick;
           if write then begin
             Array.unsafe_set next.dstamp j next.dgen;
-            if not nwas_dirty then incr nddelta
+            incr nddelta
           end
           else if nwas_dirty then Array.unsafe_set next.dstamp j (-1);
           Array.unsafe_set next_slots (from + k) j;

@@ -95,11 +95,11 @@ type t = {
   (* [exec_pins.(n)]: the allocation bookkeeping footprint for a scan
      of [n] PRR rows, pinned once. *)
   exec_pins : Fastpath.pinned array;
-  tasks : (Bitstream.id, task_entry) Hashtbl.t;
+  tasks : task_entry Int_table.t;
   rows : prr_row array;
   policy : policy;
   partition : partition;
-  client_viols : (int, int) Hashtbl.t;
+  client_viols : int Int_table.t;
   mutable next_task_id : int;
   mutable store_next : Addr.t;
   mutable store_free : (Addr.t * int) list; (* recycled ranges, by base *)
@@ -139,7 +139,7 @@ let create ?(partition = Dynamic) ?(env = shared_space) zynq =
     exec_pins =
       Array.init (n + 1) (fun prrs_scanned ->
           Exec.pin1 (exec_fp ~prrs_scanned));
-    tasks = Hashtbl.create 16;
+    tasks = Int_table.create 16;
     rows = Array.init n (fun prr_id ->
         { prr_id; row_client = none; row_task = none; row_data_base = 0;
           row_iface = 0; row_pinned = None;
@@ -147,7 +147,7 @@ let create ?(partition = Dynamic) ?(env = shared_space) zynq =
           retry_count = 0; next_retry_at = 0; viol_seen = 0 });
     policy = default_policy ();
     partition;
-    client_viols = Hashtbl.create 8;
+    client_viols = Int_table.create 8;
     next_task_id = 1;
     store_next = Address_map.bitstream_store_base;
     store_free = [];
@@ -237,7 +237,7 @@ let try_register_task t kind =
         let id = t.next_task_id in
         t.next_task_id <- id + 1;
         let bit = Bitstream.make ~id ~kind ~store_addr in
-        Hashtbl.replace t.tasks id { bit; prr_list };
+        Int_table.replace t.tasks id { bit; prr_list };
         Ok id
     end
 
@@ -254,7 +254,7 @@ let register_task t kind =
 let task_allocated t id = Array.exists (fun row -> row.row_task = id) t.rows
 
 let destroy_task t id =
-  match Hashtbl.find_opt t.tasks id with
+  match Int_table.find_opt t.tasks id with
   | None -> Error "Hw_task_manager: destroy of unknown task"
   | Some entry ->
     if task_allocated t id then
@@ -262,17 +262,17 @@ let destroy_task t id =
     else begin
       (* Task ids are never reused, so a stale copy of this bitstream
          left loaded in a PRR can no longer match any future task. *)
-      Hashtbl.remove t.tasks id;
+      Int_table.remove t.tasks id;
       store_release t entry.bit.Bitstream.store_addr
         entry.bit.Bitstream.size_bytes;
       Ok ()
     end
 
 let task_kind t id =
-  Option.map (fun e -> e.bit.Bitstream.kind) (Hashtbl.find_opt t.tasks id)
+  Option.map (fun e -> e.bit.Bitstream.kind) (Int_table.find_opt t.tasks id)
 
 let task_ids t =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tasks [])
+  List.sort compare (Int_table.fold (fun k _ acc -> k :: acc) t.tasks [])
 
 let charge_exec t ~prrs_scanned =
   Exec.run_pinned t.zynq ~priv:true t.exec_pins.(prrs_scanned)
@@ -372,7 +372,7 @@ let rec count_eligible t ~client_id = function
 
 let request t ~client_id ~data_base ~data_len ~iface_vaddr ~task ~want_irq =
   t.requests <- t.requests + 1;
-  match Hashtbl.find_opt t.tasks task with
+  match Int_table.find_opt t.tasks task with
   | None ->
     charge_exec t ~prrs_scanned:0;
     { status = Hyper.Hw_bad_task; prr = None; irq = None }
@@ -573,7 +573,7 @@ let health_scan t =
           if row.retry_count < t.policy.reconfig_retry_limit then begin
             if now >= row.next_retry_at
                && not (Pcap.busy t.zynq.Zynq.pcap) then
-              match Hashtbl.find_opt t.tasks task with
+              match Int_table.find_opt t.tasks task with
               | None -> ()
               | Some entry ->
                 let obs = t.zynq.Zynq.obs in
@@ -634,11 +634,11 @@ let health_scan t =
             row.viol_seen <- v;
             let cur =
               fresh
-              + (try Hashtbl.find t.client_viols client with Not_found -> 0)
+              + (try Int_table.find t.client_viols client with Not_found -> 0)
             in
-            Hashtbl.replace t.client_viols client cur;
+            Int_table.replace t.client_viols client cur;
             if cur >= t.policy.kill_violation_threshold then begin
-              Hashtbl.replace t.client_viols client 0;
+              Int_table.replace t.client_viols client 0;
               push (Act_kill { client; violations = cur })
             end
           end

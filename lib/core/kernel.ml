@@ -117,8 +117,8 @@ type t = {
   kmem : Kmem.t;
   sched : Sched.t;
   probe : Probe.t;
-  pd_tbl : (int, Pd.t) Hashtbl.t;
-  rts : (int, vm_rt) Hashtbl.t;
+  pd_tbl : Pd.t Int_table.t;
+  rts : vm_rt Int_table.t;
   hwtm : Hw_task_manager.t;
   mgr_pd : Pd.t;
   kf : kfast;
@@ -148,7 +148,7 @@ type t = {
      and the cursor round-robins steals over 2..255. *)
   asid_owner : int array;
   mutable asid_cursor : int;
-  rings : (int, ring) Hashtbl.t;         (* PD id -> its v2 ring *)
+  rings : ring Int_table.t;               (* PD id -> its v2 ring *)
   mutable ring_enqueued_total : int;
   mutable ring_completed_total : int;
   mutable ring_reclaimed_total : int;
@@ -287,12 +287,13 @@ let make_kinstr z probe =
 
 (* Get-or-intern the pinned trace for a save-area slot. The handle
    outlives the VM: recycled slots reuse it, so lifecycle churn never
-   recompiles the switch/inject traces. *)
-let slot_pin arr slot make =
+   recompiles the switch/inject traces. [make] gets [arg] instead of
+   closing over it, so a call that finds the handle allocates nothing. *)
+let slot_pin arr slot make arg =
   match arr.(slot) with
   | Some p -> p
   | None ->
-    let p = make () in
+    let p = make arg in
     arr.(slot) <- Some p;
     p
 
@@ -303,7 +304,7 @@ let slot_pin arr slot make =
 let manager_env kmem pd_tbl =
   { Hw_task_manager.map_iface =
       (fun ~client_id ~task ~vaddr prr ->
-         match Hashtbl.find_opt pd_tbl client_id with
+         match Int_table.find_opt pd_tbl client_id with
          | None -> Error "iface: no such client"
          | Some pd ->
            (* Re-requesting a held task at a new vaddr moves its
@@ -323,14 +324,14 @@ let manager_env kmem pd_tbl =
            | Error e -> Error e);
     unmap_iface =
       (fun ~client_id ~task ~vaddr _prr ->
-         match Hashtbl.find_opt pd_tbl client_id with
+         match Int_table.find_opt pd_tbl client_id with
          | Some pd when Pd.find_iface pd task <> None ->
            Kmem.unmap_iface kmem pd ~vaddr;
            Pd.remove_iface pd task
          | Some _ | None -> ());
     notify_irq =
       (fun ~client_id _prr i ->
-         match Hashtbl.find_opt pd_tbl client_id with
+         match Int_table.find_opt pd_tbl client_id with
          | Some pd ->
            let v = Irq_id.pl i in
            Vgic.register pd.Pd.vgic v;
@@ -339,7 +340,7 @@ let manager_env kmem pd_tbl =
 
 let boot ?(config = default_config) z =
   let kmem = Kmem.create z in
-  let pd_tbl = Hashtbl.create 8 in
+  let pd_tbl = Int_table.create 8 in
   let hwtm =
     Hw_task_manager.create ~partition:config.partition
       ~env:(manager_env kmem pd_tbl) z
@@ -358,7 +359,7 @@ let boot ?(config = default_config) z =
       sched = Sched.create ();
       probe;
       pd_tbl;
-      rts = Hashtbl.create 8;
+      rts = Int_table.create 8;
       hwtm; mgr_pd;
       kf = make_kfast ();
       ki = make_kinstr z probe;
@@ -370,7 +371,7 @@ let boot ?(config = default_config) z =
       trace = None; check_hook = None;
       alive = 0; alloc_steps = 0;
       asid_owner = Array.make 256 (-1); asid_cursor = 1;
-      rings = Hashtbl.create 8;
+      rings = Int_table.create 8;
       ring_enqueued_total = 0; ring_completed_total = 0;
       ring_reclaimed_total = 0;
       ring_doorbells = 0; ring_empty_doorbells = 0; ring_virqs = 0;
@@ -379,7 +380,7 @@ let boot ?(config = default_config) z =
       drain_order = Array.make Guest_layout.ring_max_entries 0;
       drain_cqe = Array.make (Guest_layout.ring_max_entries * cqe_words) 0 }
   in
-  Hashtbl.replace t.pd_tbl 0 mgr_pd;
+  Int_table.replace t.pd_tbl 0 mgr_pd;
   t
 
 let zynq t = t.z
@@ -436,7 +437,7 @@ let create_vm t ~name ?id ?(priority = 1) ?(uses_vfp = false) main =
     | Some id ->
       (* Host-only, as above: Smp passes fresh ids, or on migration the
          id it has just retracted from the source pCPU. *)
-      if Hashtbl.mem t.pd_tbl id then
+      if Int_table.mem t.pd_tbl id then
         invalid_arg "Kernel.create_vm: pd id already live";
       t.next_pd <- max t.next_pd (id + 1);
       id
@@ -469,14 +470,14 @@ let create_vm t ~name ?id ?(priority = 1) ?(uses_vfp = false) main =
   if asid <> 0 then t.asid_owner.(asid) <- id;
   let env = { env_zynq = t.z; pd_id = id; guest_index = index; phys_base } in
   let rt = { pd; main; env; started = false; saved = None; slice_start = 0 } in
-  Hashtbl.replace t.pd_tbl id pd;
-  Hashtbl.replace t.rts id rt;
+  Int_table.replace t.pd_tbl id pd;
+  Int_table.replace t.rts id rt;
   Sched.enqueue t.sched pd;
   t.alive <- t.alive + 1;
   pd
 
-let pd t id = Hashtbl.find_opt t.pd_tbl id
-let pds t = Hashtbl.fold (fun _ p acc -> p :: acc) t.pd_tbl []
+let pd t id = Int_table.find_opt t.pd_tbl id
+let pds t = Int_table.fold (fun _ p acc -> p :: acc) t.pd_tbl []
 let current t = Option.map (fun rt -> rt.pd) t.cur
 let sched t = t.sched
 let set_check_hook t h = t.check_hook <- h
@@ -501,20 +502,22 @@ let unblock t (pd : Pd.t) =
    data whose cache residency decays as more VMs run (Table III's
    "PL IRQ entry" growth). *)
 let inject_charged t pd_id irq =
-  match Hashtbl.find_opt t.pd_tbl pd_id with
+  match Int_table.find_opt t.pd_tbl pd_id with
   | None -> ()
   | Some pd ->
     (* The vIRQ list lives in the upper half of the PD's kernel save
        block: touched only on injection, so its residency genuinely
        decays with the number of competing VMs. *)
     let pin =
-      slot_pin t.kf.kf_inject (Vcpu.slot pd.Pd.vcpu) (fun () ->
+      slot_pin t.kf.kf_inject (Vcpu.slot pd.Pd.vcpu)
+        (fun (pd : Pd.t) ->
           let sa_base, _ = Vcpu.save_area pd.Pd.vcpu in
           Exec.pin1
             (mk_fp Klayout.vgic_inject "vgic_inject"
                ~reads:[ { Exec.base = sa_base + 384; len = 64 } ]
                ~writes:[ { Exec.base = sa_base + 448; len = 32 } ]
                ~base_cycles:Costs.vgic_inject))
+        pd
     in
     Exec.run_pinned t.z ~priv:true pin;
     if t.trace <> None then
@@ -539,8 +542,8 @@ let run_check t boundary =
    bookkeeping only: it charges no cycle. *)
 let reap t rt =
   let pd = rt.pd in
-  Hashtbl.remove t.pd_tbl pd.Pd.id;
-  Hashtbl.remove t.rts pd.Pd.id;
+  Int_table.remove t.pd_tbl pd.Pd.id;
+  Int_table.remove t.rts pd.Pd.id;
   Queue.push rt.env.guest_index t.free_guest_indices;
   Queue.push (Vcpu.slot pd.Pd.vcpu) t.free_slots;
   (let a = pd.Pd.asid in
@@ -572,17 +575,17 @@ let kill t rt reason =
   (* Ring reclamation: descriptors the guest published but the kernel
      never drained are accounted as reclaimed, keeping the ring
      conservation invariant closed over kills. *)
-  (match Hashtbl.find_opt t.rings rt.pd.Pd.id with
+  (match Int_table.find_opt t.rings rt.pd.Pd.id with
    | Some r ->
      t.ring_reclaimed_total <-
        t.ring_reclaimed_total + ((r.r_tail - r.r_head) land 0xFFFFFFFF);
-     Hashtbl.remove t.rings rt.pd.Pd.id
+     Int_table.remove t.rings rt.pd.Pd.id
    | None -> ());
   Obs.incr t.ki.ko_kills;
   run_check t "kill"
 
 let kill_vm t id ~reason =
-  match Hashtbl.find_opt t.rts id with
+  match Int_table.find_opt t.rts id with
   | Some rt when rt.pd.Pd.state <> Pd.Dead ->
     kill t rt reason;
     true
@@ -597,7 +600,7 @@ let kill_vm t id ~reason =
    the VM is ineligible or unknown. Host-side bookkeeping only: the
    cycle charge for the migration is the orchestrator's. *)
 let retract_vm t id =
-  match Hashtbl.find_opt t.rts id with
+  match Int_table.find_opt t.rts id with
   | None -> None
   | Some rt ->
     let pd = rt.pd in
@@ -605,7 +608,7 @@ let retract_vm t id =
       rt.started
       || pd.Pd.state <> Pd.Runnable
       || pd.Pd.iface_mappings <> []
-      || Hashtbl.mem t.rings id
+      || Int_table.mem t.rings id
       || Ipc.depth pd.Pd.inbox > 0
       || Vgic.has_deliverable pd.Pd.vgic
       || (match t.cur with Some c -> c == rt | None -> false)
@@ -636,7 +639,7 @@ let health_tick t =
          (Obs.counter obs ("recovery." ^ Hw_task_manager.action_name a));
        match a with
        | Hw_task_manager.Act_kill { client; violations } ->
-         (match Hashtbl.find_opt t.rts client with
+         (match Int_table.find_opt t.rts client with
           | Some rt when rt.pd.Pd.state <> Pd.Dead ->
             Probe.incr t.probe "fault_kill";
             kill t rt
@@ -726,7 +729,7 @@ let ensure_asid t (pd : Pd.t) =
         if owner >= 0 && owner <> pd.Pd.id then victim_asid := t.asid_cursor
       done;
       let a = !victim_asid in
-      (match Hashtbl.find_opt t.pd_tbl t.asid_owner.(a) with
+      (match Int_table.find_opt t.pd_tbl t.asid_owner.(a) with
        | Some victim -> victim.Pd.asid <- 0
        | None -> ());
       (* The stolen tag's stale translations must go before it names a
@@ -759,8 +762,8 @@ let switch_to t rt =
      | Some old when old.pd.Pd.state <> Pd.Dead ->
        let v = old.pd.Pd.vcpu in
        Exec.run_pinned t.z ~priv:true
-         (slot_pin t.kf.kf_save (Vcpu.slot v) (fun () ->
-              Exec.pin1 (Vcpu.save_fp v)))
+         (slot_pin t.kf.kf_save (Vcpu.slot v)
+            (fun v -> Exec.pin1 (Vcpu.save_fp v)) v)
      | Some _ | None -> ());
     Exec.run_pinned t.z ~priv:true t.kf.kf_sched_pick;
     (* Mask the previous guest's sources, unmask the successor's. *)
@@ -777,8 +780,8 @@ let switch_to t rt =
        Clock.advance t.z.Zynq.clock 80);
     (let v = rt.pd.Pd.vcpu in
      Exec.run_pinned t.z ~priv:true
-       (slot_pin t.kf.kf_restore (Vcpu.slot v) (fun () ->
-            Exec.pin1 (Vcpu.restore_fp v))));
+       (slot_pin t.kf.kf_restore (Vcpu.slot v)
+          (fun v -> Exec.pin1 (Vcpu.restore_fp v)) v));
     ensure_asid t rt.pd;
     Kmem.activate_guest t.kmem rt.pd;
     (match t.cfg.vfp_policy with
@@ -949,12 +952,14 @@ let exec_release t (pd : Pd.t) ~task =
    per-slot exit stub, then back into the caller's address space. *)
 let mgr_exit t (pd : Pd.t) =
   Exec.run_pinned t.z ~priv:true
-    (slot_pin t.kf.kf_mgr_exit (Vcpu.slot pd.Pd.vcpu) (fun () ->
+    (slot_pin t.kf.kf_mgr_exit (Vcpu.slot pd.Pd.vcpu)
+       (fun (pd : Pd.t) ->
          let sa_base, _ = Vcpu.save_area pd.Pd.vcpu in
          Exec.pin1
            (mk_fp Klayout.mgr_exit_stub "hwtm_exit"
               ~reads:[ { Exec.base = sa_base; len = 160 } ]
-              ~base_cycles:Costs.mgr_exit)));
+              ~base_cycles:Costs.mgr_exit))
+       pd);
   Kmem.activate_guest t.kmem pd
 
 (* The Hardware Task Manager invocation: entry / execution / exit are
@@ -965,8 +970,9 @@ let handle_hw_task_request t rt ~entry_start ~task ~iface_vaddr ~data_vaddr
   let clock = t.z.Zynq.clock in
   let obs = t.z.Zynq.obs in
   (* Entry: portal dispatch + switch into the manager's space. *)
-  emit t ~severity:Ktrace.Debug ~category:"hwtm" ~name:"entry"
-    [ ("pd", Ktrace.Int pd.Pd.id) ];
+  if t.trace <> None then
+    emit t ~severity:Ktrace.Debug ~category:"hwtm" ~name:"entry"
+      [ ("pd", Ktrace.Int pd.Pd.id) ];
   let sp_entry =
     Obs.open_span obs ~component:"htm_entry" ~key:pd.Pd.id ~at:entry_start
   in
@@ -993,8 +999,9 @@ let handle_hw_task_request t rt ~entry_start ~task ~iface_vaddr ~data_vaddr
   Exec.run_pinned t.z ~priv:true t.kf.kf_svc_exit;
   Obs.close_span obs sp_exit ~at:(Clock.now clock);
   Stats.add t.ki.kp_hwtm_exit (float_of_int (Clock.now clock - exit_start));
-  emit t ~severity:Ktrace.Debug ~category:"hwtm" ~name:"exit"
-    [ ("pd", Ktrace.Int pd.Pd.id) ];
+  if t.trace <> None then
+    emit t ~severity:Ktrace.Debug ~category:"hwtm" ~name:"exit"
+      [ ("pd", Ktrace.Int pd.Pd.id) ];
   resp
 
 let hw_status_code = function
@@ -1023,7 +1030,7 @@ let handle_ring_doorbell t rt ~entry_start =
   let pd = rt.pd in
   let clock = t.z.Zynq.clock in
   let obs = t.z.Zynq.obs in
-  match Hashtbl.find_opt t.rings pd.Pd.id with
+  match Int_table.find_opt t.rings pd.Pd.id with
   | None ->
     Exec.run_pinned t.z ~priv:true t.kf.kf_svc_exit;
     Hyper.R_error "ring: not set up"
@@ -1267,7 +1274,7 @@ let handle_simple t rt req =
     let faults = Hw_task_manager.faults t.hwtm ~client_id:pd.Pd.id ~task in
     Hyper.R_status { prr_ready = ready; consistent; faults }
   | Hyper.Vm_send { dest; payload } ->
-    (match Hashtbl.find_opt t.pd_tbl dest with
+    (match Int_table.find_opt t.pd_tbl dest with
      | None ->
        (* SMP: the destination may live on another pCPU. A message
           IPI is posted and delivered at the next epoch barrier by
@@ -1318,7 +1325,7 @@ let handle_simple t rt req =
       (* Both 64 B headers are zeroed (charged stores); re-setup of a
          live ring forfeits its undrained descriptors as reclaimed so
          conservation stays closed. *)
-      (match Hashtbl.find_opt t.rings pd.Pd.id with
+      (match Int_table.find_opt t.rings pd.Pd.id with
        | Some r ->
          t.ring_reclaimed_total <-
            t.ring_reclaimed_total + u32_sub r.r_tail r.r_head
@@ -1327,7 +1334,7 @@ let handle_simple t rt req =
         kwrite_u32 t (sq_phys + (4 * i)) 0;
         kwrite_u32 t (cq_phys + (4 * i)) 0
       done;
-      Hashtbl.replace t.rings pd.Pd.id
+      Int_table.replace t.rings pd.Pd.id
         { r_pd = pd.Pd.id; r_entries = entries; r_budget = cvirq_budget;
           r_sq_phys = sq_phys; r_cq_phys = cq_phys; r_tail = 0; r_head = 0 };
       Vgic.register pd.Pd.vgic ring_virq;
@@ -1434,7 +1441,7 @@ let rec execute t rt ex ~until =
 (* One dispatch step of [run] and [run_epoch], which differ only in
    what they do when nothing is runnable. *)
 let dispatch t (pd : Pd.t) ~until =
-  let rt = Hashtbl.find t.rts pd.Pd.id in
+  let rt = Int_table.find t.rts pd.Pd.id in
   switch_to t rt;
   let ex =
     if not rt.started then begin
@@ -1506,7 +1513,7 @@ let run_epoch t ~until =
    posted — the message is dropped, exactly like a local send whose
    receiver dies before draining its inbox. *)
 let deliver_remote_ipc t ~dest ~sender ~payload =
-  match Hashtbl.find_opt t.pd_tbl dest with
+  match Int_table.find_opt t.pd_tbl dest with
   | None -> false
   | Some target ->
     if target.Pd.state = Pd.Dead then false
@@ -1559,7 +1566,7 @@ type ring_view = {
 }
 
 let ring_views t =
-  Hashtbl.fold
+  Int_table.fold
     (fun _ r acc ->
        { rv_pd = r.r_pd; rv_entries = r.r_entries;
          rv_in_flight = u32_sub r.r_tail r.r_head;

@@ -60,9 +60,7 @@ let create zynq =
   in
   Mmu.set_ttbr zynq.Zynq.mmu (Page_table.root kernel_pt);
   Mmu.set_asid zynq.Zynq.mmu 0;
-  for d = 0 to 15 do
-    Dacr.set (Mmu.dacr zynq.Zynq.mmu) d Dacr.Client
-  done;
+  Dacr.set_all (Mmu.dacr zynq.Zynq.mmu) Dacr.Client;
   t
 
 let kernel_pt t = t.kernel_pt
@@ -140,16 +138,11 @@ let make_guest_pt t ~index =
 let charge_context_regs t =
   Clock.advance t.zynq.Zynq.clock (Costs.ttbr_asid_write + Costs.dacr_write)
 
-let dacr_all_client t =
-  for d = 0 to 15 do
-    Dacr.set (Mmu.dacr t.zynq.Zynq.mmu) d Dacr.Client
-  done
-
 let activate_manager t ~asid =
   Mmu.set_ttbr t.zynq.Zynq.mmu (Page_table.root t.kernel_pt);
   flush_retired t;
   Mmu.set_asid t.zynq.Zynq.mmu asid;
-  dacr_all_client t;
+  Dacr.set_all (Mmu.dacr t.zynq.Zynq.mmu) Dacr.Client;
   charge_context_regs t
 
 let set_guest_dacr t mode =

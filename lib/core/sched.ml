@@ -9,21 +9,21 @@ type node = {
 
 type t = {
   heads : node option array;
-  nodes : (int, node) Hashtbl.t;
+  nodes : node Int_table.t;
   mutable count : int;
 }
 
 let levels = 8
 
 let create () =
-  { heads = Array.make levels None; nodes = Hashtbl.create 16; count = 0 }
+  { heads = Array.make levels None; nodes = Int_table.create 16; count = 0 }
 
 let check_prio p =
   if p < 0 || p >= levels then invalid_arg "Sched: priority out of range"
 
 let enqueue t pd =
   check_prio pd.Pd.priority;
-  if not (Hashtbl.mem t.nodes pd.Pd.id) then begin
+  if not (Int_table.mem t.nodes pd.Pd.id) then begin
     let rec node = { pd; next = node; prev = node } in
     (match t.heads.(pd.Pd.priority) with
      | None -> t.heads.(pd.Pd.priority) <- Some node
@@ -34,15 +34,15 @@ let enqueue t pd =
        node.prev <- tail;
        node.next <- head;
        head.prev <- node);
-    Hashtbl.replace t.nodes pd.Pd.id node;
+    Int_table.replace t.nodes pd.Pd.id node;
     t.count <- t.count + 1
   end
 
 let dequeue t pd =
-  match Hashtbl.find_opt t.nodes pd.Pd.id with
+  match Int_table.find_opt t.nodes pd.Pd.id with
   | None -> ()
   | Some node ->
-    Hashtbl.remove t.nodes pd.Pd.id;
+    Int_table.remove t.nodes pd.Pd.id;
     t.count <- t.count - 1;
     if node.next == node then t.heads.(pd.Pd.priority) <- None
     else begin
@@ -54,7 +54,7 @@ let dequeue t pd =
       | Some _ | None -> ()
     end
 
-let contains t pd = Hashtbl.mem t.nodes pd.Pd.id
+let contains t pd = Int_table.mem t.nodes pd.Pd.id
 
 let pick t =
   let rec scan level =
@@ -94,7 +94,7 @@ let integrity t =
               node.pd.Pd.priority;
           if node.next.prev != node then
             note "level %d: broken back link at pd %d" level node.pd.Pd.id;
-          (match Hashtbl.find_opt t.nodes node.pd.Pd.id with
+          (match Int_table.find_opt t.nodes node.pd.Pd.id with
            | Some n when n == node -> ()
            | Some _ ->
              note "level %d: pd %d ring node differs from table node" level
@@ -109,8 +109,8 @@ let integrity t =
   done;
   if !visited <> t.count then
     note "ring population %d <> count %d" !visited t.count;
-  if Hashtbl.length t.nodes <> t.count then
-    note "node table size %d <> count %d" (Hashtbl.length t.nodes) t.count;
+  if Int_table.length t.nodes <> t.count then
+    note "node table size %d <> count %d" (Int_table.length t.nodes) t.count;
   List.rev !problems
 
 let level_members t level =

@@ -53,7 +53,7 @@ type t = {
                                           to Parallel_sweep unallocated *)
   nodes : node array;
   coh : Coherence.t option;            (* None when pcpus = 1 *)
-  directory : (int, int) Hashtbl.t;    (* live pd id -> owning cpu *)
+  directory : int Int_table.t;          (* live pd id -> owning cpu *)
   mutable next_pd : int;               (* global id space (pcpus > 1) *)
   mutable next_place : int;            (* round-robin placement cursor *)
   mutable barrier_hook : (unit -> unit) option;
@@ -83,7 +83,7 @@ let install_hooks t =
          (Some
             { Kernel.sh_vm_send =
                 (fun ~dest ~sender ~payload ->
-                   match Hashtbl.find_opt t.directory dest with
+                   match Int_table.find_opt t.directory dest with
                    | Some owner when owner <> n.cpu ->
                      Queue.push (Ipc { dest; sender; payload }) n.outbox;
                      n.ipis_posted <- n.ipis_posted + 1;
@@ -114,7 +114,7 @@ let create ?config ?(epoch = Cycles.of_ms 1.0) ?workers ~pcpus ~mk_zynq () =
   let t =
     { pcpus; epoch; workers; nodes;
       coh = (if pcpus > 1 then Some (Coherence.create ~cpus:pcpus) else None);
-      directory = Hashtbl.create 32;
+      directory = Int_table.create 32;
       next_pd = 1; next_place = 0;
       barrier_hook = None;
       ipis_delivered = 0; ipis_dropped = 0;
@@ -181,7 +181,7 @@ let create_vm t ~name ?cpu ?(priority = 1) ?(uses_vfp = false) main =
     (* Delegation: the kernel owns the id space, exactly as without
        the facade. *)
     let pd = Kernel.create_vm t.nodes.(0).kern ~name ~priority ~uses_vfp main in
-    Hashtbl.replace t.directory pd.Pd.id 0;
+    Int_table.replace t.directory pd.Pd.id 0;
     pd
   end
   else begin
@@ -200,21 +200,21 @@ let create_vm t ~name ?cpu ?(priority = 1) ?(uses_vfp = false) main =
     let pd =
       Kernel.create_vm t.nodes.(cpu).kern ~name ~id ~priority ~uses_vfp main
     in
-    Hashtbl.replace t.directory id cpu;
+    Int_table.replace t.directory id cpu;
     pd
   end
 
 let vm_cpu t id =
-  match Hashtbl.find_opt t.directory id with
+  match Int_table.find_opt t.directory id with
   | Some cpu when Kernel.pd t.nodes.(cpu).kern id <> None -> Some cpu
   | Some _ | None -> None
 
 let kill_vm t id ~reason =
-  match Hashtbl.find_opt t.directory id with
+  match Int_table.find_opt t.directory id with
   | None -> false
   | Some cpu ->
     let ok = Kernel.kill_vm t.nodes.(cpu).kern id ~reason in
-    if ok then Hashtbl.remove t.directory id;
+    if ok then Int_table.remove t.directory id;
     ok
 
 let alive_guests t =
@@ -230,7 +230,7 @@ let now t =
   Array.fold_left (fun acc n -> max acc (Clock.now n.z.Zynq.clock)) 0 t.nodes
 
 let directory t =
-  List.sort compare (Hashtbl.fold (fun id cpu acc -> (id, cpu) :: acc) t.directory [])
+  List.sort compare (Int_table.fold (fun id cpu acc -> (id, cpu) :: acc) t.directory [])
 
 let outboxes_empty t =
   Array.for_all (fun n -> Queue.is_empty n.outbox) t.nodes
@@ -266,7 +266,7 @@ let drain_outboxes t =
          match Queue.pop src.outbox with
          | Ipc { dest; sender; payload } ->
            let delivered =
-             match Hashtbl.find_opt t.directory dest with
+             match Int_table.find_opt t.directory dest with
              | None -> false
              | Some owner ->
                let dst = t.nodes.(owner) in
@@ -299,12 +299,12 @@ let drain_outboxes t =
 
 let refresh_directory t =
   let stale =
-    Hashtbl.fold
+    Int_table.fold
       (fun id cpu acc ->
          if Kernel.pd t.nodes.(cpu).kern id = None then id :: acc else acc)
       t.directory []
   in
-  List.iter (Hashtbl.remove t.directory) stale
+  List.iter (Int_table.remove t.directory) stale
 
 (* Idle-balance work stealing: while some run queue is >= 2 entries
    longer than the shortest one, the idle pCPU steals the victim
@@ -344,7 +344,7 @@ let balance t =
              ignore
                (Kernel.create_vm dst.kern ~name ~id:pd.Pd.id ~priority
                   ~uses_vfp main);
-             Hashtbl.replace t.directory pd.Pd.id dst.cpu;
+             Int_table.replace t.directory pd.Pd.id dst.cpu;
              t.migrations <- t.migrations + 1;
              counts.(src.cpu) <- counts.(src.cpu) - 1;
              counts.(dst.cpu) <- counts.(dst.cpu) + 1;

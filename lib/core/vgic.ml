@@ -6,7 +6,7 @@ type source = {
 
 type t = {
   owner : int;
-  sources : (int, source) Hashtbl.t;
+  sources : source Int_table.t;
   arrival : int Queue.t;  (* pending ids in arrival order, no duplicates *)
   mutable entry : Addr.t option;
   (* Lifetime conservation counters (invariant plane): at any moment
@@ -18,14 +18,14 @@ type t = {
 }
 
 let create ~owner =
-  { owner; sources = Hashtbl.create 8; arrival = Queue.create ();
+  { owner; sources = Int_table.create 8; arrival = Queue.create ();
     entry = None; raised = 0; delivered = 0; reclaimed = 0; sweeps = 0 }
 
 let owner t = t.owner
 
 let register t irq =
-  if not (Hashtbl.mem t.sources irq) then
-    Hashtbl.replace t.sources irq
+  if not (Int_table.mem t.sources irq) then
+    Int_table.replace t.sources irq
       { enabled = false; pending = false; swept = 0 }
 
 (* Drop [irq] from the arrival queue (Queue has no removal: rotate). *)
@@ -36,19 +36,19 @@ let purge_arrival t irq =
   done
 
 let unregister t irq =
-  (match Hashtbl.find_opt t.sources irq with
+  (match Int_table.find_opt t.sources irq with
    | Some s when s.pending ->
      (* The latched interrupt is reclaimed, not delivered: purge its
         queue entry so it can never be counted or delivered later. *)
      purge_arrival t irq;
      t.reclaimed <- t.reclaimed + 1
    | Some _ | None -> ());
-  Hashtbl.remove t.sources irq
+  Int_table.remove t.sources irq
 
-let registered t irq = Hashtbl.mem t.sources irq
+let registered t irq = Int_table.mem t.sources irq
 
 let find t irq =
-  match Hashtbl.find_opt t.sources irq with
+  match Int_table.find_opt t.sources irq with
   | Some s -> s
   | None -> invalid_arg "Vgic: source not registered"
 
@@ -59,12 +59,12 @@ let set_entry t a = t.entry <- Some a
 
 let set_pending t irq =
   let s =
-    match Hashtbl.find_opt t.sources irq with
+    match Int_table.find_opt t.sources irq with
     | Some s -> s
     | None ->
       (* Latch even if the guest has not registered the source yet. *)
       let s = { enabled = false; pending = false; swept = 0 } in
-      Hashtbl.replace t.sources irq s;
+      Int_table.replace t.sources irq s;
       s
   in
   if not s.pending then begin
@@ -74,14 +74,14 @@ let set_pending t irq =
   end
 
 let latched t =
-  Hashtbl.fold (fun _ s n -> if s.pending then n + 1 else n) t.sources 0
+  Int_table.fold (fun _ s n -> if s.pending then n + 1 else n) t.sources 0
 
 let clear_pending t =
   (* Count sources actually latched — the arrival queue length would
      also count entries whose source was unregistered while queued. *)
   let n = latched t in
   Queue.clear t.arrival;
-  Hashtbl.iter (fun _ s -> s.pending <- false) t.sources;
+  Int_table.iter (fun _ s -> s.pending <- false) t.sources;
   t.reclaimed <- t.reclaimed + n;
   n
 
@@ -91,7 +91,7 @@ let drain t =
   let delivered = ref [] in
   for _ = 1 to n do
     let irq = Queue.pop t.arrival in
-    match Hashtbl.find_opt t.sources irq with
+    match Int_table.find_opt t.sources irq with
     | None -> () (* unregistered meanwhile: drop *)
     | Some s ->
       if s.enabled && s.pending then begin
@@ -108,14 +108,14 @@ let has_deliverable t =
     (fun acc irq ->
        acc
        ||
-       match Hashtbl.find_opt t.sources irq with
+       match Int_table.find_opt t.sources irq with
        | Some s -> s.enabled && s.pending
        | None -> false)
     false t.arrival
 
 let enabled_sources t =
   let out =
-    Hashtbl.fold (fun irq s acc -> if s.enabled then irq :: acc else acc)
+    Int_table.fold (fun irq s acc -> if s.enabled then irq :: acc else acc)
       t.sources []
   in
   List.sort compare out
@@ -139,7 +139,7 @@ let clean t =
        (fun ok irq ->
           ok
           &&
-          match Hashtbl.find t.sources irq with
+          match Int_table.find t.sources irq with
           | s when s.pending && s.swept <> stamp -> s.swept <- stamp; true
           | _ -> false
           | exception Not_found -> false)
@@ -148,13 +148,13 @@ let clean t =
 let full_check t =
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let queued = Hashtbl.create 8 in
+  let queued = Int_table.create 8 in
   Queue.iter
     (fun irq ->
-       if Hashtbl.mem queued irq then
+       if Int_table.mem queued irq then
          note "vgic %d: irq %d queued twice" t.owner irq;
-       Hashtbl.replace queued irq ();
-       match Hashtbl.find_opt t.sources irq with
+       Int_table.replace queued irq ();
+       match Int_table.find_opt t.sources irq with
        | None ->
          note "vgic %d: queued irq %d has no source (stale entry)" t.owner
            irq
@@ -162,9 +162,9 @@ let full_check t =
          if not s.pending then
            note "vgic %d: queued irq %d is not pending" t.owner irq)
     t.arrival;
-  Hashtbl.iter
+  Int_table.iter
     (fun irq s ->
-       if s.pending && not (Hashtbl.mem queued irq) then
+       if s.pending && not (Int_table.mem queued irq) then
          note "vgic %d: pending irq %d missing from arrival queue" t.owner
            irq)
     t.sources;

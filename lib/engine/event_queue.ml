@@ -68,15 +68,15 @@ type t = {
      the event fired — or a double cancel — finds nothing to do.
      An entry's value is the last [self_check] sweep that reached it
      from the heap (0: none yet). *)
-  pending_tbl : (id, int) Hashtbl.t;
-  cancelled : (id, int) Hashtbl.t;
+  pending_tbl : int Int_table.t;
+  cancelled : int Int_table.t;
   mutable next_seq : int;
   mutable sweeps : int;
 }
 
 let create clock =
-  { clock; heap = Heap.create (); pending_tbl = Hashtbl.create 16;
-    cancelled = Hashtbl.create 16; next_seq = 0; sweeps = 0 }
+  { clock; heap = Heap.create (); pending_tbl = Int_table.create 16;
+    cancelled = Int_table.create 16; next_seq = 0; sweeps = 0 }
 
 let now q = Clock.now q.clock
 
@@ -84,16 +84,20 @@ let schedule_at q time action =
   let seq = q.next_seq in
   q.next_seq <- seq + 1;
   Heap.push q.heap { time; seq; action };
-  Hashtbl.replace q.pending_tbl seq 0;
+  Int_table.replace q.pending_tbl seq 0;
   seq
 
 let schedule_after q d action = schedule_at q (Clock.now q.clock + d) action
 
 let cancel q id =
-  if Hashtbl.mem q.pending_tbl id then begin
-    Hashtbl.remove q.pending_tbl id;
-    Hashtbl.replace q.cancelled id 0
+  if Int_table.mem q.pending_tbl id then begin
+    Int_table.remove q.pending_tbl id;
+    Int_table.replace q.cancelled id 0
   end
+
+(* Tombstones are rare: most of the time there is none to hash for. *)
+let is_cancelled q seq =
+  Int_table.length q.cancelled > 0 && Int_table.mem q.cancelled seq
 
 (* Pop the earliest event, skipping cancelled ones. The survivor is
    removed from [pending_tbl] here, before its action can run, so a
@@ -102,12 +106,12 @@ let rec pop_live q =
   match Heap.pop q.heap with
   | None -> None
   | Some e ->
-    if Hashtbl.mem q.cancelled e.seq then begin
-      Hashtbl.remove q.cancelled e.seq;
+    if is_cancelled q e.seq then begin
+      Int_table.remove q.cancelled e.seq;
       pop_live q
     end
     else begin
-      Hashtbl.remove q.pending_tbl e.seq;
+      Int_table.remove q.pending_tbl e.seq;
       Some e
     end
 
@@ -115,9 +119,9 @@ let rec peek_live q =
   match Heap.peek q.heap with
   | None -> None
   | Some e ->
-    if Hashtbl.mem q.cancelled e.seq then begin
+    if is_cancelled q e.seq then begin
       ignore (Heap.pop q.heap);
-      Hashtbl.remove q.cancelled e.seq;
+      Int_table.remove q.cancelled e.seq;
       peek_live q
     end
     else Some e
@@ -152,7 +156,7 @@ let advance_until q t =
   Clock.advance_to q.clock t;
   !fired
 
-let pending q = Hashtbl.length q.pending_tbl
+let pending q = Int_table.length q.pending_tbl
 
 (* Proves, without allocating, that [full_check] would report nothing.
    Each heap entry must lie in exactly one table and stamp its entry
@@ -165,40 +169,40 @@ let rec entries_clean q stamp i =
   i = h.Heap.len
   ||
   let seq = h.Heap.arr.(i).seq in
-  let p = Hashtbl.mem q.pending_tbl seq in
-  p <> Hashtbl.mem q.cancelled seq
+  let p = Int_table.mem q.pending_tbl seq in
+  p <> Int_table.mem q.cancelled seq
   &&
   let tbl = if p then q.pending_tbl else q.cancelled in
-  Hashtbl.find tbl seq <> stamp
-  && (Hashtbl.replace tbl seq stamp; entries_clean q stamp (i + 1))
+  Int_table.find tbl seq <> stamp
+  && (Int_table.replace tbl seq stamp; entries_clean q stamp (i + 1))
 
 let clean q =
   q.sweeps <- q.sweeps + 1;
-  q.heap.Heap.len = Hashtbl.length q.pending_tbl + Hashtbl.length q.cancelled
+  q.heap.Heap.len = Int_table.length q.pending_tbl + Int_table.length q.cancelled
   && entries_clean q q.sweeps 0
 
 let full_check q =
   let problems = ref [] in
   let note fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  let seen = Hashtbl.create 16 in
+  let seen = Int_table.create 16 in
   for i = 0 to q.heap.Heap.len - 1 do
     let seq = q.heap.Heap.arr.(i).seq in
-    if Hashtbl.mem seen seq then note "duplicate heap entry for id %d" seq;
-    Hashtbl.replace seen seq ();
-    let p = Hashtbl.mem q.pending_tbl seq in
-    let c = Hashtbl.mem q.cancelled seq in
+    if Int_table.mem seen seq then note "duplicate heap entry for id %d" seq;
+    Int_table.replace seen seq ();
+    let p = Int_table.mem q.pending_tbl seq in
+    let c = Int_table.mem q.cancelled seq in
     if p && c then note "id %d both pending and cancelled" seq;
     if (not p) && not c then
       note "heap entry %d in neither pending nor cancelled table" seq
   done;
-  Hashtbl.iter
+  Int_table.iter
     (fun seq _ ->
-       if not (Hashtbl.mem seen seq) then
+       if not (Int_table.mem seen seq) then
          note "pending id %d has no heap entry" seq)
     q.pending_tbl;
-  Hashtbl.iter
+  Int_table.iter
     (fun seq _ ->
-       if not (Hashtbl.mem seen seq) then
+       if not (Int_table.mem seen seq) then
          note "cancelled tombstone %d has no heap entry (leak)" seq)
     q.cancelled;
   List.rev !problems

@@ -1,41 +1,82 @@
-(* Frames are keyed by page number. A specialised int table avoids the
-   polymorphic hash and compare of the generic one; the mix folds the
-   high product bits into the low ones the bucket index is taken from,
-   so pages at large power-of-two strides (one window per guest) still
-   spread over the buckets. *)
-module Frames = Hashtbl.Make (struct
-    type t = int
+(* Frames are found through a three-level page table, so a lookup is
+   three array loads and no hashing: a fixed root of [root_slots]
+   entries over the 36-bit (LPAE) physical space, mid tables of
+   [mid_slots] leaves, and leaves of [leaf_pages] frames. An absent
+   frame is the shared [Bytes.empty], an absent leaf the shared
+   [no_leaf] and an absent mid table the shared [no_mid], so an
+   untouched page costs nothing and a lookup needs one bounds test.
+   Small tables keep a sparse layout cheap: one 16 MB window per
+   guest and a second bank above 4 GB touch a few mid tables and
+   small leaves, where one flat directory would span the gap. *)
+let leaf_bits = 6
+let mid_bits = 8
+let leaf_pages = 1 lsl leaf_bits
+let mid_slots = 1 lsl mid_bits
+let root_shift = leaf_bits + mid_bits
+let root_slots = 1 lsl (36 - Addr.page_shift - root_shift)
 
-    let equal (a : int) b = a = b
-
-    let hash (p : int) =
-      let h = p * 0x9E3779B1 in
-      (h lxor (h lsr 17)) land max_int
-  end)
+let no_leaf : Bytes.t array = Array.make leaf_pages Bytes.empty
+let no_mid : Bytes.t array array = Array.make mid_slots no_leaf
 
 (* [last_page]/[last_frame] memoise the most recent lookup. Frames are
    never freed, so the memo cannot go stale. *)
 type t = {
-  frames : Bytes.t Frames.t;
+  root : Bytes.t array array array;
+  mutable frames : int;
   mutable last_page : int;
   mutable last_frame : Bytes.t;
 }
 
 let create () =
-  { frames = Frames.create 1024; last_page = -1; last_frame = Bytes.empty }
+  { root = Array.make root_slots no_mid; frames = 0; last_page = -1;
+    last_frame = Bytes.empty }
+
+let materialise m p =
+  let r = p lsr root_shift in
+  if r >= root_slots then
+    invalid_arg
+      (Printf.sprintf "Phys_mem: page 0x%x outside the 36-bit physical space" p);
+  let mid =
+    let t = m.root.(r) in
+    if t != no_mid then t
+    else begin
+      let t = Array.make mid_slots no_leaf in
+      m.root.(r) <- t;
+      t
+    end
+  in
+  let j = (p lsr leaf_bits) land (mid_slots - 1) in
+  let leaf =
+    let l = mid.(j) in
+    if l != no_leaf then l
+    else begin
+      let l = Array.make leaf_pages Bytes.empty in
+      mid.(j) <- l;
+      l
+    end
+  in
+  let b = Bytes.make Addr.page_size '\000' in
+  leaf.(p land (leaf_pages - 1)) <- b;
+  m.frames <- m.frames + 1;
+  b
+
+let lookup m p =
+  let r = p lsr root_shift in
+  if r < root_slots then begin
+    let mid = Array.unsafe_get m.root r in
+    let leaf =
+      Array.unsafe_get mid ((p lsr leaf_bits) land (mid_slots - 1))
+    in
+    let b = Array.unsafe_get leaf (p land (leaf_pages - 1)) in
+    if b != Bytes.empty then b else materialise m p
+  end
+  else materialise m p
 
 let frame m a =
   let p = Addr.page_of a in
   if p = m.last_page then m.last_frame
   else begin
-    let b =
-      match Frames.find m.frames p with
-      | b -> b
-      | exception Not_found ->
-        let b = Bytes.make Addr.page_size '\000' in
-        Frames.add m.frames p b;
-        b
-    in
+    let b = lookup m p in
     m.last_page <- p;
     m.last_frame <- b;
     b
@@ -124,4 +165,4 @@ let fill m a len v =
   in
   loop 0
 
-let touched_frames m = Frames.length m.frames
+let touched_frames m = m.frames

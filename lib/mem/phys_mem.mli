@@ -3,7 +3,9 @@
     Byte-addressable backing store for DDR and OCM, allocated lazily in
     4 KB frames so a 512 MB address space costs only what is touched.
     All multi-byte accessors are little-endian, matching the ARM
-    configuration of the Zynq PS.
+    configuration of the Zynq PS. Addresses span the 36-bit (LPAE)
+    physical space; an access outside it raises [Invalid_argument]
+    and materialises nothing.
 
     This module stores {e contents} only; timing (cache hits/misses,
     DRAM latency) is charged by the cache hierarchy, and access

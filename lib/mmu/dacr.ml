@@ -18,6 +18,10 @@ let set t dom a =
   let sh = 2 * dom in
   t.word <- t.word land lnot (0b11 lsl sh) lor (bits a lsl sh)
 
+let set_all t a =
+  Array.fill t.fields 0 16 a;
+  t.word <- bits a * 0x5555_5555
+
 let get t dom =
   check dom;
   t.fields.(dom)

@@ -19,6 +19,9 @@ val create : unit -> t
 val set : t -> int -> access -> unit
 (** [set d dom a] programs domain [dom] (0–15). *)
 
+val set_all : t -> access -> unit
+(** [set_all d a] programs all sixteen domains to [a] at once. *)
+
 val get : t -> int -> access
 
 val to_word : t -> int

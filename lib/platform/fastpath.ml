@@ -16,7 +16,9 @@
      for the translation, cache-epoch stamp or an effect-free
      tag-verify pass for the lines — so a footprint with one cold
      range replays its warm runs in bulk and walks only the cold ones,
-     and every cold walk re-records the run's slots in passing.
+     and every cold walk re-records the run's slots in passing. A
+     visit that leaves every run valid records the epochs it saw; the
+     next visit, finding none of them moved, skips the per-run checks.
 
    Both structures are per-[Zynq] world (one simulated CPU), so
    parallel sweeps on separate domains never share them. The types
@@ -68,7 +70,11 @@ type key = {
    [r_vbase.(r)], with its per-line slot record living at
    [slots.(r_from.(r) ..)]. The dynamic half is the replay record,
    guarded by the monotonic TLB/cache epoch stamps: a stamp of -1
-   means "never valid". *)
+   means "never valid". [warm_at] is the whole-program warm record:
+   the sum of the TLB, L1I and L1D epochs at which a visit last left
+   every run's own stamps valid (-1: none). The three epochs only
+   grow, so the sum is unchanged exactly when all three are; while it
+   holds, every per-run check would pass and a replay can skip them. *)
 type prog = {
   n_runs : int;
   r_vbase : int array;
@@ -83,6 +89,7 @@ type prog = {
   r_cache_epoch : int array;
   slots : int array;
   l2_slots : int array;      (* recorded L2 slot per line; -1 = none *)
+  mutable warm_at : int;
 }
 
 (* The program table is the hottest lookup in the simulator (one find

@@ -10,9 +10,10 @@
     revalidates each run independently against the {!Tlb.epoch} /
     {!Cache.epoch} counters (or an effect-free tag verify), so a
     partially warm footprint bulk-replays its warm runs and walks only
-    the cold ones — with every shortcut bit-identical, in simulated
-    cycles and in every hit/miss statistic, to the scalar reference
-    walk.
+    the cold ones, and a program whose epochs have not moved since a
+    visit left all its runs valid skips the per-run checks — with
+    every shortcut bit-identical, in simulated cycles and in every
+    hit/miss statistic, to the scalar reference walk.
 
     One value lives in each {!Zynq.t}; parallel sweep domains never
     share one. The types are concrete because {!Exec} is the hot path
@@ -74,9 +75,16 @@ type prog = {
   slots : int array;         (** recorded L1 slot per line *)
   l2_slots : int array;      (** recorded L2 slot per line (placement
                                  hint for cold walks); -1 = none *)
+  mutable warm_at : int;     (** whole-program warm record: the sum of
+                                 the {!Tlb.epoch} and the L1I and L1D
+                                 {!Cache.epoch}s at which a visit last
+                                 left every run's stamps valid; -1 =
+                                 none *)
 }
 (** A compiled footprint program: static flattened access pattern plus
-    the epoch-guarded dynamic replay record. *)
+    the epoch-guarded dynamic replay record. The epochs only grow, so
+    while their sum still equals [warm_at] none of them has moved and
+    every per-run stamp check would pass: a replay skips them. *)
 
 type pin_entry = {
   mutable e_asid : int;

@@ -59,9 +59,7 @@ let create ?prr_capacities ?lat () =
   done;
   Mmu.set_ttbr z.Zynq.mmu (Page_table.root pt);
   Mmu.set_asid z.Zynq.mmu native_asid;
-  for d = 0 to 15 do
-    Dacr.set (Mmu.dacr z.Zynq.mmu) d Dacr.Client
-  done;
+  Dacr.set_all (Mmu.dacr z.Zynq.mmu) Dacr.Client;
   (* One unified memory space: interface pages need no mapping; an
      allocated PL interrupt is simply enabled at the GIC. *)
   let hwtm =

@@ -67,7 +67,7 @@ type t = {
   mutable spawned : int;
   mutable finished : int;
   mutable crashed : int;
-  irq_handlers : (int, unit -> unit) Hashtbl.t;
+  irq_handlers : (unit -> unit) Int_table.t;
 }
 
 let tick_interval = Cycles.of_ms 1.0
@@ -129,7 +129,7 @@ let create pt =
     spawned = 0;
     finished = 0;
     crashed = 0;
-    irq_handlers = Hashtbl.create 8 }
+    irq_handlers = Int_table.create 8 }
 
 let port t = t.pt
 
@@ -236,13 +236,13 @@ let handle_virqs t irqs =
          done
        end
        else
-         match Hashtbl.find_opt t.irq_handlers irq with
+         match Int_table.find_opt t.irq_handlers irq with
          | Some f -> f ()
          | None -> ())
     irqs
 
 let on_irq t irq f =
-  Hashtbl.replace t.irq_handlers irq f;
+  Int_table.replace t.irq_handlers irq f;
   t.pt.Port.enable_irq irq
 
 (* Block the calling task on [obj] (state updated before the effect),

@@ -276,6 +276,95 @@ let prop_access_words_is_scalar =
             && hier_state hw cw = hier_state hs cs)
          ops)
 
+(* The incremental valid/dirty counters (they feed the full-cache
+   maintenance charges) against a recount. Every line any op can touch
+   lies in a pool of [counter_pool] lines, so probing each pool line
+   recounts a level exactly. Ops: scalar accesses, word runs, fused
+   two-level walks whose slot hints are fresh, stale (left by earlier
+   walks elsewhere) or garbage (in bounds, unrelated), range and full
+   maintenance. The caches are small and the pool overfills both
+   levels, so store fills keep evicting dirty lines. *)
+let counter_geometry =
+  ( { Cache.name = "L1I"; size_bytes = 256; ways = 2; line_size = 32 },
+    { Cache.name = "L1D"; size_bytes = 512; ways = 2; line_size = 32 },
+    { Cache.name = "L2"; size_bytes = 2048; ways = 4; line_size = 32 } )
+
+let counter_pool = 96
+let counter_base = 0x20000
+
+let recount c =
+  let valid = ref 0 and dirty = ref 0 in
+  for k = 0 to counter_pool - 1 do
+    let a = counter_base + (32 * k) in
+    if Cache.probe c a then incr valid;
+    if Cache.dirty_in_range c a 1 then incr dirty
+  done;
+  (!valid, !dirty)
+
+let prop_cache_counters =
+  let op =
+    QCheck2.Gen.(
+      pair
+        (quad (int_bound 8) (int_bound (counter_pool - 1)) (int_range 1 12)
+           (int_bound 2))
+        (int_bound 2))
+  in
+  QCheck2.Test.make ~name:"cache valid/dirty counters match a recount"
+    ~count:300
+    ~print:QCheck2.Print.(list (pair (quad int int int int) int))
+    QCheck2.Gen.(list_size (int_range 1 60) op)
+    (fun ops ->
+       let l1i, l1d, l2 = counter_geometry in
+       let h = Hierarchy.create_custom ~l1i ~l1d ~l2 (Clock.create ()) in
+       let levels = [ Hierarchy.l1i h; Hierarchy.l1d h; Hierarchy.l2 h ] in
+       let kind = function
+         | 0 -> Hierarchy.Load
+         | 1 -> Hierarchy.Store
+         | _ -> Hierarchy.Ifetch
+       in
+       (* Slot records shared by every walk: a later walk elsewhere
+          reads an earlier walk's slots as stale hints. *)
+       let slots = Array.make 12 (-1) and next_slots = Array.make 12 (-1) in
+       List.for_all
+         (fun ((code, line, n, k), hints) ->
+            let a = counter_base + (32 * line) in
+            let n = min n (counter_pool - line) in
+            let len = 32 * n in
+            (match code with
+             | 0 -> ignore (Hierarchy.access h (kind k) a)
+             | 1 ->
+               (* Word runs, from a word inside the line. *)
+               let first = a + (4 * (n land 7)) in
+               let room = (counter_base + (32 * counter_pool) - first) / 4 in
+               ignore (Hierarchy.access_words h (kind k) first (min (5 * n) room))
+             | 2 ->
+               let l1 = if k = 2 then Hierarchy.l1i h else Hierarchy.l1d h in
+               (match hints with
+                | 0 ->
+                  Array.fill slots 0 12 (-1);
+                  Array.fill next_slots 0 12 (-1)
+                | 1 -> ()
+                | _ ->
+                  for j = 0 to 11 do
+                    slots.(j) <- ((line * 7) + (j * 13)) mod Cache.lines l1;
+                    next_slots.(j) <-
+                      ((line * 11) + (j * 5)) mod Cache.lines (Hierarchy.l2 h)
+                  done);
+               ignore
+                 (Cache.run_through l1 (Hierarchy.l2 h) ~lat_next_hit:1
+                    ~lat_next_miss:2 ~a ~n ~write:(k = 1) ~slots ~next_slots
+                    ~from:0)
+             | 3 -> ignore (Hierarchy.clean_dcache_range h a len)
+             | 4 -> ignore (Hierarchy.invalidate_dcache_range h a len)
+             | 5 -> ignore (Hierarchy.clean_invalidate_all h)
+             | 6 -> ignore (Hierarchy.invalidate_icache_all h)
+             | 7 -> ignore (Cache.clean_all (List.nth levels k))
+             | _ -> ignore (Cache.invalidate_all (List.nth levels k)));
+            List.for_all
+              (fun c -> recount c = (Cache.valid_lines c, Cache.dirty_lines c))
+              levels)
+         ops)
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "cachesim",
@@ -298,4 +387,5 @@ let suite =
       t "hierarchy l2 hit" test_hierarchy_l2_hit;
       t "hierarchy maintenance" test_hierarchy_maintenance;
       t "hierarchy uncached" test_hierarchy_uncached;
-      QCheck_alcotest.to_alcotest prop_access_words_is_scalar ] )
+      QCheck_alcotest.to_alcotest prop_access_words_is_scalar;
+      QCheck_alcotest.to_alcotest prop_cache_counters ] )

@@ -131,6 +131,95 @@ let test_sd_card () =
   Bytes.set r 0 '?';
   check cb "store isolated" true (Bytes.get (Sd_card.read_block sd 3) 0 = 'z')
 
+(* The GIC's deliverable count against a reference model that keeps
+   the plain 96-source scan: after every random raise, clear, enable,
+   priority write, ack, EOI and VM-switch mask, the nIRQ line and
+   every ack must agree with the scan. Ids are drawn mostly from a few
+   hot sources and priorities from three levels, so sources collide,
+   tie and go active while pending again. *)
+module Gic_model = struct
+  type t = {
+    enabled : bool array;
+    pending : bool array;
+    active : bool array;
+    priority : int array;
+  }
+
+  let create () =
+    { enabled = Array.make Irq_id.max_irq false;
+      pending = Array.make Irq_id.max_irq false;
+      active = Array.make Irq_id.max_irq false;
+      priority = Array.make Irq_id.max_irq 0xF8 }
+
+  let best m =
+    let found = ref None in
+    for irq = Irq_id.max_irq - 1 downto 0 do
+      if m.pending.(irq) && m.enabled.(irq) && not m.active.(irq) then
+        match !found with
+        | Some b when m.priority.(b) < m.priority.(irq) -> ()
+        | Some _ | None -> found := Some irq
+    done;
+    !found
+
+  let ack m =
+    match best m with
+    | None -> None
+    | Some irq ->
+      m.pending.(irq) <- false;
+      m.active.(irq) <- true;
+      Some irq
+end
+
+let prop_gic_matches_scan =
+  let irq =
+    QCheck2.Gen.(
+      oneof
+        [ int_bound (Irq_id.max_irq - 1); oneofl [ 29; 31; 40; 61; 62; 84 ] ])
+  in
+  let op = QCheck2.Gen.(triple (int_bound 7) irq (int_bound 2)) in
+  QCheck2.Test.make ~name:"gic line and ack match a full scan" ~count:300
+    ~print:QCheck2.Print.(list (triple int int int))
+    QCheck2.Gen.(list_size (int_range 1 80) op)
+    (fun ops ->
+       let g = Gic.create () and m = Gic_model.create () in
+       List.for_all
+         (fun (code, irq, x) ->
+            let acked =
+              match code with
+              | 0 ->
+                Gic.raise_irq g irq;
+                m.pending.(irq) <- true;
+                true
+              | 1 ->
+                Gic.clear_pending g irq;
+                m.pending.(irq) <- false;
+                true
+              | 2 ->
+                Gic.enable g irq;
+                m.enabled.(irq) <- true;
+                true
+              | 3 ->
+                let p = [| 0x10; 0x80; 0xF8 |].(x) in
+                Gic.set_priority g irq p;
+                m.priority.(irq) <- p;
+                true
+              | 4 | 5 -> Gic.ack g = Gic_model.ack m
+              | 6 ->
+                Gic.eoi g irq;
+                m.active.(irq) <- false;
+                true
+              | _ ->
+                (* A VM switch: keep one source, enable up to two more. *)
+                let keep = [ 29 ] and enable = List.init x (fun i -> irq + i) in
+                let enable = List.filter (fun i -> i < Irq_id.max_irq) enable in
+                Gic.set_enabled_mask g ~keep ~enable;
+                Array.fill m.enabled 0 Irq_id.max_irq false;
+                List.iter (fun i -> m.enabled.(i) <- true) (keep @ enable);
+                true
+            in
+            acked && Gic.line_asserted g = (Gic_model.best m <> None))
+         ops)
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "devices",
@@ -140,6 +229,7 @@ let suite =
       t "gic tie break" test_gic_tie_break;
       t "gic mask helper" test_gic_mask_helper;
       t "gic range check" test_gic_range_check;
+      QCheck_alcotest.to_alcotest prop_gic_matches_scan;
       t "private timer periodic" test_private_timer_periodic;
       t "private timer stop" test_private_timer_stop;
       t "private timer restart" test_private_timer_restart;

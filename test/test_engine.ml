@@ -330,6 +330,35 @@ let test_json_line_parent () =
     "{\n  \"r\": [\n    {\"k\": 1}\n  ]\n}"
     (to_string (Obj [ ("r", List [ Obj [ ("k", Int 1) ] ]) ]))
 
+(* [Int_table] must iterate in exactly the bucket order of a generic
+   table fed the same operations: kernel listings ([Kernel.pds],
+   [ring_views]) and every golden depend on it. Keys mix small ids,
+   large and negative values; tables start small so they resize. *)
+let prop_int_table_order =
+  let op =
+    QCheck2.Gen.(
+      pair (int_bound 3)
+        (oneof [ int_bound 40; int_range (-50) 50; int_bound max_int ]))
+  in
+  QCheck2.Test.make ~name:"int table keeps the generic bucket order"
+    ~count:200
+    ~print:QCheck2.Print.(list (pair int int))
+    QCheck2.Gen.(list_size (int_range 0 300) op)
+    (fun ops ->
+       let it = Int_table.create 8 and h = Hashtbl.create 8 in
+       List.iteri
+         (fun i (code, k) ->
+            match code with
+            | 0 -> Int_table.add it k i; Hashtbl.add h k i
+            | 1 | 2 -> Int_table.replace it k i; Hashtbl.replace h k i
+            | _ -> Int_table.remove it k; Hashtbl.remove h k)
+         ops;
+       Int_table.fold (fun k v acc -> (k, v) :: acc) it []
+       = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []
+       && List.for_all
+            (fun (_, k) -> Int_table.find_all it k = Hashtbl.find_all h k)
+            ops)
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "engine",
@@ -350,6 +379,7 @@ let suite =
       t "stats basic" test_stats_basic;
       t "stats empty" test_stats_empty;
       QCheck_alcotest.to_alcotest prop_stats_merge;
+      QCheck_alcotest.to_alcotest prop_int_table_order;
       t "sweep env rule" test_sweep_env_rule;
       t "sweep input order" test_sweep_input_order;
       t "sweep budget one is inline" test_sweep_budget_one_is_inline;

@@ -4,8 +4,9 @@
    partial-warm replay, O(1) generation-stamped maintenance) promises
    to be bit-identical to the reference implementation: same simulated
    cycles and the same hit/miss counters in every cache level and the
-   TLB, under any interleaving of footprint runs, single-word data
-   accesses, cache maintenance, TLB flushes, ASID/DACR/privilege
+   TLB, under any interleaving of footprint runs, pinned traces
+   replayed back to back (the whole-program warm record), single-word
+   data accesses, cache maintenance, TLB flushes, ASID/DACR/privilege
    changes and page-table edits. This test drives a randomized op
    sequence through three fresh boards — [Fastpath] enabled, disabled,
    and enabled with word runs issued as the scalar loop they stand
@@ -41,6 +42,11 @@ type op =
       (* scratch page index, alternate physical frame index; flush —
          remaps virt to a *different* physical frame, the case where
          cache epochs stay untouched while the translation changes *)
+  | Pinned of int * int        (* pinned trace index, back-to-back runs *)
+  | Pinned_around of int * int
+      (* pinned trace index, maintenance (0 TLB flush all, 1 TLB flush
+         ASID, 2 D-clean, 3 D-invalidate, 4 I-invalidate) between two
+         runs of the trace *)
 
 let data_base = Address_map.kernel_data_base + 0x40000
 let code_base = Address_map.kernel_code_base + 0x8000
@@ -95,6 +101,13 @@ let pool =
        writes = [ { Exec.base = scratch_page 1; len = 64 } ];
        base_cycles = 0 } |]
 
+(* Pinned traces over the pool: kernel-only footprints (no scratch
+   page, so a trace faults on its first access or not at all), one of
+   them over the compile cap. Replayed back to back, a trace reaches
+   the whole-program warm record; maintenance in between must knock
+   it back to the per-run checks. *)
+let pinned_seqs = [| [| 0; 1 |]; [| 2; 3; 5 |]; [| 1 |]; [| 4; 0 |] |]
+
 (* Word targets: the data pages the footprints also touch (identity
    mapped), or one of the scratch pages (possibly unmapped or remapped).
    Word and f32 accesses are 4-aligned, byte accesses are not. *)
@@ -146,7 +159,11 @@ let gen_op =
            (int_bound (scratch_pages - 1)) bool;
       2, map3 (fun i p flush -> Pt_remap (i, p, flush))
            (int_bound (scratch_pages - 1)) (int_bound (scratch_frames - 1))
-           bool ])
+           bool;
+      4, map2 (fun i n -> Pinned (i, n))
+           (int_bound (Array.length pinned_seqs - 1)) (int_range 1 4);
+      2, map2 (fun i m -> Pinned_around (i, m))
+           (int_bound (Array.length pinned_seqs - 1)) (int_bound 4) ])
 
 let show_op = function
   | Run i -> Printf.sprintf "Run %d" i
@@ -163,6 +180,8 @@ let show_op = function
   | Inval_i -> "Inval_i"
   | Pt_toggle (i, f) -> Printf.sprintf "Pt_toggle (%d, %b)" i f
   | Pt_remap (i, p, f) -> Printf.sprintf "Pt_remap (%d, %d, %b)" i p f
+  | Pinned (i, n) -> Printf.sprintf "Pinned (%d, %d)" i n
+  | Pinned_around (i, m) -> Printf.sprintf "Pinned_around (%d, %d)" i m
 
 let arb_ops =
   QCheck.make
@@ -175,6 +194,7 @@ type board = {
   z : Zynq.t;
   km : Kmem.t;
   scalar_words : bool;  (* word runs as the loop of single-word calls *)
+  pins : Fastpath.pinned array;  (* [pinned_seqs], interned per board *)
   mutable priv : bool;
   mutable outcomes : int;  (* digest of every op's fault outcome and reads *)
   mutable touched : Addr.t list;  (* word addresses the ops accessed *)
@@ -187,7 +207,10 @@ let make_board ?(scalar_words = false) ~fast () =
   Page_table.map_page (Kmem.kernel_pt km) ~virt:pl_page
     ~phys:Address_map.prr_regs_base ~domain:Kmem.dom_kernel ~ap:Pte.Ap_priv
     ~global:true;
-  { z; km; scalar_words; priv = true; outcomes = 0; touched = [] }
+  let pins =
+    Array.map (fun seq -> Exec.pin (Array.map (Array.get pool) seq)) pinned_seqs
+  in
+  { z; km; scalar_words; pins; priv = true; outcomes = 0; touched = [] }
 
 let note b x = b.outcomes <- ((b.outcomes * 31) + x) land max_int
 
@@ -234,7 +257,12 @@ let words_op b k target off n =
       0);
   Array.iter (note b) buf
 
-let apply b op =
+let run_pin b i =
+  guarded b (fun () ->
+      Exec.run_pinned b.z ~priv:b.priv b.pins.(i);
+      0)
+
+let rec apply b op =
   let z = b.z in
   match op with
   | Run i ->
@@ -293,6 +321,20 @@ let apply b op =
     if flush then
       Tlb.flush_page z.Zynq.tlb ~asid:(Mmu.asid z.Zynq.mmu)
         ~vpage:(virt lsr Addr.page_shift)
+  | Pinned (i, n) ->
+    for _ = 1 to n do
+      run_pin b i
+    done
+  | Pinned_around (i, m) ->
+    run_pin b i;
+    apply b
+      (match m with
+       | 0 -> Flush_all
+       | 1 -> Flush_asid (Mmu.asid z.Zynq.mmu)
+       | 2 -> Clean_d (0, 4096)
+       | 3 -> Inval_d (0, 256)
+       | _ -> Inval_i);
+    run_pin b i
 
 (* Uncharged: straight from physical memory, no cache or TLB effect. *)
 let readback b =

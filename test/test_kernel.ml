@@ -435,6 +435,52 @@ let test_two_ucos_vms_ipc () =
   check cb "all frames arrived in order" true
     (List.rev !got = [ [ 1; 1 ]; [ 2; 4 ]; [ 3; 9 ] ])
 
+(* Cache_flush_all after a guest store-sweeps more lines than the L1D
+   holds, so most store fills evict a dirty line of the sweep. The
+   dirty counts must stay exact through that: the L1D is full of dirty
+   sweep lines (but for page-table lines the sweep's walks loaded), the
+   L2 holds every swept line dirty, and the flush's charge grows by
+   exactly one write-back and one maintenance step per extra dirty
+   line. Both sweeps cover the same 17 pages, so the TLB and every
+   line the hypercall path touches behave alike in the two runs; only
+   the L2's extra dirty lines differ. *)
+let flush_after_sweep lines =
+  let _, kern = boot () in
+  let seen = ref None in
+  ignore
+    (Kernel.create_vm kern ~name:"sweeper" (fun env ->
+         let z = env.Kernel.env_zynq in
+         Exec.touch z ~priv:false Hierarchy.Store
+           { Exec.base = Guest_layout.user_base; len = lines * Addr.line_size };
+         let l1d = Hierarchy.l1d z.Zynq.hier in
+         let d1 = Cache.dirty_lines l1d in
+         let pages = (lines * Addr.line_size / Addr.page_size) + 1 in
+         let counts_ok =
+           Cache.valid_lines l1d = Cache.lines l1d
+           && d1 <= Cache.lines l1d
+           && d1 > Cache.lines l1d - pages
+           && Cache.dirty_lines (Hierarchy.l2 z.Zynq.hier) >= lines
+         in
+         let t0 = Clock.now z.Zynq.clock in
+         let r = Hyper.hypercall Hyper.Cache_flush_all in
+         seen := Some (r, counts_ok, Clock.now z.Zynq.clock - t0)));
+  run_to_completion kern;
+  check ci "no crashes" 0 (Kernel.crashes kern);
+  match !seen with
+  | None -> Alcotest.fail "guest never reached the flush"
+  | Some (r, counts_ok, cycles) ->
+    check cb "R_unit" true (r = Hyper.R_unit);
+    check cb "dirty counts exact before the flush" true counts_ok;
+    cycles
+
+let test_cache_flush_all_after_sweep () =
+  let base = flush_after_sweep 2112 in
+  let more = flush_after_sweep 2176 in
+  let lat = Hierarchy.default_latencies in
+  check ci "64 more dirty lines cost 64 write-backs and maintenance steps"
+    (64 * (lat.Hierarchy.writeback + lat.Hierarchy.maintenance_per_line))
+    (more - base)
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "kernel",
@@ -456,4 +502,5 @@ let suite =
       t "trace ordered events" test_trace_records_ordered_events;
       t "trace ring bounds" test_trace_ring_bounds;
       t "ucos tick catchup" test_ucos_tick_catchup_across_deschedule;
-      t "two ucos vms ipc" test_two_ucos_vms_ipc ] )
+      t "two ucos vms ipc" test_two_ucos_vms_ipc;
+      t "cache flush all after a sweep" test_cache_flush_all_after_sweep ] )

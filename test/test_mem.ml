@@ -151,6 +151,69 @@ let prop_u32_roundtrip =
        Phys_mem.write_u32 m a v;
        Phys_mem.read_u32 m a = v)
 
+(* Frame lookup over a sparse, high layout: one page in every guest
+   window (the low bank and the bank above 4 GB), page 0 and the last
+   page of the 36-bit space, each written with a word at a random
+   offset and a word straddling into the next frame. Every byte must
+   read back as a reference map says, and exactly the frames touched
+   (by writes or reads) must exist. *)
+let prop_frames_sparse_high =
+  let page_size = Addr.page_size in
+  (* Its straddling word ends in the last page of the space. *)
+  let top = (1 lsl 36) - (2 * page_size) in
+  QCheck2.Test.make ~name:"sparse high frames read back exactly" ~count:40
+    QCheck2.Gen.(pair (int_bound 4095) (int_bound (page_size - 5)))
+    (fun (page, off) ->
+       let m = Phys_mem.create () in
+       let bytes = Hashtbl.create 4096 in
+       let pages = Hashtbl.create 1024 in
+       let touch a = Hashtbl.replace pages (Addr.page_of a) () in
+       let write a v =
+         Phys_mem.write_word m a v;
+         for i = 0 to 3 do
+           touch (a + i);
+           Hashtbl.replace bytes (a + i) ((v lsr (8 * i)) land 0xFF)
+         done
+       in
+       let bases =
+         0 :: top
+         :: List.init Address_map.guest_slot_count (fun i ->
+             Address_map.guest_phys_base i + (((page + i) land 4095) * page_size))
+       in
+       List.iteri
+         (fun i base ->
+            write (base + off) (0x1000_0000 + i);
+            (* Straddles into the next frame: bytes on both sides. *)
+            write (base + page_size - 2) (0xA5A5_0000 lor i))
+         bases;
+       (* A read of an untouched frame reads zero and materialises it. *)
+       let untouched = Address_map.ddr_high_base - page_size in
+       touch untouched;
+       let zero = Phys_mem.read_word m untouched = 0 in
+       zero
+       && Hashtbl.fold
+            (fun a v ok -> ok && Phys_mem.read_u8 m a = v)
+            bytes true
+       && List.for_all
+            (fun base ->
+               let a = base + page_size - 2 in
+               Phys_mem.read_word m a
+               = List.fold_left
+                   (fun w i -> w lor (Hashtbl.find bytes (a + i) lsl (8 * i)))
+                   0 [ 0; 1; 2; 3 ])
+            bases
+       && Phys_mem.touched_frames m = Hashtbl.length pages)
+
+let test_mem_outside_space () =
+  let m = Phys_mem.create () in
+  Alcotest.check_raises "past the 36-bit space"
+    (Invalid_argument
+       (Printf.sprintf "Phys_mem: page 0x%x outside the 36-bit physical space"
+          (1 lsl 24)))
+    (fun () -> ignore (Phys_mem.read_word m (1 lsl 36)));
+  check ci "a refused access materialises nothing" 0
+    (Phys_mem.touched_frames m)
+
 let test_address_map_sanity () =
   check cb "ddr holds kernel" true (Address_map.in_ddr Address_map.kernel_code_base);
   check cb "PL window is not DDR" false (Address_map.in_ddr Address_map.axi_gp0_base);
@@ -181,4 +244,6 @@ let suite =
       t "word is unsigned 32-bit" test_mem_word_unsigned;
       t "word frame accounting" test_mem_word_frames;
       QCheck_alcotest.to_alcotest prop_u32_roundtrip;
+      QCheck_alcotest.to_alcotest prop_frames_sparse_high;
+      t "access outside the physical space" test_mem_outside_space;
       t "address map sanity" test_address_map_sanity ] )
