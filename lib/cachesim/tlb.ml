@@ -56,30 +56,38 @@ let set_of t vpage = vpage land (t.sets - 1)
 
 let slot_live t s = s.valid && s.gen = t.gen_cur
 
+(* The live slot holding [vpage]'s translation for [asid], or
+   [null_slot]. A plain loop over the ways, so the probe allocates
+   nothing and is small enough to inline. *)
 let matching t ~asid ~vpage =
-  let base = set_of t vpage * t.cfg.ways in
-  let rec loop w =
-    if w = t.cfg.ways then None
-    else
-      let s = t.slots.(base + w) in
-      if
-        slot_live t s && s.vpage = vpage
-        && (s.entry.global || s.asid = asid)
-      then Some s
-      else loop (w + 1)
-  in
-  loop 0
+  let ways = t.cfg.ways in
+  let base = set_of t vpage * ways in
+  let found = ref null_slot in
+  let w = ref 0 in
+  while !w < ways do
+    let s = Array.unsafe_get t.slots (base + !w) in
+    if
+      slot_live t s && s.vpage = vpage && (s.entry.global || s.asid = asid)
+    then begin
+      found := s;
+      w := ways
+    end
+    else incr w
+  done;
+  !found
 
 let lookup t ~asid ~vpage =
   t.tick <- t.tick + 1;
-  match matching t ~asid ~vpage with
-  | Some s ->
+  let s = matching t ~asid ~vpage in
+  if s != null_slot then begin
     t.hits <- t.hits + 1;
     s.age <- t.tick;
     Some s.entry
-  | None ->
+  end
+  else begin
     t.misses <- t.misses + 1;
     None
+  end
 
 let peek t ~asid ~vpage = matching t ~asid ~vpage
 
@@ -95,9 +103,9 @@ let insert t ~asid ~vpage entry =
      (a generation-stale slot counts as free, exactly as if the flush
      had cleared its valid bit eagerly). *)
   let slot =
-    match matching t ~asid ~vpage with
-    | Some s -> s
-    | None ->
+    let s = matching t ~asid ~vpage in
+    if s != null_slot then s
+    else begin
       let best = ref t.slots.(base) in
       for w = 1 to t.cfg.ways - 1 do
         let s = t.slots.(base + w) in
@@ -107,6 +115,7 @@ let insert t ~asid ~vpage entry =
         else if slot_live t !best && s.age < !best.age then best := s
       done;
       !best
+    end
   in
   if not (slot_live t slot) then t.live_count <- t.live_count + 1;
   slot.valid <- true;

@@ -30,10 +30,11 @@ type slot
     Stays valid (same mapping, same slot) while {!epoch} is unchanged:
     only inserts and flushes move or drop entries. *)
 
-val peek : t -> asid:int -> vpage:int -> slot option
+val peek : t -> asid:int -> vpage:int -> slot
 (** Like {!lookup} but completely effect-free: no tick, no hit/miss
-    accounting, no LRU refresh. Used to snapshot residency for the
-    fast-path layers. *)
+    accounting, no LRU refresh, no allocation. Returns the slot holding
+    the translation, or {!null_slot} itself (compare with [==]) on a
+    miss. Used to snapshot residency for the fast-path layers. *)
 
 val refresh : t -> slot -> unit
 (** Replay a hit on a slot obtained from {!peek}: exactly the state
@@ -42,9 +43,9 @@ val refresh : t -> slot -> unit
     observed at {!peek} time. *)
 
 val null_slot : slot
-(** An always-invalid placeholder slot (for pre-allocating memo
-    tables); {!refresh} on it under a stale-epoch guard is harmless
-    but it never matches any lookup. *)
+(** An always-invalid placeholder slot: {!peek}'s miss result, and the
+    filler of pre-allocated memo tables. {!refresh} on it under a
+    stale-epoch guard is harmless, but it never matches any lookup. *)
 
 val insert : t -> asid:int -> vpage:int -> entry -> unit
 (** Install a translation (evicting LRU in the set if needed). *)

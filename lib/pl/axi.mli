@@ -14,12 +14,6 @@ val burst_setup_cycles : int
     exposed for the streaming model, which charges setup per direction
     while the per-beat cost is absorbed into the pipeline overlap. *)
 
-val acp_allocate : l2:Cache.t -> Addr.t -> int -> unit
-(** [acp_allocate ~l2 base bytes] marks the transfer footprint
-    resident in L2 (the ACP coherent-path side effect) without
-    charging any cycles — for callers that account the beat cost
-    elsewhere. *)
-
 val hp_transfer_cycles : int -> int
 (** [hp_transfer_cycles bytes]: burst DMA through AXI_HP straight to
     DDR — 64-bit beats at fabric speed plus setup. *)

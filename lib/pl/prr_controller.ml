@@ -1,13 +1,5 @@
-type port = Hp | Acp
-
 (* A streaming-FFT job shape and its [Stream_fft.job_cycles]. *)
-type sfft_shape = {
-  points : int;
-  samples : int;
-  in_beat : int;
-  out_beat : int;
-  fabric : int;
-}
+type sfft_shape = { points : int; samples : int; fabric : int }
 
 type t = {
   mem : Phys_mem.t;
@@ -18,7 +10,6 @@ type t = {
   obs : Obs.t;
   prrs : Prr.t array;
   irq_table : int option array;  (* PL source index -> PRR id *)
-  mutable port : port;
   mutable jobs_completed : int;
   mutable coherence_warnings : int;
   (* The last streaming-FFT shape this controller ran. A PRR keeps one
@@ -39,10 +30,9 @@ let create ?faults ?obs mem queue gic hier ~capacities =
   in
   { mem; queue; gic; hier; faults; obs; prrs;
     irq_table = Array.make Irq_id.pl_count None;
-    port = Hp; jobs_completed = 0; coherence_warnings = 0;
+    jobs_completed = 0; coherence_warnings = 0;
     (* An empty job costs nothing, so the all-zero shape is correct. *)
-    sfft_last =
-      { points = 0; samples = 0; in_beat = 0; out_beat = 0; fabric = 0 } }
+    sfft_last = { points = 0; samples = 0; fabric = 0 } }
 
 let prr_count t = Array.length t.prrs
 
@@ -72,21 +62,16 @@ let signal_completion t prr =
   | Some i when irq_enabled prr -> Gic.raise_irq t.gic (Irq_id.pl i)
   | Some _ | None -> ()
 
-let dma_cycles t bytes base =
-  match t.port with
-  | Hp -> Axi.hp_transfer_cycles bytes
-  | Acp -> Axi.acp_transfer_cycles bytes ~l2:(Hierarchy.l2 t.hier) base
-
-let sfft_fabric_cycles t ~points ~samples ~in_beat ~out_beat =
+(* Task data moves over AXI_HP, one 64-bit beat per fabric cycle in
+   each direction. *)
+let sfft_fabric_cycles t ~points ~samples =
   let m = t.sfft_last in
-  if m.points = points && m.samples = samples && m.in_beat = in_beat
-     && m.out_beat = out_beat
-  then m.fabric
+  if m.points = points && m.samples = samples then m.fabric
   else begin
     let fabric =
-      Stream_fft.job_cycles ~points ~samples ~in_beat ~out_beat ()
+      Stream_fft.job_cycles ~points ~samples ~in_beat:1 ~out_beat:1 ()
     in
-    t.sfft_last <- { points; samples; in_beat; out_beat; fabric };
+    t.sfft_last <- { points; samples; fabric };
     fabric
   end
 
@@ -159,29 +144,16 @@ let start_job t prr =
              (* Stage-accurate streaming path: DMA beats and butterfly
                 stages overlap, so the lump-sum dma + compute formula
                 is replaced wholesale by the pipeline recurrence. Burst
-                setup is still charged once per direction, and the ACP
-                write path keeps its L2 write-allocate side effect
-                (with a 2-cycle drain beat — the round trip the paper
-                rejected ACP for — which the FIFO model turns into
-                visible upstream backpressure). The recurrence runs
-                only when the job shape changes. *)
-             let samples = Ip_core.items job in
-             let in_beat, out_beat =
-               match t.port with
-               | Hp -> 1, 1
-               | Acp ->
-                 Axi.acp_allocate ~l2:(Hierarchy.l2 t.hier)
-                   job.Ip_core.dst out_bytes;
-                 1, 2
-             in
+                setup is still charged once per direction. The
+                recurrence runs only when the job shape changes. *)
              let fabric =
-               sfft_fabric_cycles t ~points ~samples ~in_beat ~out_beat
+               sfft_fabric_cycles t ~points ~samples:(Ip_core.items job)
              in
              (2 * Axi.burst_setup_cycles)
              + Task_kind.cpu_cycles (float_of_int fabric)
            | Task_kind.Fft _ | Task_kind.Qam _ | Task_kind.Fir _
            | Task_kind.Scramble _ | Task_kind.Digest _ | Task_kind.Matmul _ ->
-             dma_cycles t (in_bytes + out_bytes) job.Ip_core.src
+             Axi.hp_transfer_cycles (in_bytes + out_bytes)
              + Task_kind.compute_cycles job.Ip_core.kind (Ip_core.items job)
          in
          let gen = prr.Prr.job_gen in

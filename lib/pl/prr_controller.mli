@@ -2,21 +2,17 @@
 
     Owns the PRRs, their register groups, the per-PRR hwMMU and the 16
     PL interrupt sources. Decodes MMIO traffic arriving over AXI_GP,
-    runs DMA jobs over AXI_HP (or ACP, for the ablation), and raises
-    PL interrupts at job completion.
+    runs DMA jobs over AXI_HP, and raises PL interrupts at job
+    completion.
 
     A job starts when the client writes CTRL.start. The controller
     resolves SRC/DST offsets against the hwMMU window, refuses any
     range escaping it (STATUS.violation), flags a coherence warning if
     CPU caches still hold dirty data for the input range, and schedules
     completion after the DMA + fabric compute latency. A streaming-FFT
-    job's fabric cycles are a pure function of its shape (points,
-    samples and the port's beats); each controller keeps the last shape
-    it ran, so the pipeline recurrence runs only when the shape
-    changes. *)
-
-type port = Hp | Acp
-(** Data path used by task DMA; the paper uses [Hp]. *)
+    job's fabric cycles are a pure function of its shape (points and
+    samples); each controller keeps the last shape it ran, so the
+    pipeline recurrence runs only when the shape changes. *)
 
 type t
 

@@ -85,14 +85,11 @@ let touch_fast zynq ~priv ~asid ~ttbr ~dacr kind r =
     done
   end
 
-let current_context zynq =
-  let mmu = zynq.Zynq.mmu in
-  (Mmu.asid mmu, Mmu.ttbr mmu, Dacr.to_word (Mmu.dacr mmu))
-
 let touch zynq ~priv kind r =
   if Fastpath.enabled zynq.Zynq.fast then
-    let asid, ttbr, dacr = current_context zynq in
-    touch_fast zynq ~priv ~asid ~ttbr ~dacr kind r
+    let mmu = zynq.Zynq.mmu in
+    touch_fast zynq ~priv ~asid:(Mmu.asid mmu) ~ttbr:(Mmu.ttbr mmu)
+      ~dacr:(Dacr.to_word (Mmu.dacr mmu)) kind r
   else touch_ref zynq ~priv kind r
 
 let lines_of r =
@@ -240,12 +237,17 @@ let replay_checked zynq ~l1i ~l1d (p : Fastpath.prog) ~priv ~asid ~ttbr
            tiers, which check residency against the current [pa]. *)
         if pb <> Array.unsafe_get p.Fastpath.r_pbase r then
           Array.unsafe_set p.Fastpath.r_cache_epoch r (-1);
-        (match Tlb.peek tlb ~asid ~vpage:(page_vbase lsr Addr.page_shift) with
-         | Some slot ->
-           Array.unsafe_set p.Fastpath.r_tlb_slot r slot;
-           Array.unsafe_set p.Fastpath.r_pbase r pb;
-           Array.unsafe_set p.Fastpath.r_tlb_epoch r (Tlb.epoch tlb)
-         | None -> Array.unsafe_set p.Fastpath.r_tlb_epoch r (-1));
+        (* [translate_page] left the page's micro-TLB entry naming its
+           TLB slot, or marked the entry empty when no slot holds the
+           translation. *)
+        let vpage = page_vbase lsr Addr.page_shift in
+        let e = Fastpath.mtlb_entry zynq.Zynq.fast vpage in
+        if e.Fastpath.m_vpage = vpage then begin
+          Array.unsafe_set p.Fastpath.r_tlb_slot r e.Fastpath.m_slot;
+          Array.unsafe_set p.Fastpath.r_pbase r pb;
+          Array.unsafe_set p.Fastpath.r_tlb_epoch r (Tlb.epoch tlb)
+        end
+        else Array.unsafe_set p.Fastpath.r_tlb_epoch r (-1);
         pb
       end
     in
@@ -349,7 +351,9 @@ let run zynq ~priv t =
   let fast = zynq.Zynq.fast in
   if not (Fastpath.enabled fast) then run_ref zynq ~priv t
   else begin
-    let asid, ttbr, dacr = current_context zynq in
+    let mmu = zynq.Zynq.mmu in
+    let asid = Mmu.asid mmu and ttbr = Mmu.ttbr mmu in
+    let dacr = Dacr.to_word (Mmu.dacr mmu) in
     let key =
       { Fastpath.k_fp = t; k_asid = asid; k_ttbr = ttbr; k_dacr = dacr;
         k_priv = priv }
@@ -443,7 +447,9 @@ let run_pinned zynq ~priv (p : Fastpath.pinned) =
     done
   end
   else begin
-    let asid, ttbr, dacr = current_context zynq in
+    let mmu = zynq.Zynq.mmu in
+    let asid = Mmu.asid mmu and ttbr = Mmu.ttbr mmu in
+    let dacr = Dacr.to_word (Mmu.dacr mmu) in
     match find_pin_prog p ~asid ~ttbr ~dacr ~priv with
     | Some prog ->
       replay_runs zynq fast prog ~priv ~asid ~ttbr ~dacr;

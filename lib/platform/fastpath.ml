@@ -207,6 +207,8 @@ let create () =
     mtlb_hits = 0; mtlb_misses = 0; warm_replays = 0; partial_replays = 0;
     warm_records = 0 }
 
+let mtlb_entry t vpage = Array.unsafe_get t.mtlb (vpage land mtlb_mask)
+
 let set_enabled t b = t.enabled <- b
 let enabled t = t.enabled
 

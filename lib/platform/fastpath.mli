@@ -46,8 +46,6 @@ type mentry = {
     translation context and TLB slot it came from; a hit replays the
     slot so TLB statistics and LRU stay exact. *)
 
-val mtlb_mask : int
-
 type key = {
   k_fp : fp;
   k_asid : int;
@@ -126,6 +124,10 @@ type t = {
   mutable partial_replays : int;
   mutable warm_records : int;
 }
+
+val mtlb_entry : t -> int -> mentry
+(** [mtlb_entry t vpage]: the micro-TLB entry [vpage] maps to (it
+    holds [vpage] only if [m_vpage = vpage]). *)
 
 val memo_lines_cap : int
 (** Footprints with more total lines than this are never compiled. *)

@@ -91,9 +91,7 @@ let translate_page t access ~priv ~asid ~ttbr ~dacr va =
   let fast = t.fast in
   let vpage = va lsr Addr.page_shift in
   let tlb = t.tlb in
-  let e =
-    Array.unsafe_get fast.Fastpath.mtlb (vpage land Fastpath.mtlb_mask)
-  in
+  let e = Fastpath.mtlb_entry fast vpage in
   if
     e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
     && e.m_dacr = dacr && e.m_priv = priv
@@ -106,17 +104,18 @@ let translate_page t access ~priv ~asid ~ttbr ~dacr va =
   else begin
     fast.Fastpath.mtlb_misses <- fast.Fastpath.mtlb_misses + 1;
     let pbase = Addr.page_base (Mmu.translate_exn t.mmu access ~priv va) in
-    (match Tlb.peek tlb ~asid ~vpage with
-     | Some slot ->
-       e.m_vpage <- vpage;
-       e.m_asid <- asid;
-       e.m_ttbr <- ttbr;
-       e.m_dacr <- dacr;
-       e.m_priv <- priv;
-       e.m_epoch <- Tlb.epoch tlb;
-       e.m_slot <- slot;
-       e.m_pbase <- pbase
-     | None -> e.m_vpage <- -1);
+    let slot = Tlb.peek tlb ~asid ~vpage in
+    if slot != Tlb.null_slot then begin
+      e.m_vpage <- vpage;
+      e.m_asid <- asid;
+      e.m_ttbr <- ttbr;
+      e.m_dacr <- dacr;
+      e.m_priv <- priv;
+      e.m_epoch <- Tlb.epoch tlb;
+      e.m_slot <- slot;
+      e.m_pbase <- pbase
+    end
+    else e.m_vpage <- -1;
     pbase
   end
 
@@ -154,9 +153,7 @@ let page_words t access ~priv va n =
     translate_page t access ~priv ~asid ~ttbr ~dacr va lor Addr.page_offset va
   in
   let vpage = va lsr Addr.page_shift in
-  let e =
-    Array.unsafe_get fast.Fastpath.mtlb (vpage land Fastpath.mtlb_mask)
-  in
+  let e = Fastpath.mtlb_entry fast vpage in
   if
     e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
     && e.m_dacr = dacr && e.m_priv = priv

@@ -94,8 +94,10 @@ val translate_page :
     [asid]/[ttbr]/[dacr] must be the MMU's current context (the caller
     reads it once for a batch of pages). A hit replays the TLB slot
     ({!Tlb.refresh}); a miss is {!Mmu.translate_exn} at [va], faults
-    included, and installs the entry. The one translate function of
-    the fast path: {!Exec} and the word accessors both use it. *)
+    included, and installs the entry. On return the page's micro-TLB
+    entry names the TLB slot holding the translation, or is empty
+    ([m_vpage = -1]) when no slot holds it. The one translate function
+    of the fast path: {!Exec} and the word accessors both use it. *)
 
 (** {2 Physical (kernel / device) accesses} *)
 

@@ -365,6 +365,187 @@ let prop_cache_counters =
               levels)
          ops)
 
+(* --- TLB probe against a reference model ---
+
+   The model mirrors the TLB slot by slot (liveness, tag, entry, LRU
+   age), and its probe is a plain linear scan of the set. Every entry
+   carries a unique [ppage], so [lookup]'s result names the slot it
+   came from. Model slot [i] is paired with the TLB slot that [peek]
+   returns right after an insert lands in [i]: that insert is the
+   first match for its own (asid, vpage), so the pairing is exact, and
+   it must stay one to one. *)
+
+type tlb_model_slot = {
+  mutable live : bool;
+  mutable m_asid : int;
+  mutable m_vpage : int;
+  mutable m_entry : Tlb.entry;
+  mutable age : int;
+}
+
+let tlb_model_cfg = { Tlb.entries = 8; ways = 2 }
+let tlb_model_asids = 4
+let tlb_model_vpages = 12
+
+let prop_tlb_peek_is_scan =
+  let ways = tlb_model_cfg.Tlb.ways in
+  let sets = tlb_model_cfg.Tlb.entries / ways in
+  let op =
+    QCheck2.Gen.(
+      quad (int_bound 9) (int_bound (tlb_model_asids - 1))
+        (int_bound (tlb_model_vpages - 1)) bool)
+  in
+  (* Every case starts with a per-ASID and a global entry for the same
+     vpage, ahead of each other in both orders. *)
+  let prefix =
+    [ (0, 1, 3, false); (0, 2, 3, true); (0, 2, 5, true); (0, 1, 5, false) ]
+  in
+  QCheck2.Test.make ~name:"tlb peek and lookup match a linear scan"
+    ~count:300
+    ~print:QCheck2.Print.(list (quad int int int bool))
+    QCheck2.Gen.(list_size (int_range 1 80) op)
+    (fun ops ->
+       let t = Tlb.create tlb_model_cfg in
+       let m =
+         Array.init tlb_model_cfg.Tlb.entries (fun _ ->
+             { live = false; m_asid = 0; m_vpage = 0;
+               m_entry = entry 0; age = 0 })
+       in
+       let paired = Array.make tlb_model_cfg.Tlb.entries Tlb.null_slot in
+       let tick = ref 0 and hits = ref 0 and misses = ref 0 in
+       let live_count () =
+         Array.fold_left (fun n s -> if s.live then n + 1 else n) 0 m
+       in
+       let matches i ~asid ~vpage =
+         let s = m.(i) in
+         s.live && s.m_vpage = vpage
+         && (s.m_entry.Tlb.global || s.m_asid = asid)
+       in
+       let scan ~asid ~vpage =
+         let base = (vpage land (sets - 1)) * ways in
+         let rec go w =
+           if w = ways then -1
+           else if matches (base + w) ~asid ~vpage then base + w
+           else go (w + 1)
+         in
+         go 0
+       in
+       let insert ~asid ~vpage e =
+         incr tick;
+         let base = (vpage land (sets - 1)) * ways in
+         let i =
+           match scan ~asid ~vpage with
+           | -1 ->
+             let best = ref base in
+             for w = 1 to ways - 1 do
+               let s = m.(base + w) in
+               if not s.live then begin
+                 if m.(!best).live then best := base + w
+               end
+               else if m.(!best).live && s.age < m.(!best).age then
+                 best := base + w
+             done;
+             !best
+           | i -> i
+         in
+         let s = m.(i) in
+         s.live <- true;
+         s.m_asid <- asid;
+         s.m_vpage <- vpage;
+         s.m_entry <- e;
+         s.age <- !tick;
+         Tlb.insert t ~asid ~vpage e;
+         let slot = Tlb.peek t ~asid ~vpage in
+         let fresh = ref (slot != Tlb.null_slot) in
+         Array.iteri
+           (fun j p -> if j <> i && p == slot then fresh := false)
+           paired;
+         paired.(i) <- slot;
+         !fresh
+       in
+       let hit i =
+         incr tick;
+         incr hits;
+         m.(i).age <- !tick
+       in
+       let step n (code, asid, vpage, global) =
+         match code with
+         | 0 | 1 | 2 -> insert ~asid ~vpage (entry ~global n)
+         | 3 | 4 | 5 -> (
+             match scan ~asid ~vpage, Tlb.lookup t ~asid ~vpage with
+             | -1, None ->
+               incr tick;
+               incr misses;
+               true
+             | -1, Some _ | _, None -> false
+             | i, Some e ->
+               hit i;
+               e == m.(i).m_entry)
+         | 6 ->
+           (* A fast-path hit: peek, then replay it with refresh. *)
+           let slot = Tlb.peek t ~asid ~vpage in
+           if slot != Tlb.null_slot then begin
+             Tlb.refresh t slot;
+             let i = scan ~asid ~vpage in
+             if i >= 0 then hit i;
+             i >= 0
+           end
+           else true
+         | 7 ->
+           Tlb.flush_page t ~asid ~vpage;
+           Array.iteri
+             (fun i s -> if matches i ~asid ~vpage then s.live <- false)
+             m;
+           true
+         | 8 ->
+           let dropped = ref 0 in
+           Array.iter
+             (fun s ->
+                if s.live && (not s.m_entry.Tlb.global) && s.m_asid = asid
+                then begin
+                  s.live <- false;
+                  incr dropped
+                end)
+             m;
+           Tlb.flush_asid t asid = !dropped
+         | _ ->
+           let live = live_count () in
+           Array.iter (fun s -> s.live <- false) m;
+           Tlb.flush_all t = live
+       in
+       let agrees () =
+         let ok = ref true in
+         for asid = 0 to tlb_model_asids - 1 do
+           for vpage = 0 to tlb_model_vpages - 1 do
+             let slot = Tlb.peek t ~asid ~vpage in
+             match scan ~asid ~vpage with
+             | -1 -> if slot != Tlb.null_slot then ok := false
+             | i -> if slot != paired.(i) then ok := false
+           done
+         done;
+         !ok
+         && Tlb.hits t = !hits && Tlb.misses t = !misses
+         && Tlb.live_entries t = live_count ()
+       in
+       List.for_all Fun.id
+         (List.mapi (fun n o -> step (n + 1) o && agrees ()) (prefix @ ops)))
+
+(* The probe allocates nothing, on hits and misses alike. *)
+let test_tlb_peek_allocates_nothing () =
+  let t = Tlb.create Tlb.cortex_a9 in
+  for v = 0 to 63 do
+    Tlb.insert t ~asid:1 ~vpage:v (entry v)
+  done;
+  let found = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let vpage = (if i land 1 = 0 then 0 else 64) + ((i lsr 1) land 63) in
+    if Tlb.peek t ~asid:1 ~vpage != Tlb.null_slot then incr found
+  done;
+  let words = Gc.minor_words () -. before in
+  check ci "half the probes hit" 5_000 !found;
+  check (Alcotest.float 0.) "minor words over 10k probes" 0. words
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "cachesim",
@@ -388,4 +569,6 @@ let suite =
       t "hierarchy maintenance" test_hierarchy_maintenance;
       t "hierarchy uncached" test_hierarchy_uncached;
       QCheck_alcotest.to_alcotest prop_access_words_is_scalar;
-      QCheck_alcotest.to_alcotest prop_cache_counters ] )
+      QCheck_alcotest.to_alcotest prop_cache_counters;
+      QCheck_alcotest.to_alcotest prop_tlb_peek_is_scan;
+      t "tlb peek allocates nothing" test_tlb_peek_allocates_nothing ] )
