@@ -486,10 +486,6 @@ let epoch t = t.epoch
 let valid_lines t = t.valid_count
 let dirty_lines t = t.dirty_count
 
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0
-
 let lines t = t.sets * t.cfg.ways
 
 let line_size t = t.cfg.line_size

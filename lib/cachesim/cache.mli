@@ -113,10 +113,6 @@ val epoch : t -> int
     observability tooling key on this; it also measures invalidation
     churn directly. *)
 
-val reset_stats : t -> unit
-(** Clears [hits]/[misses]; the {!epoch} is deliberately left alone so
-    outstanding residency snapshots stay sound across stat resets. *)
-
 val lines : t -> int
 (** Total number of lines (capacity / line size). *)
 

@@ -172,10 +172,6 @@ let clean_invalidate_all t =
   charge t
     ((wb * t.lat.writeback) + (dropped * t.lat.maintenance_per_line) + 200)
 
-let invalidate_icache_all t =
-  let dropped = Cache.invalidate_all t.l1i in
-  charge t ((dropped * t.lat.maintenance_per_line) + 50)
-
 let dirty_in_range t a len =
   Cache.dirty_in_range t.l1d a len || Cache.dirty_in_range t.l2 a len
 
@@ -194,8 +190,3 @@ let counts t =
   { l1i_hits = Cache.hits t.l1i; l1i_misses = Cache.misses t.l1i;
     l1d_hits = Cache.hits t.l1d; l1d_misses = Cache.misses t.l1d;
     l2_hits = Cache.hits t.l2; l2_misses = Cache.misses t.l2 }
-
-let reset_stats t =
-  Cache.reset_stats t.l1i;
-  Cache.reset_stats t.l1d;
-  Cache.reset_stats t.l2

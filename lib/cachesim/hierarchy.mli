@@ -79,8 +79,6 @@ val invalidate_dcache_range : t -> Addr.t -> int -> int
 val clean_invalidate_all : t -> int
 (** Full clean+invalidate of both cache levels (expensive). *)
 
-val invalidate_icache_all : t -> int
-
 val dirty_in_range : t -> Addr.t -> int -> bool
 (** CPU-side dirty data overlapping a range (DMA coherence check). *)
 
@@ -98,5 +96,3 @@ type counts = {
 val counts : t -> counts
 (** All six hit/miss statistics in one read — what the observability
     meters and the equivalence tests fingerprint. *)
-
-val reset_stats : t -> unit

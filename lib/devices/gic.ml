@@ -1,13 +1,12 @@
 (* [deliverable] is a bitmask, 32 sources per word, of the sources
    that are pending, enabled and not active: the only ones arbitration
    can pick. Every mutator keeps it exact, so the nIRQ line tests a
-   few words and a read of ICCIAR visits only the deliverable sources
-   instead of scanning all of them. *)
+   few words and a read of ICCIAR takes its lowest set bit instead of
+   scanning all the sources. *)
 type t = {
   enabled : bool array;
   pending : bool array;
   active : bool array;
-  priority : int array;
   deliverable : int array;
 }
 
@@ -17,7 +16,6 @@ let create () =
   { enabled = Array.make Irq_id.max_irq false;
     pending = Array.make Irq_id.max_irq false;
     active = Array.make Irq_id.max_irq false;
-    priority = Array.make Irq_id.max_irq 0xF8;
     deliverable = Array.make words 0 }
 
 let check irq =
@@ -38,17 +36,9 @@ let enable g irq =
   check irq;
   set g g.enabled irq true
 
-let set_priority g irq p =
-  check irq;
-  g.priority.(irq) <- p
-
 let raise_irq g irq =
   check irq;
   set g g.pending irq true
-
-let clear_pending g irq =
-  check irq;
-  set g g.pending irq false
 
 let is_pending g irq =
   check irq;
@@ -62,22 +52,16 @@ let bit_index =
   in
   fun b -> table.(((b * 0x077C_B531) land 0xFFFF_FFFF) lsr 27)
 
-(* Highest-priority (lowest value; ties to lowest id) deliverable
-   source; -1 when there is none. Visits the deliverable sources in
-   ascending id order and keeps the first of the lowest value. *)
+(* The lowest-id deliverable source (every source has the reset
+   priority, so arbitration is by id); -1 when there is none. *)
 let best g =
-  let found = ref (-1) in
-  for w = 0 to words - 1 do
-    let m = ref g.deliverable.(w) in
-    while !m <> 0 do
-      let low = !m land - !m in
-      let irq = (w lsl 5) + bit_index low in
-      if !found < 0 || g.priority.(irq) < g.priority.(!found) then
-        found := irq;
-      m := !m lxor low
-    done
-  done;
-  !found
+  let rec go w =
+    if w = words then -1
+    else
+      let m = g.deliverable.(w) in
+      if m = 0 then go (w + 1) else (w lsl 5) + bit_index (m land -m)
+  in
+  go 0
 
 let rec any_set d w = w < words && (d.(w) <> 0 || any_set d (w + 1))
 

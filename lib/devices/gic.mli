@@ -2,7 +2,7 @@
 
     All physical interrupts funnel through here (paper §III-B):
     devices call {!raise_irq}; the kernel's IRQ exception path calls
-    {!ack} to learn the highest-priority pending enabled source, writes
+    {!ack} to learn the lowest-numbered pending enabled source, writes
     {!eoi}, and injects the corresponding virtual interrupt through the
     current VM's vGIC. On each VM switch the kernel masks the outgoing
     VM's sources and unmasks the incoming VM's enabled ones
@@ -11,17 +11,13 @@
 type t
 
 val create : unit -> t
-(** All sources disabled, priority 0xF8 (lowest), nothing pending. *)
+(** All sources disabled, nothing pending. Every source keeps the
+    reset priority, so arbitration goes by id. *)
 
 val enable : t -> int -> unit
 
-val set_priority : t -> int -> int -> unit
-(** [set_priority g irq p]: numerically lower [p] wins arbitration. *)
-
 val raise_irq : t -> int -> unit
 (** Device-side: latch the source pending. Idempotent while pending. *)
-
-val clear_pending : t -> int -> unit
 
 val is_pending : t -> int -> bool
 
@@ -30,7 +26,7 @@ val line_asserted : t -> bool
     and not already active. *)
 
 val ack : t -> int option
-(** CPU interface read of ICCIAR: take the highest-priority pending
+(** CPU interface read of ICCIAR: take the lowest-numbered pending
     enabled source, mark it active, clear pending. [None] on a spurious
     read. *)
 

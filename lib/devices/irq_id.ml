@@ -1,8 +1,6 @@
 let max_irq = 96
 let private_timer = 29
 let devcfg = 40
-let sd0 = 56
-let uart0 = 59
 let pl_count = 16
 
 let pl i =

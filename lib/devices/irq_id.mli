@@ -1,7 +1,7 @@
 (** Interrupt source numbering on the Zynq-7000 (UG585 table 7-3).
 
     Shared-peripheral interrupt IDs used across the simulation: the
-    private timer, the DevCfg (PCAP done) interrupt, UART/SD, and the
+    private timer, the DevCfg (PCAP done) interrupt and the
     sixteen PL-to-PS fabric interrupts the PRR controller drives
     (paper §IV-D supports "up to 16 different IRQ sources generated
     from the FPGA side"). *)
@@ -14,9 +14,6 @@ val private_timer : int
 
 val devcfg : int
 (** SPI 40 — PCAP bitstream-download completion. *)
-
-val sd0 : int
-val uart0 : int
 
 val pl_count : int
 (** Number of PL fabric interrupts: 16. *)

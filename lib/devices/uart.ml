@@ -10,4 +10,3 @@ let write_string t s = String.iter (write_byte t) s
 
 let contents t = Buffer.contents t.buf
 
-let clear t = Buffer.clear t.buf

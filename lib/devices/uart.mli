@@ -16,5 +16,3 @@ val write_string : t -> string -> unit
 
 val contents : t -> string
 (** Everything written so far. *)
-
-val clear : t -> unit

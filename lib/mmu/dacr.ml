@@ -26,18 +26,4 @@ let get t dom =
   check dom;
   t.fields.(dom)
 
-let of_bits = function
-  | 0b00 -> No_access
-  | 0b01 -> Client
-  | 0b11 -> Manager
-  | _ -> invalid_arg "Dacr: reserved field encoding"
-
 let to_word t = t.word
-
-let of_word w =
-  let t = create () in
-  for dom = 0 to 15 do
-    t.fields.(dom) <- of_bits ((w lsr (2 * dom)) land 0b11)
-  done;
-  t.word <- w;
-  t

@@ -27,5 +27,3 @@ val get : t -> int -> access
 val to_word : t -> int
 (** Encode as the 32-bit register value (2 bits per domain:
     00=NA, 01=Client, 11=Manager). *)
-
-val of_word : int -> t

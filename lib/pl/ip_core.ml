@@ -162,7 +162,7 @@ let run mem j =
     end
   | Task_kind.Fft_stream points ->
     (* Same numerics as the lump-sum FFT core — only the timing model
-       differs (see [Stream_fft]). *)
+       differs (see [Task_kind.compute_cycles]). *)
     let inverse = j.param land 1 = 1 in
     let blocks = j.len / points in
     for b = 0 to blocks - 1 do

@@ -4,7 +4,6 @@ type t = {
   faults : Fault_plane.t;
   obs : Obs.t;
   mutable busy : bool;
-  mutable last_completed : Bitstream.id option;
   mutable transfers : int;
   mutable failures : int;
 }
@@ -14,8 +13,7 @@ let create ?faults ?obs queue gic =
     match faults with Some f -> f | None -> Fault_plane.disabled ()
   in
   let obs = match obs with Some o -> o | None -> Obs.disabled () in
-  { queue; gic; faults; obs; busy = false; last_completed = None;
-    transfers = 0; failures = 0 }
+  { queue; gic; faults; obs; busy = false; transfers = 0; failures = 0 }
 
 let throughput_bytes_per_sec = 145_000_000
 
@@ -77,7 +75,6 @@ let launch t bit prr =
                Prr.write_reg prr Prr.Reg.task_id
                  (Int32.of_int bit.Bitstream.id);
                t.busy <- false;
-               t.last_completed <- Some bit.Bitstream.id;
                t.transfers <- t.transfers + 1;
                Obs.sample t.obs ~component:"pcap" ~key:prr.Prr.id ~cycles:d;
                Obs.incr (Obs.counter t.obs "pcap.transfers");
@@ -88,6 +85,5 @@ let launch t bit prr =
   end
 
 let busy t = t.busy
-let last_completed t = t.last_completed
 let transfers t = t.transfers
 let failures t = t.failures

@@ -37,9 +37,6 @@ val launch : t -> Bitstream.t -> Prr.t -> [ `Started of Cycles.t | `Busy ]
 
 val busy : t -> bool
 
-val last_completed : t -> Bitstream.id option
-(** Id of the most recently completed download (status polling). *)
-
 val transfers : t -> int
 (** Count of completed transfers (evaluation statistic). *)
 

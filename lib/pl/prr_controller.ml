@@ -1,6 +1,3 @@
-(* A streaming-FFT job shape and its [Stream_fft.job_cycles]. *)
-type sfft_shape = { points : int; samples : int; fabric : int }
-
 type t = {
   mem : Phys_mem.t;
   queue : Event_queue.t;
@@ -12,11 +9,6 @@ type t = {
   irq_table : int option array;  (* PL source index -> PRR id *)
   mutable jobs_completed : int;
   mutable coherence_warnings : int;
-  (* The last streaming-FFT shape this controller ran. A PRR keeps one
-     loaded kind and guests stage whole transforms, so jobs repeat their
-     shape until a reconfiguration; the entry caches a pure function,
-     so it never changes a result. *)
-  mutable sfft_last : sfft_shape;
 }
 
 let create ?faults ?obs mem queue gic hier ~capacities =
@@ -30,9 +22,7 @@ let create ?faults ?obs mem queue gic hier ~capacities =
   in
   { mem; queue; gic; hier; faults; obs; prrs;
     irq_table = Array.make Irq_id.pl_count None;
-    jobs_completed = 0; coherence_warnings = 0;
-    (* An empty job costs nothing, so the all-zero shape is correct. *)
-    sfft_last = { points = 0; samples = 0; fabric = 0 } }
+    jobs_completed = 0; coherence_warnings = 0 }
 
 let prr_count t = Array.length t.prrs
 
@@ -61,19 +51,6 @@ let signal_completion t prr =
   match prr.Prr.irq_index with
   | Some i when irq_enabled prr -> Gic.raise_irq t.gic (Irq_id.pl i)
   | Some _ | None -> ()
-
-(* Task data moves over AXI_HP, one 64-bit beat per fabric cycle in
-   each direction. *)
-let sfft_fabric_cycles t ~points ~samples =
-  let m = t.sfft_last in
-  if m.points = points && m.samples = samples then m.fabric
-  else begin
-    let fabric =
-      Stream_fft.job_cycles ~points ~samples ~in_beat:1 ~out_beat:1 ()
-    in
-    t.sfft_last <- { points; samples; fabric };
-    fabric
-  end
 
 let start_job t prr =
   match prr.Prr.state, prr.Prr.loaded with
@@ -140,17 +117,12 @@ let start_job t prr =
          Prr.set_status_bit prr 0 true;
          let latency =
            match job.Ip_core.kind with
-           | Task_kind.Fft_stream points ->
-             (* Stage-accurate streaming path: DMA beats and butterfly
-                stages overlap, so the lump-sum dma + compute formula
-                is replaced wholesale by the pipeline recurrence. Burst
-                setup is still charged once per direction. The
-                recurrence runs only when the job shape changes. *)
-             let fabric =
-               sfft_fabric_cycles t ~points ~samples:(Ip_core.items job)
-             in
+           | Task_kind.Fft_stream _ ->
+             (* Streaming path: AXI_HP beats overlap the butterfly
+                stages, so the data moves inside the compute time and
+                only the burst setup is charged, once per direction. *)
              (2 * Axi.burst_setup_cycles)
-             + Task_kind.cpu_cycles (float_of_int fabric)
+             + Task_kind.compute_cycles job.Ip_core.kind (Ip_core.items job)
            | Task_kind.Fft _ | Task_kind.Qam _ | Task_kind.Fir _
            | Task_kind.Scramble _ | Task_kind.Digest _ | Task_kind.Matmul _ ->
              Axi.hp_transfer_cycles (in_bytes + out_bytes)

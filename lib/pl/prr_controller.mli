@@ -10,9 +10,8 @@
     range escaping it (STATUS.violation), flags a coherence warning if
     CPU caches still hold dirty data for the input range, and schedules
     completion after the DMA + fabric compute latency. A streaming-FFT
-    job's fabric cycles are a pure function of its shape (points and
-    samples); each controller keeps the last shape it ran, so the
-    pipeline recurrence runs only when the shape changes. *)
+    job overlaps its DMA with the pipeline, so it costs two AXI burst
+    setups plus {!Task_kind.compute_cycles}. *)
 
 type t
 

@@ -76,11 +76,10 @@ let compute_cycles k n_items =
     (* Systolic MAC array: 4 taps per fabric cycle per sample. *)
     cpu_cycles (float_of_int (n_items * taps) /. 4.0)
   | Fft_stream points ->
-    (* Closed-form fallback for the streaming pipeline: one sample per
-       fabric cycle once full, plus the fill latency (delay lines sum
-       to points-1, 4 register cycles per butterfly stage). The
-       stage-accurate model in [Stream_fft] replaces this on the PRR
-       latency path; this bound is what non-DMA callers see. *)
+    (* The stage recurrence at one beat per fabric cycle: by induction
+       sample i enters stage s at i + sum_{k<s} L_k (L_k = points/2^k + 4,
+       also its capacity), so occupancy only ties and FIFO room trails by
+       the depth; the last of n drains at n + points - 1 + 4·log2 points. *)
     let stages = ilog2 0 points in
     cpu_cycles (float_of_int (n_items + points - 1 + (4 * stages)))
   | Scramble _ ->
@@ -97,5 +96,3 @@ let compute_cycles k n_items =
        input elements, n*n per block. *)
     let blocks = (n_items + (n * n) - 1) / (n * n) in
     cpu_cycles (float_of_int (blocks * n * n * n) /. 16.0)
-
-let pp ppf k = Format.pp_print_string ppf (name k)

@@ -18,10 +18,9 @@ type t =
                      through the PARAM register) *)
   | Fft_stream of int
                  (** streaming pipelined FFT, points: power of two in
-                     256–8192. Latency comes from the stage-accurate
-                     {!Stream_fft} model: radix-2 stages with
-                     delay-line fill, bounded inter-stage FIFOs, and
-                     beat-by-beat DMA overlap *)
+                     256–8192. Radix-2 stages with delay-line fill and
+                     beat-by-beat DMA overlap: latency is the pipeline
+                     fill plus one fabric cycle per sample *)
   | Scramble of int
                  (** LFSR scrambler, degree 7–31. 128-bit datapath —
                      DMA-bound: the AXI port is the bottleneck *)
@@ -49,10 +48,9 @@ val compute_cycles : t -> int -> int
     {e CPU} cycles for [n_items] input items (complex samples for FFT,
     symbols for QAM, real samples for FIR, bytes for scramble/digest,
     matrix elements for matmul), assuming a 150 MHz fabric clock. For
-    {!Fft_stream} this is a closed-form streaming bound; the PRR
-    latency path uses the stage-accurate {!Stream_fft} model instead. *)
+    {!Fft_stream} it is the whole job's latency bar burst setup (its
+    DMA streams inside it): fill (points - 1 + 4·log2 points) plus one
+    fabric cycle per sample. *)
 
 val cpu_cycles : float -> int
 (** Convert fabric cycles to CPU cycles, rounding to nearest. *)
-
-val pp : Format.formatter -> t -> unit

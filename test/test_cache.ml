@@ -357,7 +357,7 @@ let prop_cache_counters =
              | 3 -> ignore (Hierarchy.clean_dcache_range h a len)
              | 4 -> ignore (Hierarchy.invalidate_dcache_range h a len)
              | 5 -> ignore (Hierarchy.clean_invalidate_all h)
-             | 6 -> ignore (Hierarchy.invalidate_icache_all h)
+             | 6 -> ignore (Cache.invalidate_all (Hierarchy.l1i h))
              | 7 -> ignore (Cache.clean_all (List.nth levels k))
              | _ -> ignore (Cache.invalidate_all (List.nth levels k)));
             List.for_all

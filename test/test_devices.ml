@@ -27,25 +27,15 @@ let test_gic_basic () =
   Gic.eoi g 40;
   check cb "still quiet" false (Gic.line_asserted g)
 
-let test_gic_priority () =
-  let g = Gic.create () in
-  Gic.enable g 30;
-  Gic.enable g 50;
-  Gic.set_priority g 30 0x80;
-  Gic.set_priority g 50 0x10;
-  Gic.raise_irq g 30;
-  Gic.raise_irq g 50;
-  check (Alcotest.option ci) "lower value wins" (Some 50) (Gic.ack g);
-  check (Alcotest.option ci) "then the other" (Some 30) (Gic.ack g);
-  check cb "spurious after drain" true (Gic.ack g = None)
-
 let test_gic_tie_break () =
   let g = Gic.create () in
   Gic.enable g 30;
   Gic.enable g 40;
   Gic.raise_irq g 40;
   Gic.raise_irq g 30;
-  check (Alcotest.option ci) "equal priority: lowest id" (Some 30) (Gic.ack g)
+  check (Alcotest.option ci) "equal priority: lowest id" (Some 30) (Gic.ack g);
+  check (Alcotest.option ci) "then the other" (Some 40) (Gic.ack g);
+  check cb "spurious after drain" true (Gic.ack g = None)
 
 let test_gic_mask_helper () =
   let g = Gic.create () in
@@ -75,7 +65,9 @@ let test_private_timer_periodic () =
     ignore (Event_queue.advance_until q (Clock.now clock + 100));
     if Gic.is_pending g Irq_id.private_timer then begin
       incr fired;
-      Gic.clear_pending g Irq_id.private_timer
+      (* Taken the way the kernel's IRQ path takes it. *)
+      ignore (Gic.ack g);
+      Gic.eoi g Irq_id.private_timer
     end
   done;
   check ci "five expiries" 5 !fired
@@ -110,9 +102,7 @@ let test_uart () =
   Uart.write_string u "hello";
   Uart.write_byte u '!';
   check Alcotest.string "captured" "hello!" (Uart.contents u);
-  check Alcotest.string "tee'd" "hello!" (Buffer.contents seen);
-  Uart.clear u;
-  check Alcotest.string "cleared" "" (Uart.contents u)
+  check Alcotest.string "tee'd" "hello!" (Buffer.contents seen)
 
 let test_sd_card () =
   let sd = Sd_card.create ~blocks:16 () in
@@ -132,32 +122,27 @@ let test_sd_card () =
   check cb "store isolated" true (Bytes.get (Sd_card.read_block sd 3) 0 = 'z')
 
 (* The GIC's deliverable count against a reference model that keeps
-   the plain 96-source scan: after every random raise, clear, enable,
-   priority write, ack, EOI and VM-switch mask, the nIRQ line and
-   every ack must agree with the scan. Ids are drawn mostly from a few
-   hot sources and priorities from three levels, so sources collide,
-   tie and go active while pending again. *)
+   the plain 96-source scan: after every random raise, enable, ack,
+   EOI and VM-switch mask, the nIRQ line and every ack must agree with
+   the scan. Ids are drawn mostly from a few hot sources, so sources
+   collide, tie and go active while pending again. *)
 module Gic_model = struct
   type t = {
     enabled : bool array;
     pending : bool array;
     active : bool array;
-    priority : int array;
   }
 
   let create () =
     { enabled = Array.make Irq_id.max_irq false;
       pending = Array.make Irq_id.max_irq false;
-      active = Array.make Irq_id.max_irq false;
-      priority = Array.make Irq_id.max_irq 0xF8 }
+      active = Array.make Irq_id.max_irq false }
 
   let best m =
     let found = ref None in
     for irq = Irq_id.max_irq - 1 downto 0 do
       if m.pending.(irq) && m.enabled.(irq) && not m.active.(irq) then
-        match !found with
-        | Some b when m.priority.(b) < m.priority.(irq) -> ()
-        | Some _ | None -> found := Some irq
+        found := Some irq
     done;
     !found
 
@@ -176,7 +161,7 @@ let prop_gic_matches_scan =
       oneof
         [ int_bound (Irq_id.max_irq - 1); oneofl [ 29; 31; 40; 61; 62; 84 ] ])
   in
-  let op = QCheck2.Gen.(triple (int_bound 7) irq (int_bound 2)) in
+  let op = QCheck2.Gen.(triple (int_bound 5) irq (int_bound 2)) in
   QCheck2.Test.make ~name:"gic line and ack match a full scan" ~count:300
     ~print:QCheck2.Print.(list (triple int int int))
     QCheck2.Gen.(list_size (int_range 1 80) op)
@@ -191,20 +176,11 @@ let prop_gic_matches_scan =
                 m.pending.(irq) <- true;
                 true
               | 1 ->
-                Gic.clear_pending g irq;
-                m.pending.(irq) <- false;
-                true
-              | 2 ->
                 Gic.enable g irq;
                 m.enabled.(irq) <- true;
                 true
-              | 3 ->
-                let p = [| 0x10; 0x80; 0xF8 |].(x) in
-                Gic.set_priority g irq p;
-                m.priority.(irq) <- p;
-                true
-              | 4 | 5 -> Gic.ack g = Gic_model.ack m
-              | 6 ->
+              | 2 | 3 -> Gic.ack g = Gic_model.ack m
+              | 4 ->
                 Gic.eoi g irq;
                 m.active.(irq) <- false;
                 true
@@ -225,7 +201,6 @@ let suite =
   ( "devices",
     [ t "irq id pl mapping" test_irq_id_pl_mapping;
       t "gic basic" test_gic_basic;
-      t "gic priority" test_gic_priority;
       t "gic tie break" test_gic_tie_break;
       t "gic mask helper" test_gic_mask_helper;
       t "gic range check" test_gic_range_check;

@@ -294,7 +294,7 @@ let rec apply b op =
     ignore (Hierarchy.invalidate_dcache_range z.Zynq.hier (data_base + off) len)
   | Clean_d (off, len) ->
     ignore (Hierarchy.clean_dcache_range z.Zynq.hier (data_base + off) len)
-  | Inval_i -> ignore (Hierarchy.invalidate_icache_all z.Zynq.hier)
+  | Inval_i -> ignore (Cache.invalidate_all (Hierarchy.l1i z.Zynq.hier))
   | Pt_toggle (i, flush) ->
     (* Map the scratch page if absent, unmap it if present. Without the
        TLB flush a stale translation keeps working on both boards (as on

@@ -253,7 +253,7 @@ let test_native_and_virt_results_agree () =
 
 let test_stream_fft_fastpath_identity () =
   (* The event-queue fastpath must not change a single cycle of the
-     stage-accurate streaming-FFT pipeline — run the same SFFT job end
+     streaming-FFT pipeline — run the same SFFT job end
      to end with the fastpath on and off and compare final clocks. *)
   let run_one ~fast =
     let z = Zynq.create () in

@@ -213,8 +213,6 @@ let test_pcap_transfer () =
   check cb "ready after download" true (prr.Prr.state = Prr.Ready);
   check cb "task loaded" true (prr.Prr.loaded = Some bit);
   check cb "completion irq" true (Gic.is_pending z.Zynq.gic Irq_id.devcfg);
-  check (Alcotest.option ci) "last completed" (Some 1)
-    (Pcap.last_completed z.Zynq.pcap);
   check ci "counted" 1 (Pcap.transfers z.Zynq.pcap)
 
 let test_pcap_latency_ordering () =
@@ -260,33 +258,19 @@ let test_pcap_abort_reports_real_completion () =
 
 (* --- streaming FFT timing model --- *)
 
-let test_stream_fft_model () =
-  check cb "fill latency grows with points" true
-    (Stream_fft.fill_latency 1024 > Stream_fft.fill_latency 256);
-  check ci "fill latency closed form" (255 + (4 * 8))
-    (Stream_fft.fill_latency 256);
-  let j ?fifo_depth ~samples ~out_beat () =
-    Stream_fft.job_cycles ?fifo_depth ~points:256 ~samples ~in_beat:1
-      ~out_beat ()
-  in
-  (* One sample per fabric cycle once the pipe is full. *)
-  let c1 = j ~samples:1024 ~out_beat:1 () in
-  let c2 = j ~samples:2048 ~out_beat:1 () in
-  check ci "steady state streams 1 sample/cycle" 1024 (c2 - c1);
-  (* A slow drain (ACP write beat) backpressures the whole pipe: the
-     job stretches to ~2 cycles/sample, which a lump-sum dma+compute
-     model cannot show. *)
-  let s1 = j ~samples:2048 ~out_beat:2 () in
-  check cb "slow drain visible upstream" true (s1 > c2 + 1024);
-  (* Deeper inter-stage FIFOs only ever help (they absorb transients;
-     steady-state throughput is bound by the slowest element). *)
-  let s2 = j ~fifo_depth:64 ~samples:2048 ~out_beat:2 () in
-  check cb "deeper fifos never hurt" true (s2 <= s1);
-  check ci "empty job costs nothing" 0
-    (Stream_fft.job_cycles ~points:256 ~samples:0 ~in_beat:1 ~out_beat:1 ())
+(* The streaming FFT's stage recurrence, kept as the reference model.
+   Per sample i and pipeline element s (0 = input DMA, 1..S = butterfly
+   stages with a delay line of points/2^s samples plus a 4-cycle
+   register pipe, S+1 = output DMA):
 
-(* The option/list recurrence [Stream_fft.job_cycles] had before it
-   was made allocation-free, kept verbatim as the oracle. *)
+     enter[s][i]  = max(depart[s-1][i],          (data available)
+                        enter[s][i-1] + II_s,    (initiation interval)
+                        depart[s][i-cap_s])      (pipeline occupancy)
+     done[s][i]   = enter[s][i] + L_s
+     depart[s][i] = max(done[s][i], enter[s+1][i-F])  (FIFO room)
+
+   in fabric cycles, from the first input beat until the last output
+   beat has drained. *)
 module Sfft_reference = struct
   let butterfly_regs = 4
 
@@ -353,40 +337,67 @@ module Sfft_reference = struct
     end
 end
 
-(* Every beat pair up to 1024 points (E10's SFFT-1024 included); above
-   that two pairs, a slow drain and a slow feed, where the reference
-   alone takes seconds per size for the full grid. *)
+let test_stream_fft_model () =
+  let j ?(fifo_depth = 8) ?(points = 256) ~samples ~out_beat () =
+    Sfft_reference.job_cycles ~fifo_depth ~points ~samples ~in_beat:1
+      ~out_beat
+  in
+  check cb "fill latency grows with points" true
+    (j ~points:1024 ~samples:1 ~out_beat:1 ()
+     > j ~points:256 ~samples:1 ~out_beat:1 ());
+  (* One sample crosses every delay line and register pipe, then
+     leaves in one output beat. *)
+  check ci "fill latency closed form" (255 + (4 * 8) + 1)
+    (j ~samples:1 ~out_beat:1 ());
+  check ci "one transform is fill plus one sample/cycle"
+    (256 + 255 + (4 * 8))
+    (j ~samples:256 ~out_beat:1 ());
+  (* One sample per fabric cycle once the pipe is full. *)
+  let c1 = j ~samples:1024 ~out_beat:1 () in
+  let c2 = j ~samples:2048 ~out_beat:1 () in
+  check ci "steady state streams 1 sample/cycle" 1024 (c2 - c1);
+  (* A slow drain (ACP write beat) backpressures the whole pipe: the
+     job stretches to ~2 cycles/sample, which a lump-sum dma+compute
+     model cannot show. *)
+  let s1 = j ~samples:2048 ~out_beat:2 () in
+  check cb "slow drain visible upstream" true (s1 > c2 + 1024);
+  (* Deeper inter-stage FIFOs only ever help (they absorb transients;
+     steady-state throughput is bound by the slowest element). *)
+  let s2 = j ~fifo_depth:64 ~samples:2048 ~out_beat:2 () in
+  check cb "deeper fifos never hurt" true (s2 <= s1);
+  check ci "empty job costs nothing" 0 (j ~samples:0 ~out_beat:1 ())
+
+(* The closed form [Task_kind.compute_cycles] prices a streaming FFT
+   with is the recurrence at one beat per fabric cycle, over every
+   point count the catalog accepts, job lengths that are whole
+   transforms, and FIFO depths 1-64. *)
 let test_stream_fft_oracle () =
-  let all_beats = List.init 16 (fun k -> (k / 4, k mod 4)) in
+  let reference ?(fifo_depth = 8) ~points samples =
+    Sfft_reference.job_cycles ~fifo_depth ~points ~samples ~in_beat:1
+      ~out_beat:1
+  in
   List.iter
     (fun points ->
-       let samples =
-         [ 0; 1; 7; points - 1; points; 2 * points; points + (points / 2) + 3 ]
-       in
-       let beats = if points <= 1024 then all_beats else [ (1, 2); (3, 0) ] in
        List.iter
          (fun fifo_depth ->
             List.iter
-              (fun samples ->
-                 List.iter
-                   (fun (in_beat, out_beat) ->
-                      let want =
-                        Sfft_reference.job_cycles ~fifo_depth ~points ~samples
-                          ~in_beat ~out_beat
-                      in
-                      let got =
-                        Stream_fft.job_cycles ~fifo_depth ~points ~samples
-                          ~in_beat ~out_beat ()
-                      in
-                      if got <> want then
-                        Alcotest.failf
-                          "points %d samples %d beats %d/%d fifo %d: %d, \
-                           reference %d"
-                          points samples in_beat out_beat fifo_depth got want)
-                   beats)
-              samples)
+              (fun k ->
+                 let samples = k * points in
+                 let want =
+                   Task_kind.cpu_cycles
+                     (float_of_int (reference ~fifo_depth ~points samples))
+                 in
+                 let got =
+                   Task_kind.compute_cycles (Task_kind.Fft_stream points)
+                     samples
+                 in
+                 if got <> want then
+                   Alcotest.failf "points %d samples %d fifo %d: %d, \
+                                   reference %d"
+                     points samples fifo_depth got want)
+              [ 1; 2; 3; 8; 16 ])
          [ 1; 8; 64 ])
-    (List.init 13 (fun k -> 2 lsl k) (* 2 .. 8192 *))
+    (List.init 6 (fun k -> 256 lsl k) (* 256 .. 8192 *))
 
 (* --- PRR controller --- *)
 
@@ -507,9 +518,9 @@ let test_controller_irq_exhaustion () =
   check ci "only 16 PL sources exist" 16 !allocated
 
 (* Back-to-back SFFT-1024 jobs on one PRR over the HP port: a repeated
-   shape reuses the controller's cached fabric cycles, a new length
-   recomputes them, and every latency is the recurrence's own. *)
-let test_controller_sfft_memo () =
+   shape, a new length and the first shape again each cost two burst
+   setups plus the reference recurrence's streaming time. *)
+let test_controller_sfft_latency () =
   let z = board () in
   let prr = load_task z 0 (Task_kind.Fft_stream 1024) in
   Hw_mmu.load_window prr.Prr.hw_mmu ~base:(Address_map.guest_phys_base 0)
@@ -531,16 +542,16 @@ let test_controller_sfft_memo () =
     (2 * Axi.burst_setup_cycles)
     + Task_kind.cpu_cycles
         (float_of_int
-           (Stream_fft.job_cycles ~points:1024 ~samples ~in_beat:1
-              ~out_beat:1 ()))
+           (Sfft_reference.job_cycles ~fifo_depth:8 ~points:1024 ~samples
+              ~in_beat:1 ~out_beat:1))
   in
   let first = job 1024 in
   check ci "first job is the recurrence's" (expected 1024) first;
-  check ci "a repeated shape costs the same" first (job 1024);
+  check ci "a repeated shape costs the same" (expected 1024) (job 1024);
   let double = job 2048 in
-  check ci "a new length is recomputed" (expected 2048) double;
+  check ci "a new length is the recurrence's" (expected 2048) double;
   check cb "two transforms take longer" true (double > first);
-  check ci "the first shape again" first (job 1024);
+  check ci "the first shape again" (expected 1024) (job 1024);
   check ci "four jobs ran" 4 (Prr_controller.jobs_completed z.Zynq.prrc)
 
 let test_axi_costs () =
@@ -580,5 +591,6 @@ let suite =
       t "controller coherence warning" test_controller_coherence_warning;
       t "controller irq allocation" test_controller_irq_allocation;
       t "controller irq exhaustion" test_controller_irq_exhaustion;
-      t "controller memoises sfft job shapes" test_controller_sfft_memo;
+      t "controller sfft latency is the reference"
+        test_controller_sfft_latency;
       t "axi costs" test_axi_costs ] )

@@ -124,10 +124,11 @@ let test_exec_touch_line_granularity () =
   let data = Address_map.kernel_data_base + 0x71000 in
   (* Warm the TLB so no page-walk loads pollute the count. *)
   Exec.touch z ~priv:true Hierarchy.Load { Exec.base = data; len = 32 };
-  Hierarchy.reset_stats z.Zynq.hier;
-  Exec.touch z ~priv:true Hierarchy.Load { Exec.base = data; len = 128 };
   let l1d = Hierarchy.l1d z.Zynq.hier in
-  check ci "one access per 32 B line" 4 (Cache.hits l1d + Cache.misses l1d)
+  let before = Cache.hits l1d + Cache.misses l1d in
+  Exec.touch z ~priv:true Hierarchy.Load { Exec.base = data; len = 128 };
+  check ci "one access per 32 B line" 4
+    (Cache.hits l1d + Cache.misses l1d - before)
 
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
