@@ -65,12 +65,12 @@ let micro_tests () =
              (Mmu.translate z.Zynq.mmu Mmu.Read ~priv:true
                 Address_map.kernel_code_base)))
   in
-  (* The same footprint through both Exec paths: the compiled-program
-     replay (fast path, warm after the first visit) and the scalar
-     reference walk (fast path disabled). The ratio is the host-side
-     speedup of the acceleration layer on a warm footprint. *)
+  (* The same pinned footprint through both Exec paths: the compiled
+     trace's replay (fast path, warm after the first visit) and the
+     scalar reference walk (fast path disabled). The ratio is the
+     host-side speedup of the acceleration layer on a warm footprint. *)
   let exec_fp =
-    Exec.make ~label:"bench.exec"
+    Exec.pin1 @@ Exec.make ~label:"bench.exec"
       ~code_base:Address_map.kernel_code_base ~code_bytes:512
       ~reads:[ { Exec.base = Address_map.kernel_data_base; len = 1024 } ]
       ~writes:
@@ -79,9 +79,9 @@ let micro_tests () =
   in
   let exec_bench name ~fast =
     let z = board fast in
-    ignore (Exec.run z ~priv:true exec_fp);
+    Exec.run_pinned z ~priv:true exec_fp;
     Test.make ~name
-      (Staged.stage (fun () -> ignore (Exec.run z ~priv:true exec_fp)))
+      (Staged.stage (fun () -> Exec.run_pinned z ~priv:true exec_fp))
   in
   (* One ring-sized word write plus read-back on one data page, through
      the micro-TLB (fast) and through a plain MMU translation per word

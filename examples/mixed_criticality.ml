@@ -48,16 +48,17 @@ let () =
          ~name:(Printf.sprintf "besteffort%d" i)
          ~priority:1
          (fun genv ->
-            let fp =
-              { Exec.label = "hog";
-                code = { Exec.base = Ucos_layout.app_code_base; len = 512 };
-                reads =
-                  [ { Exec.base = Guest_layout.user_base; len = 16384 } ];
-                writes = [];
-                base_cycles = 20000 }
+            let hog =
+              Exec.pin1
+                { Exec.label = "hog";
+                  code = { Exec.base = Ucos_layout.app_code_base; len = 512 };
+                  reads =
+                    [ { Exec.base = Guest_layout.user_base; len = 16384 } ];
+                  writes = [];
+                  base_cycles = 20000 }
             in
             while !hogs_alive do
-              ignore (Exec.run genv.Kernel.env_zynq ~priv:false fp);
+              Exec.run_pinned genv.Kernel.env_zynq ~priv:false hog;
               ignore (Hyper.pause ())
             done))
   done;

@@ -18,13 +18,6 @@ type t = {
   l1i : Cache.t;
   l1d : Cache.t;
   l2 : Cache.t;
-  (* Slot-recording walks need somewhere to write when the caller does
-     not keep the record (plain [access_line_run]); grown on demand.
-     [scratch_l2] doubles as the L2 placement-hint array, so it is
-     (-1)-initialised — every entry is always either -1 or a slot a
-     previous walk recorded, hence in bounds for the L2. *)
-  mutable scratch : int array;
-  mutable scratch_l2 : int array;
 }
 
 let a9_l1i = { Cache.name = "L1I"; size_bytes = 32 * 1024; ways = 4;
@@ -39,9 +32,7 @@ let create_custom ?(lat = default_latencies) ~l1i ~l1d ~l2 clock =
   { lat; clock;
     l1i = Cache.create l1i;
     l1d = Cache.create l1d;
-    l2 = Cache.create l2;
-    scratch = Array.make 256 0;
-    scratch_l2 = Array.make 256 (-1) }
+    l2 = Cache.create l2 }
 
 let create ?lat clock = create_custom ?lat ~l1i:a9_l1i ~l1d:a9_l1d ~l2:a9_l2 clock
 
@@ -122,23 +113,6 @@ let access_line_run_record t kind a n ~slots ~next_slots ~from =
   in
   Clock.advance t.clock ((n * lat.l1_hit) + miss_cost);
   moved
-
-let access_line_run t kind a n =
-  if Array.length t.scratch < n then begin
-    t.scratch <- Array.make (max n (2 * Array.length t.scratch)) 0;
-    t.scratch_l2 <- Array.make (Array.length t.scratch) (-1)
-  end;
-  let l1 = match kind with Ifetch -> t.l1i | Load | Store -> t.l1d in
-  let write = kind = Store in
-  let lat = t.lat in
-  let miss_cost, _moved =
-    Cache.run_through l1 t.l2 ~lat_next_hit:lat.l2_hit
-      ~lat_next_miss:(lat.l2_hit + lat.dram) ~a ~n ~write ~slots:t.scratch
-      ~next_slots:t.scratch_l2 ~from:0
-  in
-  let cost = (n * lat.l1_hit) + miss_cost in
-  Clock.advance t.clock cost;
-  cost
 
 let access_uncached t =
   (* Single-beat device access over the peripheral bus. *)

@@ -43,21 +43,17 @@ val access_words : t -> kind -> Addr.t -> int -> int
     words are repeat L1 hits ({!Cache.rehit}), which never touch the
     L2. The clock advances once, by the returned total. *)
 
-val access_line_run : t -> kind -> Addr.t -> int -> int
-(** [access_line_run t kind a n] charges [n] line-sized accesses at
-    [a, a + line_size, …] — bit-identical in cache state, hit/miss
-    statistics and total cycles to [n] scalar {!access} calls in the
-    same order, but with a single dispatch and a single clock advance.
-    This is the hot-path entry used by [Exec] for contiguous runs of
-    lines within one page. *)
-
 val access_line_run_record :
   t -> kind -> Addr.t -> int ->
   slots:int array -> next_slots:int array -> from:int -> int
-(** Like {!access_line_run}, and additionally records the L1 slot that
+(** [access_line_run_record t kind a n ~slots ~next_slots ~from]
+    charges [n] line-sized accesses at [a, a + line_size, …] —
+    bit-identical in cache state, hit/miss statistics and total cycles
+    to [n] scalar {!access} calls in the same order, but with a single
+    dispatch and a single clock advance. It records the L1 slot that
     ends up holding line [k] into [slots.(from + k)] and the L2 slot
     each missing line resolves to into [next_slots.(from + k)] — a
-    cold walk thereby refreshes the compiled footprint program's
+    cold walk thereby refreshes a compiled footprint program's
     replay record at no extra cost, and the recorded slots at both
     levels serve as self-verifying placement hints on the next walk
     (see {!Cache.run_through}). The caller must size both arrays to

@@ -623,7 +623,7 @@ let vms_spec =
          let rec all acc = function
            | [] -> Ok (List.rev acc)
            | x :: xs ->
-             Result.bind (Cli_args.int_at_least 1 (String.trim x)) (fun n ->
+             Result.bind (Cli_args.int_in 1 max_int (String.trim x)) (fun n ->
                  all (n :: acc) xs)
          in
          all [] (String.split_on_char ',' s)) }

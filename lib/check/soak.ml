@@ -706,7 +706,9 @@ let load_reproducer path =
                  cfg := { !cfg with fault_seed = int_of_string v }
                | [ "quantum-ms"; v ] ->
                  cfg := { !cfg with quantum_ms = float_of_string v }
-               | [ "pcpus"; v ] -> cfg := { !cfg with pcpus = int_of_string v }
+               | [ "pcpus"; v ]
+                 when let n = int_of_string v in n >= 1 && n <= Smp.max_pcpus ->
+                 cfg := { !cfg with pcpus = int_of_string v }
                | _ -> error := Some ("bad header line: " ^ line)
            done
          with End_of_file -> ());

@@ -63,10 +63,14 @@ type kfast = {
   kf_ipi_send : Fastpath.pinned;         (* SMP: IPI post trampoline *)
   kf_ipi_recv : Fastpath.pinned;         (* SMP: IPI receive + dispatch *)
   kf_shootdown : Fastpath.pinned;        (* SMP: remote ASID TLB shootdown *)
+  kf_und_trap : Fastpath.pinned;         (* trap-and-emulate entry *)
+  kf_ipc_copy : Fastpath.pinned;         (* IPC copy, per-word cost apart *)
   kf_save : Fastpath.pinned option array;     (* by vCPU save slot *)
   kf_restore : Fastpath.pinned option array;
   kf_inject : Fastpath.pinned option array;
   kf_mgr_exit : Fastpath.pinned option array;
+  kf_vfp_load : Fastpath.pinned option array;
+  kf_vfp_store : Fastpath.pinned option array;
 }
 
 (* One ABI v2 descriptor ring per VM (paper-ABI extension): indices
@@ -204,11 +208,6 @@ let handler : (unit, exit) Effect.Deep.handler =
 let mk_fp ?(reads = []) ?(writes = []) ?(base_cycles = 0) (base, len) label =
   { Exec.label; code = { Exec.base; len }; reads; writes; base_cycles }
 
-(* Charge a kernel code path (generic, for variable-shape footprints;
-   the fixed paths go through the pinned traces in [kfast]). *)
-let run_fp t ?reads ?writes ?base_cycles range label =
-  ignore (Exec.run t.z ~priv:true (mk_fp ?reads ?writes ?base_cycles range label))
-
 (* vCPU save areas live between data+0x2000 and the manager's tables:
    the hard cap on concurrently live vCPUs (slot 0 is the manager's). *)
 let max_vcpu_slots =
@@ -264,10 +263,14 @@ let make_kfast () =
       Exec.pin1
         (mk_fp Klayout.shootdown_stub "tlb_shootdown"
            ~base_cycles:Costs.tlb_shootdown);
+    kf_und_trap = Exec.pin1 Trap_emulate.trap_fp;
+    kf_ipc_copy = Exec.pin1 (mk_fp Klayout.ipc_copy "ipc_copy");
     kf_save = Array.make max_vcpu_slots None;
     kf_restore = Array.make max_vcpu_slots None;
     kf_inject = Array.make max_vcpu_slots None;
-    kf_mgr_exit = Array.make max_vcpu_slots None }
+    kf_mgr_exit = Array.make max_vcpu_slots None;
+    kf_vfp_load = Array.make max_vcpu_slots None;
+    kf_vfp_store = Array.make max_vcpu_slots None }
 
 let make_kinstr z probe =
   let obs = z.Zynq.obs in
@@ -296,6 +299,21 @@ let slot_pin arr slot make arg =
     let p = make arg in
     arr.(slot) <- Some p;
     p
+
+let charge_ipc_copy t words =
+  Exec.run_pinned t.z ~priv:true t.kf.kf_ipc_copy;
+  Clock.advance t.z.Zynq.clock (words * Costs.ipc_per_word)
+
+(* The next owner's load (code, bank, whole cost) runs before the
+   previous owner's store: the reference order of code, reads, writes. *)
+let switch_vfp t ~from ~to_ =
+  let run arr fp v =
+    Exec.run_pinned t.z ~priv:true
+      (slot_pin arr (Vcpu.slot v) (fun v -> Exec.pin1 (fp v)) v)
+  in
+  run t.kf.kf_vfp_load Vcpu.vfp_load_fp to_;
+  Option.iter (run t.kf.kf_vfp_store Vcpu.vfp_store_fp) from;
+  Probe.incr t.probe "vfp_switch"
 
 (* The manager's view of the guests on this kernel: each callback finds
    the client's PD by id (a row's holder is always alive here — kill
@@ -787,8 +805,7 @@ let switch_to t rt =
     (match t.cfg.vfp_policy with
      | `Active ->
        let from = Option.map (fun c -> c.pd.Pd.vcpu) t.cur in
-       Vcpu.switch_vfp t.z ~from ~to_:rt.pd.Pd.vcpu;
-       Probe.incr t.probe "vfp_switch";
+       switch_vfp t ~from ~to_:rt.pd.Pd.vcpu;
        t.vfp_owner <- Some (rt.pd.Pd.id, rt.pd.Pd.vcpu)
      | `Lazy ->
        let owned =
@@ -798,9 +815,7 @@ let switch_to t rt =
        in
        if Vcpu.uses_vfp rt.pd.Pd.vcpu && not owned then begin
          (* First VFP use after the switch traps and banks are swapped. *)
-         Vcpu.switch_vfp t.z ~from:(Option.map snd t.vfp_owner)
-           ~to_:rt.pd.Pd.vcpu;
-         Probe.incr t.probe "vfp_switch";
+         switch_vfp t ~from:(Option.map snd t.vfp_owner) ~to_:rt.pd.Pd.vcpu;
          t.vfp_owner <- Some (rt.pd.Pd.id, rt.pd.Pd.vcpu)
        end);
     if t.trace <> None then
@@ -1291,9 +1306,7 @@ let handle_simple t rt req =
          match Ipc.send target.Pd.inbox ~sender:pd.Pd.id payload with
          | Error e -> Hyper.R_error e
          | Ok () ->
-           run_fp t Klayout.ipc_copy
-             ~base_cycles:(Array.length payload * Costs.ipc_per_word)
-             "ipc_copy";
+           charge_ipc_copy t (Array.length payload);
            Vgic.set_pending target.Pd.vgic ipc_doorbell_irq;
            unblock t target;
            Hyper.R_unit
@@ -1302,9 +1315,7 @@ let handle_simple t rt req =
     (match Ipc.recv pd.Pd.inbox with
      | None -> Hyper.R_msg None
      | Some m ->
-       run_fp t Klayout.ipc_copy
-         ~base_cycles:(Array.length m.Ipc.payload * Costs.ipc_per_word)
-         "ipc_copy";
+       charge_ipc_copy t (Array.length m.Ipc.payload);
        Hyper.R_msg (Some (m.Ipc.sender, m.Ipc.payload)))
   | Hyper.Ring_setup { entries; cvirq_budget } ->
     if entries < 1 || entries > Guest_layout.ring_max_entries then
@@ -1391,7 +1402,7 @@ let rec execute t rt ex ~until =
     let resp = handle_hyper t rt req in
     execute t rt (Effect.Deep.continue k resp) ~until
   | X_und (instr, k) ->
-    Trap_emulate.charge_trap t.z;
+    Exec.run_pinned t.z ~priv:true t.kf.kf_und_trap;
     let v = Trap_emulate.emulate t.z rt.pd.Pd.vcpu instr in
     execute t rt (Effect.Deep.continue k v) ~until
   | X_idle k ->
@@ -1522,9 +1533,7 @@ let deliver_remote_ipc t ~dest ~sender ~payload =
       match Ipc.send target.Pd.inbox ~sender payload with
       | Error _ -> false
       | Ok () ->
-        run_fp t Klayout.ipc_copy
-          ~base_cycles:(Array.length payload * Costs.ipc_per_word)
-          "ipc_copy";
+        charge_ipc_copy t (Array.length payload);
         Vgic.set_pending target.Pd.vgic ipc_doorbell_irq;
         unblock t target;
         true

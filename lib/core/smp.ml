@@ -96,8 +96,11 @@ let install_hooks t =
                    n.shootdowns_posted <- n.shootdowns_posted + 1) }))
     t.nodes
 
+let max_pcpus = 8
+
 let create ?config ?(epoch = Cycles.of_ms 1.0) ?workers ~pcpus ~mk_zynq () =
-  if pcpus < 1 then invalid_arg "Smp.create: pcpus must be >= 1";
+  if pcpus < 1 || pcpus > max_pcpus then
+    invalid_arg "Smp.create: pcpus must be in [1, 8]";
   if epoch < 1 then invalid_arg "Smp.create: epoch must be positive";
   let nodes =
     Array.init pcpus (fun cpu ->

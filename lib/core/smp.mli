@@ -18,6 +18,8 @@
 
 type t
 
+val max_pcpus : int (** 8: the GIC addresses at most 8 CPU interfaces. *)
+
 val create :
   ?config:Kernel.config -> ?epoch:Cycles.t -> ?workers:int ->
   pcpus:int -> mk_zynq:(int -> Zynq.t) -> unit -> t
@@ -30,7 +32,8 @@ val create :
     (the caller plus persistent pool workers) an epoch uses (default:
     {!Parallel_sweep.default_domains}, read once here). A budget of 1,
     or an epoch run while the pool is busy (an [Smp.run] inside a sweep
-    job), runs the nodes inline. It never affects simulation results. *)
+    job), runs the nodes inline. It never affects simulation results.
+    @raise Invalid_argument unless [1 <= pcpus <= max_pcpus]. *)
 
 val pcpus : t -> int
 

@@ -1,16 +1,13 @@
-let charge_trap zynq =
+let trap_fp =
   let und_base, und_len = Klayout.und_entry in
   let dec_base, dec_len = Klayout.trap_decode in
-  let fp =
-    { Exec.label = "und_trap";
-      code = { Exec.base = und_base; len = und_len };
-      reads = [ { Exec.base = dec_base; len = dec_len } ];
-      writes = [];
-      base_cycles =
-        Cpu_mode.exception_entry_cycles + Costs.und_decode
-        + Cpu_mode.exception_return_cycles }
-  in
-  ignore (Exec.run zynq ~priv:true fp)
+  { Exec.label = "und_trap";
+    code = { Exec.base = und_base; len = und_len };
+    reads = [ { Exec.base = dec_base; len = dec_len } ];
+    writes = [];
+    base_cycles =
+      Cpu_mode.exception_entry_cycles + Costs.und_decode
+      + Cpu_mode.exception_return_cycles }
 
 let midr_cortex_a9 = 0x410FC090
 

@@ -4,10 +4,10 @@
     but a paravirtualized guest may still execute a privileged
     instruction in USR mode; the CPU raises an Undefined-Instruction
     exception and the kernel decodes and emulates it. This module
-    charges that (more expensive) path and computes the emulated
+    describes that (more expensive) path's cost and computes the emulated
     result; benchmark A3 contrasts it with the hypercall path. *)
 
-val charge_trap : Zynq.t -> unit
+val trap_fp : Exec.t
 (** UND exception entry + instruction fetch/decode + return. *)
 
 val emulate :

@@ -48,24 +48,16 @@ let restore_fp t =
     writes = [];
     base_cycles = Costs.vm_switch_active }
 
-let save_active zynq t = ignore (Exec.run zynq ~priv:true (save_fp t))
-
-let restore_active zynq t = ignore (Exec.run zynq ~priv:true (restore_fp t))
-
 (* Lazy set: 32 double-precision VFP registers + FPSCR. *)
 let vfp_bytes = (32 * 8) + 4
 
-let switch_vfp zynq ~from ~to_ =
-  let writes =
-    match from with
-    | Some f -> [ { Exec.base = f.save_base + 96; len = vfp_bytes } ]
-    | None -> []
-  in
-  let fp =
-    { Exec.label = "vfp_switch";
-      code = vm_switch_code;
-      reads = [ { Exec.base = to_.save_base + 96; len = vfp_bytes } ];
-      writes;
-      base_cycles = Costs.vfp_switch }
-  in
-  ignore (Exec.run zynq ~priv:true fp)
+let vfp_bank t = { Exec.base = t.save_base + 96; len = vfp_bytes }
+
+let vfp_load_fp t =
+  Exec.make ~label:"vfp_load" ~code_base:vm_switch_code.Exec.base
+    ~code_bytes:vm_switch_code.Exec.len ~reads:[ vfp_bank t ]
+    ~base_cycles:Costs.vfp_switch ()
+
+let vfp_store_fp t =
+  Exec.make ~label:"vfp_store" ~code_base:vm_switch_code.Exec.base
+    ~code_bytes:0 ~writes:[ vfp_bank t ] ()

@@ -37,20 +37,19 @@ val l2ctrl : t -> int
 
 val set_l2ctrl : t -> int -> unit
 
-val save_active : Zynq.t -> t -> unit
-(** Charge the active-set save: vm-switch code + stores to the save
-    area. Runs in kernel context (global mappings). *)
-
-val restore_active : Zynq.t -> t -> unit
-
 val save_fp : t -> Exec.t
-(** The footprint {!save_active} charges — exposed so the kernel can
+(** The active-set save: vm-switch code + stores to the save area, run
+    in kernel context (global mappings). Exposed so the kernel can
     intern it as a pinned control-path trace (keyed by save-area slot,
     shared across the VMs that recycle the slot). *)
 
 val restore_fp : t -> Exec.t
-(** The footprint {!restore_active} charges. *)
+(** The active-set restore: vm-switch code + loads from the save
+    area. *)
 
-val switch_vfp : Zynq.t -> from:t option -> to_:t -> unit
-(** Charge a lazy VFP bank switch: save [from]'s bank (if any) and
-    load [to_]'s. Called on first VFP use after a VM switch. *)
+val vfp_load_fp : t -> Exec.t
+(** A VFP bank switch's first half: vm-switch code, loads of this
+    vCPU's bank, the whole switch cost. *)
+
+val vfp_store_fp : t -> Exec.t
+(** Its second half: stores to the previous owner's bank. *)

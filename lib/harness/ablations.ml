@@ -84,15 +84,16 @@ let vfp_run policy ~switches =
   let smp = Fleet.boot ~config:cfg ~pcpus:1 () in
   let z = Smp.zynq smp 0 in
   let body (_env : Kernel.guest_env) =
-    let fp =
-      { Exec.label = "spin";
-        code = { Exec.base = Ucos_layout.os_code_base; len = 256 };
-        reads = [];
-        writes = [];
-        base_cycles = 2000 }
+    let spin =
+      Exec.pin1
+        { Exec.label = "spin";
+          code = { Exec.base = Ucos_layout.os_code_base; len = 256 };
+          reads = [];
+          writes = [];
+          base_cycles = 2000 }
     in
     while true do
-      ignore (Exec.run z ~priv:false fp);
+      Exec.run_pinned z ~priv:false spin;
       ignore (Hyper.pause ())
     done
   in
@@ -170,22 +171,23 @@ let first_chunk_us policy =
     let base =
       Guest_layout.user_base + (index * 32 * Addr.page_size)
     in
-    let fp =
-      { Exec.label = "sparse";
-        code = { Exec.base = Ucos_layout.app_code_base; len = 128 };
-        reads =
-          (* One line per page, diagonally offset so the lines spread
-             across cache sets (page-stride lines would conflict). *)
-          List.init 32 (fun i ->
-              { Exec.base = base + (i * Addr.page_size)
-                            + (i * 4 * Addr.line_size);
-                len = Addr.line_size });
-        writes = [];
-        base_cycles = 100 }
+    let sparse =
+      Exec.pin1
+        { Exec.label = "sparse";
+          code = { Exec.base = Ucos_layout.app_code_base; len = 128 };
+          reads =
+            (* One line per page, diagonally offset so the lines spread
+               across cache sets (page-stride lines would conflict). *)
+            List.init 32 (fun i ->
+                { Exec.base = base + (i * Addr.page_size)
+                              + (i * 4 * Addr.line_size);
+                  len = Addr.line_size });
+          writes = [];
+          base_cycles = 100 }
     in
     while true do
       let t0 = Clock.now z.Zynq.clock in
-      ignore (Exec.run z ~priv:false fp);
+      Exec.run_pinned z ~priv:false sparse;
       Stats.add stats (Cycles.to_us (Clock.now z.Zynq.clock - t0));
       ignore (Hyper.pause ())
     done

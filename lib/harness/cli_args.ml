@@ -11,16 +11,18 @@ type flag = {
   f_doc : string;
 }
 
-let int_at_least lo s =
+let int_in lo hi s =
   match int_of_string_opt s with
-  | Some v when v >= lo -> Ok v
+  | Some v when v >= lo && v <= hi -> Ok v
   | Some _ | None when lo = min_int ->
     Error (Printf.sprintf "expected an integer, got %S" s)
-  | Some _ | None ->
+  | Some _ | None when hi = max_int ->
     Error (Printf.sprintf "expected an integer >= %d, got %S" lo s)
+  | Some _ | None ->
+    Error (Printf.sprintf "expected an integer in [%d, %d], got %S" lo hi s)
 
-let int ?(docv = "N") ?(min = min_int) names doc default =
-  { names; docv; doc; default; parse = int_at_least min }
+let int ?(docv = "N") ?(min = min_int) ?(max = max_int) names doc default =
+  { names; docv; doc; default; parse = int_in min max }
 
 (* A finite number [ok] accepts; [what] names the accepted range. *)
 let float ~docv ~what ok names doc default =
@@ -57,9 +59,9 @@ let guests =
     4
 
 let pcpus =
-  int ~min:1 [ "pcpus" ]
-    "Simulated pCPUs. 1 (default) drives a single kernel exactly as \
-     before; N > 1 boots N per-CPU kernels coupled at deterministic \
+  int ~min:1 ~max:Smp.max_pcpus [ "pcpus" ]
+    "Simulated pCPUs, 1 to 8. 1 (default) drives a single kernel exactly \
+     as before; N > 1 boots N per-CPU kernels coupled at deterministic \
      epoch barriers and runs them in parallel on OCaml domains \
      (results are bit-identical for any host core count)."
     1

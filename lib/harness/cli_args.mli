@@ -23,12 +23,13 @@ type flag = {
   f_doc : string;
 }
 
-val int_at_least : int -> string -> (int, string) result
-(** Parse an integer no smaller than the bound. *)
+val int_in : int -> int -> string -> (int, string) result
+(** [int_in lo hi s]: parse an integer in [\[lo, hi\]]. *)
 
-val int : ?docv:string -> ?min:int -> string list -> string -> int -> int spec
+val int : ?docv:string -> ?min:int -> ?max:int ->
+  string list -> string -> int -> int spec
 (** [int names doc default]: an integer flag (metavariable [N] unless
-    given), no smaller than [min] when given. *)
+    given), within [min] and [max] when given. *)
 
 val some : 'a spec -> 'a option spec
 (** The same flag, defaulting to [None] ("not given"). *)
@@ -55,9 +56,9 @@ val guests : int spec
 (** [-g]/[--guests]: parallel guest VMs. *)
 
 val pcpus : int spec
-(** [--pcpus N]: simulated pCPU count (>= 1). N > 1 boots an [Smp]
-    complex — per-CPU kernels run in parallel on OCaml domains,
-    coupled at deterministic epoch barriers. *)
+(** [--pcpus N]: simulated pCPU count, 1 to {!Smp.max_pcpus}. N > 1
+    boots an [Smp] complex — per-CPU kernels run in parallel on OCaml
+    domains, coupled at deterministic epoch barriers. *)
 
 val fault_rate : float spec
 (** [--fault-rate]: PL fault probability (in [0, 1]). *)

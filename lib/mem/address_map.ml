@@ -51,7 +51,3 @@ let ddr_high_size = (guest_slot_count - low_guest_slots) * guest_phys_size
 let guest_phys_base i =
   if i < low_guest_slots then ddr_base + (32 * mb) + (i * guest_phys_size)
   else ddr_high_base + ((i - low_guest_slots) * guest_phys_size)
-
-let in_ddr a =
-  (a >= ddr_base && a < kernel_heap_base + kernel_heap_size)
-  || (a >= ddr_high_base && a < ddr_high_base + ddr_high_size)

@@ -79,7 +79,3 @@ val guest_slot_count : int
 (** Guest physical windows provisioned across both banks (256) — the
     bound on {e concurrently} live VMs; the kernel recycles windows of
     dead VMs. *)
-
-val in_ddr : Addr.t -> bool
-(** True when an address falls inside either DDR bank (kernel heap
-    included). *)

@@ -113,45 +113,8 @@ let write_word m a v =
 let read_u32 m a = Int32.of_int (read_word m a)
 let write_u32 m a v = write_word m a (Int32.to_int v)
 
-let read_u16 m a =
-  let b0 = read_u8 m a and b1 = read_u8 m (a + 1) in
-  b0 lor (b1 lsl 8)
-
-let write_u16 m a v =
-  write_u8 m a v;
-  write_u8 m (a + 1) (v lsr 8)
-
 let read_f32 m a = Int32.float_of_bits (Int32.of_int (read_word m a))
 let write_f32 m a v = write_word m a (Int32.to_int (Int32.bits_of_float v))
-
-let read_bytes m a len =
-  let out = Bytes.create len in
-  let rec loop pos =
-    if pos < len then begin
-      let addr = a + pos in
-      let off = Addr.page_offset addr in
-      let n = min (len - pos) (Addr.page_size - off) in
-      Bytes.blit (frame m addr) off out pos n;
-      loop (pos + n)
-    end
-  in
-  loop 0;
-  out
-
-let write_bytes m a src =
-  let len = Bytes.length src in
-  let rec loop pos =
-    if pos < len then begin
-      let addr = a + pos in
-      let off = Addr.page_offset addr in
-      let n = min (len - pos) (Addr.page_size - off) in
-      Bytes.blit src pos (frame m addr) off n;
-      loop (pos + n)
-    end
-  in
-  loop 0
-
-let blit m ~src ~dst ~len = write_bytes m dst (read_bytes m src len)
 
 let fill m a len v =
   let rec loop pos =

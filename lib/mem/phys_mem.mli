@@ -30,19 +30,10 @@ val write_word : t -> Addr.t -> int -> unit
 val read_u32 : t -> Addr.t -> int32
 val write_u32 : t -> Addr.t -> int32 -> unit
 
-val read_u16 : t -> Addr.t -> int
-val write_u16 : t -> Addr.t -> int -> unit
-
 val read_f32 : t -> Addr.t -> float
 (** Read an IEEE-754 single stored at [a] (via its bit pattern). *)
 
 val write_f32 : t -> Addr.t -> float -> unit
-
-val read_bytes : t -> Addr.t -> int -> Bytes.t
-val write_bytes : t -> Addr.t -> Bytes.t -> unit
-
-val blit : t -> src:Addr.t -> dst:Addr.t -> len:int -> unit
-(** Copy [len] bytes between two (possibly overlapping) regions. *)
 
 val fill : t -> Addr.t -> int -> int -> unit
 (** [fill m a len v] sets [len] bytes from [a] to byte value [v]. *)

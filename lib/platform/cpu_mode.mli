@@ -1,15 +1,9 @@
-(** Cortex-A9 operating modes (paper §III).
+(** Cortex-A9 exception costs (paper §III).
 
-    Six modes over two privilege levels: the microkernel executes in
-    SVC (PL1), guests in USR (PL0), and the remaining modes receive
-    exception entries — IRQ/FIQ for interrupts, UND for privileged-
-    instruction traps, ABT for memory faults. *)
-
-type t = Usr | Svc | Irq | Fiq | Und | Abt
-
-type privilege = Pl0 | Pl1
-
-val is_privileged : t -> bool
+    The microkernel executes in SVC (PL1), guests in USR (PL0); the
+    other modes receive exception entries — IRQ/FIQ for interrupts,
+    UND for privileged-instruction traps, ABT for memory faults. The
+    simulator models a mode switch by its pipeline cost only. *)
 
 val exception_entry_cycles : int
 (** Pipeline cost of taking an exception: flush, mode switch, vector
@@ -17,5 +11,3 @@ val exception_entry_cycles : int
 
 val exception_return_cycles : int
 (** Cost of the return-from-exception path. *)
-
-val name : t -> string

@@ -1,11 +1,12 @@
 (* Footprint execution. Two semantically identical paths exist:
 
-   - the reference path ([touch_ref]/[run_ref]): translate once per
+   - the reference walk ([touch_ref]/[run_ref]): translate once per
      page, charge the hierarchy once per line — the original scalar
      walk, kept as the oracle for the equivalence property test and
      used when the fast path is disabled (MININOVA_FASTPATH=0);
 
-   - the fast path: each footprint is compiled once per translation
+   - pinned traces ([pin]/[run_pinned]): a fixed footprint sequence,
+     interned once by its call site, is compiled once per translation
      context into a flat program of page-run descriptors
      ([Fastpath.prog]); replay revalidates each run independently
      against the TLB/cache epoch counters and bulk-replays the warm
@@ -14,7 +15,7 @@
      micro-TLB memoises page translations for the cold runs
      ([Zynq.translate_page], shared with the word accessors). Epoch
      counters guarantee every shortcut reproduces the exact state
-     transitions, statistics and cycle counts of the reference path. *)
+     transitions, statistics and cycle counts of the reference walk. *)
 
 type range = Fastpath.range = { base : Addr.t; len : int }
 
@@ -62,59 +63,13 @@ let touch_ref zynq ~priv kind r =
     done
   end
 
-(* Fast walk: translate per page (micro-TLB accelerated), then charge
-   the whole within-page run of lines with one hierarchy dispatch. *)
-let touch_fast zynq ~priv ~asid ~ttbr ~dacr kind r =
-  if r.len > 0 then begin
-    let first = Addr.line_base r.base in
-    let last = Addr.line_base (r.base + r.len - 1) in
-    let hier = zynq.Zynq.hier in
-    let mmu_kind = mmu_kind kind in
-    let a = ref first in
-    while !a <= last do
-      let page_vbase = Addr.page_base !a in
-      let pbase =
-        Zynq.translate_page zynq mmu_kind ~priv ~asid ~ttbr ~dacr page_vbase
-      in
-      let page_last = page_vbase + Addr.page_size - Addr.line_size in
-      let stop = if last < page_last then last else page_last in
-      let n = ((stop - !a) / Addr.line_size) + 1 in
-      let pa = pbase lor (!a land (Addr.page_size - 1)) in
-      ignore (Hierarchy.access_line_run hier kind pa n);
-      a := !a + (n * Addr.line_size)
-    done
-  end
-
-let touch zynq ~priv kind r =
-  if Fastpath.enabled zynq.Zynq.fast then
-    let mmu = zynq.Zynq.mmu in
-    touch_fast zynq ~priv ~asid:(Mmu.asid mmu) ~ttbr:(Mmu.ttbr mmu)
-      ~dacr:(Dacr.to_word (Mmu.dacr mmu)) kind r
-  else touch_ref zynq ~priv kind r
-
-let lines_of r =
-  if r.len <= 0 then 0
-  else
-    ((Addr.line_base (r.base + r.len - 1) - Addr.line_base r.base)
-     / Addr.line_size)
-    + 1
-
 let issue_cycles t = t.code.len / 4
 
-let data_lines t =
-  List.fold_left (fun a r -> a + lines_of r) 0 t.reads
-  + List.fold_left (fun a r -> a + lines_of r) 0 t.writes
-
 let run_ref zynq ~priv t =
-  let start = Clock.now zynq.Zynq.clock in
   touch_ref zynq ~priv Hierarchy.Ifetch t.code;
   List.iter (touch_ref zynq ~priv Hierarchy.Load) t.reads;
   List.iter (touch_ref zynq ~priv Hierarchy.Store) t.writes;
-  Clock.advance zynq.Zynq.clock (t.base_cycles + issue_cycles t);
-  Clock.now zynq.Zynq.clock - start
-
-let seq_lines fps =
-  Array.fold_left (fun a t -> a + lines_of t.code + data_lines t) 0 fps
+  Clock.advance zynq.Zynq.clock (t.base_cycles + issue_cycles t)
 
 (* Compile a footprint sequence into one flat program: one descriptor
    per maximal within-page run of consecutive lines, in exactly the
@@ -123,59 +78,52 @@ let seq_lines fps =
    (-1 stamps); the first visit walks every run cold and records as it
    goes. *)
 let compile_fps (fps : t array) =
-  let total = seq_lines fps in
-  if total > Fastpath.memo_lines_cap then None
-  else begin
-    let vbase = ref [] and off = ref [] and lns = ref [] and knd = ref []
-    and frm = ref [] in
-    let n_runs = ref 0 and pos = ref 0 in
-    let add_range kind r =
-      if r.len > 0 then begin
-        let first = Addr.line_base r.base in
-        let last = Addr.line_base (r.base + r.len - 1) in
-        let a = ref first in
-        while !a <= last do
-          let page_vbase = Addr.page_base !a in
-          let page_last = page_vbase + Addr.page_size - Addr.line_size in
-          let stop = if last < page_last then last else page_last in
-          let n = ((stop - !a) / Addr.line_size) + 1 in
-          vbase := page_vbase :: !vbase;
-          off := (!a - page_vbase) :: !off;
-          lns := n :: !lns;
-          knd := kind :: !knd;
-          frm := !pos :: !frm;
-          incr n_runs;
-          pos := !pos + n;
-          a := !a + (n * Addr.line_size)
-        done
-      end
-    in
-    Array.iter
-      (fun t ->
-         add_range 0 t.code;
-         List.iter (add_range 1) t.reads;
-         List.iter (add_range 2) t.writes)
-      fps;
-    let arr l = Array.of_list (List.rev !l) in
-    let n = !n_runs in
-    Some
-      { Fastpath.n_runs = n;
-        r_vbase = arr vbase;
-        r_off = arr off;
-        r_lines = arr lns;
-        r_kind = arr knd;
-        r_from = arr frm;
-        total_lines = !pos;
-        r_tlb_epoch = Array.make n (-1);
-        r_tlb_slot = Array.make n Tlb.null_slot;
-        r_pbase = Array.make n 0;
-        r_cache_epoch = Array.make n (-1);
-        slots = Array.make !pos 0;
-        l2_slots = Array.make !pos (-1);
-        warm_at = -1 }
-  end
-
-let compile (t : t) = compile_fps [| t |]
+  let vbase = ref [] and off = ref [] and lns = ref [] and knd = ref []
+  and frm = ref [] in
+  let n_runs = ref 0 and pos = ref 0 in
+  let add_range kind r =
+    if r.len > 0 then begin
+      let first = Addr.line_base r.base in
+      let last = Addr.line_base (r.base + r.len - 1) in
+      let a = ref first in
+      while !a <= last do
+        let page_vbase = Addr.page_base !a in
+        let page_last = page_vbase + Addr.page_size - Addr.line_size in
+        let stop = if last < page_last then last else page_last in
+        let n = ((stop - !a) / Addr.line_size) + 1 in
+        vbase := page_vbase :: !vbase;
+        off := (!a - page_vbase) :: !off;
+        lns := n :: !lns;
+        knd := kind :: !knd;
+        frm := !pos :: !frm;
+        incr n_runs;
+        pos := !pos + n;
+        a := !a + (n * Addr.line_size)
+      done
+    end
+  in
+  Array.iter
+    (fun t ->
+       add_range 0 t.code;
+       List.iter (add_range 1) t.reads;
+       List.iter (add_range 2) t.writes)
+    fps;
+  let arr l = Array.of_list (List.rev !l) in
+  let n = !n_runs in
+  { Fastpath.n_runs = n;
+    r_vbase = arr vbase;
+    r_off = arr off;
+    r_lines = arr lns;
+    r_kind = arr knd;
+    r_from = arr frm;
+    total_lines = !pos;
+    r_tlb_epoch = Array.make n (-1);
+    r_tlb_slot = Array.make n Tlb.null_slot;
+    r_pbase = Array.make n 0;
+    r_cache_epoch = Array.make n (-1);
+    slots = Array.make !pos 0;
+    l2_slots = Array.make !pos (-1);
+    warm_at = -1 }
 
 let kind_of = function
   | 0 -> Hierarchy.Ifetch
@@ -340,45 +288,6 @@ let replay_runs zynq fast (p : Fastpath.prog) ~priv ~asid ~ttbr ~dacr =
       fast.Fastpath.partial_replays <- fast.Fastpath.partial_replays + 1
   end
 
-let run_prog zynq fast (p : Fastpath.prog) (t : t) ~priv ~asid ~ttbr ~dacr =
-  let clock = zynq.Zynq.clock in
-  let start = Clock.now clock in
-  replay_runs zynq fast p ~priv ~asid ~ttbr ~dacr;
-  Clock.advance clock (t.base_cycles + issue_cycles t);
-  Clock.now clock - start
-
-let run zynq ~priv t =
-  let fast = zynq.Zynq.fast in
-  if not (Fastpath.enabled fast) then run_ref zynq ~priv t
-  else begin
-    let mmu = zynq.Zynq.mmu in
-    let asid = Mmu.asid mmu and ttbr = Mmu.ttbr mmu in
-    let dacr = Dacr.to_word (Mmu.dacr mmu) in
-    let key =
-      { Fastpath.k_fp = t; k_asid = asid; k_ttbr = ttbr; k_dacr = dacr;
-        k_priv = priv }
-    in
-    match Fastpath.find_prog fast key with
-    | Some p -> run_prog zynq fast p t ~priv ~asid ~ttbr ~dacr
-    | None -> (
-        match compile t with
-        | Some p ->
-          Fastpath.store_prog fast key p;
-          run_prog zynq fast p t ~priv ~asid ~ttbr ~dacr
-        | None ->
-          (* Too many lines to compile: straight fast walk. *)
-          let start = Clock.now zynq.Zynq.clock in
-          touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Ifetch t.code;
-          List.iter
-            (touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Load)
-            t.reads;
-          List.iter
-            (touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Store)
-            t.writes;
-          Clock.advance zynq.Zynq.clock (t.base_cycles + issue_cycles t);
-          Clock.now zynq.Zynq.clock - start)
-  end
-
 (* --- pinned control-path traces --- *)
 
 let pin fps =
@@ -386,7 +295,6 @@ let pin fps =
     Array.fold_left (fun a t -> a + t.base_cycles + issue_cycles t) 0 fps
   in
   Fastpath.make_pinned fps ~cycles
-    ~compilable:(seq_lines fps <= Fastpath.memo_lines_cap)
 
 let pin1 t = pin [| t |]
 
@@ -432,7 +340,7 @@ let install_pin_prog (p : Fastpath.pinned) ~asid ~ttbr ~dacr ~priv prog =
   Array.unsafe_set es 0 e
 
 (* Execute a pinned sequence. Disabled, it is exactly the sequence of
-   reference walks the call sites used to issue; enabled, the whole
+   the footprints' reference walks; enabled, the whole
    sequence replays as one compiled program with the summed cycle
    charge applied at the end — the clock advance moves across the
    in-sequence accesses, which is unobservable (nothing reads the
@@ -443,44 +351,22 @@ let run_pinned zynq ~priv (p : Fastpath.pinned) =
   if not (Fastpath.enabled fast) then begin
     let fps = p.Fastpath.pin_fps in
     for i = 0 to Array.length fps - 1 do
-      ignore (run_ref zynq ~priv (Array.unsafe_get fps i))
+      run_ref zynq ~priv (Array.unsafe_get fps i)
     done
   end
   else begin
     let mmu = zynq.Zynq.mmu in
     let asid = Mmu.asid mmu and ttbr = Mmu.ttbr mmu in
     let dacr = Dacr.to_word (Mmu.dacr mmu) in
-    match find_pin_prog p ~asid ~ttbr ~dacr ~priv with
-    | Some prog ->
-      replay_runs zynq fast prog ~priv ~asid ~ttbr ~dacr;
-      Clock.advance zynq.Zynq.clock p.Fastpath.pin_cycles
-    | None ->
-      if p.Fastpath.pin_compilable then begin
-        match compile_fps p.Fastpath.pin_fps with
-        | Some prog ->
-          install_pin_prog p ~asid ~ttbr ~dacr ~priv prog;
-          fast.Fastpath.warm_records <- fast.Fastpath.warm_records + 1;
-          replay_runs zynq fast prog ~priv ~asid ~ttbr ~dacr;
-          Clock.advance zynq.Zynq.clock p.Fastpath.pin_cycles
-        | None -> assert false (* pin_compilable checked the cap *)
-      end
-      else begin
-        (* Over the compile cap: straight fast walks, summed charge. *)
-        let fps = p.Fastpath.pin_fps in
-        for i = 0 to Array.length fps - 1 do
-          let t = Array.unsafe_get fps i in
-          touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Ifetch t.code;
-          List.iter
-            (touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Load)
-            t.reads;
-          List.iter
-            (touch_fast zynq ~priv ~asid ~ttbr ~dacr Hierarchy.Store)
-            t.writes
-        done;
-        Clock.advance zynq.Zynq.clock p.Fastpath.pin_cycles
-      end
+    let prog =
+      match find_pin_prog p ~asid ~ttbr ~dacr ~priv with
+      | Some prog -> prog
+      | None ->
+        let prog = compile_fps p.Fastpath.pin_fps in
+        install_pin_prog p ~asid ~ttbr ~dacr ~priv prog;
+        fast.Fastpath.warm_records <- fast.Fastpath.warm_records + 1;
+        prog
+    in
+    replay_runs zynq fast prog ~priv ~asid ~ttbr ~dacr;
+    Clock.advance zynq.Zynq.clock p.Fastpath.pin_cycles
   end
-
-let estimate_warm_cycles t =
-  let l = Hierarchy.default_latencies.Hierarchy.l1_hit in
-  (l * (lines_of t.code + data_lines t)) + t.base_cycles + issue_cycles t

@@ -1,6 +1,7 @@
 (* Per-CPU fast-path state for the footprint execution engine.
 
-   Two exact (bit-identical) accelerations of [Exec.run] live here:
+   Two exact (bit-identical) accelerations of the reference walk live
+   here, both used by [Exec.run_pinned]:
 
    - a direct-mapped micro-TLB memoising page translations, valid only
      while the translation context (TTBR/ASID/DACR/privilege) and the
@@ -8,22 +9,25 @@
      page-table update moves the epoch and kills stale entries. The
      {!Zynq} word accessors translate through it too;
 
-   - compiled footprint programs: each footprint is flattened once per
-     translation context into an array of page-run descriptors (page
-     base, first-line offset, line count, access kind) with a per-run
-     replay record (TLB slot + physical base, L1 slot per line). A
-     replay visit revalidates each run independently — TLB-epoch stamp
-     for the translation, cache-epoch stamp or an effect-free
-     tag-verify pass for the lines — so a footprint with one cold
-     range replays its warm runs in bulk and walks only the cold ones,
-     and every cold walk re-records the run's slots in passing. A
-     visit that leaves every run valid records the epochs it saw; the
-     next visit, finding none of them moved, skips the per-run checks.
+   - pinned traces: a fixed footprint sequence, interned once by its
+     call site, holding its compiled programs — one per translation
+     context, in a small MRU cache on the handle. A program flattens
+     the sequence into an array of page-run descriptors (page base,
+     first-line offset, line count, access kind) with a per-run replay
+     record (TLB slot + physical base, L1 slot per line). A replay
+     visit revalidates each run independently — TLB-epoch stamp for
+     the translation, cache-epoch stamp or an effect-free tag-verify
+     pass for the lines — so a trace with one cold range replays its
+     warm runs in bulk and walks only the cold ones, and every cold
+     walk re-records the run's slots in passing. A visit that leaves
+     every run valid records the epochs it saw; the next visit,
+     finding none of them moved, skips the per-run checks. There is
+     no program table: a footprint that is not pinned is not compiled.
 
-   Both structures are per-[Zynq] world (one simulated CPU), so
-   parallel sweeps on separate domains never share them. The types
-   for footprints live here (re-exported by [Exec]) so [Zynq] can
-   carry this state without a dependency cycle. *)
+   The micro-TLB is per-[Zynq] world (one simulated CPU), so parallel
+   sweeps on separate domains never share it. The types for
+   footprints live here (re-exported by [Exec]) so [Zynq] can carry
+   this state without a dependency cycle. *)
 
 type range = { base : Addr.t; len : int }
 
@@ -53,17 +57,6 @@ type mentry = {
 let mtlb_size = 256
 let mtlb_mask = mtlb_size - 1
 
-(* Programs are keyed by the footprint value itself plus the
-   translation context it runs under, so the same kernel stub executed
-   on behalf of different guests keeps one program per guest. *)
-type key = {
-  k_fp : fp;
-  k_asid : int;
-  k_ttbr : int;
-  k_dacr : int;
-  k_priv : bool;
-}
-
 (* A compiled footprint program. The static half is the flattened
    access pattern: run [r] covers [r_lines.(r)] consecutive lines of
    kind [r_kind.(r)] starting [r_off.(r)] bytes into the page at
@@ -92,59 +85,15 @@ type prog = {
   mutable warm_at : int;
 }
 
-(* The program table is the hottest lookup in the simulator (one find
-   per [Exec.run]); a hand-rolled hash over the footprint's scalar
-   fields avoids the polymorphic hash walking the label string and the
-   range lists on every call. *)
-module Key = struct
-  type t = key
-
-  let range_eq (a : range) (b : range) = a.base = b.base && a.len = b.len
-
-  let rec ranges_eq a b =
-    match a, b with
-    | [], [] -> true
-    | x :: a, y :: b -> range_eq x y && ranges_eq a b
-    | _ -> false
-
-  let equal a b =
-    a.k_asid = b.k_asid && a.k_ttbr = b.k_ttbr && a.k_dacr = b.k_dacr
-    && a.k_priv = b.k_priv
-    && a.k_fp.code.base = b.k_fp.code.base
-    && a.k_fp.code.len = b.k_fp.code.len
-    && a.k_fp.base_cycles = b.k_fp.base_cycles
-    && ranges_eq a.k_fp.reads b.k_fp.reads
-    && ranges_eq a.k_fp.writes b.k_fp.writes
-    && String.equal a.k_fp.label b.k_fp.label
-
-  let mix h v = (h * 0x01000193) lxor v
-
-  let mix_ranges h rs =
-    List.fold_left (fun h r -> mix (mix h r.base) r.len) h rs
-
-  let hash k =
-    let h = mix (mix 0x811c9dc5 k.k_fp.code.base) k.k_fp.code.len in
-    let h = mix h k.k_fp.base_cycles in
-    let h = mix_ranges h k.k_fp.reads in
-    let h = mix_ranges h k.k_fp.writes in
-    let h = mix (mix (mix h k.k_asid) k.k_ttbr) k.k_dacr in
-    let h = if k.k_priv then mix h 1 else h in
-    h land max_int
-end
-
-module Memos = Hashtbl.Make (Key)
-
 (* Pinned control-path traces. A [pinned] handle interns a fixed
    sequence of footprints (one kernel control path: e.g. trap entry +
    hypercall dispatch) once at boot, with a small per-handle MRU cache
-   of compiled programs keyed by translation context. This removes the
-   per-call footprint allocation, key hash and program-table lookup of
-   the generic [Exec.run] path: the hot control paths reduce to an MRU
-   scan plus an epoch-validated replay. Correctness needs no explicit
-   invalidation hooks — the context fields key the program, and the
-   per-run TLB/cache epoch stamps inside [prog] revalidate every
-   replay, so kills, recoveries, DPR events and page-table updates are
-   caught exactly as on the generic path. *)
+   of compiled programs keyed by translation context: running one is
+   an MRU scan plus an epoch-validated replay. Correctness needs no
+   explicit invalidation hooks — the context fields key the program,
+   and the per-run TLB/cache epoch stamps inside [prog] revalidate
+   every replay, so kills, recoveries, DPR events and page-table
+   updates are caught exactly as by the reference walk. *)
 type pin_entry = {
   mutable e_asid : int;
   mutable e_ttbr : int;
@@ -156,7 +105,6 @@ type pin_entry = {
 type pinned = {
   pin_fps : fp array;
   pin_cycles : int;        (* summed base + issue cycles of the sequence *)
-  pin_compilable : bool;   (* total lines within [memo_lines_cap] *)
   pin_entries : pin_entry array;  (* MRU order: index 0 most recent *)
 }
 
@@ -164,10 +112,9 @@ type pinned = {
    the manager; 8 ways keeps every steady-state mix resident. *)
 let pin_ways = 8
 
-let make_pinned fps ~cycles ~compilable =
+let make_pinned fps ~cycles =
   { pin_fps = fps;
     pin_cycles = cycles;
-    pin_compilable = compilable;
     pin_entries =
       Array.init pin_ways (fun _ ->
           { e_asid = -1; e_ttbr = -1; e_dacr = -1; e_priv = false;
@@ -175,7 +122,6 @@ let make_pinned fps ~cycles ~compilable =
 
 type t = {
   mtlb : mentry array;
-  memos : prog Memos.t;
   mutable enabled : bool;
   (* Observability counters (host-side only; never affect the sim). *)
   mutable mtlb_hits : int;
@@ -184,12 +130,6 @@ type t = {
   mutable partial_replays : int;  (* visits mixing warm replays and walks *)
   mutable warm_records : int;     (* programs compiled *)
 }
-
-let memo_cap = 8192
-
-(* Footprints above this many lines are not compiled: they are rare,
-   already amortise their walk cost, and would make programs large. *)
-let memo_lines_cap = 512
 
 let create () =
   let enabled =
@@ -202,7 +142,6 @@ let create () =
           { m_vpage = -1; m_asid = -1; m_ttbr = -1; m_dacr = -1;
             m_priv = false; m_epoch = -1; m_slot = Tlb.null_slot;
             m_pbase = 0 });
-    memos = Memos.create 64;
     enabled;
     mtlb_hits = 0; mtlb_misses = 0; warm_replays = 0; partial_replays = 0;
     warm_records = 0 }
@@ -211,13 +150,6 @@ let mtlb_entry t vpage = Array.unsafe_get t.mtlb (vpage land mtlb_mask)
 
 let set_enabled t b = t.enabled <- b
 let enabled t = t.enabled
-
-let store_prog t key prog =
-  if Memos.length t.memos >= memo_cap then Memos.reset t.memos;
-  Memos.replace t.memos key prog;
-  t.warm_records <- t.warm_records + 1
-
-let find_prog t key = Memos.find_opt t.memos key
 
 let stats t =
   (t.mtlb_hits, t.mtlb_misses, t.warm_replays, t.warm_records)

@@ -1,23 +1,25 @@
 (** Per-CPU exact fast-path state for {!Exec} and the {!Zynq} word
-    accessors.
+    accessors, and the pinned-trace handle that holds compiled
+    programs.
 
-    Holds the micro-TLB (a direct-mapped memo over page translations,
-    looked up by [Zynq.translate_page]) and the compiled-footprint
-    program table. A program flattens a footprint into page-run
-    descriptors (page base, first-line offset, line count, access
-    kind) plus a replay record: the TLB slot and
-    physical base per run, and the L1 slot per line. Replay
-    revalidates each run independently against the {!Tlb.epoch} /
-    {!Cache.epoch} counters (or an effect-free tag verify), so a
-    partially warm footprint bulk-replays its warm runs and walks only
-    the cold ones, and a program whose epochs have not moved since a
-    visit left all its runs valid skips the per-run checks — with
-    every shortcut bit-identical, in simulated cycles and in every
-    hit/miss statistic, to the scalar reference walk.
+    The per-CPU state is the micro-TLB (a direct-mapped memo over page
+    translations, looked up by [Zynq.translate_page]). A pinned trace
+    ({!pinned}) holds its compiled programs, one per translation
+    context; there is no global program table. A program flattens a
+    footprint sequence into page-run descriptors (page base,
+    first-line offset, line count, access kind) plus a replay record:
+    the TLB slot and physical base per run, and the L1 slot per line.
+    Replay revalidates each run independently against the
+    {!Tlb.epoch} / {!Cache.epoch} counters (or an effect-free tag
+    verify), so a partially warm trace bulk-replays its warm runs and
+    walks only the cold ones, and a program whose epochs have not
+    moved since a visit left all its runs valid skips the per-run
+    checks — with every shortcut bit-identical, in simulated cycles
+    and in every hit/miss statistic, to the scalar reference walk.
 
-    One value lives in each {!Zynq.t}; parallel sweep domains never
-    share one. The types are concrete because {!Exec} is the hot path
-    and drives them field-by-field; treat them as private to the
+    One value of {!t} lives in each {!Zynq.t}; parallel sweep domains
+    never share one. The types are concrete because {!Exec} is the hot
+    path and drives them field-by-field; treat them as private to the
     platform layer. *)
 
 type range = { base : Addr.t; len : int }
@@ -45,16 +47,6 @@ type mentry = {
 (** Micro-TLB entry: memoised page translation plus the pinned
     translation context and TLB slot it came from; a hit replays the
     slot so TLB statistics and LRU stay exact. *)
-
-type key = {
-  k_fp : fp;
-  k_asid : int;
-  k_ttbr : int;
-  k_dacr : int;
-  k_priv : bool;
-}
-(** Program key: footprint plus translation context, so a kernel stub
-    run on behalf of different guests keeps one program each. *)
 
 type prog = {
   n_runs : int;
@@ -95,7 +87,6 @@ type pin_entry = {
 type pinned = {
   pin_fps : fp array;
   pin_cycles : int;        (** summed base + issue cycles of the sequence *)
-  pin_compilable : bool;   (** total lines within {!memo_lines_cap} *)
   pin_entries : pin_entry array;  (** MRU order: index 0 most recent *)
 }
 (** A pinned control-path trace: a fixed footprint sequence interned
@@ -104,19 +95,13 @@ type pinned = {
     executed with {!Exec.run_pinned}. No explicit invalidation exists
     or is needed: the context fields key each program and the epoch
     stamps inside {!prog} revalidate every replay, so kill/recovery/
-    DPR events invalidate stale traces exactly as on the generic
-    path. *)
+    DPR events invalidate stale traces exactly as in the reference
+    walk. *)
 
-val make_pinned : fp array -> cycles:int -> compilable:bool -> pinned
-
-module Memos : Hashtbl.S with type key = key
-(** Program table with a cheap hand-rolled hash over the footprint's
-    scalar fields (the polymorphic hash would walk the label string
-    and the range lists on every {!Exec.run}). *)
+val make_pinned : fp array -> cycles:int -> pinned
 
 type t = {
   mtlb : mentry array;
-  memos : prog Memos.t;
   mutable enabled : bool;
   mutable mtlb_hits : int;
   mutable mtlb_misses : int;
@@ -129,9 +114,6 @@ val mtlb_entry : t -> int -> mentry
 (** [mtlb_entry t vpage]: the micro-TLB entry [vpage] maps to (it
     holds [vpage] only if [m_vpage = vpage]). *)
 
-val memo_lines_cap : int
-(** Footprints with more total lines than this are never compiled. *)
-
 val create : unit -> t
 (** Fresh state; enabled unless the [MININOVA_FASTPATH] environment
     variable is set to [0]/[off]/[false]/[no]. *)
@@ -140,9 +122,6 @@ val enabled : t -> bool
 
 val set_enabled : t -> bool -> unit
 (** Toggle at runtime (the equivalence test drives both paths). *)
-
-val store_prog : t -> key -> prog -> unit
-val find_prog : t -> key -> prog option
 
 val stats : t -> int * int * int * int
 (** [(mtlb_hits, mtlb_misses, warm_replays, warm_records)]:

@@ -220,8 +220,6 @@ let vread_words t ~priv va buf off n = run_words t Mmu.Read ~priv va buf off n
 let vwrite_words t ~priv va buf off n =
   run_words t Mmu.Write ~priv va buf off n
 
-let vread_u32 t ~priv a = Int32.of_int (vread_word t ~priv a)
-let vwrite_u32 t ~priv a v = vwrite_word t ~priv a (Int32.to_int v)
 
 let vread_u8 t ~priv a =
   let pa = vtranslate t Mmu.Read ~priv a in
@@ -238,12 +236,6 @@ let vwrite_u8 t ~priv a v =
     ignore (Hierarchy.access t.hier Hierarchy.Store pa);
     Phys_mem.write_u8 t.mem pa v
   end
-
-let vread_f32 t ~priv a =
-  Int32.float_of_bits (Int32.of_int (vread_word t ~priv a))
-
-let vwrite_f32 t ~priv a v =
-  vwrite_word t ~priv a (Int32.to_int (Int32.bits_of_float v))
 
 let idle_until_next_event t =
   match Event_queue.next_deadline t.queue with

@@ -79,12 +79,8 @@ val vwrite_words : t -> priv:bool -> Addr.t -> int array -> int -> int -> unit
 (** The store counterpart of {!vread_words}: writes the low 32 bits of
     [buf.(off) … buf.(off + n - 1)] to [va, va + 4, …]. *)
 
-val vread_u32 : t -> priv:bool -> Addr.t -> int32
-val vwrite_u32 : t -> priv:bool -> Addr.t -> int32 -> unit
 val vread_u8 : t -> priv:bool -> Addr.t -> int
 val vwrite_u8 : t -> priv:bool -> Addr.t -> int -> unit
-val vread_f32 : t -> priv:bool -> Addr.t -> float
-val vwrite_f32 : t -> priv:bool -> Addr.t -> float -> unit
 
 val translate_page :
   t -> Mmu.access -> priv:bool -> asid:int -> ttbr:int -> dacr:int ->

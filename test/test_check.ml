@@ -510,7 +510,24 @@ let test_reproducer_roundtrip () =
           output_string oc "seed x\nactions\n");
       match Soak.load_reproducer path with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "malformed header number accepted")
+      | Ok _ -> Alcotest.fail "malformed header number accepted");
+  (* A pcpus line outside [1, Smp.max_pcpus] is refused at load, before
+     any run could boot that many boards. *)
+  List.iter
+    (fun n ->
+       with_file (fun path ->
+           Out_channel.with_open_text path (fun oc ->
+               Printf.fprintf oc "seed 1\npcpus %d\nactions\n" n);
+           match Soak.load_reproducer path with
+           | Error _ -> ()
+           | Ok _ -> Alcotest.failf "pcpus %d accepted" n))
+    [ 0; Smp.max_pcpus + 1; 1_000_000_000 ];
+  with_file (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          Printf.fprintf oc "seed 1\npcpus %d\nactions\n" Smp.max_pcpus);
+      match Soak.load_reproducer path with
+      | Ok (cfg, _) -> Alcotest.check ci "max pcpus" Smp.max_pcpus cfg.Soak.pcpus
+      | Error e -> Alcotest.failf "pcpus %d refused: %s" Smp.max_pcpus e)
 
 (* [soak --replay] documents the reproducer's run, not the flags'. *)
 let test_soak_replay_reports_file_config () =

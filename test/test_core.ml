@@ -271,13 +271,14 @@ let test_vcpu_switch_costs () =
   let kmem = Kmem.create z in
   ignore kmem;
   let a = Vcpu.create ~pd_id:1 () and b = Vcpu.create ~pd_id:2 () in
+  let active_switch = Exec.pin [| Vcpu.save_fp a; Vcpu.restore_fp b |] in
+  let vfp_switch = Exec.pin [| Vcpu.vfp_load_fp b; Vcpu.vfp_store_fp a |] in
   let t0 = Clock.now z.Zynq.clock in
-  Vcpu.save_active z a;
-  Vcpu.restore_active z b;
+  Exec.run_pinned z ~priv:true active_switch;
   let active = Clock.now z.Zynq.clock - t0 in
   check cb "active switch costs time" true (active > 0);
   let t1 = Clock.now z.Zynq.clock in
-  Vcpu.switch_vfp z ~from:(Some a) ~to_:b;
+  Exec.run_pinned z ~priv:true vfp_switch;
   let vfp = Clock.now z.Zynq.clock - t1 in
   check cb "lazy VFP switch is expensive (Table I)" true (vfp > active / 2)
 

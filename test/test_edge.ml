@@ -154,14 +154,15 @@ let test_quantum_consumed_under_preemption () =
   let low =
     Kernel.create_vm kern ~name:"lo" ~priority:1 (fun _ ->
         let fp =
-          { Exec.label = "spin";
-            code = { Exec.base = Ucos_layout.app_code_base; len = 128 };
-            reads = [];
-            writes = [];
-            base_cycles = 4000 }
+          Exec.pin1
+            { Exec.label = "spin";
+              code = { Exec.base = Ucos_layout.app_code_base; len = 128 };
+              reads = [];
+              writes = [];
+              base_cycles = 4000 }
         in
         while Clock.now z.Zynq.clock < Cycles.of_ms 25.0 do
-          ignore (Exec.run z ~priv:false fp);
+          Exec.run_pinned z ~priv:false fp;
           ignore (Hyper.pause ())
         done)
   in

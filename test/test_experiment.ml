@@ -109,9 +109,15 @@ let test_parse_errors () =
       ("negative fault rate", [ "density" ], [ "--fault-rate"; "-1" ]);
       ("zero quantum", [ "soak" ], [ "--quantum"; "0" ]);
       ("negative quantum", [ "table3" ], [ "--quantum"; "-5" ]);
-      ("non-finite quantum", [ "soak" ], [ "-q"; "nan" ]) ];
+      ("non-finite quantum", [ "soak" ], [ "-q"; "nan" ]);
+      ("pcpus past the GIC's CPU interfaces", [ "soak" ], [ "--pcpus"; "9" ]);
+      ("pcpus past max_int", [ "density" ],
+       [ "--pcpus"; "99999999999999999999" ]);
+      ("a huge pcpus", [ "partition" ], [ "--pcpus"; "1000000000" ]) ];
   check cb "a fault rate of 1 is a probability" false
-    (err [ "chaos" ] [ "--fault-rate"; "1" ])
+    (err [ "chaos" ] [ "--fault-rate"; "1" ]);
+  check cb "Smp.max_pcpus pCPUs are accepted" false
+    (err [ "soak" ] [ "--pcpus"; string_of_int Smp.max_pcpus ])
 
 (* --- the front end's argv step --- *)
 

@@ -21,10 +21,12 @@ let check = Alcotest.check
 
 type op =
   | Run of int                 (* footprint pool index *)
-  | Touch of int * int * int   (* kind (0 load / 1 store / 2 fetch), off, len *)
+  | Touch of int * int * int
+      (* kind (0 load / 1 store / 2 fetch), off, len: a one-range
+         footprint, pinned afresh for the op *)
   | Word of int * int * int * int
-      (* access (0 read / 1 write word, 2 read / 3 write byte, 4 read /
-         5 write f32), target (0 data, 1.. scratch page), offset, value *)
+      (* access (0 read / 1 write word, 2 read / 3 write byte), target
+         (0 data, 1.. scratch page), offset, value *)
   | Words of int * int * int * int
       (* a word run ({!Zynq.vread_words} / {!Zynq.vwrite_words}): 0 read
          / 1 write, target (0 data, 1.. scratch page, last: the PL
@@ -69,8 +71,9 @@ let scratch_frame i = scratch_base + 0x10_0000 + (i * Addr.page_size)
 let pl_page = scratch_base + 0x8000
 let pl_target = scratch_pages + 1
 
-(* A small pool of footprints, referenced by index so the same value
-   recurs (that is what compiles and then replays the programs).
+(* A small pool of footprints, each pinned once per board and
+   referenced by index so the same trace recurs (that is what compiles
+   and then replays the programs).
    Data ranges overlap across footprints to force eviction interplay;
    f6 reads a scratch page whose mapping the DSL edits underneath it. *)
 let pool =
@@ -101,18 +104,18 @@ let pool =
        writes = [ { Exec.base = scratch_page 1; len = 64 } ];
        base_cycles = 0 } |]
 
-(* Pinned traces over the pool: kernel-only footprints (no scratch
+(* Pinned sequences over the pool: kernel-only footprints (no scratch
    page, so a trace faults on its first access or not at all), one of
-   them over the compile cap. Replayed back to back, a trace reaches
+   them ([| 4; 0 |]) 520 lines long. Replayed back to back, a trace reaches
    the whole-program warm record; maintenance in between must knock
    it back to the per-run checks. *)
 let pinned_seqs = [| [| 0; 1 |]; [| 2; 3; 5 |]; [| 1 |]; [| 4; 0 |] |]
 
 (* Word targets: the data pages the footprints also touch (identity
    mapped), or one of the scratch pages (possibly unmapped or remapped).
-   Word and f32 accesses are 4-aligned, byte accesses are not. *)
+   Word accesses are 4-aligned, byte accesses are not. *)
 let word_addr k target off =
-  let off = if k < 2 || k >= 4 then off land lnot 3 else off in
+  let off = if k < 2 then off land lnot 3 else off in
   if target = 0 then data_base + (off land 0x3FFF)
   else scratch_page (target - 1) + (off land 0xFFF)
 
@@ -143,7 +146,7 @@ let gen_op =
       2, map3 (fun k off len -> Touch (k, off * 4, 4 + (len * 4)))
            (int_bound 2) (int_bound 0x1000) (int_bound 127);
       6, map3 (fun (k, t) off v -> Word (k, t, off, v))
-           (pair (int_bound 5) (int_bound scratch_pages))
+           (pair (int_bound 3) (int_bound scratch_pages))
            (int_bound 0x3FFF) (int_bound 0x3FFF_FFFF);
       1, map (fun a -> Set_asid a) (int_bound 3);
       1, map2 (fun d a -> Set_dacr (d, a)) (int_bound 1) (int_bound 2);
@@ -194,6 +197,7 @@ type board = {
   z : Zynq.t;
   km : Kmem.t;
   scalar_words : bool;  (* word runs as the loop of single-word calls *)
+  runs : Fastpath.pinned array;  (* [pool], one trace per footprint *)
   pins : Fastpath.pinned array;  (* [pinned_seqs], interned per board *)
   mutable priv : bool;
   mutable outcomes : int;  (* digest of every op's fault outcome and reads *)
@@ -210,7 +214,8 @@ let make_board ?(scalar_words = false) ~fast () =
   let pins =
     Array.map (fun seq -> Exec.pin (Array.map (Array.get pool) seq)) pinned_seqs
   in
-  { z; km; scalar_words; pins; priv = true; outcomes = 0; touched = [] }
+  { z; km; scalar_words; runs = Array.map Exec.pin1 pool; pins; priv = true;
+    outcomes = 0; touched = [] }
 
 let note b x = b.outcomes <- ((b.outcomes * 31) + x) land max_int
 
@@ -230,9 +235,7 @@ let word_op b k a v =
   | 0 -> Zynq.vread_word z ~priv a
   | 1 -> Zynq.vwrite_word z ~priv a v; 0
   | 2 -> Zynq.vread_u8 z ~priv a
-  | 3 -> Zynq.vwrite_u8 z ~priv a v; 0
-  | 4 -> Int32.to_int (Int32.bits_of_float (Zynq.vread_f32 z ~priv a))
-  | _ -> Zynq.vwrite_f32 z ~priv a (Int32.float_of_bits (Int32.of_int v)); 0
+  | _ -> Zynq.vwrite_u8 z ~priv a v; 0
 
 (* A word run; its write values derive from the offset, and every
    value read (also those before a fault) joins the digest. *)
@@ -257,10 +260,12 @@ let words_op b k target off n =
       0);
   Array.iter (note b) buf
 
-let run_pin b i =
+let run_trace b pinned =
   guarded b (fun () ->
-      Exec.run_pinned b.z ~priv:b.priv b.pins.(i);
+      Exec.run_pinned b.z ~priv:b.priv pinned;
       0)
+
+let run_pin b i = run_trace b b.pins.(i)
 
 let rec apply b op =
   let z = b.z in
@@ -269,17 +274,17 @@ let rec apply b op =
     (* f6 touches scratch pages that may currently be unmapped; the
        fault itself (with its charged walk reads) must be identical on
        both boards. *)
-    guarded b (fun () -> Exec.run z ~priv:b.priv pool.(i))
+    run_trace b b.runs.(i)
   | Touch (k, off, len) ->
-    let kind, base =
-      match k with
-      | 0 -> Hierarchy.Load, data_base + off
-      | 1 -> Hierarchy.Store, data_base + off
-      | _ -> Hierarchy.Ifetch, code_base + off
-    in
-    guarded b (fun () ->
-        Exec.touch z ~priv:b.priv kind { Exec.base; len };
-        0)
+    let r base = { Exec.base = base + off; len } in
+    let none = { Exec.base = code_base; len = 0 } in
+    run_trace b
+      (Exec.pin1
+         { Exec.label = "touch";
+           code = (if k = 2 then r code_base else none);
+           reads = (if k = 0 then [ r data_base ] else []);
+           writes = (if k = 1 then [ r data_base ] else []);
+           base_cycles = 0 })
   | Word (k, target, off, v) ->
     let a = word_addr k target off in
     b.touched <- a :: b.touched;
@@ -394,14 +399,14 @@ let test_shortcuts_taken () =
   let b = make_board ~fast:true () in
   let z = b.z in
   for _ = 1 to 50 do
-    ignore (Exec.run z ~priv:true pool.(2))
+    Exec.run_pinned z ~priv:true b.runs.(2)
   done;
   let _, _, warm_replays, warm_records = Fastpath.stats z.Zynq.fast in
   check Alcotest.bool "program compiled" true (warm_records > 0);
   check Alcotest.bool "program replayed warm" true (warm_replays > 0);
   (* f5's read and write ranges share a page: compiling it walks that
      page twice, the second translate hitting the micro-TLB. *)
-  ignore (Exec.run z ~priv:true pool.(5));
+  Exec.run_pinned z ~priv:true b.runs.(5);
   let mtlb_hits, _, _, _ = Fastpath.stats z.Zynq.fast in
   check Alcotest.bool "micro-TLB hit" true (mtlb_hits > 0);
   (* A word on a page the footprints already translated hits too. *)
@@ -412,7 +417,7 @@ let test_shortcuts_taken () =
   (* Invalidate only f2's write range: the next visit walks that one
      run cold and still bulk-replays the code and read runs. *)
   apply b (Inval_d (0x1000, 128));
-  ignore (Exec.run z ~priv:true pool.(2));
+  Exec.run_pinned z ~priv:true b.runs.(2);
   check Alcotest.bool "partial-warm replay" true
     (Fastpath.partial_replays z.Zynq.fast > 0)
 
@@ -472,14 +477,21 @@ let test_remap_redirects_words () =
 
 (* The warm replay must charge exactly the modelled warm cost. *)
 let test_replay_cycles_exact () =
-  let z = (make_board ~fast:true ()).z in
-  let fp = pool.(2) in
-  ignore (Exec.run z ~priv:true fp);
-  let w1 = Exec.run z ~priv:true fp in
-  let w2 = Exec.run z ~priv:true fp in
+  let b = make_board ~fast:true () in
+  let z = b.z in
+  let run () =
+    let t0 = Clock.now z.Zynq.clock in
+    Exec.run_pinned z ~priv:true b.runs.(2);
+    Clock.now z.Zynq.clock - t0
+  in
+  ignore (run ());
+  let w1 = run () in
+  let w2 = run () in
   check Alcotest.int "replayed run costs the warm cost" w1 w2;
-  check Alcotest.int "matches the static estimate"
-    (Exec.estimate_warm_cycles fp) w2
+  (* f2 all L1-resident: 16 code + 16 read + 4 write lines at one cycle
+     each, 128 issued instructions, 25 base cycles. *)
+  check Alcotest.int "matches the modelled warm cost"
+    ((16 + 16 + 4) + (512 / 4) + 25) w2
 
 let suite =
   ( "fastpath",

@@ -27,14 +27,14 @@ let test_hello_vm () =
 
 let test_guest_memory_access () =
   let z, kern = boot () in
-  let seen = ref 0l in
+  let seen = ref 0 in
   ignore
     (Kernel.create_vm kern ~name:"mem" (fun env ->
          let va = Guest_layout.user_base + 0x1000 in
-         Zynq.vwrite_u32 env.Kernel.env_zynq ~priv:false va 0xC0FFEEl;
-         seen := Zynq.vread_u32 env.Kernel.env_zynq ~priv:false va));
+         Zynq.vwrite_word env.Kernel.env_zynq ~priv:false va 0xC0FFEE;
+         seen := Zynq.vread_word env.Kernel.env_zynq ~priv:false va));
   run_to_completion kern;
-  check (Alcotest.int32) "guest RAM roundtrip" 0xC0FFEEl !seen;
+  check ci "guest RAM roundtrip" 0xC0FFEE !seen;
   check ci "no crashes" 0 (Kernel.crashes kern);
   ignore z
 
@@ -45,7 +45,7 @@ let test_guest_cannot_touch_kernel () =
     (Kernel.create_vm kern ~name:"evil" (fun env ->
          try
            ignore
-             (Zynq.vread_u32 env.Kernel.env_zynq ~priv:false
+             (Zynq.vread_word env.Kernel.env_zynq ~priv:false
                 Address_map.kernel_code_base);
            outcome := "read kernel!"
          with Mmu.Fault (Mmu.Permission_fault _) -> outcome := "faulted"));
@@ -177,14 +177,15 @@ let test_round_robin_fairness () =
   let work = [| 0; 0 |] in
   let body i (_ : Kernel.guest_env) =
     let fp =
-      { Exec.label = "spin";
-        code = { Exec.base = Ucos_layout.os_code_base; len = 128 };
-        reads = [];
-        writes = [];
-        base_cycles = 5000 }
+      Exec.pin1
+        { Exec.label = "spin";
+          code = { Exec.base = Ucos_layout.os_code_base; len = 128 };
+          reads = [];
+          writes = [];
+          base_cycles = 5000 }
     in
     while Clock.now z.Zynq.clock < Cycles.of_ms 60.0 do
-      ignore (Exec.run z ~priv:false fp);
+      Exec.run_pinned z ~priv:false fp;
       work.(i) <- work.(i) + 1;
       ignore (Hyper.pause ())
     done
@@ -220,14 +221,15 @@ let test_priority_preemption () =
   ignore
     (Kernel.create_vm kern ~name:"hog" ~priority:1 (fun _ ->
          let fp =
-           { Exec.label = "hog";
-             code = { Exec.base = Ucos_layout.os_code_base; len = 128 };
-             reads = [];
-             writes = [];
-             base_cycles = 3000 }
+           Exec.pin1
+             { Exec.label = "hog";
+               code = { Exec.base = Ucos_layout.os_code_base; len = 128 };
+               reads = [];
+               writes = [];
+               base_cycles = 3000 }
          in
          while !hog_running do
-           ignore (Exec.run z ~priv:false fp);
+           Exec.run_pinned z ~priv:false fp;
            ignore (Hyper.pause ())
          done));
   Kernel.run kern ~until:(Cycles.of_ms 60.0);
@@ -258,12 +260,12 @@ let test_guest_mode_switch_protects () =
     (Kernel.create_vm kern ~name:"modes" (fun env ->
          let z = env.Kernel.env_zynq in
          let kva = Guest_layout.kernel_base + 0x100 in
-         Zynq.vwrite_u32 z ~priv:false kva 99l;
+         Zynq.vwrite_word z ~priv:false kva 99;
          ignore (Hyper.hypercall (Hyper.Set_guest_mode Hyper.Gm_user));
-         (try ignore (Zynq.vread_u32 z ~priv:false kva) with
+         (try ignore (Zynq.vread_word z ~priv:false kva) with
           | Mmu.Fault (Mmu.Domain_fault _) -> outcome := "protected");
          ignore (Hyper.hypercall (Hyper.Set_guest_mode Hyper.Gm_kernel));
-         if Zynq.vread_u32 z ~priv:false kva = 99l && !outcome = "protected"
+         if Zynq.vread_word z ~priv:false kva = 99 && !outcome = "protected"
          then outcome := "ok"));
   run_to_completion kern;
   check Alcotest.string "DACR guest-kernel protection" "ok" !outcome
@@ -282,21 +284,21 @@ let test_map_insert_remove () =
           with
           | Hyper.R_unit -> ()
           | r -> failwith (Format.asprintf "map: %a" Hyper.pp_response r));
-         Zynq.vwrite_u32 z ~priv:false va 0x5Al;
-         let v = Zynq.vread_u32 z ~priv:false va in
+         Zynq.vwrite_word z ~priv:false va 0x5A;
+         let v = Zynq.vread_word z ~priv:false va in
          (* The same memory is visible through the linear alias. *)
          let alias = Guest_layout.kernel_base + 0x0060_0000 in
-         let v' = Zynq.vread_u32 z ~priv:false alias in
+         let v' = Zynq.vread_word z ~priv:false alias in
          (match Hyper.hypercall (Hyper.Map_remove { vaddr = va }) with
           | Hyper.R_unit -> ()
           | _ -> failwith "unmap failed");
          let faulted =
            try
-             ignore (Zynq.vread_u32 z ~priv:false va);
+             ignore (Zynq.vread_word z ~priv:false va);
              false
            with Mmu.Fault (Mmu.Translation_fault _) -> true
          in
-         ok := v = 0x5Al && v' = 0x5Al && faulted));
+         ok := v = 0x5A && v' = 0x5A && faulted));
   run_to_completion kern;
   check cb "map/alias/unmap" true !ok;
   check ci "no crashes" 0 (Kernel.crashes kern)
@@ -379,14 +381,15 @@ let test_ucos_tick_catchup_across_deschedule () =
   ignore
     (Kernel.create_vm kern ~name:"hog" (fun genv ->
          let fp =
-           { Exec.label = "hog";
-             code = { Exec.base = Ucos_layout.app_code_base; len = 256 };
-             reads = [];
-             writes = [];
-             base_cycles = 8000 }
+           Exec.pin1
+             { Exec.label = "hog";
+               code = { Exec.base = Ucos_layout.app_code_base; len = 256 };
+               reads = [];
+               writes = [];
+               base_cycles = 8000 }
          in
          while Clock.now z.Zynq.clock < Cycles.of_ms 120.0 do
-           ignore (Exec.run genv.Kernel.env_zynq ~priv:false fp);
+           Exec.run_pinned genv.Kernel.env_zynq ~priv:false fp;
            ignore (Hyper.pause ())
          done));
   Kernel.run kern ~until:(Cycles.of_ms 150.0);
@@ -450,8 +453,11 @@ let flush_after_sweep lines =
   ignore
     (Kernel.create_vm kern ~name:"sweeper" (fun env ->
          let z = env.Kernel.env_zynq in
-         Exec.touch z ~priv:false Hierarchy.Store
-           { Exec.base = Guest_layout.user_base; len = lines * Addr.line_size };
+         let sweep = { Exec.base = Guest_layout.user_base; len = lines * Addr.line_size } in
+         Exec.run_pinned z ~priv:false
+           (Exec.pin1
+              { Exec.label = "sweep"; code = { sweep with Exec.len = 0 };
+                reads = []; writes = [ sweep ]; base_cycles = 0 });
          let l1d = Hierarchy.l1d z.Zynq.hier in
          let d1 = Cache.dirty_lines l1d in
          let pages = (lines * Addr.line_size / Addr.page_size) + 1 in

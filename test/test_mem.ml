@@ -51,11 +51,6 @@ let test_mem_u32_straddle () =
   check (Alcotest.int32) "straddling page boundary" 0x11223344l
     (Phys_mem.read_u32 m a)
 
-let test_mem_u16 () =
-  let m = Phys_mem.create () in
-  Phys_mem.write_u16 m 7 0xBEEF;
-  check ci "u16 roundtrip" 0xBEEF (Phys_mem.read_u16 m 7)
-
 let test_mem_f32 () =
   let m = Phys_mem.create () in
   Phys_mem.write_f32 m 0x300 3.25;
@@ -65,17 +60,11 @@ let test_mem_f32 () =
 
 let test_mem_blocks () =
   let m = Phys_mem.create () in
-  let src = Bytes.of_string "hello, zynq!" in
-  let a = Addr.page_size - 5 in
-  Phys_mem.write_bytes m a src;
-  check Alcotest.string "bytes roundtrip across pages" "hello, zynq!"
-    (Bytes.to_string (Phys_mem.read_bytes m a (Bytes.length src)));
-  Phys_mem.blit m ~src:a ~dst:0x5000 ~len:5;
-  check Alcotest.string "blit" "hello"
-    (Bytes.to_string (Phys_mem.read_bytes m 0x5000 5));
-  Phys_mem.fill m 0x5000 3 (Char.code 'x');
-  check Alcotest.string "fill" "xxxlo"
-    (Bytes.to_string (Phys_mem.read_bytes m 0x5000 5))
+  let a = Addr.page_size - 3 in
+  Phys_mem.write_word m (a + 3) 0x6F6C6C65;
+  Phys_mem.fill m a 5 (Char.code 'x');
+  check Alcotest.string "fill across pages" "xxxxxlo"
+    (String.init 7 (fun i -> Char.chr (Phys_mem.read_u8 m (a + i))))
 
 let test_mem_sparse () =
   let m = Phys_mem.create () in
@@ -215,8 +204,6 @@ let test_mem_outside_space () =
     (Phys_mem.touched_frames m)
 
 let test_address_map_sanity () =
-  check cb "ddr holds kernel" true (Address_map.in_ddr Address_map.kernel_code_base);
-  check cb "PL window is not DDR" false (Address_map.in_ddr Address_map.axi_gp0_base);
   check cb "guest regions are disjoint" true
     (Address_map.guest_phys_base 1
      >= Address_map.guest_phys_base 0 + Address_map.guest_phys_size);
@@ -236,7 +223,6 @@ let suite =
       t "bytes" test_mem_bytes;
       t "u32" test_mem_u32;
       t "u32 straddle" test_mem_u32_straddle;
-      t "u16" test_mem_u16;
       t "f32" test_mem_f32;
       t "blocks" test_mem_blocks;
       t "sparse" test_mem_sparse;

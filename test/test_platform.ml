@@ -10,29 +10,24 @@ let board_with_kernel_map () =
   (z, kmem)
 
 let test_cpu_modes () =
-  check cb "usr unprivileged" false (Cpu_mode.is_privileged Cpu_mode.Usr);
-  List.iter
-    (fun m -> check cb (Cpu_mode.name m ^ " privileged") true
-        (Cpu_mode.is_privileged m))
-    [ Cpu_mode.Svc; Cpu_mode.Irq; Cpu_mode.Fiq; Cpu_mode.Und; Cpu_mode.Abt ];
   check cb "exception entry costs cycles" true
-    (Cpu_mode.exception_entry_cycles > 0)
+    (Cpu_mode.exception_entry_cycles > 0);
+  check cb "exception return costs cycles" true
+    (Cpu_mode.exception_return_cycles > 0)
 
 let test_zynq_vaccess_roundtrip () =
   let z, _ = board_with_kernel_map () in
   let a = Address_map.kernel_data_base + 0x500 in
-  Zynq.vwrite_u32 z ~priv:true a 0xFEEDl;
-  check (Alcotest.int32) "u32" 0xFEEDl (Zynq.vread_u32 z ~priv:true a);
+  Zynq.vwrite_word z ~priv:true a 0xFEED;
+  check ci "word" 0xFEED (Zynq.vread_word z ~priv:true a);
   Zynq.vwrite_u8 z ~priv:true (a + 8) 0x7F;
-  check ci "u8" 0x7F (Zynq.vread_u8 z ~priv:true (a + 8));
-  Zynq.vwrite_f32 z ~priv:true (a + 16) 2.5;
-  check (Alcotest.float 0.0) "f32" 2.5 (Zynq.vread_f32 z ~priv:true (a + 16))
+  check ci "u8" 0x7F (Zynq.vread_u8 z ~priv:true (a + 8))
 
 let test_zynq_user_access_blocked () =
   let z, _ = board_with_kernel_map () in
   (* Kernel mappings are Ap_priv: PL0 access must fault. *)
   match
-    Zynq.vread_u32 z ~priv:false (Address_map.kernel_data_base + 0x500)
+    Zynq.vread_word z ~priv:false (Address_map.kernel_data_base + 0x500)
   with
   | exception Mmu.Fault (Mmu.Permission_fault _) -> ()
   | _ -> Alcotest.fail "expected permission fault"
@@ -43,23 +38,23 @@ let test_zynq_mmio_routing () =
   let prr = Prr_controller.prr z.Zynq.prrc 1 in
   let reg_addr = prr.Prr.regs_base + (4 * Prr.Reg.len) in
   check cb "in PL window" true (Zynq.in_pl_window reg_addr);
-  Zynq.vwrite_u32 z ~priv:true reg_addr 77l;
+  Zynq.vwrite_word z ~priv:true reg_addr 77;
   check (Alcotest.int32) "MMIO write hit the register file" 77l
     (Prr.read_reg prr Prr.Reg.len);
-  check (Alcotest.int32) "MMIO read" 77l (Zynq.vread_u32 z ~priv:true reg_addr);
+  check ci "MMIO read" 77 (Zynq.vread_word z ~priv:true reg_addr);
   check cb "DDR not PL" false (Zynq.in_pl_window Address_map.kernel_code_base)
 
 let test_zynq_mmio_charges_bus_time () =
   let z, _ = board_with_kernel_map () in
   let prr = Prr_controller.prr z.Zynq.prrc 0 in
   let t0 = Clock.now z.Zynq.clock in
-  ignore (Zynq.vread_u32 z ~priv:true prr.Prr.regs_base);
+  ignore (Zynq.vread_word z ~priv:true prr.Prr.regs_base);
   let mmio = Clock.now z.Zynq.clock - t0 in
   (* Warm cached RAM access for comparison. *)
   let a = Address_map.kernel_data_base + 0x600 in
-  ignore (Zynq.vread_u32 z ~priv:true a);
+  ignore (Zynq.vread_word z ~priv:true a);
   let t1 = Clock.now z.Zynq.clock in
-  ignore (Zynq.vread_u32 z ~priv:true a);
+  ignore (Zynq.vread_word z ~priv:true a);
   let ram = Clock.now z.Zynq.clock - t1 in
   check cb "device access much slower than a cache hit" true (mmio > 10 * ram)
 
@@ -80,16 +75,21 @@ let kernel_fp ?(reads = []) ?(writes = []) ?(base_cycles = 0) len =
     code = { Exec.base = Address_map.kernel_code_base + 0x4000; len };
     reads; writes; base_cycles }
 
+(* Clock delta of one run of a pinned trace. *)
+let cycles_of z pinned =
+  let t0 = Clock.now z.Zynq.clock in
+  Exec.run_pinned z ~priv:true pinned;
+  Clock.now z.Zynq.clock - t0
+
 let test_exec_charges_issue_and_memory () =
   let z, _ = board_with_kernel_map () in
   let fp = kernel_fp ~base_cycles:100 256 in
-  let cold = Exec.run z ~priv:true fp in
-  let warm = Exec.run z ~priv:true fp in
+  let pinned = Exec.pin1 fp in
+  let cold = cycles_of z pinned in
+  let warm = cycles_of z pinned in
   check cb "cold run slower than warm" true (cold > warm);
   (* Warm: 8 fetch lines + 64 issued instructions + 100 base. *)
-  check ci "warm cost exactly as modelled" (8 + 64 + 100) warm;
-  check ci "estimate matches warm lower bound"
-    (Exec.estimate_warm_cycles fp) warm
+  check ci "warm cost exactly as modelled" (8 + 64 + 100) warm
 
 let test_exec_data_ranges () =
   let z, _ = board_with_kernel_map () in
@@ -99,7 +99,7 @@ let test_exec_data_ranges () =
       ~reads:[ { Exec.base = data; len = 128 } ]
       ~writes:[ { Exec.base = data + 4096; len = 64 } ]
   in
-  ignore (Exec.run z ~priv:true fp);
+  Exec.run_pinned z ~priv:true (Exec.pin1 fp);
   (* The write range must now be dirty in the D-cache. *)
   check cb "writes dirtied the cache" true
     (Hierarchy.dirty_in_range z.Zynq.hier (data + 4096) 64);
@@ -115,18 +115,26 @@ let test_exec_faults_on_unmapped () =
       writes = [];
       base_cycles = 0 }
   in
-  match Exec.run z ~priv:true fp with
+  match Exec.run_pinned z ~priv:true (Exec.pin1 fp) with
   | exception Mmu.Fault (Mmu.Translation_fault _) -> ()
   | _ -> Alcotest.fail "expected translation fault"
 
 let test_exec_touch_line_granularity () =
   let z, _ = board_with_kernel_map () in
   let data = Address_map.kernel_data_base + 0x71000 in
+  (* A footprint of one read range and no code. *)
+  let load len =
+    Exec.run_pinned z ~priv:true
+      (Exec.pin1
+         { Exec.label = "load"; code = { Exec.base = data; len = 0 };
+           reads = [ { Exec.base = data; len } ]; writes = [];
+           base_cycles = 0 })
+  in
   (* Warm the TLB so no page-walk loads pollute the count. *)
-  Exec.touch z ~priv:true Hierarchy.Load { Exec.base = data; len = 32 };
+  load 32;
   let l1d = Hierarchy.l1d z.Zynq.hier in
   let before = Cache.hits l1d + Cache.misses l1d in
-  Exec.touch z ~priv:true Hierarchy.Load { Exec.base = data; len = 128 };
+  load 128;
   check ci "one access per 32 B line" 4
     (Cache.hits l1d + Cache.misses l1d - before)
 

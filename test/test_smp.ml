@@ -329,6 +329,19 @@ let test_kill_race_under_asid_pressure () =
     (s.Smp.s_ipis_delivered + s.Smp.s_ipis_dropped);
   check cb "outboxes drained" true (Smp.outboxes_empty smp)
 
+(* The GIC addresses at most [Smp.max_pcpus] CPU interfaces: a larger
+   count is refused before any board is made. *)
+let test_pcpus_bounded () =
+  List.iter
+    (fun pcpus ->
+       match
+         Smp.create ~pcpus ~mk_zynq:(fun _ -> Alcotest.fail "booted a board") ()
+       with
+       | exception Invalid_argument _ -> ()
+       | _ -> Alcotest.failf "Smp.create accepted %d pCPUs" pcpus)
+    [ 0; Smp.max_pcpus + 1; max_int ];
+  check ci "the bound" 8 Smp.max_pcpus
+
 let suite =
   ( "smp",
     let t = Alcotest.test_case in
@@ -345,4 +358,5 @@ let suite =
         test_pool_shared_between_slices;
       t "balance skips a full pCPU" `Quick test_balance_skips_full_pcpu;
       t "migration churn returns every slot" `Quick
-        test_migration_churn_returns_slots ] )
+        test_migration_churn_returns_slots;
+      t "pcpus bounded by the GIC" `Quick test_pcpus_bounded ] )
