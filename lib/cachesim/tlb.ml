@@ -76,18 +76,21 @@ let matching t ~asid ~vpage =
   done;
   !found
 
-let lookup t ~asid ~vpage =
+let probe t ~asid ~vpage =
   t.tick <- t.tick + 1;
   let s = matching t ~asid ~vpage in
   if s != null_slot then begin
     t.hits <- t.hits + 1;
-    s.age <- t.tick;
-    Some s.entry
+    s.age <- t.tick
   end
-  else begin
-    t.misses <- t.misses + 1;
-    None
-  end
+  else t.misses <- t.misses + 1;
+  s
+
+let lookup t ~asid ~vpage =
+  let s = probe t ~asid ~vpage in
+  if s != null_slot then Some s.entry else None
+
+let entry s = s.entry
 
 let peek t ~asid ~vpage = matching t ~asid ~vpage
 

@@ -30,6 +30,14 @@ type slot
     Stays valid (same mapping, same slot) while {!epoch} is unchanged:
     only inserts and flushes move or drop entries. *)
 
+val probe : t -> asid:int -> vpage:int -> slot
+(** {!lookup} without the option: the same state transition (tick,
+    hit/miss accounting, LRU refresh on a hit), returning the hitting
+    slot, or {!null_slot} itself on a miss. Allocates nothing. *)
+
+val entry : slot -> entry
+(** The translation a slot holds. *)
+
 val peek : t -> asid:int -> vpage:int -> slot
 (** Like {!lookup} but completely effect-free: no tick, no hit/miss
     accounting, no LRU refresh, no allocation. Returns the slot holding

@@ -95,6 +95,7 @@ type t = {
   (* [exec_pins.(n)]: the allocation bookkeeping footprint for a scan
      of [n] PRR rows, pinned once. *)
   exec_pins : Fastpath.pinned array;
+  some_prr : int option array;  (* [some_prr.(i) = Some i], boxed once *)
   tasks : task_entry Int_table.t;
   rows : prr_row array;
   policy : policy;
@@ -139,6 +140,7 @@ let create ?(partition = Dynamic) ?(env = shared_space) zynq =
     exec_pins =
       Array.init (n + 1) (fun prrs_scanned ->
           Exec.pin1 (exec_fp ~prrs_scanned));
+    some_prr = Array.init n Option.some;
     tasks = Int_table.create 16;
     rows = Array.init n (fun prr_id ->
         { prr_id; row_client = none; row_task = none; row_data_base = 0;
@@ -370,12 +372,19 @@ let rec count_eligible t ~client_id = function
     (if eligible t t.rows.(prr_id) ~client_id then 1 else 0)
     + count_eligible t ~client_id rest
 
+(* The outcomes that name no PRR are immutable and shared. *)
+let no_prr status = { status; prr = None; irq = None }
+let bad_task = no_prr Hyper.Hw_bad_task
+let denied = no_prr Hyper.Hw_denied
+let busy = no_prr Hyper.Hw_busy
+let fault = no_prr Hyper.Hw_fault
+
 let request t ~client_id ~data_base ~data_len ~iface_vaddr ~task ~want_irq =
   t.requests <- t.requests + 1;
   match Int_table.find_opt t.tasks task with
   | None ->
     charge_exec t ~prrs_scanned:0;
-    { status = Hyper.Hw_bad_task; prr = None; irq = None }
+    bad_task
   | Some entry ->
     (* Static partitioning narrows the scan to the requester's own
        pinned rows before any selection happens: a foreign-PRR request
@@ -387,16 +396,16 @@ let request t ~client_id ~data_base ~data_len ~iface_vaddr ~task ~want_irq =
     let held = find_row t ~client_id ~task in
     if held <> none then begin
       let prr = Prr_controller.prr t.zynq.Zynq.prrc held in
-      { status = Hyper.Hw_success; prr = Some held; irq = prr.Prr.irq_index }
+      { status = Hyper.Hw_success; prr = t.some_prr.(held);
+        irq = prr.Prr.irq_index }
     end
-    else if t.partition = Static && scanned = 0 then
-      { status = Hyper.Hw_denied; prr = None; irq = None }
+    else if t.partition = Static && scanned = 0 then denied
     else begin
       let chosen =
         select_prr t ~client_id task ~among:entry.prr_list ~best:none
           ~best_rank:max_int
       in
-      if chosen = none then { status = Hyper.Hw_busy; prr = None; irq = None }
+      if chosen = none then busy
       else begin
         let row = t.rows.(chosen) in
         let prr = Prr_controller.prr t.zynq.Zynq.prrc chosen in
@@ -407,7 +416,7 @@ let request t ~client_id ~data_base ~data_len ~iface_vaddr ~task ~want_irq =
         in
         if needs_reconfig && Pcap.busy t.zynq.Zynq.pcap then
           (* The single download channel is occupied; retry later. *)
-          { status = Hyper.Hw_busy; prr = None; irq = None }
+          busy
         else begin
           (* Stage: reclaim from the previous client if any (the same
              client's other task included). *)
@@ -417,7 +426,7 @@ let request t ~client_id ~data_base ~data_len ~iface_vaddr ~task ~want_irq =
              (recoverably — never the whole kernel). The row is still
              unclaimed at this point, so nothing needs rolling back. *)
           match t.env.map_iface ~client_id ~task ~vaddr:iface_vaddr prr with
-          | Error _ -> { status = Hyper.Hw_fault; prr = None; irq = None }
+          | Error _ -> fault
           | Ok () ->
             (* Stage 4: program the hwMMU with the data-section window. *)
             Hw_mmu.load_window prr.Prr.hw_mmu ~base:data_base ~size:data_len;
@@ -454,7 +463,7 @@ let request t ~client_id ~data_base ~data_len ~iface_vaddr ~task ~want_irq =
               | `Started _ ->
                 t.reconfigs <- t.reconfigs + 1;
                 t.pcap_client <- Some client_id;
-                { status = Hyper.Hw_reconfig; prr = Some chosen; irq }
+                { status = Hyper.Hw_reconfig; prr = t.some_prr.(chosen); irq }
               | `Busy ->
                 (* Raced: another launch slipped in (e.g. from a handler
                    run inside map_iface). Roll the whole allocation back
@@ -468,9 +477,9 @@ let request t ~client_id ~data_base ~data_len ~iface_vaddr ~task ~want_irq =
                  | None -> ());
                 Hw_mmu.clear_window prr.Prr.hw_mmu;
                 t.env.unmap_iface ~client_id ~task ~vaddr:iface_vaddr prr;
-                { status = Hyper.Hw_busy; prr = None; irq = None }
+                busy
             end
-            else { status = Hyper.Hw_success; prr = Some chosen; irq }
+            else { status = Hyper.Hw_success; prr = t.some_prr.(chosen); irq }
         end
       end
     end

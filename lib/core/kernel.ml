@@ -328,11 +328,11 @@ let manager_env kmem pd_tbl =
            (* Re-requesting a held task at a new vaddr moves its
               window: drop the old page or it would leak, mapped but
               unaccounted. *)
-           (match Pd.find_iface pd task with
-            | Some (_, old_va) when old_va <> vaddr ->
-              Kmem.unmap_iface kmem pd ~vaddr:old_va;
-              Pd.remove_iface pd task
-            | _ -> ());
+           let old_va = Pd.iface_vaddr pd task in
+           if old_va <> Pd.no_iface && old_va <> vaddr then begin
+             Kmem.unmap_iface kmem pd ~vaddr:old_va;
+             Pd.remove_iface pd task
+           end;
            match
              Kmem.map_iface kmem pd ~prr_regs_base:prr.Prr.regs_base ~vaddr
            with
@@ -343,7 +343,7 @@ let manager_env kmem pd_tbl =
     unmap_iface =
       (fun ~client_id ~task ~vaddr _prr ->
          match Int_table.find_opt pd_tbl client_id with
-         | Some pd when Pd.find_iface pd task <> None ->
+         | Some pd when Pd.holds_iface pd task ->
            Kmem.unmap_iface kmem pd ~vaddr;
            Pd.remove_iface pd task
          | Some _ | None -> ());
@@ -905,7 +905,7 @@ let u32_sub a b = (a - b) land 0xFFFFFFFF
 (* An interface page backs exactly one held task: aliasing two tasks
    on one vaddr would leave the survivor's mapping dangling when either
    is released or reclaimed. *)
-let rec iface_taken ~task ~vaddr = function
+let rec iface_taken ~(task : Bitstream.id) ~(vaddr : Addr.t) = function
   | [] -> false
   | (t', _, va) :: rest ->
     (va = vaddr && t' <> task) || iface_taken ~task ~vaddr rest
@@ -927,14 +927,23 @@ let exec_job t (pd : Pd.t) ~task ~iface_vaddr ~data_vaddr ~data_len
       let data_phys = Kmem.guest_translate t.kmem pd data_vaddr in
       if data_phys < 0 then Hyper.R_error "data section not mapped"
       else begin
-        pd.Pd.data_section <- Some (data_vaddr, data_len, data_phys);
+        (* A guest re-requesting with the same window keeps its boxed
+           data section: no allocation on the steady-state path. *)
+        (match pd.Pd.data_section with
+         | Some (va, len, pa)
+           when va = data_vaddr && len = data_len && pa = data_phys -> ()
+         | Some _ | None ->
+           pd.Pd.data_section <- Some (data_vaddr, data_len, data_phys));
         let r =
           Hw_task_manager.request t.hwtm ~client_id:pd.Pd.id
             ~data_base:data_phys ~data_len ~iface_vaddr ~task ~want_irq
         in
         Hyper.R_hw
           { status = r.Hw_task_manager.status;
-            irq = Option.map Irq_id.pl r.Hw_task_manager.irq;
+            irq =
+              (match r.Hw_task_manager.irq with
+               | Some i -> Some (Irq_id.pl i)
+               | None -> None);
             prr = r.Hw_task_manager.prr }
       end
   in

@@ -37,20 +37,35 @@ let make ~id ~name ~kind ~priority ~asid ~pt ~phys_base ~quantum ?slot () =
 
 let is_guest t = t.kind = Guest
 
-let find_iface t task =
-  List.find_map
-    (fun (tid, prr, vaddr) -> if tid = task then Some (prr, vaddr) else None)
-    t.iface_mappings
+let no_iface = -1
+
+(* The interface queries are plain recursions over the list, so the
+   hypercall path that asks them allocates nothing. *)
+let rec vaddr_in (task : Bitstream.id) = function
+  | [] -> no_iface
+  | (tid, _, vaddr) :: rest ->
+    if tid = task then vaddr else vaddr_in task rest
+
+let iface_vaddr t task = vaddr_in task t.iface_mappings
+let holds_iface t task = iface_vaddr t task <> no_iface
+
+(* The list minus [task]'s entry; there is at most one. *)
+let rec without (task : Bitstream.id) = function
+  | [] -> []
+  | ((tid, _, _) as e) :: rest ->
+    if tid = task then rest else e :: without task rest
 
 let add_iface t task ~prr ~vaddr =
   (* One entry per task: a re-request replaces, never duplicates. *)
-  t.iface_mappings <-
-    (task, prr, vaddr)
-    :: List.filter (fun (tid, _, _) -> tid <> task) t.iface_mappings
+  let rest =
+    if holds_iface t task then without task t.iface_mappings
+    else t.iface_mappings
+  in
+  t.iface_mappings <- (task, prr, vaddr) :: rest
 
 let remove_iface t task =
-  t.iface_mappings <-
-    List.filter (fun (tid, _, _) -> tid <> task) t.iface_mappings
+  if holds_iface t task then
+    t.iface_mappings <- without task t.iface_mappings
 
 let pp ppf t =
   Format.fprintf ppf "PD%d(%s prio=%d asid=%d)" t.id t.name t.priority t.asid

@@ -49,8 +49,13 @@ val make :
 
 val is_guest : t -> bool
 
-val find_iface : t -> Bitstream.id -> (int * Addr.t) option
-(** PRR id and interface vaddr of a held task. *)
+val no_iface : Addr.t
+(** [-1]: {!iface_vaddr} of a task the PD does not hold. *)
+
+val iface_vaddr : t -> Bitstream.id -> Addr.t
+(** Interface vaddr of a held task, or {!no_iface}. *)
+
+val holds_iface : t -> Bitstream.id -> bool
 
 val add_iface : t -> Bitstream.id -> prr:int -> vaddr:Addr.t -> unit
 val remove_iface : t -> Bitstream.id -> unit

@@ -223,6 +223,12 @@ let kill_vm t id ~reason =
 let alive_guests t =
   Array.fold_left (fun acc n -> acc + Kernel.alive_guests n.kern) 0 t.nodes
 
+(* Nodes with at least one live guest. *)
+let busy_nodes t =
+  Array.fold_left
+    (fun acc n -> if Kernel.alive_guests n.kern > 0 then acc + 1 else acc)
+    0 t.nodes
+
 let crashes t =
   Array.fold_left (fun acc n -> acc + Kernel.crashes n.kern) 0 t.nodes
 
@@ -389,6 +395,16 @@ let min_clock t =
     (fun acc n -> min acc (Clock.now n.z.Zynq.clock))
     max_int t.nodes
 
+(* The budget of an epoch with at most one busy node: boxed once. *)
+let inline = Some 1
+
+(* An epoch's budget is a property of the simulated state alone. With
+   at most one node running guests, the idle nodes only step their
+   clocks and event queues forward, and handing them to a worker
+   would cost a pool round trip and a spinning barrier for nothing:
+   the epoch runs on the calling domain. Otherwise the nodes go to
+   the pool. The nodes are shared-nothing during the phase, so the
+   budget never affects results; it only bounds host parallelism. *)
 let run t ~until =
   if t.pcpus = 1 then begin
     Kernel.run t.nodes.(0).kern ~until;
@@ -398,13 +414,12 @@ let run t ~until =
     let stop = ref false in
     while not !stop do
       let mc = min_clock t in
-      if mc >= until || alive_guests t = 0 then stop := true
+      let busy = busy_nodes t in
+      if mc >= until || busy = 0 then stop := true
       else begin
         let epoch_end = min until (((mc / t.epoch) + 1) * t.epoch) in
-        (* The nodes are shared-nothing during the phase, so the
-           worker count never affects results; it only bounds host
-           parallelism. *)
-        Parallel_sweep.iter ?domains:t.workers
+        Parallel_sweep.iter
+          ?domains:(if busy = 1 then inline else t.workers)
           (fun n ->
              if Clock.now n.z.Zynq.clock < epoch_end then
                Kernel.run_epoch n.kern ~until:epoch_end)

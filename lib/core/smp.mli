@@ -31,8 +31,10 @@ val create :
     through {!Parallel_sweep.iter}: [workers] caps how many domains
     (the caller plus persistent pool workers) an epoch uses (default:
     {!Parallel_sweep.default_domains}, read once here). A budget of 1,
-    or an epoch run while the pool is busy (an [Smp.run] inside a sweep
-    job), runs the nodes inline. It never affects simulation results.
+    an epoch run while the pool is busy (an [Smp.run] inside a sweep
+    job), or an epoch that starts with live guests on at most one node
+    runs the nodes inline on the calling domain. None of this ever
+    affects simulation results.
     @raise Invalid_argument unless [1 <= pcpus <= max_pcpus]. *)
 
 val pcpus : t -> int
@@ -69,7 +71,10 @@ val destroy_hw_task : t -> Bitstream.id -> (unit, string) result
 
 val run : t -> until:Cycles.t -> unit
 (** Simulate until every node's clock reaches [until] or all guests
-    are dead. Cross-CPU delivery happens at epoch barriers only. *)
+    are dead. Cross-CPU delivery happens at epoch barriers only. An
+    epoch goes to the host pool only when two or more nodes start it
+    with live guests; otherwise the idle nodes have nothing to run in
+    parallel with, and the whole epoch runs on the calling domain. *)
 
 val run_for : t -> Cycles.t -> unit
 

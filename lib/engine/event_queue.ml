@@ -34,12 +34,14 @@ module Heap = struct
     in
     up (h.len - 1)
 
-  let peek h = if h.len = 0 then None else Some h.arr.(0)
+  (* The top entry, or [dummy] (never pushed) when the heap is empty:
+     no option to allocate on every poll. *)
+  let top h = if h.len = 0 then dummy else h.arr.(0)
 
   let pop h =
-    match peek h with
-    | None -> None
-    | Some top ->
+    if h.len = 0 then None
+    else begin
+      let top = h.arr.(0) in
       h.len <- h.len - 1;
       h.arr.(0) <- h.arr.(h.len);
       h.arr.(h.len) <- dummy;
@@ -56,6 +58,7 @@ module Heap = struct
       in
       down 0;
       Some top
+    end
 end
 
 type t = {
@@ -115,44 +118,42 @@ let rec pop_live q =
       Some e
     end
 
-let rec peek_live q =
-  match Heap.peek q.heap with
-  | None -> None
-  | Some e ->
-    if is_cancelled q e.seq then begin
-      ignore (Heap.pop q.heap);
-      Int_table.remove q.cancelled e.seq;
-      peek_live q
-    end
-    else Some e
+(* The earliest live event, or [Heap.dummy] when none is left;
+   tombstones surfacing at the top are dropped on the way. Run on
+   every [route_irqs], so it and the loops below allocate nothing. *)
+let rec top_live q =
+  let e = Heap.top q.heap in
+  if e != Heap.dummy && is_cancelled q e.seq then begin
+    ignore (Heap.pop q.heap);
+    Int_table.remove q.cancelled e.seq;
+    top_live q
+  end
+  else e
 
-let next_deadline q = Option.map (fun e -> e.time) (peek_live q)
+let next_deadline q =
+  let e = top_live q in
+  if e == Heap.dummy then None else Some e.time
 
 let run_due q =
   let fired = ref 0 in
-  let rec loop () =
-    match peek_live q with
-    | Some e when e.time <= Clock.now q.clock ->
-      ignore (pop_live q);
-      incr fired;
-      e.action ();
-      loop ()
-    | Some _ | None -> ()
-  in
-  loop ();
+  let next = ref (top_live q) in
+  while !next != Heap.dummy && !next.time <= Clock.now q.clock do
+    let e = !next in
+    ignore (pop_live q);
+    incr fired;
+    e.action ();
+    next := top_live q
+  done;
   !fired
 
 let advance_until q t =
   let fired = ref 0 in
-  let rec loop () =
-    match peek_live q with
-    | Some e when e.time <= t ->
-      Clock.advance_to q.clock e.time;
-      fired := !fired + run_due q;
-      loop ()
-    | Some _ | None -> ()
-  in
-  loop ();
+  let next = ref (top_live q) in
+  while !next != Heap.dummy && !next.time <= t do
+    Clock.advance_to q.clock !next.time;
+    fired := !fired + run_due q;
+    next := top_live q
+  done;
   Clock.advance_to q.clock t;
   !fired
 

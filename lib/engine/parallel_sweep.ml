@@ -7,7 +7,9 @@
    atomic index hands them out and the calling domain takes part.
    Errors land in per-job slots and the lowest-index one is re-raised
    with its original backtrace once every job has finished, so the
-   outcome never depends on how the domains interleave.
+   outcome never depends on how the domains interleave. A call that
+   runs inline (a budget of 1, or a busy pool) keeps the same
+   contract: it runs every item before re-raising.
 
    The helpers are one per-process pool of persistent worker domains.
    An Smp run hands out one epoch per simulated millisecond, thousands
@@ -102,13 +104,35 @@ let grow helpers =
     pool.size <- pool.size + 1
   done
 
+(* Jobs posted to the pool since the process started. Only the call
+   that owns the pool bumps it. *)
+let posted = Atomic.make 0
+
+let handouts () = Atomic.get posted
+
+(* The inline path keeps the parallel path's contract: every item runs,
+   then the lowest-index failure is re-raised with its backtrace. *)
+let iter_inline f items =
+  let first = ref None in
+  for i = 0 to Array.length items - 1 do
+    match f (Array.unsafe_get items i) with
+    | () -> ()
+    | exception e ->
+      (match !first with
+       | None -> first := Some (e, Printexc.get_raw_backtrace ())
+       | Some _ -> ())
+  done;
+  match !first with
+  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+  | None -> ()
+
 let iter ?domains f items =
   let n = Array.length items in
   let wanted =
     match domains with Some d -> min n d | None -> min n (default_domains ())
   in
   if wanted <= 1 || not (Atomic.compare_and_set pool.busy false true) then
-    Array.iter f items
+    iter_inline f items
   else begin
     let next = Atomic.make 0 and left = Atomic.make n in
     let errors = Array.make n None in
@@ -125,6 +149,7 @@ let iter ?domains f items =
      with e -> Atomic.set pool.busy false; raise e);
     let gen = (Atomic.get pool.current).gen + 1 in
     Atomic.set pool.current { gen; seats = Atomic.make (wanted - 1); work };
+    Atomic.incr posted;
     wake pool.posted;
     work ();
     wait_until pool.finished (fun () -> Atomic.get left = 0);

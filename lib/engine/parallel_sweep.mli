@@ -32,15 +32,21 @@ val iter : ?domains:int -> ('a -> unit) -> 'a array -> unit
 (** [iter f items] applies [f] to every item, using up to [domains]
     domains (capped by the number of items; the calling domain
     participates, the rest are pool workers). With an effective budget
-    of 1, or while the pool is busy, this is exactly
-    [Array.iter f items] on the calling domain. If any job raises, the
-    exception of the lowest-indexed failing job is re-raised with its
-    backtrace after every job has finished. *)
+    of 1, or while the pool is busy, the items run in index order on
+    the calling domain and no job is posted to the pool. Either way,
+    if any job raises, the exception of the lowest-indexed failing job
+    is re-raised with its backtrace after every job has finished. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** {!iter} collecting results in input order; with an effective
-    budget of 1 this is exactly [List.map f items]. *)
+    budget of 1 the items run in list order on the calling domain.
+    A raising job fails the whole call as in {!iter}. *)
 
 val run : ?domains:int -> (unit -> 'a) list -> 'a list
 (** [run thunks] = [map (fun f -> f ()) thunks] — for heterogeneous
     sweeps expressed as closures. *)
+
+val handouts : unit -> int
+(** Jobs posted to the pool since the process started: one per call
+    that did not run inline. An observation for tests and profiles;
+    nothing reads it to decide anything. *)

@@ -299,30 +299,32 @@ let pin fps =
 let pin1 t = pin [| t |]
 
 (* MRU scan over the handle's context slots; a hit at depth > 0 is
-   rotated to the front so the steady-state mix stays O(1). *)
+   rotated to the front so the steady-state mix stays O(1). A plain
+   while loop, as [Cache.find] is: a local recursive scan would close
+   over the context and allocate on every replay. *)
 let find_pin_prog (p : Fastpath.pinned) ~asid ~ttbr ~dacr ~priv =
   let es = p.Fastpath.pin_entries in
   let n = Array.length es in
-  let rec scan i =
-    if i >= n then None
-    else begin
-      let e = Array.unsafe_get es i in
-      if
-        e.Fastpath.e_asid = asid && e.e_ttbr = ttbr && e.e_dacr = dacr
-        && e.e_priv = priv
-      then begin
-        if i > 0 then begin
-          for j = i downto 1 do
-            Array.unsafe_set es j (Array.unsafe_get es (j - 1))
-          done;
-          Array.unsafe_set es 0 e
-        end;
-        e.Fastpath.e_prog
-      end
-      else scan (i + 1)
-    end
-  in
-  scan 0
+  let i = ref 0 in
+  while
+    !i < n
+    &&
+    let e = Array.unsafe_get es !i in
+    not
+      (e.Fastpath.e_asid = asid && e.e_ttbr = ttbr && e.e_dacr = dacr
+       && e.e_priv = priv)
+  do
+    incr i
+  done;
+  if !i >= n then None
+  else begin
+    let e = Array.unsafe_get es !i in
+    for j = !i downto 1 do
+      Array.unsafe_set es j (Array.unsafe_get es (j - 1))
+    done;
+    Array.unsafe_set es 0 e;
+    e.Fastpath.e_prog
+  end
 
 (* Install into the LRU slot and rotate it to the front. *)
 let install_pin_prog (p : Fastpath.pinned) ~asid ~ttbr ~dacr ~priv prog =

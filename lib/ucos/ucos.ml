@@ -57,7 +57,7 @@ type task = {
 
 type t = {
   pt : Port.t;
-  charges : (string, Fastpath.pinned) Hashtbl.t;  (* svc -> pinned trace *)
+  charges : Fastpath.pinned array;  (* by [svc_index] *)
   by_prio : task option array;      (* index = priority *)
   rdy_tbl : int array;              (* 8 groups of 8 bits *)
   mutable rdy_grp : int;
@@ -84,38 +84,52 @@ let unmap_tbl =
 
 (* Service cost model: each OS service is a small code block inside the
    guest-kernel image plus a touch of the TCB table. *)
-let svc_table =
-  [ ("boot", (0x0000, 768, 300));
-    ("sched", (0x0400, 224, 25));
-    ("tick", (0x0600, 320, 40));
-    ("delay", (0x0800, 160, 15));
-    ("sem", (0x0A00, 224, 20));
-    ("mutex", (0x0C00, 224, 20));
-    ("mbox", (0x0E00, 192, 20));
-    ("queue", (0x1000, 256, 25));
-    ("irq", (0x1200, 224, 20));
-    ("create", (0x1400, 288, 40));
-    ("print", (0x1600, 128, 10));
-    ("flag", (0x1800, 256, 20));
-    ("mem", (0x1A00, 192, 15)) ]
+type svc =
+  | Boot | Sched | Tick | Delay | Sem | Mutex | Mbox | Queue | Irq | Create
+  | Print | Flag | Mem
+
+(* Label, code offset, code bytes, base cycles. *)
+let svc_spec = function
+  | Boot -> ("boot", 0x0000, 768, 300)
+  | Sched -> ("sched", 0x0400, 224, 25)
+  | Tick -> ("tick", 0x0600, 320, 40)
+  | Delay -> ("delay", 0x0800, 160, 15)
+  | Sem -> ("sem", 0x0A00, 224, 20)
+  | Mutex -> ("mutex", 0x0C00, 224, 20)
+  | Mbox -> ("mbox", 0x0E00, 192, 20)
+  | Queue -> ("queue", 0x1000, 256, 25)
+  | Irq -> ("irq", 0x1200, 224, 20)
+  | Create -> ("create", 0x1400, 288, 40)
+  | Print -> ("print", 0x1600, 128, 10)
+  | Flag -> ("flag", 0x1800, 256, 20)
+  | Mem -> ("mem", 0x1A00, 192, 15)
+
+let svc_index = function
+  | Boot -> 0 | Sched -> 1 | Tick -> 2 | Delay -> 3 | Sem -> 4 | Mutex -> 5
+  | Mbox -> 6 | Queue -> 7 | Irq -> 8 | Create -> 9 | Print -> 10
+  | Flag -> 11 | Mem -> 12
+
+(* Every service, in [svc_index] order. *)
+let services =
+  [| Boot; Sched; Tick; Delay; Sem; Mutex; Mbox; Queue; Irq; Create; Print;
+     Flag; Mem |]
+
+let () = Array.iteri (fun i svc -> assert (svc_index svc = i)) services
 
 (* Each service's footprint is fixed for the OS instance's lifetime:
    intern them all as pinned traces at creation, so a charge is one
-   small-table lookup plus an epoch-validated replay. *)
+   array read plus an epoch-validated replay. *)
 let make_charges () =
-  let h = Hashtbl.create 16 in
-  List.iter
-    (fun (svc, (off, len, base)) ->
-       let fp =
-         { Exec.label = "ucos_" ^ svc;
-           code = { Exec.base = Ucos_layout.os_code_base + off; len };
-           reads = [ { Exec.base = Ucos_layout.tcb_base; len = 256 } ];
-           writes = [ { Exec.base = Ucos_layout.tcb_base + 256; len = 64 } ];
-           base_cycles = base }
-       in
-       Hashtbl.replace h svc (Exec.pin1 fp))
-    svc_table;
-  h
+  let pin svc =
+    let label, off, len, base = svc_spec svc in
+    Exec.pin1
+      { Exec.label = "ucos_" ^ label;
+        code = { Exec.base = Ucos_layout.os_code_base + off; len };
+        reads = [ { Exec.base = Ucos_layout.tcb_base; len = 256 } ];
+        writes = [ { Exec.base = Ucos_layout.tcb_base + 256; len = 64 } ];
+        base_cycles = base }
+  in
+  Array.map pin services
 
 let create pt =
   { pt;
@@ -151,16 +165,15 @@ let highest_ready t =
   end
 
 let charge t svc =
-  match Hashtbl.find_opt t.charges svc with
-  | Some p -> Exec.run_pinned t.pt.Port.zynq ~priv:t.pt.Port.priv p
-  | None -> invalid_arg ("Ucos.charge: unknown service " ^ svc)
+  Exec.run_pinned t.pt.Port.zynq ~priv:t.pt.Port.priv
+    (Array.unsafe_get t.charges (svc_index svc))
 
 let spawn t ~name ~prio body =
   if prio < 0 || prio >= max_tasks then
     invalid_arg "Ucos.spawn: priority out of range";
   if t.by_prio.(prio) <> None then
     invalid_arg "Ucos.spawn: priority already in use";
-  charge t "create";
+  charge t Create;
   let task =
     { tid = prio; tname = name; prio;
       body = Some body;
@@ -208,7 +221,7 @@ let detach_from_wait task =
   task.waiting <- None
 
 let tick t =
-  charge t "tick";
+  charge t Tick;
   t.tick_count <- t.tick_count + 1;
   Array.iter
     (function
@@ -227,7 +240,7 @@ let tick t =
 let handle_virqs t irqs =
   List.iter
     (fun irq ->
-       charge t "irq";
+       charge t Irq;
        if irq = t.pt.Port.timer_irq then begin
          (* Recover coalesced periods so guest time tracks wall time. *)
          let n = t.pt.Port.ticks_elapsed () in
@@ -268,7 +281,7 @@ let maybe_preempt t =
   | _ -> ()
 
 let yield t =
-  charge t "sched";
+  charge t Sched;
   Effect.perform Task_yield
 
 let compute_pinned t p =
@@ -276,7 +289,7 @@ let compute_pinned t p =
   Effect.perform Task_yield
 
 let delay t n =
-  charge t "delay";
+  charge t Delay;
   if n > 0 then begin
     let task = current t in
     task.delay_ticks <- n;
@@ -287,11 +300,11 @@ let delay t n =
   else Effect.perform Task_yield
 
 let time_get t =
-  charge t "delay";
+  charge t Delay;
   t.tick_count
 
 let print t s =
-  charge t "print";
+  charge t Print;
   t.pt.Port.uart s
 
 (* Highest-priority (numerically lowest) waiter. *)
@@ -303,12 +316,12 @@ let pop_best_waiter waiters =
     Some (best, remove_waiter l best)
 
 let sem_create t n =
-  charge t "create";
+  charge t Create;
   if n < 0 then invalid_arg "Ucos.sem_create: negative count";
   { s_count = n; s_waiters = [] }
 
 let sem_pend t s ?timeout () =
-  charge t "sem";
+  charge t Sem;
   if s.s_count > 0 then begin
     s.s_count <- s.s_count - 1;
     `Ok
@@ -320,7 +333,7 @@ let sem_pend t s ?timeout () =
   end
 
 let sem_post t s =
-  charge t "sem";
+  charge t Sem;
   (match pop_best_waiter s.s_waiters with
    | Some (tid, rest) ->
      s.s_waiters <- rest;
@@ -331,11 +344,11 @@ let sem_post t s =
   maybe_preempt t
 
 let mutex_create t =
-  charge t "create";
+  charge t Create;
   { m_owner = None; m_waiters = [] }
 
 let rec mutex_lock t m =
-  charge t "mutex";
+  charge t Mutex;
   let task = current t in
   match m.m_owner with
   | None -> m.m_owner <- Some task.tid
@@ -349,7 +362,7 @@ let rec mutex_lock t m =
     if m.m_owner <> Some task.tid then mutex_lock t m
 
 let mutex_unlock t m =
-  charge t "mutex";
+  charge t Mutex;
   let task = current t in
   if m.m_owner <> Some task.tid then
     invalid_arg "Ucos.mutex_unlock: caller does not hold the mutex";
@@ -364,11 +377,11 @@ let mutex_unlock t m =
   maybe_preempt t
 
 let mbox_create t =
-  charge t "create";
+  charge t Create;
   { b_slot = None; b_waiters = [] }
 
 let mbox_post t b v =
-  charge t "mbox";
+  charge t Mbox;
   match pop_best_waiter b.b_waiters with
   | Some (tid, rest) ->
     b.b_waiters <- rest;
@@ -387,7 +400,7 @@ let mbox_post t b v =
     end
 
 let mbox_pend t b ?timeout () =
-  charge t "mbox";
+  charge t Mbox;
   match b.b_slot with
   | Some v ->
     b.b_slot <- None;
@@ -403,12 +416,12 @@ let mbox_pend t b ?timeout () =
     end
 
 let q_create t cap =
-  charge t "create";
+  charge t Create;
   if cap <= 0 then invalid_arg "Ucos.q_create: capacity must be positive";
   { q_cap = cap; q_ring = Queue.create (); q_waiters = [] }
 
 let q_post t q v =
-  charge t "queue";
+  charge t Queue;
   match pop_best_waiter q.q_waiters with
   | Some (tid, rest) ->
     q.q_waiters <- rest;
@@ -427,7 +440,7 @@ let q_post t q v =
     end
 
 let q_pend t q ?timeout () =
-  charge t "queue";
+  charge t Queue;
   match Queue.take_opt q.q_ring with
   | Some v -> Some v
   | None ->
@@ -447,7 +460,7 @@ let flag_satisfied value w =
   else value land w.fw_mask <> 0
 
 let flag_create t initial =
-  charge t "create";
+  charge t Create;
   { f_value = initial; f_waiters = [] }
 
 (* Wake every waiter whose condition now holds, honouring consumption
@@ -468,17 +481,17 @@ let flag_wake t g =
     by_prio
 
 let flag_post t g ~set =
-  charge t "flag";
+  charge t Flag;
   g.f_value <- g.f_value lor set;
   flag_wake t g;
   maybe_preempt t
 
 let flags t g =
-  charge t "flag";
+  charge t Flag;
   g.f_value
 
 let flag_pend t g ~mask ?(wait_all = true) ?(consume = false) ?timeout () =
-  charge t "flag";
+  charge t Flag;
   let task = current t in
   let w = { fw_tid = task.tid; fw_mask = mask; fw_all = wait_all;
             fw_consume = consume } in
@@ -507,7 +520,7 @@ type mem_partition = {
 }
 
 let mem_create t ~base ~blocks ~block_size =
-  charge t "create";
+  charge t Create;
   if blocks <= 0 || block_size <= 0 then
     invalid_arg "Ucos.mem_create: bad geometry";
   if not (Addr.is_aligned base 16) || block_size land 15 <> 0 then
@@ -518,7 +531,7 @@ let mem_create t ~base ~blocks ~block_size =
     mp_free = List.init blocks (fun i -> base + (i * block_size)) }
 
 let mem_get t p =
-  charge t "mem";
+  charge t Mem;
   match p.mp_free with
   | [] -> None
   | b :: rest ->
@@ -526,7 +539,7 @@ let mem_get t p =
     Some b
 
 let mem_put t p a =
-  charge t "mem";
+  charge t Mem;
   let off = a - p.mp_base in
   if off < 0 || off >= p.mp_blocks * p.mp_block_size
      || off mod p.mp_block_size <> 0
@@ -535,7 +548,7 @@ let mem_put t p a =
   p.mp_free <- a :: p.mp_free
 
 let mem_free_blocks t p =
-  charge t "mem";
+  charge t Mem;
   List.length p.mp_free
 
 (* Task fiber driver. *)
@@ -597,7 +610,7 @@ let all_finished t =
     t.by_prio
 
 let run t =
-  charge t "boot";
+  charge t Boot;
   t.pt.Port.start_tick tick_interval;
   (match t.pt.Port.doorbell_irq with
    | Some irq -> t.pt.Port.enable_irq irq
@@ -608,7 +621,7 @@ let run t =
       handle_virqs t (t.pt.Port.pause ());
       (match highest_ready t with
        | Some prio ->
-         charge t "sched";
+         charge t Sched;
          (match t.by_prio.(prio) with
           | Some task -> step t task
           | None -> clear_ready t prio)

@@ -103,6 +103,26 @@ let test_next_deadline () =
   Event_queue.cancel q id;
   check cb "skips cancelled" true (Event_queue.next_deadline q = Some 9)
 
+(* The per-pause poll allocates nothing when nothing is due. The first
+   poll drops a cancelled event off the top; the rest find only live
+   events in the future. *)
+let test_run_due_idle_allocates_nothing () =
+  let c = Clock.create () in
+  let q = Event_queue.create c in
+  let id = Event_queue.schedule_at q 50 ignore in
+  ignore (Event_queue.schedule_at q 1_000_000 ignore);
+  ignore (Event_queue.schedule_at q 2_000_000 ignore);
+  Event_queue.cancel q id;
+  let fired = ref (Event_queue.run_due q) in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    fired := !fired + Event_queue.run_due q
+  done;
+  let words = Gc.minor_words () -. before in
+  check ci "nothing fired" 0 !fired;
+  check ci "both live events pending" 2 (Event_queue.pending q);
+  check (Alcotest.float 0.) "minor words over 10k idle polls" 0. words
+
 (* --- Rng --- *)
 
 let test_rng_deterministic () =
@@ -247,6 +267,38 @@ let test_sweep_raises_after_join () =
            (Atomic.get f))
     finished
 
+let test_sweep_inline_runs_every_item () =
+  (* Items 0 and 2 raise. Inline (budget 1) and through the pool
+     (budget 2) alike, every item runs and item 0's exception comes
+     back. *)
+  List.iter
+    (fun domains ->
+       let ran = Array.init 5 (fun _ -> Atomic.make false) in
+       let job i =
+         Atomic.set ran.(i) true;
+         if i = 0 || i = 2 then failwith (string_of_int i)
+       in
+       (match Parallel_sweep.iter ~domains job (Array.init 5 Fun.id) with
+        | () -> Alcotest.fail "no exception"
+        | exception Failure m ->
+          check Alcotest.string
+            (Printf.sprintf "item 0's failure at %d domains" domains) "0" m);
+       Array.iteri
+         (fun i r ->
+            check cb (Printf.sprintf "item %d ran at %d domains" i domains)
+              true (Atomic.get r))
+         ran)
+    [ 1; 2 ]
+
+let test_sweep_handouts () =
+  let before = Parallel_sweep.handouts () in
+  Parallel_sweep.iter ~domains:1 ignore (Array.make 4 ());
+  Parallel_sweep.iter ~domains:3 ignore [| () |];
+  check ci "inline calls post nothing" before (Parallel_sweep.handouts ());
+  Parallel_sweep.iter ~domains:2 ignore (Array.make 4 ());
+  check ci "a pool call posts one job" (before + 1)
+    (Parallel_sweep.handouts ())
+
 (* --- The persistent pool behind Parallel_sweep --- *)
 
 let test_pool_exactly_once () =
@@ -371,6 +423,7 @@ let suite =
       t "event reschedule from callback" test_event_reschedule_from_callback;
       t "advance_until sets clock" test_advance_until_sets_clock;
       t "next deadline" test_next_deadline;
+      t "idle run_due allocates nothing" test_run_due_idle_allocates_nothing;
       t "rng deterministic" test_rng_deterministic;
       t "rng split" test_rng_split_independent;
       t "rng pick" test_rng_pick;
@@ -384,6 +437,8 @@ let suite =
       t "sweep input order" test_sweep_input_order;
       t "sweep budget one is inline" test_sweep_budget_one_is_inline;
       t "sweep raises after join" test_sweep_raises_after_join;
+      t "inline sweep runs every item" test_sweep_inline_runs_every_item;
+      t "sweep handout count" test_sweep_handouts;
       t "json Line renders on one line" test_json_line;
       t "json Line children keep a parent flat" test_json_line_parent;
       t "pool runs each item exactly once" test_pool_exactly_once;

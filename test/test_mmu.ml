@@ -255,6 +255,57 @@ let test_mmu_walk_charges_time () =
   ignore (Mmu.translate mmu Mmu.Read ~priv:false 0x0010_1000);
   check ci "TLB hit walks nothing" 0 (Clock.now clock - t1)
 
+(* On a TLB hit [translate_exn] checks permissions from the entry's
+   attribute word; it must agree with [translate]'s decoded check for
+   every domain state, AP and privilege, including the refusals. *)
+let prop_translate_exn_hit_is_translate =
+  QCheck2.Test.make ~count:300 ~name:"mmu translate_exn hit = translate"
+    QCheck2.Gen.(
+      triple
+        (oneofl [ Dacr.No_access; Dacr.Client; Dacr.Manager ])
+        gen_ap bool)
+    (fun (access, ap, priv) ->
+       let mmu, pt, _ = fresh_mmu () in
+       let dacr = Mmu.dacr mmu in
+       Page_table.map_page pt ~virt:0x0010_1000 ~phys:0x0400_0000 ~domain:3
+         ~ap ~global:false;
+       (* Install the entry under a DACR that allows anything. *)
+       Dacr.set dacr 3 Dacr.Manager;
+       ignore (Mmu.translate mmu Mmu.Read ~priv:true 0x0010_1000);
+       Dacr.set dacr 3 access;
+       let tlb = Mmu.tlb mmu in
+       let hits = Tlb.hits tlb in
+       let reference = Mmu.translate mmu Mmu.Read ~priv 0x0010_1234 in
+       let fast =
+         match Mmu.translate_exn mmu Mmu.Read ~priv 0x0010_1234 with
+         | pa -> Ok pa
+         | exception Mmu.Fault f -> Error f
+       in
+       reference = fast && Tlb.hits tlb = hits + 2)
+
+(* A TLB-hit translation allocates nothing. *)
+let test_translate_exn_hit_allocates_nothing () =
+  let mmu, pt, _ = fresh_mmu () in
+  Dacr.set (Mmu.dacr mmu) 2 Dacr.Client;
+  for p = 0 to 15 do
+    Page_table.map_page pt ~virt:(0x0010_0000 + (p lsl Addr.page_shift))
+      ~phys:(0x0400_0000 + (p lsl Addr.page_shift)) ~domain:2
+      ~ap:Pte.Ap_full ~global:false;
+    ignore (Mmu.translate_exn mmu Mmu.Read ~priv:false
+              (0x0010_0000 + (p lsl Addr.page_shift)))
+  done;
+  let misses = Tlb.misses (Mmu.tlb mmu) in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let va = 0x0010_0000 + ((i land 15) lsl Addr.page_shift) + (i land 0xffc) in
+    sum := !sum + Mmu.translate_exn mmu Mmu.Read ~priv:false va
+  done;
+  let words = Gc.minor_words () -. before in
+  check ci "every call hit" misses (Tlb.misses (Mmu.tlb mmu));
+  check cb "translated" true (!sum > 0);
+  check (Alcotest.float 0.) "minor words over 10k hits" 0. words
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "mmu",
@@ -276,4 +327,7 @@ let suite =
       t "mmu faults" test_mmu_faults;
       t "mmu dacr flip" test_mmu_dacr_flip;
       t "mmu asid separation" test_mmu_asid_separation;
-      t "mmu walk cost" test_mmu_walk_charges_time ] )
+      t "mmu walk cost" test_mmu_walk_charges_time;
+      QCheck_alcotest.to_alcotest prop_translate_exn_hit_is_translate;
+      t "translate_exn hit allocates nothing"
+        test_translate_exn_hit_allocates_nothing ] )

@@ -91,6 +91,27 @@ let test_exec_charges_issue_and_memory () =
   (* Warm: 8 fetch lines + 64 issued instructions + 100 base. *)
   check ci "warm cost exactly as modelled" (8 + 64 + 100) warm
 
+(* A warm replay allocates nothing: the context-slot scan, the
+   whole-program warm check and the hit replay are all loops. *)
+let test_exec_warm_replay_allocates_nothing () =
+  let z, _ = board_with_kernel_map () in
+  Fastpath.set_enabled z.Zynq.fast true;
+  let data = Address_map.kernel_data_base + 0x70000 in
+  let pinned =
+    Exec.pin1
+      (kernel_fp 256 ~base_cycles:10
+         ~reads:[ { Exec.base = data; len = 128 } ]
+         ~writes:[ { Exec.base = data + 4096; len = 64 } ])
+  in
+  Exec.run_pinned z ~priv:true pinned;
+  Exec.run_pinned z ~priv:true pinned;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Exec.run_pinned z ~priv:true pinned
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words over 10k warm replays" 0. words
+
 let test_exec_data_ranges () =
   let z, _ = board_with_kernel_map () in
   let data = Address_map.kernel_data_base + 0x70000 in
@@ -148,6 +169,8 @@ let suite =
       t "mmio bus cost" test_zynq_mmio_charges_bus_time;
       t "idle until next event" test_idle_until_next_event;
       t "exec cold vs warm" test_exec_charges_issue_and_memory;
+      t "exec warm replay allocates nothing"
+        test_exec_warm_replay_allocates_nothing;
       t "exec data ranges" test_exec_data_ranges;
       t "exec faults unmapped" test_exec_faults_on_unmapped;
       t "exec touch granularity" test_exec_touch_line_granularity ] )

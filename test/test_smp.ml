@@ -115,6 +115,67 @@ let test_pool_shared_between_slices () =
     (fingerprint smp)
 
 (* ------------------------------------------------------------------ *)
+(* An epoch with at most one busy node runs on the calling domain.     *)
+
+(* One guest per pCPU; the guests on pCPUs 1-3 finish after a few
+   epochs and pCPU 0's runs on alone. Returns the fingerprint, the
+   epochs that started with two or more busy nodes and with one, and
+   the pool jobs each kind posted. *)
+let lone_node_run ~workers =
+  let smp =
+    Smp.create ~workers ~pcpus:4 ~epoch:(Cycles.of_us 20.0)
+      ~mk_zynq:(fun cpu -> Zynq.create ~cpu ()) ()
+  in
+  let worker ~rounds _genv =
+    for _ = 1 to rounds do
+      ignore (Hyper.hypercall Hyper.Vm_recv);
+      ignore (Hyper.pause ())
+    done
+  in
+  for cpu = 0 to 3 do
+    ignore
+      (Smp.create_vm smp ~cpu ~name:(Printf.sprintf "g%d" cpu)
+         (worker ~rounds:(if cpu = 0 then 600 else 40 * cpu)))
+  done;
+  let busy () =
+    List.length
+      (List.filter
+         (fun cpu -> Kernel.alive_guests (Smp.kernel smp cpu) > 0)
+         [ 0; 1; 2; 3 ])
+  in
+  (* The state after a barrier is the state the next epoch starts in. *)
+  let starting = ref (busy ()) and mark = ref (Parallel_sweep.handouts ()) in
+  let epochs = [| 0; 0 |] and posted = [| 0; 0 |] in
+  Smp.set_barrier_hook smp
+    (Some
+       (fun () ->
+          let k = if !starting >= 2 then 0 else 1 in
+          let now = Parallel_sweep.handouts () in
+          epochs.(k) <- epochs.(k) + 1;
+          posted.(k) <- posted.(k) + (now - !mark);
+          mark := now;
+          starting := busy ()));
+  Smp.run smp ~until:(Cycles.of_ms 50.0);
+  check ci (Printf.sprintf "every guest finished at %d workers" workers) 0
+    (Smp.alive_guests smp);
+  (fingerprint smp, epochs, posted)
+
+let test_lone_node_epochs_inline () =
+  let fp1, epochs, posted1 = lone_node_run ~workers:1 in
+  let fp2, epochs2, posted2 = lone_node_run ~workers:2 in
+  let fp4, _, posted4 = lone_node_run ~workers:4 in
+  check cs "2 workers == 1 worker" fp1 fp2;
+  check cs "4 workers == 1 worker" fp1 fp4;
+  check cb "some epochs start with several busy nodes" true (epochs.(0) > 0);
+  check cb "some epochs start with one" true (epochs.(1) > 0);
+  check (Alcotest.array ci) "the same epochs at 2 workers" epochs epochs2;
+  check ci "1 worker posts no pool job" 0 (posted1.(0) + posted1.(1));
+  check ci "one-busy-node epochs post nothing at 2 workers" 0 posted2.(1);
+  check ci "one-busy-node epochs post nothing at 4 workers" 0 posted4.(1);
+  check ci "every other epoch posts one job at 2 workers" epochs.(0)
+    posted2.(0)
+
+(* ------------------------------------------------------------------ *)
 (* pcpus = 1 is pure delegation: bit-identical to driving the kernel   *)
 (* directly, including the id space.                                   *)
 
@@ -356,6 +417,8 @@ let suite =
         test_kill_race_under_asid_pressure;
       t "pool shared between run slices" `Quick
         test_pool_shared_between_slices;
+      t "one-busy-node epochs run inline" `Quick
+        test_lone_node_epochs_inline;
       t "balance skips a full pCPU" `Quick test_balance_skips_full_pcpu;
       t "migration churn returns every slot" `Quick
         test_migration_churn_returns_slots;
