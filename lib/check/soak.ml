@@ -377,7 +377,9 @@ let apply cfg w = function
          (List.init (Smp.pcpus w.smp) (fun cpu ->
               List.map
                 (fun v -> (cpu, v))
-                (Kernel.ring_views (Smp.kernel w.smp cpu))))
+                (List.sort
+                   (fun a b -> Int.compare a.Kernel.rv_pd b.Kernel.rv_pd)
+                   (Kernel.ring_views (Smp.kernel w.smp cpu)))))
      with
      | [] -> ()
      | views ->

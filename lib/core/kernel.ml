@@ -318,13 +318,14 @@ let switch_vfp t ~from ~to_ =
 (* The manager's view of the guests on this kernel: each callback finds
    the client's PD by id (a row's holder is always alive here — kill
    releases its rows before the PD is reaped, and only VMs with no
-   interface mapping migrate). *)
+   interface mapping migrate). [find] rather than [find_opt]: these run
+   on every request and release, and a hit then allocates nothing. *)
 let manager_env kmem pd_tbl =
   { Hw_task_manager.map_iface =
       (fun ~client_id ~task ~vaddr prr ->
-         match Int_table.find_opt pd_tbl client_id with
-         | None -> Error "iface: no such client"
-         | Some pd ->
+         match Int_table.find pd_tbl client_id with
+         | exception Not_found -> Error "iface: no such client"
+         | pd ->
            (* Re-requesting a held task at a new vaddr moves its
               window: drop the old page or it would leak, mapped but
               unaccounted. *)
@@ -342,19 +343,20 @@ let manager_env kmem pd_tbl =
            | Error e -> Error e);
     unmap_iface =
       (fun ~client_id ~task ~vaddr _prr ->
-         match Int_table.find_opt pd_tbl client_id with
-         | Some pd when Pd.holds_iface pd task ->
+         match Int_table.find pd_tbl client_id with
+         | pd when Pd.holds_iface pd task ->
            Kmem.unmap_iface kmem pd ~vaddr;
            Pd.remove_iface pd task
-         | Some _ | None -> ());
+         | _ -> ()
+         | exception Not_found -> ());
     notify_irq =
       (fun ~client_id _prr i ->
-         match Int_table.find_opt pd_tbl client_id with
-         | Some pd ->
+         match Int_table.find pd_tbl client_id with
+         | pd ->
            let v = Irq_id.pl i in
            Vgic.register pd.Pd.vgic v;
            Vgic.enable pd.Pd.vgic v
-         | None -> ()) }
+         | exception Not_found -> ()) }
 
 let boot ?(config = default_config) z =
   let kmem = Kmem.create z in
@@ -877,10 +879,7 @@ let kwrite_u32 t pa v =
 let kread_words t pa buf off n =
   if Fastpath.enabled t.z.Zynq.fast then begin
     ignore (Hierarchy.access_words t.z.Zynq.hier Hierarchy.Load pa n);
-    for k = 0 to n - 1 do
-      Array.unsafe_set buf (off + k)
-        (Phys_mem.read_word t.z.Zynq.mem (pa + (4 * k)))
-    done
+    Phys_mem.read_words t.z.Zynq.mem pa buf off n
   end
   else
     for k = 0 to n - 1 do
@@ -890,10 +889,7 @@ let kread_words t pa buf off n =
 let kwrite_words t pa buf off n =
   if Fastpath.enabled t.z.Zynq.fast then begin
     ignore (Hierarchy.access_words t.z.Zynq.hier Hierarchy.Store pa n);
-    for k = 0 to n - 1 do
-      Phys_mem.write_word t.z.Zynq.mem (pa + (4 * k))
-        (Array.unsafe_get buf (off + k))
-    done
+    Phys_mem.write_words t.z.Zynq.mem pa buf off n
   end
   else
     for k = 0 to n - 1 do

@@ -171,7 +171,7 @@ let rec entries_clean q stamp i =
   ||
   let seq = h.Heap.arr.(i).seq in
   let p = Int_table.mem q.pending_tbl seq in
-  p <> Int_table.mem q.cancelled seq
+  p <> is_cancelled q seq
   &&
   let tbl = if p then q.pending_tbl else q.cancelled in
   Int_table.find tbl seq <> stamp

@@ -110,6 +110,43 @@ let write_word m a v =
     write_u8 m (a + 3) (v lsr 24)
   end
 
+(* A run inside one frame finds the frame once and moves its words
+   straight out of (into) the [Bytes]; a run that crosses a frame
+   boundary takes the per-word path. *)
+let check_run buf off n =
+  if off < 0 || n < 0 || off + n > Array.length buf then
+    invalid_arg "Phys_mem: word run outside the buffer"
+
+let read_words m a buf off n =
+  check_run buf off n;
+  let o = Addr.page_offset a in
+  if n > 0 && o + (4 * n) <= Addr.page_size then begin
+    let b = frame m a in
+    for k = 0 to n - 1 do
+      Array.unsafe_set buf (off + k)
+        (Int32.to_int (Bytes.get_int32_le b (o + (4 * k))) land 0xFFFF_FFFF)
+    done
+  end
+  else
+    for k = 0 to n - 1 do
+      Array.unsafe_set buf (off + k) (read_word m (a + (4 * k)))
+    done
+
+let write_words m a buf off n =
+  check_run buf off n;
+  let o = Addr.page_offset a in
+  if n > 0 && o + (4 * n) <= Addr.page_size then begin
+    let b = frame m a in
+    for k = 0 to n - 1 do
+      Bytes.set_int32_le b (o + (4 * k))
+        (Int32.of_int (Array.unsafe_get buf (off + k)))
+    done
+  end
+  else
+    for k = 0 to n - 1 do
+      write_word m (a + (4 * k)) (Array.unsafe_get buf (off + k))
+    done
+
 let read_u32 m a = Int32.of_int (read_word m a)
 let write_u32 m a v = write_word m a (Int32.to_int v)
 

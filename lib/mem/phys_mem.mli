@@ -27,6 +27,16 @@ val read_word : t -> Addr.t -> int
 val write_word : t -> Addr.t -> int -> unit
 (** Store the low 32 bits of the value at [a]. *)
 
+val read_words : t -> Addr.t -> int array -> int -> int -> unit
+(** [read_words m a buf off n] stores the [n] consecutive words from
+    [a] into [buf.(off)] .. [buf.(off + n - 1)], each as {!read_word}
+    gives it. A run inside one frame looks the frame up once.
+    @raise Invalid_argument if the run leaves [buf]. *)
+
+val write_words : t -> Addr.t -> int array -> int -> int -> unit
+(** [write_words m a buf off n] stores [buf.(off)] .. [buf.(off + n - 1)]
+    as {!write_word} would, at [a], [a + 4], ... *)
+
 val read_u32 : t -> Addr.t -> int32
 val write_u32 : t -> Addr.t -> int32 -> unit
 

@@ -35,21 +35,31 @@ let map_section t ~virt ~phys attrs =
   | Pte.L1_fault | Pte.L1_section _ ->
     write_l1 t virt (Pte.L1_section (phys, attrs))
 
+(* [ensure_l2_base], [map_page] and [unmap_page] run on every ABI v1
+   request and release (the interface page), so they test and write
+   descriptor words as ints: decoding into [Pte.l1]/[Pte.l2] values
+   would allocate on each call. A reserved encoding raises exactly as
+   the decoders do. *)
+let reserved_l1 () = invalid_arg "Pte.decode_l1: reserved descriptor type"
+
 let ensure_l2_base t ~virt ~domain =
-  match read_l1 t virt with
-  | Pte.L1_table (base, dom) ->
-    if dom <> domain then
+  let v = Phys_mem.read_word t.mem (l1_slot t virt) in
+  match v land 0b11 with
+  | 0b01 ->
+    if (v lsr 5) land 0xf <> domain then
       invalid_arg "ensure_l2: domain conflicts with existing L2 table";
-    base
-  | Pte.L1_fault ->
+    v land lnot 1023
+  | 0b00 ->
     let base = Frame_alloc.alloc t.alloc ~align:l2_size l2_size in
     Phys_mem.fill t.mem base l2_size 0;
     t.l2_count <- t.l2_count + 1;
     t.l2_bases <- base :: t.l2_bases;
     write_l1 t virt (Pte.L1_table (base, domain));
     base
-  | Pte.L1_section _ ->
+  | 0b10 ->
+    ignore (Pte.section_base v);
     invalid_arg "ensure_l2: slot already holds a section mapping"
+  | _ -> reserved_l1 ()
 
 let ensure_l2 t ~virt ~domain = ignore (ensure_l2_base t ~virt ~domain)
 
@@ -59,19 +69,25 @@ let map_page t ~virt ~phys ~domain ~ap ~global =
   if not (Addr.is_aligned phys Addr.page_size) then
     invalid_arg "map_page: physical address not 4 KB aligned";
   let l2_base = ensure_l2_base t ~virt ~domain in
-  Phys_mem.write_u32 t.mem (l2_slot l2_base virt)
-    (Pte.encode_l2 (Pte.L2_small (phys, ap, global)))
+  Phys_mem.write_word t.mem (l2_slot l2_base virt)
+    (Pte.small_word phys ap global)
 
 let unmap_page t ~virt =
-  match read_l1 t virt with
-  | Pte.L1_fault | Pte.L1_section _ -> false
-  | Pte.L1_table (base, _) ->
-    let slot = l2_slot base virt in
-    (match Pte.decode_l2 (Phys_mem.read_u32 t.mem slot) with
-     | Pte.L2_fault -> false
-     | Pte.L2_small _ ->
-       Phys_mem.write_u32 t.mem slot (Pte.encode_l2 Pte.L2_fault);
-       true)
+  let v = Phys_mem.read_word t.mem (l1_slot t virt) in
+  match v land 0b11 with
+  | 0b00 -> false
+  | 0b10 -> ignore (Pte.section_base v); false
+  | 0b01 ->
+    let slot = l2_slot (v land lnot 1023) virt in
+    let w = Phys_mem.read_word t.mem slot in
+    (match w land 0b11 with
+     | 0b00 -> false
+     | 0b10 ->
+       ignore (Pte.small_base w);
+       Phys_mem.write_word t.mem slot 0;
+       true
+     | _ -> invalid_arg "Pte.decode_l2: reserved descriptor type")
+  | _ -> reserved_l1 ()
 
 let walk ~read ~root ~virt =
   let l1_word = read (root + (4 * (virt lsr Addr.section_shift))) in
@@ -103,7 +119,7 @@ let walk_pa hier mem ~root ~virt =
      | 0b00 -> -1
      | 0b10 -> Pte.small_base w lor (virt land (Addr.page_size - 1))
      | _ -> invalid_arg "Pte.decode_l2: reserved descriptor type")
-  | _ -> invalid_arg "Pte.decode_l1: reserved descriptor type"
+  | _ -> reserved_l1 ()
 
 let l2_tables t = t.l2_count
 

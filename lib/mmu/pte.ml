@@ -88,18 +88,19 @@ let decode_l1 w =
          global = (v lsr 17) land 1 = 1 })
   | _ -> invalid_arg "Pte.decode_l1: reserved descriptor type"
 
+let small_word base ap global =
+  if not (Addr.is_aligned base Addr.page_size) then
+    invalid_arg "Pte: small page base must be 4 KB aligned";
+  check_ext_base "small page" base;
+  base land 0xFFFF_F000
+  lor ((base lsr 32) lsl 6)
+  lor (if global then 1 lsl 11 else 0)
+  lor (ap_bits ap lsl 4)
+  lor 0b10
+
 let encode_l2 = function
   | L2_fault -> 0l
-  | L2_small (base, ap, global) ->
-    if not (Addr.is_aligned base Addr.page_size) then
-      invalid_arg "Pte: small page base must be 4 KB aligned";
-    check_ext_base "small page" base;
-    to_i32
-      (base land 0xFFFF_F000
-       lor ((base lsr 32) lsl 6)
-       lor (if global then 1 lsl 11 else 0)
-       lor (ap_bits ap lsl 4)
-       lor 0b10)
+  | L2_small (base, ap, global) -> to_i32 (small_word base ap global)
 
 let decode_l2 w =
   let v = of_i32 w in

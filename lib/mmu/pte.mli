@@ -43,6 +43,10 @@ val section_base : int -> Addr.t
 val small_base : int -> Addr.t
 (** The same for a small-page descriptor, as {!decode_l2} does. *)
 
+val small_word : Addr.t -> ap -> bool -> int
+(** [encode_l2 (L2_small (base, ap, global))] as an unsigned [int], with
+    the same checks and no allocation. *)
+
 val attr_word : attrs -> int
 (** Pack attributes into the opaque int the TLB stores. *)
 

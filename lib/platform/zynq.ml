@@ -184,23 +184,15 @@ let run_words t access ~priv va buf off n =
     let k = ref 0 in
     while !k < n do
       let a = va + (4 * !k) in
-      let m = min (n - !k) ((Addr.page_size - Addr.page_offset a) / 4) in
+      let m = Int.min (n - !k) ((Addr.page_size - Addr.page_offset a) / 4) in
       let pa = page_words t access ~priv a m in
       let i = off + !k in
       if pa >= 0 then begin
         ignore
           (Hierarchy.access_words t.hier
              (if write then Hierarchy.Store else Hierarchy.Load) pa m);
-        if write then
-          for j = 0 to m - 1 do
-            Phys_mem.write_word t.mem (pa + (4 * j))
-              (Array.unsafe_get buf (i + j))
-          done
-        else
-          for j = 0 to m - 1 do
-            Array.unsafe_set buf (i + j)
-              (Phys_mem.read_word t.mem (pa + (4 * j)))
-          done
+        if write then Phys_mem.write_words t.mem pa buf i m
+        else Phys_mem.read_words t.mem pa buf i m
       end
       else begin
         (* The page's first word is translated already. *)

@@ -382,34 +382,117 @@ let test_json_line_parent () =
     "{\n  \"r\": [\n    {\"k\": 1}\n  ]\n}"
     (to_string (Obj [ ("r", List [ Obj [ ("k", Int 1) ] ]) ]))
 
-(* [Int_table] must iterate in exactly the bucket order of a generic
-   table fed the same operations: kernel listings ([Kernel.pds],
-   [ring_views]) and every golden depend on it. Keys mix small ids,
-   large and negative values; tables start small so they resize. *)
-let prop_int_table_order =
-  let op =
+(* [Int_table] against an association-list model: after every
+   operation each query agrees with the model, and [fold] and [iter]
+   visit every live binding exactly once. Keys mix small ids, negative
+   values and the extremes; the table starts at its smallest size, so
+   runs of inserts resize it and runs of removes shift long probe
+   chains back. *)
+let prop_int_table_model =
+  let key =
     QCheck2.Gen.(
-      pair (int_bound 3)
-        (oneof [ int_bound 40; int_range (-50) 50; int_bound max_int ]))
+      oneof
+        [ int_bound 40; int_range (-50) 50; int_range 0 300;
+          oneofl [ max_int; min_int; max_int - 1; min_int + 1; 0; -1 ];
+          int ])
   in
-  QCheck2.Test.make ~name:"int table keeps the generic bucket order"
-    ~count:200
+  let op = QCheck2.Gen.(pair (int_bound 9) key) in
+  QCheck2.Test.make ~name:"int table matches an association-list model"
+    ~count:300
     ~print:QCheck2.Print.(list (pair int int))
-    QCheck2.Gen.(list_size (int_range 0 300) op)
+    QCheck2.Gen.(list_size (int_range 0 600) op)
     (fun ops ->
-       let it = Int_table.create 8 and h = Hashtbl.create 8 in
-       List.iteri
-         (fun i (code, k) ->
-            match code with
-            | 0 -> Int_table.add it k i; Hashtbl.add h k i
-            | 1 | 2 -> Int_table.replace it k i; Hashtbl.replace h k i
-            | _ -> Int_table.remove it k; Hashtbl.remove h k)
-         ops;
-       Int_table.fold (fun k v acc -> (k, v) :: acc) it []
-       = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []
-       && List.for_all
-            (fun (_, k) -> Int_table.find_all it k = Hashtbl.find_all h k)
-            ops)
+       let t = Int_table.create 1 in
+       let model = ref [] in
+       let bindings_ok () =
+         let sorted l = List.sort compare l in
+         let m = sorted !model in
+         sorted (Int_table.fold (fun k v acc -> (k, v) :: acc) t []) = m
+         &&
+         let seen = ref [] in
+         Int_table.iter (fun k v -> seen := (k, v) :: !seen) t;
+         sorted !seen = m
+       in
+       List.for_all
+         (fun (i, (code, k)) ->
+            (match code with
+             | 0 | 1 | 2 | 3 ->
+               Int_table.replace t k i;
+               model := (k, i) :: List.remove_assoc k !model
+             | 4 | 5 | 6 ->
+               Int_table.remove t k;
+               model := List.remove_assoc k !model
+             | _ -> ());
+            Int_table.length t = List.length !model
+            && Int_table.mem t k = List.mem_assoc k !model
+            && Int_table.find_opt t k = List.assoc_opt k !model
+            && (match Int_table.find t k with
+                | v -> List.assoc_opt k !model = Some v
+                | exception Not_found -> not (List.mem_assoc k !model))
+            && (code < 9 || bindings_ok ()))
+         (List.mapi (fun i op -> (i, op)) ops)
+       && bindings_ok ())
+
+(* Once a table holds its keys, rebinding one, looking it up, and
+   removing and reinserting it allocate nothing. *)
+let test_int_table_steady_state_allocates_nothing () =
+  let t = Int_table.create 8 in
+  for k = 0 to 63 do
+    Int_table.replace t (k * 7919) k
+  done;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    let k = i land 63 * 7919 in
+    Int_table.replace t k i;
+    if Int_table.mem t k then incr hits;
+    hits := !hits + Int_table.find t k - i;
+    Int_table.remove t k;
+    Int_table.replace t k i
+  done;
+  let words = Gc.minor_words () -. before in
+  check ci "every key found" 10_000 !hits;
+  check ci "size unchanged" 64 (Int_table.length t);
+  check (Alcotest.float 0.) "minor words over 10k rounds" 0. words
+
+(* Values of any type, floats included, come back as stored, through
+   growth and backward shifts alike. *)
+let test_int_table_float_values () =
+  let t = Int_table.create 1 in
+  for k = 0 to 99 do
+    Int_table.replace t k (float_of_int k /. 4.)
+  done;
+  for k = 0 to 49 do
+    Int_table.remove t (2 * k)
+  done;
+  check (Alcotest.float 0.) "sum of odd keys / 4" 625.
+    (Int_table.fold (fun _ v acc -> acc +. v) t 0.);
+  check (Alcotest.option (Alcotest.float 0.)) "find_opt" (Some 24.75)
+    (Int_table.find_opt t 99)
+
+(* A removed value is unreachable from the table: a reaped PD's state
+   is not kept alive by the tables that indexed it. *)
+let[@inline never] bind_tracked t w slot k =
+  let v = Sys.opaque_identity (ref k) in
+  Weak.set w slot (Some v);
+  Int_table.replace t k v
+
+let test_int_table_remove_drops_value () =
+  let t = Int_table.create 1 in
+  let w = Weak.create 2 in
+  for k = 0 to 20 do
+    Int_table.replace t k (ref k)
+  done;
+  bind_tracked t w 0 21;
+  bind_tracked t w 1 22;
+  for k = 0 to 20 do
+    if k mod 3 = 0 then Int_table.remove t k
+  done;
+  Int_table.remove t 21;
+  Gc.full_major ();
+  check cb "removed value collected" false (Weak.check w 0);
+  check cb "bound value kept" true (Weak.check w 1);
+  check ci "bound value still found" 22 !(Int_table.find t 22)
 
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
@@ -432,7 +515,11 @@ let suite =
       t "stats basic" test_stats_basic;
       t "stats empty" test_stats_empty;
       QCheck_alcotest.to_alcotest prop_stats_merge;
-      QCheck_alcotest.to_alcotest prop_int_table_order;
+      QCheck_alcotest.to_alcotest prop_int_table_model;
+      t "int table steady state allocates nothing"
+        test_int_table_steady_state_allocates_nothing;
+      t "remove drops the value" test_int_table_remove_drops_value;
+      t "int table holds float values" test_int_table_float_values;
       t "sweep env rule" test_sweep_env_rule;
       t "sweep input order" test_sweep_input_order;
       t "sweep budget one is inline" test_sweep_budget_one_is_inline;

@@ -193,6 +193,39 @@ let prop_frames_sparse_high =
             bases
        && Phys_mem.touched_frames m = Hashtbl.length pages)
 
+(* Word runs move exactly what the per-word accessors move, and touch
+   the same frames, for runs that start next to a page end: inside one
+   frame, ending on its last byte, or crossing into the next one
+   (aligned or not). *)
+let prop_word_runs_equal_words =
+  QCheck2.Test.make ~name:"word runs = per-word read/write near a page end"
+    ~count:300
+    ~print:QCheck2.Print.(pair int (list int))
+    QCheck2.Gen.(
+      pair (int_range 0 64)
+        (list_size (int_range 0 24) (int_bound 0xFFFF_FFFF)))
+    (fun (back, vals) ->
+       let a = 0x0030_0000 + Addr.page_size - back in
+       let src = Array.of_list vals in
+       let n = Array.length src in
+       let runs = Phys_mem.create () and words = Phys_mem.create () in
+       Phys_mem.write_words runs a src 0 n;
+       Array.iteri (fun k v -> Phys_mem.write_word words (a + (4 * k)) v) src;
+       let got = Array.make (n + 2) (-1) in
+       Phys_mem.read_words runs a got 1 n;
+       let fresh = Phys_mem.create () and fresh_words = Phys_mem.create () in
+       let zeros = Array.make (n + 2) (-1) in
+       Phys_mem.read_words fresh (a - 4) zeros 2 n;
+       for k = 0 to n - 1 do
+         ignore (Phys_mem.read_word fresh_words (a - 4 + (4 * k)))
+       done;
+       Array.sub got 1 n
+       = Array.init n (fun k -> Phys_mem.read_word words (a + (4 * k)))
+       && got.(0) = -1 && got.(n + 1) = -1
+       && Array.sub zeros 2 n = Array.make n 0
+       && Phys_mem.touched_frames runs = Phys_mem.touched_frames words
+       && Phys_mem.touched_frames fresh = Phys_mem.touched_frames fresh_words)
+
 let test_mem_outside_space () =
   let m = Phys_mem.create () in
   Alcotest.check_raises "past the 36-bit space"
@@ -231,5 +264,6 @@ let suite =
       t "word frame accounting" test_mem_word_frames;
       QCheck_alcotest.to_alcotest prop_u32_roundtrip;
       QCheck_alcotest.to_alcotest prop_frames_sparse_high;
+      QCheck_alcotest.to_alcotest prop_word_runs_equal_words;
       t "access outside the physical space" test_mem_outside_space;
       t "address map sanity" test_address_map_sanity ] )

@@ -306,6 +306,24 @@ let test_translate_exn_hit_allocates_nothing () =
   check cb "translated" true (!sum > 0);
   check (Alcotest.float 0.) "minor words over 10k hits" 0. words
 
+(* Mapping and unmapping an interface page under an existing L2 table
+   (each ABI v1 request and release) allocates nothing. *)
+let test_pt_map_unmap_allocates_nothing () =
+  let _, pt = fresh_pt () in
+  Page_table.ensure_l2 pt ~virt:0x0030_0000 ~domain:1;
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    let virt = 0x0030_0000 + ((i land 255) lsl Addr.page_shift) in
+    Page_table.map_page pt ~virt ~phys:(0x0500_0000 + (i lsl Addr.page_shift))
+      ~domain:1 ~ap:Pte.Ap_full ~global:false;
+    if Page_table.unmap_page pt ~virt then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check ci "every unmap hit" 10_000 !hits;
+  check ci "one L2 table" 1 (Page_table.l2_tables pt);
+  check (Alcotest.float 0.) "minor words over 10k map/unmap pairs" 0. words
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "mmu",
@@ -323,6 +341,7 @@ let suite =
       t "pt domain conflict" test_pt_domain_conflict;
       t "pt section/page conflict" test_pt_section_page_conflict;
       t "pt ensure_l2" test_pt_ensure_l2;
+      t "pt map/unmap allocates nothing" test_pt_map_unmap_allocates_nothing;
       t "mmu translate + tlb" test_mmu_translate_and_tlb;
       t "mmu faults" test_mmu_faults;
       t "mmu dacr flip" test_mmu_dacr_flip;
