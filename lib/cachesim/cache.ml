@@ -202,8 +202,9 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
      miss — by [access next] (write-allocate at both levels), with the
      next-level charge summed from [lat_next_hit]/[lat_next_miss].
      This is the simulator's hottest loop, so both levels are fused
-     into one closure-free pass, the victim scans are inlined over the
-     paired tag/age words, and every counter (tick, hits, misses,
+     into one closure-free pass, the A9 L1s' 4-way set scan is written
+     out over the paired tag/age words (any other level-one geometry
+     calls [find] and [victim]), and every counter (tick, hits, misses,
      epoch, valid/dirty counts) is accumulated in locals and committed
      once — nothing outside the two caches can observe the
      intermediate values, because no events fire inside a walk.
@@ -228,6 +229,7 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
   let smask = t.sets - 1 in
   let state = t.state in
   let key0 = live_key t la0 in
+  let gen = t.vgen in
   let tick = ref t.tick in
   let hits = ref 0 and misses = ref 0 in
   let vdelta = ref 0 and ddelta = ref 0 in
@@ -257,39 +259,48 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
       if hint >= 0 && Array.unsafe_get state (2 * hint) = key then hint
       else begin
         incr moved;
-        let base = 2 * ((la land smask) * ways) in
-        (* One fused pass over the set finds the hit slot *and* the
-           fill victim — most walk lines here are L1 misses (working
-           sets larger than the L1), so a separate victim scan would
-           re-read every tag/age pair it just read. Victim choice is
-           byte-identical to [victim]: first non-live way in way
-           order, else strictly-min age among live ways (earliest on
-           ties). A while-loop over non-escaping refs (registers, no
-           closure allocation or call) — the per-line inner loop. *)
-        let res = ref (-1) in
-        let vnl = ref false in
-        let vage = ref max_int in
-        let w = ref 0 in
-        while !res < 0 && !w < ways do
-          let off = base + (2 * !w) in
-          let tag = Array.unsafe_get state off in
-          if tag = key then res := (base lsr 1) + !w
-          else if not !vnl then begin
-            if tag lsr tag_bits <> t.vgen then begin
-              vbest := (base lsr 1) + !w;
-              vnl := true
-            end
-            else begin
-              let age = Array.unsafe_get state (off + 1) in
-              if age < !vage then begin
-                vbest := (base lsr 1) + !w;
-                vage := age
-              end
-            end
-          end;
-          incr w
-        done;
-        !res
+        if ways = 4 then begin
+          let base = 2 * ((la land smask) * ways) in
+          let s0 = base lsr 1 in
+          (* The A9 L1s, written out: four tag compares for the hit,
+             then the victim — first non-live way in way order, else
+             the strictly-oldest age, earliest way on ties (a pairwise
+             tournament in which the later pair must be strictly
+             older to win). The same choice as [victim], which with
+             [find] serves every other geometry. *)
+          let t0 = Array.unsafe_get state base in
+          let t1 = Array.unsafe_get state (base + 2) in
+          let t2 = Array.unsafe_get state (base + 4) in
+          let t3 = Array.unsafe_get state (base + 6) in
+          if t0 = key then s0
+          else if t1 = key then s0 + 1
+          else if t2 = key then s0 + 2
+          else if t3 = key then s0 + 3
+          else begin
+            vbest :=
+              if t0 lsr tag_bits <> gen then s0
+              else if t1 lsr tag_bits <> gen then s0 + 1
+              else if t2 lsr tag_bits <> gen then s0 + 2
+              else if t3 lsr tag_bits <> gen then s0 + 3
+              else begin
+                let a0 = Array.unsafe_get state (base + 1) in
+                let a1 = Array.unsafe_get state (base + 3) in
+                let a2 = Array.unsafe_get state (base + 5) in
+                let a3 = Array.unsafe_get state (base + 7) in
+                let w01 = if a1 < a0 then 1 else 0 in
+                let w23 = if a3 < a2 then 3 else 2 in
+                let age01 = if a1 < a0 then a1 else a0 in
+                let age23 = if a3 < a2 then a3 else a2 in
+                s0 + if age23 < age01 then w23 else w01
+              end;
+            -1
+          end
+        end
+        else begin
+          let i = find t la in
+          if i < 0 then vbest := victim t la;
+          i
+        end
       end
     in
     let slot =
@@ -306,7 +317,7 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
         incr misses;
         let i = !vbest in
         let was_dirty = dirty_slot t i in
-        if Array.unsafe_get state (2 * i) lsr tag_bits = t.vgen then begin
+        if Array.unsafe_get state (2 * i) lsr tag_bits = gen then begin
           if was_dirty then decr ddelta
         end
         else incr vdelta;

@@ -35,7 +35,11 @@ val rehit : t -> int -> write:bool -> n:int -> unit
     held by [slot], exactly: each one ticks, counts a hit and sets the
     slot's age to the tick, and marks the line dirty when [write]. The
     slot must be live and hold the line, e.g. straight after
-    {!access_word} returned it. Leaves {!epoch} alone, as hits do. *)
+    {!access_word} returned it. Leaves {!epoch} alone, as hits do.
+    With [n = 0] it counts nothing but restamps the slot's age with
+    the current tick: the one way two live lines of a set come to
+    share an age, which the tests use to exercise the victim
+    tie-break. *)
 
 val run_through :
   t -> t -> lat_next_hit:int -> lat_next_miss:int -> a:Addr.t -> n:int ->

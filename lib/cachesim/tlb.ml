@@ -6,7 +6,12 @@ type config = { entries : int; ways : int }
    the TLB's current generation: the full flush only bumps the
    generation (O(1)) and stale slots are treated as empty wherever
    they are next touched. The count a flush must report (it feeds the
-   maintenance cycle charge) is kept incrementally in [live_count]. *)
+   maintenance cycle charge) is kept incrementally in [live_count].
+
+   [set_ver.(s)] is the value of [epoch] at the last insert into set
+   [s] or invalidation of one of its slots (a non-empty [flush_all]
+   stamps every set). The epoch is monotone, so a recorded version
+   that still equals its set's proves nothing in that set has moved. *)
 type slot = {
   mutable valid : bool;
   mutable gen : int;
@@ -20,6 +25,7 @@ type t = {
   cfg : config;
   sets : int;
   slots : slot array;
+  set_ver : int array;
   mutable gen_cur : int;
   mutable live_count : int;
   mutable tick : int;
@@ -45,14 +51,16 @@ let create cfg =
         { valid = false; gen = 0; asid = 0; vpage = 0; entry = dummy_entry;
           age = 0 })
   in
-  { cfg; sets; slots; gen_cur = 0; live_count = 0; tick = 0; hits = 0;
-    misses = 0; epoch = 0 }
+  { cfg; sets; slots; set_ver = Array.make sets 0; gen_cur = 0;
+    live_count = 0; tick = 0; hits = 0; misses = 0; epoch = 0 }
 
 let null_slot =
   { valid = false; gen = 0; asid = -1; vpage = -1; entry = dummy_entry;
     age = 0 }
 
 let set_of t vpage = vpage land (t.sets - 1)
+
+let set_version t vpage = Array.unsafe_get t.set_ver (set_of t vpage)
 
 let slot_live t s = s.valid && s.gen = t.gen_cur
 
@@ -99,9 +107,17 @@ let refresh t s =
   t.hits <- t.hits + 1;
   s.age <- t.tick
 
+let refresh_n t s n =
+  if n > 0 then begin
+    t.tick <- t.tick + n;
+    t.hits <- t.hits + n;
+    s.age <- t.tick
+  end
+
 let insert t ~asid ~vpage entry =
   t.tick <- t.tick + 1;
-  let base = set_of t vpage * t.cfg.ways in
+  let set = set_of t vpage in
+  let base = set * t.cfg.ways in
   (* Reuse an existing slot for the same mapping, else LRU victim
      (a generation-stale slot counts as free, exactly as if the flush
      had cleared its valid bit eagerly). *)
@@ -127,31 +143,40 @@ let insert t ~asid ~vpage entry =
   slot.vpage <- vpage;
   slot.entry <- entry;
   slot.age <- t.tick;
-  t.epoch <- t.epoch + 1
+  t.epoch <- t.epoch + 1;
+  Array.unsafe_set t.set_ver set t.epoch
 
 let flush_all t =
   (* O(1): the generation bump orphans every live slot at once. *)
   let n = t.live_count in
-  if n > 0 then t.epoch <- t.epoch + 1;
+  if n > 0 then begin
+    t.epoch <- t.epoch + 1;
+    Array.fill t.set_ver 0 t.sets t.epoch
+  end;
   t.gen_cur <- t.gen_cur + 1;
   t.live_count <- 0;
   n
 
 let flush_asid t asid =
+  (* One epoch bump for the whole flush, stamped on each set it
+     touched. *)
+  let e = t.epoch + 1 in
   let n = ref 0 in
-  Array.iter
-    (fun s ->
+  Array.iteri
+    (fun i s ->
        if slot_live t s && (not s.entry.global) && s.asid = asid then begin
          s.valid <- false;
          t.live_count <- t.live_count - 1;
+         Array.unsafe_set t.set_ver (i / t.cfg.ways) e;
          incr n
        end)
     t.slots;
-  if !n > 0 then t.epoch <- t.epoch + 1;
+  if !n > 0 then t.epoch <- e;
   !n
 
 let flush_page t ~asid ~vpage =
-  let base = set_of t vpage * t.cfg.ways in
+  let set = set_of t vpage in
+  let base = set * t.cfg.ways in
   for w = 0 to t.cfg.ways - 1 do
     let s = t.slots.(base + w) in
     if
@@ -159,7 +184,8 @@ let flush_page t ~asid ~vpage =
     then begin
       s.valid <- false;
       t.live_count <- t.live_count - 1;
-      t.epoch <- t.epoch + 1
+      t.epoch <- t.epoch + 1;
+      Array.unsafe_set t.set_ver set t.epoch
     end
   done
 

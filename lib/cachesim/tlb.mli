@@ -27,8 +27,9 @@ val lookup : t -> asid:int -> vpage:int -> entry option
 
 type slot
 (** Handle on the physical TLB slot currently holding a translation.
-    Stays valid (same mapping, same slot) while {!epoch} is unchanged:
-    only inserts and flushes move or drop entries. *)
+    Stays valid (same mapping, same slot) while the {!set_version} of
+    its page is unchanged: only inserts and flushes move or drop
+    entries, and each touches the version of the sets it changes. *)
 
 val probe : t -> asid:int -> vpage:int -> slot
 (** {!lookup} without the option: the same state transition (tick,
@@ -47,8 +48,11 @@ val peek : t -> asid:int -> vpage:int -> slot
 val refresh : t -> slot -> unit
 (** Replay a hit on a slot obtained from {!peek}: exactly the state
     transition of a hitting {!lookup} (tick, hit counter, LRU
-    refresh). Only sound while {!epoch} still equals the value
-    observed at {!peek} time. *)
+    refresh). Only sound while {!set_version} of the page still equals
+    the value observed at {!peek} time. *)
+
+val refresh_n : t -> slot -> int -> unit
+(** [refresh_n t s n] is [n] calls to [refresh t s] in one step. *)
 
 val null_slot : slot
 (** An always-invalid placeholder slot: {!peek}'s miss result, and the
@@ -79,9 +83,18 @@ val epoch : t -> int
     {!insert} (which may evict an LRU victim) and by every [flush_*]
     that actually drops at least one entry. Lookups never bump it, so
     "epoch unchanged" certifies that every translation observed with
-    {!peek} is still resident in the same slot. Exec's micro-TLB and
-    warm-footprint memo key on this; it also exposes TLB churn to
-    observability layers. *)
+    {!peek} is still resident in the same slot. Exec's whole-program
+    warm record keys on this; per-page memos key on {!set_version}. *)
+
+val set_version : t -> int -> int
+(** [set_version t vpage]: the {!epoch} value at the last change to
+    the set [vpage] maps to — an {!insert} into it, a [flush_*] that
+    dropped one of its entries, or any non-empty {!flush_all}. A
+    lookup's result depends only on its own set, so "version
+    unchanged" certifies that {!peek} at [vpage] (any ASID) still
+    returns what it returned then, in the same slot, however the
+    other sets moved. The micro-TLB and the pinned traces' per-run
+    records key on this. *)
 
 val live_entries : t -> int
 (** Number of currently resident translations (maintained

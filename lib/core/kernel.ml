@@ -187,6 +187,11 @@ let kernel_irqs =
   Irq_id.private_timer :: Irq_id.devcfg
   :: List.init Irq_id.pl_count Irq_id.pl
 
+(* [List.mem] at int equality: no polymorphic compare per element. *)
+let rec int_mem (i : int) = function
+  | [] -> false
+  | k :: rest -> k = i || int_mem i rest
+
 let handler : (unit, exit) Effect.Deep.handler =
   { Effect.Deep.retc = (fun () -> X_done);
     exnc = (fun e -> X_crash e);
@@ -789,7 +794,7 @@ let switch_to t rt =
     (* Mask the previous guest's sources, unmask the successor's. *)
     let guest_enabled =
       List.filter
-        (fun i -> i < Irq_id.max_irq && not (List.mem i kernel_irqs))
+        (fun i -> i < Irq_id.max_irq && not (int_mem i kernel_irqs))
         (Vgic.enabled_sources rt.pd.Pd.vgic)
     in
     Gic.set_enabled_mask t.z.Zynq.gic ~keep:kernel_irqs ~enable:guest_enabled;

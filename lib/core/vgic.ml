@@ -118,7 +118,7 @@ let enabled_sources t =
     Int_table.fold (fun irq s acc -> if s.enabled then irq :: acc else acc)
       t.sources []
   in
-  List.sort compare out
+  List.sort Int.compare out
 
 let raised t = t.raised
 let delivered t = t.delivered

@@ -9,13 +9,14 @@
      interned once by its call site, is compiled once per translation
      context into a flat program of page-run descriptors
      ([Fastpath.prog]); replay revalidates each run independently
-     against the TLB/cache epoch counters and bulk-replays the warm
-     runs, walking only the cold ones through the fused two-level
-     loop — which re-records their replay slots in passing. A per-CPU
-     micro-TLB memoises page translations for the cold runs
-     ([Zynq.translate_page], shared with the word accessors). Epoch
-     counters guarantee every shortcut reproduces the exact state
-     transitions, statistics and cycle counts of the reference walk. *)
+     against its page's TLB set version and the L1 epoch counters and
+     bulk-replays the warm runs, walking only the cold ones through
+     the fused two-level loop — which re-records their replay slots in
+     passing. A per-CPU micro-TLB memoises page translations for the
+     cold runs ([Zynq.translate_page], shared with the word
+     accessors). Set versions and epoch counters guarantee every
+     shortcut reproduces the exact state transitions, statistics and
+     cycle counts of the reference walk. *)
 
 type range = Fastpath.range = { base : Addr.t; len : int }
 
@@ -132,9 +133,10 @@ let kind_of = function
 
 (* Replay a compiled program, revalidating each run independently:
 
-   - translation: a TLB-epoch stamp match proves no insert or flush
-     has touched any slot since the run's slot was recorded, so the
-     recorded translation is replayed ([Tlb.refresh] — the exact
+   - translation: a stamp equal to the TLB set version of the run's
+     page proves no insert or flush has touched that set since the
+     run's slot was recorded — and a lookup reads only its own set —
+     so the recorded translation is replayed ([Tlb.refresh] — the exact
      state transition of the hitting lookup it stands in for) and the
      cached physical base reused; otherwise the page goes back
      through the micro-TLB / MMU and the record is refreshed;
@@ -151,9 +153,10 @@ let kind_of = function
    only in host-side work per line.
 
    [te]/[ie]/[de] are the TLB, L1I and L1D epochs on entry. When the
-   visit leaves every run stamped with them and none has moved, they
-   become the program's whole-program warm record. Returns the number
-   of runs walked cold. *)
+   visit leaves every run's stamps current (the L1 stamps equal to
+   [ie]/[de]) and none of the three epochs has moved, they become the
+   program's whole-program warm record. Returns the number of runs
+   walked cold. *)
 let replay_checked zynq ~l1i ~l1d (p : Fastpath.prog) ~priv ~asid ~ttbr
     ~dacr ~te ~ie ~de =
   let tlb = zynq.Zynq.tlb in
@@ -168,8 +171,10 @@ let replay_checked zynq ~l1i ~l1d (p : Fastpath.prog) ~priv ~asid ~ttbr
     let ki = Array.unsafe_get p.Fastpath.r_kind r in
     let n = Array.unsafe_get p.Fastpath.r_lines r in
     let page_vbase = Array.unsafe_get p.Fastpath.r_vbase r in
+    let vpage = page_vbase lsr Addr.page_shift in
     let pbase =
-      if Array.unsafe_get p.Fastpath.r_tlb_epoch r = Tlb.epoch tlb then begin
+      if Array.unsafe_get p.Fastpath.r_tlb_epoch r = Tlb.set_version tlb vpage
+      then begin
         Tlb.refresh tlb (Array.unsafe_get p.Fastpath.r_tlb_slot r);
         Array.unsafe_get p.Fastpath.r_pbase r
       end
@@ -188,12 +193,11 @@ let replay_checked zynq ~l1i ~l1d (p : Fastpath.prog) ~priv ~asid ~ttbr
         (* [translate_page] left the page's micro-TLB entry naming its
            TLB slot, or marked the entry empty when no slot holds the
            translation. *)
-        let vpage = page_vbase lsr Addr.page_shift in
         let e = Fastpath.mtlb_entry zynq.Zynq.fast vpage in
         if e.Fastpath.m_vpage = vpage then begin
           Array.unsafe_set p.Fastpath.r_tlb_slot r e.Fastpath.m_slot;
           Array.unsafe_set p.Fastpath.r_pbase r pb;
-          Array.unsafe_set p.Fastpath.r_tlb_epoch r (Tlb.epoch tlb)
+          Array.unsafe_set p.Fastpath.r_tlb_epoch r (Tlb.set_version tlb vpage)
         end
         else Array.unsafe_set p.Fastpath.r_tlb_epoch r (-1);
         pb
@@ -236,12 +240,13 @@ let replay_checked zynq ~l1i ~l1d (p : Fastpath.prog) ~priv ~asid ~ttbr
     end;
     valid :=
       !valid
-      && Array.unsafe_get p.Fastpath.r_tlb_epoch r = te
+      && Array.unsafe_get p.Fastpath.r_tlb_epoch r = Tlb.set_version tlb vpage
       && Array.unsafe_get p.Fastpath.r_cache_epoch r
          = if ki = 0 then ie else de
   done;
   (* Epochs only grow: all three unchanged means no run's stamp went
-     stale after it was checked. *)
+     stale after it was checked (a TLB set version only moves with the
+     TLB epoch). *)
   if
     !valid && Tlb.epoch tlb = te && Cache.epoch l1i = ie
     && Cache.epoch l1d = de

@@ -4,10 +4,12 @@
    here, both used by [Exec.run_pinned]:
 
    - a direct-mapped micro-TLB memoising page translations, valid only
-     while the translation context (TTBR/ASID/DACR/privilege) and the
-     {!Tlb.epoch} are unchanged — every flush, ASID switch or
-     page-table update moves the epoch and kills stale entries. The
-     {!Zynq} word accessors translate through it too;
+     while the translation context (TTBR/ASID/DACR/privilege) matches
+     and the {!Tlb.set_version} of the page is unchanged — an insert
+     into the page's TLB set or a flush that drops one of its entries
+     moves the version and kills stale entries, while changes to other
+     sets leave them live. The {!Zynq} word accessors translate
+     through it too;
 
    - pinned traces: a fixed footprint sequence, interned once by its
      call site, holding its compiled programs — one per translation
@@ -15,9 +17,9 @@
      the sequence into an array of page-run descriptors (page base,
      first-line offset, line count, access kind) with a per-run replay
      record (TLB slot + physical base, L1 slot per line). A replay
-     visit revalidates each run independently — TLB-epoch stamp for
-     the translation, cache-epoch stamp or an effect-free tag-verify
-     pass for the lines — so a trace with one cold range replays its
+     visit revalidates each run independently — TLB set-version stamp
+     for the translation, cache-epoch stamp or a hinted walk for the
+     lines — so a trace with one cold range replays its
      warm runs in bulk and walks only the cold ones, and every cold
      walk re-records the run's slots in passing. A visit that leaves
      every run valid records the epochs it saw; the next visit,
@@ -49,7 +51,7 @@ type mentry = {
   mutable m_ttbr : int;
   mutable m_dacr : int;
   mutable m_priv : bool;
-  mutable m_epoch : int;   (* Tlb.epoch at install time *)
+  mutable m_epoch : int;   (* Tlb.set_version of the page at install *)
   mutable m_slot : Tlb.slot;
   mutable m_pbase : int;
 }
@@ -62,12 +64,13 @@ let mtlb_mask = mtlb_size - 1
    kind [r_kind.(r)] starting [r_off.(r)] bytes into the page at
    [r_vbase.(r)], with its per-line slot record living at
    [slots.(r_from.(r) ..)]. The dynamic half is the replay record,
-   guarded by the monotonic TLB/cache epoch stamps: a stamp of -1
-   means "never valid". [warm_at] is the whole-program warm record:
-   the sum of the TLB, L1I and L1D epochs at which a visit last left
-   every run's own stamps valid (-1: none). The three epochs only
-   grow, so the sum is unchanged exactly when all three are; while it
-   holds, every per-run check would pass and a replay can skip them. *)
+   guarded by monotonic stamps — the TLB set version of the run's
+   page, the L1 epoch — where -1 means "never valid". [warm_at] is
+   the whole-program warm record: the sum of the global TLB, L1I and
+   L1D epochs at which a visit last left every run's own stamps valid
+   (-1: none). The three epochs only grow, so the sum is unchanged
+   exactly when all three are; while it holds, every per-run check
+   would pass and a replay can skip them. *)
 type prog = {
   n_runs : int;
   r_vbase : int array;
@@ -109,7 +112,11 @@ type pinned = {
 }
 
 (* Contexts alive at once = live VMs (bounded by save-area slots) plus
-   the manager; 8 ways keeps every steady-state mix resident. *)
+   the manager. 8 ways hold a small fleet's mix; a larger one cycles
+   through them and recompiles (ring-fleet-64 recompiles 20,203
+   programs per instance at seed 42). A 256-entry per-ASID table
+   removed those recompiles but raised that workload's peak RSS from
+   28.7 to 32.0 MB, so the MRU stays. *)
 let pin_ways = 8
 
 let make_pinned fps ~cycles =

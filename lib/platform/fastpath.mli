@@ -10,10 +10,10 @@
     first-line offset, line count, access kind) plus a replay record:
     the TLB slot and physical base per run, and the L1 slot per line.
     Replay revalidates each run independently against the
-    {!Tlb.epoch} / {!Cache.epoch} counters (or an effect-free tag
-    verify), so a partially warm trace bulk-replays its warm runs and
-    walks only the cold ones, and a program whose epochs have not
-    moved since a visit left all its runs valid skips the per-run
+    {!Tlb.set_version} of its page and the {!Cache.epoch} of its L1
+    (or a hinted walk), so a partially warm trace bulk-replays its warm runs and
+    walks only the cold ones, and a program whose global TLB, L1I and
+    L1D epochs have not moved since a visit left all its runs valid skips the per-run
     checks — with every shortcut bit-identical, in simulated cycles
     and in every hit/miss statistic, to the scalar reference walk.
 
@@ -40,7 +40,7 @@ type mentry = {
   mutable m_ttbr : int;
   mutable m_dacr : int;
   mutable m_priv : bool;
-  mutable m_epoch : int;   (** {!Tlb.epoch} at install time *)
+  mutable m_epoch : int;   (** {!Tlb.set_version} of the page at install *)
   mutable m_slot : Tlb.slot;
   mutable m_pbase : int;
 }
@@ -56,8 +56,9 @@ type prog = {
   r_kind : int array;        (** 0 ifetch / 1 load / 2 store *)
   r_from : int array;        (** run's first line index into [slots] *)
   total_lines : int;
-  r_tlb_epoch : int array;   (** {!Tlb.epoch} when [r_tlb_slot] was
-                                 recorded; -1 = never *)
+  r_tlb_epoch : int array;   (** {!Tlb.set_version} of the run's page
+                                 when [r_tlb_slot] was recorded;
+                                 -1 = never *)
   r_tlb_slot : Tlb.slot array;
   r_pbase : int array;       (** physical page base per run *)
   r_cache_epoch : int array; (** {!Cache.epoch} of the run's L1 when
@@ -72,7 +73,7 @@ type prog = {
                                  none *)
 }
 (** A compiled footprint program: static flattened access pattern plus
-    the epoch-guarded dynamic replay record. The epochs only grow, so
+    the stamp-guarded dynamic replay record. The epochs only grow, so
     while their sum still equals [warm_at] none of them has moved and
     every per-run stamp check would pass: a replay skips them. *)
 

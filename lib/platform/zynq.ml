@@ -80,23 +80,27 @@ let pwrite_word t a v =
     Phys_mem.write_word t.mem a v
   end
 
+(* Whether micro-TLB entry [e] still answers for [vpage] under the
+   translation context: the context — TTBR, ASID, DACR, privilege — is
+   pinned in the entry, and the TLB set version of the page pins its
+   slot's residency (a lookup reads nothing outside its own set). *)
+let mtlb_live t e ~vpage ~asid ~ttbr ~dacr ~priv =
+  e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
+  && e.m_dacr = dacr && e.m_priv = priv
+  && e.m_epoch = Tlb.set_version t.tlb vpage
+
 (* Translate [va] through the micro-TLB and return the physical base
    of its page. A hit replays exactly the state transition of the
    TLB-hitting [Mmu.translate_exn] it stands in for (the permission
-   check is context-dependent only, and the context — TTBR, ASID,
-   DACR, privilege — is pinned in the entry; the TLB epoch pins slot
-   residency). A miss is [Mmu.translate_exn] at [va] itself, so a
+   check is context-dependent only, and [mtlb_live] pins the context
+   and the slot). A miss is [Mmu.translate_exn] at [va] itself, so a
    fault carries the same address either way. *)
 let translate_page t access ~priv ~asid ~ttbr ~dacr va =
   let fast = t.fast in
   let vpage = va lsr Addr.page_shift in
   let tlb = t.tlb in
   let e = Fastpath.mtlb_entry fast vpage in
-  if
-    e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
-    && e.m_dacr = dacr && e.m_priv = priv
-    && e.m_epoch = Tlb.epoch tlb
-  then begin
+  if mtlb_live t e ~vpage ~asid ~ttbr ~dacr ~priv then begin
     fast.Fastpath.mtlb_hits <- fast.Fastpath.mtlb_hits + 1;
     Tlb.refresh tlb e.m_slot;
     e.m_pbase
@@ -111,7 +115,7 @@ let translate_page t access ~priv ~asid ~ttbr ~dacr va =
       e.m_ttbr <- ttbr;
       e.m_dacr <- dacr;
       e.m_priv <- priv;
-      e.m_epoch <- Tlb.epoch tlb;
+      e.m_epoch <- Tlb.set_version tlb vpage;
       e.m_slot <- slot;
       e.m_pbase <- pbase
     end
@@ -130,40 +134,44 @@ let vtranslate t access ~priv a =
 let vread_word t ~priv a = pread_word t (vtranslate t Mmu.Read ~priv a)
 let vwrite_word t ~priv a v = pwrite_word t (vtranslate t Mmu.Write ~priv a) v
 
-(* Word runs. With the fast path on, each page of the run is one full
-   [translate_page] for its first word; its other words replay the
-   micro-TLB hit that word installed (hit counter and TLB slot refresh
-   per word, as their own translations would), and one
-   [Hierarchy.access_words] charges the page's words. Translating the
-   page's words ahead of their cache charges is exact: a micro-TLB hit
-   touches no cache line and nothing else runs in between. A PL-window
-   page, an unaligned run, or a first translation that left no
-   micro-TLB entry takes the scalar loop instead; a fault on page k
-   leaves pages before k done, as the scalar loop would.
+(* Word runs. With the fast path on, a run is cut at page ends and
+   each page's words are translated ahead of their cache charges,
+   which is exact: a micro-TLB hit touches no cache line and nothing
+   else runs in between. Then one [Hierarchy.access_words] charges
+   the page's words. A PL-window page, an unaligned run, or a first
+   translation that left no micro-TLB entry takes the scalar loop
+   instead; a fault on page k leaves pages before k done, as the
+   scalar loop would.
 
-   [page_words] translates [va] and returns its physical address when
-   the page's other [n - 1] translations were replayed, or [lnot] of
-   it when the caller must finish the page word by word. *)
-let page_words t access ~priv va n =
+   [page_words] translates the [n] words of one page from [va] and
+   returns the physical address of [va] when all of them were
+   translated, or [lnot] of it when the caller must finish the page
+   word by word after the first. A live micro-TLB entry replays all
+   [n] translations in one step (hit counter and [Tlb.refresh_n]: the
+   hits their own translations would score); otherwise one full
+   [translate_page] serves the first word and the others replay the
+   entry it installed. *)
+let page_words t access ~priv ~asid ~ttbr ~dacr va n =
   let fast = t.fast in
-  let mmu = t.mmu in
-  let asid = Mmu.asid mmu and ttbr = Mmu.ttbr mmu in
-  let dacr = Dacr.to_word (Mmu.dacr mmu) in
-  let pa =
-    translate_page t access ~priv ~asid ~ttbr ~dacr va lor Addr.page_offset va
-  in
   let vpage = va lsr Addr.page_shift in
   let e = Fastpath.mtlb_entry fast vpage in
+  let hit_pa = e.Fastpath.m_pbase lor Addr.page_offset va in
+  let live =
+    mtlb_live t e ~vpage ~asid ~ttbr ~dacr ~priv && not (in_pl_window hit_pa)
+  in
+  let pa =
+    if live then hit_pa
+    else
+      translate_page t access ~priv ~asid ~ttbr ~dacr va
+      lor Addr.page_offset va
+  in
   if
-    e.Fastpath.m_vpage = vpage && e.m_asid = asid && e.m_ttbr = ttbr
-    && e.m_dacr = dacr && e.m_priv = priv
-    && e.m_epoch = Tlb.epoch t.tlb
-    && not (in_pl_window pa)
+    live
+    || (mtlb_live t e ~vpage ~asid ~ttbr ~dacr ~priv && not (in_pl_window pa))
   then begin
-    fast.Fastpath.mtlb_hits <- fast.Fastpath.mtlb_hits + (n - 1);
-    for _ = 2 to n do
-      Tlb.refresh t.tlb e.m_slot
-    done;
+    let k = if live then n else n - 1 in
+    fast.Fastpath.mtlb_hits <- fast.Fastpath.mtlb_hits + k;
+    Tlb.refresh_n t.tlb e.Fastpath.m_slot k;
     pa
   end
   else lnot pa
@@ -181,11 +189,14 @@ let run_words t access ~priv va buf off n =
       scalar_word t ~write ~priv (va + (4 * k)) buf (off + k)
     done
   else begin
+    let mmu = t.mmu in
+    let asid = Mmu.asid mmu and ttbr = Mmu.ttbr mmu in
+    let dacr = Dacr.to_word (Mmu.dacr mmu) in
     let k = ref 0 in
     while !k < n do
       let a = va + (4 * !k) in
       let m = Int.min (n - !k) ((Addr.page_size - Addr.page_offset a) / 4) in
-      let pa = page_words t access ~priv a m in
+      let pa = page_words t access ~priv ~asid ~ttbr ~dacr a m in
       let i = off + !k in
       if pa >= 0 then begin
         ignore

@@ -68,10 +68,12 @@ val vread_words : t -> priv:bool -> Addr.t -> int array -> int -> int -> unit
 (** [vread_words t ~priv va buf off n] reads the [n] words at [va, va +
     4, …] into [buf.(off) … buf.(off + n - 1)]: the same simulated
     cycles, cache/TLB/micro-TLB statistics, faults and values as [n]
-    {!vread_word} calls in order. With the fast path on, each page of
-    the run translates once in full, its other words replay their
-    micro-TLB hits, and one {!Hierarchy.access_words} charges the
-    page; PL-window or unaligned words take the scalar path. A fault
+    {!vread_word} calls in order. With the fast path on, a page of the
+    run whose micro-TLB entry is live replays all its words'
+    translations in one {!Tlb.refresh_n}; any other page translates
+    its first word in full and its other words replay the hit that
+    left. One {!Hierarchy.access_words} charges each page; PL-window
+    or unaligned words take the scalar path. A fault
     raises {!Mmu.Fault} with the words before it done.
     @raise Invalid_argument if the run does not fit [buf]. *)
 
@@ -88,8 +90,10 @@ val translate_page :
 (** [translate_page t access ~priv ~asid ~ttbr ~dacr va] is the
     physical base of the page holding [va], through the micro-TLB.
     [asid]/[ttbr]/[dacr] must be the MMU's current context (the caller
-    reads it once for a batch of pages). A hit replays the TLB slot
-    ({!Tlb.refresh}); a miss is {!Mmu.translate_exn} at [va], faults
+    reads it once for a batch of pages). An entry hits while its
+    context matches and the {!Tlb.set_version} of its page is the one
+    it recorded, so a TLB insert or flush elsewhere leaves it live. A
+    hit replays the TLB slot ({!Tlb.refresh}); a miss is {!Mmu.translate_exn} at [va], faults
     included, and installs the entry. On return the page's micro-TLB
     entry names the TLB slot holding the translation, or is empty
     ([m_vpage = -1]) when no slot holds it. The one translate function

@@ -365,6 +365,114 @@ let prop_cache_counters =
               levels)
          ops)
 
+(* [Cache.run_through] against per-line [Cache.access] at the A9
+   geometry: the 4-way L1s take the written-out set scan, the 8-way L2
+   its own hit scan and [Cache.victim]. Every line of the pool maps into L1 sets 0–6, 40
+   lines to a set, so most walk lines miss and evict. Both sides run
+   the same ops: walks with fresh, stale or garbage slot hints (the
+   reference side does [access] on the L1 and, on a miss, on the L2),
+   one-line invalidations (a non-live way in the middle of a set),
+   full invalidations, and age ties. Every fill and hit stamps a fresh
+   tick, so two live ways share an age only after [rehit ~n:0], which
+   restamps a slot with the current tick: the tie op uses it to make
+   two lines of one set equally old, which the victim rule must break
+   towards the earlier way. Counters are compared after every op, and
+   every pool line's residency and dirtiness at the end. *)
+let a9_pool_base = 0x100000
+let a9_pool_lines = 40
+
+let prop_run_through_a9 =
+  let op =
+    QCheck2.Gen.(
+      quad (int_bound 6) (int_bound (a9_pool_lines - 1)) (int_bound 3)
+        (pair (int_range 1 4) (int_bound 2)))
+  in
+  QCheck2.Test.make ~name:"run_through = per-line access at the A9 geometry"
+    ~count:300
+    ~print:QCheck2.Print.(list (quad int int int (pair int int)))
+    QCheck2.Gen.(list_size (int_range 1 120) op)
+    (fun ops ->
+       let hw = Hierarchy.create (Clock.create ())
+       and hs = Hierarchy.create (Clock.create ()) in
+       let levels h = [ Hierarchy.l1i h; Hierarchy.l1d h; Hierarchy.l2 h ] in
+       let counters h =
+         List.concat_map
+           (fun c ->
+              [ Cache.hits c; Cache.misses c; Cache.valid_lines c;
+                Cache.dirty_lines c; Cache.epoch c ])
+           (levels h)
+       in
+       let slots = Array.make 4 (-1) and next_slots = Array.make 4 (-1) in
+       let pool_state h =
+         List.concat_map
+           (fun c ->
+              List.init (a9_pool_lines * 8) (fun k ->
+                  let a = a9_pool_base + ((k / 8) * 8192) + (32 * (k mod 8)) in
+                  (Cache.probe c a, Cache.dirty_in_range c a 1)))
+           (levels h)
+       in
+       List.for_all
+         (fun (code, j, s, (n, k)) ->
+            let a = a9_pool_base + (j * 8192) + (32 * s) in
+            let l1 h = if k = 2 then Hierarchy.l1i h else Hierarchy.l1d h in
+            let write = k = 1 in
+            let same =
+              match code with
+              | 0 | 1 | 2 ->
+                (match code with
+                 | 0 ->
+                   Array.fill slots 0 4 (-1);
+                   Array.fill next_slots 0 4 (-1)
+                 | 1 -> ()
+                 | _ ->
+                   for i = 0 to 3 do
+                     slots.(i) <- ((j * 7) + (i * 13)) mod Cache.lines (l1 hw);
+                     next_slots.(i) <-
+                       ((j * 11) + (i * 5)) mod Cache.lines (Hierarchy.l2 hw)
+                   done);
+                let extra, _ =
+                  Cache.run_through (l1 hw) (Hierarchy.l2 hw) ~lat_next_hit:1
+                    ~lat_next_miss:2 ~a ~n ~write ~slots ~next_slots ~from:0
+                in
+                let reference = ref 0 in
+                for i = 0 to n - 1 do
+                  let a = a + (32 * i) in
+                  match Cache.access (l1 hs) a ~write with
+                  | `Hit -> ()
+                  | `Miss ->
+                    reference :=
+                      !reference
+                      + (match Cache.access (Hierarchy.l2 hs) a ~write with
+                        | `Hit -> 1
+                        | `Miss -> 2)
+                done;
+                extra = !reference
+              | 3 ->
+                (* Line [a] and the line 8 KB above it (same L1 set) end
+                   up with equal ages. *)
+                List.iter
+                  (fun h ->
+                     let c = l1 h in
+                     let s = Cache.access_word c a ~write:false in
+                     ignore (Cache.access c (a + 8192) ~write:false);
+                     Cache.rehit c (if s >= 0 then s else lnot s) ~write:false
+                       ~n:0)
+                  [ hw; hs ];
+                true
+              | 4 | 5 ->
+                List.iter (fun h -> ignore (Cache.invalidate_range (l1 h) a 32))
+                  [ hw; hs ];
+                true
+              | _ ->
+                List.iter
+                  (fun h -> ignore (Cache.invalidate_all (List.nth (levels h) k)))
+                  [ hw; hs ];
+                true
+            in
+            same && counters hw = counters hs)
+         ops
+       && pool_state hw = pool_state hs)
+
 (* --- TLB probe against a reference model ---
 
    The model mirrors the TLB slot by slot (liveness, tag, entry, LRU
@@ -530,6 +638,75 @@ let prop_tlb_peek_is_scan =
        List.for_all Fun.id
          (List.mapi (fun n o -> step (n + 1) o && agrees ()) (prefix @ ops)))
 
+(* Per-set validity against a model. The model is the record a
+   fast-path memo keeps: per (asid, vpage), the slot [peek] returned
+   and the page's [Tlb.set_version] at that time. Whenever a record's
+   version is still the page's, [peek] must return the recorded slot
+   (a recorded miss included); every record is then refreshed. Inserts
+   and [flush_page] must leave every other set's version alone, and
+   no version passes the epoch. Ops are insert, probe, [flush_page],
+   [flush_asid] and [flush_all], on an 8-entry 2-way TLB; each case
+   starts with a global insert at a vpage another ASID holds
+   non-globally. *)
+let prop_tlb_set_versions =
+  let ways = tlb_model_cfg.Tlb.ways in
+  let sets = tlb_model_cfg.Tlb.entries / ways in
+  let op =
+    QCheck2.Gen.(
+      quad (int_bound 7) (int_bound (tlb_model_asids - 1))
+        (int_bound (tlb_model_vpages - 1)) bool)
+  in
+  let prefix = [ (0, 1, 3, false); (0, 2, 3, true) ] in
+  QCheck2.Test.make ~name:"tlb set versions certify peek"
+    ~count:300
+    ~print:QCheck2.Print.(list (quad int int int bool))
+    QCheck2.Gen.(list_size (int_range 1 80) op)
+    (fun ops ->
+       let t = Tlb.create tlb_model_cfg in
+       let key asid vpage = (asid * tlb_model_vpages) + vpage in
+       let n_keys = tlb_model_asids * tlb_model_vpages in
+       let rec_slot = Array.make n_keys Tlb.null_slot in
+       let rec_ver = Array.make n_keys (-1) in
+       let versions () = Array.init sets (fun s -> Tlb.set_version t s) in
+       let check_and_record () =
+         let ok = ref true in
+         for asid = 0 to tlb_model_asids - 1 do
+           for vpage = 0 to tlb_model_vpages - 1 do
+             let k = key asid vpage in
+             let v = Tlb.set_version t vpage in
+             let slot = Tlb.peek t ~asid ~vpage in
+             if rec_ver.(k) = v && slot != rec_slot.(k) then ok := false;
+             if v > Tlb.epoch t then ok := false;
+             rec_slot.(k) <- slot;
+             rec_ver.(k) <- v
+           done
+         done;
+         !ok
+       in
+       let others_kept before vpage =
+         let after = versions () in
+         let kept = ref true in
+         Array.iteri
+           (fun s b ->
+              if s <> vpage land (sets - 1) && after.(s) <> b then
+                kept := false)
+           before;
+         !kept
+       in
+       let step n (code, asid, vpage, global) =
+         let before = versions () in
+         (match code with
+          | 0 | 1 | 2 -> Tlb.insert t ~asid ~vpage (entry ~global n)
+          | 3 | 4 -> ignore (Tlb.probe t ~asid ~vpage)
+          | 5 -> Tlb.flush_page t ~asid ~vpage
+          | 6 -> ignore (Tlb.flush_asid t asid)
+          | _ -> ignore (Tlb.flush_all t));
+         (code > 5 || others_kept before vpage) && check_and_record ()
+       in
+       ignore (check_and_record ());
+       List.for_all Fun.id
+         (List.mapi (fun n o -> step (n + 1) o) (prefix @ ops)))
+
 (* The probe allocates nothing, on hits and misses alike. *)
 let test_tlb_peek_allocates_nothing () =
   let t = Tlb.create Tlb.cortex_a9 in
@@ -570,5 +747,7 @@ let suite =
       t "hierarchy uncached" test_hierarchy_uncached;
       QCheck_alcotest.to_alcotest prop_access_words_is_scalar;
       QCheck_alcotest.to_alcotest prop_cache_counters;
+      QCheck_alcotest.to_alcotest prop_run_through_a9;
       QCheck_alcotest.to_alcotest prop_tlb_peek_is_scan;
+      QCheck_alcotest.to_alcotest prop_tlb_set_versions;
       t "tlb peek allocates nothing" test_tlb_peek_allocates_nothing ] )

@@ -303,8 +303,8 @@ let rec apply b op =
   | Pt_toggle (i, flush) ->
     (* Map the scratch page if absent, unmap it if present. Without the
        TLB flush a stale translation keeps working on both boards (as on
-       hardware); with it, the epoch bump forces the fast path to
-       revalidate and possibly fault. *)
+       hardware); with it, the bump of the page's TLB set version forces
+       the fast path to revalidate and possibly fault. *)
     let virt = scratch_page i in
     let pt = Kmem.kernel_pt b.km in
     if not (Page_table.unmap_page pt ~virt) then
@@ -315,9 +315,9 @@ let rec apply b op =
         ~vpage:(virt lsr Addr.page_shift)
   | Pt_remap (i, p, flush) ->
     (* Point the scratch page at an alternate physical frame. With the
-       TLB page flush this bumps only the *TLB* epoch: the fast path
-       must notice the physical base moved and not replay L1 slots
-       recorded for the old frame's lines. *)
+       TLB page flush this bumps only the page's *TLB* set version: the
+       fast path must notice the physical base moved and not replay L1
+       slots recorded for the old frame's lines. *)
     let virt = scratch_page i in
     let pt = Kmem.kernel_pt b.km in
     ignore (Page_table.unmap_page pt ~virt);
