@@ -7,136 +7,11 @@
 
    NAME is any Experiment.registry entry (table3, fig9, report,
    reconfig, axi, vfp, trapvshyper, asid, quantum, chaos, soak, slo,
-   density, partition, scenario, trace) or micro, the Bechamel
-   microbenchmarks of the simulator's hot primitives (host ns/op).
+   density, partition, scenario, trace).
    A flag none of the named experiments reads is refused (exit 2).
    --assert exits 1 when a claim fails; with table3 named,
    --check-baseline FILE exits 1 when the sweep's simulated cycles
    drift from FILE and --write-baseline FILE regenerates it. *)
-
-(* --- micro: Bechamel microbenchmarks (host ns/op, no claims) --- *)
-
-let micro_tests () =
-  let open Bechamel in
-  let cache_bench =
-    let c =
-      Cache.create
-        { Cache.name = "b"; size_bytes = 32 * 1024; ways = 4; line_size = 32 }
-    in
-    let i = ref 0 in
-    Test.make ~name:"cache.access"
-      (Staged.stage (fun () ->
-           incr i;
-           ignore (Cache.access c (!i * 64) ~write:false)))
-  in
-  let tlb_bench =
-    let t = Tlb.create Tlb.cortex_a9 in
-    let i = ref 0 in
-    Test.make ~name:"tlb.lookup+insert"
-      (Staged.stage (fun () ->
-           incr i;
-           let vpage = !i land 0xFFFF in
-           match Tlb.lookup t ~asid:1 ~vpage with
-           | Some _ -> ()
-           | None ->
-             Tlb.insert t ~asid:1 ~vpage
-               { Tlb.ppage = vpage; word = 0; global = false }))
-  in
-  let fft_bench =
-    let re = Array.init 1024 (fun i -> sin (0.01 *. float_of_int i)) in
-    let im = Array.make 1024 0.0 in
-    Test.make ~name:"fft.1024"
-      (Staged.stage (fun () ->
-           let r = Array.copy re and i = Array.copy im in
-           Fft.transform r i))
-  in
-  (* A booted board with the fast path on or off. *)
-  let board fast =
-    let z = Zynq.create () in
-    ignore (Kmem.create z);
-    Fastpath.set_enabled z.Zynq.fast fast;
-    z
-  in
-  let translate_bench =
-    let z = board true in
-    Test.make ~name:"mmu.translate"
-      (Staged.stage (fun () ->
-           ignore
-             (Mmu.translate z.Zynq.mmu Mmu.Read ~priv:true
-                Address_map.kernel_code_base)))
-  in
-  (* The same pinned footprint through both Exec paths: the compiled
-     trace's replay (fast path, warm after the first visit) and the
-     scalar reference walk (fast path disabled). The ratio is the
-     host-side speedup of the acceleration layer on a warm footprint. *)
-  let exec_fp =
-    Exec.pin1 @@ Exec.make ~label:"bench.exec"
-      ~code_base:Address_map.kernel_code_base ~code_bytes:512
-      ~reads:[ { Exec.base = Address_map.kernel_data_base; len = 1024 } ]
-      ~writes:
-        [ { Exec.base = Address_map.kernel_data_base + 0x1000; len = 256 } ]
-      ~base_cycles:20 ()
-  in
-  let exec_bench name ~fast =
-    let z = board fast in
-    Exec.run_pinned z ~priv:true exec_fp;
-    Test.make ~name
-      (Staged.stage (fun () -> Exec.run_pinned z ~priv:true exec_fp))
-  in
-  (* One ring-sized word write plus read-back on one data page, through
-     the micro-TLB (fast) and through a plain MMU translation per word
-     (fast path disabled on that board). *)
-  let vword_bench name ~fast =
-    let z = board fast in
-    let i = ref 0 in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           incr i;
-           let a = Address_map.kernel_data_base + (4 * (!i land 1023)) in
-           Zynq.vwrite_word z ~priv:true a !i;
-           ignore (Zynq.vread_word z ~priv:true a)))
-  in
-  [ cache_bench; tlb_bench; fft_bench; translate_bench;
-    exec_bench "exec.replay" ~fast:true; exec_bench "exec.ref_walk" ~fast:false;
-    vword_bench "zynq.vword" ~fast:true; vword_bench "zynq.vword_ref" ~fast:false ]
-
-(* Host ns/op per primitive, sorted by name (Hashtbl.fold order is
-   unspecified). 0.15 s per test keeps the OLS estimates of these tight
-   loops stable. *)
-let micro =
-  { Experiment.name = "micro";
-    title = "microbenchmarks (host ns/op)";
-    define =
-      (fun _ () ->
-         let open Bechamel in
-         let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.15) () in
-         let clock = Toolkit.Instance.monotonic_clock in
-         let ols =
-           Analyze.ols ~r_square:false ~bootstrap:0
-             ~predictors:[| Measure.run |]
-         in
-         let ns_per_op test =
-           Hashtbl.fold
-             (fun name est acc ->
-                let ns =
-                  match Analyze.OLS.estimates est with
-                  | Some (t :: _) -> Json_out.Float t
-                  | Some [] | None -> Json_out.Null
-                in
-                (name, ns) :: acc)
-             (Analyze.all ols clock (Benchmark.all cfg [ clock ] test))
-             []
-         in
-         { Experiment.json =
-             Json_out.Obj
-               (List.concat_map ns_per_op (micro_tests ())
-                |> List.sort (fun (a, _) (b, _) -> String.compare a b));
-           claims = [];
-           cycles = [] }) }
-
-(* --- the front end --- *)
-
-let sections = Experiment.registry @ [ micro ]
 
 let fail msg =
   Format.eprintf "mininova: %s@." msg;
@@ -149,7 +24,7 @@ let () =
     | argv -> argv
   in
   let c =
-    match Experiment.command sections argv with
+    match Experiment.command Experiment.registry argv with
     | Ok c -> c
     | Error m -> fail m
   in

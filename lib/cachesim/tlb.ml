@@ -94,10 +94,6 @@ let probe t ~asid ~vpage =
   else t.misses <- t.misses + 1;
   s
 
-let lookup t ~asid ~vpage =
-  let s = probe t ~asid ~vpage in
-  if s != null_slot then Some s.entry else None
-
 let entry s = s.entry
 
 let peek t ~asid ~vpage = matching t ~asid ~vpage

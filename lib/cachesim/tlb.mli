@@ -22,9 +22,6 @@ val create : config -> t
 val cortex_a9 : config
 (** 128 entries, 2-way — the A9 main TLB. *)
 
-val lookup : t -> asid:int -> vpage:int -> entry option
-(** Hit refreshes LRU. A non-global entry only matches its own ASID. *)
-
 type slot
 (** Handle on the physical TLB slot currently holding a translation.
     Stays valid (same mapping, same slot) while the {!set_version} of
@@ -32,22 +29,23 @@ type slot
     entries, and each touches the version of the sets it changes. *)
 
 val probe : t -> asid:int -> vpage:int -> slot
-(** {!lookup} without the option: the same state transition (tick,
-    hit/miss accounting, LRU refresh on a hit), returning the hitting
-    slot, or {!null_slot} itself on a miss. Allocates nothing. *)
+(** Look a translation up: tick, hit/miss accounting and an LRU
+    refresh on a hit. A non-global entry only matches its own ASID.
+    Returns the hitting slot, or {!null_slot} itself on a miss.
+    Allocates nothing. *)
 
 val entry : slot -> entry
 (** The translation a slot holds. *)
 
 val peek : t -> asid:int -> vpage:int -> slot
-(** Like {!lookup} but completely effect-free: no tick, no hit/miss
+(** Like {!probe} but completely effect-free: no tick, no hit/miss
     accounting, no LRU refresh, no allocation. Returns the slot holding
     the translation, or {!null_slot} itself (compare with [==]) on a
     miss. Used to snapshot residency for the fast-path layers. *)
 
 val refresh : t -> slot -> unit
 (** Replay a hit on a slot obtained from {!peek}: exactly the state
-    transition of a hitting {!lookup} (tick, hit counter, LRU
+    transition of a hitting {!probe} (tick, hit counter, LRU
     refresh). Only sound while {!set_version} of the page still equals
     the value observed at {!peek} time. *)
 

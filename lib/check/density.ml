@@ -10,11 +10,6 @@
 
 let mode_name = function Fleet_cell.V1 -> "v1" | Fleet_cell.V2 -> "v2"
 
-let mode_of_string = function
-  | "v1" -> Ok Fleet_cell.V1
-  | "v2" -> Ok Fleet_cell.V2
-  | s -> Error (Printf.sprintf "expected v1 or v2, got %S" s)
-
 let default_config =
   { Fleet_cell.seed = 42; vms = 8; jobs_per_vm = 16; abi = V2; batch = 8;
     cvirq_budget = 8; ring_admission = `Fifo;

@@ -6,8 +6,6 @@
     depth), PRR utilisation, and the victim's vIRQ-turnaround p50/p99
     under density interference. *)
 
-val mode_of_string : string -> (Fleet_cell.abi, string) result
-
 val default_config : Fleet_cell.config
 (** seed 42, 8 VMs, v2, 16 jobs each in batches of 8, completion
     vIRQs every 8, FIFO admission, dynamic PRRs, no faults, the QAM-4

@@ -215,6 +215,7 @@ let report =
            result
              (Obj
                 [ ("kernel_loc", opt_int r.Complexity.kernel_loc);
+                  ("guest_loc", opt_int r.Complexity.guest_loc);
                   ("patch_loc", opt_int r.Complexity.patch_loc);
                   ("hypercalls", Int r.Complexity.hypercalls);
                   ("time_slice_ms", Float r.Complexity.time_slice_ms);
@@ -423,20 +424,12 @@ let shards =
      up to MININOVA_DOMAINS; results are identical for any domain count)."
     1
 
-let max_vms =
-  Cli_args.int ~min:1 [ "max-vms" ] "Cap on concurrently live soak VMs."
-    Soak.default_config.Soak.max_vms
-
 let replay =
   Cli_args.file [ "replay" ]
     "Replay a soak reproducer file instead of generating from the seed."
 
-let repro_out =
-  { Cli_args.names = [ "repro-out" ];
-    docv = "FILE";
-    doc = "Where to write the shrunk reproducer on an invariant violation.";
-    default = "SOAK_repro.txt";
-    parse = (fun s -> Ok s) }
+(* Where a violated soak writes its shrunk reproducer. *)
+let repro_file = "SOAK_repro.txt"
 
 let arrivals =
   Cli_args.int ~min:1 [ "arrivals" ]
@@ -491,7 +484,6 @@ let soak =
          let d = Soak.default_config in
          let ops = a.value ops in
          let seed = a.value { Cli_args.seed with default = d.Soak.seed } in
-         let max_vms = a.value max_vms in
          let no_check = a.flag Cli_args.no_check in
          let fault_rate =
            a.value { Cli_args.fault_rate with default = d.Soak.fault_rate }
@@ -505,7 +497,6 @@ let soak =
          let pcpus = a.value Cli_args.pcpus in
          let shards = a.value shards in
          let replay = a.value replay in
-         let repro_out = a.value repro_out in
          fun () ->
            match replay () with
            | Some path ->
@@ -521,7 +512,7 @@ let soak =
                outcome [] (Soak.stats_of_outcome outcome)
            | None ->
              let cfg =
-               { Soak.ops = ops (); seed = seed (); max_vms = max_vms ();
+               { Soak.ops = ops (); seed = seed (); max_vms = d.Soak.max_vms;
                  check = not (no_check ()); fault_rate = fault_rate ();
                  fault_seed = fault_seed (); quantum_ms = quantum ();
                  pcpus = pcpus () }
@@ -536,10 +527,10 @@ let soak =
                | Some r ->
                  (match r.Soak.outcome with
                   | Soak.Violated { violation; shrunk; _ } ->
-                    Soak.write_reproducer (repro_out ()) r.Soak.shard_cfg
+                    Soak.write_reproducer repro_file r.Soak.shard_cfg
                       violation ~shrunk
                   | Soak.Clean _ -> ());
-                 (r.Soak.outcome, Some (repro_out ()))
+                 (r.Soak.outcome, Some repro_file)
              in
              soak_result ~cfg ~repro ~wall outcome s.Soak.reports
                s.Soak.merged_stats) }
@@ -703,17 +694,6 @@ let density =
              (Cli_args.int ~min:1 [ "batch" ]
                 "ABI v2 request descriptors per doorbell." d.batch)
          in
-         let budget =
-           a.value
-             (Cli_args.int ~min:0 [ "ring-budget" ]
-                "Completions per moderated ring vIRQ (0 = pure polling)."
-                d.cvirq_budget)
-         in
-         let mode =
-           a.value
-             (either_spec [ "mode" ] "Hypercall ABI under test: v1, v2 or both."
-                Density.mode_of_string)
-         in
          let fault_rate =
            a.value { Cli_args.fault_rate with default = d.fault_rate }
          in
@@ -722,14 +702,10 @@ let density =
            let populations = populations () in
            let base =
              { (base ()) with
-               batch = batch (); cvirq_budget = budget ();
-               fault_rate = fault_rate (); ring_admission = ring_admission () }
+               batch = batch (); fault_rate = fault_rate ();
+               ring_admission = ring_admission () }
            in
-           let cells =
-             Density.bench_matrix ~populations base
-             |> List.filter (fun (_, (c : Fleet_cell.config)) ->
-                    keep (mode ()) c.abi)
-           in
+           let cells = Density.bench_matrix ~populations base in
            let reports = run_cells Fleet_cell.run cells in
            let ratios = List.filter_map (density_ratio reports) populations in
            result

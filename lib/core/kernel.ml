@@ -133,9 +133,7 @@ type t = {
   mutable vfp_owner : (int * Vcpu.t) option;
   mutable next_pd : int;
   mutable next_guest : int;
-  mutable next_slot : int;
   free_guest_indices : int Queue.t;
-  free_slots : int Queue.t;
   mutable crash_count : int;
   mutable hypercall_count : int;
   mutable trace : Ktrace.t option;
@@ -213,11 +211,13 @@ let handler : (unit, exit) Effect.Deep.handler =
 let mk_fp ?(reads = []) ?(writes = []) ?(base_cycles = 0) (base, len) label =
   { Exec.label; code = { Exec.base; len }; reads; writes; base_cycles }
 
-(* vCPU save areas live between data+0x2000 and the manager's tables:
-   the hard cap on concurrently live vCPUs (slot 0 is the manager's). *)
-let max_vcpu_slots =
+(* vCPU save areas live between data+0x2000 and the manager's tables.
+   Slot 0 is the manager's; a guest's slot is its window index + 1. *)
+let vcpu_slots = Address_map.guest_slot_count + 1
+
+let () =
   let base0, slot_len = Klayout.vcpu_save_area 0 in
-  (fst Klayout.mgr_task_table - base0) / slot_len
+  assert (base0 + (vcpu_slots * slot_len) <= fst Klayout.mgr_task_table)
 
 let make_kfast () =
   let pd_base, pd_len = Klayout.pd_table in
@@ -270,12 +270,12 @@ let make_kfast () =
            ~base_cycles:Costs.tlb_shootdown);
     kf_und_trap = Exec.pin1 Trap_emulate.trap_fp;
     kf_ipc_copy = Exec.pin1 (mk_fp Klayout.ipc_copy "ipc_copy");
-    kf_save = Array.make max_vcpu_slots None;
-    kf_restore = Array.make max_vcpu_slots None;
-    kf_inject = Array.make max_vcpu_slots None;
-    kf_mgr_exit = Array.make max_vcpu_slots None;
-    kf_vfp_load = Array.make max_vcpu_slots None;
-    kf_vfp_store = Array.make max_vcpu_slots None }
+    kf_save = Array.make vcpu_slots None;
+    kf_restore = Array.make vcpu_slots None;
+    kf_inject = Array.make vcpu_slots None;
+    kf_mgr_exit = Array.make vcpu_slots None;
+    kf_vfp_load = Array.make vcpu_slots None;
+    kf_vfp_store = Array.make vcpu_slots None }
 
 let make_kinstr z probe =
   let obs = z.Zynq.obs in
@@ -389,9 +389,8 @@ let boot ?(config = default_config) z =
       kf = make_kfast ();
       ki = make_kinstr z probe;
       cur = None; vfp_owner = None;
-      next_pd = 1; next_guest = 0; next_slot = 1;
+      next_pd = 1; next_guest = 0;
       free_guest_indices = Queue.create ();
-      free_slots = Queue.create ();
       crash_count = 0; hypercall_count = 0;
       trace = None; check_hook = None;
       alive = 0; alloc_steps = 0;
@@ -424,12 +423,10 @@ let hwtm t = t.hwtm
 let register_hw_task t kind = Hw_task_manager.register_task t.hwtm kind
 let destroy_hw_task t id = Hw_task_manager.destroy_task t.hwtm id
 
-(* Why a fresh VM cannot be admitted, if it cannot (recycled slots
-   and windows come first). *)
+(* Why a fresh VM cannot be admitted, if it cannot (recycled windows
+   come first). *)
 let admission_block t =
-  if Queue.is_empty t.free_slots && t.next_slot >= max_vcpu_slots then
-    Some "vCPU save-area slots exhausted"
-  else if
+  if
     Queue.is_empty t.free_guest_indices
     && t.next_guest >= Address_map.guest_slot_count
   then Some "guest physical windows exhausted"
@@ -476,15 +473,7 @@ let create_vm t ~name ?id ?(priority = 1) ?(uses_vfp = false) main =
       t.next_guest <- i + 1;
       i
   in
-  let slot =
-    t.alloc_steps <- t.alloc_steps + 1;
-    match Queue.take_opt t.free_slots with
-    | Some s -> s
-    | None ->
-      let s = t.next_slot in
-      t.next_slot <- s + 1;
-      s
-  in
+  let slot = index + 1 in
   let pt = Kmem.make_guest_pt t.kmem ~index in
   let phys_base = Address_map.guest_phys_base index in
   let pd =
@@ -570,7 +559,6 @@ let reap t rt =
   Int_table.remove t.pd_tbl pd.Pd.id;
   Int_table.remove t.rts pd.Pd.id;
   Queue.push rt.env.guest_index t.free_guest_indices;
-  Queue.push (Vcpu.slot pd.Pd.vcpu) t.free_slots;
   (let a = pd.Pd.asid in
    if a <> 0 then begin
      t.asid_owner.(a) <- -1;
@@ -1496,8 +1484,6 @@ let run t ~until =
         end
     end
   done
-
-let run_for t d = run t ~until:(Clock.now t.z.Zynq.clock + d)
 
 (* One pCPU's slice of a barrier epoch. Differs from [run] in how it
    treats having nothing to do: an SMP node must keep pace with the

@@ -125,9 +125,6 @@ val run : t -> until:Cycles.t -> unit
 (** Schedule until the absolute simulated time [until], every guest
     has died, or nothing can ever run again. *)
 
-val run_for : t -> Cycles.t -> unit
-(** [run t ~until:(now + d)]. *)
-
 (** {2 SMP (multi-pCPU) support}
 
     A multi-pCPU simulation runs one kernel per simulated CPU and

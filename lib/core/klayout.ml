@@ -4,12 +4,10 @@ let code = Address_map.kernel_code_base
 let data = Address_map.kernel_data_base
 
 (* Code blocks are spaced so that no two paths share a cache line. *)
-let vectors = (code + 0x0000, 64)
 let svc_entry = (code + 0x0100, 128)
 let svc_exit = (code + 0x0200, 96)
 let irq_entry = (code + 0x0300, 128)
 let und_entry = (code + 0x0400, 128)
-let abt_entry = (code + 0x0500, 128)
 
 let hyper_dispatch = (code + 0x0600, 160)
 let vgic_inject = (code + 0x0800, 96)
@@ -45,7 +43,6 @@ let mgr_task_table = (data + 0x40000, 1024)
 let mgr_prr_table = (data + 0x40400, 512)
 let mgr_stack = (data + 0x40600, 1024)
 
-let kernel_stack = (data + 0x0000, 4096)
 let pd_table = (data + 0x1000, 2048)
 
 let vcpu_save_area i = (data + 0x2000 + (i * 512), 512)

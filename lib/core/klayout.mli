@@ -10,9 +10,7 @@
 
 type range = Addr.t * int
 
-(** {2 Exception vectors and stubs} *)
-
-val vectors : range
+(** {2 Exception stubs} *)
 
 val svc_entry : range
 (** SVC (hypercall) entry stub. *)
@@ -24,8 +22,6 @@ val irq_entry : range
 
 val und_entry : range
 (** Undefined-instruction trap entry. *)
-
-val abt_entry : range
 
 (** {2 Kernel services} *)
 
@@ -79,8 +75,6 @@ val mgr_prr_table : range
 val mgr_stack : range
 
 (** {2 Kernel data} *)
-
-val kernel_stack : range
 
 val pd_table : range
 (** Protection-domain descriptors. *)

@@ -83,11 +83,6 @@ let try_alloc_asid t =
       Some a
     end
 
-let alloc_asid t =
-  match try_alloc_asid t with
-  | Some a -> a
-  | None -> failwith "Kmem.alloc_asid: ASID space exhausted"
-
 let free_asid t a =
   if a < 2 || a > 255 then invalid_arg "Kmem.free_asid: reserved ASID";
   Queue.push a t.free_asids

@@ -36,10 +36,6 @@ val try_alloc_asid : t -> int option
     8-bit space run over-committed: the PD keeps the sentinel ASID 0
     until the scheduler steals one on first activation. *)
 
-val alloc_asid : t -> int
-(** {!try_alloc_asid} that raises instead.
-    @raise Failure when the 8-bit space is exhausted. *)
-
 val free_asid : t -> int -> unit
 (** Return a dead VM's ASID for recycling (kill-path reclamation).
     @raise Invalid_argument on a reserved ASID (0, 1). *)

@@ -52,21 +52,12 @@ let matches ~category ?name e =
   String.equal e.category category
   && match name with None -> true | Some n -> String.equal e.name n
 
-let find t ~category ?name () =
-  List.filter (matches ~category ?name) (events t)
-
 let count t ~category ?name () =
   List.fold_left
     (fun n e -> if matches ~category ?name e then n + 1 else n)
     0 (events t)
 
 let dropped t = t.dropped
-
-let clear t =
-  Array.fill t.ring 0 (Array.length t.ring) None;
-  t.next <- 0;
-  t.count <- 0;
-  t.dropped <- 0
 
 let pp_value ppf = function
   | Int i -> Format.pp_print_int ppf i

@@ -43,18 +43,12 @@ val events : t -> event list
 (** Oldest first (at most [capacity]); the most recent [capacity]
     events recorded. *)
 
-val find : t -> category:string -> ?name:string -> unit -> event list
-(** Retained events of one category (and name, when given), oldest
-    first. *)
-
 val count : t -> category:string -> ?name:string -> unit -> int
-(** [List.length (find t ~category ?name ())] without the list. *)
+(** Retained events of one category (and name, when given). *)
 
 val dropped : t -> int
-(** Number of old events overwritten since creation/{!clear} (total
-    recorded = [List.length (events t) + dropped t]). *)
-
-val clear : t -> unit
+(** Number of old events overwritten since creation (total recorded =
+    [List.length (events t) + dropped t]). *)
 
 val pp_event : Format.formatter -> event -> unit
 (** One line: [  12.345 ms  sched/vm-switch  to=2]. *)

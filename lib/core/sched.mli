@@ -30,9 +30,6 @@ val rotate : t -> Pd.t -> unit
 val count : t -> int
 (** Runnable PDs across all levels. *)
 
-val level_members : t -> int -> Pd.t list
-(** Ring order at one level, head first (test/debug). *)
-
 val members : t -> Pd.t list
 (** Every queued PD in deterministic dispatch order: priority high to
     low, ring order within a level. Work-stealing scans this from the

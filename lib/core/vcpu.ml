@@ -1,5 +1,4 @@
 type t = {
-  pd_id : int;
   slot : int;
   save_base : Addr.t;
   save_len : int;
@@ -11,10 +10,9 @@ type t = {
 let create ~pd_id ?slot () =
   let slot = Option.value slot ~default:pd_id in
   let base, len = Klayout.vcpu_save_area slot in
-  { pd_id; slot; save_base = base; save_len = len;
+  { slot; save_base = base; save_len = len;
     guest_mode = Hyper.Gm_kernel; uses_vfp = false; l2ctrl = 0 }
 
-let pd_id t = t.pd_id
 let slot t = t.slot
 let save_area t = (t.save_base, t.save_len)
 

@@ -16,8 +16,6 @@ val create : pd_id:int -> ?slot:int -> unit -> t
     long-running system's monotonically growing PD ids stay decoupled
     from the finite save-area region. *)
 
-val pd_id : t -> int
-
 val slot : t -> int
 (** Save-area slot index (for recycling at VM teardown). *)
 

@@ -21,29 +21,10 @@ let create ~owner =
   { owner; sources = Int_table.create 8; arrival = Queue.create ();
     entry = None; raised = 0; delivered = 0; reclaimed = 0; sweeps = 0 }
 
-let owner t = t.owner
-
 let register t irq =
   if not (Int_table.mem t.sources irq) then
     Int_table.replace t.sources irq
       { enabled = false; pending = false; swept = 0 }
-
-(* Drop [irq] from the arrival queue (Queue has no removal: rotate). *)
-let purge_arrival t irq =
-  for _ = 1 to Queue.length t.arrival do
-    let i = Queue.pop t.arrival in
-    if i <> irq then Queue.push i t.arrival
-  done
-
-let unregister t irq =
-  (match Int_table.find_opt t.sources irq with
-   | Some s when s.pending ->
-     (* The latched interrupt is reclaimed, not delivered: purge its
-        queue entry so it can never be counted or delivered later. *)
-     purge_arrival t irq;
-     t.reclaimed <- t.reclaimed + 1
-   | Some _ | None -> ());
-  Int_table.remove t.sources irq
 
 let registered t irq = Int_table.mem t.sources irq
 
@@ -77,8 +58,7 @@ let latched t =
   Int_table.fold (fun _ s n -> if s.pending then n + 1 else n) t.sources 0
 
 let clear_pending t =
-  (* Count sources actually latched — the arrival queue length would
-     also count entries whose source was unregistered while queued. *)
+  (* Count sources actually latched, not arrival-queue entries. *)
   let n = latched t in
   Queue.clear t.arrival;
   Int_table.iter (fun _ s -> s.pending <- false) t.sources;
@@ -92,7 +72,7 @@ let drain t =
   for _ = 1 to n do
     let irq = Queue.pop t.arrival in
     match Int_table.find_opt t.sources irq with
-    | None -> () (* unregistered meanwhile: drop *)
+    | None -> () (* a stale entry: [self_check] reports it *)
     | Some s ->
       if s.enabled && s.pending then begin
         s.pending <- false;

@@ -13,15 +13,8 @@ type t
 val create : owner:int -> t
 (** [owner] is the PD id, kept for diagnostics. *)
 
-val owner : t -> int
-
 val register : t -> int -> unit
 (** Add a physical source id to the VM's vIRQ list (disabled). *)
-
-val unregister : t -> int -> unit
-(** Remove the source; a latched pending interrupt is reclaimed and
-    its arrival-queue entry purged (it can no longer be delivered or
-    counted). *)
 
 val registered : t -> int -> bool
 
@@ -58,8 +51,8 @@ val enabled_sources : t -> int list
 (** {2 Conservation accounting (invariant plane)}
 
     Lifetime counters: every latch transition is {e raised}, every
-    {!drain} delivery is {e delivered}, every discard ({!clear_pending}
-    or {!unregister} of a pending source) is {e reclaimed} — so at any
+    {!drain} delivery is {e delivered}, every discard by
+    {!clear_pending} is {e reclaimed} — so at any
     quiescent point [latched = raised - delivered - reclaimed]. *)
 
 val raised : t -> int

@@ -1,5 +1,6 @@
 type report = {
   kernel_loc : int option;
+  guest_loc : int option;
   patch_loc : int option;
   hypercalls : int;
   time_slice_ms : float;
@@ -42,6 +43,15 @@ let sum_opt xs =
        | _ -> None)
     (Some 0) xs
 
+let kernel_dirs = [ "lib/core" ]
+let guest_dirs = [ "lib/ucos" ]
+
+let substrate_dirs =
+  [ "lib/engine"; "lib/mem"; "lib/cachesim"; "lib/mmu"; "lib/devices";
+    "lib/pl"; "lib/platform"; "lib/obs"; "lib/workloads" ]
+
+let glue_dirs = [ "lib/harness"; "lib/check"; "bin" ]
+
 let measure ?(root = ".") () =
   let dir d = Filename.concat root d in
   let patch =
@@ -52,14 +62,12 @@ let measure ?(root = ".") () =
     else None
   in
   let loc dirs = sum_opt (List.map (fun d -> loc_of_dir (dir d)) dirs) in
-  { kernel_loc = loc_of_dir (dir "lib/core");
+  { kernel_loc = loc kernel_dirs;
+    guest_loc = loc guest_dirs;
     patch_loc = patch;
     (* The paper-comparable figure is the v1 (paper §V-B) ABI; the v2
        ring extension is ours, not the paper's. *)
     hypercalls = Hyper.hypercall_count_v1;
     time_slice_ms = Cycles.to_ms Kernel.default_config.Kernel.quantum;
-    substrate_loc =
-      loc
-        [ "lib/engine"; "lib/mem"; "lib/cachesim"; "lib/mmu"; "lib/devices";
-          "lib/pl"; "lib/platform" ];
-    glue_loc = loc [ "lib/harness"; "lib/check"; "bin" ] }
+    substrate_loc = loc substrate_dirs;
+    glue_loc = loc glue_dirs }

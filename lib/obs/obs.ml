@@ -96,10 +96,6 @@ let counter t name =
 
 let incr c = if !(c.c_on) then c.c_val <- c.c_val + 1
 
-let add c n =
-  if n < 0 then invalid_arg "Obs.add: counters are monotonic";
-  if !(c.c_on) then c.c_val <- c.c_val + n
-
 let counter_value c = c.c_val
 
 let gauge t name =

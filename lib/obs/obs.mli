@@ -57,10 +57,6 @@ val counter : t -> string -> counter
 
 val incr : counter -> unit
 
-val add : counter -> int -> unit
-(** @raise Invalid_argument on a negative amount (counters are
-    monotonic). *)
-
 val counter_value : counter -> int
 
 (** {2 Gauges} *)

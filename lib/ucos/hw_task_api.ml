@@ -17,8 +17,7 @@ let zp os =
   let p = Ucos.port os in
   (p.Port.zynq, p.Port.priv)
 
-(* Register words move as unsigned 32-bit ints; [read_reg] is the
-   boxed public face. *)
+(* Register words move as unsigned 32-bit ints. *)
 let read_word os h i =
   let z, priv = zp os in
   try Zynq.vread_word z ~priv (h.iface + (4 * i))
@@ -28,8 +27,6 @@ let write_word os h i v =
   let z, priv = zp os in
   try Zynq.vwrite_word z ~priv (h.iface + (4 * i)) v
   with Mmu.Fault _ -> raise Reclaimed
-
-let read_reg os h i = Int32.of_int (read_word os h i)
 
 let acquire os ~task ?iface_vaddr ?data_vaddr
     ?(data_len = Guest_layout.default_data_section_len) ?(want_irq = false)

@@ -50,10 +50,6 @@ val acquire :
 
 val release : Ucos.t -> t -> unit
 
-val read_reg : Ucos.t -> t -> int -> int32
-(** Register-group access through the mapped interface.
-    @raise Reclaimed if the page has been demapped. *)
-
 val start : Ucos.t -> t -> src_off:int -> dst_off:int -> len:int ->
   param:int -> unit
 (** Program the job registers and set CTRL.start (IRQ enable follows

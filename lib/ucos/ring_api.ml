@@ -16,19 +16,6 @@ type cqe = {
 let status_success = 0
 let status_reconfig = 1
 let status_busy = 2
-let status_bad_task = 3
-let status_fault = 4
-let status_error = 5
-let status_denied = 6
-
-let status_name = function
-  | 0 -> "success"
-  | 1 -> "reconfig"
-  | 2 -> "busy"
-  | 3 -> "bad_task"
-  | 4 -> "fault"
-  | 6 -> "denied"
-  | _ -> "error"
 
 let mask32 = 0xFFFFFFFF
 
@@ -117,17 +104,3 @@ let drain_completions p r =
     match poll p r with None -> List.rev acc | Some c -> go (c :: acc)
   in
   go []
-
-(* Batched acquire: one descriptor per task, one doorbell, then poll
-   the completion ring — the v2 counterpart of calling
-   [Hw_task_api.acquire] per task. *)
-let submit_requests p r ~tasks ?(want_irq = false) () =
-  let accepted =
-    List.filteri
-      (fun i task ->
-         enqueue p r ~op:`Request ~task ~want_irq ~tag:(i + 1) ())
-      tasks
-  in
-  match doorbell p r with
-  | Ok _ -> Ok (List.length accepted, drain_completions p r)
-  | Error e -> Error e

@@ -27,21 +27,14 @@ type cqe = {
   irq : int option;
 }
 
-(** Completion status codes (the CQE encoding of {!Hyper.hw_status}
-    plus [status_error] for validation failures). *)
+(** The CQE status codes a guest acts on (the kernel's encoding of
+    {!Hyper.hw_status}). Every other code is a refusal: 3 bad task,
+    4 fault, 5 a descriptor that failed validation, 6 denied by static
+    partitioning. *)
 
 val status_success : int
 val status_reconfig : int
 val status_busy : int
-val status_bad_task : int
-val status_fault : int
-val status_error : int
-
-val status_denied : int
-(** Static partitioning refused the request ([Hyper.Hw_denied]) —
-    permanent for the current PRR layout, not worth retrying. *)
-
-val status_name : int -> string
 
 val setup :
   Port.t -> ?entries:int -> ?cvirq_budget:int -> unit -> (t, string) result
@@ -68,9 +61,3 @@ val poll : Port.t -> t -> cqe option
 
 val drain_completions : Port.t -> t -> cqe list
 
-val submit_requests :
-  Port.t -> t -> tasks:int list -> ?want_irq:bool -> unit ->
-  (int * cqe list, string) result
-(** Enqueue a request descriptor per task (tags [1..n]), ring the
-    doorbell once, and drain the completions that arrived: returns
-    (descriptors accepted, completions). *)

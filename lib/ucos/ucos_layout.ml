@@ -1,7 +1,3 @@
 let os_code_base = Guest_layout.kernel_base + 0x8000
-let os_code_size = 0x4000
 let app_code_base = Guest_layout.kernel_base + 0x1_0000
 let tcb_base = Guest_layout.kernel_base + 0x2_0000
-let tcb_size = 4096
-let stack_size = 4096
-let stack_base tid = Guest_layout.kernel_base + 0x3_0000 + (tid * stack_size)

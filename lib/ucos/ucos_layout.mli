@@ -7,17 +7,8 @@
 val os_code_base : Addr.t
 (** OS kernel code (inside the guest-kernel area): window base + 0x8000. *)
 
-val os_code_size : int
-
 val app_code_base : Addr.t
 (** Where applications place their own code footprints: window base + 0x10000. *)
 
 val tcb_base : Addr.t
 (** Task control blocks + ready bitmap (data). *)
-
-val tcb_size : int
-
-val stack_base : int -> Addr.t
-(** [stack_base tid]: 4 KB stack for task [tid]. *)
-
-val stack_size : int

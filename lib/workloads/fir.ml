@@ -45,15 +45,3 @@ let apply h x =
         if j >= 0 then acc := !acc +. (h.(k) *. x.(j))
       done;
       !acc)
-
-let dc_gain h = Array.fold_left ( +. ) 0.0 h
-
-let attenuation_db h ~freq =
-  let re = ref 0.0 and im = ref 0.0 in
-  Array.iteri
-    (fun k c ->
-       let w = 2.0 *. Float.pi *. freq *. float_of_int k in
-       re := !re +. (c *. cos w);
-       im := !im -. (c *. sin w))
-    h;
-  20.0 *. log10 (Float.max 1e-12 (sqrt ((!re *. !re) +. (!im *. !im))))

@@ -16,10 +16,3 @@ val design : taps:int -> response -> float array
 val apply : float array -> float array -> float array
 (** [apply h x] convolves (same length as [x], zero history before the
     first sample). *)
-
-val dc_gain : float array -> float
-(** Sum of coefficients (≈1 for a lowpass, ≈0 for a highpass). *)
-
-val attenuation_db : float array -> freq:float -> float
-(** Magnitude response at a normalised frequency, in dB — used by
-    tests to check stop-band behaviour. *)

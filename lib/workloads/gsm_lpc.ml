@@ -69,10 +69,3 @@ let analyze frame =
        in
        int_of_float (Float.round (lar *. 16.0)))
     r
-
-let residual_energy frame =
-  let acf = autocorrelation frame in
-  let r = reflection_coefficients frame in
-  let e = ref acf.(0) in
-  Array.iter (fun refl -> e := !e *. (1.0 -. (refl *. refl))) r;
-  !e

@@ -18,7 +18,3 @@ val analyze : int array -> int array
 val reflection_coefficients : int array -> float array
 (** The 8 intermediate reflection coefficients (each in [-1, 1]),
     exposed for tests. *)
-
-val residual_energy : int array -> float
-(** Prediction-residual energy of the frame after the LPC filter — a
-    quality measure used by tests ([<=] raw frame energy). *)

@@ -8,8 +8,6 @@ let order_of_int = function
   | 64 -> Qam64
   | n -> invalid_arg (Printf.sprintf "Qam.order_of_int: %d" n)
 
-let int_of_order = function Qam4 -> 4 | Qam16 -> 16 | Qam64 -> 64
-
 (* Side length of the square constellation. *)
 let side o = match o with Qam4 -> 2 | Qam16 -> 4 | Qam64 -> 8
 
@@ -76,10 +74,3 @@ let demodulate o ~i ~q =
        done)
     i;
   out
-
-let constellation o =
-  let bps = bits_per_symbol o in
-  let half = bps / 2 in
-  Array.init (int_of_order o) (fun sym ->
-      let gi = sym lsr half and gq = sym land ((1 lsl half) - 1) in
-      (coord o (ungray gi), coord o (ungray gq)))

@@ -13,8 +13,6 @@ val order_of_int : int -> order
 (** From the constellation size (4/16/64).
     @raise Invalid_argument otherwise. *)
 
-val int_of_order : order -> int
-
 val modulate : order -> bits:int array -> float array * float array
 (** Map a bit array (values 0/1, length a multiple of
     [bits_per_symbol]) to I/Q sample arrays.
@@ -23,6 +21,3 @@ val modulate : order -> bits:int array -> float array * float array
 val demodulate : order -> i:float array -> q:float array -> int array
 (** Nearest-point hard decision back to bits.
     @raise Invalid_argument if I/Q lengths differ. *)
-
-val constellation : order -> (float * float) array
-(** All points, unit average energy, index = Gray-decoded symbol. *)

@@ -1,15 +1,6 @@
 let clamp16 v =
   if v > 32767 then 32767 else if v < -32768 then -32768 else v
 
-let sine ~amplitude ~freq ~rate n =
-  Array.init n (fun i ->
-      let t = float_of_int i /. rate in
-      clamp16
-        (int_of_float (amplitude *. sin (2.0 *. Float.pi *. freq *. t))))
-
-let noise rng ~amplitude n =
-  Array.init n (fun _ -> Rng.int rng ((2 * amplitude) + 1) - amplitude)
-
 let speech_like rng n =
   let out = Array.make n 0 in
   let pitch = 64 + Rng.int rng 32 in
@@ -32,8 +23,6 @@ let speech_like rng n =
     Array.unsafe_set out i (clamp16 (int_of_float (y /. 4.0)))
   done;
   out
-
-let to_floats = Array.map float_of_int
 
 let ber a b =
   if Array.length a <> Array.length b then

@@ -107,11 +107,16 @@ let prop_probe_after_access =
 
 let entry ?(global = false) ppage = { Tlb.ppage; word = 0; global }
 
+(* The translation [probe] finds, if any. *)
+let lookup t ~asid ~vpage =
+  let s = Tlb.probe t ~asid ~vpage in
+  if s == Tlb.null_slot then None else Some (Tlb.entry s)
+
 let test_tlb_hit_miss () =
   let t = Tlb.create Tlb.cortex_a9 in
-  check cb "cold miss" true (Tlb.lookup t ~asid:1 ~vpage:5 = None);
+  check cb "cold miss" true (lookup t ~asid:1 ~vpage:5 = None);
   Tlb.insert t ~asid:1 ~vpage:5 (entry 42);
-  (match Tlb.lookup t ~asid:1 ~vpage:5 with
+  (match lookup t ~asid:1 ~vpage:5 with
    | Some e -> check ci "translation" 42 e.Tlb.ppage
    | None -> Alcotest.fail "expected hit");
   check ci "one hit" 1 (Tlb.hits t);
@@ -120,15 +125,15 @@ let test_tlb_hit_miss () =
 let test_tlb_asid_isolation () =
   let t = Tlb.create Tlb.cortex_a9 in
   Tlb.insert t ~asid:1 ~vpage:5 (entry 42);
-  check cb "other ASID misses" true (Tlb.lookup t ~asid:2 ~vpage:5 = None)
+  check cb "other ASID misses" true (lookup t ~asid:2 ~vpage:5 = None)
 
 let test_tlb_global () =
   let t = Tlb.create Tlb.cortex_a9 in
   Tlb.insert t ~asid:1 ~vpage:9 (entry ~global:true 7);
   check cb "global hits under any ASID" true
-    (Tlb.lookup t ~asid:200 ~vpage:9 <> None);
+    (lookup t ~asid:200 ~vpage:9 <> None);
   check ci "flush_asid spares globals" 0 (Tlb.flush_asid t 1);
-  check cb "still there" true (Tlb.lookup t ~asid:3 ~vpage:9 <> None);
+  check cb "still there" true (lookup t ~asid:3 ~vpage:9 <> None);
   check ci "flush_all drops globals" 1 (Tlb.flush_all t)
 
 let test_tlb_flush_asid () =
@@ -137,13 +142,13 @@ let test_tlb_flush_asid () =
   Tlb.insert t ~asid:1 ~vpage:2 (entry 11);
   Tlb.insert t ~asid:2 ~vpage:3 (entry 12);
   check ci "drops only asid 1" 2 (Tlb.flush_asid t 1);
-  check cb "asid 2 survives" true (Tlb.lookup t ~asid:2 ~vpage:3 <> None)
+  check cb "asid 2 survives" true (lookup t ~asid:2 ~vpage:3 <> None)
 
 let test_tlb_flush_page () =
   let t = Tlb.create Tlb.cortex_a9 in
   Tlb.insert t ~asid:1 ~vpage:1 (entry 10);
   Tlb.flush_page t ~asid:1 ~vpage:1;
-  check cb "gone" true (Tlb.lookup t ~asid:1 ~vpage:1 = None)
+  check cb "gone" true (lookup t ~asid:1 ~vpage:1 = None)
 
 (* O(1) generation-stamped flush_all: same returned count and later
    behaviour as the eager walk. *)
@@ -156,10 +161,10 @@ let test_tlb_gen_stamped_flush () =
   check ci "flush_all drops everything at once" 3 (Tlb.flush_all t);
   check ci "nothing live" 0 (Tlb.live_entries t);
   check ci "second flush_all drops nothing" 0 (Tlb.flush_all t);
-  check cb "stale entry never matches" true (Tlb.lookup t ~asid:1 ~vpage:0 = None);
+  check cb "stale entry never matches" true (lookup t ~asid:1 ~vpage:0 = None);
   (* Stale slots are reusable: reinsert into the same set. *)
   Tlb.insert t ~asid:1 ~vpage:0 (entry 9);
-  check cb "reinserted entry hits" true (Tlb.lookup t ~asid:1 ~vpage:0 <> None);
+  check cb "reinserted entry hits" true (lookup t ~asid:1 ~vpage:0 <> None);
   check ci "one live again" 1 (Tlb.live_entries t)
 
 let test_tlb_eviction () =
@@ -167,10 +172,10 @@ let test_tlb_eviction () =
   let t = Tlb.create { Tlb.entries = 4; ways = 2 } in
   Tlb.insert t ~asid:1 ~vpage:0 (entry 1);
   Tlb.insert t ~asid:1 ~vpage:2 (entry 2);
-  ignore (Tlb.lookup t ~asid:1 ~vpage:0);
+  ignore (lookup t ~asid:1 ~vpage:0);
   Tlb.insert t ~asid:1 ~vpage:4 (entry 3);
-  check cb "LRU victim" true (Tlb.lookup t ~asid:1 ~vpage:2 = None);
-  check cb "MRU kept" true (Tlb.lookup t ~asid:1 ~vpage:0 <> None)
+  check cb "LRU victim" true (lookup t ~asid:1 ~vpage:2 = None);
+  check cb "MRU kept" true (lookup t ~asid:1 ~vpage:0 <> None)
 
 (* --- Hierarchy --- *)
 
@@ -580,7 +585,7 @@ let prop_tlb_peek_is_scan =
          match code with
          | 0 | 1 | 2 -> insert ~asid ~vpage (entry ~global n)
          | 3 | 4 | 5 -> (
-             match scan ~asid ~vpage, Tlb.lookup t ~asid ~vpage with
+             match scan ~asid ~vpage, lookup t ~asid ~vpage with
              | -1, None ->
                incr tick;
                incr misses;

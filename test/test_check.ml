@@ -6,6 +6,9 @@
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
+let run_for kern d =
+  Kernel.run kern ~until:(Clock.now (Kernel.zynq kern).Zynq.clock + d)
+
 let idle_guest _genv =
   while true do
     ignore (Hyper.pause ())
@@ -29,7 +32,7 @@ let test_create_kill_1000 () =
     Queue.push pd.Pd.id live;
     (* Let a few quanta elapse so some guests actually run (and one of
        them is current when its killer strikes). *)
-    if i mod 7 = 0 then Kernel.run_for kern (Cycles.of_us 300.0);
+    if i mod 7 = 0 then run_for kern (Cycles.of_us 300.0);
     (* Keep up to five alive so windows/slots recycle out of order. *)
     if Queue.length live > 5 then begin
       let victim = Queue.pop live in
@@ -44,7 +47,7 @@ let test_create_kill_1000 () =
   Queue.iter
     (fun id -> ignore (Kernel.kill_vm kern id ~reason:"lifecycle"))
     live;
-  Kernel.run_for kern (Cycles.of_ms 1.0);
+  run_for kern (Cycles.of_ms 1.0);
   Alcotest.check ci "no guests left" 0 (Kernel.alive_guests kern);
   Alcotest.check ci "all guest ASIDs returned" 0
     (Kmem.live_asids (Kernel.kmem kern));
@@ -106,8 +109,7 @@ let test_cancel_self_while_firing () =
     (Event_queue.self_check q)
 
 (* ------------------------------------------------------------------ *)
-(* vGIC: clear_pending counts latched sources; unregister purges the   *)
-(* arrival queue.                                                      *)
+(* vGIC: clear_pending counts latched sources.                         *)
 
 let test_vgic_clear_pending_counts_latched () =
   let v = Vgic.create ~owner:1 in
@@ -120,14 +122,9 @@ let test_vgic_clear_pending_counts_latched () =
   Vgic.set_pending v 34 (* re-latch: must not double count *);
   Alcotest.check ci "two latches raised" 2 (Vgic.raised v);
   Alcotest.check ci "two latched" 2 (Vgic.latched v);
-  (* Unregistering a pending source reclaims it and purges its queue
-     entry (the regression left a stale arrival behind). *)
-  Vgic.unregister v 33;
-  Alcotest.check ci "one reclaimed by unregister" 1 (Vgic.reclaimed v);
-  Alcotest.check ci "one still latched" 1 (Vgic.latched v);
   Alcotest.(check (list string)) "no stale arrival" [] (Vgic.self_check v);
-  (* clear_pending returns the latched count, not the queue length. *)
-  Alcotest.check ci "clear reports one source" 1 (Vgic.clear_pending v);
+  (* clear_pending returns the latched count. *)
+  Alcotest.check ci "clear reports two sources" 2 (Vgic.clear_pending v);
   Alcotest.check ci "nothing latched" 0 (Vgic.latched v);
   Alcotest.check ci "reclaim accounted" 2 (Vgic.reclaimed v);
   Alcotest.check ci "nothing was delivered" 0 (Vgic.delivered v);
@@ -215,7 +212,6 @@ type vgic_op =
   | Disable of int
   | Set_pending of int
   | Drain
-  | Unregister of int
   | Clear_pending
 
 let prop_vgic_self_check =
@@ -228,7 +224,6 @@ let prop_vgic_self_check =
           (1, map (fun i -> Disable i) irq);
           (2, map (fun i -> Set_pending i) irq);
           (1, pure Drain);
-          (1, map (fun i -> Unregister i) irq);
           (1, pure Clear_pending) ])
   in
   let print = function
@@ -237,7 +232,6 @@ let prop_vgic_self_check =
     | Disable i -> Printf.sprintf "disable %d" i
     | Set_pending i -> Printf.sprintf "set_pending %d" i
     | Drain -> "drain"
-    | Unregister i -> Printf.sprintf "unregister %d" i
     | Clear_pending -> "clear_pending"
   in
   QCheck2.Test.make ~name:"vgic self-check clean on random ops" ~count:300
@@ -253,7 +247,6 @@ let prop_vgic_self_check =
              | Disable i -> if Vgic.registered v i then Vgic.disable v i
              | Set_pending i -> Vgic.set_pending v i
              | Drain -> ignore (Vgic.drain v)
-             | Unregister i -> Vgic.unregister v i
              | Clear_pending -> ignore (Vgic.clear_pending v));
             Vgic.self_check v = []
             && Vgic.latched v
@@ -291,7 +284,7 @@ let test_checker_catches_asid_leak () =
        let kern, checkers = boot () in
        Alcotest.(check (list string)) (label ^ ": clean before corruption") []
          (checkers ());
-       ignore (Kmem.alloc_asid (Kernel.kmem kern));
+       ignore (Kmem.try_alloc_asid (Kernel.kmem kern));
        Alcotest.(check (list string)) (label ^ ": asid checker fires")
          [ "asid_accounting" ] (checkers ()))
     [ ("kernel", bare); ("smp pcpus 1", one_pcpu) ]

@@ -65,15 +65,15 @@ let test_hypercall_numbering () =
 
 let test_klayout_disjoint () =
   let ranges =
-    [ Klayout.vectors; Klayout.svc_entry; Klayout.svc_exit;
-      Klayout.irq_entry; Klayout.und_entry; Klayout.abt_entry;
+    [ Klayout.svc_entry; Klayout.svc_exit;
+      Klayout.irq_entry; Klayout.und_entry;
       Klayout.hyper_dispatch; Klayout.vgic_inject; Klayout.vm_switch;
       Klayout.sched_pick; Klayout.trap_decode; Klayout.ipc_copy;
       Klayout.ring_setup_stub; Klayout.ring_drain_stub;
       Klayout.ring_complete_stub;
       Klayout.mgr_entry_stub; Klayout.mgr_exit_stub; Klayout.mgr_main;
       Klayout.mgr_task_table; Klayout.mgr_prr_table; Klayout.mgr_stack;
-      Klayout.kernel_stack; Klayout.pd_table ]
+      Klayout.pd_table ]
     @ List.init Hyper.hypercall_count (fun i -> Klayout.handler (i + 1))
     @ List.init 8 Klayout.vcpu_save_area
   in
@@ -96,14 +96,13 @@ let test_klayout_inside_kernel_image () =
          (b >= Address_map.kernel_code_base
           && b + l
              <= Address_map.kernel_code_base + Address_map.kernel_code_size))
-    [ Klayout.vectors; Klayout.vm_switch; Klayout.mgr_main;
+    [ Klayout.svc_entry; Klayout.vm_switch; Klayout.mgr_main;
       Klayout.handler 25 ]
 
 (* --- Vgic --- *)
 
 let test_vgic_lifecycle () =
   let v = Vgic.create ~owner:3 in
-  check ci "owner" 3 (Vgic.owner v);
   Vgic.register v 61;
   check cb "registered" true (Vgic.registered v 61);
   Vgic.set_pending v 61;
@@ -178,17 +177,17 @@ let test_sched_round_robin () =
   let a = mk_pd 1 1 and b = mk_pd 2 1 and c = mk_pd 3 1 in
   List.iter (Sched.enqueue s) [ a; b; c ];
   check (Alcotest.list ci) "ring order" [ 1; 2; 3 ]
-    (pd_ids (Sched.level_members s 1));
+    (pd_ids (Sched.members s));
   Sched.rotate s a;
   check (Alcotest.list ci) "rotated" [ 2; 3; 1 ]
-    (pd_ids (Sched.level_members s 1));
+    (pd_ids (Sched.members s));
   (match Sched.pick s with
    | Some p -> check ci "head after rotate" 2 p.Pd.id
    | None -> Alcotest.fail "pick");
   (* Rotating a non-head PD is a no-op. *)
   Sched.rotate s a;
   check (Alcotest.list ci) "unchanged" [ 2; 3; 1 ]
-    (pd_ids (Sched.level_members s 1))
+    (pd_ids (Sched.members s))
 
 let test_sched_remove_head () =
   let s = Sched.create () in
@@ -196,7 +195,7 @@ let test_sched_remove_head () =
   Sched.enqueue s a;
   Sched.enqueue s b;
   Sched.dequeue s a;
-  check (Alcotest.list ci) "survivor" [ 2 ] (pd_ids (Sched.level_members s 1));
+  check (Alcotest.list ci) "survivor" [ 2 ] (pd_ids (Sched.members s));
   Sched.dequeue s b;
   check ci "empty" 0 (Sched.count s);
   check cb "nothing to pick" true (Sched.pick s = None)
@@ -215,13 +214,13 @@ let prop_sched_rotation_cycles =
        let s = Sched.create () in
        let pds = List.init n (fun i -> mk_pd i 1) in
        List.iter (Sched.enqueue s) pds;
-       let before = pd_ids (Sched.level_members s 1) in
+       let before = pd_ids (Sched.members s) in
        for _ = 1 to n do
          match Sched.pick s with
          | Some head -> Sched.rotate s head
          | None -> ()
        done;
-       pd_ids (Sched.level_members s 1) = before)
+       pd_ids (Sched.members s) = before)
 
 (* --- Ipc --- *)
 
@@ -258,7 +257,6 @@ let test_ipc_payload_isolation () =
 
 let test_vcpu_state () =
   let v = Vcpu.create ~pd_id:3 () in
-  check ci "pd id" 3 (Vcpu.pd_id v);
   check cb "boots in guest-kernel mode" true (Vcpu.guest_mode v = Hyper.Gm_kernel);
   Vcpu.set_guest_mode v Hyper.Gm_user;
   check cb "mode switch" true (Vcpu.guest_mode v = Hyper.Gm_user);
@@ -362,7 +360,8 @@ let test_kmem_iface_mapping () =
 let test_kmem_asid_allocation () =
   let z = Zynq.create () in
   let kmem = Kmem.create z in
-  let a = Kmem.alloc_asid kmem and b = Kmem.alloc_asid kmem in
+  let a = Option.get (Kmem.try_alloc_asid kmem) in
+  let b = Option.get (Kmem.try_alloc_asid kmem) in
   check ci "starts at 2 (0=kernel, 1=manager)" 2 a;
   check ci "monotonic" 3 b
 

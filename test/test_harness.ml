@@ -147,6 +147,26 @@ let test_complexity_report () =
    | Some n -> check cb "glue LoC counted" true (n > 0)
    | None -> Alcotest.fail "glue LoC missing (sources not found)")
 
+(* Every lib/ directory is counted, and counted once. *)
+let test_complexity_buckets () =
+  let root = if Sys.file_exists "lib/core" then "." else "../../.." in
+  let lib = Filename.concat root "lib" in
+  let dirs =
+    Sys.readdir lib |> Array.to_list
+    |> List.filter (fun d -> Sys.is_directory (Filename.concat lib d))
+    |> List.map (( ^ ) "lib/")
+    |> List.sort compare
+  in
+  check cb "lib/ has directories" true (dirs <> []);
+  let buckets =
+    Complexity.(kernel_dirs @ guest_dirs @ substrate_dirs @ glue_dirs)
+  in
+  List.iter
+    (fun d ->
+       check ci (d ^ " is in exactly one bucket") 1
+         (List.length (List.filter (( = ) d) buckets)))
+    dirs
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   let s n f = Alcotest.test_case n `Slow f in
@@ -161,4 +181,5 @@ let suite =
       s "axi ablation" test_axi_ablation;
       s "vfp ablation" test_vfp_ablation;
       s "trap vs hypercall" test_trap_vs_hypercall;
-      t "complexity report" test_complexity_report ] )
+      t "complexity report" test_complexity_report;
+      t "complexity buckets cover lib" test_complexity_buckets ] )

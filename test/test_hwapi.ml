@@ -77,8 +77,7 @@ let test_reclaim_between_vms () =
         Ucos.delay os 30;
         (* ...then observe the inconsistency both ways. *)
         flag_seen := Hw_task_api.inconsistent os h;
-        (try ignore (Hw_task_api.read_reg os h 0)
-         with Hw_task_api.Reclaimed -> fault_seen := true));
+        fault_seen := Hw_task_api.wait_done os h = `Reclaimed);
   guest kern "vm2" (fun os ->
       while not !vm1_holds do
         Ucos.delay os 1

@@ -31,14 +31,18 @@ let test_unique_priority () =
     (Invalid_argument "Ucos.spawn: priority already in use") (fun () ->
         ignore (Ucos.spawn os ~name:"b" ~prio:5 (fun () -> ())))
 
+(* Board time in whole OS ticks, rounded to the nearest. *)
+let ticks_of z =
+  (Clock.now z.Zynq.clock + (Ucos.tick_interval / 2)) / Ucos.tick_interval
+
 let test_delay_tracks_ticks () =
   let times = ref [] in
-  with_os (fun _ os ->
+  with_os (fun z os ->
       ignore
         (Ucos.spawn os ~name:"sleeper" ~prio:5 (fun () ->
              for _ = 1 to 3 do
                Ucos.delay os 2;
-               times := Ucos.ticks os :: !times
+               times := ticks_of z :: !times
              done)));
   (match List.rev !times with
    | [ a; b; c ] ->
@@ -48,7 +52,7 @@ let test_delay_tracks_ticks () =
 let test_preemption_on_wakeup () =
   (* A high-priority task waking from a delay preempts the low one. *)
   let log = ref [] in
-  with_os (fun _ os ->
+  with_os (fun z os ->
       ignore
         (Ucos.spawn os ~name:"hi" ~prio:3 (fun () ->
              Ucos.delay os 2;
@@ -56,8 +60,8 @@ let test_preemption_on_wakeup () =
       ignore
         (Ucos.spawn os ~name:"lo" ~prio:9 (fun () ->
              (* Spin (never blocking) until well past hi's wakeup. *)
-             while Ucos.ticks os < 4 do
-               Ucos.yield os
+             while ticks_of z < 4 do
+               Ucos.delay os 0
              done;
              log := `Lo :: !log)));
   check cb "high finished before low" true (List.rev !log = [ `Hi; `Lo ])
@@ -84,12 +88,12 @@ let test_semaphore_producer_consumer () =
 let test_semaphore_timeout () =
   let result = ref `Ok in
   let after = ref 0 in
-  with_os (fun _ os ->
+  with_os (fun z os ->
       let sem = Ucos.sem_create os 0 in
       ignore
         (Ucos.spawn os ~name:"waiter" ~prio:4 (fun () ->
              result := Ucos.sem_pend os sem ~timeout:3 ();
-             after := Ucos.ticks os)));
+             after := ticks_of z)));
   check cb "timed out" true (!result = `Timeout);
   check cb "after ~3 ticks" true (!after >= 3)
 
@@ -124,174 +128,6 @@ let test_sem_post_wakes_highest_waiter () =
              Ucos.sem_post os sem)));
   check (Alcotest.list ci) "highest priority first" [ 5; 9 ] (List.rev !order)
 
-let test_mutex () =
-  let violations = ref 0 in
-  let inside = ref false in
-  with_os (fun _ os ->
-      let m = Ucos.mutex_create os in
-      let critical () =
-        Ucos.mutex_lock os m;
-        if !inside then incr violations;
-        inside := true;
-        Ucos.delay os 1;
-        inside := false;
-        Ucos.mutex_unlock os m
-      in
-      ignore (Ucos.spawn os ~name:"m1" ~prio:4 (fun () -> critical (); critical ()));
-      ignore (Ucos.spawn os ~name:"m2" ~prio:6 (fun () -> critical (); critical ())));
-  check ci "mutual exclusion held" 0 !violations
-
-let test_mutex_owner_check () =
-  let sys = Port_native.create () in
-  let os = Ucos.create (Port_native.port sys) in
-  let m = Ucos.mutex_create os in
-  let raised = ref false in
-  ignore
-    (Ucos.spawn os ~name:"bad" ~prio:4 (fun () ->
-         try Ucos.mutex_unlock os m with Invalid_argument _ -> raised := true));
-  Ucos.run os;
-  check cb "unlock without lock rejected" true !raised
-
-let test_mailbox () =
-  let got = ref [] in
-  with_os (fun _ os ->
-      let mb = Ucos.mbox_create os in
-      ignore
-        (Ucos.spawn os ~name:"rx" ~prio:4 (fun () ->
-             for _ = 1 to 3 do
-               match Ucos.mbox_pend os mb () with
-               | Some v -> got := v :: !got
-               | None -> failwith "mbox timeout"
-             done));
-      ignore
-        (Ucos.spawn os ~name:"tx" ~prio:6 (fun () ->
-             List.iter
-               (fun v ->
-                  Ucos.delay os 1;
-                  match Ucos.mbox_post os mb v with
-                  | Ok () -> ()
-                  | Error e -> failwith e)
-               [ 10; 20; 30 ])));
-  check (Alcotest.list ci) "messages in order" [ 10; 20; 30 ] (List.rev !got)
-
-let test_mailbox_full () =
-  let second = ref (Ok ()) in
-  with_os (fun _ os ->
-      let mb = Ucos.mbox_create os in
-      ignore
-        (Ucos.spawn os ~name:"tx" ~prio:4 (fun () ->
-             (match Ucos.mbox_post os mb 1 with
-              | Ok () -> ()
-              | Error e -> failwith e);
-             second := Ucos.mbox_post os mb 2)));
-  check cb "one-slot mailbox refuses" true (Result.is_error !second)
-
-let test_queue_capacity_and_order () =
-  let got = ref [] in
-  let overflow = ref (Ok ()) in
-  with_os (fun _ os ->
-      let q = Ucos.q_create os 2 in
-      ignore
-        (Ucos.spawn os ~name:"tx" ~prio:4 (fun () ->
-             ignore (Ucos.q_post os q 1);
-             ignore (Ucos.q_post os q 2);
-             overflow := Ucos.q_post os q 3;
-             Ucos.delay os 2;
-             ignore (Ucos.q_post os q 4)));
-      ignore
-        (Ucos.spawn os ~name:"rx" ~prio:6 (fun () ->
-             for _ = 1 to 3 do
-               match Ucos.q_pend os q ~timeout:10 () with
-               | Some v -> got := v :: !got
-               | None -> ()
-             done)));
-  check cb "overflow refused" true (Result.is_error !overflow);
-  check (Alcotest.list ci) "fifo order" [ 1; 2; 4 ] (List.rev !got)
-
-let test_event_flags_wait_all () =
-  let woke = ref (-1) in
-  with_os (fun _ os ->
-      let g = Ucos.flag_create os 0 in
-      ignore
-        (Ucos.spawn os ~name:"waiter" ~prio:4 (fun () ->
-             match Ucos.flag_pend os g ~mask:0b11 () with
-             | Some v -> woke := v
-             | None -> ()));
-      ignore
-        (Ucos.spawn os ~name:"setter" ~prio:6 (fun () ->
-             Ucos.flag_post os g ~set:0b01;
-             Ucos.delay os 1;
-             Ucos.flag_post os g ~set:0b10)));
-  check ci "woke only when both bits set" 0b11 !woke
-
-let test_event_flags_wait_any_consume () =
-  let seen = ref 0 in
-  let after = ref (-1) in
-  with_os (fun _ os ->
-      let g = Ucos.flag_create os 0 in
-      ignore
-        (Ucos.spawn os ~name:"waiter" ~prio:4 (fun () ->
-             (match
-                Ucos.flag_pend os g ~mask:0b110 ~wait_all:false ~consume:true ()
-              with
-              | Some v -> seen := v
-              | None -> ());
-             after := Ucos.flags os g));
-      ignore
-        (Ucos.spawn os ~name:"setter" ~prio:6 (fun () ->
-             Ucos.delay os 1;
-             Ucos.flag_post os g ~set:0b101)));
-  check ci "woken by any bit" 0b101 !seen;
-  check ci "consume cleared the satisfying bits" 0b001 !after
-
-let test_event_flags_timeout () =
-  let result = ref (Some 0) in
-  with_os (fun _ os ->
-      let g = Ucos.flag_create os 0 in
-      ignore
-        (Ucos.spawn os ~name:"w" ~prio:4 (fun () ->
-             result := Ucos.flag_pend os g ~mask:1 ~timeout:3 ())));
-  check cb "timed out" true (!result = None)
-
-let test_mem_partition () =
-  let ok = ref false in
-  with_os (fun _ os ->
-      ignore
-        (Ucos.spawn os ~name:"mem" ~prio:4 (fun () ->
-             let p =
-               Ucos.mem_create os ~base:(Guest_layout.user_base + 0x4000)
-                 ~blocks:4 ~block_size:64
-             in
-             let blocks =
-               List.filter_map (fun _ -> Ucos.mem_get os p) [ 1; 2; 3; 4 ]
-             in
-             let exhausted = Ucos.mem_get os p = None in
-             List.iter (Ucos.mem_put os p) blocks;
-             let restored = Ucos.mem_free_blocks os p = 4 in
-             let distinct =
-               List.length (List.sort_uniq compare blocks) = 4
-             in
-             ok := exhausted && restored && distinct && List.length blocks = 4)));
-  check cb "partition get/put lifecycle" true !ok
-
-let test_mem_partition_errors () =
-  let sys = Port_native.create () in
-  let os = Ucos.create (Port_native.port sys) in
-  let raised = ref 0 in
-  ignore
-    (Ucos.spawn os ~name:"m" ~prio:4 (fun () ->
-         let p =
-           Ucos.mem_create os ~base:(Guest_layout.user_base + 0x8000)
-             ~blocks:2 ~block_size:32
-         in
-         (try Ucos.mem_put os p (Guest_layout.user_base + 0x8010)
-          with Invalid_argument _ -> incr raised);
-         let b = Option.get (Ucos.mem_get os p) in
-         Ucos.mem_put os p b;
-         try Ucos.mem_put os p b with Invalid_argument _ -> incr raised));
-  Ucos.run os;
-  check ci "misaligned and double free rejected" 2 !raised
-
 let test_crashed_task_isolated () =
   let other_ran = ref false in
   with_os (fun _ os ->
@@ -302,15 +138,6 @@ let test_crashed_task_isolated () =
              other_ran := true)));
   check cb "other task unaffected" true !other_ran
 
-let test_crash_counters () =
-  let sys = Port_native.create () in
-  let os = Ucos.create (Port_native.port sys) in
-  ignore (Ucos.spawn os ~name:"bad" ~prio:4 (fun () -> failwith "oops"));
-  ignore (Ucos.spawn os ~name:"good" ~prio:6 (fun () -> ()));
-  Ucos.run os;
-  check ci "one crash" 1 (Ucos.tasks_crashed os);
-  check ci "one finish" 1 (Ucos.tasks_finished os)
-
 let test_stop () =
   let iterations = ref 0 in
   with_os (fun _ os ->
@@ -319,7 +146,7 @@ let test_stop () =
              while true do
                incr iterations;
                if !iterations >= 10 then Ucos.stop os;
-               Ucos.yield os
+               Ucos.delay os 0
              done)));
   check cb "stopped promptly" true (!iterations >= 10 && !iterations < 13)
 
@@ -341,15 +168,6 @@ let test_on_irq_dispatch () =
   Ucos.run os;
   check ci "handler ran once" 1 !fired
 
-let test_time_get () =
-  let t = ref (-1) in
-  with_os (fun _ os ->
-      ignore
-        (Ucos.spawn os ~name:"t" ~prio:4 (fun () ->
-             Ucos.delay os 5;
-             t := Ucos.time_get os)));
-  check cb "time advanced with ticks" true (!t >= 5)
-
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "ucos",
@@ -361,18 +179,6 @@ let suite =
       t "semaphore timeout" test_semaphore_timeout;
       t "semaphore initial count" test_semaphore_initial_count;
       t "post wakes highest waiter" test_sem_post_wakes_highest_waiter;
-      t "mutex" test_mutex;
-      t "mutex owner check" test_mutex_owner_check;
-      t "mailbox" test_mailbox;
-      t "mailbox full" test_mailbox_full;
-      t "queue capacity and order" test_queue_capacity_and_order;
-      t "event flags wait-all" test_event_flags_wait_all;
-      t "event flags any+consume" test_event_flags_wait_any_consume;
-      t "event flags timeout" test_event_flags_timeout;
-      t "mem partition" test_mem_partition;
-      t "mem partition errors" test_mem_partition_errors;
       t "crashed task isolated" test_crashed_task_isolated;
-      t "crash counters" test_crash_counters;
       t "stop" test_stop;
-      t "on_irq dispatch" test_on_irq_dispatch;
-      t "time get" test_time_get ] )
+      t "on_irq dispatch" test_on_irq_dispatch ] )

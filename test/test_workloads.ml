@@ -74,11 +74,24 @@ let prop_fft_parseval =
 
 let orders = [ Qam.Qam4; Qam.Qam16; Qam.Qam64 ]
 
+(* The bit label of every symbol, in modulation order. *)
+let labels o =
+  let bps = Qam.bits_per_symbol o in
+  Array.init (1 lsl bps) (fun sym ->
+      Array.init bps (fun b -> (sym lsr (bps - 1 - b)) land 1))
+
+(* The point [modulate] maps each label to. *)
+let constellation o =
+  Array.map
+    (fun bits ->
+       let i, q = Qam.modulate o ~bits in
+       (i.(0), q.(0)))
+    (labels o)
+
 let test_qam_constellation_energy () =
   List.iter
     (fun o ->
-       let pts = Qam.constellation o in
-       check ci "size" (Qam.int_of_order o) (Array.length pts);
+       let pts = constellation o in
        let e =
          Array.fold_left (fun acc (i, q) -> acc +. (i *. i) +. (q *. q)) 0.0 pts
          /. float_of_int (Array.length pts)
@@ -119,8 +132,16 @@ let test_qam_validation () =
 
 (* --- ADPCM --- *)
 
+(* A 440 Hz tone at 8 kHz, and uniform noise in [±amplitude]. *)
+let tone n =
+  Array.init n (fun i ->
+      int_of_float (8000.0 *. sin (2.0 *. Float.pi *. 440.0 *. float_of_int i /. 8000.0)))
+
+let noise rng ~amplitude n =
+  Array.init n (fun _ -> Rng.int rng ((2 * amplitude) + 1) - amplitude)
+
 let test_adpcm_sine_quality () =
-  let pcm = Signal.sine ~amplitude:8000.0 ~freq:440.0 ~rate:8000.0 800 in
+  let pcm = tone 800 in
   let decoded = Adpcm.decode (Adpcm.encode pcm) in
   (* Skip the adaptation ramp, then demand reasonable fidelity. *)
   let worst = ref 0 in
@@ -131,7 +152,7 @@ let test_adpcm_sine_quality () =
 
 let test_adpcm_codes_in_range () =
   let rng = Rng.create ~seed:11 in
-  let pcm = Signal.noise rng ~amplitude:20000 512 in
+  let pcm = noise rng ~amplitude:20000 512 in
   Array.iter
     (fun c -> check cb "4-bit code" true (c >= 0 && c <= 15))
     (Adpcm.encode pcm)
@@ -143,7 +164,7 @@ let prop_adpcm_decoder_matches_encoder_state =
        (* The encoder's internal reconstruction must equal what the
           decoder produces — otherwise they drift apart. *)
        let rng = Rng.create ~seed in
-       let pcm = Signal.noise rng ~amplitude:10000 200 in
+       let pcm = noise rng ~amplitude:10000 200 in
        let enc = Adpcm.init_state () and dec = Adpcm.init_state () in
        Array.for_all
          (fun s ->
@@ -188,16 +209,19 @@ let test_gsm_reflection_bounds () =
     r
 
 let test_gsm_prediction_gain () =
-  (* Speech-like (correlated) signal: LPC must reduce residual energy. *)
+  (* Speech-like (correlated) signal: LPC must reduce residual energy.
+     The residual keeps the product of (1 - k^2) over the reflection
+     coefficients of the frame's energy. *)
   let rng = Rng.create ~seed:4 in
   let frame = Signal.speech_like rng Gsm_lpc.frame_size in
-  let acf0 =
-    let pre = Signal.to_floats frame in
-    Array.fold_left (fun a x -> a +. (x *. x)) 0.0 pre
+  let kept =
+    Array.fold_left
+      (fun e k -> e *. (1.0 -. (k *. k)))
+      1.0
+      (Gsm_lpc.reflection_coefficients frame)
   in
-  let residual = Gsm_lpc.residual_energy frame in
-  check cb "residual below raw energy" true (residual < acf0);
-  check cb "residual positive" true (residual >= 0.0)
+  check cb "residual below raw energy" true (kept < 1.0);
+  check cb "residual positive" true (kept >= 0.0)
 
 let test_gsm_speech_lars () =
   List.iter
@@ -212,6 +236,20 @@ let test_gsm_silence () =
 
 (* --- FIR --- *)
 
+(* Sum of the coefficients, and the magnitude response in dB at a
+   normalised frequency. *)
+let dc_gain h = Array.fold_left ( +. ) 0.0 h
+
+let attenuation_db h ~freq =
+  let re = ref 0.0 and im = ref 0.0 in
+  Array.iteri
+    (fun k c ->
+       let w = 2.0 *. Float.pi *. freq *. float_of_int k in
+       re := !re +. (c *. cos w);
+       im := !im -. (c *. sin w))
+    h;
+  20.0 *. log10 (Float.max 1e-12 (sqrt ((!re *. !re) +. (!im *. !im))))
+
 let test_fir_design_checks () =
   Alcotest.check_raises "even taps"
     (Invalid_argument "Fir.design: taps must be odd and >= 5") (fun () ->
@@ -222,15 +260,15 @@ let test_fir_design_checks () =
 
 let test_fir_lowpass_response () =
   let h = Fir.design ~taps:63 (Fir.Lowpass 0.15) in
-  check (cf 0.02) "unit DC gain" 1.0 (Fir.dc_gain h);
-  check cb "passband flat" true (Fir.attenuation_db h ~freq:0.05 > -1.0);
-  check cb "stopband attenuated" true (Fir.attenuation_db h ~freq:0.35 < -40.0)
+  check (cf 0.02) "unit DC gain" 1.0 (dc_gain h);
+  check cb "passband flat" true (attenuation_db h ~freq:0.05 > -1.0);
+  check cb "stopband attenuated" true (attenuation_db h ~freq:0.35 < -40.0)
 
 let test_fir_highpass_response () =
   let h = Fir.design ~taps:63 (Fir.Highpass 0.25) in
-  check cb "DC blocked" true (Float.abs (Fir.dc_gain h) < 0.01);
-  check cb "high band passes" true (Fir.attenuation_db h ~freq:0.4 > -1.0);
-  check cb "low band attenuated" true (Fir.attenuation_db h ~freq:0.05 < -40.0)
+  check cb "DC blocked" true (Float.abs (dc_gain h) < 0.01);
+  check cb "high band passes" true (attenuation_db h ~freq:0.4 > -1.0);
+  check cb "low band attenuated" true (attenuation_db h ~freq:0.05 < -40.0)
 
 let test_fir_apply_separates_tones () =
   (* A low tone plus a high tone; the lowpass keeps only the former. *)
@@ -288,9 +326,9 @@ let prop_qam_gray_adjacency =
   QCheck2.Test.make ~name:"QAM neighbours differ by one bit" ~count:60
     QCheck2.Gen.(oneofl orders)
     (fun o ->
-       let pts = Qam.constellation o in
-       let bps = Qam.bits_per_symbol o in
-       let m = Qam.int_of_order o in
+       let pts = constellation o in
+       let labels = labels o in
+       let m = Array.length pts in
        let step =
          (* grid spacing = 2 * scale *)
          let dists =
@@ -307,7 +345,7 @@ let prop_qam_gray_adjacency =
          in
          List.fold_left Float.min infinity dists
        in
-       let bits_of sym = List.init bps (fun b -> (sym lsr b) land 1) in
+       let bits_of sym = Array.to_list labels.(sym) in
        let ok = ref true in
        for s1 = 0 to m - 1 do
          for s2 = 0 to m - 1 do
@@ -334,12 +372,6 @@ let prop_qam_gray_adjacency =
 
 (* --- Signals --- *)
 
-let test_signal_sine () =
-  let s = Signal.sine ~amplitude:1000.0 ~freq:1000.0 ~rate:8000.0 8 in
-  check ci "starts at zero" 0 s.(0);
-  check cb "peaks at quarter period" true (abs (s.(2) - 1000) <= 1);
-  check cb "bounded" true (Array.for_all (fun v -> abs v <= 1000) s)
-
 let test_signal_ber () =
   check (cf 0.0) "identical" 0.0 (Signal.ber [| 1; 0; 1 |] [| 1; 0; 1 |]);
   check (cf 1e-9) "one of four" 0.25 (Signal.ber [| 1; 0; 1; 0 |] [| 1; 0; 0; 0 |]);
@@ -347,10 +379,17 @@ let test_signal_ber () =
     (Invalid_argument "Signal.ber: length mismatch") (fun () ->
         ignore (Signal.ber [| 1 |] [| 1; 0 |]))
 
-let test_signal_clamping () =
-  let s = Signal.sine ~amplitude:1e9 ~freq:13.0 ~rate:8000.0 64 in
-  check cb "clamped to 16-bit" true
-    (Array.for_all (fun v -> v <= 32767 && v >= -32768) s)
+let test_signal_speech_deterministic () =
+  let gen seed = Signal.speech_like (Rng.create ~seed) 512 in
+  check (Alcotest.array ci) "same seed, same samples" (gen 7) (gen 7);
+  check cb "other seed, other samples" true (gen 7 <> gen 8)
+
+let test_signal_speech_range () =
+  let s = Signal.speech_like (Rng.create ~seed:5) 2048 in
+  check ci "requested length" 2048 (Array.length s);
+  check cb "within 16-bit PCM" true
+    (Array.for_all (fun v -> v <= 32767 && v >= -32768) s);
+  check cb "not silent" true (Array.exists (fun v -> abs v > 1000) s)
 
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
@@ -379,8 +418,8 @@ let suite =
       QCheck_alcotest.to_alcotest prop_fir_linearity;
       QCheck_alcotest.to_alcotest prop_fir_shift_invariance;
       QCheck_alcotest.to_alcotest prop_qam_gray_adjacency;
-      t "signal sine" test_signal_sine;
       t "signal ber" test_signal_ber;
-      t "signal clamping" test_signal_clamping;
       QCheck_alcotest.to_alcotest prop_adpcm_roundtrip_error;
+      t "signal speech_like deterministic" test_signal_speech_deterministic;
+      t "signal speech_like pcm range" test_signal_speech_range;
       t "gsm speech frame gives 8 LARs" test_gsm_speech_lars ] )
