@@ -9,9 +9,7 @@
    reconfig, axi, vfp, trapvshyper, asid, quantum, chaos, soak, slo,
    density, partition, scenario, trace).
    A flag none of the named experiments reads is refused (exit 2).
-   --assert exits 1 when a claim fails; with table3 named,
-   --check-baseline FILE exits 1 when the sweep's simulated cycles
-   drift from FILE and --write-baseline FILE regenerates it. *)
+   --assert exits 1 when a claim fails. *)
 
 let fail msg =
   Format.eprintf "mininova: %s@." msg;
@@ -74,24 +72,5 @@ let () =
        if c.all && r.Experiment.claims <> [] then Format.eprintf "%s:@." name;
        Experiment.pp_claims Format.err_formatter r)
     names results;
-  (* Only table3 records cycles, and the baseline flags need it named. *)
-  let cycles = List.concat_map (fun (r, _) -> r.Experiment.cycles) results in
-  Option.iter
-    (fun (path, oc) ->
-       Experiment.write_baseline oc cycles;
-       Format.eprintf "wrote baseline %s@." path)
-    c.write_baseline;
-  Option.iter
-    (fun expected ->
-       match Experiment.baseline_drift expected cycles with
-       | [] ->
-         Format.eprintf "baseline check passed (%d configurations)@."
-           (List.length expected)
-       | drift ->
-         List.iter (Format.eprintf "%s@.") drift;
-         Format.eprintf
-           "FAIL: simulated cycles drifted from the committed baseline@.";
-         exit 1)
-    c.check_baseline;
   if c.assert_ && not (List.for_all (fun (r, _) -> Experiment.all_hold r) results)
   then exit 1

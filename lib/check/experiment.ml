@@ -1,10 +1,6 @@
 type claim = { claim : string; holds : bool }
 
-type result = {
-  json : Json_out.t;
-  claims : claim list;
-  cycles : (string * int) list;
-}
+type result = { json : Json_out.t; claims : claim list }
 
 type args = {
   value : 'a. 'a Cli_args.spec -> unit -> 'a;
@@ -24,11 +20,9 @@ type command = {
   assert_ : bool;
   verbose : bool;
   help : bool;
-  check_baseline : (string * int) list option;
-  write_baseline : (string * out_channel) option;
 }
 
-let result ?(claims = []) ?(cycles = []) json = { json; claims; cycles }
+let result ?(claims = []) json = { json; claims }
 
 let all_hold r = List.for_all (fun c -> c.holds) r.claims
 
@@ -78,8 +72,6 @@ let tagged_runs f reports =
 (* Tagged cells are independent worlds: sweep them on domains. *)
 let run_cells run cells =
   Parallel_sweep.map (fun (tag, c) -> (tag, run c)) cells
-
-let keep want v = Option.fold ~none:true ~some:(( = ) v) want
 
 let every what f l = { claim = what; holds = List.for_all f l }
 let all_cells what f reports = every what (fun (_, r) -> f r) reports
@@ -152,11 +144,6 @@ let table3 =
          fun () ->
            let s = sweep () in
            result
-             ~cycles:
-               (List.mapi
-                  (fun i (o : Scenario.overheads) ->
-                     (config_label i, o.Scenario.sim_cycles))
-                  s)
              (Obj
                 [ ( "runs",
                     List
@@ -621,16 +608,6 @@ let vms_spec =
 
 let jobs_spec = Cli_args.int ~min:1 [ "jobs" ] "Hardware jobs per guest."
 
-let either_spec names doc of_string =
-  { Cli_args.names;
-    docv = "WHICH";
-    doc;
-    default = None;
-    parse =
-      (function
-        | "both" -> Ok None
-        | s -> Result.map Option.some (of_string s)) }
-
 let ring_admission =
   { Cli_args.names = [ "ring-admission" ];
     docv = "POLICY";
@@ -747,42 +724,24 @@ let density =
                                 ("ratio", Float x) ])
                          ratios) ) ])) }
 
-let chaos_spec =
-  either_spec [ "chaos" ] "PL fault injection cells: on, off or both."
-    (function
-      | "on" -> Ok true
-      | "off" -> Ok false
-      | s -> Error (Printf.sprintf "expected on, off or both, got %S" s))
-
 let partition =
   { name = "partition";
     title = "E10: static vs dynamic partitioning";
     define =
       (fun a ->
          let base = fleet_args a Partition.default_config in
-         let mode =
-           a.value
-             (either_spec [ "partition" ]
-                "PRR sharing discipline: dynamic, static or both."
-                Partition.mode_of_string)
-         in
-         let chaos = a.value chaos_spec in
          fun () ->
            let base = base () in
            let chaotic (c : Fleet_cell.config) = c.fault_rate > 0.0 in
-           let cells =
-             Partition.bench_matrix base
-             |> List.filter (fun (_, (c : Fleet_cell.config)) ->
-                    keep (mode ()) c.partition && keep (chaos ()) (chaotic c))
-           in
-           let reports = run_cells Fleet_cell.run cells in
+           let reports = run_cells Fleet_cell.run (Partition.bench_matrix base) in
+           (* The matrix always holds both chaos cells. *)
            let p99 m =
-             List.find_map
-               (fun (_, (r : Fleet_cell.report)) ->
-                  if chaotic r.config && r.config.partition = m then
-                    Some r.victim_p99_us
-                  else None)
-               reports
+             (snd
+                (List.find
+                   (fun (_, (r : Fleet_cell.report)) ->
+                      chaotic r.config && r.config.partition = m)
+                   reports))
+               .Fleet_cell.victim_p99_us
            in
            result
              ~claims:
@@ -797,15 +756,11 @@ let partition =
                     all_cells "chaos cells injected faults"
                       (fun (r : Fleet_cell.report) ->
                          (not (chaotic r.config)) || r.injected > 0)
-                      reports ]
-                @
-                match
-                  (p99 Hw_task_manager.Static, p99 Hw_task_manager.Dynamic)
-                with
-                | Some s, Some d ->
-                  [ { claim = "under chaos the pinned victim's p99 is no worse";
-                      holds = s <= d } ]
-                | _ -> [])
+                      reports;
+                    { claim = "under chaos the pinned victim's p99 is no worse";
+                      holds =
+                        p99 Hw_task_manager.Static
+                        <= p99 Hw_task_manager.Dynamic } ])
              (Obj
                 [ ("seed", Int base.seed);
                   ("runs", tagged_runs Partition.report_json reports) ])) }
@@ -883,52 +838,10 @@ let registry =
   [ table3; fig9; report; reconfig; axi; vfp; trapvshyper; asid; quantum;
     chaos; soak; slo; density; partition; scenario; trace ]
 
-(* --- the deterministic-cycle baseline ---
-
-   The simulation is deterministic and host-independent, so the exact
-   simulated cycles of the Table III sweep are a committable
-   fingerprint: one [<config> <sim_cycles>] line per cell. *)
-
-let read_baseline path =
-  match
-    In_channel.with_open_text path In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter_map (fun line ->
-           match String.split_on_char ' ' (String.trim line) with
-           | [ "" ] -> None
-           | w :: _ when w.[0] = '#' -> None
-           | [ name; cyc ] when int_of_string_opt cyc <> None ->
-             Some (name, int_of_string cyc)
-           | _ -> failwith (Printf.sprintf "%s: bad baseline line %S" path line))
-  with
-  | [] -> Error (path ^ ": no entries")
-  | rows -> Ok rows
-  | exception (Sys_error m | Failure m) -> Error m
-
-let baseline_drift expected actual =
-  List.filter_map
-    (fun (name, cyc) ->
-       match List.assoc_opt name actual with
-       | None ->
-         Some (Printf.sprintf "baseline %s: config missing from this run" name)
-       | Some got when got <> cyc ->
-         Some
-           (Printf.sprintf "baseline %s: expected %d cycles, got %d (drift %+d)"
-              name cyc got (got - cyc))
-       | Some _ -> None)
-    expected
-
-let write_baseline oc rows =
-  output_string oc
-    "# mini-nova bench cycle baseline: <config> <sim_cycles>\n\
-     # regenerate: dune exec bin/mininova.exe -- table3 --write-baseline FILE\n";
-  List.iter (fun (name, cyc) -> Printf.fprintf oc "%s %d\n" name cyc) rows;
-  close_out oc
-
 (* --- the argv step: [NAME FLAGS] or [all [NAME...] FLAGS] ---
 
-   The named experiments' entries, the baseline flags when table3 is
-   named and the front end's own flags, parsed once. *)
+   The named experiments' entries and the front end's own flags,
+   parsed once. *)
 
 let command sections argv =
   let rec split names = function
@@ -964,26 +877,6 @@ let command sections argv =
       in
       List.map (fun e -> (e, e.define args)) named
     in
-    (* The baseline files are opened here, at the flag boundary. *)
-    let baseline name doc parse =
-      if not (List.memq table3 named) then Fun.const None
-      else
-        reader Cli_args.value_ref
-          { Cli_args.names = [ name ]; docv = "FILE"; doc; default = None;
-            parse = (fun p -> Result.map Option.some (parse p)) }
-    in
-    let check =
-      baseline "check-baseline"
-        "Compare the Table III sweep's deterministic simulated cycles \
-         against the committed baseline FILE and exit 1 on drift."
-        read_baseline
-    in
-    let write =
-      baseline "write-baseline"
-        "Regenerate the deterministic cycle baseline FILE from this run's \
-         Table III sweep."
-        (fun p -> try Ok (p, open_out p) with Sys_error m -> Error m)
-    in
     let assert_ = reader Cli_args.flag_ref Cli_args.assert_ in
     let verbose = reader Cli_args.flag_ref Cli_args.verbose in
     let help = reader Cli_args.flag_ref Cli_args.help in
@@ -994,4 +887,4 @@ let command sections argv =
     | Ok [] ->
       Ok
         { all; runs; entries; assert_ = assert_ (); verbose = verbose ();
-          help = help (); check_baseline = check (); write_baseline = write () })
+          help = help () })

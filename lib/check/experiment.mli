@@ -15,9 +15,6 @@ type result = {
   json : Json_out.t;                 (** the JSON document *)
   claims : claim list;               (** always printed; [--assert]
                                          makes a failure exit 1 *)
-  cycles : (string * int) list;      (** exact simulated cycles per cell
-                                         where a gate reads them: table3's
-                                         feed the cycle baseline *)
 }
 
 (** How a definition declares its flags: each call registers one argv
@@ -46,21 +43,6 @@ val pp_claims : Format.formatter -> result -> unit
 
 val claims_json : result -> Json_out.t
 
-(** {2 The deterministic-cycle baseline}
-
-    One [<config> <sim_cycles>] line per Table III cell; [#] starts a
-    comment line. *)
-
-val read_baseline : string -> ((string * int) list, string) Stdlib.result
-(** [Error] names an unreadable file, a malformed line or no entries. *)
-
-val baseline_drift : (string * int) list -> (string * int) list -> string list
-(** [baseline_drift expected actual]: one line per expected config that
-    [actual] lacks or whose cycles differ. *)
-
-val write_baseline : out_channel -> (string * int) list -> unit
-(** Write the header and the rows, then close the channel. *)
-
 (** {2 The argv step} *)
 
 type command = {
@@ -70,8 +52,6 @@ type command = {
   assert_ : bool;
   verbose : bool;
   help : bool;
-  check_baseline : (string * int) list option;  (** read while parsing *)
-  write_baseline : (string * out_channel) option;  (** opened while parsing *)
 }
 
 val command : t list -> string list -> (command, string) Stdlib.result
@@ -79,6 +59,6 @@ val command : t list -> string list -> (command, string) Stdlib.result
     [all [NAME...] FLAGS...] the named ones (every one when none is,
     as for an empty [argv]).
     The flags are the named experiments' entries, [--assert],
-    [--verbose], [--help], and the baseline flags when table3 is named.
+    [--verbose] and [--help].
     [Error] names an unknown experiment, a flag none of them reads, a
-    bad value (an unreadable baseline file included) or a positional. *)
+    bad value or a positional. *)

@@ -19,11 +19,6 @@ let mode_name = function
   | Hw_task_manager.Dynamic -> "dynamic"
   | Hw_task_manager.Static -> "static"
 
-let mode_of_string = function
-  | "dynamic" -> Ok Hw_task_manager.Dynamic
-  | "static" -> Ok Hw_task_manager.Static
-  | s -> Error (Printf.sprintf "expected dynamic or static, got %S" s)
-
 let chaos_fault_rate = 0.25
 
 (* The heterogeneous catalog under study: bitstreams from ~87 KB

@@ -11,8 +11,6 @@
     reconfiguration counts, PCAP traffic, denial rates and the
     victim's vIRQ-turnaround tail. *)
 
-val mode_of_string : string -> (Hw_task_manager.partition, string) result
-
 val partition_task_set : Task_kind.t array
 (** The heterogeneous catalog every cell registers. *)
 

@@ -433,8 +433,7 @@ let apply cfg w = function
      | Ok id -> w.churned <- w.churned @ [ id ]
      | Error _ -> ())
 
-let stats_of cfg w ~actions =
-  ignore cfg;
+let stats_of w ~actions =
   { ops_done = Smp.hypercalls w.smp + w.creates + w.kills;
     actions;
     creates = w.creates;
@@ -479,7 +478,7 @@ let drive cfg next =
        Some
          { Invariant.checker = "exception"; boundary = "op";
            detail = "Invalid_argument: " ^ msg });
-  (List.rev !trace_rev, !violation, stats_of cfg w ~actions:!nactions)
+  (List.rev !trace_rev, !violation, stats_of w ~actions:!nactions)
 
 let gen_action rng =
   let r = Rng.int rng 100 in

@@ -64,47 +64,41 @@ let fp ~label ~code_off ~code_len ?(reads = []) ?(writes = [])
     code = { Exec.base = app + code_off; len = code_len };
     reads; writes; base_cycles }
 
-(* GSM-LPC encoder task: a charged footprint over its frame/coefficient
-   buffers. The simulated cost is the footprint alone; the codec itself
-   (Gsm_lpc) is not run on the host. The four phase footprints are
-   loop-invariant: intern them once as pinned traces instead of
-   rebuilding a footprint per frame. *)
-let gsm_task os () =
-  let pins =
-    Array.init 4 (fun i ->
-        Exec.pin1
-          (fp ~label:"gsm" ~code_off:0x0000 ~code_len:1792
-             ~reads:[ { Exec.base = gsm_buf + (i * 4096); len = 4096 } ]
-             ~writes:[ { Exec.base = gsm_buf + 16384; len = 256 } ]
-             ~base_cycles:14000 ()))
-  in
+(* A guest task over four loop-invariant phase footprints: [pin i]
+   interns phase [i]'s as a pinned trace once, on the task's first
+   run, instead of rebuilding a footprint per block. The task sleeps
+   one tick every [every] phases. *)
+let phased_task os ~every pin () =
+  let pins = Array.init 4 pin in
   let phase = ref 0 in
   while true do
     let i = !phase mod 4 in
     phase := !phase + 1;
     Ucos.compute_pinned os pins.(i);
-    if !phase mod 4 = 0 then Ucos.delay os 1
+    if !phase mod every = 0 then Ucos.delay os 1
   done
+
+(* GSM-LPC encoder task: a charged footprint over its frame/coefficient
+   buffers. The simulated cost is the footprint alone; the codec itself
+   (Gsm_lpc) is not run on the host. *)
+let gsm_task os =
+  phased_task os ~every:4 (fun i ->
+      Exec.pin1
+        (fp ~label:"gsm" ~code_off:0x0000 ~code_len:1792
+           ~reads:[ { Exec.base = gsm_buf + (i * 4096); len = 4096 } ]
+           ~writes:[ { Exec.base = gsm_buf + 16384; len = 256 } ]
+           ~base_cycles:14000 ()))
 
 (* IMA ADPCM compression task: a charged footprint per block, like the
    GSM task (Adpcm is not run on the host). *)
-let adpcm_task os () =
-  let pins =
-    Array.init 4 (fun i ->
-        let off = i * 4096 in
-        Exec.pin1
-          (fp ~label:"adpcm" ~code_off:0x1000 ~code_len:1280
-             ~reads:[ { Exec.base = adpcm_buf + off; len = 4096 } ]
-             ~writes:[ { Exec.base = adpcm_buf + 16384 + off; len = 2048 } ]
-             ~base_cycles:11000 ()))
-  in
-  let phase = ref 0 in
-  while true do
-    let i = !phase mod 4 in
-    phase := !phase + 1;
-    Ucos.compute_pinned os pins.(i);
-    if !phase mod 5 = 0 then Ucos.delay os 1
-  done
+let adpcm_task os =
+  phased_task os ~every:5 (fun i ->
+      let off = i * 4096 in
+      Exec.pin1
+        (fp ~label:"adpcm" ~code_off:0x1000 ~code_len:1280
+           ~reads:[ { Exec.base = adpcm_buf + off; len = 4096 } ]
+           ~writes:[ { Exec.base = adpcm_buf + 16384 + off; len = 2048 } ]
+           ~base_cycles:11000 ()))
 
 (* Cache-churn task: walks a working set to model the rest of the
    guest's memory traffic (the paper's "heavy workload"). The walk

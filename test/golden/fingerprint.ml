@@ -1,15 +1,18 @@
 (* Deterministic fingerprints of every registry experiment at a small
-   configuration: the experiment's JSON document, with host-time
-   fields and source line counts stripped. The dune rules next to this
+   configuration, and of the full default Table III sweep
+   ([table3_full], whose [sim_cycles] pin every cell's exact cycles):
+   the experiment's JSON document, with host-time fields and source
+   line counts stripped. The dune rules next to this
    file diff the output against the committed [*.expected] files;
    [dune promote] regenerates them.
 
      fingerprint.exe NAME   # print NAME's fingerprint(s) *)
 
-(* The small configuration of each experiment, as mininova flags;
-   [true] when the experiment is also fingerprinted at --pcpus 4. *)
+(* The configuration of each fingerprint, as mininova flags; [true]
+   when it is also fingerprinted at --pcpus 4. *)
 let configs =
   [ ("table3", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
+    ("table3_full", ([], false));
     ("fig9", ([ "--requests"; "6"; "--warmup"; "2"; "--guests"; "2" ], true));
     ("report", ([], false));
     ("reconfig", ([], false));
@@ -32,6 +35,7 @@ let configs =
 
 (* A fingerprint names its experiment unless it is a variant. *)
 let experiment_of = function
+  | "table3_full" -> "table3"
   | "slo_obs" -> "slo"
   | "scenario_obs" -> "scenario"
   | name -> name

@@ -1,8 +1,7 @@
 (* The experiment registry and the front end's argv step: every claim
    holds at a small configuration, a failing claim is reported as such,
-   one flag reaches every experiment reading it, a flag no named
-   experiment reads is refused, and the cycle baseline file is read
-   and checked before anything runs. *)
+   one flag reaches every experiment reading it, and a flag no named
+   experiment reads is refused. *)
 
 let check = Alcotest.check
 let cb = Alcotest.bool
@@ -132,6 +131,12 @@ let test_flag_must_be_read () =
   check cb "unknown section" false (ok [ "all"; "table3"; "nope" ]);
   check cb "unknown experiment" false (ok [ "nope" ]);
   check cb "a name after the flags" false (ok [ "all"; "--obs"; "table3" ]);
+  List.iter
+    (fun argv -> check cb (String.concat " " argv) false (ok argv))
+    [ [ "table3"; "--check-baseline"; "F" ];
+      [ "table3"; "--write-baseline"; "F" ];
+      [ "partition"; "--partition"; "static" ];
+      [ "partition"; "--chaos"; "on" ] ];
   match command [ "all" ] with
   | Ok c ->
     check
@@ -139,65 +144,6 @@ let test_flag_must_be_read () =
       "all with no name runs the registry"
       (List.map (fun (e : Experiment.t) -> e.name) Experiment.registry)
       (List.map (fun ((e : Experiment.t), _) -> e.name) c.Experiment.runs)
-  | Error m -> Alcotest.fail m
-
-let committed_baseline =
-  List.find Sys.file_exists
-    [ "../bench/baseline_cycles.txt"; "bench/baseline_cycles.txt" ]
-
-let test_baseline_needs_table3 () =
-  let ok argv = Result.is_ok (command argv) in
-  let gate = [ "--check-baseline"; committed_baseline ] in
-  check cb "slo does not read --check-baseline" false
-    (ok ([ "all"; "slo" ] @ gate));
-  check cb "nor --write-baseline" false
-    (ok [ "density"; "--write-baseline"; Filename.null ]);
-  check cb "table3 does" true (ok ([ "all"; "slo"; "table3" ] @ gate));
-  check cb "alone too" true (ok ("table3" :: gate));
-  check cb "a missing file is refused while parsing" false
-    (ok [ "table3"; "--check-baseline"; "/nonexistent/baseline.txt" ]);
-  check cb "an unwritable file is refused while parsing" false
-    (ok [ "table3"; "--write-baseline"; "/nonexistent/baseline.txt" ])
-
-let with_file text f =
-  let path = Filename.temp_file "baseline" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-       Out_channel.with_open_text path (fun oc -> output_string oc text);
-       f path)
-
-let test_baseline_file () =
-  let rows = [ ("native", 100); ("1os", 250) ] in
-  let err what = function
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "%s: accepted" what
-  in
-  err "missing file" (Experiment.read_baseline "/nonexistent/baseline.txt");
-  with_file "# header\nnative  123\n" (fun p ->
-      err "two spaces" (Experiment.read_baseline p));
-  with_file "" (fun p -> err "empty file" (Experiment.read_baseline p));
-  with_file "# only a comment\n\n" (fun p ->
-      err "no entries" (Experiment.read_baseline p));
-  with_file "" (fun p ->
-      Experiment.write_baseline (open_out p) rows;
-      check
-        Alcotest.(result (list (pair string int)) string)
-        "written file reads back" (Ok rows) (Experiment.read_baseline p));
-  check
-    Alcotest.(list string)
-    "drift lines"
-    [ "baseline native: expected 100 cycles, got 101 (drift +1)";
-      "baseline 1os: config missing from this run" ]
-    (Experiment.baseline_drift rows [ ("native", 101); ("2os", 7) ]);
-  check Alcotest.(list string) "no drift" []
-    (Experiment.baseline_drift rows (("2os", 7) :: rows));
-  match Experiment.read_baseline committed_baseline with
-  | Ok committed ->
-    check
-      Alcotest.(list string)
-      "the committed file covers the Table III sweep"
-      [ "native"; "1os"; "2os"; "3os"; "4os" ] (List.map fst committed)
   | Error m -> Alcotest.fail m
 
 (* [all] hands each section the flags it reads, exactly as a single run
@@ -237,7 +183,5 @@ let suite =
         test_density_batch_refused;
       t "a flag no named section reads is refused" `Quick
         test_flag_must_be_read;
-      t "the baseline flags need table3" `Quick test_baseline_needs_table3;
-      t "baseline file errors and drift lines" `Quick test_baseline_file;
       t "an all section's result is its single-run document" `Quick
         test_all_result_is_the_single_document ] )
