@@ -381,30 +381,6 @@ let chaos =
                                @ metrics_field r.Chaos.metrics))
                          reports) ) ])) }
 
-(* Soak counts are large; accept 200k / 1m style suffixes. *)
-let parse_count s =
-  let len = String.length s in
-  if len = 0 then Error "expected a count"
-  else
-    let mult, body =
-      match Char.lowercase_ascii s.[len - 1] with
-      | 'k' -> (1_000, String.sub s 0 (len - 1))
-      | 'm' -> (1_000_000, String.sub s 0 (len - 1))
-      | _ -> (1, s)
-    in
-    match int_of_string_opt body with
-    | Some v when v > 0 && v <= max_int / mult -> Ok (v * mult)
-    | Some _ | None ->
-      Error
-        (Printf.sprintf "expected a count like 5000, 200k or 1m, got %S" s)
-
-let ops =
-  { Cli_args.names = [ "ops" ];
-    docv = "N";
-    doc = "Soak operation budget; accepts k/m suffixes (200k, 1m).";
-    default = 30_000;
-    parse = parse_count }
-
 let shards =
   Cli_args.int ~min:1 [ "shards" ]
     "Split the soak into N independent seeded shards (run concurrently \
@@ -469,7 +445,7 @@ let soak =
     define =
       (fun a ->
          let d = Soak.default_config in
-         let ops = a.value ops in
+         let ops = a.value Cli_args.ops in
          let seed = a.value { Cli_args.seed with default = d.Soak.seed } in
          let no_check = a.flag Cli_args.no_check in
          let fault_rate =

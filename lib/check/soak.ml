@@ -678,44 +678,46 @@ let write_reproducer path cfg (violation : Invariant.violation) ~shrunk =
   List.iter (fun a -> Printf.fprintf oc "%s\n" (action_to_string a)) shrunk;
   close_out oc
 
+(* Header values go through their flags' own parsers: a reproducer
+   holds nothing the command line would refuse. The first bad line is
+   the error. *)
 let load_reproducer path =
-  try
-    In_channel.with_open_text path (fun ic ->
-        let cfg = ref { default_config with check = true } in
-        let actions = ref [] in
-        let in_actions = ref false in
-        let error = ref None in
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             if line = "" || String.length line > 0 && line.[0] = '#' then ()
-             else if !in_actions then begin
-               match action_of_string line with
-               | Some a -> actions := a :: !actions
-               | None -> error := Some ("bad action line: " ^ line)
-             end
-             else
-               match String.split_on_char ' ' line with
-               | [ "actions" ] -> in_actions := true
-               | [ "seed"; v ] -> cfg := { !cfg with seed = int_of_string v }
-               | [ "ops"; v ] -> cfg := { !cfg with ops = int_of_string v }
-               | [ "max-vms"; v ] ->
-                 cfg := { !cfg with max_vms = int_of_string v }
-               | [ "fault-rate"; v ] ->
-                 cfg := { !cfg with fault_rate = float_of_string v }
-               | [ "fault-seed"; v ] ->
-                 cfg := { !cfg with fault_seed = int_of_string v }
-               | [ "quantum-ms"; v ] ->
-                 cfg := { !cfg with quantum_ms = float_of_string v }
-               | [ "pcpus"; v ]
-                 when let n = int_of_string v in n >= 1 && n <= Smp.max_pcpus ->
-                 cfg := { !cfg with pcpus = int_of_string v }
-               | _ -> error := Some ("bad header line: " ^ line)
-           done
-         with End_of_file -> ());
-        match !error with
-        | Some e -> Error e
-        | None ->
-          if not !in_actions then Error "missing 'actions' section"
-          else Ok (!cfg, List.rev !actions))
-  with Sys_error e | Failure e -> Error e
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text ->
+    let rec header c = function
+      | [] -> Error "missing 'actions' section"
+      | "actions" :: rest -> actions c [] rest
+      | line :: rest ->
+        let field parse v set =
+          match parse v with
+          | Ok x -> header (set x) rest
+          | Error _ -> Error ("bad header line: " ^ line)
+        in
+        (match String.split_on_char ' ' line with
+         | [ "seed"; v ] ->
+           field Cli_args.seed.parse v (fun x -> { c with seed = x })
+         | [ "ops"; v ] ->
+           field Cli_args.ops.parse v (fun x -> { c with ops = x })
+         | [ "max-vms"; v ] ->
+           field (Cli_args.int_in 1 max_int) v (fun x -> { c with max_vms = x })
+         | [ "fault-rate"; v ] ->
+           field Cli_args.fault_rate.parse v (fun x -> { c with fault_rate = x })
+         | [ "fault-seed"; v ] ->
+           field Cli_args.fault_seed.parse v (fun x -> { c with fault_seed = x })
+         | [ "quantum-ms"; v ] ->
+           field Cli_args.quantum.parse v (fun x -> { c with quantum_ms = x })
+         | [ "pcpus"; v ] ->
+           field Cli_args.pcpus.parse v (fun x -> { c with pcpus = x })
+         | _ -> Error ("bad header line: " ^ line))
+    and actions c acc = function
+      | [] -> Ok (c, List.rev acc)
+      | line :: rest ->
+        (match action_of_string line with
+         | Some a -> actions c (a :: acc) rest
+         | None -> Error ("bad action line: " ^ line))
+    in
+    String.split_on_char '\n' text
+    |> List.map String.trim
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+    |> header { default_config with check = true }

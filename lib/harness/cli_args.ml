@@ -78,6 +78,30 @@ let fault_seed =
     "Fault-plane RNG seed (fixed seed = same fault schedule)."
     Chaos.default_config.Chaos.fault_seed
 
+(* Soak counts are large; accept 200k / 1m style suffixes. *)
+let parse_count s =
+  let len = String.length s in
+  if len = 0 then Error "expected a count"
+  else
+    let mult, body =
+      match Char.lowercase_ascii s.[len - 1] with
+      | 'k' -> (1_000, String.sub s 0 (len - 1))
+      | 'm' -> (1_000_000, String.sub s 0 (len - 1))
+      | _ -> (1, s)
+    in
+    match int_of_string_opt body with
+    | Some v when v > 0 && v <= max_int / mult -> Ok (v * mult)
+    | Some _ | None ->
+      Error
+        (Printf.sprintf "expected a count like 5000, 200k or 1m, got %S" s)
+
+let ops =
+  { names = [ "ops" ];
+    docv = "N";
+    doc = "Soak operation budget; accepts k/m suffixes (200k, 1m).";
+    default = 30_000;
+    parse = parse_count }
+
 let some spec =
   { spec with
     default = None;

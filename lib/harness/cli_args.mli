@@ -66,6 +66,10 @@ val fault_rate : float spec
 val fault_seed : int spec
 (** [--fault-seed]: fault plane RNG seed. *)
 
+val ops : int spec
+(** [--ops N]: soak operation budget, > 0; accepts k/m suffixes
+    ([200k], [1m]). *)
+
 val assert_ : flag
 (** [--assert]: a failed experiment claim exits 1. *)
 

@@ -498,23 +498,21 @@ let test_reproducer_roundtrip () =
                (List.map Soak.action_to_string shrunk)
                (List.map Soak.action_to_string actions)))
     [ base; { base with fault_rate = 1e-7; quantum_ms = 1.0 /. 3.0 } ];
-  with_file (fun path ->
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc "seed x\nactions\n");
-      match Soak.load_reproducer path with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "malformed header number accepted");
-  (* A pcpus line outside [1, Smp.max_pcpus] is refused at load, before
-     any run could boot that many boards. *)
+  (* A header value the command line would refuse is refused at load,
+     before any run: a pcpus line outside [1, Smp.max_pcpus] could
+     otherwise boot that many boards. *)
   List.iter
-    (fun n ->
+    (fun bad ->
        with_file (fun path ->
            Out_channel.with_open_text path (fun oc ->
-               Printf.fprintf oc "seed 1\npcpus %d\nactions\n" n);
+               Printf.fprintf oc "seed 1\n%s\nactions\n" bad);
            match Soak.load_reproducer path with
-           | Error _ -> ()
-           | Ok _ -> Alcotest.failf "pcpus %d accepted" n))
-    [ 0; Smp.max_pcpus + 1; 1_000_000_000 ];
+           | Error e ->
+             Alcotest.(check string) bad ("bad header line: " ^ bad) e
+           | Ok _ -> Alcotest.failf "%S accepted" bad))
+    [ "seed x"; "pcpus x"; "pcpus 0";
+      Printf.sprintf "pcpus %d" (Smp.max_pcpus + 1); "pcpus 1000000000";
+      "fault-rate 2.5"; "fault-rate nan"; "quantum-ms -1"; "quantum-ms 0" ];
   with_file (fun path ->
       Out_channel.with_open_text path (fun oc ->
           Printf.fprintf oc "seed 1\npcpus %d\nactions\n" Smp.max_pcpus);

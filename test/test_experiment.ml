@@ -184,4 +184,12 @@ let suite =
       t "a flag no named section reads is refused" `Quick
         test_flag_must_be_read;
       t "an all section's result is its single-run document" `Quick
-        test_all_result_is_the_single_document ] )
+        test_all_result_is_the_single_document;
+      t "slo claims at 30 arrivals" `Quick
+        (claims_hold "slo" [ "--arrivals"; "30" ]);
+      t "density claims at 64 VMs" `Quick
+        (claims_hold "density"
+           [ "--vms"; "64"; "--check"; "--fault-rate"; "0.05" ]);
+      t "density claims at 4 pCPUs under faults" `Quick
+        (claims_hold "density"
+           [ "--vms"; "8"; "--pcpus"; "4"; "--check"; "--fault-rate"; "0.05" ]) ] )
