@@ -6,14 +6,13 @@ type latencies = {
   maintenance_per_line : int;
 }
 
-let default_latencies =
+let latencies =
   { l1_hit = 1; l2_hit = 25; dram = 120; writeback = 12;
     maintenance_per_line = 4 }
 
 type kind = Ifetch | Load | Store
 
 type t = {
-  lat : latencies;
   clock : Clock.t;
   l1i : Cache.t;
   l1d : Cache.t;
@@ -28,25 +27,25 @@ let a9_l1d = { a9_l1i with Cache.name = "L1D" }
 let a9_l2 = { Cache.name = "L2"; size_bytes = 512 * 1024; ways = 8;
               line_size = 32 }
 
-let create_custom ?(lat = default_latencies) ~l1i ~l1d ~l2 clock =
-  { lat; clock;
+let create_custom ~l1i ~l1d ~l2 clock =
+  { clock;
     l1i = Cache.create l1i;
     l1d = Cache.create l1d;
     l2 = Cache.create l2 }
 
-let create ?lat clock = create_custom ?lat ~l1i:a9_l1i ~l1d:a9_l1d ~l2:a9_l2 clock
+let create clock = create_custom ~l1i:a9_l1i ~l1d:a9_l1d ~l2:a9_l2 clock
 
 let access t kind a =
   let l1 = match kind with Ifetch -> t.l1i | Load | Store -> t.l1d in
   let write = kind = Store in
   let cost =
     match Cache.access l1 a ~write with
-    | `Hit -> t.lat.l1_hit
+    | `Hit -> latencies.l1_hit
     | `Miss ->
       (* L1 line fill goes through L2 (write-allocate at both levels). *)
       (match Cache.access t.l2 a ~write with
-       | `Hit -> t.lat.l1_hit + t.lat.l2_hit
-       | `Miss -> t.lat.l1_hit + t.lat.l2_hit + t.lat.dram)
+       | `Hit -> latencies.l1_hit + latencies.l2_hit
+       | `Miss -> latencies.l1_hit + latencies.l2_hit + latencies.dram)
   in
   Clock.advance t.clock cost;
   cost
@@ -59,7 +58,6 @@ let access_words t kind a n =
      One clock advance for the run. *)
   let l1 = match kind with Ifetch -> t.l1i | Load | Store -> t.l1d in
   let write = kind = Store in
-  let lat = t.lat in
   let line = Cache.line_size l1 in
   let cost = ref 0 in
   let k = ref 0 in
@@ -68,13 +66,15 @@ let access_words t kind a n =
     let s = Cache.access_word l1 pa ~write in
     let slot =
       if s >= 0 then begin
-        cost := !cost + lat.l1_hit;
+        cost := !cost + latencies.l1_hit;
         s
       end
       else begin
         (match Cache.access t.l2 pa ~write with
-         | `Hit -> cost := !cost + lat.l1_hit + lat.l2_hit
-         | `Miss -> cost := !cost + lat.l1_hit + lat.l2_hit + lat.dram);
+         | `Hit -> cost := !cost + latencies.l1_hit + latencies.l2_hit
+         | `Miss ->
+           cost :=
+             !cost + latencies.l1_hit + latencies.l2_hit + latencies.dram);
         lnot s
       end
     in
@@ -82,7 +82,7 @@ let access_words t kind a n =
     let rest = min (n - !k - 1) ((line - 1 - (pa land (line - 1))) / 4) in
     if rest > 0 then begin
       Cache.rehit l1 slot ~write ~n:rest;
-      cost := !cost + (rest * lat.l1_hit)
+      cost := !cost + (rest * latencies.l1_hit)
     end;
     k := !k + 1 + rest
   done;
@@ -105,13 +105,12 @@ let access_line_run_record t kind a n ~slots ~next_slots ~from =
      them ([0] proves the walk was pure L1 hits). *)
   let l1 = match kind with Ifetch -> t.l1i | Load | Store -> t.l1d in
   let write = kind = Store in
-  let lat = t.lat in
   let miss_cost, moved =
-    Cache.run_through l1 t.l2 ~lat_next_hit:lat.l2_hit
-      ~lat_next_miss:(lat.l2_hit + lat.dram) ~a ~n ~write ~slots ~next_slots
-      ~from
+    Cache.run_through l1 t.l2 ~lat_next_hit:latencies.l2_hit
+      ~lat_next_miss:(latencies.l2_hit + latencies.dram) ~a ~n ~write ~slots
+      ~next_slots ~from
   in
-  Clock.advance t.clock ((n * lat.l1_hit) + miss_cost);
+  Clock.advance t.clock ((n * latencies.l1_hit) + miss_cost);
   moved
 
 let access_uncached t =
@@ -127,7 +126,8 @@ let charge t c =
 let clean_dcache_range t a len =
   let wb = Cache.clean_range t.l1d a len + Cache.clean_range t.l2 a len in
   let touched = (len + Addr.line_size - 1) / Addr.line_size in
-  charge t ((wb * t.lat.writeback) + (touched * t.lat.maintenance_per_line))
+  charge t
+    ((wb * latencies.writeback) + (touched * latencies.maintenance_per_line))
 
 let invalidate_dcache_range t a len =
   let dropped =
@@ -135,7 +135,7 @@ let invalidate_dcache_range t a len =
   in
   let touched = (len + Addr.line_size - 1) / Addr.line_size in
   ignore dropped;
-  charge t (touched * t.lat.maintenance_per_line)
+  charge t (touched * latencies.maintenance_per_line)
 
 let clean_invalidate_all t =
   let wb = Cache.clean_all t.l1d + Cache.clean_all t.l2 in
@@ -144,7 +144,9 @@ let clean_invalidate_all t =
     + Cache.invalidate_all t.l1i
   in
   charge t
-    ((wb * t.lat.writeback) + (dropped * t.lat.maintenance_per_line) + 200)
+    ((wb * latencies.writeback)
+     + (dropped * latencies.maintenance_per_line)
+     + 200)
 
 let dirty_in_range t a len =
   Cache.dirty_in_range t.l1d a len || Cache.dirty_in_range t.l2 a len
@@ -152,7 +154,6 @@ let dirty_in_range t a len =
 let l1i t = t.l1i
 let l1d t = t.l1d
 let l2 t = t.l2
-let latencies t = t.lat
 
 type counts = {
   l1i_hits : int; l1i_misses : int;

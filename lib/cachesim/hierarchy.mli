@@ -14,20 +14,19 @@ type latencies = {
   maintenance_per_line : int; (** cycles per line for clean/invalidate ops *)
 }
 
-val default_latencies : latencies
-(** 660 MHz Cortex-A9 + PL310-class numbers: L1 hit 1, L2 hit +25,
-    DRAM +120. *)
+val latencies : latencies
+(** The latencies every access is charged: 660 MHz Cortex-A9 +
+    PL310-class numbers, L1 hit 1, L2 hit +25, DRAM +120. *)
 
 type kind = Ifetch | Load | Store
 
 type t
 
-val create : ?lat:latencies -> Clock.t -> t
+val create : Clock.t -> t
 (** Build the A9 hierarchy (32 KB 4-way L1I, 32 KB 4-way L1D, 512 KB
     8-way unified L2, 32 B lines) bound to [clock]. *)
 
 val create_custom :
-  ?lat:latencies ->
   l1i:Cache.config -> l1d:Cache.config -> l2:Cache.config -> Clock.t -> t
 (** Same, with explicit geometries (for sensitivity experiments). *)
 
@@ -81,7 +80,6 @@ val dirty_in_range : t -> Addr.t -> int -> bool
 val l1i : t -> Cache.t
 val l1d : t -> Cache.t
 val l2 : t -> Cache.t
-val latencies : t -> latencies
 
 type counts = {
   l1i_hits : int; l1i_misses : int;

@@ -12,7 +12,6 @@ let mode_name = function Fleet_cell.V1 -> "v1" | Fleet_cell.V2 -> "v2"
 
 let default_config =
   { Fleet_cell.seed = 42; vms = 8; jobs_per_vm = 16; abi = V2; batch = 8;
-    cvirq_budget = 8; ring_admission = `Fifo;
     partition = Hw_task_manager.Dynamic; fault_rate = 0.0;
     tasks = [| Task_kind.Qam 4; Task_kind.Qam 16; Task_kind.Fft 256 |];
     stagger = false; check = false; pcpus = 1 }

@@ -7,10 +7,9 @@
     under density interference. *)
 
 val default_config : Fleet_cell.config
-(** seed 42, 8 VMs, v2, 16 jobs each in batches of 8, completion
-    vIRQs every 8, FIFO admission, dynamic PRRs, no faults, the QAM-4
-    / QAM-16 / FFT-256 catalog walked from kind 0 by every guest,
-    checking off, 1 pCPU. *)
+(** seed 42, 8 VMs, v2, 16 jobs each in batches of 8, dynamic PRRs,
+    no faults, the QAM-4 / QAM-16 / FFT-256 catalog walked from kind 0
+    by every guest, checking off, 1 pCPU. *)
 
 val default_populations : int list
 (** The paper sweep: 8, 32, 64, 128, 256 VMs. *)

@@ -584,21 +584,6 @@ let vms_spec =
 
 let jobs_spec = Cli_args.int ~min:1 [ "jobs" ] "Hardware jobs per guest."
 
-let ring_admission =
-  { Cli_args.names = [ "ring-admission" ];
-    docv = "POLICY";
-    doc =
-      "Descriptor-ring admission order inside a doorbell batch: fifo \
-       (default, submission order) or deadline (ascending descriptor \
-       deadline key, stable).";
-    default = `Fifo;
-    parse =
-      (fun s ->
-         match String.lowercase_ascii s with
-         | "fifo" -> Ok `Fifo
-         | "deadline" -> Ok `Deadline
-         | _ -> Error (Printf.sprintf "expected fifo or deadline, got %S" s)) }
-
 (* The flags both fleet studies read, over the study's defaults. *)
 let fleet_args (a : args) (d : Fleet_cell.config) =
   let seed = a.value { Cli_args.seed with default = d.seed } in
@@ -650,13 +635,11 @@ let density =
          let fault_rate =
            a.value { Cli_args.fault_rate with default = d.fault_rate }
          in
-         let ring_admission = a.value ring_admission in
          fun () ->
            let populations = populations () in
            let base =
              { (base ()) with
-               batch = batch (); fault_rate = fault_rate ();
-               ring_admission = ring_admission () }
+               batch = batch (); fault_rate = fault_rate () }
            in
            let cells = Density.bench_matrix ~populations base in
            let reports = run_cells Fleet_cell.run cells in
@@ -687,7 +670,7 @@ let density =
                 [ ("seed", Int base.seed);
                   ("jobs_per_vm", Int base.jobs_per_vm);
                   ("batch", Int base.batch);
-                  ("cvirq_budget", Int base.cvirq_budget);
+                  ("cvirq_budget", Int Fleet_cell.cvirq_budget);
                   ("runs", tagged_runs Density.report_json reports);
                   ( "transition_ratio",
                     List

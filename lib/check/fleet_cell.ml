@@ -14,8 +14,6 @@ type config = {
   jobs_per_vm : int;
   abi : abi;
   batch : int;
-  cvirq_budget : int;
-  ring_admission : [ `Fifo | `Deadline ];
   partition : Hw_task_manager.partition;
   fault_rate : float;
   tasks : Task_kind.t array;
@@ -25,6 +23,7 @@ type config = {
 }
 
 let ring_entries = 32
+let cvirq_budget = 8
 let quantum_ms = 2.0
 let fault_seed = 7
 
@@ -152,7 +151,7 @@ let release_tag_bias = 0x1000
 let fleet_v2 (cfg : config) ~offset st tasks genv =
   let p = Port.paravirt genv in
   match
-    Ring_api.setup p ~entries:ring_entries ~cvirq_budget:cfg.cvirq_budget ()
+    Ring_api.setup p ~entries:ring_entries ~cvirq_budget ()
   with
   | Error _ -> ()
   | Ok r ->
@@ -319,7 +318,6 @@ let run cfg =
       ~config:
         { Kernel.default_config with
           quantum = Cycles.of_ms quantum_ms;
-          ring_admission = cfg.ring_admission;
           partition = cfg.partition }
       ~observe:true ~fault_seed ~fault_rate:cfg.fault_rate ~pcpus:cfg.pcpus
       ()

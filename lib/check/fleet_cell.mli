@@ -23,10 +23,6 @@ type config = {
   jobs_per_vm : int;
   abi : abi;              (** the fleet's hypercall ABI *)
   batch : int;            (** request descriptors per doorbell (v2) *)
-  cvirq_budget : int;     (** completions per moderated vIRQ; 0 = polling *)
-  ring_admission : [ `Fifo | `Deadline ];
-      (** doorbell-batch admission order
-          ({!Kernel.config}[.ring_admission]) *)
   partition : Hw_task_manager.partition;
   fault_rate : float;     (** PL fault plane rate (seed 7 + cpu) *)
   tasks : Task_kind.t array;  (** the catalog every guest cycles over *)
@@ -39,6 +35,9 @@ type config = {
                               complex (bit-identical for any host
                               domain count) *)
 }
+
+val cvirq_budget : int
+(** Completions per moderated vIRQ on every v2 fleet ring (8). *)
 
 type report = {
   config : config;

@@ -31,7 +31,6 @@ let partition_task_set =
 
 let default_config =
   { Fleet_cell.seed = 42; vms = 5; jobs_per_vm = 24; abi = V1; batch = 8;
-    cvirq_budget = 8; ring_admission = `Fifo;
     partition = Hw_task_manager.Dynamic; fault_rate = 0.0;
     tasks = partition_task_set; stagger = true; check = false; pcpus = 1 }
 

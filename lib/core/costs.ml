@@ -36,4 +36,3 @@ let ipi_send = 40
 let ipi_receive = 60
 let tlb_shootdown = 120
 let vm_migrate = 400
-let ring_admission_sort = 6

@@ -94,6 +94,3 @@ val vm_migrate : int
     queues: dequeue, descriptor hand-off, enqueue. Charged once per
     side by the SMP orchestrator. *)
 
-val ring_admission_sort : int
-(** Per-descriptor cost of deadline-ordered doorbell admission
-    ([`Deadline] ring_admission): one sift step of the batch sort. *)

@@ -53,23 +53,13 @@ type prr_row = {
    only the requester's own rows. *)
 type partition = Dynamic | Static
 
-type policy = {
-  mutable exec_timeout : Cycles.t;
-  mutable reconfig_retry_limit : int;
-  mutable retry_backoff : Cycles.t;
-  mutable quarantine_threshold : int;
-  mutable quarantine_penalty : Cycles.t;
-  mutable kill_violation_threshold : int;
-}
-
-let default_policy () = {
-  exec_timeout = Cycles.of_ms 5.0;
-  reconfig_retry_limit = 3;
-  retry_backoff = Cycles.of_ms 1.0;
-  quarantine_threshold = 3;
-  quarantine_penalty = Cycles.of_ms 50.0;
-  kill_violation_threshold = 8;
-}
+(* Graceful-degradation policy (durations in cycles). *)
+let exec_timeout = Cycles.of_ms 5.0
+let reconfig_retry_limit = 3
+let retry_backoff = Cycles.of_ms 1.0
+let quarantine_threshold = 3
+let quarantine_penalty = Cycles.of_ms 50.0
+let kill_violation_threshold = 8
 
 type action =
   | Act_retry of { prr : int; task : Bitstream.id }
@@ -98,7 +88,6 @@ type t = {
   some_prr : int option array;  (* [some_prr.(i) = Some i], boxed once *)
   tasks : task_entry Int_table.t;
   rows : prr_row array;
-  policy : policy;
   partition : partition;
   client_viols : int Int_table.t;
   mutable next_task_id : int;
@@ -147,7 +136,6 @@ let create ?(partition = Dynamic) ?(env = shared_space) zynq =
           row_iface = 0; row_pinned = None;
           row_faults = 0; consec_failures = 0; quarantined_until = None;
           retry_count = 0; next_retry_at = 0; viol_seen = 0 });
-    policy = default_policy ();
     partition;
     client_viols = Int_table.create 8;
     next_task_id = 1;
@@ -157,7 +145,6 @@ let create ?(partition = Dynamic) ?(env = shared_space) zynq =
     requests = 0; reclaims = 0; reconfigs = 0;
     recoveries = 0; quarantines = 0; hang_resets = 0; retries = 0 }
 
-let policy t = t.policy
 let partition t = t.partition
 
 let pin_prr t ~prr_id ~client_id =
@@ -529,7 +516,7 @@ let prr_client t prr_id =
    and refuse to allocate it until the penalty expires. *)
 let quarantine_row t row prr now =
   if row.row_client <> none then reclaim t row prr;
-  row.quarantined_until <- Some (now + t.policy.quarantine_penalty);
+  row.quarantined_until <- Some (now + quarantine_penalty);
   row.consec_failures <- 0;
   row.retry_count <- 0;
   t.quarantines <- t.quarantines + 1;
@@ -555,7 +542,7 @@ let health_scan t =
         | _ -> ());
        (* Hung IP core: stuck busy past the execution timeout. *)
        if prr.Prr.state = Prr.Busy
-          && now - prr.Prr.busy_since > t.policy.exec_timeout then begin
+          && now - prr.Prr.busy_since > exec_timeout then begin
          let obs = t.zynq.Zynq.obs in
          let sp =
            Obs.open_span obs ~component:"recovery" ~key:row.prr_id
@@ -570,7 +557,7 @@ let health_scan t =
          t.hang_resets <- t.hang_resets + 1;
          t.recoveries <- t.recoveries + 1;
          push (Act_reset_hung { prr = row.prr_id });
-         if row.consec_failures >= t.policy.quarantine_threshold then
+         if row.consec_failures >= quarantine_threshold then
            push (quarantine_row t row prr now)
        end;
        (* Failed reconfiguration: the row is allocated but the region
@@ -579,7 +566,7 @@ let health_scan t =
        (let task = row.row_task in
         if row.row_client <> none && task <> none
            && prr.Prr.state = Prr.Empty then begin
-          if row.retry_count < t.policy.reconfig_retry_limit then begin
+          if row.retry_count < reconfig_retry_limit then begin
             if now >= row.next_retry_at
                && not (Pcap.busy t.zynq.Zynq.pcap) then
               match Int_table.find_opt t.tasks task with
@@ -598,7 +585,7 @@ let health_scan t =
                    row.retry_count <- row.retry_count + 1;
                    row.row_faults <- row.row_faults + 1;
                    row.next_retry_at <-
-                     now + (t.policy.retry_backoff * (1 lsl row.retry_count));
+                     now + (retry_backoff * (1 lsl row.retry_count));
                    t.retries <- t.retries + 1;
                    t.reconfigs <- t.reconfigs + 1;
                    t.pcap_client <- Some row.row_client;
@@ -617,7 +604,7 @@ let health_scan t =
             row.retry_count <- 0;
             t.recoveries <- t.recoveries + 1;
             push (Act_gave_up { prr = row.prr_id; task });
-            if row.consec_failures >= t.policy.quarantine_threshold then
+            if row.consec_failures >= quarantine_threshold then
               push (quarantine_row t row prr now)
           end
         end);
@@ -646,7 +633,7 @@ let health_scan t =
               + (try Int_table.find t.client_viols client with Not_found -> 0)
             in
             Int_table.replace t.client_viols client cur;
-            if cur >= t.policy.kill_violation_threshold then begin
+            if cur >= kill_violation_threshold then begin
               Int_table.replace t.client_viols client 0;
               push (Act_kill { client; violations = cur })
             end

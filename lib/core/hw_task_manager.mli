@@ -56,27 +56,23 @@ type alloc_result = {
   irq : int option;
 }
 
-(** Graceful-degradation policy (all durations in cycles). Mutable so
-    a deployment can tune the knobs on a live manager. *)
-type policy = {
-  mutable exec_timeout : Cycles.t;
-  (** a PRR busy longer than this is declared hung and force-reset *)
+(** {2 Graceful-degradation policy} (durations in cycles) *)
 
-  mutable reconfig_retry_limit : int;
-  (** relaunch attempts per allocation after a failed download *)
+val exec_timeout : Cycles.t
+(** A PRR busy longer than this (5 ms) is declared hung and
+    force-reset. *)
 
-  mutable retry_backoff : Cycles.t;
-  (** base relaunch delay; doubled on each subsequent attempt *)
+val reconfig_retry_limit : int
+(** Relaunch attempts per allocation after a failed download (3); each
+    waits a 1 ms backoff doubled per attempt. *)
 
-  mutable quarantine_threshold : int;
-  (** consecutive faults on one region before it is quarantined *)
+val quarantine_threshold : int
+(** Consecutive faults on one region before it is kept out of rotation
+    for 50 ms (3). *)
 
-  mutable quarantine_penalty : Cycles.t;
-  (** how long a quarantined region is kept out of rotation *)
-
-  mutable kill_violation_threshold : int;
-  (** accumulated real hwMMU violations before a client-kill request *)
-}
+val kill_violation_threshold : int
+(** Accumulated real hwMMU violations before a client-kill request
+    (8). *)
 
 (** One recovery decision taken by {!health_scan}, in scan order. *)
 type action =
@@ -117,9 +113,6 @@ type partition = Dynamic | Static
 
 val create : ?partition:partition -> ?env:env -> Zynq.t -> t
 (** [env] defaults to {!shared_space}. *)
-
-val policy : t -> policy
-(** The live policy record (mutate fields to tune). *)
 
 val partition : t -> partition
 

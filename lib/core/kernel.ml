@@ -6,8 +6,6 @@ type config = {
   quantum : Cycles.t;
   vfp_policy : [ `Lazy | `Active ];
   tlb_policy : [ `Asid | `Flush_all ];
-  kernel_tick : Cycles.t option;
-  ring_admission : [ `Fifo | `Deadline ];
   partition : Hw_task_manager.partition;
 }
 
@@ -15,8 +13,6 @@ let default_config =
   { quantum = Cycles.of_ms 33.0;
     vfp_policy = `Lazy;
     tlb_policy = `Asid;
-    kernel_tick = Some (Cycles.of_ms 1.0);
-    ring_admission = `Fifo;
     partition = Hw_task_manager.Dynamic }
 
 type guest_env = {
@@ -162,17 +158,15 @@ type t = {
   mutable smp : smp_hooks option;
   (* Doorbell drain scratch, reused by every drain on this kernel (one
      per pCPU, never shared between domains): the batch's descriptor
-     words (7 per entry, fetch order), its execution order (indices
-     into the batch) and its completion words (4 per entry, execution
-     order). *)
+     words (7 per entry) and its completion words (4 per entry), both
+     in slot order. *)
   drain_desc : int array;
-  drain_order : int array;
   drain_cqe : int array;
 }
 
 (* Ring entry shapes in words: a descriptor is op, task, iface vaddr,
-   data vaddr, data length, flags, tag; a completion is tag, status,
-   PRR + 1, vIRQ + 1. *)
+   data vaddr, data length, flags (bit 0 want_irq, the rest reserved
+   and ignored), tag; a completion is tag, status, PRR + 1, vIRQ + 1. *)
 let desc_words = Guest_layout.ring_desc_words
 let cqe_words = Guest_layout.ring_cqe_size / 4
 
@@ -180,6 +174,9 @@ let ipc_doorbell_irq = 95
 let ring_virq = 94
 
 let mgr_asid = 1
+
+(* Period of the kernel's physical timer tick. *)
+let kernel_tick = Cycles.of_ms 1.0
 
 let kernel_irqs =
   Irq_id.private_timer :: Irq_id.devcfg
@@ -375,9 +372,7 @@ let boot ?(config = default_config) z =
       ~pt:(Kmem.kernel_pt kmem) ~phys_base:0 ~quantum:config.quantum ()
   in
   List.iter (Gic.enable z.Zynq.gic) kernel_irqs;
-  (match config.kernel_tick with
-   | Some interval -> Private_timer.start z.Zynq.ptimer ~interval
-   | None -> ());
+  Private_timer.start z.Zynq.ptimer ~interval:kernel_tick;
   let probe = Probe.create () in
   let t =
     { z; cfg = config; kmem;
@@ -401,7 +396,6 @@ let boot ?(config = default_config) z =
       ring_doorbells = 0; ring_empty_doorbells = 0; ring_virqs = 0;
       ring_max_batch = 0; asid_steals = 0; smp = None;
       drain_desc = Array.make (Guest_layout.ring_max_entries * desc_words) 0;
-      drain_order = Array.make Guest_layout.ring_max_entries 0;
       drain_cqe = Array.make (Guest_layout.ring_max_entries * cqe_words) 0 }
   in
   Int_table.replace t.pd_tbl 0 mgr_pd;
@@ -1027,10 +1021,6 @@ let hw_status_code = function
 
 let err_status_code = 5
 
-(* Admission key of batch entry [k]: the deadline in its flags word
-   above the want_irq bit. *)
-let deadline_key desc k = desc.((k * desc_words) + 5) lsr 1
-
 (* ABI v2 doorbell: drain every descriptor the guest has published,
    in order, through one manager entry/exit — the batched counterpart
    of [handle_hw_task_request]. Three phases: (A) in guest context,
@@ -1079,38 +1069,15 @@ let handle_ring_doorbell t rt ~entry_start =
       end
       else begin
         let mask = r.r_entries - 1 in
-        let desc = t.drain_desc and order = t.drain_order in
-        let cqe = t.drain_cqe in
+        let desc = t.drain_desc and cqe = t.drain_cqe in
         for k = 0 to batch - 1 do
           let d =
             r.r_sq_phys + Guest_layout.ring_hdr_size
             + (((r.r_head + k) land mask) * Guest_layout.ring_desc_size)
           in
           Clock.advance clock Costs.ring_desc_validate;
-          kread_words t d desc (k * desc_words) desc_words;
-          order.(k) <- k
+          kread_words t d desc (k * desc_words) desc_words
         done;
-        (* Deadline-ordered admission (opt-in): execute the batch by
-           ascending deadline key (flags >> 1; bit 0 stays want_irq)
-           instead of submission order. Safe to reorder between fetch
-           and execute — CQEs carry the descriptor tag, so guests
-           match completions by tag, not slot. The insertion sort is
-           stable, so equal-deadline descriptors keep submission
-           order. *)
-        (match t.cfg.ring_admission with
-         | `Fifo -> ()
-         | `Deadline ->
-           Clock.advance clock (batch * Costs.ring_admission_sort);
-           for i = 1 to batch - 1 do
-             let x = order.(i) in
-             let kx = deadline_key desc x in
-             let j = ref (i - 1) in
-             while !j >= 0 && deadline_key desc order.(!j) > kx do
-               order.(!j + 1) <- order.(!j);
-               decr j
-             done;
-             order.(!j + 1) <- x
-           done);
         (* Phase B: one manager entry for the whole batch. *)
         let sp =
           Obs.open_span obs ~component:"ring_drain" ~key:pd.Pd.id
@@ -1119,7 +1086,7 @@ let handle_ring_doorbell t rt ~entry_start =
         Kmem.activate_manager t.kmem ~asid:mgr_asid;
         Exec.run_pinned t.z ~priv:true t.kf.kf_mgr_entry;
         for k = 0 to batch - 1 do
-          let b = order.(k) * desc_words and c = k * cqe_words in
+          let b = k * desc_words and c = k * cqe_words in
           let task = desc.(b + 1) in
           cqe.(c) <- desc.(b + 6);
           cqe.(c + 1) <- err_status_code;

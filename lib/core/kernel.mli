@@ -24,16 +24,6 @@ type config = {
   (** [`Asid] relies on ASID tagging across VM switches (§III-C);
       [`Flush_all] flushes the whole TLB on each switch (ablation A4) *)
 
-  kernel_tick : Cycles.t option;
-  (** period of the kernel's physical timer tick, [None] disables *)
-
-  ring_admission : [ `Fifo | `Deadline ];
-  (** ABI v2 doorbell batch order: [`Fifo] (default) executes
-      descriptors in submission order; [`Deadline] stable-sorts each
-      batch by the descriptor deadline key ([flags >> 1]) before the
-      manager executes it. CQEs carry tags, so guests are unaffected
-      beyond ordering. *)
-
   partition : Hw_task_manager.partition;
   (** PRR sharing discipline: [Dynamic] (default) is the paper's DPR
       time-sharing; [Static] pins each PRR to one VM at boot
@@ -42,8 +32,9 @@ type config = {
 }
 
 val default_config : config
-(** 33 ms quantum, lazy VFP, ASID-tagged TLB, 1 ms kernel tick, FIFO
-    ring admission, dynamic partitioning. *)
+(** 33 ms quantum, lazy VFP, ASID-tagged TLB, dynamic partitioning.
+    The kernel's physical timer always ticks every 1 ms, and a ring
+    doorbell always drains its batch in submission order. *)
 
 type t
 

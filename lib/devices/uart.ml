@@ -1,10 +1,8 @@
-type t = { buf : Buffer.t; on_byte : char -> unit }
+type t = { buf : Buffer.t }
 
-let create ?(on_byte = fun _ -> ()) () = { buf = Buffer.create 256; on_byte }
+let create () = { buf = Buffer.create 256 }
 
-let write_byte t c =
-  Buffer.add_char t.buf c;
-  t.on_byte c
+let write_byte t c = Buffer.add_char t.buf c
 
 let write_string t s = String.iter (write_byte t) s
 

@@ -2,13 +2,12 @@
 
     One of the two shared I/O devices the paravirtualized guest reaches
     through a supervised hypercall (paper §V-A). Output is captured in
-    a per-device buffer, optionally tee'd to a callback (the examples
-    print it live). Each byte costs a device access' worth of time,
+    a per-device buffer. Each byte costs a device access' worth of time,
     charged by the platform MMIO layer. *)
 
 type t
 
-val create : ?on_byte:(char -> unit) -> unit -> t
+val create : unit -> t
 
 val write_byte : t -> char -> unit
 

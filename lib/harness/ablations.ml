@@ -33,7 +33,8 @@ type axi_result = {
   cpu_after_acp_us : float;
 }
 
-let axi_ablation ?(payload_kb = 64) () =
+let axi_ablation () =
+  let payload_kb = 64 in
   let z = Zynq.create () in
   let bytes = payload_kb * 1024 in
   let dma_base = Address_map.ddr_base + (64 lsl 20) in
@@ -197,7 +198,7 @@ let first_chunk_us policy =
   Smp.run_for smp (Cycles.of_ms 20.0);
   Stats.mean stats
 
-let asid_ablation ?(config = Scenario.default_config) () =
+let asid_ablation ~config () =
   (* A short quantum makes VM switches frequent enough for the TLB
      policy to matter (with the paper's 33 ms there are only a handful
      of switches per run). *)
@@ -217,10 +218,9 @@ let asid_ablation ?(config = Scenario.default_config) () =
       first_chunk_flush_us = chunk_flush }
   | _ -> assert false
 
-let quantum_sweep ?(config = Scenario.default_config)
-    ?(quanta_ms = [ 1.0; 10.0; 33.0; 100.0 ]) () =
+let quantum_sweep ~config () =
   Parallel_sweep.map
     (fun q ->
        let cfg = { config with Scenario.quantum_ms = q } in
        (q, Scenario.run_virtualized ~config:cfg ~guests:2 ()))
-    quanta_ms
+    [ 1.0; 10.0; 33.0; 100.0 ]

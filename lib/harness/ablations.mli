@@ -24,7 +24,8 @@ type axi_result = {
   cpu_after_acp_us : float;  (** same sweep after ACP DMA (polluted L2) *)
 }
 
-val axi_ablation : ?payload_kb:int -> unit -> axi_result
+val axi_ablation : unit -> axi_result
+(** A 64 KB payload. *)
 
 (** A2 — lazy vs active VFP switching (paper Table I): mean VM-switch
     cost in a two-VM ping-pong where both guests use the VFP. *)
@@ -63,12 +64,11 @@ type asid_result = {
   (** same chunk when each switch flushes the TLB *)
 }
 
-val asid_ablation : ?config:Scenario.config -> unit -> asid_result
+val asid_ablation : config:Scenario.config -> unit -> asid_result
 (** The four independent measurements (two scenario runs, two
     microbenchmarks) run on domains via {!Parallel_sweep}. *)
 
-(** A5 — time-slice sweep around the paper's 33 ms. One domain per
-    quantum (results in input order). *)
+(** A5 — time-slice sweep around the paper's 33 ms: quanta of 1, 10,
+    33 and 100 ms, one domain per quantum (results in that order). *)
 val quantum_sweep :
-  ?config:Scenario.config -> ?quanta_ms:float list -> unit ->
-  (float * Scenario.overheads) list
+  config:Scenario.config -> unit -> (float * Scenario.overheads) list

@@ -35,11 +35,12 @@ let float ~docv ~what ok names doc default =
   }
 
 let requests =
-  int [ "r"; "requests" ] "Hardware-task requests per guest (T_hw iterations)."
+  int ~min:1 [ "r"; "requests" ]
+    "Hardware-task requests per guest (T_hw iterations)."
     Scenario.default_config.Scenario.requests_per_guest
 
 let warmup =
-  int [ "warmup" ] "Requests discarded as warm-up."
+  int ~min:0 [ "warmup" ] "Requests discarded as warm-up."
     Scenario.default_config.Scenario.warmup_requests
 
 let quantum =

@@ -41,10 +41,10 @@ val file : string list -> string -> string option spec
 (** {2 The shared vocabulary} *)
 
 val requests : int spec
-(** [-r]/[--requests]: T_hw iterations. *)
+(** [-r]/[--requests]: T_hw iterations, at least 1. *)
 
 val warmup : int spec
-(** [--warmup]: discarded leading samples. *)
+(** [--warmup]: discarded leading samples, at least 0. *)
 
 val quantum : float spec
 (** [-q]/[--quantum]: guest slice, ms (finite, > 0). *)

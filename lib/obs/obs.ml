@@ -68,8 +68,6 @@ let create ?(enabled = true) ?(cpu = 0) () =
     meters = [||];
     stack = [] }
 
-let disabled () = create ~enabled:false ()
-
 let set_enabled t v = t.on := v
 let cpu t = t.cpu
 

@@ -38,9 +38,6 @@ val create : ?enabled:bool -> ?cpu:int -> unit -> t
 
 val cpu : t -> int
 
-val disabled : unit -> t
-(** Shorthand for [create ~enabled:false ()] — never records. *)
-
 val set_enabled : t -> bool -> unit
 
 val reset : t -> unit

@@ -44,8 +44,6 @@ let create ?(seed = 0) ?(rate = 0.0) () =
     log = Queue.create ();
     dropped = 0 }
 
-let disabled () = create ()
-
 let arm t ~seed ~rate =
   t.rng <- Rng.create ~seed;
   t.rate <- rate;

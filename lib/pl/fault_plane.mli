@@ -38,9 +38,6 @@ val create : ?seed:int -> ?rate:float -> unit -> t
 (** A plane drawing from seed [seed] (default 0) with per-opportunity
     probability [rate] (default 0.0, i.e. disabled). *)
 
-val disabled : unit -> t
-(** Shorthand for [create ()] — never injects. *)
-
 val arm : t -> seed:int -> rate:float -> unit
 (** Re-seed and enable/disable in place (the board owns the plane). *)
 

@@ -8,11 +8,7 @@ type t = {
   mutable failures : int;
 }
 
-let create ?faults ?obs queue gic =
-  let faults =
-    match faults with Some f -> f | None -> Fault_plane.disabled ()
-  in
-  let obs = match obs with Some o -> o | None -> Obs.disabled () in
+let create ~faults ~obs queue gic =
   { queue; gic; faults; obs; busy = false; transfers = 0; failures = 0 }
 
 let throughput_bytes_per_sec = 145_000_000

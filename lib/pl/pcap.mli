@@ -9,13 +9,13 @@
 
 type t
 
-val create : ?faults:Fault_plane.t -> ?obs:Obs.t -> Event_queue.t -> Gic.t -> t
-(** [faults] defaults to a disabled plane. An armed plane may corrupt
-    or abort downloads: the transfer still completes (full or half
-    latency), DevCfg still fires, but the PRR is left [Empty] with no
-    task loaded and {!failures} is incremented.
+val create : faults:Fault_plane.t -> obs:Obs.t -> Event_queue.t -> Gic.t -> t
+(** An armed [faults] plane may corrupt or abort downloads: the
+    transfer still completes (full or half latency), DevCfg still
+    fires, but the PRR is left [Empty] with no task loaded and
+    {!failures} is incremented.
 
-    [obs] (default: disabled) receives one ["pcap"] sample per finished
+    An enabled [obs] receives one ["pcap"] sample per finished
     transfer, keyed by PRR id and weighted by the transfer latency,
     plus [pcap.transfers]/[pcap.failures] counters. *)
 

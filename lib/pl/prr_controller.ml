@@ -11,12 +11,8 @@ type t = {
   mutable coherence_warnings : int;
 }
 
-let create ?faults ?obs mem queue gic hier ~capacities =
+let create ~faults ~obs mem queue gic hier ~capacities =
   if capacities = [] then invalid_arg "Prr_controller.create: no PRRs";
-  let faults =
-    match faults with Some f -> f | None -> Fault_plane.disabled ()
-  in
-  let obs = match obs with Some o -> o | None -> Obs.disabled () in
   let prrs =
     Array.of_list (List.mapi (fun id c -> Prr.make ~id ~capacity:c) capacities)
   in

@@ -16,16 +16,16 @@
 type t
 
 val create :
-  ?faults:Fault_plane.t -> ?obs:Obs.t ->
+  faults:Fault_plane.t -> obs:Obs.t ->
   Phys_mem.t -> Event_queue.t -> Gic.t -> Hierarchy.t ->
   capacities:int list -> t
 (** One PRR per capacity entry, ids 0..n-1, register pages at
     consecutive 4 KB steps from {!Address_map.prr_regs_base}.
-    [faults] (default: disabled) may inject per-job faults: a hung
+    An armed [faults] plane may inject per-job faults: a hung
     core (stuck busy, no completion), an AXI beat error (STATUS bit 4,
     no data written) or a spurious hwMMU refusal (STATUS.violation on
     a legal job — the real hwMMU violation counter is untouched).
-    [obs] (default: disabled) receives one ["prr_job"] sample per
+    An enabled [obs] receives one ["prr_job"] sample per
     finished job, keyed by PRR id and weighted by the DMA + compute
     latency, plus job/reset counters. *)
 

@@ -161,7 +161,7 @@ let replay_checked zynq ~l1i ~l1d (p : Fastpath.prog) ~priv ~asid ~ttbr
     ~dacr ~te ~ie ~de =
   let tlb = zynq.Zynq.tlb in
   let hier = zynq.Zynq.hier in
-  let lat = Hierarchy.latencies hier in
+  let lat = Hierarchy.latencies in
   let clock = zynq.Zynq.clock in
   let cold = ref 0 in
   (* Whether every run so far was left stamped with the entry epochs. *)
@@ -271,8 +271,7 @@ let replay_warm zynq ~l1i ~l1d (p : Fastpath.prog) =
       ~write:(ki = 2)
   done;
   Clock.advance zynq.Zynq.clock
-    (p.Fastpath.total_lines
-     * (Hierarchy.latencies zynq.Zynq.hier).Hierarchy.l1_hit)
+    (p.Fastpath.total_lines * Hierarchy.latencies.Hierarchy.l1_hit)
 
 let replay_runs zynq fast (p : Fastpath.prog) ~priv ~asid ~ttbr ~dacr =
   let l1i = Hierarchy.l1i zynq.Zynq.hier in

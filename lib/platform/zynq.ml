@@ -19,17 +19,16 @@ type t = {
 (* PRR1/2 host FFT (large), PRR3/4 host only QAM (small) — Fig 8. *)
 let default_prr_capacities = [ 1300; 1300; 200; 200 ]
 
-let create ?(prr_capacities = default_prr_capacities) ?lat ?on_uart
-    ?fault_seed ?fault_rate ?(observe = false) ?(cpu = 0) () =
+let create ?(prr_capacities = default_prr_capacities) ?fault_seed ?fault_rate ?(observe = false) ?(cpu = 0) () =
   let clock = Clock.create () in
   let queue = Event_queue.create clock in
   let mem = Phys_mem.create () in
-  let hier = Hierarchy.create ?lat clock in
+  let hier = Hierarchy.create clock in
   let tlb = Tlb.create Tlb.cortex_a9 in
   let mmu = Mmu.create mem hier tlb in
   let gic = Gic.create () in
   let ptimer = Private_timer.create queue gic in
-  let uart = Uart.create ?on_byte:on_uart () in
+  let uart = Uart.create () in
   let sd = Sd_card.create () in
   let faults =
     Fault_plane.create

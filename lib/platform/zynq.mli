@@ -34,9 +34,7 @@ type t = {
 }
 
 val create :
-  ?prr_capacities:int list -> ?lat:Hierarchy.latencies ->
-  ?on_uart:(char -> unit) ->
-  ?fault_seed:int -> ?fault_rate:float -> ?observe:bool -> ?cpu:int ->
+  ?prr_capacities:int list -> ?fault_seed:int -> ?fault_rate:float -> ?observe:bool -> ?cpu:int ->
   unit -> t
 (** [fault_seed]/[fault_rate] arm the board's {!Fault_plane} (default:
     seed 0, rate 0.0 — disabled, zero-cost). [observe] enables the

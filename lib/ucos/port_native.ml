@@ -46,8 +46,8 @@ let linear_phys phys_base vaddr len =
   then None
   else Some (phys_base + (vaddr - Guest_layout.kernel_base))
 
-let create ?prr_capacities ?lat () =
-  let z = Zynq.create ?prr_capacities ?lat () in
+let create () =
+  let z = Zynq.create () in
   let kmem = Kmem.create z in
   let pt = Kmem.make_guest_pt kmem ~index:0 in
   (* Privileged identity view of the PL window for register access. *)

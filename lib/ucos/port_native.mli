@@ -9,8 +9,7 @@
 
 type system
 
-val create :
-  ?prr_capacities:int list -> ?lat:Hierarchy.latencies -> unit -> system
+val create : unit -> system
 (** Build a board, the native address space (the standard guest layout
     backed by guest slot 0, plus privileged identity maps of the
     kernel regions and the PL window), and a local Hardware Task

@@ -41,7 +41,7 @@ let completions_pending p r = (cq_tail p r - r.chead) land mask32
 
 let enqueue p r ~op ~task ?iface_vaddr ?data_vaddr
     ?(data_len = Guest_layout.default_data_section_len)
-    ?(want_irq = false) ?(deadline = 0) ~tag () =
+    ?(want_irq = false) ~tag () =
   let w = r.words in
   (* The SQ tail and head, as one two-word run. *)
   Zynq.vread_words p.Port.zynq ~priv:p.Port.priv r.sq w 0 2;
@@ -63,7 +63,7 @@ let enqueue p r ~op ~task ?iface_vaddr ?data_vaddr
        | Some v -> v
        | None -> Guest_layout.default_data_section);
     w.(4) <- data_len;
-    w.(5) <- (deadline lsl 1) lor (if want_irq then 1 else 0);
+    w.(5) <- (if want_irq then 1 else 0);
     w.(6) <- tag;
     Zynq.vwrite_words p.Port.zynq ~priv:p.Port.priv d w 0
       Guest_layout.ring_desc_words;

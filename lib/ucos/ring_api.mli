@@ -44,13 +44,13 @@ val setup :
 val enqueue :
   Port.t -> t -> op:[ `Request | `Release ] -> task:int ->
   ?iface_vaddr:Addr.t -> ?data_vaddr:Addr.t -> ?data_len:int ->
-  ?want_irq:bool -> ?deadline:int -> tag:int -> unit -> bool
+  ?want_irq:bool -> tag:int -> unit -> bool
 (** Write one descriptor and publish it with a tail store; [false]
     when the submission ring is full (backpressure — ring the doorbell
-    and retry). No hypercall is issued. [deadline] (default 0) is the
-    admission key stored in the descriptor flags word above the
-    want_irq bit; kernels configured with [`Deadline] ring admission
-    drain a doorbell batch in ascending deadline order. *)
+    and retry). No hypercall is issued. [want_irq] is bit 0 of the
+    descriptor's flags word; the bits above it are reserved, written
+    as 0 and ignored by the kernel, which drains a doorbell batch in
+    submission order. *)
 
 val doorbell : Port.t -> t -> (int, string) result
 (** [Ring_doorbell]: returns the number of descriptors drained. *)

@@ -39,7 +39,6 @@ let rows =
     ("slo_obs", "--arrivals 4 --obs", false);
     ("density", "--vms 8 --jobs 4 --fault-rate 0.05 --check", true);
     ("density_64", "--vms 64", true);
-    ("density_64_deadline", "--vms 64 --ring-admission deadline", false);
     ("partition", "--jobs 8 --check", true);
     ("partition_200", "--jobs 200 --check", true);
     ("scenario", "--requests 6 --warmup 2 --guests 2", true);

@@ -186,11 +186,11 @@ let test_hierarchy_latency_ordering () =
   let miss = cost Hierarchy.Load 0x10000 in
   let hit = cost Hierarchy.Load 0x10000 in
   check cb "miss slower than hit" true (miss > hit);
-  check ci "L1 hit cost" (Hierarchy.default_latencies.Hierarchy.l1_hit) hit;
+  check ci "L1 hit cost" Hierarchy.latencies.Hierarchy.l1_hit hit;
   check ci "full miss cost"
-    (Hierarchy.default_latencies.Hierarchy.l1_hit
-     + Hierarchy.default_latencies.Hierarchy.l2_hit
-     + Hierarchy.default_latencies.Hierarchy.dram)
+    (Hierarchy.latencies.Hierarchy.l1_hit
+     + Hierarchy.latencies.Hierarchy.l2_hit
+     + Hierarchy.latencies.Hierarchy.dram)
     miss;
   check cb "clock advanced" true (Clock.now clock = miss + hit)
 
@@ -202,8 +202,8 @@ let test_hierarchy_l2_hit () =
      L2 already holds the line from the data access. *)
   let c = Hierarchy.access h Hierarchy.Ifetch 0x20000 in
   check ci "L1 miss, L2 hit"
-    (Hierarchy.default_latencies.Hierarchy.l1_hit
-     + Hierarchy.default_latencies.Hierarchy.l2_hit)
+    (Hierarchy.latencies.Hierarchy.l1_hit
+     + Hierarchy.latencies.Hierarchy.l2_hit)
     c
 
 let test_hierarchy_maintenance () =

@@ -97,12 +97,10 @@ let test_private_timer_restart () =
     (Private_timer.interval t)
 
 let test_uart () =
-  let seen = Buffer.create 16 in
-  let u = Uart.create ~on_byte:(Buffer.add_char seen) () in
+  let u = Uart.create () in
   Uart.write_string u "hello";
   Uart.write_byte u '!';
-  check Alcotest.string "captured" "hello!" (Uart.contents u);
-  check Alcotest.string "tee'd" "hello!" (Buffer.contents seen)
+  check Alcotest.string "captured" "hello!" (Uart.contents u)
 
 let test_sd_card () =
   let sd = Sd_card.create ~blocks:16 () in

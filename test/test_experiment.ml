@@ -112,7 +112,10 @@ let test_parse_errors () =
       ("pcpus past the GIC's CPU interfaces", [ "soak" ], [ "--pcpus"; "9" ]);
       ("pcpus past max_int", [ "density" ],
        [ "--pcpus"; "99999999999999999999" ]);
-      ("a huge pcpus", [ "partition" ], [ "--pcpus"; "1000000000" ]) ];
+      ("a huge pcpus", [ "partition" ], [ "--pcpus"; "1000000000" ]);
+      ("zero requests", [ "table3" ], [ "--requests"; "0" ]);
+      ("negative requests", [ "scenario" ], [ "--requests"; "-1" ]);
+      ("negative warm-up", [ "table3" ], [ "--warmup"; "-1" ]) ];
   check cb "a fault rate of 1 is a probability" false
     (err [ "chaos" ] [ "--fault-rate"; "1" ]);
   check cb "Smp.max_pcpus pCPUs are accepted" false
@@ -136,7 +139,8 @@ let test_flag_must_be_read () =
     [ [ "table3"; "--check-baseline"; "F" ];
       [ "table3"; "--write-baseline"; "F" ];
       [ "partition"; "--partition"; "static" ];
-      [ "partition"; "--chaos"; "on" ] ];
+      [ "partition"; "--chaos"; "on" ];
+      [ "density"; "--ring-admission"; "deadline" ] ];
   match command [ "all" ] with
   | Ok c ->
     check

@@ -10,7 +10,7 @@ let cb = Alcotest.bool
 (* Fault plane                                                        *)
 
 let test_plane_disabled_and_deterministic () =
-  let p = Fault_plane.disabled () in
+  let p = Fault_plane.create () in
   for i = 0 to 99 do
     check cb "disabled never injects" true
       (Fault_plane.draw p ~at:i ~prr:0 ~candidates:Fault_plane.all_faults
@@ -119,7 +119,6 @@ let test_download_retry_then_quarantine () =
      retry budget (backoff must elapse, each failing download must
      complete) and is given up; after quarantine_threshold consecutive
      give-ups the region is quarantined. *)
-  let pol = Hw_task_manager.policy hwtm in
   let gave_up = ref 0 and quarantined = ref false and nretry = ref 0 in
   let rounds = ref 0 in
   while (not !quarantined) && !rounds < 80 do
@@ -139,9 +138,10 @@ let test_download_retry_then_quarantine () =
       (Hw_task_manager.health_scan hwtm);
     settle ~ms:5.0 z
   done;
-  check ci "give-ups until quarantine" pol.quarantine_threshold !gave_up;
+  check ci "give-ups until quarantine" Hw_task_manager.quarantine_threshold
+    !gave_up;
   check ci "bounded retries per allocation"
-    (pol.reconfig_retry_limit * !gave_up)
+    (Hw_task_manager.reconfig_retry_limit * !gave_up)
     !nretry;
   check cb "region quarantined" true !quarantined;
   let _, consistent = Hw_task_manager.poll hwtm ~client_id:3 ~task:qam in
@@ -209,8 +209,7 @@ let test_hung_ip_force_reset () =
   prr.Prr.busy_since <- Clock.now z.Zynq.clock;
   check ci "healthy scan sees nothing yet" 0
     (List.length (Hw_task_manager.health_scan hwtm));
-  Clock.advance z.Zynq.clock
-    ((Hw_task_manager.policy hwtm).exec_timeout + 1);
+  Clock.advance z.Zynq.clock (Hw_task_manager.exec_timeout + 1);
   let acts = Hw_task_manager.health_scan hwtm in
   check cb "hung core reset" true
     (List.exists
@@ -357,9 +356,7 @@ let test_violation_kill_reclaims_everything () =
   let trace = Ktrace.create ~capacity:4096 in
   Kernel.set_trace kern (Some trace);
   let qam_id = Kernel.register_hw_task kern (Task_kind.Qam 4) in
-  let limit =
-    (Hw_task_manager.policy (Kernel.hwtm kern)).kill_violation_threshold
-  in
+  let limit = Hw_task_manager.kill_violation_threshold in
   let evil =
     Kernel.create_vm kern ~name:"evil" (fun genv ->
          let os = Ucos.create (Port.paravirt genv) in

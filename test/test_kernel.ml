@@ -481,7 +481,7 @@ let flush_after_sweep lines =
 let test_cache_flush_all_after_sweep () =
   let base = flush_after_sweep 2112 in
   let more = flush_after_sweep 2176 in
-  let lat = Hierarchy.default_latencies in
+  let lat = Hierarchy.latencies in
   check ci "64 more dirty lines cost 64 write-backs and maintenance steps"
     (64 * (lat.Hierarchy.writeback + lat.Hierarchy.maintenance_per_line))
     (more - base)

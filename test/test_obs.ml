@@ -92,7 +92,7 @@ let test_spans_and_meters () =
     ((Obs.snapshot t).Obs.s_cells = [])
 
 let test_disabled_is_inert () =
-  let t = Obs.disabled () in
+  let t = Obs.create ~enabled:false () in
   let c = Obs.counter t "noise" in
   Obs.incr c;
   Obs.observe (Obs.histogram t "h") 42;
@@ -129,7 +129,7 @@ let test_empty_histogram_emission () =
   check cb "no sentinel leaks" true
     (not (contains (string_of_int max_int) json));
   (* The empty_snapshot invariant for disabled registries is untouched. *)
-  let d = Obs.disabled () in
+  let d = Obs.create ~enabled:false () in
   ignore (Obs.histogram d "ghost");
   check cb "disabled snapshot stays empty" true
     (Obs.snapshot d = Obs.empty_snapshot)

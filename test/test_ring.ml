@@ -469,32 +469,39 @@ let test_density_deterministic () =
     b.Fleet_cell.sim_cycles
 
 (* ------------------------------------------------------------------ *)
-(* Manager admission order. CQEs are written in execution order, so    *)
-(* the echoed tags pin the order a doorbell batch was drained in.      *)
+(* Descriptor flags. Bit 0 of the flags word is want_irq; the bits     *)
+(* above it are reserved and must change nothing the kernel does.      *)
 
-let admission_run ?config ~deadlines () =
+(* One doorbell over three QAM requests whose flags words are then
+   overwritten with [flags], word by word. Returns the completions
+   (tag, vIRQ) in drain order, the final clock and the job trace. *)
+let flags_run flags =
   let z = Zynq.create () in
-  let kern = Kernel.boot ?config z in
+  let kern = Kernel.boot z in
   let task = Kernel.register_hw_task kern (Task_kind.Qam 4) in
   let tr = Ktrace.create ~capacity:4096 in
   Kernel.set_trace kern (Some tr);
-  let tags = ref [] in
+  let cqes = ref [] in
   ignore
-    (Kernel.create_vm kern ~name:"adm" (fun genv ->
+    (Kernel.create_vm kern ~name:"flags" (fun genv ->
          let p = Port.paravirt genv in
          match Ring_api.setup p ~entries:8 ~cvirq_budget:0 () with
          | Error e -> Alcotest.failf "setup: %s" e
          | Ok r ->
            List.iteri
-             (fun i deadline ->
+             (fun i word ->
                 Alcotest.check cb "descriptor accepted" true
-                  (Ring_api.enqueue p r ~op:`Request ~task ~deadline
-                     ~tag:(i + 1) ()))
-             deadlines;
+                  (Ring_api.enqueue p r ~op:`Request ~task ~tag:(i + 1) ());
+                (* Word 5 of the descriptor in slot [i]: its flags. *)
+                Zynq.vwrite_word p.Port.zynq ~priv:p.Port.priv
+                  (r.Ring_api.sq + Guest_layout.ring_hdr_size
+                   + (i * Guest_layout.ring_desc_size) + (5 * 4))
+                  word)
+             flags;
            ignore (Ring_api.doorbell p r);
-           tags :=
+           cqes :=
              List.map
-               (fun (c : Ring_api.cqe) -> c.Ring_api.tag)
+               (fun (c : Ring_api.cqe) -> (c.Ring_api.tag, c.Ring_api.irq))
                (Ring_api.drain_completions p r)));
   run_for kern (Cycles.of_ms 5.0);
   Alcotest.(check (list string)) "invariants hold" []
@@ -506,37 +513,32 @@ let admission_run ?config ~deadlines () =
          String.concat " " (List.map field_to_string e.Ktrace.fields))
       (hwtm_jobs tr)
   in
-  (!tags, Clock.now z.Zynq.clock, rendered)
+  (!cqes, Clock.now z.Zynq.clock, rendered)
 
-let test_deadline_admission_order () =
-  let cfg = { Kernel.default_config with Kernel.ring_admission = `Deadline } in
-  (* Tags 1,2,3 submitted with deadlines 30,10,20: deadline-ordered
-     admission must execute (and complete) them as 2, 3, 1. *)
-  let tags, _, _ = admission_run ~config:cfg ~deadlines:[ 30; 10; 20 ] () in
-  Alcotest.(check (list int)) "ascending-deadline execution order"
-    [ 2; 3; 1 ] tags;
-  (* Equal keys keep submission order: the sort is stable. *)
-  let tags, _, _ = admission_run ~config:cfg ~deadlines:[ 7; 7; 7 ] () in
-  Alcotest.(check (list int)) "equal deadlines stay FIFO" [ 1; 2; 3 ] tags;
-  (* Mixed keys with ties: ascending keys, ties in submission order. *)
-  let tags, _, _ =
-    admission_run ~config:cfg ~deadlines:[ 5; 3; 5; 1; 3; 8; 1 ] ()
-  in
-  Alcotest.(check (list int)) "stable ascending order with ties"
-    [ 4; 7; 2; 5; 1; 3; 6 ] tags
+let same_run label (c0, k0, t0) (c1, k1, t1) =
+  Alcotest.(check (list (pair int (option int)))) (label ^ ": completions")
+    c0 c1;
+  Alcotest.(check (list string)) (label ^ ": job traces") t0 t1;
+  Alcotest.check ci (label ^ ": final clocks") k0 k1
 
-let test_fifo_admission_ignores_deadlines () =
-  (* Default config is FIFO, and under it the deadline key is inert:
-     the same batch with scrambled keys is bit-identical (execution
-     order, job trace, final clock) to the all-zero-key run. *)
-  Alcotest.check cb "default admission is fifo" true
-    (Kernel.default_config.Kernel.ring_admission = `Fifo);
-  let tags0, clock0, trace0 = admission_run ~deadlines:[ 0; 0; 0 ] () in
-  let tags1, clock1, trace1 = admission_run ~deadlines:[ 30; 10; 20 ] () in
-  Alcotest.(check (list int)) "submission order either way" tags0 tags1;
-  Alcotest.(check (list int)) "tags 1..3" [ 1; 2; 3 ] tags0;
-  Alcotest.(check (list string)) "identical job traces" trace0 trace1;
-  Alcotest.check ci "identical final clocks" clock0 clock1
+(* Set high bits must not turn want_irq on: the run equals the
+   all-zero one. *)
+let test_reserved_flag_bits_inert () =
+  let quiet = flags_run [ 0; 0; 0 ] in
+  let cqes, _, _ = quiet in
+  Alcotest.(check (list int)) "submission order" [ 1; 2; 3 ]
+    (List.map fst cqes);
+  Alcotest.check cb "no vIRQ without want_irq" true
+    (List.for_all (fun (_, irq) -> irq = None) cqes);
+  same_run "high bits" quiet (flags_run [ 0xFFFFFFFE; 2; 0x80000000 ])
+
+(* Set high bits must not mask want_irq either: bit 0 alone decides. *)
+let test_want_irq_is_bit_0 () =
+  let loud = flags_run [ 1; 1; 1 ] in
+  let cqes, _, _ = loud in
+  Alcotest.check cb "want_irq gives each job a vIRQ" true
+    (List.for_all (fun (_, irq) -> irq <> None) cqes);
+  same_run "high bits" loud (flags_run [ 0xFFFFFFFF; 3; 0x80000001 ])
 
 (* ------------------------------------------------------------------ *)
 (* Ring fuzzing: a hostile guest publishes descriptors and, before     *)
@@ -888,9 +890,10 @@ let suite =
       t "flat-cost create at 256 guests" `Quick test_flat_cost_create_256;
       t "density transition gate" `Quick test_density_transition_gate;
       t "density determinism" `Quick test_density_deterministic;
-      t "deadline admission order" `Quick test_deadline_admission_order;
-      t "fifo admission ignores deadline keys" `Quick
-        test_fifo_admission_ignores_deadlines;
+      t "descriptor flag bits above want_irq are inert" `Quick
+        test_reserved_flag_bits_inert;
+      t "want_irq is the low bit whatever lies above" `Quick
+        test_want_irq_is_bit_0;
       t "forged CQ head is refused" `Quick (test_forged_cq_head 1);
       t "forged CQ head is refused at 4 pCPUs" `Quick (test_forged_cq_head 4);
       QCheck_alcotest.to_alcotest (prop_ring_fuzz 1);
