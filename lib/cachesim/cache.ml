@@ -17,6 +17,12 @@ type config = {
      separate valid-bit load and no lazy scrubbing.
 
    - [state.(2*i + 1)] is slot [i]'s LRU age (larger = more recent).
+     Only a live slot's age is ever read ([victim] and the written-out
+     4-way tournament in [run_through] compare live ways only, and a
+     fill writes the age with the tag), so a fresh cache is one bulk
+     [Array.make] of -1: every tag invalid, every age a don't-care
+     (an [Array.init] would pay the polymorphic write barrier per
+     word, most of a world's boot).
      Tag and age are interleaved in one array because every access
      that reads the tag also touches the age: pairing them puts both
      on the same host cache line, which matters because the simulated
@@ -81,8 +87,7 @@ let create cfg =
     invalid_arg "Cache.create: set count must be a power of two";
   let n = sets * cfg.ways in
   { cfg; sets; line_shift = log2 cfg.line_size;
-    state =
-      Array.init (2 * n) (fun i -> if i land 1 = 0 then -1 else 0);
+    state = Array.make (2 * n) (-1);
     dstamp = Array.make n (-1);
     vgen = 0; dgen = 0; valid_count = 0; dirty_count = 0;
     tick = 0; hits = 0; misses = 0; epoch = 0 }

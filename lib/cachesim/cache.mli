@@ -17,7 +17,11 @@ type config = {
 type t
 
 val create : config -> t
-(** @raise Invalid_argument if geometry is not a power-of-two split. *)
+(** An empty cache. Its state is one bulk allocation with no per-slot
+    work: an empty slot's LRU age is never read (victim choice compares
+    the ages of live ways only), so a fresh cache behaves exactly like
+    one emptied by {!invalidate_all}.
+    @raise Invalid_argument if geometry is not a power-of-two split. *)
 
 val access : t -> Addr.t -> write:bool -> [ `Hit | `Miss ]
 (** Look up the line containing a physical address; on miss the line is

@@ -79,7 +79,7 @@ let access_words t kind a n =
       end
     in
     (* Words after [pa] that start in the same line. *)
-    let rest = min (n - !k - 1) ((line - 1 - (pa land (line - 1))) / 4) in
+    let rest = Int.min (n - !k - 1) ((line - 1 - (pa land (line - 1))) / 4) in
     if rest > 0 then begin
       Cache.rehit l1 slot ~write ~n:rest;
       cost := !cost + (rest * latencies.l1_hit)

@@ -838,7 +838,7 @@ let for_each_page t (pd : Pd.t) vaddr len f =
       let pa = Kmem.guest_translate t.kmem pd va in
       if pa < 0 then Error "address not mapped"
       else
-        let chunk = min remaining (Addr.page_size - Addr.page_offset va) in
+        let chunk = Int.min remaining (Addr.page_size - Addr.page_offset va) in
         f pa chunk;
         loop (va + chunk) (remaining - chunk)
   in
@@ -1061,7 +1061,7 @@ let handle_ring_doorbell t rt ~entry_start =
       (* CQ backpressure: completions the guest has not consumed cap
          the batch; the excess stays in flight for a later doorbell. *)
       let cq_room = r.r_entries - u32_sub r.r_head cq_guest_head in
-      let batch = min (u32_sub r.r_tail r.r_head) cq_room in
+      let batch = Int.min (u32_sub r.r_tail r.r_head) cq_room in
       if batch = 0 then begin
         t.ring_empty_doorbells <- t.ring_empty_doorbells + 1;
         Exec.run_pinned t.z ~priv:true t.kf.kf_svc_exit;
@@ -1119,7 +1119,7 @@ let handle_ring_doorbell t rt ~entry_start =
            CQE. *)
         Clock.advance clock (batch * Costs.ring_cqe_write);
         let first = r.r_head land mask in
-        let upto_end = min batch (r.r_entries - first) in
+        let upto_end = Int.min batch (r.r_entries - first) in
         let cq_slots = r.r_cq_phys + Guest_layout.ring_hdr_size in
         kwrite_words t
           (cq_slots + (first * Guest_layout.ring_cqe_size))
@@ -1354,7 +1354,7 @@ let handle_hyper t rt req =
 let account_quantum rt now =
   let elapsed = now - rt.slice_start in
   let pd = rt.pd in
-  pd.Pd.quantum_left <- max 1 (pd.Pd.quantum_left - elapsed);
+  pd.Pd.quantum_left <- Int.max 1 (pd.Pd.quantum_left - elapsed);
   rt.slice_start <- now
 
 let rec execute t rt ex ~until =

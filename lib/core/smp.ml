@@ -236,7 +236,7 @@ let hypercalls t =
   Array.fold_left (fun acc n -> acc + Kernel.hypercalls n.kern) 0 t.nodes
 
 let now t =
-  Array.fold_left (fun acc n -> max acc (Clock.now n.z.Zynq.clock)) 0 t.nodes
+  Array.fold_left (fun acc n -> Int.max acc (Clock.now n.z.Zynq.clock)) 0 t.nodes
 
 let directory t =
   List.sort compare (Int_table.fold (fun id cpu acc -> (id, cpu) :: acc) t.directory [])
@@ -266,7 +266,7 @@ let stats t =
 (* --- the barrier --- *)
 
 (* Cache lines a payload of [words] 32-bit words occupies. *)
-let payload_lines words = max 1 (((words * 4) + 31) / 32)
+let payload_lines words = Int.max 1 (((words * 4) + 31) / 32)
 
 let drain_outboxes t =
   Array.iter
@@ -392,7 +392,7 @@ let barrier t =
 
 let min_clock t =
   Array.fold_left
-    (fun acc n -> min acc (Clock.now n.z.Zynq.clock))
+    (fun acc n -> Int.min acc (Clock.now n.z.Zynq.clock))
     max_int t.nodes
 
 (* The budget of an epoch with at most one busy node: boxed once. *)
@@ -417,7 +417,7 @@ let run t ~until =
       let busy = busy_nodes t in
       if mc >= until || busy = 0 then stop := true
       else begin
-        let epoch_end = min until (((mc / t.epoch) + 1) * t.epoch) in
+        let epoch_end = Int.min until (((mc / t.epoch) + 1) * t.epoch) in
         Parallel_sweep.iter
           ?domains:(if busy = 1 then inline else t.workers)
           (fun n ->

@@ -153,13 +153,19 @@ let write_u32 m a v = write_word m a (Int32.to_int v)
 let read_f32 m a = Int32.float_of_bits (Int32.of_int (read_word m a))
 let write_f32 m a v = write_word m a (Int32.to_int (Int32.bits_of_float v))
 
+(* A frame that this fill's own lookup materialised is born zero, so a
+   zero fill leaves it as it is; a frame touched before (a recycled
+   page-table frame, say) is zeroed as always. *)
 let fill m a len v =
+  let c = Char.chr (v land 0xff) in
   let rec loop pos =
     if pos < len then begin
       let addr = a + pos in
       let off = Addr.page_offset addr in
-      let n = min (len - pos) (Addr.page_size - off) in
-      Bytes.fill (frame m addr) off n (Char.chr (v land 0xff));
+      let n = Int.min (len - pos) (Addr.page_size - off) in
+      let frames = m.frames in
+      let b = frame m addr in
+      if c <> '\000' || m.frames = frames then Bytes.fill b off n c;
       loop (pos + n)
     end
   in

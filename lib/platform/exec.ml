@@ -302,10 +302,12 @@ let pin fps =
 
 let pin1 t = pin [| t |]
 
-(* MRU scan over the handle's context slots; a hit at depth > 0 is
-   rotated to the front so the steady-state mix stays O(1). A plain
-   while loop, as [Cache.find] is: a local recursive scan would close
-   over the context and allocate on every replay. *)
+(* Scan of the handle's context slots. Entries stay where they are: a
+   hit only restamps the entry with the handle's clock, and an install
+   takes the slot with the smallest stamp, so the choice is exactly an
+   LRU's with no entry moved. A plain while loop, as [Cache.find] is: a
+   local recursive scan would close over the context and allocate on
+   every replay. *)
 let find_pin_prog (p : Fastpath.pinned) ~asid ~ttbr ~dacr ~priv =
   let es = p.Fastpath.pin_entries in
   let n = Array.length es in
@@ -323,27 +325,28 @@ let find_pin_prog (p : Fastpath.pinned) ~asid ~ttbr ~dacr ~priv =
   if !i >= n then None
   else begin
     let e = Array.unsafe_get es !i in
-    for j = !i downto 1 do
-      Array.unsafe_set es j (Array.unsafe_get es (j - 1))
-    done;
-    Array.unsafe_set es 0 e;
+    p.Fastpath.pin_clock <- p.Fastpath.pin_clock + 1;
+    e.Fastpath.e_used <- p.Fastpath.pin_clock;
     e.Fastpath.e_prog
   end
 
-(* Install into the LRU slot and rotate it to the front. *)
+(* Install into the least recently used slot (the first of equals). *)
 let install_pin_prog (p : Fastpath.pinned) ~asid ~ttbr ~dacr ~priv prog =
   let es = p.Fastpath.pin_entries in
-  let n = Array.length es in
-  let e = es.(n - 1) in
+  let lru = ref 0 in
+  for j = 1 to Array.length es - 1 do
+    if (Array.unsafe_get es j).Fastpath.e_used
+       < (Array.unsafe_get es !lru).Fastpath.e_used
+    then lru := j
+  done;
+  let e = es.(!lru) in
   e.Fastpath.e_asid <- asid;
   e.Fastpath.e_ttbr <- ttbr;
   e.Fastpath.e_dacr <- dacr;
   e.Fastpath.e_priv <- priv;
   e.Fastpath.e_prog <- Some prog;
-  for j = n - 1 downto 1 do
-    Array.unsafe_set es j (Array.unsafe_get es (j - 1))
-  done;
-  Array.unsafe_set es 0 e
+  p.Fastpath.pin_clock <- p.Fastpath.pin_clock + 1;
+  e.Fastpath.e_used <- p.Fastpath.pin_clock
 
 (* Execute a pinned sequence. Disabled, it is exactly the sequence of
    the footprints' reference walks; enabled, the whole

@@ -13,7 +13,7 @@
 
    - pinned traces: a fixed footprint sequence, interned once by its
      call site, holding its compiled programs — one per translation
-     context, in a small MRU cache on the handle. A program flattens
+     context, in a small LRU cache on the handle. A program flattens
      the sequence into an array of page-run descriptors (page base,
      first-line offset, line count, access kind) with a per-run replay
      record (TLB slot + physical base, L1 slot per line). A replay
@@ -90,9 +90,9 @@ type prog = {
 
 (* Pinned control-path traces. A [pinned] handle interns a fixed
    sequence of footprints (one kernel control path: e.g. trap entry +
-   hypercall dispatch) once at boot, with a small per-handle MRU cache
+   hypercall dispatch) once at boot, with a small per-handle LRU cache
    of compiled programs keyed by translation context: running one is
-   an MRU scan plus an epoch-validated replay. Correctness needs no
+   a scan of the slots plus an epoch-validated replay. Correctness needs no
    explicit invalidation hooks — the context fields key the program,
    and the per-run TLB/cache epoch stamps inside [prog] revalidate
    every replay, so kills, recoveries, DPR events and page-table
@@ -103,12 +103,14 @@ type pin_entry = {
   mutable e_dacr : int;
   mutable e_priv : bool;
   mutable e_prog : prog option;   (* None = empty slot *)
+  mutable e_used : int;           (* [pin_clock] at the last hit or install *)
 }
 
 type pinned = {
   pin_fps : fp array;
   pin_cycles : int;        (* summed base + issue cycles of the sequence *)
-  pin_entries : pin_entry array;  (* MRU order: index 0 most recent *)
+  pin_entries : pin_entry array;  (* fixed slots; LRU by [e_used] *)
+  mutable pin_clock : int;
 }
 
 (* Contexts alive at once = live VMs (bounded by save-area slots) plus
@@ -116,7 +118,7 @@ type pinned = {
    through them and recompiles (ring-fleet-64 recompiles 20,203
    programs per instance at seed 42). A 256-entry per-ASID table
    removed those recompiles but raised that workload's peak RSS from
-   28.7 to 32.0 MB, so the MRU stays. *)
+   28.7 to 32.0 MB, so the 8-way LRU stays. *)
 let pin_ways = 8
 
 let make_pinned fps ~cycles =
@@ -125,7 +127,8 @@ let make_pinned fps ~cycles =
     pin_entries =
       Array.init pin_ways (fun _ ->
           { e_asid = -1; e_ttbr = -1; e_dacr = -1; e_priv = false;
-            e_prog = None }) }
+            e_prog = None; e_used = 0 });
+    pin_clock = 0 }
 
 type t = {
   mtlb : mentry array;

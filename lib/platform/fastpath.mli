@@ -92,15 +92,20 @@ type pin_entry = {
   mutable e_dacr : int;
   mutable e_priv : bool;
   mutable e_prog : prog option;   (** [None] = empty slot *)
+  mutable e_used : int;
+      (** the handle's [pin_clock] at the entry's last hit or install *)
 }
 
 type pinned = {
   pin_fps : fp array;
   pin_cycles : int;        (** summed base + issue cycles of the sequence *)
-  pin_entries : pin_entry array;  (** MRU order: index 0 most recent *)
+  pin_entries : pin_entry array;
+      (** fixed slots: a hit moves no entry; an install evicts the
+          least recently used, the smallest [e_used] *)
+  mutable pin_clock : int;  (** counts the handle's hits and installs *)
 }
 (** A pinned control-path trace: a fixed footprint sequence interned
-    once (at boot or VM creation) plus a small MRU cache of compiled
+    once (at boot or VM creation) plus a small LRU cache of compiled
     programs keyed by translation context. Built with {!Exec.pin},
     executed with {!Exec.run_pinned}. No explicit invalidation exists
     or is needed: the context fields key each program and the epoch

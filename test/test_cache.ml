@@ -478,6 +478,88 @@ let prop_run_through_a9 =
          ops
        && pool_state hw = pool_state hs)
 
+(* A fresh cache against one that was filled, dirtied and emptied by
+   [invalidate_all], at the A9 L1 and L2 geometries. The used pair's
+   stale ages are newest in way 0 and oldest in the last way of every
+   set, while a fresh cache's are all -1, so a victim rule that read a
+   non-live slot's age would pick a different way in the two. Every
+   access's result (hit slot or [lnot] fill slot), every walk's cost
+   and recorded slots, every range op's count and the final residency
+   and dirtiness of every pool line must agree. Pool lines sit 64 KB
+   apart, so twelve of them share one set at both levels and evict. *)
+let fresh_pool_base = 0x100000
+let fresh_pool_lines = 12
+
+let a9_l1_cfg = { Cache.name = "L1D"; size_bytes = 32 * 1024; ways = 4; line_size = 32 }
+let a9_l2_cfg = { Cache.name = "L2"; size_bytes = 512 * 1024; ways = 8; line_size = 32 }
+
+(* Fill every way of every set with a store, then hit the ways again
+   from the last to the first, so way 0 is the newest; then drop it all. *)
+let used_cache cfg =
+  let c = Cache.create cfg in
+  let sets = Cache.sets c and ways = cfg.Cache.ways in
+  let a set way = 32 * (set + (sets * way)) in
+  for way = 0 to ways - 1 do
+    for set = 0 to sets - 1 do
+      ignore (Cache.access c (a set way) ~write:true)
+    done
+  done;
+  for way = ways - 1 downto 0 do
+    for set = 0 to sets - 1 do
+      ignore (Cache.access c (a set way) ~write:false)
+    done
+  done;
+  ignore (Cache.invalidate_all c);
+  c
+
+let prop_fresh_is_invalidated =
+  let op =
+    QCheck2.Gen.(
+      quad (int_bound 4) (int_bound (fresh_pool_lines - 1)) (int_bound 3)
+        (pair (int_range 1 4) (int_bound 1)))
+  in
+  QCheck2.Test.make ~name:"a fresh cache behaves like an invalidated one"
+    ~count:100
+    ~print:QCheck2.Print.(list (quad int int int (pair int int)))
+    QCheck2.Gen.(list_size (int_range 1 150) op)
+    (fun ops ->
+       let fresh = (Cache.create a9_l1_cfg, Cache.create a9_l2_cfg) in
+       let used = (used_cache a9_l1_cfg, used_cache a9_l2_cfg) in
+       let level (l1, l2) lvl = if lvl = 0 then l1 else l2 in
+       let run (l1, l2) (code, j, s, (n, lvl)) =
+         let a = fresh_pool_base + (j * 65536) + (32 * s) in
+         let c = level (l1, l2) lvl in
+         match code with
+         | 0 ->
+           (* A hit or fill, then [n - 1] more hits on its slot (0: an
+              age tie with the line filled last). *)
+           let r = Cache.access_word c a ~write:(n land 1 = 1) in
+           Cache.rehit c (if r >= 0 then r else lnot r) ~write:false ~n:(n - 1);
+           [ r ]
+         | 1 ->
+           let slots = Array.make 4 (-1) and next_slots = Array.make 4 (-1) in
+           let extra, moved =
+             Cache.run_through l1 l2 ~lat_next_hit:1 ~lat_next_miss:2 ~a ~n
+               ~write:(lvl = 1) ~slots ~next_slots ~from:0
+           in
+           extra :: moved :: Array.to_list slots @ Array.to_list next_slots
+         | 2 -> [ Cache.invalidate_range c a (32 * n) ]
+         | 3 -> [ Cache.clean_range c a (32 * n) ]
+         | _ -> [ Cache.invalidate_all c ]
+       in
+       let residency pair =
+         List.concat_map
+           (fun c ->
+              Cache.valid_lines c :: Cache.dirty_lines c
+              :: List.init (fresh_pool_lines * 8) (fun k ->
+                  let a = fresh_pool_base + ((k / 8) * 65536) + (32 * (k mod 8)) in
+                  (if Cache.probe c a then 1 else 0)
+                  + if Cache.dirty_in_range c a 1 then 2 else 0))
+           [ fst pair; snd pair ]
+       in
+       List.for_all (fun o -> run fresh o = run used o) ops
+       && residency fresh = residency used)
+
 (* --- TLB probe against a reference model ---
 
    The model mirrors the TLB slot by slot (liveness, tag, entry, LRU
@@ -753,6 +835,7 @@ let suite =
       QCheck_alcotest.to_alcotest prop_access_words_is_scalar;
       QCheck_alcotest.to_alcotest prop_cache_counters;
       QCheck_alcotest.to_alcotest prop_run_through_a9;
+      QCheck_alcotest.to_alcotest prop_fresh_is_invalidated;
       QCheck_alcotest.to_alcotest prop_tlb_peek_is_scan;
       QCheck_alcotest.to_alcotest prop_tlb_set_versions;
       t "tlb peek allocates nothing" test_tlb_peek_allocates_nothing ] )

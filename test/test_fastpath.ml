@@ -493,6 +493,42 @@ let test_replay_cycles_exact () =
   check Alcotest.int "matches the modelled warm cost"
     ((16 + 16 + 4) + (512 / 4) + 25) w2
 
+(* A pinned handle keeps one compiled program per translation context
+   in eight slots, evicting the least recently used. A
+   list-based LRU of the same size, fed the same context sequence, must
+   predict every compile ([warm_records]): a cycle through one context
+   more than the slots hold compiles on every run, and a seeded random
+   sequence over twelve contexts mixes hits with evictions. *)
+let lru_compiles seq =
+  let cache = ref [] and compiles = ref 0 in
+  List.iter
+    (fun c ->
+       if List.mem c !cache then cache := c :: List.filter (( <> ) c) !cache
+       else begin
+         incr compiles;
+         cache := c :: List.filteri (fun i _ -> i < 7) !cache
+       end)
+    seq;
+  !compiles
+
+let test_pin_lru_compiles () =
+  let compiles asids =
+    let b = make_board ~fast:true () in
+    List.iter
+      (fun asid ->
+         Mmu.set_asid b.z.Zynq.mmu asid;
+         Exec.run_pinned b.z ~priv:true b.runs.(2))
+      asids;
+    let _, _, _, warm_records = Fastpath.stats b.z.Zynq.fast in
+    warm_records
+  in
+  let cycle = List.init 90 (fun i -> 2 + (i mod 9)) in
+  check Alcotest.int "a 9-context cycle compiles every run" 90 (lru_compiles cycle);
+  check Alcotest.int "9-context cycle" (lru_compiles cycle) (compiles cycle);
+  let rng = Random.State.make [| 42 |] in
+  let random = List.init 2000 (fun _ -> 2 + Random.State.int rng 12) in
+  check Alcotest.int "random contexts" (lru_compiles random) (compiles random)
+
 let suite =
   ( "fastpath",
     [ test_equivalence;
@@ -503,4 +539,6 @@ let suite =
       Alcotest.test_case "remap redirects word reads" `Quick
         test_remap_redirects_words;
       Alcotest.test_case "replay cycles exact" `Quick
-        test_replay_cycles_exact ] )
+        test_replay_cycles_exact;
+      Alcotest.test_case "pinned programs evict least recently used" `Quick
+        test_pin_lru_compiles ] )

@@ -161,6 +161,63 @@ let test_pt_ensure_l2 () =
   Page_table.ensure_l2 pt ~virt:0x0080_5000 ~domain:2;
   check ci "idempotent per MB slot" 1 (Page_table.l2_tables pt)
 
+(* A table created over frames a destroyed table left full of
+   descriptors starts empty: [Phys_mem.fill] leaves alone only the
+   frames its own lookup materialised, which are born zero. It touches
+   the frames that storing a zero word over every table would. *)
+let test_pt_recycled_frames_read_zero () =
+  let mem = Phys_mem.create () in
+  let fa =
+    Frame_alloc.create ~base:Address_map.kernel_data_base ~size:(1 lsl 20)
+  in
+  let l1_word pt virt =
+    Phys_mem.read_word mem (Page_table.root pt + (4 * (virt lsr 20)))
+  in
+  let page_sections = [ 0x0030_0000; 0x0450_0000; 0x0ff0_0000 ] in
+  let pt = Page_table.create mem fa in
+  for k = 0 to 4095 do
+    if k mod 37 = 5 then
+      Page_table.map_section pt ~virt:(k lsl 20) ~phys:0x0400_0000 full_user
+  done;
+  List.iter
+    (fun sec ->
+       for p = 0 to 255 do
+         Page_table.map_page pt ~virt:(sec + (p lsl 12)) ~phys:0x0500_0000
+           ~domain:1 ~ap:Pte.Ap_full ~global:false
+       done)
+    page_sections;
+  let root = Page_table.root pt in
+  let l2_bases = List.map (fun sec -> l1_word pt sec land lnot 1023) page_sections in
+  let zeroed = Phys_mem.create () in
+  List.iter
+    (fun (base, len) ->
+       for w = 0 to (len / 4) - 1 do
+         Phys_mem.write_word zeroed (base + (4 * w)) 0
+       done)
+    ((root, 16 * 1024) :: List.map (fun b -> (b, 1024)) l2_bases);
+  let frames = Phys_mem.touched_frames mem in
+  check ci "frames of the first table" (Phys_mem.touched_frames zeroed) frames;
+  Page_table.destroy pt;
+  let pt = Page_table.create mem fa in
+  check ci "root recycled" root (Page_table.root pt);
+  for k = 0 to 4095 do
+    if l1_word pt (k lsl 20) <> 0 then
+      Alcotest.failf "L1 descriptor %d reads 0x%x" k (l1_word pt (k lsl 20))
+  done;
+  List.iter
+    (fun sec ->
+       Page_table.map_page pt ~virt:sec ~phys:0x0500_0000 ~domain:1
+         ~ap:Pte.Ap_full ~global:false;
+       check cb "L2 table recycled" true
+         (List.mem (l1_word pt sec land lnot 1023) l2_bases);
+       for p = 1 to 255 do
+         if walk mem pt (sec + (p lsl 12)) <> None then
+           Alcotest.failf "page 0x%x maps through a recycled L2 table"
+             (sec + (p lsl 12))
+       done)
+    page_sections;
+  check ci "no frame touched again" frames (Phys_mem.touched_frames mem)
+
 (* --- MMU --- *)
 
 let fresh_mmu () =
@@ -341,6 +398,8 @@ let suite =
       t "pt domain conflict" test_pt_domain_conflict;
       t "pt section/page conflict" test_pt_section_page_conflict;
       t "pt ensure_l2" test_pt_ensure_l2;
+      t "a page table over recycled frames reads zero"
+        test_pt_recycled_frames_read_zero;
       t "pt map/unmap allocates nothing" test_pt_map_unmap_allocates_nothing;
       t "mmu translate + tlb" test_mmu_translate_and_tlb;
       t "mmu faults" test_mmu_faults;
