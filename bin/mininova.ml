@@ -36,8 +36,6 @@ let () =
     Format.printf "@.flags:@.%a" Cli_args.pp_usage c.entries;
     exit 0
   end;
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some (if c.verbose then Logs.Info else Logs.Error));
   let t_start = Unix.gettimeofday () in
   let results =
     List.map

@@ -10,8 +10,6 @@
      dune exec examples/dpr_swap.exe *)
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
   (* One big region (FFT-capable) + one small (QAM only). *)
   let z = Zynq.create ~prr_capacities:[ 1300; 200 ] () in
   let kern = Kernel.boot z in

@@ -11,8 +11,6 @@
      dune exec examples/mixed_criticality.exe *)
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
   let z = Zynq.create () in
   let kern = Kernel.boot z in
   let period_ms = 5.0 in

@@ -5,9 +5,6 @@
      dune exec examples/quickstart.exe *)
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
-
   (* 1. A simulated Zynq-7000 board and the microkernel. *)
   let z = Zynq.create () in
   let kern = Kernel.boot z in

@@ -11,8 +11,6 @@
 let frame_bits = 60 (* fits one IPC payload (64 words) *)
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
   let z = Zynq.create () in
   let kern = Kernel.boot z in
   let qam64 = Kernel.register_hw_task kern (Task_kind.Qam 64) in

@@ -12,8 +12,6 @@
      dune exec examples/voice_uplink.exe *)
 
 let () =
-  Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (Some Logs.Warning);
   let z = Zynq.create () in
   let kern = Kernel.boot z in
   let fir = Kernel.register_hw_task kern (Task_kind.Fir 63) in

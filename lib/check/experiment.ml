@@ -18,7 +18,6 @@ type command = {
   runs : (t * (unit -> result)) list;
   entries : Cli_args.entry list;
   assert_ : bool;
-  verbose : bool;
   help : bool;
 }
 
@@ -837,7 +836,6 @@ let command sections argv =
       List.map (fun e -> (e, e.define args)) named
     in
     let assert_ = reader Cli_args.flag_ref Cli_args.assert_ in
-    let verbose = reader Cli_args.flag_ref Cli_args.verbose in
     let help = reader Cli_args.flag_ref Cli_args.help in
     let entries = List.rev !entries in
     match Cli_args.parse entries flags with
@@ -845,5 +843,4 @@ let command sections argv =
     | Ok (p :: _) -> Error ("unexpected argument " ^ p)
     | Ok [] ->
       Ok
-        { all; runs; entries; assert_ = assert_ (); verbose = verbose ();
-          help = help () })
+        { all; runs; entries; assert_ = assert_ (); help = help () })

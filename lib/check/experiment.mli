@@ -50,7 +50,6 @@ type command = {
   runs : (t * (unit -> result)) list;
   entries : Cli_args.entry list;  (** every flag the command reads *)
   assert_ : bool;
-  verbose : bool;
   help : bool;
 }
 
@@ -58,7 +57,7 @@ val command : t list -> string list -> (command, string) Stdlib.result
 (** [command sections argv]: [NAME FLAGS...] runs one of [sections],
     [all [NAME...] FLAGS...] the named ones (every one when none is,
     as for an empty [argv]).
-    The flags are the named experiments' entries, [--assert],
-    [--verbose] and [--help].
+    The flags are the named experiments' entries, [--assert] and
+    [--help].
     [Error] names an unknown experiment, a flag none of them reads, a
     bad value or a positional. *)

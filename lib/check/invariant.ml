@@ -6,10 +6,8 @@ type violation = {
 
 exception Violation of violation
 
-let pp_violation ppf v =
-  Format.fprintf ppf "[%s] %s: %s" v.boundary v.checker v.detail
-
-let violation_to_string v = Format.asprintf "%a" pp_violation v
+let violation_to_string v =
+  Printf.sprintf "[%s] %s: %s" v.boundary v.checker v.detail
 
 let () =
   Printexc.register_printer (function
@@ -51,39 +49,54 @@ let check_sched kern pds =
 let check_vgic _kern pds =
   List.concat_map (fun (pd : Pd.t) -> Vgic.self_check pd.Pd.vgic) pds
 
-(* ASID accounting under over-commit: every allocated guest tag is
-   held by exactly one live guest; PDs beyond the 254-tag space carry
-   the sentinel 0 until the kernel steals a tag for them. *)
-let check_asids kern pds =
-  let live = Kmem.live_asids (Kernel.kmem kern) in
-  let guests = List.filter Pd.is_guest pds in
-  let held =
-    List.filter_map
-      (fun (pd : Pd.t) -> if pd.Pd.asid >= 2 then Some pd.Pd.asid else None)
-      guests
-  in
+(* One id pool against the live guests: each id a guest holds
+   ([id_of], -1 for none) is held by that PD in the pool, so no id has
+   two holders, and the pool's live count is the number of ids held.
+   O(live PDs), with no scan of the pool. *)
+let audit_pool what pool id_of pds =
   let problems = ref [] in
-  let note s = problems := s :: !problems in
-  if live <> List.length held then
-    note
-      (Printf.sprintf "%d guest ASIDs allocated but %d live guest PDs hold one"
-         live (List.length held));
-  let sorted = List.sort compare held in
-  let rec dups = function
-    | a :: (b :: _ as rest) ->
-      if a = b then note (Printf.sprintf "ASID %d held by two live PDs" a);
-      dups rest
-    | _ -> ()
-  in
-  dups sorted;
+  let note fmt = Printf.ksprintf (fun x -> problems := x :: !problems) fmt in
+  let held = ref 0 in
   List.iter
     (fun (pd : Pd.t) ->
-       if pd.Pd.asid = 1 || pd.Pd.asid < 0 || pd.Pd.asid > 255 then
-         note
-           (Printf.sprintf "guest pd %d holds reserved/out-of-range ASID %d"
-              pd.Pd.id pd.Pd.asid))
-    guests;
+       let id = id_of pd in
+       if id >= 0 then begin
+         incr held;
+         let h = Id_pool.holder pool id in
+         if h <> pd.Pd.id then
+           note "pd %d holds %s %d but the pool names pd %d" pd.Pd.id what id
+             h
+       end)
+    pds;
+  if Id_pool.live pool <> !held then
+    note "%d %ss live in the pool but %d held by live guests"
+      (Id_pool.live pool) what !held;
   List.rev !problems
+
+(* ASID accounting under over-commit: Kmem's pool names every holder,
+   and no guest carries a reserved tag. PDs beyond the 254-tag space
+   carry the sentinel 0 until the kernel steals a tag for them. *)
+let check_asids kern pds =
+  List.filter_map
+    (fun (pd : Pd.t) ->
+       let a = pd.Pd.asid in
+       if Pd.is_guest pd && (a = 1 || a < 0 || a > 255) then
+         Some (Printf.sprintf "guest pd %d holds reserved/out-of-range ASID %d"
+                 pd.Pd.id a)
+       else None)
+    pds
+  @ audit_pool "ASID" (Kmem.asids (Kernel.kmem kern))
+      (fun pd ->
+         let a = pd.Pd.asid in
+         if Pd.is_guest pd && a >= 2 && a <= 255 then a else -1)
+      pds
+
+(* Guest physical windows and the save-area slots they name: a reap
+   that skips the release shows at once. *)
+let check_windows kern pds =
+  audit_pool "window" (Kernel.windows kern)
+    (fun pd -> if Pd.is_guest pd then Vcpu.slot pd.Pd.vcpu - 1 else -1)
+    pds
 
 (* ABI v2 ring conservation: every descriptor the kernel ever observed
    is completed, reclaimed on kill/reset, or still in flight on a live
@@ -255,6 +268,7 @@ let checkers =
   [ ("sched", check_sched);
     ("virq_conservation", check_vgic);
     ("asid_accounting", check_asids);
+    ("window_accounting", check_windows);
     ("ring_conservation", check_rings);
     ("frame_accounting", check_frames);
     ("event_queue", check_event_queue);
@@ -279,7 +293,7 @@ let attach kern =
 
 (* --- SMP (multi-pCPU) plane --- *)
 
-(* Checker #9: run-queue partition integrity. The placement directory
+(* Checker #10: run-queue partition integrity. The placement directory
    and the per-node kernel tables must agree exactly — every directory
    entry names a live PD on that node, every live guest appears in the
    directory under its own cpu (which also rules out one id living on
@@ -309,7 +323,7 @@ let check_partition smp =
   done;
   List.rev !problems
 
-(* Checker #10: IPI conservation. Every IPI ever posted was delivered
+(* Checker #11: IPI conservation. Every IPI ever posted was delivered
    or accountably dropped, and no outbox carries messages across a
    barrier. *)
 let check_ipis smp =
@@ -326,7 +340,7 @@ let check_ipis smp =
     note "outboxes not drained at a barrier boundary";
   List.rev !problems
 
-(* Checker #11: shootdown completion. Every posted ASID shootdown was
+(* Checker #12: shootdown completion. Every posted ASID shootdown was
    applied on every other pCPU — no TLB may retain translations under
    a reused tag. *)
 let check_shootdowns smp =
@@ -344,10 +358,10 @@ let smp_checkers =
     ("ipi_conservation", check_ipis);
     ("shootdown_completion", check_shootdowns) ]
 
-(* The full SMP sweep: checkers #1-#8 on every node (checker names
+(* The full SMP sweep: checkers #1-#9 on every node (checker names
    prefixed "cpuN/" so a violation pins its pCPU, and the frame/ASID
    views are audited per CPU by construction — each node has its own
-   Kmem), then the cross-CPU checkers #9-#11. One pCPU is the single
+   Kmem), then the cross-CPU checkers #10-#12. One pCPU is the single
    kernel: plain {!check}, unprefixed, so a one-pCPU run reports (and
    soak reproducers name) exactly what a bare kernel would. *)
 let check_smp smp ~boundary =

@@ -8,7 +8,7 @@
     and vGIC clean-path proofs write only their own sweep stamps), so
     runs with checking on are cycle-identical to runs with it off.
 
-    The eight checkers:
+    The nine checkers:
 
     - {e sched} — ring integrity (links, levels, node table, count)
       plus the state agreement: a guest PD is Runnable iff enqueued,
@@ -16,10 +16,14 @@
     - {e virq_conservation} — per live PD, the vGIC structural check
       and the counter identity latched = raised − delivered −
       reclaimed.
-    - {e asid_accounting} — guest ASIDs allocated = live guest PDs
-      holding a tag, each held tag has exactly one holder, and no
-      guest carries a reserved tag (over-committed PDs carry the
-      sentinel 0 until the kernel steals a tag for them).
+    - {e asid_accounting} — each tag a live guest holds is held by
+      that PD in {!Kmem.asids} (so no tag has two holders), the pool's
+      live count = tags held, and no guest carries a reserved tag
+      (over-committed PDs carry the sentinel 0 until the kernel steals
+      a tag for them).
+    - {e window_accounting} — each live guest's physical window (and
+      save-area slot) is held by that PD in {!Kernel.windows}, and
+      the pool's live count = live guests.
     - {e ring_conservation} — ABI v2 descriptor accounting: enqueued =
       completed + reclaimed-on-kill + in-flight over live rings, every
       ring belongs to a live PD, and in-flight fits the ring.
@@ -43,7 +47,6 @@ type violation = {
 
 exception Violation of violation
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 val check : Kernel.t -> boundary:string -> violation list
@@ -55,7 +58,7 @@ val raise_first : Kernel.t -> boundary:string -> unit
 (** {2 SMP (multi-pCPU) plane}
 
     Three more checkers over an {!Smp.t} complex, on top of running
-    #1–#8 on every node (violation checker names gain a ["cpuN/"]
+    #1–#9 on every node (violation checker names gain a ["cpuN/"]
     prefix; the per-CPU frame and ASID views are audited per node by
     construction, since each pCPU has its own [Kmem]):
 

@@ -1,7 +1,3 @@
-let log = Logs.Src.create "mini_nova.soak" ~doc:"VM-lifecycle soak engine"
-
-module Log = (val Logs.src_log log)
-
 type config = {
   ops : int;
   seed : int;
@@ -559,9 +555,6 @@ let run_stream cfg =
   match violation with
   | None -> Clean stats
   | Some violation ->
-    Log.warn (fun m ->
-        m "violation after %d actions: %a" (List.length trace)
-          Invariant.pp_violation violation);
     let shrunk = shrink cfg violation trace in
     Violated { violation; shrunk; stats }
 

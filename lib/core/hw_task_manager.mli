@@ -90,7 +90,7 @@ type action =
     (** the kernel should kill this client (hwMMU violation limit) *)
 
 val action_name : action -> string
-(** Short kebab-case label (Ktrace / logs). *)
+(** Short kebab-case label (Ktrace events, [recovery.*] Obs counters). *)
 
 (** {2 Data-section consistency block}
 

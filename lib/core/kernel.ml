@@ -1,7 +1,3 @@
-let log = Logs.Src.create "mini_nova.kernel" ~doc:"Mini-NOVA microkernel"
-
-module Log = (val Logs.src_log log)
-
 type config = {
   quantum : Cycles.t;
   vfp_policy : [ `Lazy | `Active ];
@@ -92,11 +88,6 @@ type kinstr = {
   ko_switches : Obs.counter;
   ko_kills : Obs.counter;
   ko_alive : Obs.gauge;
-  kp_vm_switch : Stats.t;
-  kp_pl_irq : Stats.t;
-  kp_hwtm_entry : Stats.t;
-  kp_hwtm_exec : Stats.t;
-  kp_hwtm_exit : Stats.t;
 }
 
 (* Cross-pCPU coupling, installed by the SMP orchestrator (lib/core
@@ -128,8 +119,7 @@ type t = {
      still targets the right save area after the owner is reaped. *)
   mutable vfp_owner : (int * Vcpu.t) option;
   mutable next_pd : int;
-  mutable next_guest : int;
-  free_guest_indices : int Queue.t;
+  windows : Id_pool.t;                    (* window i = save slot i + 1 *)
   mutable crash_count : int;
   mutable hypercall_count : int;
   mutable trace : Ktrace.t option;
@@ -137,15 +127,6 @@ type t = {
   (* O(1) liveness: maintained at create/kill so neither the run loop
      nor the kill-path gauge rescans the PD table at fleet scale. *)
   mutable alive : int;
-  (* Allocation-cost meter: every slot/window/ASID allocation step
-     (queue pop, bump, steal probe) bumps this once. Flat per-create
-     at any population — the fleet-scaling regression test pins it. *)
-  mutable alloc_steps : int;
-  (* ASID over-commit (populations beyond the 254 guest tags):
-     asid_owner.(a) is the PD currently holding tag [a] (-1 = free),
-     and the cursor round-robins steals over 2..255. *)
-  asid_owner : int array;
-  mutable asid_cursor : int;
   rings : ring Int_table.t;               (* PD id -> its v2 ring *)
   mutable ring_enqueued_total : int;
   mutable ring_completed_total : int;
@@ -274,7 +255,7 @@ let make_kfast () =
     kf_vfp_load = Array.make vcpu_slots None;
     kf_vfp_store = Array.make vcpu_slots None }
 
-let make_kinstr z probe =
+let make_kinstr z =
   let obs = z.Zynq.obs in
   let names = Array.make Hyper.hypercall_count "" in
   List.iter
@@ -283,12 +264,7 @@ let make_kinstr z probe =
   { ko_hyper = Array.map (fun n -> Obs.counter obs ("hyper." ^ n)) names;
     ko_switches = Obs.counter obs "kernel.vm_switches";
     ko_kills = Obs.counter obs "kernel.vm_kills";
-    ko_alive = Obs.gauge obs "alive_vms";
-    kp_vm_switch = Probe.sample_handle probe Probe.vm_switch;
-    kp_pl_irq = Probe.sample_handle probe Probe.pl_irq_entry;
-    kp_hwtm_entry = Probe.sample_handle probe Probe.hwtm_entry;
-    kp_hwtm_exec = Probe.sample_handle probe Probe.hwtm_exec;
-    kp_hwtm_exit = Probe.sample_handle probe Probe.hwtm_exit }
+    ko_alive = Obs.gauge obs "alive_vms" }
 
 (* Get-or-intern the pinned trace for a save-area slot. The handle
    outlives the VM: recycled slots reuse it, so lifecycle churn never
@@ -315,7 +291,7 @@ let switch_vfp t ~from ~to_ =
   in
   run t.kf.kf_vfp_load Vcpu.vfp_load_fp to_;
   Option.iter (run t.kf.kf_vfp_store Vcpu.vfp_store_fp) from;
-  Probe.incr t.probe "vfp_switch"
+  t.probe.Probe.vfp_switch <- t.probe.Probe.vfp_switch + 1
 
 (* The manager's view of the guests on this kernel: each callback finds
    the client's PD by id (a row's holder is always alive here — kill
@@ -373,23 +349,22 @@ let boot ?(config = default_config) z =
   in
   List.iter (Gic.enable z.Zynq.gic) kernel_irqs;
   Private_timer.start z.Zynq.ptimer ~interval:kernel_tick;
-  let probe = Probe.create () in
   let t =
     { z; cfg = config; kmem;
       sched = Sched.create ();
-      probe;
+      probe = Probe.create ();
       pd_tbl;
       rts = Int_table.create 8;
       hwtm; mgr_pd;
       kf = make_kfast ();
-      ki = make_kinstr z probe;
+      ki = make_kinstr z;
       cur = None; vfp_owner = None;
-      next_pd = 1; next_guest = 0;
-      free_guest_indices = Queue.create ();
+      next_pd = 1;
+      windows =
+        Id_pool.create ~first:0 ~limit:Address_map.guest_slot_count;
       crash_count = 0; hypercall_count = 0;
       trace = None; check_hook = None;
-      alive = 0; alloc_steps = 0;
-      asid_owner = Array.make 256 (-1); asid_cursor = 1;
+      alive = 0;
       rings = Int_table.create 8;
       ring_enqueued_total = 0; ring_completed_total = 0;
       ring_reclaimed_total = 0;
@@ -417,30 +392,14 @@ let hwtm t = t.hwtm
 let register_hw_task t kind = Hw_task_manager.register_task t.hwtm kind
 let destroy_hw_task t id = Hw_task_manager.destroy_task t.hwtm id
 
-(* Why a fresh VM cannot be admitted, if it cannot (recycled windows
-   come first). *)
-let admission_block t =
-  if
-    Queue.is_empty t.free_guest_indices
-    && t.next_guest >= Address_map.guest_slot_count
-  then Some "guest physical windows exhausted"
-  else None
-
-let can_admit t = admission_block t = None
+let windows t = t.windows
+let can_admit t = Id_pool.live t.windows < Address_map.guest_slot_count
 
 let create_vm t ~name ?id ?(priority = 1) ?(uses_vfp = false) main =
   (* Fail before consuming anything. Host-only: no hypercall creates a
      VM, and Smp's migration checks [can_admit] first. *)
-  (match admission_block t with
-   | Some why -> failwith ("Kernel.create_vm: " ^ why)
-   | None -> ());
-  (* ASIDs over-commit beyond the 254 guest tags: a fresh PD that finds
-     the space exhausted starts with the sentinel 0 and has a tag
-     stolen for it the first time it is switched in. *)
-  let asid =
-    t.alloc_steps <- t.alloc_steps + 1;
-    match Kmem.try_alloc_asid t.kmem with Some a -> a | None -> 0
-  in
+  if not (can_admit t) then
+    failwith "Kernel.create_vm: guest physical windows exhausted";
   (* [id] lets the SMP orchestrator keep one PD-id space across
      pCPUs (and preserve a VM's id over migration); uniqueness is the
      caller's responsibility there. Single-kernel callers omit it. *)
@@ -458,15 +417,11 @@ let create_vm t ~name ?id ?(priority = 1) ?(uses_vfp = false) main =
       t.next_pd <- max t.next_pd (id + 1);
       id
   in
-  let index =
-    t.alloc_steps <- t.alloc_steps + 1;
-    match Queue.take_opt t.free_guest_indices with
-    | Some i -> i
-    | None ->
-      let i = t.next_guest in
-      t.next_guest <- i + 1;
-      i
-  in
+  (* ASIDs over-commit beyond the 254 guest tags: a fresh PD that finds
+     the space exhausted starts with the sentinel 0 and has a tag
+     stolen for it the first time it is switched in. *)
+  let asid = Option.value (Kmem.try_alloc_asid t.kmem ~pd:id) ~default:0 in
+  let index = Option.get (Id_pool.take t.windows ~holder:id) in
   let slot = index + 1 in
   let pt = Kmem.make_guest_pt t.kmem ~index in
   let phys_base = Address_map.guest_phys_base index in
@@ -475,7 +430,6 @@ let create_vm t ~name ?id ?(priority = 1) ?(uses_vfp = false) main =
       ~quantum:t.cfg.quantum ~slot ()
   in
   Vcpu.set_uses_vfp pd.Pd.vcpu uses_vfp;
-  if asid <> 0 then t.asid_owner.(asid) <- id;
   let env = { env_zynq = t.z; pd_id = id; guest_index = index; phys_base } in
   let rt = { pd; main; env; started = false; saved = None; slice_start = 0 } in
   Int_table.replace t.pd_tbl id pd;
@@ -492,7 +446,6 @@ let set_check_hook t h = t.check_hook <- h
 let set_smp_hooks t h = t.smp <- h
 
 let alive_guests t = t.alive
-let alloc_steps t = t.alloc_steps
 
 let crashes t = t.crash_count
 let hypercalls t = t.hypercall_count
@@ -552,18 +505,13 @@ let reap t rt =
   let pd = rt.pd in
   Int_table.remove t.pd_tbl pd.Pd.id;
   Int_table.remove t.rts pd.Pd.id;
-  Queue.push rt.env.guest_index t.free_guest_indices;
-  (let a = pd.Pd.asid in
-   if a <> 0 then begin
-     t.asid_owner.(a) <- -1;
-     Kmem.free_asid t.kmem a
-   end);
+  Id_pool.release t.windows rt.env.guest_index;
+  if pd.Pd.asid <> 0 then Kmem.free_asid t.kmem pd.Pd.asid;
   Kmem.retire_guest_pt t.kmem pd.Pd.pt;
   t.alive <- t.alive - 1;
   Obs.set_gauge t.ki.ko_alive t.alive
 
 let kill t rt reason =
-  Log.warn (fun m -> m "killing %a: %s" Pd.pp rt.pd reason);
   emit t ~severity:Ktrace.Warn ~category:"sched" ~name:"vm-dead"
     [ ("pd", Ktrace.Int rt.pd.Pd.id); ("reason", Ktrace.Str reason) ];
   rt.pd.Pd.state <- Pd.Dead;
@@ -648,7 +596,7 @@ let health_tick t =
        | Hw_task_manager.Act_kill { client; violations } ->
          (match Int_table.find_opt t.rts client with
           | Some rt when rt.pd.Pd.state <> Pd.Dead ->
-            Probe.incr t.probe "fault_kill";
+            t.probe.Probe.fault_kill <- t.probe.Probe.fault_kill + 1;
             kill t rt
               (Printf.sprintf "hwMMU violation limit (%d)" violations)
           | Some _ | None -> ())
@@ -691,7 +639,7 @@ let rec route_irqs t =
               (match Hw_task_manager.prr_client t.hwtm prr_id with
                | Some cid ->
                  inject_charged t cid irq;
-                 Stats.add t.ki.kp_pl_irq
+                 Stats.add t.probe.Probe.pl_irq_entry
                    (float_of_int (Clock.now t.z.Zynq.clock - t0));
                  Obs.sample t.z.Zynq.obs ~component:"pl_irq" ~key:cid
                    ~cycles:(Clock.now t.z.Zynq.clock - t0);
@@ -716,34 +664,17 @@ let rec route_irqs t =
    steal path, so tag-resident workloads keep their exact behaviour. *)
 let ensure_asid t (pd : Pd.t) =
   if pd.Pd.asid = 0 then begin
-    match Kmem.try_alloc_asid t.kmem with
-    | Some a ->
-      pd.Pd.asid <- a;
-      t.asid_owner.(a) <- pd.Pd.id
+    match Kmem.try_alloc_asid t.kmem ~pd:pd.Pd.id with
+    | Some a -> pd.Pd.asid <- a
     | None ->
-      let victim_asid = ref 0 in
-      let probes = ref 0 in
-      while !victim_asid = 0 do
-        incr probes;
-        (* Accounting invariant, not a guest-reachable state: the
-           allocator is full, so all 254 tags are held by live PDs
-           ([asid_owner]), none by [pd], which holds the sentinel.
-           Invariant's [asid_accounting] checker catches the drift. *)
-        if !probes > 254 then
-          failwith "Kernel.ensure_asid: no stealable ASID";
-        t.asid_cursor <- (if t.asid_cursor >= 255 then 2 else t.asid_cursor + 1);
-        let owner = t.asid_owner.(t.asid_cursor) in
-        if owner >= 0 && owner <> pd.Pd.id then victim_asid := t.asid_cursor
-      done;
-      let a = !victim_asid in
-      (match Int_table.find_opt t.pd_tbl t.asid_owner.(a) with
+      let a, victim = Kmem.steal_asid t.kmem ~pd:pd.Pd.id in
+      (match Int_table.find_opt t.pd_tbl victim with
        | Some victim -> victim.Pd.asid <- 0
        | None -> ());
       (* The stolen tag's stale translations must go before it names a
          new address space; charged as kernel bookkeeping. *)
       ignore (Tlb.flush_asid t.z.Zynq.tlb a);
       Clock.advance t.z.Zynq.clock Costs.asid_steal;
-      t.asid_owner.(a) <- pd.Pd.id;
       pd.Pd.asid <- a;
       t.asid_steals <- t.asid_steals + 1;
       (* SMP: remote TLBs may hold translations tagged with the stolen
@@ -818,7 +749,8 @@ let switch_to t rt =
     rt.slice_start <- Clock.now t.z.Zynq.clock;
     Obs.close_span t.z.Zynq.obs sp ~at:(Clock.now t.z.Zynq.clock);
     Obs.incr t.ki.ko_switches;
-    Stats.add t.ki.kp_vm_switch (float_of_int (Clock.now t.z.Zynq.clock - t0));
+    Stats.add t.probe.Probe.vm_switch
+      (float_of_int (Clock.now t.z.Zynq.clock - t0));
     run_check t "world_switch"
 
 let rec arm_vtimer t (pd : Pd.t) interval gen =
@@ -986,7 +918,8 @@ let handle_hw_task_request t rt ~entry_start ~task ~iface_vaddr ~data_vaddr
   Kmem.activate_manager t.kmem ~asid:mgr_asid;
   Exec.run_pinned t.z ~priv:true t.kf.kf_mgr_entry;
   Obs.close_span obs sp_entry ~at:(Clock.now clock);
-  Stats.add t.ki.kp_hwtm_entry (float_of_int (Clock.now clock - entry_start));
+  Stats.add t.probe.Probe.hwtm_entry
+    (float_of_int (Clock.now clock - entry_start));
   (* Execution: the Fig 7 allocation routine. *)
   let exec_start = Clock.now clock in
   let sp_exec =
@@ -996,7 +929,8 @@ let handle_hw_task_request t rt ~entry_start ~task ~iface_vaddr ~data_vaddr
     exec_job t pd ~task ~iface_vaddr ~data_vaddr ~data_len ~want_irq
   in
   Obs.close_span obs sp_exec ~at:(Clock.now clock);
-  Stats.add t.ki.kp_hwtm_exec (float_of_int (Clock.now clock - exec_start));
+  Stats.add t.probe.Probe.hwtm_exec
+    (float_of_int (Clock.now clock - exec_start));
   (* Exit: back to the caller's space. *)
   let exit_start = Clock.now clock in
   let sp_exit =
@@ -1005,7 +939,8 @@ let handle_hw_task_request t rt ~entry_start ~task ~iface_vaddr ~data_vaddr
   mgr_exit t pd;
   Exec.run_pinned t.z ~priv:true t.kf.kf_svc_exit;
   Obs.close_span obs sp_exit ~at:(Clock.now clock);
-  Stats.add t.ki.kp_hwtm_exit (float_of_int (Clock.now clock - exit_start));
+  Stats.add t.probe.Probe.hwtm_exit
+    (float_of_int (Clock.now clock - exit_start));
   if t.trace <> None then
     emit t ~severity:Ktrace.Debug ~category:"hwtm" ~name:"exit"
       [ ("pd", Ktrace.Int pd.Pd.id) ];
@@ -1444,11 +1379,10 @@ let run t ~until =
       match Sched.pick t.sched with
       | Some pd -> dispatch t pd ~until
       | None ->
-        (* Everything is blocked: sleep until the next event fires. *)
-        if not (Zynq.idle_until_next_event t.z) then begin
-          Log.warn (fun m -> m "all VMs blocked with no pending events");
-          stop := true
-        end
+        (* Everything is blocked: sleep until the next event fires.
+           With none pending the guests are deadlocked and the run
+           ends with them still alive. *)
+        if not (Zynq.idle_until_next_event t.z) then stop := true
     end
   done
 

@@ -83,6 +83,11 @@ val create_vm :
     orchestrator to keep one id space across pCPUs; raises
     [Invalid_argument] if that id is already live here. *)
 
+val windows : t -> Id_pool.t
+(** Guest physical windows 0..255 and the PD holding each; window [i]
+    also names vCPU save-area slot [i + 1]. Read by the invariant
+    plane. *)
+
 val can_admit : t -> bool
 (** A fresh VM would find a vCPU save-area slot and a guest physical
     window ({!create_vm} raises [Failure] when it would not). *)
@@ -172,11 +177,6 @@ val crashes : t -> int
 
 val hypercalls : t -> int
 (** Total hypercalls dispatched. *)
-
-val alloc_steps : t -> int
-(** Cumulative slot/window/ASID allocation steps across every
-    [create_vm] (one per queue pop or bump). Growth is flat per create
-    at any population — the fleet-scaling regression pins this. *)
 
 (** {2 ABI v2 descriptor rings}
 

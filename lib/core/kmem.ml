@@ -6,8 +6,10 @@ type t = {
   zynq : Zynq.t;
   alloc : Frame_alloc.t;
   kernel_pt : Page_table.t;
-  mutable next_asid : int;
-  free_asids : int Queue.t;
+  (* Guest tags 2..255 (0 kernel, 1 manager) and their holding PDs;
+     the cursor round-robins steals over the tags. *)
+  asids : Id_pool.t;
+  mutable steal_cursor : int;
   (* Page tables of dead VMs whose root may still be loaded in TTBR:
      destroying them immediately would let the allocator hand the
      frames out while the MMU can still walk them. They are destroyed
@@ -55,8 +57,8 @@ let create zynq =
   map_identity_sections kernel_pt ~base:Address_map.axi_gp0_base
     ~size:Address_map.axi_gp0_size kernel_attrs;
   let t =
-    { zynq; alloc; kernel_pt; next_asid = 2; free_asids = Queue.create ();
-      retired_pts = [] }
+    { zynq; alloc; kernel_pt; asids = Id_pool.create ~first:2 ~limit:256;
+      steal_cursor = 1; retired_pts = [] }
   in
   Mmu.set_ttbr zynq.Zynq.mmu (Page_table.root kernel_pt);
   Mmu.set_asid zynq.Zynq.mmu 0;
@@ -66,28 +68,35 @@ let create zynq =
 let kernel_pt t = t.kernel_pt
 let allocator t = t.alloc
 
-let try_alloc_asid t =
-  match Queue.take_opt t.free_asids with
-  | Some a ->
-    (* Recycled: stale entries tagged with the previous owner must go
-       before the ASID can name a new address space. Host-side only —
-       the cycle charge belongs to the kill path's bookkeeping, and
-       table3-style fixed populations never reach this branch. *)
-    ignore (Tlb.flush_asid t.zynq.Zynq.tlb a);
-    Some a
-  | None ->
-    if t.next_asid > 255 then None
-    else begin
-      let a = t.next_asid in
-      t.next_asid <- a + 1;
-      Some a
-    end
+let asids t = t.asids
 
-let free_asid t a =
-  if a < 2 || a > 255 then invalid_arg "Kmem.free_asid: reserved ASID";
-  Queue.push a t.free_asids
+let try_alloc_asid t ~pd =
+  let recycled = Id_pool.recycles_next t.asids in
+  let a = Id_pool.take t.asids ~holder:pd in
+  (* Recycled: stale entries tagged with the previous holder must go
+     before the ASID can name a new address space. Host-side only —
+     the cycle charge belongs to the kill path's bookkeeping, and
+     table3-style fixed populations never reach this branch. *)
+  if recycled then ignore (Tlb.flush_asid t.zynq.Zynq.tlb (Option.get a));
+  a
 
-let live_asids t = t.next_asid - 2 - Queue.length t.free_asids
+let steal_asid t ~pd =
+  let rec walk probes =
+    (* Accounting invariant, not a guest-reachable state: the pool is
+       full, so all 254 tags are held by live PDs, none by [pd], which
+       holds the sentinel. Invariant's [asid_accounting] checker
+       catches the drift. *)
+    if probes > 254 then failwith "Kmem.steal_asid: no stealable ASID";
+    t.steal_cursor <-
+      (if t.steal_cursor >= 255 then 2 else t.steal_cursor + 1);
+    let h = Id_pool.holder t.asids t.steal_cursor in
+    if h >= 0 && h <> pd then (t.steal_cursor, h) else walk (probes + 1)
+  in
+  let (a, _) as stolen = walk 1 in
+  Id_pool.set_holder t.asids a pd;
+  stolen
+
+let free_asid t a = Id_pool.release t.asids a
 
 let retire_guest_pt t pt =
   if Mmu.ttbr t.zynq.Zynq.mmu = Page_table.root pt then

@@ -27,22 +27,24 @@ val create : Zynq.t -> t
 val kernel_pt : t -> Page_table.t
 val allocator : t -> Frame_alloc.t
 
-val try_alloc_asid : t -> int option
-(** Next free ASID (kernel holds 0, manager 1, guests from 2), or
-    [None] when all 254 guest ASIDs are held. ASIDs returned through
-    {!free_asid} are recycled FIFO; a recycled ASID's stale TLB entries
-    are flushed before reuse (host-side, uncharged — the cost is billed
-    to the kill path's bookkeeping). Fleet-scale populations beyond the
-    8-bit space run over-committed: the PD keeps the sentinel ASID 0
-    until the scheduler steals one on first activation. *)
+val asids : t -> Id_pool.t
+(** The guest tags (kernel holds 0, manager 1, guests 2..255) and the
+    PD holding each, read by the invariant plane. *)
+
+val try_alloc_asid : t -> pd:int -> int option
+(** A free tag, now held by PD [pd], or [None] when all 254 are held
+    (the PD then keeps the sentinel 0 until {!steal_asid}). A recycled
+    tag's stale TLB entries are flushed first (host-side, uncharged). *)
+
+val steal_asid : t -> pd:int -> int * int
+(** Round-robin from the last steal: the next tag held by a PD other
+    than [pd], now held by [pd], and its previous holder. The caller
+    resets that PD's tag and charges the flush.
+    @raise Failure when no other PD holds a tag. *)
 
 val free_asid : t -> int -> unit
 (** Return a dead VM's ASID for recycling (kill-path reclamation).
-    @raise Invalid_argument on a reserved ASID (0, 1). *)
-
-val live_asids : t -> int
-(** ASIDs currently allocated to guests — the quantity the invariant
-    plane reconciles against the live-PD population. *)
+    @raise Invalid_argument on a tag that is not held. *)
 
 val retire_guest_pt : t -> Page_table.t -> unit
 (** Reclaim a dead VM's translation table. If its root is still loaded

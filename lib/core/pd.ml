@@ -66,6 +66,3 @@ let add_iface t task ~prr ~vaddr =
 let remove_iface t task =
   if holds_iface t task then
     t.iface_mappings <- without task t.iface_mappings
-
-let pp ppf t =
-  Format.fprintf ppf "PD%d(%s prio=%d asid=%d)" t.id t.name t.priority t.asid

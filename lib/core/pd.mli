@@ -59,5 +59,3 @@ val holds_iface : t -> Bitstream.id -> bool
 
 val add_iface : t -> Bitstream.id -> prr:int -> vaddr:Addr.t -> unit
 val remove_iface : t -> Bitstream.id -> unit
-
-val pp : Format.formatter -> t -> unit

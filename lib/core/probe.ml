@@ -1,41 +1,29 @@
 type t = {
-  samples : (string, Stats.t) Hashtbl.t;
-  events : (string, int ref) Hashtbl.t;
+  hwtm_entry : Stats.t;
+  hwtm_exec : Stats.t;
+  hwtm_exit : Stats.t;
+  pl_irq_entry : Stats.t;
+  vm_switch : Stats.t;
+  mutable fault_kill : int;
+  mutable vfp_switch : int;
 }
 
-let create () = { samples = Hashtbl.create 16; events = Hashtbl.create 16 }
-
-(* Pre-resolved handles: the hot paths (world switch, HTM stages, PL
-   IRQ routing) resolve their label once and then feed the handle,
-   skipping the per-call string hash. [reset] clears entries in place,
-   so handles stay live across the warm-up reset. *)
-let sample_handle t label =
-  match Hashtbl.find_opt t.samples label with
-  | Some s -> s
-  | None ->
-    let s = Stats.create () in
-    Hashtbl.replace t.samples label s;
-    s
-
-let incr t label =
-  match Hashtbl.find_opt t.events label with
-  | Some r -> Stdlib.incr r
-  | None -> Hashtbl.replace t.events label (ref 1)
-
-let stats t label =
-  match Hashtbl.find_opt t.samples label with
-  | Some s -> s
-  | None -> Stats.create ()
-
-let count t label =
-  match Hashtbl.find_opt t.events label with Some r -> !r | None -> 0
+let create () =
+  { hwtm_entry = Stats.create (); hwtm_exec = Stats.create ();
+    hwtm_exit = Stats.create (); pl_irq_entry = Stats.create ();
+    vm_switch = Stats.create (); fault_kill = 0; vfp_switch = 0 }
 
 let reset t =
-  Hashtbl.iter (fun _ s -> Stats.clear s) t.samples;
-  Hashtbl.iter (fun _ r -> r := 0) t.events
+  List.iter Stats.clear
+    [ t.hwtm_entry; t.hwtm_exec; t.hwtm_exit; t.pl_irq_entry; t.vm_switch ];
+  t.fault_kill <- 0;
+  t.vfp_switch <- 0
 
-let hwtm_entry = "hwtm_entry"
-let hwtm_exit = "hwtm_exit"
-let hwtm_exec = "hwtm_exec"
-let pl_irq_entry = "pl_irq_entry"
-let vm_switch = "vm_switch"
+type label = t -> Stats.t
+
+let stats t (label : label) = label t
+let hwtm_entry t = t.hwtm_entry
+let hwtm_exec t = t.hwtm_exec
+let hwtm_exit t = t.hwtm_exit
+let pl_irq_entry t = t.pl_irq_entry
+let vm_switch t = t.vm_switch

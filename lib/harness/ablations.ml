@@ -106,7 +106,7 @@ let vfp_run policy ~switches =
   Smp.run_for smp (Cycles.of_ms (2.2 *. float_of_int switches));
   let probe = Kernel.probe (Smp.kernel smp 0) in
   ( Cycles.to_us (int_of_float (Stats.mean (Probe.stats probe Probe.vm_switch))),
-    Probe.count probe "vfp_switch" )
+    probe.Probe.vfp_switch )
 
 let vfp_ablation ?(switches = 200) () =
   match

@@ -14,8 +14,6 @@ type report = {
   fault_rate : float;
   injected : int;
   injected_by : (string * int) list;
-  trace_injects : int;
-  trace_recovers : int;
   recoveries : int;
   reconfig_retries : int;
   hang_resets : int;
@@ -79,8 +77,6 @@ let run ?(config = default_config) ~guests () =
       ~fault_rate:config.fault_rate ~pcpus:1 ()
   in
   let kern = Smp.kernel smp 0 and z = Smp.zynq smp 0 in
-  let trace = Ktrace.create ~capacity:65536 in
-  Kernel.set_trace kern (Some trace);
   let tasks =
     List.map
       (fun kind -> (Smp.register_hw_task smp kind, kind))
@@ -108,8 +104,6 @@ let run ?(config = default_config) ~guests () =
     if Stats.count s = 0 then 0.0
     else Cycles.to_us (int_of_float (Stats.mean s))
   in
-  let ti = Ktrace.count trace ~category:"fault" ~name:"inject" () in
-  let tr = Ktrace.count trace ~category:"fault" ~name:"recover" () in
   { guests;
     fault_rate = config.fault_rate;
     injected = Fault_plane.total_injected z.Zynq.faults;
@@ -118,13 +112,11 @@ let run ?(config = default_config) ~guests () =
         (fun f ->
            (Fault_plane.fault_name f, Fault_plane.injected z.Zynq.faults f))
         Fault_plane.all_faults;
-    trace_injects = ti;
-    trace_recovers = tr;
     recoveries = Hw_task_manager.recoveries hwtm;
     reconfig_retries = Hw_task_manager.retries hwtm;
     hang_resets = Hw_task_manager.hang_resets hwtm;
     quarantines = Hw_task_manager.quarantines hwtm;
-    fault_kills = Probe.count probe "fault_kill";
+    fault_kills = probe.Probe.fault_kill;
     busy_retries = tally.busy_retries;
     denied = tally.denied;
     jobs_attempted = tally.attempted;

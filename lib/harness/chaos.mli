@@ -26,8 +26,6 @@ type report = {
   fault_rate : float;
   injected : int;                    (** fault-plane injections *)
   injected_by : (string * int) list; (** per fault kind *)
-  trace_injects : int;   (** [Fault_inject] events in the Ktrace ring *)
-  trace_recovers : int;  (** [Fault_recover] events in the Ktrace ring *)
   recoveries : int;      (** manager recovery actions *)
   reconfig_retries : int;
   hang_resets : int;

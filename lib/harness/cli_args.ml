@@ -117,7 +117,6 @@ let assert_ =
     f_doc = "Exit 1 when any of the experiment's claims fails." }
 
 let help = { f_names = [ "help" ]; f_doc = "Show this help." }
-let verbose = { f_names = [ "v"; "verbose" ]; f_doc = "Enable kernel logging." }
 
 let check =
   { f_names = [ "check" ];

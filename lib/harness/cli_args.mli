@@ -74,8 +74,6 @@ val assert_ : flag
 (** [--assert]: a failed experiment claim exits 1. *)
 
 val help : flag
-val verbose : flag
-(** [-v]/[--verbose]: kernel logging. *)
 
 val observe : flag
 (** [--obs]: enable the observability plane. *)

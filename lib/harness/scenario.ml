@@ -219,34 +219,38 @@ let run_job ~strict os rng h kind =
 let verified_job = run_job ~strict:false
 
 (* T_hw: the paper's measurement task — pick a random hardware task,
-   issue the request hypercall, sometimes exercise the task. *)
+   issue the request hypercall, sometimes exercise the task. It stops
+   the OS however it ends, so a failed strict job check (a task crash)
+   ends the guest at once. *)
 let t_hw_task os rng ~cfg ~tasks ~on_request () =
   let task_arr = Array.of_list tasks in
   let requests = ref 0 in
   let jobs = ref 0 in
-  (try
-     while true do
-       Ucos.delay os (2 + Rng.int rng 5);
-       let task_id, kind = Rng.pick rng task_arr in
-       match
-         Hw_task_api.acquire os ~task:task_id ~want_irq:true
-           ~wait_ready:false ()
-       with
-       | Error _ -> () (* busy this round; the paper's guest retries *)
-       | Ok h ->
-         incr requests;
-         on_request ();
-         if !requests mod cfg.job_fraction = 0 && wait_ready os task_id
-         then begin
-           if run_job ~strict:true os rng h kind then incr jobs
-         end;
-         if Rng.bool rng then Hw_task_api.release os h;
-         if !requests >= cfg.requests_per_guest then raise Done_requests
-     done
-   with Done_requests -> ());
-  Ucos.stop os
+  Fun.protect ~finally:(fun () -> Ucos.stop os) @@ fun () ->
+  try
+    while true do
+      Ucos.delay os (2 + Rng.int rng 5);
+      let task_id, kind = Rng.pick rng task_arr in
+      match
+        Hw_task_api.acquire os ~task:task_id ~want_irq:true
+          ~wait_ready:false ()
+      with
+      | Error _ -> () (* busy this round; the paper's guest retries *)
+      | Ok h ->
+        incr requests;
+        on_request ();
+        if !requests mod cfg.job_fraction = 0 && wait_ready os task_id
+        then begin
+          if run_job ~strict:true os rng h kind then incr jobs
+        end;
+        if Rng.bool rng then Hw_task_api.release os h;
+        if !requests >= cfg.requests_per_guest then raise Done_requests
+    done
+  with Done_requests -> ()
 
-let install_workload os ~rng ~cfg ~tasks ~on_request =
+(* The Table III guest OS, run to its end; returns its crash (a failed
+   strict job check) for the harness to raise. *)
+let run_guest os ~rng ~cfg ~tasks ~on_request =
   ignore
     (Ucos.spawn os ~name:"t_hw" ~prio:8
        (t_hw_task os (Rng.split rng) ~cfg ~tasks ~on_request));
@@ -254,7 +258,9 @@ let install_workload os ~rng ~cfg ~tasks ~on_request =
   ignore (Ucos.spawn os ~name:"adpcm" ~prio:12 (adpcm_task os));
   ignore
     (Ucos.spawn os ~name:"churn" ~prio:14
-       (churn_task os))
+       (churn_task os));
+  Ucos.run os;
+  Ucos.crash os
 
 (* ------------------------------------------------------------------ *)
 
@@ -317,19 +323,20 @@ let run_virtualized ?(config = default_config) ~guests () =
         end
     end
   in
+  let crashes = Array.make guests None in
   for g = 0 to guests - 1 do
     let rng = Rng.create ~seed:(config.seed + (97 * g)) in
     ignore
       (Smp.create_vm smp
          ~name:(Printf.sprintf "ucos%d" g)
          (fun genv ->
-            let port = Port.paravirt genv in
-            let os = Ucos.create port in
-            install_workload os ~rng ~cfg:config ~tasks ~on_request;
-            Ucos.run os))
+            let os = Ucos.create (Port.paravirt genv) in
+            crashes.(g) <-
+              run_guest os ~rng ~cfg:config ~tasks ~on_request))
   done;
   (* Safety cap well beyond what the request counts need. *)
   Smp.run smp ~until:(Cycles.of_ms (120_000.0 *. float_of_int guests));
+  Array.iter (Option.iter raise) crashes;
   (* Per-path means merge every node's probe (parallel Welford merge;
      with one node the merge is that node's stats). *)
   let merged label =
@@ -415,8 +422,7 @@ let run_native ?(config = default_config) () =
   let rng = Rng.create ~seed:config.seed in
   Port_native.run sys (fun _ ->
       let os = Ucos.create timed_port in
-      install_workload os ~rng ~cfg:config ~tasks ~on_request;
-      Ucos.run os);
+      Option.iter raise (run_guest os ~rng ~cfg:config ~tasks ~on_request));
   let exec = !live_stats in
   let rc0, rl0, j0 = !base_counts in
   { entry_us = 0.0;

@@ -1,5 +1,4 @@
 type t = {
-  name : string;
   zynq : Zynq.t;
   priv : bool;
   my_id : int;
@@ -34,8 +33,7 @@ let paravirt (env : Kernel.guest_env) =
     | Hyper.R_error e -> failwith (what ^ ": " ^ e)
     | _ -> failwith (what ^ ": unexpected response")
   in
-  { name = Printf.sprintf "vm%d" env.Kernel.guest_index;
-    zynq = env.Kernel.env_zynq;
+  { zynq = env.Kernel.env_zynq;
     priv = false;
     my_id = env.Kernel.pd_id;
     timer_irq = Irq_id.private_timer;

@@ -13,7 +13,6 @@
     paravirtualized flavour. *)
 
 type t = {
-  name : string;
   zynq : Zynq.t;
   priv : bool;
   (** privilege of guest memory accesses: native SVC vs USR *)

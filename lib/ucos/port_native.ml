@@ -85,8 +85,7 @@ let create () =
           prr = r.Hw_task_manager.prr }
   in
   let port =
-    { Port.name = "native";
-      zynq = z;
+    { Port.zynq = z;
       priv = true;
       my_id = 0;
       timer_irq = Irq_id.private_timer;

@@ -33,6 +33,7 @@ type t = {
   mutable rdy_grp : int;
   mutable cur : task option;
   mutable stopping : bool;
+  mutable crash : exn option;       (* the first task crash *)
   irq_handlers : (unit -> unit) Int_table.t;
 }
 
@@ -95,6 +96,7 @@ let create pt =
     rdy_grp = 0;
     cur = None;
     stopping = false;
+    crash = None;
     irq_handlers = Int_table.create 8 }
 
 let port t = t.pt
@@ -146,6 +148,7 @@ let current t =
   | None -> failwith "Ucos: no current task"
 
 let stop t = t.stopping <- true
+let crash t = t.crash
 
 let ready_task t task =
   task.tstate <- `Ready;
@@ -289,10 +292,6 @@ let thandler : (unit, tstep) Effect.Deep.handler =
            Some (fun (k : (a, tstep) Effect.Deep.continuation) -> T_block k)
          | _ -> None) }
 
-let log = Logs.Src.create "ucos" ~doc:"uC/OS-II guest kernel"
-
-module Log = (val Logs.src_log log)
-
 let step t task =
   t.cur <- Some task;
   let r =
@@ -319,9 +318,7 @@ let step t task =
     task.tstate <- `Done;
     clear_ready t task.prio
   | T_crash e ->
-    Log.warn (fun m ->
-        m "%s: task %s crashed: %s" t.pt.Port.name task.tname
-          (Printexc.to_string e));
+    if Option.is_none t.crash then t.crash <- Some e;
     task.tstate <- `Crashed;
     clear_ready t task.prio
 

@@ -39,6 +39,10 @@ val run : t -> unit
 val stop : t -> unit
 (** Ask the scheduler loop to exit at its next iteration. *)
 
+val crash : t -> exn option
+(** The exception that ended the first crashed task, if any. A crash
+    ends only that task: the others keep running. *)
+
 (** {2 Services (call from task bodies)} *)
 
 val delay : t -> int -> unit

@@ -121,7 +121,6 @@ let first_difference a b =
   go 1 (String.split_on_char '\n' a, String.split_on_char '\n' b)
 
 let () =
-  Logs.set_level (Some Logs.Error);
   match Sys.argv with
   | [| _; "child"; name |] -> print_string (document name)
   | _ ->

@@ -1,5 +1,4 @@
 let () =
-  Logs.set_level (Some Logs.Error);
   Alcotest.run "mini-nova"
     [ Test_engine.suite;
       Test_mem.suite;

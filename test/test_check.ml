@@ -50,7 +50,7 @@ let test_create_kill_1000 () =
   run_for kern (Cycles.of_ms 1.0);
   Alcotest.check ci "no guests left" 0 (Kernel.alive_guests kern);
   Alcotest.check ci "all guest ASIDs returned" 0
-    (Kmem.live_asids (Kernel.kmem kern));
+    (Id_pool.live (Kmem.asids (Kernel.kmem kern)));
   Alcotest.(check (list string)) "invariants hold after churn" []
     (List.map Invariant.violation_to_string
        (Invariant.check kern ~boundary:"test"))
@@ -63,7 +63,8 @@ let test_double_kill_is_noop () =
     (Kernel.kill_vm kern pd.Pd.id ~reason:"test");
   Alcotest.check cb "second kill reports false" false
     (Kernel.kill_vm kern pd.Pd.id ~reason:"test");
-  Alcotest.check ci "asid freed once" 0 (Kmem.live_asids (Kernel.kmem kern));
+  Alcotest.check ci "asid freed once" 0
+    (Id_pool.live (Kmem.asids (Kernel.kmem kern)));
   Alcotest.(check (list string)) "invariants hold" []
     (List.map Invariant.violation_to_string
        (Invariant.check kern ~boundary:"test"))
@@ -284,7 +285,7 @@ let test_checker_catches_asid_leak () =
        let kern, checkers = boot () in
        Alcotest.(check (list string)) (label ^ ": clean before corruption") []
          (checkers ());
-       ignore (Kmem.try_alloc_asid (Kernel.kmem kern));
+       ignore (Kmem.try_alloc_asid (Kernel.kmem kern) ~pd:999);
        Alcotest.(check (list string)) (label ^ ": asid checker fires")
          [ "asid_accounting" ] (checkers ()))
     [ ("kernel", bare); ("smp pcpus 1", one_pcpu) ]

@@ -360,10 +360,29 @@ let test_kmem_iface_mapping () =
 let test_kmem_asid_allocation () =
   let z = Zynq.create () in
   let kmem = Kmem.create z in
-  let a = Option.get (Kmem.try_alloc_asid kmem) in
-  let b = Option.get (Kmem.try_alloc_asid kmem) in
+  let a = Option.get (Kmem.try_alloc_asid kmem ~pd:1) in
+  let b = Option.get (Kmem.try_alloc_asid kmem ~pd:2) in
   check ci "starts at 2 (0=kernel, 1=manager)" 2 a;
   check ci "monotonic" 3 b
+
+let test_id_pool () =
+  let p = Id_pool.create ~first:2 ~limit:5 in
+  (* In order: list literals evaluate right to left. *)
+  let takes holders = List.map (fun h -> Id_pool.take p ~holder:h) holders in
+  check (Alcotest.list (Alcotest.option ci)) "fresh ids, then none"
+    [ Some 2; Some 3; Some 4; None ] (takes [ 10; 11; 12; 13 ]);
+  Id_pool.release p 3;
+  Id_pool.release p 2;
+  check ci "live count" 1 (Id_pool.live p);
+  check ci "released id has no holder" (-1) (Id_pool.holder p 3);
+  check cb "next take recycles" true (Id_pool.recycles_next p);
+  check (Alcotest.list (Alcotest.option ci)) "oldest release first"
+    [ Some 3; Some 2 ] (takes [ 20; 21 ]);
+  check ci "holder recorded" 21 (Id_pool.holder p 2);
+  Id_pool.release p 4;
+  Alcotest.check_raises "double release"
+    (Invalid_argument "Id_pool.release: id not live") (fun () ->
+      Id_pool.release p 4)
 
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
@@ -390,4 +409,5 @@ let suite =
       t "kmem guest isolation" test_kmem_guest_spaces_isolated;
       t "kmem guest map page" test_kmem_guest_map_page;
       t "kmem iface mapping" test_kmem_iface_mapping;
-      t "kmem asid allocation" test_kmem_asid_allocation ] )
+      t "kmem asid allocation" test_kmem_asid_allocation;
+      t "id pool recycles oldest first" test_id_pool ] )

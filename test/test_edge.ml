@@ -10,7 +10,7 @@ let test_asid_space_exhaustion () =
   let kmem = Kmem.create z in
   (* ASIDs 2..255 are available to guests. *)
   let allocated = ref 0 in
-  while Kmem.try_alloc_asid kmem <> None do
+  while Kmem.try_alloc_asid kmem ~pd:1 <> None do
     incr allocated
   done;
   check ci "254 guest ASIDs then none" 254 !allocated

@@ -383,7 +383,7 @@ let test_violation_kill_reclaims_everything () =
   Kernel.run kern ~until:(Cycles.of_ms 5000.0);
   check ci "VM killed" 0 (Kernel.alive_guests kern);
   check ci "kill is graceful, not a crash" 0 (Kernel.crashes kern);
-  check ci "kill counted" 1 (Probe.count (Kernel.probe kern) "fault_kill");
+  check ci "kill counted" 1 (Kernel.probe kern).Probe.fault_kill;
   (* Everything reclaimed: PRRs, hwMMU windows, pending vIRQs. *)
   for i = 0 to Prr_controller.prr_count z.Zynq.prrc - 1 do
     let prr = Prr_controller.prr z.Zynq.prrc i in
@@ -412,17 +412,71 @@ let test_violation_kill_reclaims_everything () =
           (Ktrace.events trace)))
 
 (* ------------------------------------------------------------------ *)
+(* Kernel: the fault path in the trace                                *)
+
+(* One traced world under injection: every fault the plane injects
+   becomes a fault/inject event, and the manager's recoveries become
+   fault/recover events. *)
+let test_faults_traced () =
+  let z = Zynq.create ~fault_seed:7 ~fault_rate:0.2 () in
+  let kern = Kernel.boot z in
+  let trace = Ktrace.create ~capacity:65536 in
+  Kernel.set_trace kern (Some trace);
+  let tasks =
+    Array.of_list
+      (List.map
+         (fun k -> (Kernel.register_hw_task kern k, k))
+         Scenario.streamable_task_set)
+  in
+  ignore
+    (Kernel.create_vm kern ~name:"g" (fun genv ->
+         let os = Ucos.create (Port.paravirt genv) in
+         let rng = Rng.create ~seed:1 in
+         ignore
+           (Ucos.spawn os ~name:"t_hw" ~prio:8 (fun () ->
+                for _ = 1 to 40 do
+                  Ucos.delay os 2;
+                  let task, kind = Rng.pick rng tasks in
+                  match
+                    Hw_task_api.acquire os ~task ~want_irq:true ~backoff:true
+                      ()
+                  with
+                  | Error _ -> ()
+                  | Ok h ->
+                    ignore (Scenario.verified_job os rng h kind);
+                    Hw_task_api.release os h
+                done;
+                Ucos.stop os));
+         Ucos.run os));
+  Kernel.run kern ~until:(Cycles.of_ms 60_000.0);
+  let injected = Fault_plane.total_injected z.Zynq.faults in
+  check cb "faults injected" true (injected > 0);
+  check ci "every injection traced" injected
+    (Ktrace.count trace ~category:"fault" ~name:"inject" ());
+  check cb "recoveries traced" true
+    (Ktrace.count trace ~category:"fault" ~name:"recover" () > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Chaos scenario                                                     *)
 
+(* The observability plane is on: the kernel's [fault.injected] and
+   [recovery.*] counters are bumped where it records its fault/inject
+   and fault/recover trace events. *)
 let quick_chaos rate =
   { Chaos.default_config with
-    base = { Scenario.default_config with requests_per_guest = 10 };
+    base =
+      { Scenario.default_config with requests_per_guest = 10; observe = true };
     fault_rate = rate }
+
+let counter (r : Chaos.report) name =
+  List.fold_left
+    (fun n (c, v) -> if String.starts_with ~prefix:name c then n + v else n)
+    0 r.Chaos.metrics.Obs.s_counters
 
 let test_chaos_rate_zero_is_clean () =
   let r = Chaos.run ~config:(quick_chaos 0.0) ~guests:1 () in
   check ci "no injections" 0 r.Chaos.injected;
-  check ci "no trace injects" 0 r.Chaos.trace_injects;
+  check ci "no injection reached the kernel" 0 (counter r "fault.injected");
   check ci "no recoveries" 0 r.Chaos.recoveries;
   check ci "no quarantines" 0 r.Chaos.quarantines;
   check ci "no kills" 0 r.Chaos.fault_kills;
@@ -434,11 +488,12 @@ let test_chaos_deterministic_and_recovering () =
   let cfg = quick_chaos 0.2 in
   let r = Chaos.run ~config:cfg ~guests:2 () in
   check cb "faults injected" true (r.Chaos.injected > 0);
-  check ci "every injection traced" r.Chaos.injected r.Chaos.trace_injects;
+  check ci "every injection reached the kernel" r.Chaos.injected
+    (counter r "fault.injected");
   check cb "recovery machinery engaged" true
     (r.Chaos.recoveries + r.Chaos.reconfig_retries + r.Chaos.quarantines
      > 0);
-  check cb "recoveries traced" true (r.Chaos.trace_recovers > 0);
+  check cb "recoveries counted" true (counter r "recovery." > 0);
   check ci "kernel survives" 0 r.Chaos.crashes;
   check cb "guests still complete jobs" true (r.Chaos.jobs_ok > 0);
   let r' = Chaos.run ~config:cfg ~guests:2 () in
@@ -471,4 +526,5 @@ let suite =
         test_violation_kill_reclaims_everything;
       t "chaos rate 0 clean" test_chaos_rate_zero_is_clean;
       t "chaos deterministic and recovering"
-        test_chaos_deterministic_and_recovering ] )
+        test_chaos_deterministic_and_recovering;
+      t "faults traced" test_faults_traced ] )

@@ -43,6 +43,19 @@ let test_scenario_determinism () =
      && a.Scenario.reconfigs = b.Scenario.reconfigs
      && a.Scenario.sim_ms = b.Scenario.sim_ms)
 
+(* Every job of a Table III run is checked strictly: a mismatch
+   crashes T_hw, which stops its OS, and the run raises the job's
+   message (a corrupted QAM result fails here with "qam job: roundtrip
+   mismatch", not at the simulation cap). *)
+let test_strict_job_checks () =
+  let config =
+    { tiny with Scenario.requests_per_guest = 16; job_fraction = 1 }
+  in
+  let v = Scenario.run_virtualized ~config ~guests:1 () in
+  check cb "virtualized jobs verified" true (v.Scenario.jobs > 0);
+  let n = Scenario.run_native ~config () in
+  check cb "native jobs verified" true (n.Scenario.jobs > 0)
+
 (* --- Tables / Fig 9 plumbing (on synthetic data) --- *)
 
 let fake entry exit_ plirq exec =
@@ -182,4 +195,5 @@ let suite =
       s "vfp ablation" test_vfp_ablation;
       s "trap vs hypercall" test_trap_vs_hypercall;
       t "complexity report" test_complexity_report;
-      t "complexity buckets cover lib" test_complexity_buckets ] )
+      t "complexity buckets cover lib" test_complexity_buckets;
+      s "strict job checks end the run" test_strict_job_checks ] )

@@ -161,7 +161,7 @@ let test_chaos_metrics_invariants () =
   check cb "hypercalls counted" true (counter "hyper.hw_task_request" > 0);
   check cb "vm switches counted" true (counter "kernel.vm_switches" > 0);
   check cb "faults counted" true (counter "fault.injected" > 0);
-  check ci "trace and metrics agree on injections" r.Chaos.trace_injects
+  check ci "fault plane and kernel agree on injections" r.Chaos.injected
     (counter "fault.injected");
   (* Every cell is internally consistent. *)
   List.iter

@@ -331,7 +331,7 @@ let test_migration_churn_returns_slots () =
 (* stolen steals again on redispatch, cascading further shootdowns.    *)
 (* Between slices a seeded adversary kills a random live VM —          *)
 (* frequently one on the remote pCPU with a shootdown it caused still  *)
-(* pending. Checkers #1-#8 run per node and the three SMP checkers     *)
+(* pending. Checkers #1-#9 run per node and the three SMP checkers     *)
 (* run at every slice, every kill, and (via attach_smp) every epoch    *)
 (* barrier.                                                            *)
 

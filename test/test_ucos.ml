@@ -138,6 +138,16 @@ let test_crashed_task_isolated () =
              other_ran := true)));
   check cb "other task unaffected" true !other_ran
 
+(* The crash the harness reads: the first crashed task's exception. *)
+let test_crash_reported () =
+  let sys = Port_native.create () in
+  let os = Ucos.create (Port_native.port sys) in
+  ignore (Ucos.spawn os ~name:"bad" ~prio:4 (fun () -> failwith "oops"));
+  ignore (Ucos.spawn os ~name:"good" ~prio:6 (fun () -> Ucos.delay os 1));
+  check cb "no crash before the run" true (Ucos.crash os = None);
+  Ucos.run os;
+  check cb "crash reported" true (Ucos.crash os = Some (Failure "oops"))
+
 let test_stop () =
   let iterations = ref 0 in
   with_os (fun _ os ->
@@ -181,4 +191,5 @@ let suite =
       t "post wakes highest waiter" test_sem_post_wakes_highest_waiter;
       t "crashed task isolated" test_crashed_task_isolated;
       t "stop" test_stop;
-      t "on_irq dispatch" test_on_irq_dispatch ] )
+      t "on_irq dispatch" test_on_irq_dispatch;
+      t "crash reported" test_crash_reported ] )
