@@ -5,10 +5,15 @@ type config = {
   line_size : int;
 }
 
-(* Slot state is packed for the benefit of the fused walk loop:
+(* Slot state is packed for the benefit of the fused walk loop, and
+   kept in [Bytes] blocks, which the GC never scans: a [Bytes] block
+   is marked as one object, where an int array's marking visits every
+   word (49,152 words for each A9 L2, none of them a pointer). A fresh
+   block is one [Bytes.make] of 0xFF bytes, a memset that makes every
+   word -1 (see [word] below).
 
-   - [state.(2*i)] holds slot [i]'s tag word: the line address OR-ed
-     with the validity generation shifted above it
+   - [state] word [2*i] holds slot [i]'s tag word: the line address
+     OR-ed with the validity generation shifted above it
      ([la lor (vgen lsl tag_bits)]), or -1 when the slot is invalid.
      A slot is live iff its generation field equals the cache's
      current [vgen], so the full-cache invalidate is a generation bump
@@ -16,21 +21,20 @@ type config = {
      match a lookup — the hit scan tests single words, with no
      separate valid-bit load and no lazy scrubbing.
 
-   - [state.(2*i + 1)] is slot [i]'s LRU age (larger = more recent).
-     Only a live slot's age is ever read ([victim] and the written-out
-     4-way tournament in [run_through] compare live ways only, and a
-     fill writes the age with the tag), so a fresh cache is one bulk
-     [Array.make] of -1: every tag invalid, every age a don't-care
-     (an [Array.init] would pay the polymorphic write barrier per
-     word, most of a world's boot).
-     Tag and age are interleaved in one array because every access
-     that reads the tag also touches the age: pairing them puts both
-     on the same host cache line, which matters because the simulated
-     L2's state is far larger than the host L1 and the hot loop's
-     accesses into it are essentially random.
+   - [state] word [2*i + 1] is slot [i]'s LRU age (larger = more
+     recent). Only a live slot's age is ever read ([victim] and the
+     written-out 4-way tournament in [run_through] compare live ways
+     only, and a fill writes the age with the tag), so a fresh cache's
+     -1 ages are don't-cares: it behaves exactly like one emptied by
+     [invalidate_all].
+     Tag and age are interleaved because every access that reads the
+     tag also touches the age: pairing them puts both on the same
+     host cache line, which matters because the simulated L2's state
+     is far larger than the host L1 and the hot loop's accesses into
+     it are essentially random.
 
-   - [dstamp.(i)] = [dgen] iff the slot is dirty; [clean_all] bumps
-     [dgen] (O(1)) and every dirty stamp dies wholesale. Non-live
+   - [dstamp] word [i] = [dgen] iff the slot is dirty; [clean_all]
+     bumps [dgen] (O(1)) and every dirty stamp dies wholesale. Non-live
      slots are never dirty ([invalidate_all] bumps both generations;
      the range ops clear eagerly), so dirtiness needs no extra
      validity check. Kept out of the pair: it is only touched by
@@ -44,9 +48,9 @@ type t = {
   cfg : config;
   sets : int;
   line_shift : int;
-  (* Indexed by [2 * (set * ways + way)] (+1 for the age). *)
-  state : int array;
-  dstamp : int array;         (* dirty iff = dgen; indexed by slot *)
+  (* Word [2 * (set * ways + way)] (+1 for the age). *)
+  state : Bytes.t;
+  dstamp : Bytes.t;           (* dirty iff = dgen; word per slot *)
   mutable vgen : int;
   mutable dgen : int;
   mutable valid_count : int;
@@ -56,6 +60,24 @@ type t = {
   mutable misses : int;
   mutable epoch : int;
 }
+
+(* Word [k] of a state block. The blocks are read and written as int
+   arrays: every word this module stores is an OCaml int, and an
+   int-typed access compiles to one load or store with no tag test, no
+   write barrier and no conversion, the same code as an int array's.
+   (The 64-bit [Bytes] accessors add a shift per index and a tag or
+   untag per value: on a 2-core x86-64 host the L1 replay loop and the
+   fused cold walk ran 15-20% slower that way, and [fig8-4vm] spent 8%
+   more CPU time.) Any word of 0xFF bytes is the int -1. Every index
+   passed is in bounds by construction (the blocks hold [sets * ways]
+   slots). *)
+let word (b : Bytes.t) k = Array.unsafe_get (Obj.magic b : int array) k
+
+let set_word (b : Bytes.t) k v =
+  Array.unsafe_set (Obj.magic b : int array) k (v : int)
+
+(* A block of [n] words, each -1. *)
+let words n = Bytes.make (n * (Sys.word_size / 8)) '\xff'
 
 (* Line addresses fit 28 bits (byte addresses below 2^33 with >= 32 B
    lines); the validity generation lives in the bits above. [create]
@@ -87,8 +109,8 @@ let create cfg =
     invalid_arg "Cache.create: set count must be a power of two";
   let n = sets * cfg.ways in
   { cfg; sets; line_shift = log2 cfg.line_size;
-    state = Array.make (2 * n) (-1);
-    dstamp = Array.make n (-1);
+    state = words (2 * n);
+    dstamp = words n;
     vgen = 0; dgen = 0; valid_count = 0; dirty_count = 0;
     tick = 0; hits = 0; misses = 0; epoch = 0 }
 
@@ -98,13 +120,11 @@ let set_of_line t la = la land (t.sets - 1)
 (* The tag word a live slot holding [la] must carry right now. *)
 let live_key t la = la lor (t.vgen lsl tag_bits)
 
-let tag_of t i = Array.unsafe_get t.state (2 * i)
+let tag_of t i = word t.state (2 * i)
 let live t i = tag_of t i lsr tag_bits = t.vgen
-let dirty_slot t i = Array.unsafe_get t.dstamp i = t.dgen
+let dirty_slot t i = word t.dstamp i = t.dgen
 
-(* Returns the slot index holding [la] live in its set, or -1. All
-   indices are in bounds by construction (the arrays hold
-   [sets * ways] slots), so the scan uses unsafe accesses. A stale
+(* Returns the slot index holding [la] live in its set, or -1. A stale
    slot's generation field differs from [vgen], so its tag word can
    never equal the live key — invalidated lines drop out of the match
    with no separate validity check. *)
@@ -119,7 +139,7 @@ let find t la =
   let res = ref (-1) in
   let w = ref 0 in
   while !res < 0 && !w < ways do
-    if Array.unsafe_get state (base + (2 * !w)) = key then
+    if word state (base + (2 * !w)) = key then
       res := (base lsr 1) + !w;
     incr w
   done;
@@ -141,15 +161,14 @@ let victim t la =
     end
     else if
       live t !best
-      && Array.unsafe_get t.state ((2 * i) + 1)
-         < Array.unsafe_get t.state ((2 * !best) + 1)
+      && word t.state ((2 * i) + 1) < word t.state ((2 * !best) + 1)
     then best := i
   done;
   !best
 
 let mark_dirty t i =
   if not (dirty_slot t i) then begin
-    Array.unsafe_set t.dstamp i t.dgen;
+    set_word t.dstamp i t.dgen;
     t.dirty_count <- t.dirty_count + 1
   end
 
@@ -165,13 +184,13 @@ let fill_slot t i la ~write =
     if was_dirty then t.dirty_count <- t.dirty_count - 1
   end
   else t.valid_count <- t.valid_count + 1;
-  Array.unsafe_set t.state (2 * i) (live_key t la);
-  Array.unsafe_set t.state ((2 * i) + 1) t.tick;
+  set_word t.state (2 * i) (live_key t la);
+  set_word t.state ((2 * i) + 1) t.tick;
   if write then begin
-    Array.unsafe_set t.dstamp i t.dgen;
+    set_word t.dstamp i t.dgen;
     t.dirty_count <- t.dirty_count + 1
   end
-  else if was_dirty then Array.unsafe_set t.dstamp i (-1)
+  else if was_dirty then set_word t.dstamp i (-1)
 
 (* The shared per-access transition. Fills bump the epoch: a fill may
    evict another line, so any resident-set snapshot taken earlier is
@@ -183,7 +202,7 @@ let access_slot t la ~write =
   let i = find t la in
   if i >= 0 then begin
     t.hits <- t.hits + 1;
-    Array.unsafe_set t.state ((2 * i) + 1) t.tick;
+    set_word t.state ((2 * i) + 1) t.tick;
     if write then mark_dirty t i;
     i
   end
@@ -200,19 +219,18 @@ let access_line t la ~write = access_slot t la ~write >= 0
 let access t a ~write =
   if access_line t (line_addr t a) ~write then `Hit else `Miss
 
-let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
-    ~next_slots ~from =
+let run_through t next ~a ~n ~write ~slots ~next_slots ~from =
   (* Fused walk of [n] consecutive lines starting at byte address [a]:
      per line, exactly the transition of [access t] followed — on a
-     miss — by [access next] (write-allocate at both levels), with the
-     next-level charge summed from [lat_next_hit]/[lat_next_miss].
-     This is the simulator's hottest loop, so both levels are fused
-     into one closure-free pass, the A9 L1s' 4-way set scan is written
-     out over the paired tag/age words (any other level-one geometry
-     calls [find] and [victim]), and every counter (tick, hits, misses,
-     epoch, valid/dirty counts) is accumulated in locals and committed
-     once — nothing outside the two caches can observe the
-     intermediate values, because no events fire inside a walk.
+     miss — by [access next] (write-allocate at both levels); each
+     next-level consult is one hit or miss on [next], which the caller
+     prices. This is the simulator's hottest loop, so both levels are
+     fused into one closure-free pass, the A9 L1s' 4-way set scan is
+     written out over the paired tag/age words (any other level-one
+     geometry calls [find] and [victim]), and every counter (tick,
+     hits, misses, epoch, valid/dirty counts) is accumulated in locals
+     and committed once — nothing outside the two caches can observe
+     the intermediate values, because no events fire inside a walk.
 
      The slot that ends up holding each line (hit slot or fill victim)
      is recorded into [slots.(from + k)], and likewise the next-level
@@ -224,11 +242,11 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
      (the tag word is self-verifying, so a stale or garbage hint
      merely falls back to the full scan — at most one live slot ever
      holds a given tag). Hint entries must be -1 or in-bounds for the
-     respective cache. Returns [(extra, moved)]: the summed next-level
-     cost (0 when everything hit at this level) and the number of
-     lines whose level-one hint did not pay off — [moved = 0] proves
-     every line was still live in its recorded slot, i.e. the walk was
-     pure hits and left the epoch untouched. *)
+     respective cache. Returns the number of lines whose level-one
+     hint did not pay off — 0 proves every line was still live in its
+     recorded slot, i.e. the walk was pure hits and left the epoch
+     untouched. The result is an int, not a pair, so a walk allocates
+     nothing. *)
   let la0 = line_addr t a in
   let ways = t.cfg.ways in
   let smask = t.sets - 1 in
@@ -238,7 +256,6 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
   let tick = ref t.tick in
   let hits = ref 0 and misses = ref 0 in
   let vdelta = ref 0 and ddelta = ref 0 in
-  let extra = ref 0 in
   (* Next level, in locals too. Line sizes may differ in custom
      geometries; [nshift] converts our line addresses to next's. *)
   let nshift = next.line_shift - t.line_shift in
@@ -261,7 +278,7 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
     let hint = Array.unsafe_get slots (from + k) in
     let vbest = ref (-1) in
     let i =
-      if hint >= 0 && Array.unsafe_get state (2 * hint) = key then hint
+      if hint >= 0 && word state (2 * hint) = key then hint
       else begin
         incr moved;
         if ways = 4 then begin
@@ -273,10 +290,10 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
              tournament in which the later pair must be strictly
              older to win). The same choice as [victim], which with
              [find] serves every other geometry. *)
-          let t0 = Array.unsafe_get state base in
-          let t1 = Array.unsafe_get state (base + 2) in
-          let t2 = Array.unsafe_get state (base + 4) in
-          let t3 = Array.unsafe_get state (base + 6) in
+          let t0 = word state base in
+          let t1 = word state (base + 2) in
+          let t2 = word state (base + 4) in
+          let t3 = word state (base + 6) in
           if t0 = key then s0
           else if t1 = key then s0 + 1
           else if t2 = key then s0 + 2
@@ -288,10 +305,10 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
               else if t2 lsr tag_bits <> gen then s0 + 2
               else if t3 lsr tag_bits <> gen then s0 + 3
               else begin
-                let a0 = Array.unsafe_get state (base + 1) in
-                let a1 = Array.unsafe_get state (base + 3) in
-                let a2 = Array.unsafe_get state (base + 5) in
-                let a3 = Array.unsafe_get state (base + 7) in
+                let a0 = word state (base + 1) in
+                let a1 = word state (base + 3) in
+                let a2 = word state (base + 5) in
+                let a3 = word state (base + 7) in
                 let w01 = if a1 < a0 then 1 else 0 in
                 let w23 = if a3 < a2 then 3 else 2 in
                 let age01 = if a1 < a0 then a1 else a0 in
@@ -311,9 +328,9 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
     let slot =
       if i >= 0 then begin
         incr hits;
-        Array.unsafe_set state ((2 * i) + 1) !tick;
+        set_word state ((2 * i) + 1) !tick;
         if write && not (dirty_slot t i) then begin
-          Array.unsafe_set t.dstamp i t.dgen;
+          set_word t.dstamp i t.dgen;
           incr ddelta
         end;
         i
@@ -322,18 +339,18 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
         incr misses;
         let i = !vbest in
         let was_dirty = dirty_slot t i in
-        if Array.unsafe_get state (2 * i) lsr tag_bits = gen then begin
+        if word state (2 * i) lsr tag_bits = gen then begin
           if was_dirty then decr ddelta
         end
         else incr vdelta;
-        Array.unsafe_set state (2 * i) key;
-        Array.unsafe_set state ((2 * i) + 1) !tick;
+        set_word state (2 * i) key;
+        set_word state ((2 * i) + 1) !tick;
         (* As in [fill_slot]: a store fill always dirties one line. *)
         if write then begin
-          Array.unsafe_set t.dstamp i t.dgen;
+          set_word t.dstamp i t.dgen;
           incr ddelta
         end
-        else if was_dirty then Array.unsafe_set t.dstamp i (-1);
+        else if was_dirty then set_word t.dstamp i (-1);
         (* Line fill consults the next level, like the scalar path.
            Try the recorded next-level slot first: a live tag match
            proves it is the unique slot holding the line, so replaying
@@ -343,13 +360,13 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
         incr ntick;
         let hint = Array.unsafe_get next_slots (from + k) in
         let j =
-          if hint >= 0 && Array.unsafe_get nstate (2 * hint) = nkey then hint
+          if hint >= 0 && word nstate (2 * hint) = nkey then hint
           else begin
             let nbase = 2 * ((nla land nsmask) * nways) in
             let res = ref (-1) in
             let w = ref 0 in
             while !res < 0 && !w < nways do
-              if Array.unsafe_get nstate (nbase + (2 * !w)) = nkey then
+              if word nstate (nbase + (2 * !w)) = nkey then
                 res := (nbase lsr 1) + !w;
               incr w
             done;
@@ -358,13 +375,12 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
         in
         if j >= 0 then begin
           incr nhits;
-          Array.unsafe_set nstate ((2 * j) + 1) !ntick;
+          set_word nstate ((2 * j) + 1) !ntick;
           if write && not (dirty_slot next j) then begin
-            Array.unsafe_set next.dstamp j next.dgen;
+            set_word next.dstamp j next.dgen;
             incr nddelta
           end;
-          Array.unsafe_set next_slots (from + k) j;
-          extra := !extra + lat_next_hit
+          Array.unsafe_set next_slots (from + k) j
         end
         else begin
           incr nmisses;
@@ -374,15 +390,14 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
             if nwas_dirty then decr nddelta
           end
           else incr nvdelta;
-          Array.unsafe_set nstate (2 * j) nkey;
-          Array.unsafe_set nstate ((2 * j) + 1) !ntick;
+          set_word nstate (2 * j) nkey;
+          set_word nstate ((2 * j) + 1) !ntick;
           if write then begin
-            Array.unsafe_set next.dstamp j next.dgen;
+            set_word next.dstamp j next.dgen;
             incr nddelta
           end
-          else if nwas_dirty then Array.unsafe_set next.dstamp j (-1);
-          Array.unsafe_set next_slots (from + k) j;
-          extra := !extra + lat_next_miss
+          else if nwas_dirty then set_word next.dstamp j (-1);
+          Array.unsafe_set next_slots (from + k) j
         end;
         i
       end
@@ -401,7 +416,7 @@ let run_through t next ~lat_next_hit ~lat_next_miss ~a ~n ~write ~slots
   next.epoch <- next.epoch + !nmisses;
   next.valid_count <- next.valid_count + !nvdelta;
   next.dirty_count <- next.dirty_count + !nddelta;
-  (!extra, !moved)
+  !moved
 
 let replay_hits t idx ~start ~stop ~write =
   (* Replay a recorded run of guaranteed hits: identical counter, LRU
@@ -414,65 +429,76 @@ let replay_hits t idx ~start ~stop ~write =
     for k = start to stop - 1 do
       let i = Array.unsafe_get idx k in
       incr tick;
-      Array.unsafe_set state ((2 * i) + 1) !tick;
+      set_word state ((2 * i) + 1) !tick;
       mark_dirty t i
     done
   else
     for k = start to stop - 1 do
       let i = Array.unsafe_get idx k in
       incr tick;
-      Array.unsafe_set state ((2 * i) + 1) !tick
+      set_word state ((2 * i) + 1) !tick
     done;
   t.hits <- t.hits + (stop - start);
   t.tick <- !tick
 
 let probe t a = find t (line_addr t a) >= 0
 
-let iter_range t a len f =
-  (* Visit each live line whose address intersects [a, a+len). *)
-  let first = line_addr t a and last = line_addr t (a + len - 1) in
-  if last - first >= t.sets * t.cfg.ways then begin
-    (* Range larger than the cache: scan the state instead. *)
-    let n = t.sets * t.cfg.ways in
-    for i = 0 to n - 1 do
-      if live t i then begin
-        let la = tag_of t i land tag_mask in
-        if la >= first && la <= last then f i
-      end
-    done
+let lines t = t.sets * t.cfg.ways
+
+(* The range ops visit each live line whose address lies in [first,
+   last] (the lines [a, a+len) touches) in a plain loop, with no
+   closure. Step [k] visits [range_slot], or nothing when it is -1:
+   line [first + k]'s slot, or with [scan] (a range of more lines than
+   the cache holds) slot [k] itself, so the state is scanned once in
+   slot order instead of looking each line up. *)
+let range_slot t ~scan first last k =
+  if scan then begin
+    let la = tag_of t k land tag_mask in
+    if live t k && la >= first && la <= last then k else -1
   end
-  else
-    for la = first to last do
-      let i = find t la in
-      if i >= 0 then f i
-    done
+  else find t (first + k)
 
 let dirty_in_range t a len =
+  let first = line_addr t a and last = line_addr t (a + len - 1) in
+  let scan = last - first >= lines t in
   let found = ref false in
-  iter_range t a len (fun i -> if dirty_slot t i then found := true);
+  for k = 0 to (if scan then lines t else last - first + 1) - 1 do
+    let i = range_slot t ~scan first last k in
+    if i >= 0 && dirty_slot t i then found := true
+  done;
   !found
 
 let clean_range t a len =
+  let first = line_addr t a and last = line_addr t (a + len - 1) in
+  let scan = last - first >= lines t in
   let n = ref 0 in
-  iter_range t a len (fun i ->
-      if dirty_slot t i then begin
-        t.dstamp.(i) <- -1;
-        t.dirty_count <- t.dirty_count - 1;
-        incr n
-      end);
+  for k = 0 to (if scan then lines t else last - first + 1) - 1 do
+    let i = range_slot t ~scan first last k in
+    if i >= 0 && dirty_slot t i then begin
+      set_word t.dstamp i (-1);
+      t.dirty_count <- t.dirty_count - 1;
+      incr n
+    end
+  done;
   if !n > 0 then t.epoch <- t.epoch + 1;
   !n
 
 let invalidate_range t a len =
+  let first = line_addr t a and last = line_addr t (a + len - 1) in
+  let scan = last - first >= lines t in
   let n = ref 0 in
-  iter_range t a len (fun i ->
-      t.state.(2 * i) <- -1;
+  for k = 0 to (if scan then lines t else last - first + 1) - 1 do
+    let i = range_slot t ~scan first last k in
+    if i >= 0 then begin
+      set_word t.state (2 * i) (-1);
       if dirty_slot t i then begin
-        t.dstamp.(i) <- -1;
+        set_word t.dstamp i (-1);
         t.dirty_count <- t.dirty_count - 1
       end;
       t.valid_count <- t.valid_count - 1;
-      incr n);
+      incr n
+    end
+  done;
   if !n > 0 then t.epoch <- t.epoch + 1;
   !n
 
@@ -502,8 +528,6 @@ let epoch t = t.epoch
 let valid_lines t = t.valid_count
 let dirty_lines t = t.dirty_count
 
-let lines t = t.sets * t.cfg.ways
-
 let line_size t = t.cfg.line_size
 
 let sets t = t.sets
@@ -515,5 +539,5 @@ let rehit t i ~write ~n =
      hit and sets the age to the tick, so only the last age survives. *)
   t.tick <- t.tick + n;
   t.hits <- t.hits + n;
-  Array.unsafe_set t.state ((2 * i) + 1) t.tick;
+  set_word t.state ((2 * i) + 1) t.tick;
   if write then mark_dirty t i

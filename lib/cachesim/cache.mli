@@ -17,10 +17,12 @@ type config = {
 type t
 
 val create : config -> t
-(** An empty cache. Its state is one bulk allocation with no per-slot
-    work: an empty slot's LRU age is never read (victim choice compares
-    the ages of live ways only), so a fresh cache behaves exactly like
-    one emptied by {!invalidate_all}.
+(** An empty cache. Its slot state (tag, age and dirty-stamp words) is
+    held in two [Bytes] blocks, which the GC never scans, and a fresh
+    cache is one memset of each block with no per-slot work: every
+    word -1, an invalid tag. An empty slot's LRU age is never read
+    (victim choice compares the ages of live ways only), so a fresh
+    cache behaves exactly like one emptied by {!invalidate_all}.
     @raise Invalid_argument if geometry is not a power-of-two split. *)
 
 val access : t -> Addr.t -> write:bool -> [ `Hit | `Miss ]
@@ -46,27 +48,27 @@ val rehit : t -> int -> write:bool -> n:int -> unit
     tie-break. *)
 
 val run_through :
-  t -> t -> lat_next_hit:int -> lat_next_miss:int -> a:Addr.t -> n:int ->
-  write:bool -> slots:int array -> next_slots:int array -> from:int ->
-  int * int
+  t -> t -> a:Addr.t -> n:int -> write:bool -> slots:int array ->
+  next_slots:int array -> from:int -> int
 (** [run_through l1 next ~a ~n ...] walks [n] consecutive lines from
     [a]: per line, exactly the transition of {!access} on [l1],
     followed on a miss by {!access} on [next] (write-allocate at both
-    levels), charging [lat_next_hit]/[lat_next_miss] per next-level
-    consult. The slot that ends up holding each line is recorded into
-    [slots.(from + k)], and the next-level slot each missing line
-    resolves to into [next_slots.(from + k)] — so a cold walk doubles
-    as a recording pass for the fast-path replay layers. Both arrays
-    are also read back as self-verifying placement {e hints}: when the
-    recorded slot still carries the line's live tag the hit is
-    replayed there without a set scan; a stale or garbage entry merely
-    falls back to the full scan, but every entry must be [-1] or in
-    bounds for the respective cache's state arrays. Returns
-    [(extra, moved)]: the summed next-level cost, and the number of
-    lines not found at their recorded [l1] slot — [moved = 0] proves
+    levels). Each next-level consult counts one hit or one miss on
+    [next], so the caller prices the walk from [next]'s {!hits} and
+    {!misses} before and after it. The slot that ends up holding each
+    line is recorded into [slots.(from + k)], and the next-level slot
+    each missing line resolves to into [next_slots.(from + k)] — so a
+    cold walk doubles as a recording pass for the fast-path replay
+    layers. Both arrays are also read back as self-verifying placement
+    {e hints}: when the recorded slot still carries the line's live
+    tag the hit is replayed there without a set scan; a stale or
+    garbage entry merely falls back to the full scan, but every entry
+    must be [-1] or in bounds for the respective cache. Returns the
+    number of lines not found at their recorded [l1] slot — [0] proves
     the walk was pure [l1] hits (and so left {!epoch} untouched).
     This is the simulator's hottest loop — both levels are fused into
-    one closure-free pass with all counters accumulated in locals. *)
+    one closure-free pass with all counters accumulated in locals, and
+    it allocates nothing. *)
 
 val replay_hits : t -> int array -> start:int -> stop:int -> write:bool -> unit
 (** [replay_hits t idx ~start ~stop ~write] replays a recorded run of

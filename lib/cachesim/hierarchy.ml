@@ -105,12 +105,13 @@ let access_line_run_record t kind a n ~slots ~next_slots ~from =
      them ([0] proves the walk was pure L1 hits). *)
   let l1 = match kind with Ifetch -> t.l1i | Load | Store -> t.l1d in
   let write = kind = Store in
-  let miss_cost, moved =
-    Cache.run_through l1 t.l2 ~lat_next_hit:latencies.l2_hit
-      ~lat_next_miss:(latencies.l2_hit + latencies.dram) ~a ~n ~write ~slots
-      ~next_slots ~from
-  in
-  Clock.advance t.clock ((n * latencies.l1_hit) + miss_cost);
+  let l2_hits = Cache.hits t.l2 and l2_misses = Cache.misses t.l2 in
+  let moved = Cache.run_through l1 t.l2 ~a ~n ~write ~slots ~next_slots ~from in
+  (* Each line that missed the L1 consulted the L2 once. *)
+  Clock.advance t.clock
+    ((n * latencies.l1_hit)
+     + ((Cache.hits t.l2 - l2_hits) * latencies.l2_hit)
+     + ((Cache.misses t.l2 - l2_misses) * (latencies.l2_hit + latencies.dram)));
   moved
 
 let access_uncached t =

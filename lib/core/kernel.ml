@@ -163,11 +163,6 @@ let kernel_irqs =
   Irq_id.private_timer :: Irq_id.devcfg
   :: List.init Irq_id.pl_count Irq_id.pl
 
-(* [List.mem] at int equality: no polymorphic compare per element. *)
-let rec int_mem (i : int) = function
-  | [] -> false
-  | k :: rest -> k = i || int_mem i rest
-
 let handler : (unit, exit) Effect.Deep.handler =
   { Effect.Deep.retc = (fun () -> X_done);
     exnc = (fun e -> X_crash e);
@@ -704,13 +699,14 @@ let switch_to t rt =
             (fun v -> Exec.pin1 (Vcpu.save_fp v)) v)
      | Some _ | None -> ());
     Exec.run_pinned t.z ~priv:true t.kf.kf_sched_pick;
-    (* Mask the previous guest's sources, unmask the successor's. *)
-    let guest_enabled =
-      List.filter
-        (fun i -> i < Irq_id.max_irq && not (int_mem i kernel_irqs))
-        (Vgic.enabled_sources rt.pd.Pd.vgic)
-    in
-    Gic.set_enabled_mask t.z.Zynq.gic ~keep:kernel_irqs ~enable:guest_enabled;
+    (* Mask the previous guest's sources, unmask the successor's. Each
+       source's deliverable bit depends on its own flags alone, so the
+       order does not matter, and re-enabling a kernel source changes
+       nothing. *)
+    let gic = t.z.Zynq.gic in
+    Gic.set_enabled_mask gic ~keep:kernel_irqs;
+    Vgic.iter_enabled rt.pd.Pd.vgic (fun i ->
+        if i < Irq_id.max_irq then Gic.enable gic i);
     (match t.cfg.tlb_policy with
      | `Asid -> ()
      | `Flush_all ->

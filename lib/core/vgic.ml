@@ -93,12 +93,8 @@ let has_deliverable t =
        | None -> false)
     false t.arrival
 
-let enabled_sources t =
-  let out =
-    Int_table.fold (fun irq s acc -> if s.enabled then irq :: acc else acc)
-      t.sources []
-  in
-  List.sort Int.compare out
+let iter_enabled t f =
+  Int_table.iter (fun irq s -> if s.enabled then f irq) t.sources
 
 let raised t = t.raised
 let delivered t = t.delivered

@@ -44,9 +44,10 @@ val drain : t -> int list
 val has_deliverable : t -> bool
 (** True when {!drain} would return a non-empty list. *)
 
-val enabled_sources : t -> int list
-(** Enabled physical ids, ascending — what the kernel unmasks in the
-    GIC when switching this VM in. *)
+val iter_enabled : t -> (int -> unit) -> unit
+(** Apply the function to each enabled physical id — what the kernel
+    unmasks in the GIC when switching this VM in. The order is the
+    table's slot order, neither ascending nor insertion order. *)
 
 (** {2 Conservation accounting (invariant plane)}
 

@@ -79,13 +79,12 @@ let eoi g irq =
   check irq;
   set g g.active irq false
 
-let set_enabled_mask g ~keep ~enable =
+let set_enabled_mask g ~keep =
   (* With every source disabled nothing is deliverable; [set] then
-     marks each source the two lists bring back. *)
+     marks each source [keep] brings back. *)
   Array.fill g.enabled 0 (Array.length g.enabled) false;
   Array.fill g.deliverable 0 words 0;
-  List.iter (fun irq -> set g g.enabled irq true) keep;
-  List.iter (fun irq -> set g g.enabled irq true) enable
+  List.iter (fun irq -> set g g.enabled irq true) keep
 
 let enabled_list g =
   let out = ref [] in

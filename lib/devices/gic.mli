@@ -6,7 +6,7 @@
     {!eoi}, and injects the corresponding virtual interrupt through the
     current VM's vGIC. On each VM switch the kernel masks the outgoing
     VM's sources and unmasks the incoming VM's enabled ones
-    ({!set_enabled_mask}). *)
+    ({!set_enabled_mask}, then {!enable} per source). *)
 
 type t
 
@@ -33,9 +33,10 @@ val ack : t -> int option
 val eoi : t -> int -> unit
 (** CPU interface write of ICCEOIR: deactivate the source. *)
 
-val set_enabled_mask : t -> keep:int list -> enable:int list -> unit
+val set_enabled_mask : t -> keep:int list -> unit
 (** VM-switch helper: disable every source {e except} [keep] (the
-    kernel-owned ones), then enable each source in [enable]. *)
+    kernel-owned ones); the kernel then {!enable}s the incoming VM's
+    sources one by one. *)
 
 val enabled_list : t -> int list
 (** Currently enabled ids, ascending (test/debug). *)

@@ -356,9 +356,8 @@ let prop_cache_counters =
                       ((line * 11) + (j * 5)) mod Cache.lines (Hierarchy.l2 h)
                   done);
                ignore
-                 (Cache.run_through l1 (Hierarchy.l2 h) ~lat_next_hit:1
-                    ~lat_next_miss:2 ~a ~n ~write:(k = 1) ~slots ~next_slots
-                    ~from:0)
+                 (Cache.run_through l1 (Hierarchy.l2 h) ~a ~n ~write:(k = 1)
+                    ~slots ~next_slots ~from:0)
              | 3 -> ignore (Hierarchy.clean_dcache_range h a len)
              | 4 -> ignore (Hierarchy.invalidate_dcache_range h a len)
              | 5 -> ignore (Hierarchy.clean_invalidate_all h)
@@ -435,23 +434,16 @@ let prop_run_through_a9 =
                      next_slots.(i) <-
                        ((j * 11) + (i * 5)) mod Cache.lines (Hierarchy.l2 hw)
                    done);
-                let extra, _ =
-                  Cache.run_through (l1 hw) (Hierarchy.l2 hw) ~lat_next_hit:1
-                    ~lat_next_miss:2 ~a ~n ~write ~slots ~next_slots ~from:0
-                in
-                let reference = ref 0 in
+                ignore
+                  (Cache.run_through (l1 hw) (Hierarchy.l2 hw) ~a ~n ~write
+                     ~slots ~next_slots ~from:0);
                 for i = 0 to n - 1 do
                   let a = a + (32 * i) in
                   match Cache.access (l1 hs) a ~write with
                   | `Hit -> ()
-                  | `Miss ->
-                    reference :=
-                      !reference
-                      + (match Cache.access (Hierarchy.l2 hs) a ~write with
-                        | `Hit -> 1
-                        | `Miss -> 2)
+                  | `Miss -> ignore (Cache.access (Hierarchy.l2 hs) a ~write)
                 done;
-                extra = !reference
+                true
               | 3 ->
                 (* Line [a] and the line 8 KB above it (same L1 set) end
                    up with equal ages. *)
@@ -483,7 +475,7 @@ let prop_run_through_a9 =
    stale ages are newest in way 0 and oldest in the last way of every
    set, while a fresh cache's are all -1, so a victim rule that read a
    non-live slot's age would pick a different way in the two. Every
-   access's result (hit slot or [lnot] fill slot), every walk's cost
+   access's result (hit slot or [lnot] fill slot), every walk's L2 consults
    and recorded slots, every range op's count and the final residency
    and dirtiness of every pool line must agree. Pool lines sit 64 KB
    apart, so twelve of them share one set at both levels and evict. *)
@@ -538,11 +530,13 @@ let prop_fresh_is_invalidated =
            [ r ]
          | 1 ->
            let slots = Array.make 4 (-1) and next_slots = Array.make 4 (-1) in
-           let extra, moved =
-             Cache.run_through l1 l2 ~lat_next_hit:1 ~lat_next_miss:2 ~a ~n
-               ~write:(lvl = 1) ~slots ~next_slots ~from:0
+           let hits = Cache.hits l2 and misses = Cache.misses l2 in
+           let moved =
+             Cache.run_through l1 l2 ~a ~n ~write:(lvl = 1) ~slots ~next_slots
+               ~from:0
            in
-           extra :: moved :: Array.to_list slots @ Array.to_list next_slots
+           (Cache.hits l2 - hits) :: (Cache.misses l2 - misses) :: moved
+           :: Array.to_list slots @ Array.to_list next_slots
          | 2 -> [ Cache.invalidate_range c a (32 * n) ]
          | 3 -> [ Cache.clean_range c a (32 * n) ]
          | _ -> [ Cache.invalidate_all c ]
@@ -810,6 +804,65 @@ let test_tlb_peek_allocates_nothing () =
   check ci "half the probes hit" 5_000 !found;
   check (Alcotest.float 0.) "minor words over 10k probes" 0. words
 
+(* The cache walks allocate nothing: no boxed 64-bit word leaks out of
+   the state accessors, and the range operations build no closure.
+   Each operation runs 10k times at the A9 geometry, over 2,048 lines
+   (twice the L1D) visited in a scrambled order, so the L1 both hits
+   and misses. *)
+let test_cache_walks_allocate_nothing () =
+  let h = Hierarchy.create (Clock.create ()) in
+  let l1d = Hierarchy.l1d h and l2 = Hierarchy.l2 h in
+  let addr i = 0x10_0000 + ((i land 2047) * 32) in
+  let mix = Hashtbl.hash in
+  let slots = Array.make 8 (-1) and next_slots = Array.make 8 (-1) in
+  let hits = ref 0 and sink = ref 0 in
+  let pin name f =
+    let before = Gc.minor_words () in
+    for i = 0 to 9_999 do
+      f i
+    done;
+    let words = Gc.minor_words () -. before in
+    check (Alcotest.float 0.) ("minor words over 10k " ^ name) 0. words
+  in
+  pin "Cache.access" (fun i ->
+      if Cache.access l1d (addr (mix i)) ~write:(i land 1 = 0) = `Hit then
+        incr hits);
+  check cb "the L1 hits and misses" true (!hits > 0 && !hits < 10_000);
+  pin "Hierarchy.access_words" (fun i ->
+      sink := !sink + Hierarchy.access_words h Hierarchy.Load (addr (mix i)) 12);
+  pin "Hierarchy.access_line_run_record" (fun i ->
+      sink :=
+        !sink
+        + Hierarchy.access_line_run_record h Hierarchy.Store
+            (addr (8 * mix i)) 8 ~slots ~next_slots ~from:0);
+  (* Eight resident lines in eight sets, for the hit replays. *)
+  let idx =
+    Array.init 8 (fun w ->
+        let s = Cache.access_word l1d (addr w) ~write:false in
+        if s >= 0 then s else lnot s)
+  in
+  pin "Cache.replay_hits" (fun i ->
+      Cache.replay_hits l1d idx ~start:0 ~stop:8 ~write:(i land 1 = 0));
+  pin "Cache.rehit" (fun i ->
+      Cache.rehit l1d idx.(i land 7) ~write:(i land 1 = 0) ~n:3);
+  pin "Cache.dirty_in_range" (fun i ->
+      if Cache.dirty_in_range l2 (addr (mix i)) (32 * (i land 63)) then
+        incr sink);
+  pin "Cache.clean_range" (fun i ->
+      ignore (Cache.access l1d (addr i) ~write:true);
+      sink := !sink + Cache.clean_range l1d (addr i) (32 * (i land 15)));
+  pin "Cache.invalidate_range" (fun i ->
+      ignore (Cache.access l2 (addr i) ~write:true);
+      sink := !sink + Cache.invalidate_range l2 (addr i) (32 * (i land 15)));
+  (* A range longer than the cache takes the whole-state scan. *)
+  pin "whole-cache range ops" (fun i ->
+      if i land 255 = 0 then begin
+        sink := !sink + Cache.clean_range l1d 0 (1 lsl 20);
+        sink := !sink + Cache.invalidate_range l1d 0 (1 lsl 20);
+        if Cache.dirty_in_range l1d 0 (1 lsl 20) then incr sink
+      end);
+  check cb "the walks did work" true (!sink > 0)
+
 let suite =
   let t n f = Alcotest.test_case n `Quick f in
   ( "cachesim",
@@ -838,4 +891,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_fresh_is_invalidated;
       QCheck_alcotest.to_alcotest prop_tlb_peek_is_scan;
       QCheck_alcotest.to_alcotest prop_tlb_set_versions;
-      t "tlb peek allocates nothing" test_tlb_peek_allocates_nothing ] )
+      t "tlb peek allocates nothing" test_tlb_peek_allocates_nothing;
+      t "cache walks allocate nothing" test_cache_walks_allocate_nothing ] )

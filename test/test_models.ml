@@ -88,15 +88,32 @@ let prop_event_queue_model =
 (* ------------------------------------------------------------------ *)
 (* Cache vs an explicit per-set LRU list model.                        *)
 
-type cache_op = C_access of int * bool | C_inval of int | C_clean of int
+type cache_op =
+  | C_access of int * bool
+  | C_inval of int
+  | C_clean of int
+  | C_inval_all
+  | C_clean_all
 
-let gen_cache_ops =
+(* A case names its lines by index into a pool of twelve: six line
+   numbers drawn from the whole 28-bit line space (byte addresses up to
+   2^33), each paired with the line that differs from it only in its
+   top bit (the same set, the same low tag bits). Full invalidations
+   and cleans are frequent enough that the generations pass 16 in the
+   longer cases, so a tag word stored in fewer bits than it needs
+   stops matching. *)
+let gen_cache_case =
   QCheck2.Gen.(
-    list_size (int_range 1 120)
-      (oneof
-         [ map2 (fun a w -> C_access ((a land 0x3F) * 32, w)) int bool;
-           map (fun a -> C_inval ((a land 0x3F) * 32)) int;
-           map (fun a -> C_clean ((a land 0x3F) * 32)) int ]))
+    let line = int_bound 11 in
+    pair
+      (list_repeat 6 (int_bound ((1 lsl 28) - 1)))
+      (list_size (int_range 1 200)
+         (frequency
+            [ (6, map2 (fun i w -> C_access (i, w)) line bool);
+              (1, map (fun i -> C_inval i) line);
+              (1, map (fun i -> C_clean i) line);
+              (2, return C_inval_all);
+              (1, return C_clean_all) ])))
 
 (* Reference: per set, a list of (line_addr, dirty) in LRU order
    (head = least recent). *)
@@ -139,33 +156,57 @@ module Cache_model = struct
     let s = set_of t la in
     t.state.(s) <-
       List.map (fun (a, d) -> if a = la then (a, false) else (a, d)) t.state.(s)
+
+  let count t p =
+    Array.fold_left
+      (fun n l -> List.fold_left (fun n e -> if p e then n + 1 else n) n l)
+      0 t.state
+
+  (* Both return what the cache's full operation must: the lines
+     dropped or written back. *)
+  let invalidate_all t =
+    let n = count t (fun _ -> true) in
+    Array.fill t.state 0 t.sets [];
+    n
+
+  let clean_all t =
+    let n = count t snd in
+    t.state <- Array.map (List.map (fun (a, _) -> (a, false))) t.state;
+    n
 end
 
 let prop_cache_lru_model =
   QCheck2.Test.make ~name:"Cache matches per-set LRU model" ~count:300
-    gen_cache_ops
-    (fun ops ->
+    gen_cache_case
+    (fun (lines, ops) ->
        (* 8 sets x 2 ways x 32 B lines = 512 B cache. *)
        let c =
          Cache.create
            { Cache.name = "model"; size_bytes = 512; ways = 2; line_size = 32 }
        in
        let m = Cache_model.create ~sets:8 ~ways:2 in
+       let pool =
+         Array.of_list (lines @ List.map (fun la -> la lxor (1 lsl 27)) lines)
+       in
        List.for_all
          (fun op ->
             match op with
-            | C_access (a, w) ->
-              let r = Cache.access c a ~write:w in
-              let rm = Cache_model.access m (a lsr 5) w in
-              r = rm
-            | C_inval a ->
-              ignore (Cache.invalidate_range c a 32);
-              Cache_model.invalidate m (a lsr 5);
-              Cache.probe c a = Cache_model.probe m (a lsr 5)
-            | C_clean a ->
-              ignore (Cache.clean_range c a 32);
-              Cache_model.clean m (a lsr 5);
-              Cache.dirty_in_range c a 32 = Cache_model.dirty m (a lsr 5))
+            | C_access (i, w) ->
+              let la = pool.(i) in
+              Cache.access c (la * 32) ~write:w = Cache_model.access m la w
+            | C_inval i ->
+              let la = pool.(i) in
+              ignore (Cache.invalidate_range c (la * 32) 32);
+              Cache_model.invalidate m la;
+              Cache.probe c (la * 32) = Cache_model.probe m la
+            | C_clean i ->
+              let la = pool.(i) in
+              ignore (Cache.clean_range c (la * 32) 32);
+              Cache_model.clean m la;
+              Cache.dirty_in_range c (la * 32) 32 = Cache_model.dirty m la
+            | C_inval_all ->
+              Cache.invalidate_all c = Cache_model.invalidate_all m
+            | C_clean_all -> Cache.clean_all c = Cache_model.clean_all m)
          ops)
 
 (* ------------------------------------------------------------------ *)
